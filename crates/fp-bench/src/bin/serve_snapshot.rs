@@ -1,18 +1,16 @@
 //! Writes `BENCH_SERVE.json`: the event-driven front end (sharded poll
-//! loops + single-flight coalescing) against the original
-//! thread-per-connection front end, on the same workload, plus an
-//! overload leg pinning the admission-control accounting.
+//! loops + single-flight coalescing) under many connections, plus
+//! overload, deadline and ECO legs.
 //!
 //! Usage: `serve_snapshot [OUT_PATH] [CONNS]` (default `BENCH_SERVE.json`,
-//! 1000 connections). Three legs:
+//! 1000 connections). Four legs:
 //!
-//! * `event` / `threaded` — CONNS concurrent connections, one job each,
-//!   50% of them one shared duplicate instance (evenly interleaved), the
-//!   cache off so dedup is pure coalescing. Each leg runs [`REPS`] times;
-//!   the reported rep is the median by wall time. Recorded per leg:
-//!   throughput, latency p50/p90/p99/max, solves, coalesced, and the
-//!   post-shutdown accounting (`accepted == completed + shed`). The
-//!   headline `throughput_speedup` is event/threaded.
+//! * `event` — CONNS concurrent connections, one job each, 50% of them
+//!   one shared duplicate instance (evenly interleaved), the cache off so
+//!   dedup is pure coalescing. The leg runs [`REPS`] times; the reported
+//!   rep is the median by wall time. Recorded: throughput, latency
+//!   p50/p90/p99/max, solves, coalesced, and the post-shutdown accounting
+//!   (`accepted == completed + shed`).
 //! * `overload` — open-loop 2x-capacity burst against a deliberately tiny
 //!   admission budget (1 worker, queue 2, per-shard bound 4): pins that
 //!   overload sheds with typed `retry_after_ms` instead of queueing
@@ -21,10 +19,11 @@
 //!   snapshot). `serve_snapshot --overload-only` runs just this leg and
 //!   prints its JSON object to stdout for that comparison.
 //! * `deadline` — the same 50 ms-deadline workload solved twice: by the
-//!   sequential MILP ladder and by the milp+annealer+analytic portfolio
-//!   race. Recorded per leg: deadline-hit rate, degraded share, mean
-//!   area, and which backend won each job. The portfolio's hit rate must
-//!   be at least the sequential ladder's.
+//!   MILP pipeline alone (the `[milp]` default, reported as `sequential`)
+//!   and by the milp+annealer+analytic portfolio race. Recorded per leg:
+//!   deadline-hit rate, degraded share, mean area, and which backend won
+//!   each job. The portfolio's hit rate must be at least the MILP-only
+//!   one's.
 //! * `eco` — one [`ECO_MODULES`]-module base instance solved from
 //!   scratch, then [`ECO_EDITS`] single-module edits each solved both
 //!   ways: from scratch (the edited netlist as a fresh job) and as an
@@ -36,9 +35,7 @@
 //!   ratio <= 0.5 and the median area ratio <= 1.05 against it.
 
 use fp_netlist::generator::ProblemGenerator;
-use fp_serve::{
-    Backend, Engine, IoMode, JobRequest, JobResponse, ServeConfig, Server, ShutdownReport,
-};
+use fp_serve::{Backend, Engine, JobRequest, JobResponse, ServeConfig, Server, ShutdownReport};
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::TcpStream;
 use std::time::Instant;
@@ -91,9 +88,8 @@ fn percentile(sorted_ms: &[f64], p: f64) -> f64 {
 }
 
 /// One rep: CONNS concurrent connections, one request/response each.
-fn drive(io: IoMode, conns: usize) -> Measured {
+fn drive(conns: usize) -> Measured {
     let config = ServeConfig::default()
-        .with_io(io)
         .with_workers(2)
         .with_cache_capacity(0)
         .with_queue_capacity(4 * conns.max(16))
@@ -147,8 +143,8 @@ fn drive(io: IoMode, conns: usize) -> Measured {
     }
 }
 
-fn median_rep(io: IoMode, conns: usize) -> Measured {
-    let mut runs: Vec<Measured> = (0..REPS).map(|_| drive(io, conns)).collect();
+fn median_rep(conns: usize) -> Measured {
+    let mut runs: Vec<Measured> = (0..REPS).map(|_| drive(conns)).collect();
     runs.sort_by(|a, b| a.wall_s.total_cmp(&b.wall_s));
     runs.swap_remove(REPS / 2)
 }
@@ -168,7 +164,6 @@ struct Overload {
 /// admission budget must produce typed sheds and balanced books.
 fn drive_overload(jobs: u64) -> Overload {
     let config = ServeConfig::default()
-        .with_io(IoMode::Event)
         .with_shards(1)
         .with_workers(1)
         .with_queue_capacity(2)
@@ -226,7 +221,7 @@ fn drive_overload(jobs: u64) -> Overload {
 }
 
 /// One deadline-leg measurement: every job under a 50 ms budget, solved
-/// sequentially (`backends` empty) or by the portfolio race.
+/// by the MILP pipeline alone (`[Milp]`) or by the portfolio race.
 struct DeadlineLeg {
     hits: u64,
     degraded: u64,
@@ -471,32 +466,21 @@ fn main() {
         .get(1)
         .map_or(1000, |s| s.parse().expect("CONNS must be a number"));
 
-    let event = median_rep(IoMode::Event, conns);
+    let event = median_rep(conns);
     eprintln!(
         "event: {:.1} jobs/s, p99 {:.1}ms, {} solves / {} coalesced",
         event.throughput, event.p99_ms, event.solves, event.coalesced
     );
-    let threaded = median_rep(IoMode::Threaded, conns);
-    eprintln!(
-        "threaded: {:.1} jobs/s, p99 {:.1}ms, {} solves / {} coalesced",
-        threaded.throughput, threaded.p99_ms, threaded.solves, threaded.coalesced
+    let acc = event.report.accounting;
+    assert_eq!(acc.accepted as usize, conns, "every job accepted");
+    assert_eq!(acc.accepted, acc.completed + acc.shed, "books must balance");
+    // The duplicate share must actually dedup: at most the distinct half
+    // plus the handful of shared-instance leader solves.
+    assert!(
+        event.solves <= (conns as u64) * 55 / 100,
+        "{} solves out of {conns} jobs — coalescing not engaging",
+        event.solves
     );
-    for (leg, m) in [("event", &event), ("threaded", &threaded)] {
-        let acc = m.report.accounting;
-        assert_eq!(acc.accepted as usize, conns, "{leg}: every job accepted");
-        assert_eq!(
-            acc.accepted,
-            acc.completed + acc.shed,
-            "{leg}: books must balance"
-        );
-        // The duplicate share must actually dedup: at most the distinct
-        // half plus the handful of shared-instance leader solves.
-        assert!(
-            m.solves <= (conns as u64) * 55 / 100,
-            "{leg}: {} solves out of {conns} jobs — coalescing not engaging",
-            m.solves
-        );
-    }
 
     let overload = drive_overload(40);
     eprintln!(
@@ -510,7 +494,7 @@ fn main() {
     let oacc = overload.report.accounting;
     assert_eq!(oacc.accepted, oacc.completed + oacc.shed);
 
-    let sequential = drive_deadline(Vec::new());
+    let sequential = drive_deadline(vec![Backend::Milp]);
     let portfolio = drive_deadline(vec![Backend::Milp, Backend::Annealer, Backend::Analytic]);
     for (leg, m) in [("sequential", &sequential), ("portfolio", &portfolio)] {
         eprintln!(
@@ -520,34 +504,28 @@ fn main() {
     }
     assert!(
         portfolio.hits >= sequential.hits,
-        "portfolio hit {}/{DL_JOBS} deadlines, sequential {}/{DL_JOBS} — racing made it worse",
+        "portfolio hit {}/{DL_JOBS} deadlines, milp alone {}/{DL_JOBS} — racing made it worse",
         portfolio.hits,
         sequential.hits
     );
 
     let eco = eco_leg_checked();
 
-    let speedup = event.throughput / threaded.throughput.max(1e-12);
     let json = format!(
         "{{\n  \"bench\": \"serve_io\",\n  \"reps\": {REPS},\n  \
          \"conns\": {conns},\n  \"dup_pct\": {DUP_PCT},\n  \
          \"modules\": {MODULES},\n  \
-         \"throughput_speedup\": {speedup:.3},\n  \
-         \"event\": {},\n  \"threaded\": {},\n  \
+         \"event\": {},\n  \
          \"overload\": {},\n  \
          \"deadline\": {{\"jobs\": {DL_JOBS}, \"modules\": {DL_MODULES}, \
          \"deadline_ms\": {DL_MS}, \"sequential\": {}, \"portfolio\": {}}},\n  \
          \"eco\": {}\n}}\n",
         leg_json(&event),
-        leg_json(&threaded),
         overload_json(&overload),
         deadline_json(&sequential),
         deadline_json(&portfolio),
         eco_json(&eco)
     );
     std::fs::write(&out_path, &json).expect("write snapshot");
-    eprintln!(
-        "event vs threaded throughput: {speedup:.2}x on {conns} conns \
-         ({DUP_PCT}% duplicates) -> {out_path}"
-    );
+    eprintln!("wrote {out_path}");
 }

@@ -11,7 +11,7 @@
 use fp_core::{Objective, OrderingStrategy};
 use fp_netlist::{ami33, format, generator::ProblemGenerator, Netlist};
 use fp_route::{RouteAlgorithm, RoutingMode};
-use fp_serve::{Backend, IoMode};
+use fp_serve::Backend;
 
 /// A parsed invocation.
 #[derive(Debug)]
@@ -79,8 +79,6 @@ pub struct ServeArgs {
     pub cache: usize,
     /// Per-step node limit for jobs.
     pub node_limit: usize,
-    /// Which front end: the sharded event loop or thread-per-connection.
-    pub io: IoMode,
     /// Event-loop shard count (0 = auto from available parallelism).
     pub shards: usize,
     /// Global job-queue capacity (the shedding admission bound).
@@ -91,7 +89,7 @@ pub struct ServeArgs {
     pub max_line: usize,
     /// Write service trace events (cache hits/misses, jobs) to a file.
     pub trace: Option<String>,
-    /// Solver backends to race per job (empty = the sequential ladder).
+    /// Solver backends to race per job (default: `milp` alone).
     pub backends: Vec<Backend>,
     /// Solution-cache snapshot file: loaded on start, written on
     /// graceful shutdown (None = in-memory only).
@@ -263,13 +261,12 @@ fn parse_serve_args<I: Iterator<Item = String>>(mut it: I) -> Result<ServeArgs, 
         workers: 2,
         cache: 128,
         node_limit: 4_000,
-        io: IoMode::Event,
         shards: 0,
         queue: 64,
         pending: 256,
         max_line: 1 << 20,
         trace: None,
-        backends: Vec::new(),
+        backends: vec![Backend::Milp],
         cache_file: None,
     };
     while let Some(arg) = it.next() {
@@ -294,13 +291,6 @@ fn parse_serve_args<I: Iterator<Item = String>>(mut it: I) -> Result<ServeArgs, 
                 args.node_limit = value("--node-limit")?
                     .parse()
                     .map_err(|_| "bad node limit")?;
-            }
-            "--io" => {
-                args.io = match value("--io")?.as_str() {
-                    "event" => IoMode::Event,
-                    "threads" => IoMode::Threaded,
-                    other => return Err(format!("unknown io mode '{other}' (event|threads)")),
-                };
             }
             "--shards" => {
                 args.shards = value("--shards")?.parse().map_err(|_| "bad shard count")?;
@@ -471,19 +461,19 @@ pub const HELP: &str = "usage: floorplan [INPUT.fp] [--ami33 | --random N:SEED]
                  answer wins and the report names the winning backend
 
 usage: floorplan serve [--bind ADDR] [--workers N] [--cache N]
-  [--node-limit N] [--io event|threads] [--shards N] [--queue N]
+  [--node-limit N] [--shards N] [--queue N]
   [--pending N] [--max-line BYTES] [--trace FILE.jsonl]
   [--backends LIST] [--cache-file FILE.jsonl]
 
   serve floorplanning jobs over TCP, one JSON object per line in each
-  direction; --bind 127.0.0.1:0 picks an ephemeral port (printed on start)
-  --io event    sharded poll loops, request coalescing, load shedding
-                with typed retry_after_ms (the default)
-  --io threads  the original two-threads-per-connection front end
+  direction, on sharded poll loops with request coalescing and load
+  shedding (typed retry_after_ms); --bind 127.0.0.1:0 picks an ephemeral
+  port (printed on start)
+  --shards N    poll-loop shard count (default: up to 4, one per core)
   --queue N     global admission bound; --pending N per-shard bound
   --backends LIST  race these solver backends per job (comma-separated
-                from milp, annealer, analytic; default: the sequential
-                MILP ladder alone)
+                from milp, annealer, analytic; default: milp, the
+                paper's pipeline alone)
   --cache-file F   persist the solution cache: load the snapshot on
                 start, write it back on graceful shutdown
 
@@ -638,9 +628,8 @@ mod tests {
         assert_eq!(s.bind, "127.0.0.1:0");
         assert_eq!((s.workers, s.cache, s.node_limit), (4, 32, 900));
         assert_eq!(s.trace.as_deref(), Some("t.jsonl"));
-        assert_eq!(s.io, IoMode::Event);
         assert_eq!((s.shards, s.queue, s.pending), (0, 64, 256));
-        assert!(s.backends.is_empty());
+        assert_eq!(s.backends, vec![Backend::Milp]);
         assert!(command(&["serve", "--workers", "0"]).is_err());
         assert!(command(&["serve", "--bogus"]).is_err());
     }
@@ -658,14 +647,13 @@ mod tests {
         );
         assert!(command(&["serve", "--backends", "milp,quantum"]).is_err());
         assert!(command(&["serve", "--backends", "milp,milp"]).is_err());
+        assert!(command(&["serve", "--backends", ""]).is_err());
     }
 
     #[test]
     fn serve_io_flags_parse() {
         let Command::Serve(s) = command(&[
             "serve",
-            "--io",
-            "threads",
             "--shards",
             "2",
             "--queue",
@@ -678,9 +666,8 @@ mod tests {
         .unwrap() else {
             panic!("expected serve");
         };
-        assert_eq!(s.io, IoMode::Threaded);
         assert_eq!((s.shards, s.queue, s.pending, s.max_line), (2, 8, 16, 4096));
-        assert!(command(&["serve", "--io", "epoll"]).is_err());
+        assert!(command(&["serve", "--io", "threads"]).is_err());
         assert!(command(&["serve", "--queue", "0"]).is_err());
         assert!(command(&["serve", "--max-line", "0"]).is_err());
     }

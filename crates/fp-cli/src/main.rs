@@ -80,9 +80,10 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
             fp_serve::Backend::Annealer,
             fp_serve::Backend::Analytic,
         ];
-        let outcome = fp_serve::race(&netlist, &config, &backends, 0, 0x5EED, &tracer)
+        let (winner, floorplan) = fp_serve::race(&netlist, &config, &backends, 0, 0x5EED, &tracer)
+            .winner
             .ok_or("every portfolio backend failed")?;
-        (outcome.floorplan, format!("backend {}", outcome.winner))
+        (floorplan, format!("backend {}", winner.as_str()))
     } else {
         let result = Floorplanner::with_config(&netlist, config.clone())
             .run()
@@ -156,7 +157,6 @@ fn cmd_serve(args: &ServeArgs) -> Result<(), String> {
         .with_workers(args.workers)
         .with_cache_capacity(args.cache)
         .with_node_limit(args.node_limit)
-        .with_io(args.io)
         .with_queue_capacity(args.queue)
         .with_per_shard_pending(args.pending)
         .with_max_line_bytes(args.max_line)
@@ -173,21 +173,17 @@ fn cmd_serve(args: &ServeArgs) -> Result<(), String> {
     // The resolved address (not the bind string) so `--bind 127.0.0.1:0`
     // callers learn the ephemeral port; flushed because scripts read this
     // line through a pipe while the process keeps running.
-    let portfolio = if args.backends.is_empty() {
+    let portfolio = if args.backends == [fp_serve::Backend::Milp] {
         String::new()
     } else {
         let names: Vec<&str> = args.backends.iter().map(|b| b.as_str()).collect();
         format!(", racing {}", names.join("+"))
     };
     println!(
-        "serving on {} ({} workers, cache {}, {}{portfolio})",
+        "serving on {} ({} workers, cache {}, {shards} event shards{portfolio})",
         server.local_addr(),
         args.workers,
         args.cache,
-        match args.io {
-            fp_serve::IoMode::Event => format!("{shards} event shards"),
-            fp_serve::IoMode::Threaded => "threaded io".to_string(),
-        }
     );
     std::io::stdout().flush().map_err(|e| e.to_string())?;
     server.wait();

@@ -86,7 +86,8 @@ pub fn write(netlist: &Netlist) -> String {
 ///
 /// # Errors
 ///
-/// [`NetlistError::Parse`] with a line number for malformed lines;
+/// [`NetlistError::Parse`] with a line number for malformed lines,
+/// non-finite numbers (`inf`, `NaN`) included;
 /// [`NetlistError::DuplicateModule`] / [`NetlistError::UnknownModuleName`]
 /// for semantic defects.
 pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
@@ -127,8 +128,8 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
                 let num = |k: usize, what: &str| -> Result<f64, NetlistError> {
                     tokens
                         .get(k)
-                        .and_then(|t| t.parse::<f64>().ok())
-                        .ok_or_else(|| err(lineno, &format!("expected number for {what}")))
+                        .and_then(|t| finite(t))
+                        .ok_or_else(|| err(lineno, &format!("expected finite number for {what}")))
                 };
                 let (module, rest) = match kind {
                     "rigid" => {
@@ -189,8 +190,8 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
                     let key = tokens[k];
                     let val = tokens
                         .get(k + 1)
-                        .and_then(|t| t.parse::<f64>().ok())
-                        .ok_or_else(|| err(lineno, &format!("'{key}' needs a number")))?;
+                        .and_then(|t| finite(t))
+                        .ok_or_else(|| err(lineno, &format!("'{key}' needs a finite number")))?;
                     match key {
                         "weight" => weight = val,
                         "crit" => crit = val,
@@ -227,6 +228,12 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
         }
     }
     Ok(netlist)
+}
+
+/// Parses a finite `f64`. Rust's float syntax also admits `inf` and
+/// `NaN`, which would slip past every `<= 0.0` check downstream.
+pub(crate) fn finite(token: &str) -> Option<f64> {
+    token.parse::<f64>().ok().filter(|v| v.is_finite())
 }
 
 #[cfg(test)]
@@ -283,6 +290,26 @@ mod tests {
     fn rejects_bad_shapes() {
         assert!(parse("module a rigid -2 3 rot\n").is_err());
         assert!(parse("module a flexible 10 2.0 1.0\n").is_err());
+        for bad in [
+            "module a rigid inf 3 rot\n",
+            "module a rigid 3 NaN rot\n",
+            "module a flexible inf 0.5 2\n",
+            "module a flexible 10 NaN 2\n",
+            "module a flexible 10 1 inf\n",
+        ] {
+            assert!(
+                matches!(parse(bad), Err(NetlistError::Parse { line: 1, .. })),
+                "{bad:?} must be a parse error"
+            );
+        }
+        let two = "module a rigid 1 1 fixed\nmodule b rigid 1 1 fixed\n";
+        for attr in ["weight NaN", "weight inf", "crit NaN", "maxlen inf"] {
+            let text = format!("{two}net n {attr} : a b\n");
+            assert!(
+                matches!(parse(&text), Err(NetlistError::Parse { line: 3, .. })),
+                "{attr:?} must be a parse error"
+            );
+        }
         assert!(parse("module a blobby 1 2\n").is_err());
         assert!(parse("net n :\n").is_err());
     }

@@ -127,9 +127,12 @@ pub fn parse_yal(text: &str) -> Result<Netlist, NetlistError> {
                 }
             }
             "DIMENSIONS" => {
-                let coords: Result<Vec<f64>, _> =
-                    tokens[1..].iter().map(|t| t.parse::<f64>()).collect();
-                let coords = coords.map_err(|_| err(line, "DIMENSIONS wants numbers".into()))?;
+                let coords: Option<Vec<f64>> = tokens[1..]
+                    .iter()
+                    .map(|t| crate::format::finite(t))
+                    .collect();
+                let coords =
+                    coords.ok_or_else(|| err(line, "DIMENSIONS wants finite numbers".into()))?;
                 if coords.len() < 6 || coords.len() % 2 != 0 {
                     return Err(err(line, "DIMENSIONS wants >= 3 x/y pairs".into()));
                 }
@@ -143,6 +146,10 @@ pub fn parse_yal(text: &str) -> Result<Netlist, NetlistError> {
                     ys.iter().copied().fold(f64::INFINITY, f64::min),
                     ys.iter().copied().fold(f64::NEG_INFINITY, f64::max),
                 );
+                // Finite corners can still span more than f64 holds.
+                if !(x1 - x0).is_finite() || !(y1 - y0).is_finite() {
+                    return Err(err(line, "DIMENSIONS span overflows".into()));
+                }
                 if let Some((_, def)) = current.as_mut() {
                     def.w = x1 - x0;
                     def.h = y1 - y0;
@@ -323,6 +330,17 @@ ENDMODULE;
         let deck = "MODULE m; TYPE GENERAL; ENDMODULE;\
                     MODULE c; TYPE PARENT; NETWORK; u m s1 s2; ENDNETWORK; ENDMODULE;";
         assert!(parse_yal(deck).is_err(), "missing DIMENSIONS must error");
+        for dims in [
+            "0 0 0 inf 20 inf 20 0",
+            "0 0 0 10 NaN 10 NaN 0",
+            "-1e308 0 -1e308 10 1e308 10 1e308 0",
+        ] {
+            let deck = format!("MODULE m; TYPE GENERAL; DIMENSIONS {dims}; ENDMODULE;");
+            assert!(
+                matches!(parse_yal(&deck), Err(NetlistError::Parse { .. })),
+                "DIMENSIONS {dims} must be a parse error"
+            );
+        }
     }
 
     #[test]

@@ -136,7 +136,8 @@ fn parse_upsert_net(tail: &str) -> Result<DeltaOp, String> {
         let val = tokens
             .get(k + 1)
             .and_then(|t| t.parse::<f64>().ok())
-            .ok_or_else(|| format!("net! '{name}': '{key}' needs a number"))?;
+            .filter(|v| v.is_finite())
+            .ok_or_else(|| format!("net! '{name}': '{key}' needs a finite number"))?;
         match key {
             "weight" => weight = val,
             "crit" => crit = val,
@@ -375,6 +376,14 @@ mod tests {
         assert!(parse_ops("net! n a b").is_err()); // no colon
         assert!(parse_ops("net! n weight x : a b").is_err());
         assert!(parse_ops("net-").is_err());
+        // Non-finite numbers: `mod!` through the format parser, `net!`
+        // through its own attribute check.
+        assert!(parse_ops("mod! d rigid inf 3 rot").is_err());
+        assert!(parse_ops("mod! d flexible 10 1 inf").is_err());
+        assert!(parse_ops("mod! d flexible NaN 1 2").is_err());
+        assert!(parse_ops("net! n weight NaN : a b").is_err());
+        assert!(parse_ops("net! n crit inf : a b").is_err());
+        assert!(parse_ops("net! n maxlen -inf : a b").is_err());
     }
 
     #[test]

@@ -6,8 +6,9 @@
 //! the submitting thread, try to **coalesce** onto an identical
 //! in-flight solve, then pass **admission** into the bounded queue
 //! (blocking for in-process callers, load-shedding for the event loop).
-//! Workers pop jobs, run the degradation ladder in [`process`], and fan
-//! the one response out to every waiter of the flight.
+//! Workers pop jobs, run them through [`process`] (cache → ECO → the
+//! backend race → greedy), and fan the one response out to every waiter
+//! of the flight.
 
 use crate::cache::SolutionCache;
 use crate::fingerprint::{canonical, fingerprint_of, FingerprintParams};
@@ -15,7 +16,7 @@ use crate::portfolio::Backend;
 use crate::protocol::{JobRequest, JobResponse};
 use crate::queue::{Bounded, PushError};
 use crate::singleflight::{Admit, Inflight};
-use fp_core::{Floorplan, FloorplanConfig, Floorplanner, Objective, PlacedModule};
+use fp_core::{Floorplan, FloorplanConfig, Objective, PlacedModule, RunStats};
 use fp_netlist::Netlist;
 use fp_obs::{Event, Phase, Tracer};
 use std::fmt::Write as _;
@@ -24,17 +25,6 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-/// Which IO front end [`crate::Server::bind`] runs.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum IoMode {
-    /// Sharded event loop: nonblocking sockets, one poll thread per
-    /// shard, load-shedding admission. The default.
-    Event,
-    /// The original two-threads-per-connection design with blocking
-    /// admission (kept for comparison benchmarks).
-    Threaded,
-}
 
 /// Engine configuration.
 #[derive(Debug, Clone)]
@@ -57,8 +47,6 @@ pub struct ServeConfig {
     /// Whether identical concurrent jobs may share one solve
     /// (single-flight coalescing); requests can opt out per job.
     pub coalesce: bool,
-    /// Which TCP front end to run.
-    pub io: IoMode,
     /// Event-loop shard (poll thread) count.
     pub shards: usize,
     /// Per-shard bound on decoded-but-unanswered jobs; excess requests
@@ -75,10 +63,10 @@ pub struct ServeConfig {
     /// [`Event::CacheMiss`] / [`Event::JobDone`] / [`Event::Coalesced`] /
     /// [`Event::Shed`] / [`Event::ShardStats`]).
     pub tracer: Tracer,
-    /// Solver-portfolio backends to race per job. Empty (the default)
-    /// selects the sequential degradation ladder; non-empty replaces the
-    /// full-pipeline rung with a race of the listed backends under the
-    /// job's deadline (see [`crate::Backend`]).
+    /// Solver backends raced per solved job under its deadline (see
+    /// [`crate::race`]). The default `[Milp]` is a one-leg race: the
+    /// paper's pipeline alone, run on the worker thread. An empty list
+    /// races nothing, so every solve degrades to the greedy skyline.
     pub backends: Vec<Backend>,
     /// ECO jobs whose touched fraction (edited modules / total) exceeds
     /// this threshold solve from scratch instead of incrementally — past
@@ -104,7 +92,6 @@ impl Default for ServeConfig {
             time_limit: Duration::from_secs(10),
             improve_rounds: 1,
             coalesce: true,
-            io: IoMode::Event,
             shards: std::thread::available_parallelism()
                 .map_or(1, std::num::NonZeroUsize::get)
                 .min(4),
@@ -112,7 +99,7 @@ impl Default for ServeConfig {
             max_line_bytes: 1 << 20,
             drain_timeout: Duration::from_secs(5),
             tracer: Tracer::disabled(),
-            backends: Vec::new(),
+            backends: vec![Backend::Milp],
             eco_threshold: 0.5,
             cache_path: None,
         }
@@ -155,13 +142,6 @@ impl ServeConfig {
         self
     }
 
-    /// Selects the TCP front end.
-    #[must_use]
-    pub fn with_io(mut self, io: IoMode) -> Self {
-        self.io = io;
-        self
-    }
-
     /// Sets the event-loop shard count (minimum 1).
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
@@ -197,8 +177,8 @@ impl ServeConfig {
         self
     }
 
-    /// Sets the solver-portfolio backends raced per job (empty selects
-    /// the sequential ladder).
+    /// Sets the solver backends raced per job (see
+    /// [`ServeConfig::backends`]).
     #[must_use]
     pub fn with_backends(mut self, backends: Vec<Backend>) -> Self {
         self.backends = backends;
@@ -240,24 +220,19 @@ struct SolverCounters {
 }
 
 impl SolverCounters {
-    fn record(&self, warm: usize, cold: usize) {
-        self.warm.fetch_add(warm as u64, Ordering::Relaxed);
-        self.cold.fetch_add(cold as u64, Ordering::Relaxed);
-    }
-
-    fn record_factorizations(&self, refactorizations: usize, eta_updates: usize) {
-        self.refactorizations
-            .fetch_add(refactorizations as u64, Ordering::Relaxed);
-        self.eta_updates
-            .fetch_add(eta_updates as u64, Ordering::Relaxed);
-    }
-
-    fn record_strengthening(&self, rows_tightened: usize, binaries_fixed: usize, cuts: usize) {
-        self.rows_tightened
-            .fetch_add(rows_tightened as u64, Ordering::Relaxed);
-        self.binaries_fixed
-            .fetch_add(binaries_fixed as u64, Ordering::Relaxed);
-        self.cuts_added.fetch_add(cuts as u64, Ordering::Relaxed);
+    /// Adds one augmentation run's step totals.
+    fn record(&self, stats: &RunStats) {
+        for (counter, value) in [
+            (&self.warm, stats.warm_nodes()),
+            (&self.cold, stats.cold_nodes()),
+            (&self.refactorizations, stats.refactorizations()),
+            (&self.eta_updates, stats.eta_updates()),
+            (&self.rows_tightened, stats.rows_tightened()),
+            (&self.binaries_fixed, stats.binaries_fixed()),
+            (&self.cuts_added, stats.cuts_added()),
+        ] {
+            counter.fetch_add(value as u64, Ordering::Relaxed);
+        }
     }
 
     fn snapshot(&self) -> (u64, u64) {
@@ -285,7 +260,7 @@ impl SolverCounters {
 
 /// Where one waiter's answer goes.
 pub(crate) enum Reply {
-    /// An mpsc channel (in-process clients and the threaded front end).
+    /// An mpsc channel (in-process clients).
     Channel(mpsc::Sender<JobResponse>),
     /// A connection owned by an event-loop shard: the response line is
     /// handed to the shard's inbox and the shard writes it.
@@ -510,9 +485,11 @@ impl Engine {
     }
 
     /// `(warm, cold)` branch-and-bound node counts accumulated over every
-    /// augmentation pipeline this engine has run. Warm nodes reused the
-    /// parent's simplex basis; cold nodes ran the two-phase primal from
-    /// scratch (the root of every solve is always cold).
+    /// augmentation run (finished MILP legs and ECO re-placements) this
+    /// engine has made. Warm nodes restarted from a simplex basis: a
+    /// child from its parent's, a root from the one the cross-job basis
+    /// store holds for its instance. Cold nodes ran the two-phase primal
+    /// from scratch.
     #[must_use]
     pub fn solver_stats(&self) -> (u64, u64) {
         self.shared.solver.snapshot()
@@ -527,8 +504,11 @@ impl Engine {
     }
 
     /// `(refactorizations, eta_updates)` of the sparse revised simplex
-    /// basis, accumulated over every node LP this engine has solved. Both
-    /// stay zero when jobs select the dense reference kernel.
+    /// basis, accumulated over every node LP this engine has solved. Jobs
+    /// cannot select a kernel: every step runs the solver's default
+    /// [`fp_milp::SparseMode::Auto`], which keeps the dense tableau for
+    /// small models, so both counts grow only with steps large enough
+    /// for the sparse kernel.
     #[must_use]
     pub fn factorization_stats(&self) -> (u64, u64) {
         self.shared.solver.factorization_snapshot()
@@ -608,10 +588,10 @@ impl Client {
         rx
     }
 
-    /// Enqueues `req` with the response routed to `reply` — the threaded
-    /// TCP front end funnels every job of one connection into one writer
-    /// this way. A closed engine answers immediately with a failure
-    /// response. Blocks while the queue is full.
+    /// Enqueues `req` with the response routed to `reply`, so one
+    /// receiver can collect the answers of many jobs. A closed engine
+    /// answers immediately with a failure response. Blocks while the
+    /// queue is full.
     pub fn submit_with(&self, req: JobRequest, reply: mpsc::Sender<JobResponse>) {
         submit(&self.shared, req, Reply::Channel(reply), Admission::Block);
     }
@@ -844,12 +824,13 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
-/// Runs one job through the degradation ladder:
-/// cache hit → full pipeline (augment → improve → route) under the
-/// remaining budget → greedy bottom-left skyline when the budget is
-/// already gone or the pipeline fails. Only a missing/unplaceable
-/// instance yields `ok: false`. Returns a *template* response: `id`,
-/// `micros` and `coalesced` are stamped per waiter by `finish`.
+/// Runs one job through the degradation ladder: cache hit → ECO
+/// re-placement → greedy bottom-left skyline if the budget ran out before
+/// solving → the backend race ([`crate::race`]; the default is the
+/// paper's pipeline alone) → greedy if the race has no winner, then
+/// routing while budget remains. Only a missing/unplaceable instance
+/// yields `ok: false`. Returns a *template* response: `id`, `micros` and
+/// `coalesced` are stamped per waiter by `finish`.
 ///
 /// Deadlines are measured from the *leader's* submission; coalesced
 /// followers share the leader's remaining budget (they arrived later, so
@@ -912,7 +893,6 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
     }
 
     let mut degraded = false;
-    let mut backend = "milp";
     let mut portfolio = false;
 
     // The ECO fast path: resolve the base placement from the cache, seed
@@ -957,21 +937,9 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
         let eco_cfg = fp_config.clone().with_chip_width(base_resp.chip_width);
         let outcome = fp_core::eco_replace(netlist, &eco_cfg, &base_mods, &edited_ids).ok()?;
         degraded |= outcome.stats.greedy_fallbacks() > 0;
-        shared
-            .solver
-            .record(outcome.stats.warm_nodes(), outcome.stats.cold_nodes());
-        shared.solver.record_factorizations(
-            outcome.stats.refactorizations(),
-            outcome.stats.eta_updates(),
-        );
-        shared.solver.record_strengthening(
-            outcome.stats.rows_tightened(),
-            outcome.stats.binaries_fixed(),
-            outcome.stats.cuts_added(),
-        );
+        shared.solver.record(&outcome.stats);
         eco_replaced = outcome.replaced.len();
         eco_basis = outcome.basis;
-        backend = "eco";
         Some(outcome.floorplan)
     });
     let eco_base_hit = eco_fp.is_some();
@@ -989,79 +957,40 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
         );
     }
 
-    let floorplan = if let Some(fp) = eco_fp {
-        fp
-    } else if expired(Instant::now()) {
-        // Budget gone before any solving started (long queue wait):
-        // greedy skyline placement instead of an error.
-        degraded = true;
-        backend = "greedy";
-        match fp_core::bottom_left(netlist, &fp_config) {
-            Ok(fp) => fp,
-            Err(e) => return JobResponse::failure(req.id, e.to_string()),
+    let solved = match eco_fp {
+        Some(fp) => Some(("eco", fp)),
+        // Budget gone before any solving started (long queue wait).
+        None if expired(Instant::now()) => None,
+        None => {
+            let race = crate::portfolio::race(
+                netlist,
+                &fp_config,
+                &config.backends,
+                config.improve_rounds,
+                job.key,
+                tracer,
+            );
+            portfolio = config.backends.len() > 1;
+            if let Some(stats) = &race.milp_stats {
+                shared.solver.record(stats);
+            }
+            // The MILP leg's greedy fallbacks matter only if it won.
+            let milp_fell_back = race.milp_stats.is_some_and(|s| s.greedy_fallbacks() > 0);
+            race.winner.map(|(winner, fp)| {
+                degraded |= winner == Backend::Milp && milp_fell_back;
+                (winner.as_str(), fp)
+            })
         }
-    } else if !config.backends.is_empty() {
-        // Solver portfolio: race the configured backends under the
-        // job's deadline instead of running the sequential ladder.
-        portfolio = true;
-        match crate::portfolio::race(
-            netlist,
-            &fp_config,
-            &config.backends,
-            config.improve_rounds,
-            job.key,
-            tracer,
-        ) {
-            Some(outcome) => {
-                backend = outcome.winner;
-                outcome.floorplan
-            }
-            None => {
-                // Every leg failed or was cancelled: same greedy rung
-                // the sequential ladder degrades to.
-                degraded = true;
-                backend = "greedy";
-                match fp_core::bottom_left(netlist, &fp_config) {
-                    Ok(fp) => fp,
-                    Err(e) => return JobResponse::failure(req.id, e.to_string()),
-                }
-            }
-        }
-    } else {
-        match Floorplanner::with_config(netlist, fp_config.clone()).run() {
-            Ok(result) => {
-                degraded |= result.stats.greedy_fallbacks() > 0;
-                shared
-                    .solver
-                    .record(result.stats.warm_nodes(), result.stats.cold_nodes());
-                shared.solver.record_factorizations(
-                    result.stats.refactorizations(),
-                    result.stats.eta_updates(),
-                );
-                shared.solver.record_strengthening(
-                    result.stats.rows_tightened(),
-                    result.stats.binaries_fixed(),
-                    result.stats.cuts_added(),
-                );
-                let mut fp = result.floorplan;
-                if config.improve_rounds > 0 && !expired(Instant::now()) {
-                    // Improvement is best-effort: keep the augmented
-                    // placement if re-optimization fails.
-                    if let Ok(better) =
-                        fp_core::improve(&fp, netlist, &fp_config, config.improve_rounds)
-                    {
-                        fp = better;
-                    }
-                }
-                fp
-            }
-            Err(_) => {
-                degraded = true;
-                backend = "greedy";
-                match fp_core::bottom_left(netlist, &fp_config) {
-                    Ok(fp) => fp,
-                    Err(e) => return JobResponse::failure(req.id, e.to_string()),
-                }
+    };
+    let (backend, floorplan) = match solved {
+        Some(answer) => answer,
+        None => {
+            // No time left to solve, or no leg produced a legal answer:
+            // greedy skyline placement instead of an error.
+            degraded = true;
+            match fp_core::bottom_left(netlist, &fp_config) {
+                Ok(fp) => ("greedy", fp),
+                Err(e) => return JobResponse::failure(req.id, e.to_string()),
             }
         }
     };

@@ -9,9 +9,14 @@
 //!   flat-JSON codec ([`protocol`]) reusing `fp_obs`'s hand-rolled trace
 //!   parser — no external JSON dependency.
 //! * **A bounded MPMC queue** ([`queue::Bounded`]) feeding a worker pool
-//!   ([`Engine`]); each worker runs the full pipeline per job. The queue
-//!   pins a close/drain ordering guarantee (no job accepted after close,
-//!   every accepted job delivered) that clean shutdown is built on.
+//!   ([`Engine`]). The queue pins a close/drain ordering guarantee (no job
+//!   accepted after close, every accepted job delivered) that clean
+//!   shutdown is built on.
+//! * **One solve path**: every job a worker solves goes through the
+//!   backend race ([`race`]). The default backend list is `[milp]` — the
+//!   paper's pipeline alone, run on the worker thread itself; listing
+//!   more backends ([`Backend`]) races heuristic placers against it on
+//!   scoped threads under the job's deadline.
 //! * **Single-flight coalescing** ([`singleflight::Inflight`]): N
 //!   concurrent identical jobs share one solve, fanned out to N waiters,
 //!   with the same canonical-text collision check as the cache.
@@ -27,11 +32,10 @@
 //!   plus the solve parameters ([`fingerprint`]), with hit/miss counters
 //!   surfaced as [`fp_obs::Event::CacheHit`] / [`fp_obs::Event::CacheMiss`]
 //!   trace events.
-//! * **A sharded event-loop TCP front end** ([`Server`]): nonblocking
-//!   sockets, one poll(2) thread per shard owning its connections' buffers
-//!   and framing ([`IoMode::Event`]); the original thread-per-connection
-//!   design survives as [`IoMode::Threaded`] for comparison. Plus an
-//!   in-process [`Client`] for embedding and benches.
+//! * **A sharded event-loop TCP front end** ([`Server`], unix only):
+//!   nonblocking sockets, one poll(2) thread per shard owning its
+//!   connections' buffers and bounded line framing. Plus an in-process
+//!   [`Client`] for embedding and benches.
 //!
 //! # Example
 //!
@@ -67,7 +71,7 @@ pub mod singleflight;
 mod sys;
 
 pub use delta::{apply as apply_delta, parse_ops as parse_delta_ops, DeltaOp, DeltaOutcome};
-pub use engine::{Client, Engine, EngineStats, IoMode, ServeConfig};
+pub use engine::{Client, Engine, EngineStats, ServeConfig};
 pub use portfolio::{race, Backend, RaceOutcome};
 pub use protocol::{JobRequest, JobResponse, PlacedRect};
 pub use server::{ServeAccounting, Server, ShutdownReport};

@@ -14,21 +14,25 @@
 //! * **analytic** — smoothed gradient descent (`fp-analytic`), the
 //!   fastest to a decent placement on tight budgets.
 //!
-//! The race runs each backend on its own thread under one shared
-//! deadline. When plenty of budget remains the race is **best-of-N**
-//! (wait for everyone, pick the lowest cost); under a tight deadline it
-//! degrades to **any-of-N** (first legal answer wins and the rest are
-//! cancelled through their cooperative [`StopFlag`]s). Either way every
-//! leg's outcome is published as an [`Event::BackendDone`] and the race
-//! as an [`Event::Portfolio`].
+//! Every job fp-serve solves goes through [`race`]: the default backend
+//! list is `[milp]`, a one-leg race, so [`milp_leg`] is fp-serve's only
+//! copy of the pipeline. The calling thread runs the first listed leg
+//! itself and each further leg gets a scoped thread, all under one
+//! shared deadline — a one-backend race spawns no thread. When plenty of
+//! budget remains the race is **best-of-N** (wait for everyone, pick the
+//! lowest cost); under a tight deadline it degrades to **any-of-N** (the
+//! first leg to finish with a legal answer wins and cancels the rest
+//! through their cooperative [`StopFlag`]s). Either way every leg's
+//! outcome is published as an [`Event::BackendDone`] and the race as an
+//! [`Event::Portfolio`].
 
 use fp_core::{
-    Floorplan, FloorplanConfig, FloorplanError, Floorplanner, LegalizeItem, Objective,
-    SharedIncumbent, StopFlag,
+    Floorplan, FloorplanConfig, FloorplanError, FloorplanResult, Floorplanner, LegalizeItem,
+    Objective, RunStats, SharedIncumbent, StopFlag,
 };
 use fp_netlist::Netlist;
 use fp_obs::{Event, Phase, Tracer};
-use std::sync::{mpsc, Arc};
+use std::sync::{Arc, OnceLock};
 use std::time::{Duration, Instant};
 
 /// Remaining budget below which the race switches from best-of-N to
@@ -68,12 +72,13 @@ impl Backend {
         }
     }
 
-    /// Parses a comma-separated backend list, rejecting unknown names
-    /// and duplicates.
+    /// Parses a comma-separated backend list, rejecting unknown names,
+    /// duplicates and an empty list.
     ///
     /// # Errors
     ///
-    /// Names the first unknown or repeated backend.
+    /// Names the first unknown or repeated backend, or says the list is
+    /// empty.
     pub fn parse_list(s: &str) -> Result<Vec<Backend>, String> {
         let mut out = Vec::new();
         for name in s.split(',').filter(|n| !n.trim().is_empty()) {
@@ -88,17 +93,32 @@ impl Backend {
             }
             out.push(b);
         }
+        if out.is_empty() {
+            return Err("empty backend list (expected milp, annealer or analytic)".to_string());
+        }
         Ok(out)
     }
 }
 
-/// The winning result of one race.
+/// What one race produced.
 #[derive(Debug)]
 pub struct RaceOutcome {
-    /// The winner's legal floorplan.
-    pub floorplan: Floorplan,
-    /// Stable name of the winning backend.
-    pub winner: &'static str,
+    /// The winning backend and its legal floorplan; `None` when no leg
+    /// produced one (the caller then falls back to the greedy skyline).
+    pub winner: Option<(Backend, Floorplan)>,
+    /// The MILP leg's augmentation statistics whenever that leg finished,
+    /// whether it won or not.
+    pub milp_stats: Option<RunStats>,
+}
+
+/// One finished leg of a race.
+struct Leg {
+    outcome: Result<Floorplan, FloorplanError>,
+    /// [`cost_of`] the answer; NaN when the leg failed.
+    cost: f64,
+    /// The augmentation run's statistics (MILP leg only).
+    stats: Option<RunStats>,
+    micros: u64,
 }
 
 /// Objective cost of a floorplan under the job's objective — the metric
@@ -112,36 +132,37 @@ fn cost_of(fp: &Floorplan, netlist: &Netlist, objective: Objective) -> f64 {
     }
 }
 
-/// Runs the full MILP pipeline (augment → improve), mirroring the
-/// sequential ladder. `incumbent` is `Some` only under a tight deadline
-/// (any-of mode): the shared cell then feeds every step MILP an external
-/// branch-and-bound cutoff, so a heuristic leg that already answered
-/// lets this leg prune hard or abort instead of burning the rest of the
-/// budget on a provably losing search. In best-of mode no incumbent is
-/// injected — the leg must reproduce the ladder's exact answer, which is
-/// what makes the race's cost provably never worse than the ladder's
-/// (abort-on-incumbent reasons at the augmentation level and cannot
-/// account for gains the improvement rung would have made).
+/// Runs the full MILP pipeline (augment → improve) — fp-serve's one copy
+/// of the paper's floorplanner. `incumbent` is `Some` only under a tight
+/// deadline (any-of mode): the shared cell then feeds every step MILP an
+/// external branch-and-bound cutoff, so a heuristic leg that already
+/// answered lets this leg prune hard or abort instead of burning the
+/// rest of the budget on a provably losing search. In best-of mode no
+/// incumbent is injected, so the leg gives exactly the answer of a
+/// MILP-only race — which is what makes the race's cost provably never
+/// worse than that (abort-on-incumbent reasons at the augmentation level
+/// and cannot account for gains the improvement rung would have made).
 fn milp_leg(
     netlist: &Netlist,
     fp_config: &FloorplanConfig,
     stop: &StopFlag,
     incumbent: Option<Arc<SharedIncumbent>>,
     improve_rounds: usize,
-) -> Result<Floorplan, FloorplanError> {
+) -> Result<FloorplanResult, FloorplanError> {
     let config = fp_config
         .clone()
         .with_stop(stop.clone())
         .with_incumbent(incumbent);
-    let result = Floorplanner::with_config(netlist, config.clone()).run()?;
-    let mut fp = result.floorplan;
+    let mut result = Floorplanner::with_config(netlist, config.clone()).run()?;
     let expired = config.deadline.is_some_and(|d| Instant::now() >= d);
     if improve_rounds > 0 && !expired && !stop.is_set() {
-        if let Ok(better) = fp_core::improve(&fp, netlist, &config, improve_rounds) {
-            fp = better;
+        // Improvement is best-effort: keep the augmented placement if
+        // re-optimization fails.
+        if let Ok(better) = fp_core::improve(&result.floorplan, netlist, &config, improve_rounds) {
+            result.floorplan = better;
         }
     }
-    Ok(fp)
+    Ok(result)
 }
 
 /// Runs the slicing annealer width-constrained to the job's chip width,
@@ -207,16 +228,16 @@ fn analytic_leg(
     fp_analytic::place(netlist, &config).map(|r| r.floorplan)
 }
 
-/// Races `backends` on one job and returns the winner, or `None` when
-/// every leg failed (the caller then falls back to the greedy skyline).
+/// Races `backends` on one job. The outcome names the winner, if any
+/// leg produced a legal answer, and carries the MILP leg's statistics.
 ///
 /// Each finishing leg publishes its `(cost, height)` to the shared
 /// incumbent; under a tight deadline (any-of mode) the MILP leg reads it
 /// as a branch-and-bound cutoff, so a fast heuristic answer tightens the
 /// search mid-race (see [`milp_leg`] for why best-of mode does not
-/// inject it). Losers are cancelled through their stop flags:
-/// immediately in any-of-N mode, and after the decision in best-of-N
-/// (where everyone runs to completion anyway).
+/// inject it). Losers are cancelled through their stop flags: by the
+/// winning leg the moment it finishes in any-of-N mode, and not at all
+/// in best-of-N (where everyone runs to completion anyway).
 pub fn race(
     netlist: &Netlist,
     fp_config: &FloorplanConfig,
@@ -224,7 +245,7 @@ pub fn race(
     improve_rounds: usize,
     seed: u64,
     tracer: &Tracer,
-) -> Option<RaceOutcome> {
+) -> RaceOutcome {
     let started = Instant::now();
     let incumbent = Arc::new(SharedIncumbent::default());
     let stops: Vec<StopFlag> = backends.iter().map(|_| StopFlag::new()).collect();
@@ -232,78 +253,79 @@ pub fn race(
         .deadline
         .is_some_and(|d| d.saturating_duration_since(started) < ANY_OF_THRESHOLD);
     let objective = fp_config.objective;
+    // Any-of mode: the first leg to finish with a legal answer.
+    let first_ok = OnceLock::new();
 
-    let (tx, rx) = mpsc::channel::<(usize, Result<Floorplan, FloorplanError>, u64)>();
-    let mut results: Vec<Option<(Result<Floorplan, FloorplanError>, u64)>> =
-        (0..backends.len()).map(|_| None).collect();
-    let mut first_ok: Option<usize> = None;
-    std::thread::scope(|scope| {
-        for (i, backend) in backends.iter().enumerate() {
-            let tx = tx.clone();
-            let stop = stops[i].clone();
-            let incumbent = Arc::clone(&incumbent);
-            scope.spawn(move || {
-                let leg_started = Instant::now();
-                let outcome = match backend {
-                    Backend::Milp => {
-                        let shared = any_of.then(|| Arc::clone(&incumbent));
-                        milp_leg(netlist, fp_config, &stop, shared, improve_rounds)
-                    }
-                    Backend::Annealer => annealer_leg(netlist, fp_config, &stop, seed),
-                    Backend::Analytic => analytic_leg(netlist, fp_config, &stop, seed),
-                };
-                if let Ok(fp) = &outcome {
-                    incumbent.publish(cost_of(fp, netlist, objective), fp.chip_height());
-                }
-                let micros = leg_started.elapsed().as_micros() as u64;
-                let _ = tx.send((i, outcome, micros));
-            });
-        }
-        drop(tx);
-        while let Ok((i, outcome, micros)) = rx.recv() {
-            if outcome.is_ok() && first_ok.is_none() {
-                first_ok = Some(i);
-                if any_of {
-                    // First legal answer wins: cancel everyone else and
-                    // keep draining (cancelled legs exit quickly).
-                    for stop in &stops {
-                        stop.trigger();
-                    }
+    let run = |i: usize| -> Leg {
+        let leg_started = Instant::now();
+        let stop = &stops[i];
+        let (outcome, stats) = match backends[i] {
+            Backend::Milp => {
+                let shared = any_of.then(|| Arc::clone(&incumbent));
+                match milp_leg(netlist, fp_config, stop, shared, improve_rounds) {
+                    Ok(result) => (Ok(result.floorplan), Some(result.stats)),
+                    Err(e) => (Err(e), None),
                 }
             }
-            results[i] = Some((outcome, micros));
+            Backend::Annealer => (annealer_leg(netlist, fp_config, stop, seed), None),
+            Backend::Analytic => (analytic_leg(netlist, fp_config, stop, seed), None),
+        };
+        let cost = outcome
+            .as_ref()
+            .map_or(f64::NAN, |fp| cost_of(fp, netlist, objective));
+        if let Ok(fp) = &outcome {
+            incumbent.publish(cost, fp.chip_height());
+            if any_of && first_ok.set(i).is_ok() {
+                // First legal answer wins: cancel everyone else.
+                stops.iter().for_each(StopFlag::trigger);
+            }
         }
+        Leg {
+            outcome,
+            cost,
+            stats,
+            micros: leg_started.elapsed().as_micros() as u64,
+        }
+    };
+    let mut legs: Vec<Leg> = std::thread::scope(|scope| {
+        let run = &run;
+        let others: Vec<_> = (1..backends.len())
+            .map(|i| scope.spawn(move || run(i)))
+            .collect();
+        let mut legs = Vec::with_capacity(backends.len());
+        if !backends.is_empty() {
+            legs.push(run(0));
+        }
+        for other in others {
+            legs.push(
+                other
+                    .join()
+                    .unwrap_or_else(|p| std::panic::resume_unwind(p)),
+            );
+        }
+        legs
     });
 
     // Pick the winner: first legal answer under a tight deadline, lowest
     // cost otherwise (ties break toward the earlier backend in the list,
     // which keeps the decision deterministic).
     let winner = if any_of {
-        first_ok
+        first_ok.into_inner()
     } else {
-        results
-            .iter()
+        legs.iter()
             .enumerate()
-            .filter_map(|(i, slot)| match slot {
-                Some((Ok(fp), _)) => Some((i, cost_of(fp, netlist, objective))),
-                _ => None,
-            })
-            .min_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)))
+            .filter(|(_, leg)| leg.outcome.is_ok())
+            .min_by(|a, b| a.1.cost.total_cmp(&b.1.cost).then(a.0.cmp(&b.0)))
             .map(|(i, _)| i)
     };
 
-    for (i, backend) in backends.iter().enumerate() {
-        let (cost, micros) = match &results[i] {
-            Some((Ok(fp), micros)) => (cost_of(fp, netlist, objective), *micros),
-            Some((Err(_), micros)) => (f64::NAN, *micros),
-            None => (f64::NAN, 0),
-        };
+    for (i, (backend, leg)) in backends.iter().zip(&legs).enumerate() {
         tracer.emit(
             Phase::Serve,
             Event::BackendDone {
                 backend: backend.as_str(),
-                micros,
-                cost,
+                micros: leg.micros,
+                cost: leg.cost,
                 won: winner == Some(i),
             },
         );
@@ -317,14 +339,12 @@ pub fn race(
         },
     );
 
-    let idx = winner?;
-    let (Ok(floorplan), _) = results.swap_remove(idx)? else {
-        return None;
-    };
-    Some(RaceOutcome {
-        floorplan,
-        winner: backends[idx].as_str(),
-    })
+    let milp_stats = legs.iter_mut().find_map(|leg| leg.stats.take());
+    let winner = winner.and_then(|i| {
+        let floorplan = legs.swap_remove(i).outcome.ok()?;
+        Some((backends[i], floorplan))
+    });
+    RaceOutcome { winner, milp_stats }
 }
 
 #[cfg(test)]
@@ -345,7 +365,8 @@ mod tests {
             Backend::parse_list("milp, annealer,analytic").unwrap(),
             vec![Backend::Milp, Backend::Annealer, Backend::Analytic]
         );
-        assert_eq!(Backend::parse_list("").unwrap(), Vec::new());
+        assert!(Backend::parse_list("").is_err());
+        assert!(Backend::parse_list(" , ").is_err());
         assert!(Backend::parse_list("milp,quantum").is_err());
         assert!(Backend::parse_list("milp,milp").is_err());
     }
@@ -361,11 +382,14 @@ mod tests {
             0,
             0xFEED,
             &Tracer::disabled(),
-        )
-        .expect("heuristic backends always produce a floorplan");
-        assert!(outcome.floorplan.is_valid());
-        assert_eq!(outcome.floorplan.len(), 7);
-        assert!(matches!(outcome.winner, "annealer" | "analytic"));
+        );
+        let (winner, floorplan) = outcome
+            .winner
+            .expect("heuristic backends always produce a floorplan");
+        assert!(floorplan.is_valid());
+        assert_eq!(floorplan.len(), 7);
+        assert!(matches!(winner, Backend::Annealer | Backend::Analytic));
+        assert!(outcome.milp_stats.is_none(), "no MILP leg ran");
     }
 
     #[test]
@@ -373,7 +397,7 @@ mod tests {
         let netlist = fp_netlist::generator::ProblemGenerator::new(6, 5).generate();
         let config = FloorplanConfig::default()
             .with_deadline(Some(Instant::now() + Duration::from_millis(1)));
-        let outcome = race(
+        let (_, floorplan) = race(
             &netlist,
             &config,
             &[Backend::Annealer, Backend::Analytic],
@@ -381,7 +405,8 @@ mod tests {
             7,
             &Tracer::disabled(),
         )
+        .winner
         .expect("heuristic legs answer even on a spent budget");
-        assert!(outcome.floorplan.is_valid());
+        assert!(floorplan.is_valid());
     }
 }

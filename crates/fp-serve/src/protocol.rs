@@ -155,6 +155,16 @@ impl JobRequest {
             Some(v) if v.is_finite() && v >= 0.0 => v as u64,
             Some(_) => return Err("'deadline_ms' must be a non-negative number".to_string()),
         };
+        // The solve takes `width` and `lambda` as given: a non-finite one
+        // would come back as an `ok` answer with null geometry.
+        let width = p.num("width");
+        let lambda = p.num("lambda").unwrap_or(0.0);
+        if !width.is_none_or(f64::is_finite) {
+            return Err("'width' must be a finite number".to_string());
+        }
+        if !lambda.is_finite() {
+            return Err("'lambda' must be a finite number".to_string());
+        }
         let eco_base = match p.str_field("eco_base") {
             None => None,
             Some(hex) => Some(
@@ -165,8 +175,8 @@ impl JobRequest {
         Ok(JobRequest {
             id,
             netlist,
-            width: p.num("width"),
-            lambda: p.num("lambda").unwrap_or(0.0),
+            width,
+            lambda,
             rotation: bool_or(&p, "rotation", true),
             route: bool_or(&p, "route", false),
             deadline_ms,
@@ -231,10 +241,11 @@ pub struct JobResponse {
     /// Wall-clock from submission to completion, microseconds.
     pub micros: u64,
     /// Which solver backend produced the placement: `"milp"`,
-    /// `"annealer"`, `"analytic"`, or `"greedy"` for the degraded
-    /// skyline fallback. Empty when `ok` is false.
+    /// `"annealer"`, `"analytic"`, `"eco"` for an incremental
+    /// re-placement, or `"greedy"` for the degraded skyline fallback.
+    /// Empty when `ok` is false.
     pub backend: String,
-    /// `true` when the placement was decided by a solver-portfolio race
+    /// `true` when more than one backend raced for the placement
     /// (`backend` then names the winning leg).
     pub portfolio: bool,
     /// The placement as `name x y w h 0|1` entries joined with `;`.
@@ -503,6 +514,10 @@ mod tests {
         assert!(JobRequest::decode("{\"id\":1}").is_err()); // no netlist
         assert!(JobRequest::decode("{\"id\":-3,\"netlist\":\"x\"}").is_err());
         assert!(JobRequest::decode("{\"id\":1,\"netlist\":\"x\",\"deadline_ms\":-5}").is_err());
+        // Non-finite numbers (1e999 parses as infinity).
+        assert!(JobRequest::decode("{\"id\":1,\"netlist\":\"x\",\"width\":1e999}").is_err());
+        assert!(JobRequest::decode("{\"id\":1,\"netlist\":\"x\",\"width\":-1e999}").is_err());
+        assert!(JobRequest::decode("{\"id\":1,\"netlist\":\"x\",\"lambda\":1e999}").is_err());
     }
 
     #[test]

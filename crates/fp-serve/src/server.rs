@@ -1,33 +1,24 @@
-//! The TCP front ends over an [`Engine`]: the sharded event loop
-//! (default) and the original thread-per-connection design (kept for
-//! old-vs-new comparison benchmarks).
+//! The TCP front end over an [`Engine`]: a sharded event loop.
 //!
-//! Both speak the same line-delimited protocol; they differ in who owns
-//! a connection and what happens under load:
-//!
-//! * [`IoMode::Event`] — the acceptor round-robins connections across
-//!   poll-loop shards ([`crate::shard`]); requests are admitted with
-//!   shedding (typed `retry_after_ms` on overload) and shutdown drains
-//!   every accepted job before closing.
-//! * [`IoMode::Threaded`] — one reader and one writer thread per
-//!   connection, blocking admission (submitters stall while the queue
-//!   is full).
+//! The acceptor round-robins connections across poll-loop shards
+//! ([`crate::shard`]), each owning its connections' buffers and
+//! line framing. Requests are admitted with shedding (typed
+//! `retry_after_ms` on overload), lines longer than
+//! [`ServeConfig::max_line_bytes`] are refused, and shutdown drains every
+//! accepted job before closing. The shards need the unix poll(2) shim;
+//! off unix [`Server::bind`] reports [`std::io::ErrorKind::Unsupported`].
 
-use crate::engine::{Client, Engine, EngineStats, IoMode, ServeConfig};
-use crate::protocol::{JobRequest, JobResponse};
-use std::io::{BufRead, BufReader, Write};
+use crate::engine::{Engine, EngineStats, ServeConfig};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
+use std::sync::Arc;
 use std::thread::JoinHandle;
 
 /// Request/connection accounting aggregated over the whole front end.
 ///
-/// In event mode, after [`Server::shutdown`] the books balance:
+/// After [`Server::shutdown`] the books balance:
 /// `accepted == completed + shed` (every decoded request got exactly one
 /// answer; `malformed` lines are answered too but counted separately).
-/// In threaded mode the fields are derived from [`EngineStats`] —
-/// `conns` and `malformed` are not tracked there and read 0.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServeAccounting {
     /// Connections ever accepted.
@@ -47,8 +38,7 @@ pub struct ServeAccounting {
 /// and the engine books, both final (every shard and worker joined).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ShutdownReport {
-    /// Final front-end accounting (`accepted == completed + shed` in
-    /// event mode).
+    /// Final front-end accounting (`accepted == completed + shed`).
     pub accounting: ServeAccounting,
     /// Final engine accounting (`submitted == answered + shed`).
     pub engine: EngineStats,
@@ -57,7 +47,7 @@ pub struct ShutdownReport {
 /// A line-delimited TCP front end over an [`Engine`].
 ///
 /// Malformed lines get an `ok: false` response instead of killing the
-/// connection in both modes.
+/// connection.
 pub struct Server {
     engine: Option<Engine>,
     local: SocketAddr,
@@ -72,90 +62,65 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port) and starts
-    /// accepting connections backed by a fresh engine, in the IO mode
-    /// `config.io` selects (non-unix targets always get the threaded
-    /// front end — the poll shim is unix-only).
+    /// Binds `addr` (e.g. `127.0.0.1:0` for an ephemeral port), starts a
+    /// fresh engine and `config.shards` poll-loop shards, and accepts
+    /// connections onto them.
     ///
     /// # Errors
     ///
     /// Propagates bind/shard-setup errors.
+    #[cfg(unix)]
     pub fn bind(addr: impl ToSocketAddrs, config: ServeConfig) -> std::io::Result<Self> {
         let listener = TcpListener::bind(addr)?;
         let local = listener.local_addr()?;
         let stop = Arc::new(AtomicBool::new(false));
-        #[cfg(unix)]
-        let event_mode = config.io == IoMode::Event;
-        #[cfg(not(unix))]
-        let event_mode = false;
         let shard_count = config.shards.max(1);
         let engine = Engine::start(config);
 
-        #[cfg(unix)]
-        let mut shard_shareds = Vec::new();
-        #[cfg(unix)]
-        let mut shard_threads = Vec::new();
-        let acceptor: JoinHandle<()>;
-        if event_mode {
-            #[cfg(unix)]
-            {
-                for index in 0..shard_count {
-                    let handle = crate::shard::spawn(index, Arc::clone(engine.shared()))?;
-                    shard_shareds.push(handle.shared);
-                    shard_threads.push(handle.thread);
-                }
-                let targets = shard_shareds.clone();
-                let stop = Arc::clone(&stop);
-                acceptor = std::thread::spawn(move || {
-                    for (i, stream) in listener.incoming().enumerate() {
-                        if stop.load(Ordering::Relaxed) {
-                            break;
-                        }
-                        match stream {
-                            Ok(stream) => targets[i % targets.len()].adopt(stream),
-                            Err(_) => break,
-                        }
-                    }
-                });
-            }
-            #[cfg(not(unix))]
-            {
-                let _ = shard_count;
-                unreachable!("event mode is unix-only");
-            }
-        } else {
-            let _ = shard_count;
-            let client = engine.client();
+        let mut shard_shareds = Vec::with_capacity(shard_count);
+        let mut shard_threads = Vec::with_capacity(shard_count);
+        for index in 0..shard_count {
+            let handle = crate::shard::spawn(index, Arc::clone(engine.shared()))?;
+            shard_shareds.push(handle.shared);
+            shard_threads.push(handle.thread);
+        }
+        let targets = shard_shareds.clone();
+        let acceptor = {
             let stop = Arc::clone(&stop);
-            acceptor = std::thread::spawn(move || {
-                for stream in listener.incoming() {
+            std::thread::spawn(move || {
+                for (i, stream) in listener.incoming().enumerate() {
                     if stop.load(Ordering::Relaxed) {
                         break;
                     }
                     match stream {
-                        Ok(stream) => {
-                            // Responses are single small lines in a
-                            // request-reply exchange; Nagle + delayed ACK
-                            // would add tens of milliseconds to each.
-                            let _ = stream.set_nodelay(true);
-                            let client = client.clone();
-                            std::thread::spawn(move || handle_connection(stream, &client));
-                        }
+                        Ok(stream) => targets[i % targets.len()].adopt(stream),
                         Err(_) => break,
                     }
                 }
-            });
-        }
+            })
+        };
         Ok(Server {
             engine: Some(engine),
             local,
             stop,
             acceptor: Some(acceptor),
-            #[cfg(unix)]
             shard_shareds,
-            #[cfg(unix)]
             shard_threads,
         })
+    }
+
+    /// The poll-loop shards need unix; elsewhere there is no front end.
+    ///
+    /// # Errors
+    ///
+    /// Always [`std::io::ErrorKind::Unsupported`].
+    #[cfg(not(unix))]
+    pub fn bind(addr: impl ToSocketAddrs, config: ServeConfig) -> std::io::Result<Self> {
+        let _ = (addr, config);
+        Err(std::io::Error::new(
+            std::io::ErrorKind::Unsupported,
+            "the fp-serve front end needs unix poll(2)",
+        ))
     }
 
     /// The bound address (with the real port when bound to port 0).
@@ -198,45 +163,26 @@ impl Server {
     /// coalesced).
     #[must_use]
     pub fn engine_stats(&self) -> EngineStats {
-        self.engine.as_ref().map_or(
-            EngineStats {
-                submitted: 0,
-                answered: 0,
-                shed: 0,
-                coalesced: 0,
-            },
-            Engine::stats,
-        )
+        self.engine
+            .as_ref()
+            .map_or_else(EngineStats::default, Engine::stats)
     }
 
-    /// Front-end accounting (see [`ServeAccounting`] for the invariant
-    /// and the threaded-mode caveats).
+    /// Front-end accounting summed over the shards (see
+    /// [`ServeAccounting`] for the invariant).
     #[must_use]
     pub fn accounting(&self) -> ServeAccounting {
-        self.accounting_with(self.engine_stats())
-    }
-
-    fn accounting_with(&self, engine: EngineStats) -> ServeAccounting {
+        let mut acc = ServeAccounting::default();
         #[cfg(unix)]
-        if !self.shard_shareds.is_empty() {
-            let mut acc = ServeAccounting::default();
-            for s in &self.shard_shareds {
-                let (conns, accepted, completed, shed, malformed) = s.counters();
-                acc.conns += conns;
-                acc.accepted += accepted;
-                acc.completed += completed;
-                acc.shed += shed;
-                acc.malformed += malformed;
-            }
-            return acc;
+        for s in &self.shard_shareds {
+            let (conns, accepted, completed, shed, malformed) = s.counters();
+            acc.conns += conns;
+            acc.accepted += accepted;
+            acc.completed += completed;
+            acc.shed += shed;
+            acc.malformed += malformed;
         }
-        ServeAccounting {
-            conns: 0,
-            accepted: engine.submitted,
-            completed: engine.answered,
-            shed: engine.shed,
-            malformed: 0,
-        }
+        acc
     }
 
     /// Blocks until the acceptor exits (it only exits on shutdown or a
@@ -274,7 +220,7 @@ impl Server {
             .take()
             .map_or_else(EngineStats::default, Engine::shutdown);
         ShutdownReport {
-            accounting: self.accounting_with(engine),
+            accounting: self.accounting(),
             engine,
         }
     }
@@ -302,46 +248,4 @@ impl Drop for Server {
     fn drop(&mut self) {
         let _ = self.teardown();
     }
-}
-
-/// The threaded front end's per-connection loop: a reader thread (this
-/// one) decoding lines and a writer thread funneling responses (possibly
-/// out of request order) back.
-fn handle_connection(stream: TcpStream, client: &Client) {
-    let Ok(read_half) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = mpsc::channel::<JobResponse>();
-    let mut write_half = stream;
-    let writer = std::thread::spawn(move || {
-        while let Ok(resp) = rx.recv() {
-            if writeln!(write_half, "{}", resp.encode()).is_err() {
-                break;
-            }
-            let _ = write_half.flush();
-        }
-    });
-
-    for line in BufReader::new(read_half).lines() {
-        let Ok(line) = line else { break };
-        if line.trim().is_empty() {
-            continue;
-        }
-        match JobRequest::decode(&line) {
-            Ok(req) => client.submit_with(req, tx.clone()),
-            Err(e) => {
-                // Echo the id back when it is at least parseable so the
-                // caller can correlate the failure.
-                let id = fp_obs::parse_line(&line)
-                    .ok()
-                    .and_then(|p| p.num("id"))
-                    .unwrap_or(0.0) as u64;
-                let _ = tx.send(JobResponse::failure(id, format!("bad request: {e}")));
-            }
-        }
-    }
-    // Reader done: once every in-flight job of this connection has
-    // answered, the last sender drops and the writer exits.
-    drop(tx);
-    let _ = writer.join();
 }

@@ -5,8 +5,8 @@
 //! buffers. Nothing else touches a connection; workers hand finished
 //! response lines to the owning shard through its inbox and a wake
 //! socket, and the shard writes them out when the peer can take them.
-//! This replaces the old two-threads-per-connection design with
-//! `1 + shards` threads of IO regardless of connection count.
+//! The front end runs `1 + shards` IO threads (the acceptor plus the
+//! poll loops) regardless of connection count.
 //!
 //! A shard never blocks on anything but poll(2): requests are submitted
 //! with shedding admission ([`Admission::Shed`]), and a per-shard bound

@@ -1,9 +1,9 @@
 //! Deterministic chaos / fault-injection suite for the event-driven
 //! front end (ISSUE satellite).
 //!
-//! Every scenario runs against a real [`Server`] in [`IoMode::Event`]
-//! under a watchdog, and every scenario ends by checking the books from
-//! [`Server::shutdown`]: in event mode `accepted == completed + shed`
+//! Every scenario runs against a real [`Server`] under a watchdog, and
+//! every scenario ends by checking the books from
+//! [`Server::shutdown`]: `accepted == completed + shed`
 //! (no accepted job is ever left unanswered, even when its client is
 //! long gone), and the engine's own `submitted == answered + shed`.
 //!
@@ -13,7 +13,7 @@
 #![cfg(unix)]
 
 use fp_netlist::generator::ProblemGenerator;
-use fp_serve::{IoMode, JobRequest, JobResponse, ServeConfig, Server, ShutdownReport};
+use fp_serve::{JobRequest, JobResponse, ServeConfig, Server, ShutdownReport};
 use rand::{rngs::StdRng, Rng, SeedableRng};
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
@@ -36,10 +36,7 @@ fn with_watchdog<T: Send + 'static>(f: impl FnOnce() -> T + Send + 'static) -> T
 /// Single shard keeps counter assertions exact; tiny node budget keeps
 /// each solve fast.
 fn chaos_config() -> ServeConfig {
-    ServeConfig::default()
-        .with_io(IoMode::Event)
-        .with_shards(1)
-        .with_node_limit(500)
+    ServeConfig::default().with_shards(1).with_node_limit(500)
 }
 
 fn request_line(id: u64, modules: usize, seed: u64) -> String {

@@ -1,6 +1,6 @@
 //! Portfolio-mode integration tests: legality, winner attribution, the
-//! quality guarantee against the sequential ladder, and tight-deadline
-//! any-of behavior.
+//! quality guarantee against the default MILP-only race, the MILP leg's
+//! degraded flag and solver counters, and tight-deadline any-of behavior.
 
 use fp_netlist::generator::ProblemGenerator;
 use fp_netlist::Netlist;
@@ -102,14 +102,19 @@ fn portfolio_names_its_winner_and_is_legal() {
 
 #[test]
 fn portfolio_cost_never_exceeds_the_sequential_ladder() {
-    // With no deadline the race is best-of-N and the MILP leg mirrors
-    // the sequential ladder exactly (same budgets, same improvement
-    // rounds, no incumbent cutoff — that is an any-of-mode mechanism).
-    // The winner is the lowest-cost leg, so the portfolio's cost is
-    // bounded by the ladder's on every instance.
+    // With no deadline the race is best-of-N and the MILP leg gives
+    // exactly the default config's answer (same budgets, same
+    // improvement rounds, no incumbent cutoff — that is an any-of-mode
+    // mechanism). The winner is the lowest-cost leg, so the portfolio's
+    // cost is bounded by the default's on every instance.
     for seed in [3_u64, 17, 42] {
         let netlist = ProblemGenerator::new(6, seed).generate();
-        let sequential = solve(&netlist, Vec::new(), 0, Tracer::disabled());
+        let sequential = solve(
+            &netlist,
+            ServeConfig::default().backends,
+            0,
+            Tracer::disabled(),
+        );
         let portfolio = solve(
             &netlist,
             vec![Backend::Milp, Backend::Annealer, Backend::Analytic],
@@ -128,6 +133,51 @@ fn portfolio_cost_never_exceeds_the_sequential_ladder() {
             sequential.area
         );
     }
+}
+
+#[test]
+fn milp_leg_with_greedy_fallbacks_answers_degraded_and_uncached() {
+    // At the default node limit some augmentation step of this routed
+    // deck gives up and places its group greedily: the answer must say
+    // so, and a degraded answer must not be replayed from the cache.
+    let netlist = ProblemGenerator::new(5, 10_004).generate();
+    let engine = Engine::start(
+        ServeConfig::default()
+            .with_workers(1)
+            .with_backends(vec![Backend::Milp]),
+    );
+    let client = engine.client();
+    let mut req = JobRequest::new(1, &netlist);
+    req.route = true;
+    let first = client.call(req.clone());
+    let repeat = client.call(req);
+    engine.shutdown();
+    assert_legal(&first, 5);
+    assert_eq!(first.backend, "milp");
+    assert!(!first.portfolio, "one backend is not a portfolio");
+    assert!(first.degraded, "greedy fallbacks must flag the answer");
+    assert!(!repeat.cached, "a degraded answer must not be cached");
+    assert!(repeat.degraded);
+}
+
+#[test]
+fn raced_milp_leg_feeds_the_solver_counters() {
+    let netlist = ProblemGenerator::new(6, 31).generate();
+    let engine = Engine::start(
+        ServeConfig::default()
+            .with_workers(1)
+            .with_cache_capacity(0)
+            .with_backends(vec![Backend::Milp, Backend::Annealer]),
+    );
+    let resp = engine.client().call(JobRequest::new(1, &netlist));
+    let (warm, cold) = engine.solver_stats();
+    engine.shutdown();
+    assert_legal(&resp, 6);
+    assert!(resp.portfolio);
+    assert!(
+        warm + cold > 0,
+        "the finished MILP leg's nodes must be counted, got ({warm}, {cold})"
+    );
 }
 
 #[test]

@@ -244,7 +244,7 @@ fn submit_after_shutdown_fails_cleanly() {
 
 #[test]
 fn tcp_round_trip_and_malformed_line() {
-    let (responses, stats) = with_watchdog(|| {
+    let (responses, stats, inf, after) = with_watchdog(|| {
         let server =
             Server::bind("127.0.0.1:0", tiny_config().with_workers(2)).expect("bind ephemeral");
         let addr = server.local_addr();
@@ -271,10 +271,25 @@ fn tcp_round_trip_and_malformed_line() {
         for _ in 0..3 {
             responses.push(read_one(&mut reader));
         }
+        // A netlist with an infinite dimension is an ordinary bad-netlist
+        // answer, not a panic in the shard that parses it, and the
+        // connection still serves a good job after it.
+        writeln!(
+            stream,
+            "{{\"id\":4,\"netlist\":\"module a rigid inf 3 rot\\n\"}}"
+        )
+        .unwrap();
+        let inf = read_one(&mut reader);
+        writeln!(stream, "{}", JobRequest::new(5, &nl).encode()).unwrap();
+        let after = read_one(&mut reader);
         let stats = server.cache_stats();
         server.shutdown();
-        (responses, stats)
+        (responses, stats, inf, after)
     });
+
+    assert_eq!((inf.id, inf.ok), (4, false), "{inf:?}");
+    assert!(inf.error.contains("bad netlist"), "{}", inf.error);
+    assert_eq!((after.id, after.ok), (5, true), "{}", after.error);
 
     assert_eq!(responses.len(), 4);
     let bad: Vec<_> = responses.iter().filter(|r| !r.ok).collect();
@@ -285,5 +300,5 @@ fn tcp_round_trip_and_malformed_line() {
     let good: Vec<_> = responses.iter().filter(|r| r.ok).collect();
     assert_eq!(good.len(), 2);
     assert!(good.iter().any(|r| r.cached), "repeat served from cache");
-    assert_eq!(stats, (1, 1));
+    assert_eq!(stats, (2, 1), "jobs 3 and 5 hit the cache job 1 filled");
 }

@@ -3,10 +3,9 @@
 #  - BENCH_MILP.json: warm-start vs cold branch-and-bound node throughput
 #    plus model-strengthening node reduction and end-to-end speedup on the
 #    seeded MILP instance set (crates/fp-bench/src/bin/milp_snapshot.rs).
-#  - BENCH_SERVE.json: the event-driven front end vs the original
-#    thread-per-connection server on a 1000-connection 50%-duplicate
-#    workload, plus the overload/load-shed accounting leg
-#    (crates/fp-bench/src/bin/serve_snapshot.rs).
+#  - BENCH_SERVE.json: the event-driven front end on a 1000-connection
+#    50%-duplicate workload, plus the overload/load-shed accounting,
+#    deadline and ECO legs (crates/fp-bench/src/bin/serve_snapshot.rs).
 #  - BENCH_GEOM.json: spatial-indexing impact on the placement hot paths —
 #    pruned vs all-pairs analytic overlap gradient, R-tree vs brute
 #    legality probes, and end-to-end analytic wall-clock across the

@@ -27,6 +27,12 @@ cargo test -q -p fp-serve --test chaos
 echo "== cargo bench --no-run (benches must keep compiling)"
 cargo bench --workspace --no-run -q
 
+# The end-to-end benchmark under perfbench/ is a workspace of its own
+# that builds against fp-serve's and fp-core's public API by path; build
+# and test it here so an API change cannot silently break it.
+echo "== perfbench tests (the end-to-end benchmark must keep building)"
+cargo test -q --release --locked --offline --manifest-path perfbench/Cargo.toml
+
 # Observability: an end-to-end traced run must produce schema-valid JSONL
 # (each line parses as a flat object carrying numeric `seq` plus string
 # `phase`/`event`) and a non-empty per-phase summary. The trace suites
