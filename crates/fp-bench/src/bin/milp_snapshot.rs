@@ -2,7 +2,8 @@
 //! kernel impact on the seeded MILP instance set.
 //!
 //! Usage: `milp_snapshot [OUT_PATH]` (default `BENCH_MILP.json`). For each
-//! instance the solve runs serially under the configurations below, three
+//! instance the solve runs serially (`threads = 1`, so every count repeats
+//! exactly from run to run) under the configurations below, three
 //! repetitions each (the reported elapsed time is the median repetition):
 //!
 //! * `cold` / `warm` — warm-start off vs on (strengthening at its default)
@@ -93,16 +94,13 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_MILP.json".to_string());
-    let cold_opts = SolveOptions::default()
+    let base = SolveOptions::default()
         .with_node_limit(200_000)
-        .with_warm_start(false);
-    let warm_opts = SolveOptions::default().with_node_limit(200_000);
-    let off_opts = SolveOptions::default()
-        .with_node_limit(200_000)
-        .with_strengthen(false);
-    let dense_opts = SolveOptions::default()
-        .with_node_limit(200_000)
-        .with_sparse(false);
+        .with_threads(1);
+    let cold_opts = base.clone().with_warm_start(false);
+    let warm_opts = base.clone();
+    let off_opts = base.clone().with_strengthen(false);
+    let dense_opts = base.with_sparse(false);
 
     let mut rows = String::new();
     let mut speedups = Vec::new();

@@ -36,7 +36,10 @@ pub enum StepOutcome {
     Optimal,
     /// A limit stopped the search; the best incumbent was used.
     Incumbent,
-    /// The MILP produced nothing in time; the greedy placement stood in.
+    /// The MILP produced nothing in time. On a [`StepKind::Placement`]
+    /// step the greedy placement stood in; on a [`StepKind::Reoptimize`]
+    /// step the re-optimization kept its input floorplan unchanged, so the
+    /// answer lost nothing.
     GreedyFallback,
 }
 
@@ -110,12 +113,14 @@ pub struct RunStats {
 }
 
 impl RunStats {
-    /// Steps that fell back to greedy placement.
+    /// Placement steps that fell back to greedy placement. A
+    /// re-optimization that found nothing keeps its input, so it does not
+    /// count.
     #[must_use]
     pub fn greedy_fallbacks(&self) -> usize {
         self.steps
             .iter()
-            .filter(|s| s.outcome == StepOutcome::GreedyFallback)
+            .filter(|s| s.kind == StepKind::Placement && s.outcome == StepOutcome::GreedyFallback)
             .count()
     }
 

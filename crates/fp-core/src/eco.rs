@@ -600,6 +600,44 @@ mod tests {
         assert!(matches!(err, FloorplanError::InvalidOrdering(_)));
     }
 
+    /// A polish round that stops without an incumbent returns its input,
+    /// a legal placement, so it must not count as a greedy fallback.
+    #[test]
+    fn failed_polish_round_is_not_a_greedy_fallback() {
+        let serial = |nodes| {
+            FloorplanConfig::default().with_step_options(
+                SolveOptions::default()
+                    .with_node_limit(nodes)
+                    .with_time_limit(Duration::from_secs(24 * 3600))
+                    .with_threads(1),
+            )
+        };
+        let nl = ProblemGenerator::new(12, 7).generate();
+        let base = solve(&nl, &serial(800));
+        let target = ModuleId(3);
+        let (lo, _) = nl.module(target).width_range();
+        let smaller = Module::rigid(nl.module(target).name(), lo * 0.5, lo * 0.5, false);
+        let edited_nl = with_swapped(&nl, target, smaller);
+        let cfg = serial(1).with_chip_width(base.chip_width());
+        let base_mods: Vec<PlacedModule> = base.iter().copied().collect();
+        let out = eco_replace(&edited_nl, &cfg, &base_mods, &[target]).unwrap();
+        assert!(out.floorplan.is_valid(), "{:?}", out.floorplan.violations());
+        let steps: Vec<_> = out
+            .stats
+            .steps
+            .iter()
+            .map(|s| (s.kind, s.outcome))
+            .collect();
+        assert_eq!(
+            steps,
+            [
+                (StepKind::Placement, StepOutcome::Optimal),
+                (StepKind::Reoptimize, StepOutcome::GreedyFallback)
+            ]
+        );
+        assert_eq!(out.stats.greedy_fallbacks(), 0);
+    }
+
     #[test]
     fn empty_base_degrades_to_scratch_quality_solve() {
         // Every module lacks a placement, so ECO re-places everything and

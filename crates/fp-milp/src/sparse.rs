@@ -25,6 +25,14 @@
 //! out suspiciously small relative to its column) the basis is
 //! refactorized from scratch and `x_B` is recomputed from the raw rows,
 //! which also repairs accumulated floating-point drift.
+//!
+//! **Factorization.** A refactorization costs time proportional to the
+//! basis nonzeros and their fill, plus `O(m)` set-up: a slack or
+//! artificial column on a row no earlier column pivoted costs `O(1)`, and
+//! branch-and-bound bases are mostly such columns. The factors are bit for
+//! bit those of the plain left-looking loop that scans every row for each
+//! column (the test oracle), so pivots, refactorization points and answers
+//! do not depend on how the elimination finds its nonzeros. See [`Lu`].
 
 use crate::model::Cmp;
 use crate::simplex::{
@@ -200,6 +208,24 @@ impl Csc {
 /// position `k` and pivots on row `prow[k]`; `L` is stored as one
 /// elementary transform per step (`v[row] -= mult · v[prow[k]]`) and `U`
 /// column-wise in step space.
+///
+/// **Cost.** [`Lu::factorize`] touches only the basis nonzeros and their
+/// fill. A slack or artificial column on a row no earlier step pivoted
+/// costs `O(1)`. Any other column costs its nonzeros plus the `L` entries
+/// of the earlier steps it reaches; two bitsets, one over steps and one
+/// over unpivoted-list positions, keep those steps and the rows it fills
+/// in order for one word per 64 rows. Per call there is `O(m)` set-up.
+///
+/// **Identical factors.** The factors are exactly those of the plain
+/// left-looking loop that scans every row at every step (kept as the test
+/// oracle): the same pivot rows (largest magnitude, ties to the earliest
+/// position of the `swap_remove`-ordered unpivoted list), the same
+/// transforms in ascending step order (skipped when the pivot-row value is
+/// exactly `0.0`), `U` entries in ascending step order, `L` entries in
+/// unpivoted-list order, and only nonzeros stored. FTRAN and BTRAN sum in
+/// storage order, so every solve, and the fill-based refactorization
+/// trigger, is bit-identical to the scanning loop's. (That holds for
+/// finite values; the model rejects non-finite coefficients.)
 struct Lu {
     m: usize,
     prow: Vec<usize>,
@@ -227,22 +253,8 @@ impl Lu {
         }
     }
 
-    /// Factorizes the basis given by `basis` against `mat`, using `work`
-    /// (dense row-space scratch) and `unpiv` (scratch list of rows not yet
-    /// chosen as pivots, so step `k` touches only the `m − k` candidate rows
-    /// instead of rescanning all `m`). Returns `false` when some basis
-    /// column is numerically dependent on the previous ones (pivot below
-    /// [`REFACTOR_TOL`]), leaving `self` unspecified — callers keep a
-    /// scratch copy and swap on success.
-    fn factorize(
-        &mut self,
-        mat: &Csc,
-        art_sign: &[f64],
-        basis: &[usize],
-        work: &mut [f64],
-        unpiv: &mut Vec<usize>,
-    ) -> bool {
-        let m = basis.len();
+    /// Empties the factors for a basis of `m` rows.
+    fn clear(&mut self, m: usize) {
         self.m = m;
         self.prow.clear();
         self.l_start.clear();
@@ -254,57 +266,195 @@ impl Lu {
         self.u_steps.clear();
         self.u_vals.clear();
         self.u_diag.clear();
-        unpiv.clear();
-        unpiv.extend(0..m);
+    }
+
+    /// Factorizes the basis given by `basis` against `mat`, using `work`
+    /// (dense row-space scratch, left all-zero on success) and `elim`.
+    /// Returns `false` when some basis column is numerically dependent on
+    /// the previous ones (pivot below [`REFACTOR_TOL`]), leaving `self`
+    /// unspecified — callers keep a scratch copy and swap on success.
+    fn factorize(
+        &mut self,
+        mat: &Csc,
+        art_sign: &[f64],
+        basis: &[usize],
+        work: &mut [f64],
+        elim: &mut Elimination,
+    ) -> bool {
+        let m = basis.len();
+        self.clear(m);
+        elim.reset(m);
+        work[..m].fill(0.0);
 
         for (k, &col) in basis.iter().enumerate() {
-            work[..m].fill(0.0);
-            mat.axpy(art_sign, col, 1.0, work);
-            // Apply the previous elementary transforms in order.
-            for kk in 0..k {
-                let pv = work[self.prow[kk]];
-                if pv != 0.0 {
-                    for idx in self.l_start[kk]..self.l_start[kk + 1] {
-                        work[self.l_rows[idx]] -= self.l_vals[idx] * pv;
-                    }
+            if col >= mat.n_struct {
+                let (i, d) = if col < mat.n_struct + mat.m {
+                    (col - mat.n_struct, 1.0)
+                } else {
+                    let i = col - mat.n_struct - mat.m;
+                    (i, art_sign[i])
+                };
+                if elim.step_of[i] == UNPIVOTED {
+                    // No earlier transform reaches an unpivoted row, so a
+                    // unit column there pivots on itself: an empty U
+                    // column and no L multipliers.
+                    self.u_start.push(self.u_steps.len());
+                    elim.pivot(i, k);
+                    self.prow.push(i);
+                    self.u_diag.push(d);
+                    self.l_start.push(self.l_rows.len());
+                    continue;
+                }
+                elim.touch(i);
+                work[i] = d;
+            } else {
+                for idx in mat.col_ptr[col]..mat.col_ptr[col + 1] {
+                    elim.touch(mat.row_idx[idx]);
+                    work[mat.row_idx[idx]] = mat.val[idx];
                 }
             }
-            // Entries at already-pivoted rows become this U column.
-            for j in 0..k {
-                let u = work[self.prow[j]];
-                if u != 0.0 {
-                    self.u_steps.push(j);
-                    self.u_vals.push(u);
+            // Apply the earlier transforms whose pivot rows this column
+            // reaches, in ascending step order. A transform only fills rows
+            // of later steps, so the scan never meets a step behind it, and
+            // a pivoted row's value is final once its step comes up: that
+            // value is this column's U entry.
+            let (mut w, words) = (0, k.div_ceil(64));
+            while w < words {
+                let bits = elim.steps[w];
+                if bits == 0 {
+                    w += 1;
+                    continue;
+                }
+                elim.steps[w] = bits & (bits - 1);
+                let kk = w * 64 + bits.trailing_zeros() as usize;
+                let row = self.prow[kk];
+                let pv = work[row];
+                work[row] = 0.0;
+                if pv == 0.0 {
+                    continue;
+                }
+                self.u_steps.push(kk);
+                self.u_vals.push(pv);
+                for idx in self.l_start[kk]..self.l_start[kk + 1] {
+                    let r = self.l_rows[idx];
+                    elim.touch(r);
+                    work[r] -= self.l_vals[idx] * pv;
                 }
             }
             self.u_start.push(self.u_steps.len());
-            // Partial pivoting among the rows not pivoted yet.
-            let mut best: Option<(usize, f64)> = None;
-            for (t, &r) in unpiv.iter().enumerate() {
-                let a = work[r].abs();
-                if best.is_none_or(|(_, b)| a > b) {
-                    best = Some((t, a));
+            // Partial pivoting among the reached unpivoted rows (every
+            // other unpivoted row holds 0), visited in `unpiv` order:
+            // largest magnitude, ties to the earliest.
+            let mut best = (0, 0.0f64);
+            for t in elim.fill_positions() {
+                let a = work[elim.unpiv[t]].abs();
+                if a > best.1 {
+                    best = (t, a);
                 }
             }
-            let Some((t, mag)) = best else { return false };
-            if mag <= REFACTOR_TOL {
+            if best.1 <= REFACTOR_TOL {
                 return false;
             }
-            let r = unpiv.swap_remove(t);
+            let r = elim.unpiv[best.0];
+            elim.pivot(r, k);
             let piv = work[r];
+            work[r] = 0.0;
             self.prow.push(r);
             self.u_diag.push(piv);
-            // Remaining unpivoted rows hold this step's L multipliers.
-            for &rr in unpiv.iter() {
-                let w = work[rr];
-                if w != 0.0 {
+            // The other reached rows hold this step's L multipliers, stored
+            // in the order the pivot's `swap_remove` left `unpiv`.
+            for t in elim.fill_positions() {
+                let rr = elim.unpiv[t];
+                let v = work[rr];
+                work[rr] = 0.0;
+                if v != 0.0 {
                     self.l_rows.push(rr);
-                    self.l_vals.push(w / piv);
+                    self.l_vals.push(v / piv);
                 }
             }
+            elim.fill.fill(0);
             self.l_start.push(self.l_rows.len());
         }
         true
+    }
+}
+
+/// `Elimination::step_of` entry of a row no step has pivoted yet.
+const UNPIVOTED: usize = usize::MAX;
+
+/// Bookkeeping of one [`Lu::factorize`] call, kept across calls so the
+/// buffers are allocated once per kernel.
+#[derive(Default)]
+struct Elimination {
+    /// Rows not pivoted yet, in the order `swap_remove` leaves them.
+    unpiv: Vec<usize>,
+    /// Each unpivoted row's index in `unpiv`.
+    unpiv_pos: Vec<usize>,
+    /// The step that pivoted each row, or [`UNPIVOTED`].
+    step_of: Vec<usize>,
+    /// Bit `s` set: the current column reaches step `s`'s pivot row and
+    /// that step is still to apply.
+    steps: Vec<u64>,
+    /// Bit `t` set: the current column reaches row `unpiv[t]`.
+    fill: Vec<u64>,
+}
+
+impl Elimination {
+    fn reset(&mut self, m: usize) {
+        self.unpiv.clear();
+        self.unpiv.extend(0..m);
+        self.unpiv_pos.clear();
+        self.unpiv_pos.extend(0..m);
+        self.step_of.clear();
+        self.step_of.resize(m, UNPIVOTED);
+        for bits in [&mut self.steps, &mut self.fill] {
+            bits.clear();
+            bits.resize(m.div_ceil(64), 0);
+        }
+    }
+
+    /// Records that the current column reaches row `r`.
+    fn touch(&mut self, r: usize) {
+        let (bits, i) = match self.step_of[r] {
+            UNPIVOTED => (&mut self.fill, self.unpiv_pos[r]),
+            s => (&mut self.steps, s),
+        };
+        bits[i / 64] |= 1 << (i % 64);
+    }
+
+    /// Positions in `unpiv` of the rows the current column reaches, in
+    /// ascending order.
+    fn fill_positions(&self) -> impl Iterator<Item = usize> + '_ {
+        let words = self.unpiv.len().div_ceil(64);
+        self.fill[..words]
+            .iter()
+            .enumerate()
+            .flat_map(|(w, &bits)| {
+                let mut bits = bits;
+                std::iter::from_fn(move || {
+                    (bits != 0).then(|| {
+                        let b = bits.trailing_zeros() as usize;
+                        bits &= bits - 1;
+                        w * 64 + b
+                    })
+                })
+            })
+    }
+
+    /// Makes row `r` the pivot of step `k`, removing it from `unpiv` by
+    /// `swap_remove`; the reached-row bit of the moved row moves with it.
+    fn pivot(&mut self, r: usize, k: usize) {
+        let t = self.unpiv_pos[r];
+        let last = self.unpiv.len() - 1;
+        self.unpiv.swap_remove(t);
+        self.fill[t / 64] &= !(1 << (t % 64));
+        if t != last {
+            self.unpiv_pos[self.unpiv[t]] = t;
+            let moved = self.fill[last / 64] >> (last % 64) & 1;
+            self.fill[last / 64] &= !(1 << (last % 64));
+            self.fill[t / 64] |= moved << (t % 64);
+        }
+        self.step_of[r] = k;
     }
 }
 
@@ -467,7 +617,7 @@ pub(crate) struct SparseKernel {
     alpha: Vec<f64>,
     y: Vec<f64>,
     rho: Vec<f64>,
-    unpiv: Vec<usize>,
+    elim: Elimination,
     // Column-space scratch (length n): nonbasic reduced costs maintained
     // incrementally across dual pivots, and the pivot row of the last scan.
     dred: Vec<f64>,
@@ -513,7 +663,7 @@ impl SparseKernel {
             alpha: Vec::new(),
             y: Vec::new(),
             rho: Vec::new(),
-            unpiv: Vec::new(),
+            elim: Elimination::default(),
             dred: Vec::new(),
             arow: Vec::new(),
             cand: Vec::new(),
@@ -634,7 +784,7 @@ impl SparseKernel {
             &self.art_sign,
             &self.basis,
             &mut self.work_row,
-            &mut self.unpiv,
+            &mut self.elim,
         );
         if ok {
             std::mem::swap(&mut self.lu, &mut self.lu_scratch);
@@ -1390,5 +1540,330 @@ impl SparseKernel {
             }
         }
         worst
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rand::rngs::StdRng;
+    use rand::seq::SliceRandom;
+    use rand::{Rng, SeedableRng};
+
+    /// The scanning left-looking elimination [`Lu::factorize`] must match
+    /// bit for bit: every step applies each earlier transform in turn,
+    /// scans every pivoted row for U and every unpivoted row for the pivot
+    /// and the L multipliers.
+    fn factorize_scan(
+        lu: &mut Lu,
+        mat: &Csc,
+        art_sign: &[f64],
+        basis: &[usize],
+        work: &mut [f64],
+        unpiv: &mut Vec<usize>,
+    ) -> bool {
+        let m = basis.len();
+        lu.clear(m);
+        unpiv.clear();
+        unpiv.extend(0..m);
+
+        for (k, &col) in basis.iter().enumerate() {
+            work[..m].fill(0.0);
+            mat.axpy(art_sign, col, 1.0, work);
+            // Apply the previous elementary transforms in order.
+            for kk in 0..k {
+                let pv = work[lu.prow[kk]];
+                if pv != 0.0 {
+                    for idx in lu.l_start[kk]..lu.l_start[kk + 1] {
+                        work[lu.l_rows[idx]] -= lu.l_vals[idx] * pv;
+                    }
+                }
+            }
+            // Entries at already-pivoted rows become this U column.
+            for j in 0..k {
+                let u = work[lu.prow[j]];
+                if u != 0.0 {
+                    lu.u_steps.push(j);
+                    lu.u_vals.push(u);
+                }
+            }
+            lu.u_start.push(lu.u_steps.len());
+            // Partial pivoting among the rows not pivoted yet.
+            let mut best: Option<(usize, f64)> = None;
+            for (t, &r) in unpiv.iter().enumerate() {
+                let a = work[r].abs();
+                if best.is_none_or(|(_, b)| a > b) {
+                    best = Some((t, a));
+                }
+            }
+            let Some((t, mag)) = best else { return false };
+            if mag <= REFACTOR_TOL {
+                return false;
+            }
+            let r = unpiv.swap_remove(t);
+            let piv = work[r];
+            lu.prow.push(r);
+            lu.u_diag.push(piv);
+            // Remaining unpivoted rows hold this step's L multipliers.
+            for &rr in unpiv.iter() {
+                let w = work[rr];
+                if w != 0.0 {
+                    lu.l_rows.push(rr);
+                    lu.l_vals.push(w / piv);
+                }
+            }
+            lu.l_start.push(lu.l_rows.len());
+        }
+        true
+    }
+
+    /// Basis shapes the property test draws from.
+    #[derive(Clone, Copy, Debug)]
+    enum Shape {
+        /// Mostly slacks with structural columns in between, as branch
+        /// and bound leaves them.
+        BranchAndBound,
+        /// Unit columns split between slacks and artificials of both signs.
+        Artificials,
+        /// Entries drawn from ±1 and ±big-M only, so pivot magnitudes tie.
+        Ties,
+        /// Structural columns first, then the slacks of rows they pivoted.
+        SlackOnPivotedRow,
+        /// A structural column that is a combination of two basic ones.
+        Dependent,
+    }
+
+    struct Case {
+        mat: Csc,
+        art_sign: Vec<f64>,
+        basis: Vec<usize>,
+    }
+
+    fn entry(rng: &mut StdRng, shape: Shape) -> f64 {
+        let sign = if rng.gen_bool(0.5) { 1.0 } else { -1.0 };
+        match shape {
+            Shape::Ties => sign * if rng.gen_bool(0.7) { 1.0 } else { 1e4 },
+            _ => sign * rng.gen_range(0.05..20.0),
+        }
+    }
+
+    /// Enters column `j` at the position of a still-basic slack on one of
+    /// its rows, as a primal pivot would.
+    fn enter(rng: &mut StdRng, basis: &mut [usize], col: &[(usize, f64)], j: usize, n: usize) {
+        let open: Vec<usize> = col
+            .iter()
+            .map(|&(r, _)| r)
+            .filter(|&r| basis[r] == n + r)
+            .collect();
+        if !open.is_empty() {
+            basis[open[rng.gen_range(0..open.len())]] = j;
+        }
+    }
+
+    fn case(rng: &mut StdRng, shape: Shape) -> Case {
+        let m = rng.gen_range(1..=48usize);
+        let n_base = rng.gen_range(1..=m.max(2));
+        let mut cols: Vec<Vec<(usize, f64)>> = (0..n_base)
+            .map(|_| {
+                let mut rows: Vec<usize> = (0..m).collect();
+                rows.shuffle(rng);
+                rows.truncate(rng.gen_range(1..=m.min(5)));
+                rows.into_iter().map(|r| (r, entry(rng, shape))).collect()
+            })
+            .collect();
+        // The last column combines the first two: dependent on them.
+        let (ca, cb) = (rng.gen_range(-3.0..3.0), rng.gen_range(-3.0..3.0));
+        let mut combo = vec![0.0; m];
+        for &(r, v) in &cols[0] {
+            combo[r] += ca * v;
+        }
+        for &(r, v) in &cols[1 % n_base] {
+            combo[r] += cb * v;
+        }
+        cols.push(
+            combo
+                .iter()
+                .enumerate()
+                .filter(|&(_, &v)| v != 0.0)
+                .map(|(r, &v)| (r, v))
+                .collect(),
+        );
+        let n = cols.len();
+        let art_sign: Vec<f64> = (0..m)
+            .map(|_| if rng.gen_bool(0.5) { 1.0 } else { -1.0 })
+            .collect();
+        let mut basis: Vec<usize> = (0..m).map(|i| n + i).collect();
+        match shape {
+            Shape::BranchAndBound | Shape::Artificials | Shape::Ties => {
+                let share = if matches!(shape, Shape::Ties) {
+                    0.6
+                } else {
+                    0.3
+                };
+                for (j, col) in cols[..n_base].iter().enumerate() {
+                    if rng.gen_bool(share) {
+                        enter(rng, &mut basis, col, j, n);
+                    }
+                }
+                if matches!(shape, Shape::Artificials) {
+                    for (i, b) in basis.iter_mut().enumerate() {
+                        if *b == n + i && rng.gen_bool(0.5) {
+                            *b = n + m + i;
+                        }
+                    }
+                }
+                if matches!(shape, Shape::Ties) {
+                    basis.shuffle(rng);
+                }
+            }
+            Shape::SlackOnPivotedRow => {
+                for (j, col) in cols[..n_base].iter().enumerate() {
+                    if rng.gen_bool(0.5) {
+                        enter(rng, &mut basis, col, j, n);
+                    }
+                }
+                let mut reached = vec![false; m];
+                for &j in basis.iter().filter(|&&j| j < n) {
+                    for &(r, _) in &cols[j] {
+                        reached[r] = true;
+                    }
+                }
+                // Structural columns pivot first; the slacks of the rows
+                // they reach follow, then the others (a stable sort).
+                basis.sort_by_key(|&j| match j {
+                    j if j < n => 0,
+                    j if reached[j - n] => 1,
+                    _ => 2,
+                });
+            }
+            Shape::Dependent => {
+                let others: Vec<usize> = (0..n_base).filter(|_| rng.gen_bool(0.2)).collect();
+                for j in others.into_iter().chain([0, 1 % n_base, n - 1]) {
+                    enter(rng, &mut basis, &cols[j], j, n);
+                }
+            }
+        }
+        let mut rows: Vec<SparseRow> = (0..m).map(|_| (Vec::new(), Cmp::Le, 0.0)).collect();
+        for (j, col) in cols.iter().enumerate() {
+            for &(r, v) in col {
+                rows[r].0.push((j, v));
+            }
+        }
+        let mut mat = Csc::new();
+        mat.build(&rows, n);
+        Case {
+            mat,
+            art_sign,
+            basis,
+        }
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
+    fn assert_same_factors(a: &Lu, b: &Lu, what: &str) {
+        assert_eq!(a.m, b.m, "{what}: m");
+        assert_eq!(a.prow, b.prow, "{what}: prow");
+        assert_eq!(bits(&a.u_diag), bits(&b.u_diag), "{what}: u_diag");
+        assert_eq!(a.l_start, b.l_start, "{what}: l_start");
+        assert_eq!(a.l_rows, b.l_rows, "{what}: l_rows");
+        assert_eq!(bits(&a.l_vals), bits(&b.l_vals), "{what}: l_vals");
+        assert_eq!(a.u_start, b.u_start, "{what}: u_start");
+        assert_eq!(a.u_steps, b.u_steps, "{what}: u_steps");
+        assert_eq!(bits(&a.u_vals), bits(&b.u_vals), "{what}: u_vals");
+    }
+
+    fn random_vector(rng: &mut StdRng, m: usize) -> Vec<f64> {
+        (0..m)
+            .map(|_| {
+                if rng.gen_bool(0.4) {
+                    0.0
+                } else {
+                    rng.gen_range(-50.0..50.0)
+                }
+            })
+            .collect()
+    }
+
+    #[test]
+    fn factorization_matches_the_scanning_oracle_bit_for_bit() {
+        let shapes = [
+            Shape::BranchAndBound,
+            Shape::Artificials,
+            Shape::Ties,
+            Shape::SlackOnPivotedRow,
+            Shape::Dependent,
+        ];
+        let mut rng = StdRng::seed_from_u64(16);
+        // One factor set and one bookkeeping set across every case, as a
+        // kernel reuses them across bases of different sizes.
+        let mut fast = Lu::new();
+        let mut elim = Elimination::default();
+        let mut singular = [0usize; 5];
+        let mut regular = [0usize; 5];
+        let mut slack_after_pivot = 0;
+        for i in 0..2000 {
+            let s = i % shapes.len();
+            let shape = shapes[s];
+            let c = case(&mut rng, shape);
+            let m = c.basis.len();
+            let what = format!("case {i} ({shape:?}, m = {m})");
+            let mut oracle = Lu::new();
+            let mut work = vec![f64::NAN; m];
+            let mut unpiv = Vec::new();
+            let ok_scan = factorize_scan(
+                &mut oracle,
+                &c.mat,
+                &c.art_sign,
+                &c.basis,
+                &mut work,
+                &mut unpiv,
+            );
+            let ok = fast.factorize(&c.mat, &c.art_sign, &c.basis, &mut work, &mut elim);
+            assert_eq!(ok, ok_scan, "{what}: singularity verdict");
+            if !ok {
+                singular[s] += 1;
+                continue;
+            }
+            regular[s] += 1;
+            assert_same_factors(&fast, &oracle, &what);
+            let n = c.mat.n_struct;
+            slack_after_pivot += usize::from(
+                c.basis
+                    .iter()
+                    .enumerate()
+                    .any(|(k, &j)| (n..n + m).contains(&j) && oracle.prow[..k].contains(&(j - n))),
+            );
+            assert!(work.iter().all(|&w| w == 0.0), "{what}: work left dirty");
+            let etas = EtaFile::new();
+            for _ in 0..3 {
+                let v = random_vector(&mut rng, m);
+                let (mut v1, mut v2) = (v.clone(), v);
+                let (mut x1, mut x2) = (vec![0.0; m], vec![0.0; m]);
+                ftran(&fast, &etas, &mut v1, &mut x1);
+                ftran(&oracle, &etas, &mut v2, &mut x2);
+                assert_eq!(bits(&x1), bits(&x2), "{what}: ftran");
+                let c_b = random_vector(&mut rng, m);
+                let (mut c1, mut c2) = (c_b.clone(), c_b);
+                btran(&fast, &etas, &mut c1, &mut x1);
+                btran(&oracle, &etas, &mut c2, &mut x2);
+                assert_eq!(bits(&x1), bits(&x2), "{what}: btran");
+            }
+        }
+        // Each shape must mostly factorize, the dependent one must mostly
+        // not, and slacks must often land on rows pivoted before them.
+        for (s, shape) in shapes.iter().enumerate() {
+            assert!(regular[s] >= 25, "{shape:?}: {} regular bases", regular[s]);
+        }
+        assert!(
+            singular[4] >= 100,
+            "{} singular dependent bases",
+            singular[4]
+        );
+        assert!(
+            slack_after_pivot >= 100,
+            "{slack_after_pivot} slacks on pivoted rows"
+        );
     }
 }

@@ -81,6 +81,12 @@ for key in '"sparse"' '"pivot_time_speedup"' '"median_sparse_pivot_time_speedup"
     grep -q "$key" "$bench_json" \
         || { echo "check.sh: milp_snapshot output missing $key"; exit 1; }
 done
+# The snapshot solves serially, so its counts repeat exactly: every count
+# field of the fresh run must equal the committed BENCH_MILP.json's, in
+# order. Only the timings may differ.
+count_fields='"(nodes|pivots|warm_nodes|cold_nodes|refactorizations|eta_updates|rows_tightened|binaries_fixed|cuts_added)": [0-9]+'
+diff <(grep -Eo "$count_fields" BENCH_MILP.json) <(grep -Eo "$count_fields" "$bench_json") \
+    || { echo "check.sh: milp_snapshot counts differ from BENCH_MILP.json"; exit 1; }
 
 # Geometry benchmark snapshot smoke: the spatial-indexing snapshot must
 # run end to end on the sub-100-module decks (the full 300-module sweep
