@@ -44,32 +44,6 @@ fn bench_placement_milp(c: &mut Criterion) {
     group.finish();
 }
 
-/// Serial vs parallel search on the same trees: `threads/{1,N}` rows make
-/// the scaling of the shared-frontier branch-and-bound directly comparable.
-fn bench_parallel_scaling(c: &mut Criterion) {
-    let nthreads = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
-    let mut group = c.benchmark_group("parallel_scaling");
-    group.sample_size(10);
-    group.measurement_time(Duration::from_secs(12));
-    let cases: Vec<(&str, Model)> = vec![
-        ("knapsack22", knapsack(22, 3)),
-        ("placement5", placement_milp(5)),
-    ];
-    for (name, model) in &cases {
-        for &threads in &[1usize, nthreads] {
-            let opts = SolveOptions::default()
-                .with_node_limit(50_000)
-                .with_threads(threads);
-            group.bench_with_input(
-                BenchmarkId::new(*name, format!("threads_{threads}")),
-                model,
-                |b, m| b.iter(|| m.solve_with(&opts).expect("feasible by construction")),
-            );
-        }
-    }
-    group.finish();
-}
-
 /// Observability overhead: the same solves untraced, with a disabled
 /// tracer, and with a no-op sink attached. `disabled` must track `off`
 /// within noise (one `Option` check per emit site); `null_sink` bounds the
@@ -82,9 +56,7 @@ fn bench_trace_overhead(c: &mut Criterion) {
         ("knapsack22", knapsack(22, 3)),
         ("placement5", placement_milp(5)),
     ];
-    let opts = SolveOptions::default()
-        .with_node_limit(50_000)
-        .with_threads(1);
+    let opts = SolveOptions::default().with_node_limit(50_000);
     for (name, model) in &cases {
         group.bench_with_input(BenchmarkId::new(*name, "off"), model, |b, m| {
             b.iter(|| m.solve_with(&opts).expect("feasible by construction"))
@@ -110,9 +82,8 @@ fn bench_trace_overhead(c: &mut Criterion) {
 /// Warm vs cold node solves on the same trees: the `warm_start` rows pit
 /// the default dual-simplex basis reuse against `with_warm_start(false)`
 /// (every node solved by the cold two-phase primal), on the classic bench
-/// models and the seeded snapshot set, serial and parallel.
+/// models and the seeded snapshot set.
 fn bench_warm_start(c: &mut Criterion) {
-    let nthreads = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
     let mut group = c.benchmark_group("warm_start");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(12));
@@ -122,18 +93,13 @@ fn bench_warm_start(c: &mut Criterion) {
     ];
     cases.extend(seeded_set());
     for (name, model) in &cases {
-        for &threads in &[1usize, nthreads] {
-            for (mode, warm) in [("cold", false), ("warm", true)] {
-                let opts = SolveOptions::default()
-                    .with_node_limit(50_000)
-                    .with_threads(threads)
-                    .with_warm_start(warm);
-                group.bench_with_input(
-                    BenchmarkId::new(name.as_str(), format!("{mode}_threads_{threads}")),
-                    model,
-                    |b, m| b.iter(|| m.solve_with(&opts).expect("feasible by construction")),
-                );
-            }
+        for (mode, warm) in [("cold", false), ("warm", true)] {
+            let opts = SolveOptions::default()
+                .with_node_limit(50_000)
+                .with_warm_start(warm);
+            group.bench_with_input(BenchmarkId::new(name.as_str(), mode), model, |b, m| {
+                b.iter(|| m.solve_with(&opts).expect("feasible by construction"))
+            });
         }
     }
     group.finish();
@@ -142,9 +108,8 @@ fn bench_warm_start(c: &mut Criterion) {
 /// Model strengthening on vs off on the same trees: probing presolve,
 /// coefficient tightening and root cuts shrink the tree before the first
 /// branch, so the `on` rows should win end-to-end wherever the instances
-/// carry big-M structure (the placement models), serial and parallel.
+/// carry big-M structure (the placement models).
 fn bench_strengthen(c: &mut Criterion) {
-    let nthreads = std::thread::available_parallelism().map_or(2, |n| n.get().max(2));
     let mut group = c.benchmark_group("strengthen");
     group.sample_size(10);
     group.measurement_time(Duration::from_secs(12));
@@ -154,18 +119,13 @@ fn bench_strengthen(c: &mut Criterion) {
         ("placement5", placement_milp(5)),
     ];
     for (name, model) in &cases {
-        for &threads in &[1usize, nthreads] {
-            for (mode, on) in [("off", false), ("on", true)] {
-                let opts = SolveOptions::default()
-                    .with_node_limit(50_000)
-                    .with_threads(threads)
-                    .with_strengthen(on);
-                group.bench_with_input(
-                    BenchmarkId::new(*name, format!("{mode}_threads_{threads}")),
-                    model,
-                    |b, m| b.iter(|| m.solve_with(&opts).expect("feasible by construction")),
-                );
-            }
+        for (mode, on) in [("off", false), ("on", true)] {
+            let opts = SolveOptions::default()
+                .with_node_limit(50_000)
+                .with_strengthen(on);
+            group.bench_with_input(BenchmarkId::new(*name, mode), model, |b, m| {
+                b.iter(|| m.solve_with(&opts).expect("feasible by construction"))
+            });
         }
     }
     group.finish();
@@ -176,7 +136,6 @@ criterion_group!(
     bench_simplex,
     bench_branch_bound,
     bench_placement_milp,
-    bench_parallel_scaling,
     bench_trace_overhead,
     bench_warm_start,
     bench_strengthen

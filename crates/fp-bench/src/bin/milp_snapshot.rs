@@ -1,10 +1,11 @@
 //! Writes `BENCH_MILP.json`: warm-start, model-strengthening and sparse-
 //! kernel impact on the seeded MILP instance set.
 //!
-//! Usage: `milp_snapshot [OUT_PATH]` (default `BENCH_MILP.json`). For each
-//! instance the solve runs serially (`threads = 1`, so every count repeats
-//! exactly from run to run) under the configurations below, three
-//! repetitions each (the reported elapsed time is the median repetition):
+//! Usage: `milp_snapshot [OUT_PATH]` (default `BENCH_MILP.json`). Each
+//! instance is solved under the configurations below, three repetitions
+//! each (the reported elapsed time is the median repetition). The search
+//! is deterministic and every instance finishes far inside the default
+//! time limit, so every count repeats exactly from run to run:
 //!
 //! * `cold` / `warm` — warm-start off vs on (strengthening at its default)
 //!   for the node-throughput comparison; the headline
@@ -94,9 +95,7 @@ fn main() {
     let out_path = std::env::args()
         .nth(1)
         .unwrap_or_else(|| "BENCH_MILP.json".to_string());
-    let base = SolveOptions::default()
-        .with_node_limit(200_000)
-        .with_threads(1);
+    let base = SolveOptions::default().with_node_limit(200_000);
     let cold_opts = base.clone().with_warm_start(false);
     let warm_opts = base.clone();
     let off_opts = base.clone().with_strengthen(false);

@@ -49,8 +49,6 @@ pub struct RunArgs {
     pub node_limit: usize,
     /// Per-step time limit in seconds.
     pub time_limit: f64,
-    /// Solver threads (None = available parallelism).
-    pub threads: Option<usize>,
     /// Global routing algorithm.
     pub route: Option<RouteAlgorithm>,
     /// Routing mode.
@@ -159,7 +157,6 @@ pub fn parse_run_args<I: Iterator<Item = String>>(mut it: I) -> Result<RunArgs, 
         compact: false,
         node_limit: 20_000,
         time_limit: 10.0,
-        threads: None,
         route: None,
         mode: RoutingMode::AroundTheCell,
         ascii: false,
@@ -218,15 +215,6 @@ pub fn parse_run_args<I: Iterator<Item = String>>(mut it: I) -> Result<RunArgs, 
                 args.time_limit = value("--time-limit")?
                     .parse()
                     .map_err(|_| "bad time limit")?;
-            }
-            "--threads" => {
-                let n: usize = value("--threads")?
-                    .parse()
-                    .map_err(|_| "bad thread count")?;
-                if n == 0 {
-                    return Err("--threads wants at least 1".to_string());
-                }
-                args.threads = Some(n);
             }
             "--route" => {
                 args.route = Some(match value("--route")?.as_str() {
@@ -448,7 +436,7 @@ pub const HELP: &str = "usage: floorplan [INPUT.fp] [--ami33 | --random N:SEED]
   [--width W] [--objective area|wire[:LAMBDA]]
   [--ordering connectivity|random[:SEED]|area]
   [--envelopes] [--no-rotation] [--compact]
-  [--node-limit N] [--time-limit SECS] [--threads N]
+  [--node-limit N] [--time-limit SECS]
   [--route sp|wsp] [--mode over|around]
   [--ascii] [--svg FILE]
   [--trace FILE.jsonl] [--summary] [--portfolio]
@@ -537,8 +525,6 @@ mod tests {
             "500",
             "--time-limit",
             "2.5",
-            "--threads",
-            "4",
             "--route",
             "wsp",
             "--mode",
@@ -558,7 +544,6 @@ mod tests {
         assert!(a.envelopes && !a.rotation && a.compact && a.ascii);
         assert_eq!(a.node_limit, 500);
         assert_eq!(a.time_limit, 2.5);
-        assert_eq!(a.threads, Some(4));
         assert_eq!(a.route, Some(RouteAlgorithm::WeightedShortestPath));
         assert_eq!(a.mode, RoutingMode::OverTheCell);
         assert_eq!(a.svg.as_deref(), Some("out.svg"));
@@ -572,14 +557,17 @@ mod tests {
         assert!(parse(&["--random", "15"]).is_err());
         assert!(parse(&["--bogus"]).is_err());
         assert!(parse(&["--width"]).is_err());
-        assert!(parse(&["--threads", "0"]).is_err());
-        assert!(parse(&["--threads", "many"]).is_err());
         assert!(parse(&["--trace"]).is_err());
     }
 
     #[test]
-    fn threads_defaults_to_auto() {
-        assert_eq!(parse(&["--ami33"]).unwrap().threads, None);
+    fn removed_thread_count_flag_is_unknown() {
+        // The solver's thread-count flag is gone: the search is serial.
+        let flag = format!("--{}", "threads");
+        assert_eq!(
+            parse(&["--ami33", &flag, "4"]).unwrap_err(),
+            format!("unknown option '{flag}'")
+        );
     }
 
     #[test]

@@ -52,16 +52,11 @@ fn cmd_run(args: &RunArgs) -> Result<(), String> {
         .with_ordering(args.ordering.clone())
         .with_envelopes(args.envelopes)
         .with_rotation(args.rotation)
-        .with_step_options({
-            // Default thread count (no --threads): available parallelism.
-            let mut opts = fp_milp::SolveOptions::default()
+        .with_step_options(
+            fp_milp::SolveOptions::default()
                 .with_node_limit(args.node_limit)
-                .with_time_limit(Duration::from_secs_f64(args.time_limit));
-            if let Some(n) = args.threads {
-                opts = opts.with_threads(n);
-            }
-            opts
-        });
+                .with_time_limit(Duration::from_secs_f64(args.time_limit)),
+        );
     if let Some(w) = args.width {
         config = config.with_chip_width(w);
     }

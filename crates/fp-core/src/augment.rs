@@ -673,14 +673,24 @@ mod tests {
     fn beatable_incumbent_does_not_change_area_result() {
         use crate::portfolio::SharedIncumbent;
         use std::sync::Arc;
+        // The two runs are compared, so only the node limit may stop a
+        // step: a time limit that binds differs from run to run.
+        let untimed = || {
+            let cfg = fast();
+            let opts = cfg
+                .step_options
+                .clone()
+                .with_time_limit(Duration::from_secs(24 * 3600));
+            cfg.with_step_options(opts)
+        };
         let nl = ProblemGenerator::new(8, 5).generate();
-        let baseline = Floorplanner::with_config(&nl, fast()).run().unwrap();
+        let baseline = Floorplanner::with_config(&nl, untimed()).run().unwrap();
         let inc = Arc::new(SharedIncumbent::new());
         // A loose incumbent (well above what the run achieves) must not
         // change the outcome: pruning against it is inactive on the optimal
         // path.
         inc.publish(f64::MAX / 4.0, baseline.floorplan.chip_height() * 2.0);
-        let cfg = fast().with_incumbent(Some(inc));
+        let cfg = untimed().with_incumbent(Some(inc));
         let bounded = Floorplanner::with_config(&nl, cfg).run().unwrap();
         assert!(
             (bounded.floorplan.chip_height() - baseline.floorplan.chip_height()).abs() < 1e-9,

@@ -240,15 +240,6 @@ impl FloorplanConfig {
         opts.with_stop(self.stop.clone())
     }
 
-    /// Sets the branch-and-bound worker-thread count for every step MILP.
-    /// `1` selects the deterministic serial solver; see
-    /// [`SolveOptions::threads`].
-    #[must_use]
-    pub fn with_solver_threads(mut self, threads: usize) -> Self {
-        self.step_options = self.step_options.with_threads(threads);
-        self
-    }
-
     /// Enables or disables rotation variables.
     #[must_use]
     pub fn with_rotation(mut self, on: bool) -> Self {
@@ -344,8 +335,7 @@ mod tests {
             .with_rotation(false)
             .with_pitches(0.2, 0.3)
             .with_soft_model(SoftShapeModel::Taylor)
-            .with_critical_nets(true)
-            .with_solver_threads(2);
+            .with_critical_nets(true);
         assert_eq!(c.chip_width, Some(100.0));
         assert_eq!(c.objective.lambda(), 2.0);
         assert_eq!(c.ordering, OrderingStrategy::Random(7));
@@ -355,6 +345,5 @@ mod tests {
         assert_eq!((c.pitch_h, c.pitch_v), (0.2, 0.3));
         assert_eq!(c.soft_model, SoftShapeModel::Taylor);
         assert!(c.enforce_critical_nets);
-        assert_eq!(c.step_options.threads, 2);
     }
 }

@@ -604,21 +604,20 @@ mod tests {
     /// a legal placement, so it must not count as a greedy fallback.
     #[test]
     fn failed_polish_round_is_not_a_greedy_fallback() {
-        let serial = |nodes| {
+        let capped = |nodes| {
             FloorplanConfig::default().with_step_options(
                 SolveOptions::default()
                     .with_node_limit(nodes)
-                    .with_time_limit(Duration::from_secs(24 * 3600))
-                    .with_threads(1),
+                    .with_time_limit(Duration::from_secs(24 * 3600)),
             )
         };
         let nl = ProblemGenerator::new(12, 7).generate();
-        let base = solve(&nl, &serial(800));
+        let base = solve(&nl, &capped(800));
         let target = ModuleId(3);
         let (lo, _) = nl.module(target).width_range();
         let smaller = Module::rigid(nl.module(target).name(), lo * 0.5, lo * 0.5, false);
         let edited_nl = with_swapped(&nl, target, smaller);
-        let cfg = serial(1).with_chip_width(base.chip_width());
+        let cfg = capped(1).with_chip_width(base.chip_width());
         let base_mods: Vec<PlacedModule> = base.iter().copied().collect();
         let out = eco_replace(&edited_nl, &cfg, &base_mods, &[target]).unwrap();
         assert!(out.floorplan.is_valid(), "{:?}", out.floorplan.violations());

@@ -732,9 +732,8 @@ mod tests {
             pull_down: false,
         };
         let sm = StepModel::build(&input);
-        // Serial solver: the node-count bound below assumes the
-        // deterministic dive-first DFS order.
-        let opts = fp_milp::SolveOptions::default().with_threads(1);
+        // The node-count bound below assumes the dive-first DFS order.
+        let opts = fp_milp::SolveOptions::default();
         let sol = sm.model.solve_with(&opts).unwrap();
         let p = sm.model.var_by_name("p_0_f0").unwrap();
         let q = sm.model.var_by_name("q_0_f0").unwrap();
@@ -798,7 +797,7 @@ mod tests {
             .map(|&id| ShapeSpec::from_module(id, nl.module(id), &cfg))
             .collect();
 
-        let on_opts = fp_milp::SolveOptions::default().with_threads(1);
+        let on_opts = fp_milp::SolveOptions::default();
         let off_opts = on_opts.clone().with_strengthen(false);
         let mut placed: Vec<PlacedModule> = Vec::new();
         let mut envelopes: Vec<Rect> = Vec::new();

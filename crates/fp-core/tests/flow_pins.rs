@@ -29,8 +29,7 @@ fn flow_counts(netlist: &Netlist) -> Counts {
     let config = FloorplanConfig::default().with_step_options(
         SolveOptions::default()
             .with_node_limit(4000)
-            .with_time_limit(Duration::from_secs(24 * 3600))
-            .with_threads(1),
+            .with_time_limit(Duration::from_secs(24 * 3600)),
     );
     let augmented = Floorplanner::with_config(netlist, config.clone())
         .run()

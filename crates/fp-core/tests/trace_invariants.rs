@@ -1,7 +1,6 @@
 //! Trace invariants (the fp-obs tentpole): the structured event stream a
-//! run emits must agree with the statistics the pipeline itself reports —
-//! at every thread count — and a disabled tracer must emit nothing while
-//! changing nothing.
+//! run emits must agree with the statistics the pipeline itself reports,
+//! and a disabled tracer must emit nothing while changing nothing.
 //!
 //! Budgets are generous on purpose: every step MILP returns `Ok`, so the
 //! trace's node accounting and `RunStats` describe the same solves with no
@@ -32,40 +31,37 @@ fn incumbents_of(records: &[Record]) -> Vec<f64> {
 }
 
 /// Traced branch-and-bound node events equal the node totals the run
-/// records — serially and in parallel (where workers race to emit).
+/// records.
 #[test]
 fn bnb_node_events_match_run_stats() {
-    for threads in [1, 4] {
-        let netlist = ProblemGenerator::new(8, 3).generate();
-        let (config, collector) = traced_config();
-        let config = config.with_solver_threads(threads);
-        let result = Floorplanner::with_config(&netlist, config).run().unwrap();
+    let netlist = ProblemGenerator::new(8, 3).generate();
+    let (config, collector) = traced_config();
+    let result = Floorplanner::with_config(&netlist, config).run().unwrap();
 
-        assert_eq!(
-            result.stats.greedy_fallbacks(),
-            0,
-            "t{threads}: a fallback would void the node-accounting premise"
-        );
-        assert_eq!(
-            collector.count_of(EventKind::BnbNode),
-            result.stats.total_nodes(),
-            "t{threads}: BnbNode events vs RunStats::total_nodes"
-        );
-        // The per-solve SolveEnd totals tell the same story.
-        let end_nodes: usize = collector
-            .of_kind(EventKind::SolveEnd)
-            .iter()
-            .map(|r| match r.event {
-                Event::SolveEnd { nodes, .. } => nodes,
-                _ => unreachable!(),
-            })
-            .sum();
-        assert_eq!(
-            end_nodes,
-            result.stats.total_nodes(),
-            "t{threads}: SolveEnd nodes vs RunStats::total_nodes"
-        );
-    }
+    assert_eq!(
+        result.stats.greedy_fallbacks(),
+        0,
+        "a fallback would void the node-accounting premise"
+    );
+    assert_eq!(
+        collector.count_of(EventKind::BnbNode),
+        result.stats.total_nodes(),
+        "BnbNode events vs RunStats::total_nodes"
+    );
+    // The per-solve SolveEnd totals tell the same story.
+    let end_nodes: usize = collector
+        .of_kind(EventKind::SolveEnd)
+        .iter()
+        .map(|r| match r.event {
+            Event::SolveEnd { nodes, .. } => nodes,
+            _ => unreachable!(),
+        })
+        .sum();
+    assert_eq!(
+        end_nodes,
+        result.stats.total_nodes(),
+        "SolveEnd nodes vs RunStats::total_nodes"
+    );
 }
 
 /// Every augmentation step emits exactly one terminal `AugmentStep` event,
@@ -112,53 +108,49 @@ fn one_terminal_event_per_augmentation_step() {
 }
 
 /// Within each solve the incumbent objective is strictly improving: the
-/// step models minimize, so the traced sequence strictly decreases. Holds
-/// serially by construction and in parallel because incumbent events are
-/// emitted while the incumbent lock is held.
+/// step models minimize and the search only installs strictly better
+/// incumbents, so the traced sequence strictly decreases.
 #[test]
 fn incumbent_objective_is_monotone_within_each_solve() {
-    for threads in [1, 4] {
-        let netlist = ProblemGenerator::new(8, 17).generate();
-        let (config, collector) = traced_config();
-        let config = config.with_solver_threads(threads);
-        Floorplanner::with_config(&netlist, config).run().unwrap();
+    let netlist = ProblemGenerator::new(8, 17).generate();
+    let (config, collector) = traced_config();
+    Floorplanner::with_config(&netlist, config).run().unwrap();
 
-        // Solves never interleave (the driver is sequential), so the stream
-        // splits into SolveStart..SolveEnd segments.
-        let records = collector.records();
-        let mut solves = 0usize;
-        let mut current: Option<Vec<Record>> = None;
-        for r in records {
-            match r.event {
-                Event::SolveStart { .. } => {
-                    assert!(current.is_none(), "t{threads}: nested SolveStart");
-                    current = Some(Vec::new());
+    // Solves never interleave (the driver is sequential), so the stream
+    // splits into SolveStart..SolveEnd segments.
+    let records = collector.records();
+    let mut solves = 0usize;
+    let mut current: Option<Vec<Record>> = None;
+    for r in records {
+        match r.event {
+            Event::SolveStart { .. } => {
+                assert!(current.is_none(), "nested SolveStart");
+                current = Some(Vec::new());
+            }
+            Event::SolveEnd { .. } => {
+                let solve = current.take().expect("SolveEnd without SolveStart");
+                solves += 1;
+                let incumbents = incumbents_of(&solve);
+                for pair in incumbents.windows(2) {
+                    assert!(
+                        pair[1] < pair[0],
+                        "incumbents not strictly improving: {incumbents:?}"
+                    );
                 }
-                Event::SolveEnd { .. } => {
-                    let solve = current.take().expect("SolveEnd without SolveStart");
-                    solves += 1;
-                    let incumbents = incumbents_of(&solve);
-                    for pair in incumbents.windows(2) {
-                        assert!(
-                            pair[1] < pair[0],
-                            "t{threads}: incumbents not strictly improving: {incumbents:?}"
-                        );
-                    }
-                }
-                _ => {
-                    if let Some(solve) = current.as_mut() {
-                        solve.push(r);
-                    }
+            }
+            _ => {
+                if let Some(solve) = current.as_mut() {
+                    solve.push(r);
                 }
             }
         }
-        assert!(current.is_none(), "t{threads}: unterminated solve");
-        assert!(solves > 0, "t{threads}: no solves traced");
     }
+    assert!(current.is_none(), "unterminated solve");
+    assert!(solves > 0, "no solves traced");
 }
 
 /// A disabled tracer emits nothing and perturbs nothing: the traced and
-/// untraced serial runs produce identical floorplans and statistics.
+/// untraced runs produce identical floorplans and statistics.
 #[test]
 fn disabled_tracing_emits_nothing_and_changes_nothing() {
     let netlist = ProblemGenerator::new(7, 5).generate();

@@ -6,25 +6,22 @@
 //! quickly, which gives the strong upper bounds the big-M non-overlap
 //! disjunctions of the floorplanning formulation need to prune.
 //!
-//! With [`SolveOptions::threads`] above one, the search runs work-sharing
-//! parallel branch-and-bound: the root relaxation is solved on the calling
-//! thread (so depth-0 error cases surface exactly as in the serial solver),
-//! then scoped worker threads pop nodes from a shared LIFO frontier, prune
-//! against a shared incumbent, and terminate when every worker is idle with
-//! an empty frontier. `threads <= 1` runs the original serial loop, whose
-//! node order — and therefore incumbent, node count, and reported optimal
-//! vertex — is fully deterministic.
+//! The search runs on the calling thread, one node at a time. Its node
+//! order, and therefore its incumbent, node count and reported optimal
+//! vertex, depend only on the model and the options: a solve that no
+//! wall-clock limit or [`StopFlag`](crate::StopFlag) cuts short returns
+//! the same answer on any host and any core count. Successive augmentation
+//! turns each step's vertex into obstacles for every later step, so this
+//! is what makes a whole floorplan repeatable.
 
 use crate::error::SolveError;
 use crate::model::Model;
 use crate::options::SolveOptions;
 use crate::presolve::{presolve, strengthen, CutSeparator, PresolveStatus, Strengthened};
 use crate::simplex::{BasisSnapshot, LpConfig, LpOutcome, LpProblem, SparseRow, Workspace};
-use crate::solution::{Optimality, Solution, SolveStats, ThreadStats};
+use crate::solution::{Optimality, Solution, SolveStats};
 use fp_obs::{Event, Phase, Tracer};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
-use std::thread;
+use std::sync::Arc;
 use std::time::Instant;
 
 struct Node {
@@ -212,7 +209,7 @@ fn lp_config(
 }
 
 /// `(incumbent values + min-form objective, bound proven, stats)` from
-/// either search loop; the caller converts this into the public result.
+/// the search loop; the caller converts this into the public result.
 type SearchResult = (Option<(Vec<f64>, f64)>, bool, SolveStats);
 
 /// Entry point used by [`Model::solve_with`] and [`Model::solve_traced`].
@@ -427,21 +424,14 @@ pub(crate) fn solve(
         .collect();
     int_cols.sort_by_key(|&i| std::cmp::Reverse(model.vars[i].branch_priority));
 
-    let threads = options.threads.max(1);
     let trace = TraceCtx {
         tracer,
         model,
         c_offset,
     };
-    let searched = if threads == 1 {
-        solve_serial(
-            model, options, started, &c, &rows, &int_cols, root, cutoff, &trace,
-        )
-    } else {
-        solve_parallel(
-            model, options, started, &c, &rows, &int_cols, root, cutoff, threads, &trace,
-        )
-    };
+    let searched = search(
+        model, options, started, &c, &rows, &int_cols, root, cutoff, &trace,
+    );
     let (incumbent, proven, mut stats) = match searched {
         Ok(result) => result,
         Err(err) => {
@@ -546,8 +536,8 @@ fn split(node: Node, j: usize, v: f64, basis: Option<Arc<BasisSnapshot>>) -> (No
     (down, up)
 }
 
-/// Tracing context shared by both search loops: the tracer plus what is
-/// needed to report objectives in the model's external sense.
+/// Tracing context of the search loop: the tracer plus what is needed to
+/// report objectives in the model's external sense.
 struct TraceCtx<'a> {
     tracer: &'a Tracer,
     model: &'a Model,
@@ -595,9 +585,10 @@ impl TraceCtx<'_> {
     }
 }
 
-/// The original deterministic dive-first DFS loop, unchanged in behavior.
+/// The dive-first DFS loop: pops the last-pushed node, solves its LP warm
+/// from the parent's basis, and prunes, records or branches.
 #[allow(clippy::too_many_arguments)]
-fn solve_serial(
+fn search(
     model: &Model,
     options: &SolveOptions,
     started: Instant,
@@ -608,7 +599,8 @@ fn solve_serial(
     cutoff: f64,
     trace: &TraceCtx,
 ) -> Result<SearchResult, SolveError> {
-    let mut local = ThreadStats::default();
+    // The caller adds the elapsed time and the root strengthening counters.
+    let mut stats = SolveStats::default();
     let mut incumbent: Option<(Vec<f64>, f64)> = None; // (values, min-form obj)
                                                        // Pruning bound: starts at the externally injected cutoff (infinite when
                                                        // none) and tightens to each new incumbent. Exhausting the tree with a
@@ -620,7 +612,7 @@ fn solve_serial(
     // cannot overshoot the time limit (`None` if it overflows Instant).
     let deadline = started.checked_add(options.time_limit);
     let lp_cfg = lp_config(options, deadline, rows.len(), c.len());
-    // One workspace for the whole serial solve: the dive child is popped
+    // One workspace for the whole solve: the dive child is popped
     // immediately after its parent, so its warm start is usually the hot
     // path (bound deltas applied to the still-loaded parent tableau).
     let mut ws = Workspace::new();
@@ -628,14 +620,14 @@ fn solve_serial(
     let mut stack = vec![root];
 
     while let Some(node) = stack.pop() {
-        if local.nodes >= options.node_limit
+        if stats.nodes >= options.node_limit
             || started.elapsed() >= options.time_limit
             || options.stop.is_set()
         {
             proven = false;
             break;
         }
-        local.nodes += 1;
+        stats.nodes += 1;
 
         let problem = LpProblem {
             ncols: model.num_vars(),
@@ -650,13 +642,13 @@ fn solve_serial(
             None
         };
         let (outcome, info) = ws.solve(&problem, basis, &lp_cfg);
-        local.simplex_iterations += info.pivots;
-        local.refactorizations += info.refactors;
-        local.eta_updates += info.etas;
+        stats.simplex_iterations += info.pivots;
+        stats.refactorizations += info.refactors;
+        stats.eta_updates += info.etas;
         if info.warm {
-            local.warm_nodes += 1;
+            stats.warm_nodes += 1;
         } else {
-            local.cold_nodes += 1;
+            stats.cold_nodes += 1;
         }
         trace.node(node.depth, &info);
         let (x, obj) = match outcome {
@@ -727,379 +719,6 @@ fn solve_serial(
         }
     }
 
-    let stats = SolveStats {
-        nodes: local.nodes,
-        simplex_iterations: local.simplex_iterations,
-        warm_nodes: local.warm_nodes,
-        cold_nodes: local.cold_nodes,
-        refactorizations: local.refactorizations,
-        eta_updates: local.eta_updates,
-        elapsed: std::time::Duration::ZERO, // filled in by the caller
-        threads: 1,
-        per_thread: vec![local],
-        ..SolveStats::default()
-    };
-    Ok((incumbent, proven, stats))
-}
-
-/// The node frontier plus the bookkeeping the termination protocol needs.
-/// All three fields live under one mutex so "empty frontier" and "every
-/// worker idle" are observed atomically together.
-struct Frontier {
-    stack: Vec<Node>,
-    idle: usize,
-    done: bool,
-}
-
-/// State shared by every worker of a parallel solve.
-struct SharedSearch<'a> {
-    model: &'a Model,
-    rows: &'a [SparseRow],
-    c: &'a [f64],
-    int_cols: &'a [usize],
-    options: &'a SolveOptions,
-    started: Instant,
-    /// Per-node LP tolerances, deadline, and warm-start pivot cap.
-    lp_cfg: LpConfig,
-    nworkers: usize,
-    trace: &'a TraceCtx<'a>,
-    frontier: Mutex<Frontier>,
-    work_ready: Condvar,
-    /// Best integer-feasible point found, in minimization form.
-    incumbent: Mutex<Option<(Vec<f64>, f64)>>,
-    /// `f64::to_bits` of the incumbent objective (the injected cutoff —
-    /// `f64::INFINITY` by default — while no incumbent exists), so pruning
-    /// can read the bound without a lock. Written only while `incumbent` is
-    /// held, so stores never go backward.
-    bound_bits: AtomicU64,
-    /// Nodes claimed against `node_limit` across all workers.
-    nodes: AtomicUsize,
-    /// Cleared when a limit binds or a deep LP fails to resolve.
-    proven: AtomicBool,
-}
-
-impl SharedSearch<'_> {
-    /// Counts one node against the limits; `false` means a limit bound.
-    fn claim_node(&self) -> bool {
-        if self.started.elapsed() >= self.options.time_limit || self.options.stop.is_set() {
-            return false;
-        }
-        self.nodes
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
-                (n < self.options.node_limit).then_some(n + 1)
-            })
-            .is_ok()
-    }
-
-    /// A limit bound: drop the proof claim and stop every worker.
-    fn halt_limits(&self) {
-        self.proven.store(false, Ordering::Relaxed);
-        let mut f = self.frontier.lock().expect("frontier lock");
-        f.done = true;
-        self.work_ready.notify_all();
-    }
-
-    /// Lock-free read of the current incumbent objective bound.
-    fn incumbent_bound(&self) -> f64 {
-        f64::from_bits(self.bound_bits.load(Ordering::Relaxed))
-    }
-
-    /// Installs `vals` as the incumbent if it improves on the current bound
-    /// (the best incumbent so far, or the injected cutoff before one exists).
-    fn offer_incumbent(&self, vals: Vec<f64>, obj: f64) {
-        let mut inc = self.incumbent.lock().expect("incumbent lock");
-        // `bound_bits` is only written under this lock, so the read is
-        // consistent with `inc`.
-        if obj < self.incumbent_bound() - 1e-9 {
-            self.bound_bits.store(obj.to_bits(), Ordering::Relaxed);
-            // Emitted while the incumbent lock is held so sink order equals
-            // improvement order: collected incumbent objectives are monotone
-            // even with racing workers.
-            self.trace.incumbent(obj);
-            *inc = Some((vals, obj));
-        }
-    }
-
-    /// Solves one node's relaxation and either records an incumbent or
-    /// pushes the two children onto the shared frontier.
-    fn process_node(&self, node: Node, stats: &mut ThreadStats, ws: &mut Workspace) {
-        let options = self.options;
-        let problem = LpProblem {
-            ncols: self.model.num_vars(),
-            rows: self.rows,
-            c: self.c,
-            lb: &node.lb,
-            ub: &node.ub,
-        };
-        let basis = if options.warm_start {
-            node.basis.as_ref()
-        } else {
-            None
-        };
-        let (outcome, info) = ws.solve(&problem, basis, &self.lp_cfg);
-        stats.simplex_iterations += info.pivots;
-        stats.refactorizations += info.refactors;
-        stats.eta_updates += info.etas;
-        if info.warm {
-            stats.warm_nodes += 1;
-        } else {
-            stats.cold_nodes += 1;
-        }
-        self.trace.node(node.depth, &info);
-        let (x, obj) = match outcome {
-            LpOutcome::Optimal { x, obj } => (x, obj),
-            LpOutcome::Infeasible => return,
-            // Depth 0 runs on the calling thread before workers start, so
-            // these are numerical trouble deep in the tree: abandon the
-            // subtree without a proof claim, exactly like the serial path.
-            LpOutcome::Unbounded | LpOutcome::IterationLimit => {
-                self.proven.store(false, Ordering::Relaxed);
-                return;
-            }
-            // Deadline hit mid-LP: the time limit bound, stop every worker.
-            LpOutcome::TimedOut => {
-                self.halt_limits();
-                return;
-            }
-        };
-
-        // Bound pruning against the shared incumbent (minimization form).
-        if obj >= self.incumbent_bound() - options.absolute_gap - 1e-9 {
-            return;
-        }
-
-        match branch_choice(self.model, self.int_cols, &x, options.int_tol) {
-            None => {
-                let mut vals = x;
-                for &j in self.int_cols {
-                    vals[j] = vals[j].round();
-                }
-                self.offer_incumbent(vals, obj);
-            }
-            Some((j, v)) => {
-                let floor = v.floor();
-                let snap = options.warm_start.then(|| ws.snapshot());
-                let (down, up) = split(node, j, v, snap);
-                let mut f = self.frontier.lock().expect("frontier lock");
-                if f.done {
-                    return; // halted while we were solving: drop the children
-                }
-                // Dive-first order: the preferred child goes on top.
-                if v - floor <= 0.5 {
-                    f.stack.push(up);
-                    f.stack.push(down);
-                } else {
-                    f.stack.push(down);
-                    f.stack.push(up);
-                }
-                self.work_ready.notify_all();
-            }
-        }
-    }
-}
-
-/// One worker: pop, solve, branch, until the frontier drains or a limit
-/// binds. Termination: a worker finding the frontier empty goes idle; the
-/// last worker to go idle proves global exhaustion (nobody is processing a
-/// node that could refill the frontier) and wakes everyone to exit.
-fn worker(shared: &SharedSearch) -> ThreadStats {
-    let mut stats = ThreadStats::default();
-    let mut ws = Workspace::new();
-    loop {
-        let node = {
-            let mut f = shared.frontier.lock().expect("frontier lock");
-            loop {
-                if f.done {
-                    return stats;
-                }
-                if let Some(n) = f.stack.pop() {
-                    break n;
-                }
-                f.idle += 1;
-                if f.idle == shared.nworkers {
-                    f.done = true;
-                    shared.work_ready.notify_all();
-                    return stats;
-                }
-                f = shared.work_ready.wait(f).expect("frontier lock");
-                f.idle -= 1;
-            }
-        };
-        if !shared.claim_node() {
-            shared.halt_limits();
-            return stats;
-        }
-        stats.nodes += 1;
-        shared.process_node(node, &mut stats, &mut ws);
-    }
-}
-
-/// Work-sharing parallel branch-and-bound on `threads` scoped workers.
-#[allow(clippy::too_many_arguments)]
-fn solve_parallel(
-    model: &Model,
-    options: &SolveOptions,
-    started: Instant,
-    c: &[f64],
-    rows: &[SparseRow],
-    int_cols: &[usize],
-    root: Node,
-    cutoff: f64,
-    threads: usize,
-    trace: &TraceCtx,
-) -> Result<SearchResult, SolveError> {
-    let shared = SharedSearch {
-        model,
-        rows,
-        c,
-        int_cols,
-        options,
-        started,
-        lp_cfg: lp_config(
-            options,
-            started.checked_add(options.time_limit),
-            rows.len(),
-            c.len(),
-        ),
-        nworkers: threads,
-        trace,
-        frontier: Mutex::new(Frontier {
-            stack: Vec::new(),
-            idle: 0,
-            done: false,
-        }),
-        work_ready: Condvar::new(),
-        incumbent: Mutex::new(None),
-        bound_bits: AtomicU64::new(cutoff.to_bits()),
-        nodes: AtomicUsize::new(0),
-        proven: AtomicBool::new(true),
-    };
-
-    // The root relaxation runs on the calling thread so that the depth-0
-    // outcomes (unbounded, iteration limit, limits binding before any node)
-    // surface exactly as in the serial solver.
-    let mut root_stats = ThreadStats::default();
-    if !shared.claim_node() {
-        let stats = SolveStats {
-            threads,
-            per_thread: vec![ThreadStats::default(); threads],
-            ..SolveStats::default()
-        };
-        return Ok((None, false, stats));
-    }
-    root_stats.nodes += 1;
-    let problem = LpProblem {
-        ncols: model.num_vars(),
-        rows,
-        c,
-        lb: &root.lb,
-        ub: &root.ub,
-    };
-    let mut root_ws = Workspace::new();
-    let root_basis = if options.warm_start {
-        root.basis.as_ref()
-    } else {
-        None
-    };
-    let (root_outcome, root_info) = root_ws.solve(&problem, root_basis, &shared.lp_cfg);
-    root_stats.simplex_iterations += root_info.pivots;
-    root_stats.refactorizations += root_info.refactors;
-    root_stats.eta_updates += root_info.etas;
-    if root_info.warm {
-        root_stats.warm_nodes += 1;
-    } else {
-        root_stats.cold_nodes += 1;
-    }
-    trace.node(0, &root_info);
-    match root_outcome {
-        LpOutcome::Optimal { x, obj } => {
-            trace.root_lp(obj);
-            match branch_choice(model, int_cols, &x, options.int_tol) {
-                None => {
-                    let mut vals = x;
-                    for &j in int_cols {
-                        vals[j] = vals[j].round();
-                    }
-                    shared.offer_incumbent(vals, obj);
-                }
-                Some((j, v)) => {
-                    let floor = v.floor();
-                    let snap = options.warm_start.then(|| root_ws.snapshot());
-                    let (down, up) = split(root, j, v, snap);
-                    let mut f = shared.frontier.lock().expect("frontier lock");
-                    if v - floor <= 0.5 {
-                        f.stack.push(up);
-                        f.stack.push(down);
-                    } else {
-                        f.stack.push(down);
-                        f.stack.push(up);
-                    }
-                }
-            }
-        }
-        // Root infeasible: the frontier stays empty and the epilogue
-        // reports proven infeasibility, matching the serial path.
-        LpOutcome::Infeasible => {}
-        LpOutcome::Unbounded => return Err(SolveError::Unbounded),
-        LpOutcome::IterationLimit => return Err(SolveError::IterationLimit),
-        // Deadline hit inside the root LP: same shape as the limits binding
-        // before the root node, minus the root work already spent.
-        LpOutcome::TimedOut => {
-            let mut per_thread = vec![ThreadStats::default(); threads];
-            per_thread[0] = root_stats;
-            let stats = SolveStats {
-                nodes: shared.nodes.load(Ordering::Relaxed),
-                simplex_iterations: root_stats.simplex_iterations,
-                warm_nodes: root_stats.warm_nodes,
-                cold_nodes: root_stats.cold_nodes,
-                refactorizations: root_stats.refactorizations,
-                eta_updates: root_stats.eta_updates,
-                threads,
-                per_thread,
-                ..SolveStats::default()
-            };
-            return Ok((None, false, stats));
-        }
-    }
-
-    let need_workers = !shared
-        .frontier
-        .lock()
-        .expect("frontier lock")
-        .stack
-        .is_empty();
-    let mut per_thread: Vec<ThreadStats> = if need_workers {
-        thread::scope(|s| {
-            let handles: Vec<_> = (0..threads).map(|_| s.spawn(|| worker(&shared))).collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("solver worker panicked"))
-                .collect()
-        })
-    } else {
-        vec![ThreadStats::default(); threads]
-    };
-    per_thread[0].nodes += root_stats.nodes;
-    per_thread[0].simplex_iterations += root_stats.simplex_iterations;
-    per_thread[0].warm_nodes += root_stats.warm_nodes;
-    per_thread[0].cold_nodes += root_stats.cold_nodes;
-    per_thread[0].refactorizations += root_stats.refactorizations;
-    per_thread[0].eta_updates += root_stats.eta_updates;
-
-    let proven = shared.proven.load(Ordering::Relaxed);
-    let incumbent = shared.incumbent.into_inner().expect("incumbent lock");
-    let stats = SolveStats {
-        nodes: shared.nodes.load(Ordering::Relaxed),
-        simplex_iterations: per_thread.iter().map(|t| t.simplex_iterations).sum(),
-        warm_nodes: per_thread.iter().map(|t| t.warm_nodes).sum(),
-        cold_nodes: per_thread.iter().map(|t| t.cold_nodes).sum(),
-        refactorizations: per_thread.iter().map(|t| t.refactorizations).sum(),
-        eta_updates: per_thread.iter().map(|t| t.eta_updates).sum(),
-        elapsed: std::time::Duration::ZERO, // filled in by the caller
-        threads,
-        per_thread,
-        ..SolveStats::default()
-    };
     Ok((incumbent, proven, stats))
 }
 
@@ -1108,10 +727,6 @@ mod tests {
     use crate::{Model, Optimality, Sense, SolveError, SolveOptions};
     use std::time::Duration;
 
-    fn serial() -> SolveOptions {
-        SolveOptions::default().with_threads(1)
-    }
-
     #[test]
     fn pure_lp_path() {
         let mut m = Model::new(Sense::Minimize);
@@ -1119,32 +734,10 @@ mod tests {
         let y = m.add_continuous("y", 0.0, f64::INFINITY);
         m.add_ge(x + y, 3.0);
         m.set_objective(2.0 * x + y);
-        let s = m.solve_with(&serial()).unwrap();
+        let s = m.solve_with(&SolveOptions::default()).unwrap();
         assert!((s.objective() - 3.0).abs() < 1e-7);
         assert_eq!(s.optimality(), Optimality::Proven);
         assert_eq!(s.stats().nodes, 1);
-        assert_eq!(s.stats().threads, 1);
-        assert_eq!(s.stats().per_thread.len(), 1);
-        assert_eq!(s.stats().per_thread[0].nodes, 1);
-    }
-
-    #[test]
-    fn pure_lp_path_parallel() {
-        let mut m = Model::new(Sense::Minimize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        let y = m.add_continuous("y", 0.0, f64::INFINITY);
-        m.add_ge(x + y, 3.0);
-        m.set_objective(2.0 * x + y);
-        let opts = SolveOptions::default().with_threads(4);
-        let s = m.solve_with(&opts).unwrap();
-        assert!((s.objective() - 3.0).abs() < 1e-7);
-        assert_eq!(s.optimality(), Optimality::Proven);
-        // The root is the only node; workers find an empty frontier.
-        assert_eq!(s.stats().nodes, 1);
-        assert_eq!(s.stats().threads, 4);
-        assert_eq!(s.stats().per_thread.len(), 4);
-        let total: usize = s.stats().per_thread.iter().map(|t| t.nodes).sum();
-        assert_eq!(total, s.stats().nodes);
     }
 
     #[test]
@@ -1158,24 +751,6 @@ mod tests {
         m.set_objective(10.0 * a + 13.0 * b + 7.0 * c);
         let s = m.solve().unwrap();
         assert!((s.objective() - 20.0).abs() < 1e-6);
-        assert_eq!(s.rounded(a), 0);
-        assert_eq!(s.rounded(b), 1);
-        assert_eq!(s.rounded(c), 1);
-    }
-
-    #[test]
-    fn knapsack_optimum_parallel() {
-        let mut m = Model::new(Sense::Maximize);
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        let c = m.add_binary("c");
-        m.add_le(3.0 * a + 4.0 * b + 2.0 * c, 6.0);
-        m.set_objective(10.0 * a + 13.0 * b + 7.0 * c);
-        let s = m
-            .solve_with(&SolveOptions::default().with_threads(4))
-            .unwrap();
-        assert!((s.objective() - 20.0).abs() < 1e-6);
-        assert_eq!(s.optimality(), Optimality::Proven);
         assert_eq!(s.rounded(a), 0);
         assert_eq!(s.rounded(b), 1);
         assert_eq!(s.rounded(c), 1);
@@ -1205,6 +780,15 @@ mod tests {
         let b = m.add_binary("b");
         m.add_ge(a + b, 3.0);
         assert_eq!(m.solve().unwrap_err(), SolveError::Infeasible);
+
+        // Fractionally satisfiable but integrally infeasible, so presolve
+        // cannot shortcut: the tree itself must prove infeasibility.
+        let mut m = Model::new(Sense::Minimize);
+        let a = m.add_binary("a");
+        let b = m.add_binary("b");
+        m.add_eq(2.0 * a + 2.0 * b, 3.0);
+        m.set_objective(a + b);
+        assert_eq!(m.solve().unwrap_err(), SolveError::Infeasible);
     }
 
     #[test]
@@ -1216,15 +800,6 @@ mod tests {
     }
 
     #[test]
-    fn unbounded_reported_parallel() {
-        let mut m = Model::new(Sense::Maximize);
-        let x = m.add_continuous("x", 0.0, f64::INFINITY);
-        m.set_objective(x + 0.0);
-        let opts = SolveOptions::default().with_threads(4);
-        assert_eq!(m.solve_with(&opts).unwrap_err(), SolveError::Unbounded);
-    }
-
-    #[test]
     fn node_limit_returns_incumbent_or_error() {
         // Root relaxation is fractional (2Σb <= 3), so one node cannot
         // complete the search: the limit must bind.
@@ -1233,7 +808,7 @@ mod tests {
         let total: crate::LinExpr = vars.iter().map(|&v| 2.0 * v).sum();
         m.add_le(total.clone(), 3.0);
         m.set_objective(total);
-        let opts = serial().with_node_limit(1);
+        let opts = SolveOptions::default().with_node_limit(1);
         match m.solve_with(&opts) {
             Ok(s) => assert_eq!(s.optimality(), Optimality::Limit),
             Err(e) => assert_eq!(e, SolveError::LimitWithoutIncumbent),
@@ -1245,35 +820,11 @@ mod tests {
     }
 
     #[test]
-    fn node_limit_binds_in_parallel() {
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..12).map(|i| m.add_binary(format!("b{i}"))).collect();
-        let total: crate::LinExpr = vars.iter().map(|&v| 2.0 * v).sum();
-        m.add_le(total.clone(), 3.0);
-        m.set_objective(total);
-        let opts = SolveOptions::default().with_threads(4).with_node_limit(3);
-        match m.solve_with(&opts) {
-            Ok(s) => {
-                assert_eq!(s.optimality(), Optimality::Limit);
-                assert!(s.stats().nodes <= 3, "overshot: {}", s.stats().nodes);
-            }
-            Err(e) => assert_eq!(e, SolveError::LimitWithoutIncumbent),
-        }
-    }
-
-    #[test]
     fn time_limit_zero_behaves() {
         let mut m = Model::new(Sense::Maximize);
         let a = m.add_binary("a");
         m.set_objective(a + 0.0);
-        let opts = serial().with_time_limit(Duration::ZERO);
-        assert_eq!(
-            m.solve_with(&opts).unwrap_err(),
-            SolveError::LimitWithoutIncumbent
-        );
-        let opts = SolveOptions::default()
-            .with_threads(4)
-            .with_time_limit(Duration::ZERO);
+        let opts = SolveOptions::default().with_time_limit(Duration::ZERO);
         assert_eq!(
             m.solve_with(&opts).unwrap_err(),
             SolveError::LimitWithoutIncumbent
@@ -1353,19 +904,6 @@ mod tests {
     }
 
     #[test]
-    fn parallel_infeasible_is_proven() {
-        let mut m = Model::new(Sense::Minimize);
-        let a = m.add_binary("a");
-        let b = m.add_binary("b");
-        // Fractionally satisfiable but integrally infeasible so presolve
-        // cannot shortcut: the tree itself must prove infeasibility.
-        m.add_eq(2.0 * a + 2.0 * b, 3.0);
-        m.set_objective(a + b);
-        let opts = SolveOptions::default().with_threads(4);
-        assert_eq!(m.solve_with(&opts).unwrap_err(), SolveError::Infeasible);
-    }
-
-    #[test]
     fn warm_cold_counts_partition_nodes() {
         let mut m = Model::new(Sense::Maximize);
         let vars: Vec<_> = (0..10).map(|i| m.add_binary(format!("b{i}"))).collect();
@@ -1382,59 +920,27 @@ mod tests {
             .sum();
         m.set_objective(value);
 
-        let warm = m.solve_with(&serial()).unwrap();
+        let warm = m.solve_with(&SolveOptions::default()).unwrap();
         let ws = warm.stats();
         assert_eq!(ws.warm_nodes + ws.cold_nodes, ws.nodes);
         assert!(ws.warm_nodes > 0, "a branching solve should warm-start");
 
         // Without the strengthening cut loop there is no recovered root
         // basis, so the root relaxation must solve cold.
-        let nostr = m.solve_with(&serial().with_strengthen(false)).unwrap();
+        let nostr = m
+            .solve_with(&SolveOptions::default().with_strengthen(false))
+            .unwrap();
         let ns = nostr.stats();
         assert_eq!(ns.warm_nodes + ns.cold_nodes, ns.nodes);
         assert!(ns.cold_nodes >= 1, "without root cuts the root solves cold");
 
-        let cold = m.solve_with(&serial().with_warm_start(false)).unwrap();
+        let cold = m
+            .solve_with(&SolveOptions::default().with_warm_start(false))
+            .unwrap();
         let cs = cold.stats();
         assert_eq!(cs.warm_nodes, 0);
         assert_eq!(cs.cold_nodes, cs.nodes);
         assert!((warm.objective() - cold.objective()).abs() < 1e-9);
-    }
-
-    #[test]
-    fn per_thread_stats_sum_to_totals() {
-        let mut m = Model::new(Sense::Maximize);
-        let vars: Vec<_> = (0..14).map(|i| m.add_binary(format!("b{i}"))).collect();
-        let weight: crate::LinExpr = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (3.0 + (i % 5) as f64) * v)
-            .sum();
-        m.add_le(weight, 17.0);
-        let value: crate::LinExpr = vars
-            .iter()
-            .enumerate()
-            .map(|(i, &v)| (4.0 + (i % 7) as f64) * v)
-            .sum();
-        m.set_objective(value);
-        let s = m
-            .solve_with(&SolveOptions::default().with_threads(3))
-            .unwrap();
-        let stats = s.stats();
-        assert_eq!(stats.threads, 3);
-        assert_eq!(stats.per_thread.len(), 3);
-        assert_eq!(
-            stats.per_thread.iter().map(|t| t.nodes).sum::<usize>(),
-            stats.nodes
-        );
-        assert_eq!(
-            stats
-                .per_thread
-                .iter()
-                .map(|t| t.simplex_iterations)
-                .sum::<usize>(),
-            stats.simplex_iterations
-        );
     }
 
     /// Minimization covering knapsack used by the cutoff tests: enough
@@ -1459,7 +965,9 @@ mod tests {
 
     #[test]
     fn initial_upper_bound_prunes_and_never_returns_worse() {
-        let baseline = covering_knapsack().solve_with(&serial()).unwrap();
+        let baseline = covering_knapsack()
+            .solve_with(&SolveOptions::default())
+            .unwrap();
         let opt = baseline.objective();
         assert_eq!(baseline.optimality(), Optimality::Proven);
 
@@ -1467,7 +975,7 @@ mod tests {
         // cutoff can only prune (the dive order is identical), so the tree
         // is no larger than the baseline's.
         let loose = covering_knapsack()
-            .solve_with(&serial().with_initial_upper_bound(opt + 0.5))
+            .solve_with(&SolveOptions::default().with_initial_upper_bound(opt + 0.5))
             .unwrap();
         assert!((loose.objective() - opt).abs() < 1e-7);
         assert_eq!(loose.optimality(), Optimality::Proven);
@@ -1476,12 +984,14 @@ mod tests {
         // A bound at the optimum: the solver must strictly beat it, so it
         // proves no acceptable solution exists rather than returning one
         // that merely ties.
-        let tied = covering_knapsack().solve_with(&serial().with_initial_upper_bound(opt));
+        let tied =
+            covering_knapsack().solve_with(&SolveOptions::default().with_initial_upper_bound(opt));
         assert!(matches!(tied, Err(SolveError::Infeasible)));
 
         // A bound below the optimum: likewise never returns anything worse
         // than the bound.
-        let below = covering_knapsack().solve_with(&serial().with_initial_upper_bound(opt - 1.0));
+        let below = covering_knapsack()
+            .solve_with(&SolveOptions::default().with_initial_upper_bound(opt - 1.0));
         assert!(matches!(below, Err(SolveError::Infeasible)));
     }
 
@@ -1501,29 +1011,11 @@ mod tests {
         // below externally: a known solution of value 19 must not stop the
         // solver from finding 20...
         let s = build()
-            .solve_with(&serial().with_initial_upper_bound(19.0))
+            .solve_with(&SolveOptions::default().with_initial_upper_bound(19.0))
             .unwrap();
         assert!((s.objective() - 20.0).abs() < 1e-7);
         // ...and a known solution of value 20 proves nothing better exists.
-        let tied = build().solve_with(&serial().with_initial_upper_bound(20.0));
-        assert!(matches!(tied, Err(SolveError::Infeasible)));
-    }
-
-    #[test]
-    fn initial_upper_bound_parallel_matches_serial() {
-        let baseline = covering_knapsack().solve_with(&serial()).unwrap();
-        let opt = baseline.objective();
-        let opts = SolveOptions::default()
-            .with_threads(3)
-            .with_initial_upper_bound(opt + 0.5);
-        let s = covering_knapsack().solve_with(&opts).unwrap();
-        assert!((s.objective() - opt).abs() < 1e-7);
-        assert_eq!(s.optimality(), Optimality::Proven);
-        let tied = covering_knapsack().solve_with(
-            &SolveOptions::default()
-                .with_threads(3)
-                .with_initial_upper_bound(opt),
-        );
+        let tied = build().solve_with(&SolveOptions::default().with_initial_upper_bound(20.0));
         assert!(matches!(tied, Err(SolveError::Infeasible)));
     }
 
@@ -1531,13 +1023,9 @@ mod tests {
     fn pre_triggered_stop_flag_halts_search() {
         let stop = crate::StopFlag::new();
         stop.trigger();
-        // Serial: the stop binds before the first node, like a zero limit.
-        let s = covering_knapsack().solve_with(&serial().with_stop(stop.clone()));
+        // The stop binds before the first node, like a zero limit.
+        let s = covering_knapsack().solve_with(&SolveOptions::default().with_stop(stop));
         assert!(matches!(s, Err(SolveError::LimitWithoutIncumbent)));
-        // Parallel: claim_node refuses, same shape as limits binding early.
-        let p = covering_knapsack()
-            .solve_with(&SolveOptions::default().with_threads(3).with_stop(stop));
-        assert!(matches!(p, Err(SolveError::LimitWithoutIncumbent)));
     }
 
     #[test]
@@ -1547,7 +1035,7 @@ mod tests {
 
         let store = Arc::new(BasisStore::new(8));
         let key = 0xfeed_beef_u64;
-        let opts = serial().with_basis_store(Arc::clone(&store), key, key);
+        let opts = SolveOptions::default().with_basis_store(Arc::clone(&store), key, key);
 
         // First solve: store is empty, so the root LP is cold; the cut-free
         // baseline basis is published under (key, num_vars).
@@ -1572,11 +1060,11 @@ mod tests {
         use std::sync::Arc;
 
         let store = Arc::new(BasisStore::new(8));
-        let first = serial().with_basis_store(Arc::clone(&store), 1, 1);
+        let first = SolveOptions::default().with_basis_store(Arc::clone(&store), 1, 1);
         covering_knapsack().solve_with(&first).unwrap();
         // Loading under a different key misses; the solve stays cold and
         // still reaches the same proven optimum.
-        let second = serial().with_basis_store(Arc::clone(&store), 2, 2);
+        let second = SolveOptions::default().with_basis_store(Arc::clone(&store), 2, 2);
         let s = covering_knapsack().solve_with(&second).unwrap();
         assert_eq!(s.stats().basis_tier, BasisTier::Cold);
         assert_eq!(s.optimality(), Optimality::Proven);
@@ -1588,7 +1076,7 @@ mod tests {
         use std::sync::Arc;
 
         let store = Arc::new(BasisStore::new(8));
-        let opts = serial().with_basis_store(Arc::clone(&store), 5, 5);
+        let opts = SolveOptions::default().with_basis_store(Arc::clone(&store), 5, 5);
         covering_knapsack().solve_with(&opts).unwrap();
         let no_warm = opts.clone().with_warm_start(false);
         let s = covering_knapsack().solve_with(&no_warm).unwrap();

@@ -82,5 +82,5 @@ pub use expr::LinExpr;
 pub use lp_parse::parse_lp;
 pub use model::{Cmp, Constraint, Model, Sense};
 pub use options::{SolveOptions, SparseMode, StopFlag};
-pub use solution::{Optimality, Solution, SolveStats, ThreadStats};
+pub use solution::{Optimality, Solution, SolveStats};
 pub use var::{Var, VarKind};

@@ -128,13 +128,6 @@ pub struct SolveOptions {
     /// Accept any incumbent whose objective is within this absolute gap of
     /// the best bound and stop early. `0.0` demands a proven optimum.
     pub absolute_gap: f64,
-    /// Worker threads for the branch-and-bound search. Values `<= 1` select
-    /// the serial solver, which visits nodes in a deterministic dive-first
-    /// DFS order; larger values share the frontier between that many
-    /// workers, which reach the same proven optimum but may differ in node
-    /// counts and in which optimal vertex is reported. Defaults to
-    /// [`std::thread::available_parallelism`].
-    pub threads: usize,
     /// Warm-start each node's LP from its parent's optimal basis via the
     /// dual simplex instead of re-running two-phase primal from scratch.
     /// Purely a performance lever: any numerical doubt falls back to the
@@ -216,7 +209,6 @@ impl Default for SolveOptions {
             opt_tol: 1e-9,
             int_tol: 1e-6,
             absolute_gap: 0.0,
-            threads: std::thread::available_parallelism().map_or(1, |n| n.get()),
             warm_start: true,
             warm_pivot_cap: 0,
             sparse: SparseMode::Auto,
@@ -256,11 +248,12 @@ impl SolveOptions {
         self
     }
 
-    /// Returns options running the search on `threads` workers. `1` (or `0`,
-    /// which is treated as `1`) selects the deterministic serial solver.
+    /// Returns the options unchanged. The branch-and-bound search always
+    /// runs on the calling thread, so there is no thread count to set; the
+    /// method remains so that callers written for an earlier API still
+    /// build.
     #[must_use]
-    pub fn with_threads(mut self, threads: usize) -> Self {
-        self.threads = threads;
+    pub fn with_threads(self, _threads: usize) -> Self {
         self
     }
 
@@ -392,7 +385,6 @@ mod tests {
         assert!(o.feas_tol > 0.0 && o.feas_tol < 1e-3);
         assert!(o.int_tol >= o.feas_tol / 10.0);
         assert!(o.node_limit > 1_000);
-        assert!(o.threads >= 1);
         assert!(o.warm_start);
         assert_eq!(o.warm_pivot_cap, 0);
         assert_eq!(o.sparse, SparseMode::Auto);
@@ -500,8 +492,10 @@ mod tests {
     }
 
     #[test]
-    fn with_threads_sets_field() {
-        assert_eq!(SolveOptions::default().with_threads(4).threads, 4);
-        assert_eq!(SolveOptions::default().with_threads(1).threads, 1);
+    fn with_threads_is_a_no_op() {
+        assert_eq!(
+            SolveOptions::default().with_threads(4),
+            SolveOptions::default()
+        );
     }
 }

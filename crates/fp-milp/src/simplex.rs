@@ -569,11 +569,11 @@ impl Tableau {
     }
 }
 
-/// Reusable per-worker LP state: owns the tableau / reduced-cost / basis
+/// Reusable per-solve LP state: owns the tableau / reduced-cost / basis
 /// allocations so branch-and-bound nodes don't churn fresh `Vec`s, and
 /// remembers which [`BasisSnapshot`] its tableau currently realizes so a
-/// child popped right after its parent (the serial dive and the common
-/// parallel case) skips even the refactorization.
+/// child popped right after its parent (the dive) skips even the
+/// refactorization.
 pub(crate) struct Workspace {
     tab: Tableau,
     /// The sparse revised kernel, engaged when [`LpConfig::sparse`] is set.
@@ -1675,8 +1675,9 @@ mod tests {
     #[test]
     fn snapshot_crosses_kernels_both_ways() {
         // A basis captured on one kernel must warm-start the other: the
-        // snapshot format is kernel-agnostic, and branch-and-bound is free
-        // to hand sparse-made snapshots to dense workers (or vice versa).
+        // snapshot format is kernel-agnostic, and a cross-solve basis store
+        // is free to hand a sparse-made snapshot to the dense kernel (or
+        // vice versa).
         for (first, second) in [(false, true), (true, false)] {
             let mut p = branchy();
             let mut ws = Workspace::new();

@@ -13,30 +13,6 @@ pub enum Optimality {
     Limit,
 }
 
-/// Per-worker slice of the search statistics.
-///
-/// Entry `i` of [`SolveStats::per_thread`] counts the work done by worker
-/// `i`. In a serial solve there is exactly one entry; in a parallel solve
-/// the root relaxation (solved on the calling thread before workers start)
-/// is attributed to entry `0`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct ThreadStats {
-    /// Branch-and-bound nodes this worker solved the LP relaxation of.
-    pub nodes: usize,
-    /// Simplex pivots this worker performed.
-    pub simplex_iterations: usize,
-    /// Nodes solved warm (dual simplex from the parent's basis).
-    pub warm_nodes: usize,
-    /// Nodes solved cold (two-phase primal), including warm fallbacks.
-    pub cold_nodes: usize,
-    /// Basis LU (re)factorizations this worker performed (sparse kernel;
-    /// always `0` on the dense tableau).
-    pub refactorizations: usize,
-    /// Eta-file basis updates this worker recorded between
-    /// refactorizations (sparse kernel; always `0` on the dense tableau).
-    pub eta_updates: usize,
-}
-
 /// Search statistics reported alongside a [`Solution`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SolveStats {
@@ -44,17 +20,22 @@ pub struct SolveStats {
     pub nodes: usize,
     /// Total simplex pivots across all nodes.
     pub simplex_iterations: usize,
-    /// Nodes whose LP was solved warm from the parent's basis. The root is
-    /// always cold, so `warm_nodes + cold_nodes == nodes` with
-    /// `cold_nodes >= 1` on any solve that reached the root LP.
+    /// Nodes whose LP was solved warm from a known basis, so that
+    /// `warm_nodes + cold_nodes == nodes`. A child node starts from its
+    /// parent's basis. The root starts from the basis the root cut loop
+    /// committed, or from a [`BasisStore`](crate::BasisStore) entry, and
+    /// solves cold only when it has neither.
     pub warm_nodes: usize,
     /// Nodes solved by the cold two-phase primal (including warm attempts
     /// that fell back on numerical trouble).
     pub cold_nodes: usize,
     /// Total basis LU (re)factorizations across all node LPs. Zero when the
-    /// dense reference kernel is selected
-    /// ([`SolveOptions::sparse`](crate::SolveOptions::sparse) = `false`),
-    /// since the dense tableau never factorizes.
+    /// dense reference kernel solves them ([`SparseMode::Dense`], or
+    /// [`SparseMode::Auto`] below its size threshold), since the dense
+    /// tableau never factorizes.
+    ///
+    /// [`SparseMode::Dense`]: crate::SparseMode::Dense
+    /// [`SparseMode::Auto`]: crate::SparseMode::Auto
     pub refactorizations: usize,
     /// Total eta-file basis updates recorded between refactorizations
     /// across all node LPs (sparse kernel only; see
@@ -62,10 +43,6 @@ pub struct SolveStats {
     pub eta_updates: usize,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
-    /// Worker threads the search ran on (`1` for a serial solve).
-    pub threads: usize,
-    /// Per-worker node and pivot counts; length equals [`threads`](Self::threads).
-    pub per_thread: Vec<ThreadStats>,
     /// Classic presolve fixpoint passes actually run (capped by
     /// [`SolveOptions::presolve_passes`](crate::SolveOptions::presolve_passes)).
     pub presolve_passes: usize,

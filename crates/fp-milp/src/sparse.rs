@@ -585,7 +585,7 @@ fn btran(lu: &Lu, etas: &EtaFile, c: &mut [f64], out: &mut [f64]) {
     }
 }
 
-/// Reusable sparse revised simplex state, the per-worker peer of the dense
+/// Reusable sparse revised simplex state, the per-solve peer of the dense
 /// [`Tableau`](crate::simplex). Column layout, statuses, and pivot rules
 /// mirror the dense kernel exactly; see the module docs for what differs.
 pub(crate) struct SparseKernel {

@@ -1,27 +1,14 @@
 //! Shared MILP instance builders for the integration suites
-//! (`parallel_equivalence`, `traced_parallel`).
+//! (`determinism`, `traced_solve` and the equivalence suites).
 //!
 //! Each builder returns the model together with its known optimal
 //! objective, so suites can assert proven optimality against ground truth.
 
 #![allow(dead_code)] // each test binary uses a subset
 
-use fp_milp::{LinExpr, Model, Sense, SolveOptions, Var};
+use fp_milp::{LinExpr, Model, Sense, Var};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-
-/// Thread count used for the parallel leg of equivalence checks.
-pub const PARALLEL_THREADS: usize = 4;
-
-/// Solve options for the deterministic serial solver.
-pub fn serial() -> SolveOptions {
-    SolveOptions::default().with_threads(1)
-}
-
-/// Solve options for the shared-frontier parallel solver.
-pub fn parallel() -> SolveOptions {
-    SolveOptions::default().with_threads(PARALLEL_THREADS)
-}
 
 /// A named instance builder returning the model and its known optimum.
 pub type CaseFn = fn() -> (Model, f64);

@@ -1,6 +1,5 @@
-//! Termination under node and time limits with a parallel frontier: the
-//! solver must return promptly (no deadlock between idle workers and the
-//! condvar), must not claim a proof, and any incumbent it does return must
+//! Termination under node and time limits: the solver must return
+//! promptly, must not claim a proof, and any incumbent it does return must
 //! be feasible. Every solve runs on a watchdog thread with a generous
 //! outer timeout so a termination bug fails the test instead of hanging
 //! the suite.
@@ -46,14 +45,15 @@ fn hard_packing(n: usize) -> Model {
 }
 
 /// Runs the solve on its own thread and panics if it exceeds the watchdog —
-/// a deadlocked frontier shows up as a test failure, not a hung suite.
+/// a search that ignores its limits shows up as a test failure, not a hung
+/// suite.
 fn solve_with_watchdog(m: Model, opts: SolveOptions) -> Result<Solution, SolveError> {
     let (tx, rx) = mpsc::channel();
     std::thread::spawn(move || {
         let _ = tx.send(m.solve_with(&opts));
     });
     rx.recv_timeout(WATCHDOG)
-        .expect("solver did not return before the watchdog: deadlocked termination")
+        .expect("solver did not return before the watchdog")
 }
 
 /// Whatever the limited solve returns must be an honest "limit bound"
@@ -76,67 +76,34 @@ fn assert_limit_outcome(m: &Model, result: Result<Solution, SolveError>, label: 
 }
 
 #[test]
-fn tiny_node_limit_terminates_all_thread_counts() {
-    for threads in [1usize, 2, 4, 8] {
-        let m = hard_packing(10);
-        let check = m.clone();
-        let opts = SolveOptions::default()
-            .with_threads(threads)
-            .with_node_limit(5);
-        let result = solve_with_watchdog(m, opts);
-        if let Ok(s) = &result {
-            assert!(
-                s.stats().nodes <= 5,
-                "threads {threads}: node limit overshot to {}",
-                s.stats().nodes
-            );
-        }
-        assert_limit_outcome(&check, result, &format!("node_limit threads={threads}"));
+fn tiny_node_limit_terminates() {
+    let m = hard_packing(10);
+    let check = m.clone();
+    let result = solve_with_watchdog(m, SolveOptions::default().with_node_limit(5));
+    if let Ok(s) = &result {
+        assert!(
+            s.stats().nodes <= 5,
+            "node limit overshot to {}",
+            s.stats().nodes
+        );
     }
+    assert_limit_outcome(&check, result, "node_limit");
 }
 
 #[test]
-fn short_time_limit_terminates_all_thread_counts() {
-    for threads in [1usize, 2, 4, 8] {
-        let m = hard_packing(12);
-        let check = m.clone();
-        let opts = SolveOptions::default()
-            .with_threads(threads)
-            .with_time_limit(Duration::from_millis(50));
-        let result = solve_with_watchdog(m, opts);
-        assert_limit_outcome(&check, result, &format!("time_limit threads={threads}"));
-    }
+fn short_time_limit_terminates() {
+    let m = hard_packing(12);
+    let check = m.clone();
+    let opts = SolveOptions::default().with_time_limit(Duration::from_millis(50));
+    let result = solve_with_watchdog(m, opts);
+    assert_limit_outcome(&check, result, "time_limit");
 }
 
 #[test]
 fn both_limits_zero_return_immediately() {
-    for threads in [1usize, 4] {
-        let m = hard_packing(6);
-        let opts = SolveOptions::default()
-            .with_threads(threads)
-            .with_node_limit(0)
-            .with_time_limit(Duration::ZERO);
-        let result = solve_with_watchdog(m, opts);
-        assert_eq!(
-            result.unwrap_err(),
-            SolveError::LimitWithoutIncumbent,
-            "threads {threads}"
-        );
-    }
-}
-
-/// More workers than frontier nodes: most workers go idle immediately and
-/// must still shut down cleanly once the one busy worker drains the tree.
-#[test]
-fn more_threads_than_work_terminates() {
-    let mut m = Model::new(Sense::Maximize);
-    let a = m.add_binary("a");
-    let b = m.add_binary("b");
-    m.add_le(3.0 * a + 4.0 * b, 5.0);
-    m.set_objective(2.0 * a + 3.0 * b);
-    let opts = SolveOptions::default().with_threads(16);
-    let s = solve_with_watchdog(m, opts).expect("feasible");
-    assert_eq!(s.optimality(), Optimality::Proven);
-    assert!((s.objective() - 3.0).abs() < 1e-6);
-    assert_eq!(s.stats().per_thread.len(), 16);
+    let opts = SolveOptions::default()
+        .with_node_limit(0)
+        .with_time_limit(Duration::ZERO);
+    let result = solve_with_watchdog(hard_packing(6), opts);
+    assert_eq!(result.unwrap_err(), SolveError::LimitWithoutIncumbent);
 }

@@ -44,20 +44,16 @@ fn solve_with_watchdog(m: Model, opts: SolveOptions) -> Result<Solution, SolveEr
 
 #[test]
 fn pathological_lp_respects_tiny_time_limit() {
-    for threads in [1usize, 2] {
-        let opts = SolveOptions::default()
-            .with_threads(threads)
-            .with_time_limit(Duration::from_millis(5));
-        let result = solve_with_watchdog(slow_dense_lp(400), opts);
-        // The relaxation cannot finish in 5 ms, so the only honest answer
-        // is "limit bound with no incumbent". The pre-fix solver instead
-        // ran the LP to completion and returned a proven optimum.
-        assert_eq!(
-            result.unwrap_err(),
-            SolveError::LimitWithoutIncumbent,
-            "threads {threads}: a 5 ms budget must interrupt a multi-second LP"
-        );
-    }
+    let opts = SolveOptions::default().with_time_limit(Duration::from_millis(5));
+    let result = solve_with_watchdog(slow_dense_lp(400), opts);
+    // The relaxation cannot finish in 5 ms, so the only honest answer is
+    // "limit bound with no incumbent". The pre-fix solver instead ran the
+    // LP to completion and returned a proven optimum.
+    assert_eq!(
+        result.unwrap_err(),
+        SolveError::LimitWithoutIncumbent,
+        "a 5 ms budget must interrupt a multi-second LP"
+    );
 }
 
 #[test]
@@ -65,9 +61,7 @@ fn generous_time_limit_still_solves_the_same_lp() {
     // Sanity check that the cooperative deadline does not break a solve
     // that has enough budget: the same construction, small enough to
     // finish comfortably, must still reach a proven optimum.
-    let opts = SolveOptions::default()
-        .with_threads(1)
-        .with_time_limit(Duration::from_secs(60));
+    let opts = SolveOptions::default().with_time_limit(Duration::from_secs(60));
     let s = solve_with_watchdog(slow_dense_lp(40), opts).expect("optimal");
     assert_eq!(s.optimality(), fp_milp::Optimality::Proven);
     assert!(s.objective() > 0.0);

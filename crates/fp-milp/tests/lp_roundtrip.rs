@@ -1,6 +1,6 @@
 //! LP-format golden round-trip: fixture decks in `tests/fixtures/` parse,
 //! solve to their known optima, survive `to_lp_string` → `parse_lp` →
-//! re-solve, and do so identically on the serial and parallel solvers.
+//! re-solve.
 //!
 //! This pins the export/import dialect: if either side of the round-trip
 //! drifts (signs, sections, bounds, integrality markers), a fixture's
@@ -26,7 +26,7 @@ fn fixture(name: &str) -> String {
 
 fn solve_proven(m: &Model, label: &str) -> f64 {
     let s = m
-        .solve_with(&SolveOptions::default().with_threads(1))
+        .solve_with(&SolveOptions::default())
         .unwrap_or_else(|e| panic!("{label}: solve failed: {e:?}"));
     assert_eq!(s.optimality(), Optimality::Proven, "{label}");
     assert!(m.is_feasible(s.values(), 1e-6), "{label}: point infeasible");
@@ -61,21 +61,5 @@ fn write_parse_resolve_reproduces_optimum() {
         let twice = parse_lp(&reparsed.to_lp_string()).unwrap();
         let obj2 = solve_proven(&twice, file);
         assert!((obj2 - expected).abs() < 1e-6, "{file}: second round-trip");
-    }
-}
-
-#[test]
-fn fixtures_agree_across_thread_counts() {
-    for &(file, expected) in CASES {
-        let m = parse_lp(&fixture(file)).unwrap();
-        let s = m
-            .solve_with(&SolveOptions::default().with_threads(4))
-            .unwrap_or_else(|e| panic!("{file}: parallel solve failed: {e:?}"));
-        assert_eq!(s.optimality(), Optimality::Proven, "{file}");
-        assert!(
-            (s.objective() - expected).abs() < 1e-6,
-            "{file}: parallel objective {} != {expected}",
-            s.objective()
-        );
     }
 }

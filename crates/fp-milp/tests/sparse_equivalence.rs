@@ -1,8 +1,8 @@
 //! Dense vs sparse kernel equivalence: the sparse revised simplex is a
 //! performance lever, never a semantics lever. Every suite here solves the
 //! same model on the dense reference tableau (`with_sparse(false)`) and on
-//! the sparse LU + eta-file kernel (the default), serial and parallel, and
-//! requires identical proven objectives and identical feasibility verdicts.
+//! the sparse LU + eta-file kernel (the default), and requires identical
+//! proven objectives and identical feasibility verdicts.
 //! Degenerate structure — duplicated equalities, rank-deficient row sets,
 //! zero-cost ties — gets its own cases, and a highly degenerate instance
 //! runs under a hard pivot-count watchdog so a cycling regression fails
@@ -10,7 +10,7 @@
 
 mod common;
 
-use common::{classic_cases, parallel, random_milp, serial};
+use common::{classic_cases, random_milp};
 use fp_milp::{
     LinExpr, Model, Optimality, Sense, Solution, SolveError, SolveOptions, SparseMode, Var,
 };
@@ -27,16 +27,12 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= TOL * (1.0 + a.abs().max(b.abs()))
 }
 
-fn dense_serial() -> SolveOptions {
-    serial().with_sparse(false)
+fn dense() -> SolveOptions {
+    SolveOptions::default().with_sparse(false)
 }
 
-fn sparse_serial() -> SolveOptions {
-    serial().with_sparse(true)
-}
-
-fn sparse_parallel() -> SolveOptions {
-    parallel().with_sparse(true)
+fn sparse() -> SolveOptions {
+    SolveOptions::default().with_sparse(true)
 }
 
 /// Solves `model` under `opts` expecting proven optimality and a feasible
@@ -65,28 +61,20 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> Solution {
     sol
 }
 
-/// Solves dense-serial, sparse-serial and sparse-parallel and requires the
-/// three proven objectives to coincide; returns the agreed objective.
-fn assert_three_way(model: &Model, what: &str) -> f64 {
-    let dense = proven(model, &dense_serial(), &format!("{what} [dense]")).objective();
-    let sparse = proven(model, &sparse_serial(), &format!("{what} [sparse]")).objective();
-    let par = proven(model, &sparse_parallel(), &format!("{what} [sparse-par]")).objective();
-    assert!(
-        close(dense, sparse),
-        "{what}: dense {dense} != sparse {sparse}"
-    );
-    assert!(
-        close(dense, par),
-        "{what}: dense {dense} != sparse-parallel {par}"
-    );
-    dense
+/// Solves on both kernels and requires the two proven objectives to
+/// coincide; returns the agreed objective.
+fn assert_kernels_agree(model: &Model, what: &str) -> f64 {
+    let d = proven(model, &dense(), &format!("{what} [dense]")).objective();
+    let s = proven(model, &sparse(), &format!("{what} [sparse]")).objective();
+    assert!(close(d, s), "{what}: dense {d} != sparse {s}");
+    d
 }
 
 #[test]
 fn classics_agree_dense_vs_sparse() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let obj = assert_three_way(&model, name);
+        let obj = assert_kernels_agree(&model, name);
         assert!(
             close(obj, expected),
             "{name}: {obj} != known optimum {expected}"
@@ -101,7 +89,7 @@ fn classics_agree_dense_vs_sparse() {
 fn auto_mode_matches_forced_kernels() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let opts = serial().with_sparse_mode(SparseMode::Auto);
+        let opts = SolveOptions::default().with_sparse_mode(SparseMode::Auto);
         let obj = proven(&model, &opts, &format!("{name} [auto]")).objective();
         assert!(
             close(obj, expected),
@@ -116,13 +104,11 @@ fn seeded_models_agree_dense_vs_sparse() {
     for seed in 0..32u64 {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
-        let dense = proven(&model, &dense_serial(), &format!("{what} [dense]"));
-        let sparse = proven(&model, &sparse_serial(), &format!("{what} [sparse]"));
-        let par = proven(&model, &sparse_parallel(), &format!("{what} [sparse-par]"));
-        let (d, s, p) = (dense.objective(), sparse.objective(), par.objective());
-        assert!(close(d, s), "{what}: dense {d} != sparse {s}");
-        assert!(close(d, p), "{what}: dense {d} != sparse-parallel {p}");
-        refactors += sparse.stats().refactorizations;
+        let d = proven(&model, &dense(), &format!("{what} [dense]"));
+        let s = proven(&model, &sparse(), &format!("{what} [sparse]"));
+        let (dobj, sobj) = (d.objective(), s.objective());
+        assert!(close(dobj, sobj), "{what}: dense {dobj} != sparse {sobj}");
+        refactors += s.stats().refactorizations;
     }
     // Every sparse node LP factorizes at least once on load, so a sweep
     // that never refactorized means the counters (or the dispatch to the
@@ -145,7 +131,7 @@ fn duplicated_equalities_agree() {
     }
     m.add_le(x - 4.0 * b, 0.0);
     m.set_objective(2.0 * x + y + 3.0 * b);
-    let obj = assert_three_way(&m, "duplicated_equalities");
+    let obj = assert_kernels_agree(&m, "duplicated_equalities");
     assert!(close(obj, 13.0), "{obj} != 13");
 }
 
@@ -160,11 +146,7 @@ fn contradictory_duplicates_are_infeasible_on_both_kernels() {
     m.add_eq(x + y, 1.0);
     m.add_eq(x + y, 2.0);
     m.set_objective(x + y);
-    for (opts, what) in [
-        (dense_serial(), "dense"),
-        (sparse_serial(), "sparse"),
-        (sparse_parallel(), "sparse-parallel"),
-    ] {
+    for (opts, what) in [(dense(), "dense"), (sparse(), "sparse")] {
         assert_eq!(
             m.solve_with(&opts).map(|s| s.objective()),
             Err(SolveError::Infeasible),
@@ -187,7 +169,7 @@ fn rank_deficient_rows_agree() {
     m.add_ge(3.0 * x + 3.0 * y, 12.0); // and again, rescaled
     m.add_ge(1.0 * z - 0.5 * x, 0.0);
     m.set_objective(x + 2.0 * y + 3.0 * z);
-    let obj = assert_three_way(&m, "rank_deficient_rows");
+    let obj = assert_kernels_agree(&m, "rank_deficient_rows");
     assert!(close(obj, 8.0), "{obj} != 8");
 }
 
@@ -209,7 +191,7 @@ fn zero_cost_ties_agree() {
     // Uniform costs: the objective is 5 at every feasible point.
     let obj: LinExpr = x.iter().flatten().map(|&v| 1.25 * v).sum();
     m.set_objective(obj);
-    let got = assert_three_way(&m, "zero_cost_ties");
+    let got = assert_kernels_agree(&m, "zero_cost_ties");
     assert!(close(got, 5.0), "{got} != 5");
 }
 
@@ -240,7 +222,7 @@ fn degenerate_instance_respects_pivot_watchdog() {
     let cost: LinExpr = x.iter().flatten().map(|&v| 2.0 * v).sum();
     m.set_objective(cost + 0.5 * pick);
 
-    for (opts, what) in [(dense_serial(), "dense"), (sparse_serial(), "sparse")] {
+    for (opts, what) in [(dense(), "dense"), (sparse(), "sparse")] {
         let (tx, rx) = mpsc::channel();
         let model = m.clone();
         std::thread::spawn(move || {
@@ -271,9 +253,9 @@ fn refactor_interval_extremes_agree() {
     for seed in [2u64, 7, 11] {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
-        let reference = proven(&model, &dense_serial(), &format!("{what} [dense]")).objective();
+        let reference = proven(&model, &dense(), &format!("{what} [dense]")).objective();
         for interval in [1usize, 1_000_000] {
-            let opts = sparse_serial().with_refactor_interval(interval);
+            let opts = sparse().with_refactor_interval(interval);
             let got = proven(&model, &opts, &format!("{what} [interval {interval}]")).objective();
             assert!(
                 close(reference, got),

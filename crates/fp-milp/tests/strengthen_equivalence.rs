@@ -1,13 +1,13 @@
 //! Strengthening equivalence: probing presolve, coefficient tightening and
 //! root cuts are a performance lever, never a semantics lever. Every suite
 //! solves the same model with strengthening off (`with_strengthen(false)`,
-//! the pre-strengthening behavior) and on, serial and parallel, and
-//! requires identical proven objectives plus feasibility of the returned
-//! point in the *original* model.
+//! the pre-strengthening behavior) and on, and requires identical proven
+//! objectives plus feasibility of the returned point in the *original*
+//! model.
 
 mod common;
 
-use common::{classic_cases, parallel, random_milp, serial};
+use common::{classic_cases, random_milp};
 use fp_milp::{Model, Optimality, SolveOptions};
 
 const TOL: f64 = 1e-9;
@@ -52,15 +52,14 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
 fn classics_agree_strengthen_on_vs_off() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let off = proven(&model, &serial().with_strengthen(false), name);
-        let on = proven(&model, &serial(), name);
-        let par_on = proven(&model, &parallel(), name);
+        let off = proven(
+            &model,
+            &SolveOptions::default().with_strengthen(false),
+            name,
+        );
+        let on = proven(&model, &SolveOptions::default(), name);
         assert!(close(off, expected), "{name}: off {off} != {expected}");
         assert!(close(on, expected), "{name}: on {on} != {expected}");
-        assert!(
-            close(par_on, expected),
-            "{name}: parallel on {par_on} != {expected}"
-        );
     }
 }
 
@@ -70,20 +69,24 @@ fn seeded_models_agree_strengthen_on_vs_off() {
     for seed in 0..20u64 {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
-        let off = proven(&model, &serial().with_strengthen(false), &what);
-        let on_sol = model.solve_with(&serial()).expect("feasible");
+        let off = proven(
+            &model,
+            &SolveOptions::default().with_strengthen(false),
+            &what,
+        );
+        let on_sol = model
+            .solve_with(&SolveOptions::default())
+            .expect("feasible");
         assert_eq!(on_sol.optimality(), Optimality::Proven, "{what}");
         assert!(
             model.is_feasible(on_sol.values(), FEAS_TOL),
             "{what}: strengthened point infeasible in the original model"
         );
-        let par = proven(&model, &parallel(), &what);
         assert!(
             close(off, on_sol.objective()),
             "{what}: on {} != off {off}",
             on_sol.objective()
         );
-        assert!(close(off, par), "{what}: parallel {par} != off {off}");
         let stats = on_sol.stats();
         engaged +=
             stats.rows_tightened + stats.binaries_fixed + stats.implications + stats.cuts_added;
@@ -104,8 +107,14 @@ fn zero_budgets_match_off_objectives() {
     for seed in [1u64, 5, 13] {
         let model = random_milp(seed);
         let what = format!("starved seed {seed}");
-        let off = proven(&model, &serial().with_strengthen(false), &what);
-        let starved = serial().with_probe_budget(0).with_max_cuts(0);
+        let off = proven(
+            &model,
+            &SolveOptions::default().with_strengthen(false),
+            &what,
+        );
+        let starved = SolveOptions::default()
+            .with_probe_budget(0)
+            .with_max_cuts(0);
         let starved_obj = proven(&model, &starved, &what);
         assert!(
             close(off, starved_obj),
@@ -120,7 +129,11 @@ fn zero_budgets_match_off_objectives() {
 fn strengthening_composes_with_cold_solves() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let cold_on = proven(&model, &serial().with_warm_start(false), name);
+        let cold_on = proven(
+            &model,
+            &SolveOptions::default().with_warm_start(false),
+            name,
+        );
         assert!(
             close(cold_on, expected),
             "{name}: cold+strengthen {cold_on} != {expected}"

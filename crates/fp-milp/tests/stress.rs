@@ -142,9 +142,7 @@ fn deterministic_resolve() {
         .map(|(i, &v)| ((i % 7) as f64 + 1.0) * v)
         .sum();
     m.set_objective(val);
-    // threads = 1 is the solver's determinism contract: parallel searches
-    // reach the same optimum but may report a different optimal vertex.
-    let opts = SolveOptions::default().with_threads(1);
+    let opts = SolveOptions::default();
     let a = m.solve_with(&opts).unwrap();
     let b = m.solve_with(&opts).unwrap();
     assert_eq!(a.values(), b.values());

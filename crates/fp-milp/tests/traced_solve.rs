@@ -1,11 +1,8 @@
-//! Parallel-safety of the observability layer (satellite of the fp-obs PR):
-//! solving with a [`fp_obs::Collector`] attached must tell the same story as
-//! [`SolveStats`](fp_milp::SolveStats) at every thread count.
-//!
-//! Order of events is NOT part of the contract under parallelism (workers
-//! race), so assertions are over the event *multiset*: counts, totals, and
-//! the incumbent subsequence — which IS ordered, because incumbent events
-//! are emitted while the incumbent lock is held.
+//! The observability layer at the solver: solving with a
+//! [`fp_obs::Collector`] attached must tell the same story as
+//! [`SolveStats`](fp_milp::SolveStats): event counts, pivot and warm-start
+//! totals, and a strictly improving incumbent sequence that ends at the
+//! reported objective.
 
 mod common;
 
@@ -13,38 +10,33 @@ use common::{classic_cases, random_milp};
 use fp_milp::{Model, Optimality, SolveOptions};
 use fp_obs::{Collector, Event, EventKind, Tracer};
 
-const THREAD_COUNTS: [usize; 3] = [1, 2, 4];
-
 /// Solves `m` with a collector attached and cross-checks the trace against
 /// the solver's own statistics. Returns the proven objective.
-fn solve_and_check(m: &Model, threads: usize, label: &str) -> f64 {
+fn solve_and_check(m: &Model, label: &str) -> f64 {
     let collector = Collector::new();
     let tracer = Tracer::new(collector.clone());
-    let opts = SolveOptions::default().with_threads(threads);
-    let sol = m.solve_traced(&opts, &tracer).expect("solve");
-    assert_eq!(
-        sol.optimality(),
-        Optimality::Proven,
-        "{label} t{threads}: not proven"
-    );
+    let sol = m
+        .solve_traced(&SolveOptions::default(), &tracer)
+        .expect("solve");
+    assert_eq!(sol.optimality(), Optimality::Proven, "{label}: not proven");
 
     // Exactly one SolveStart / SolveEnd pair per solve.
     assert_eq!(
         collector.count_of(EventKind::SolveStart),
         1,
-        "{label} t{threads}: SolveStart count"
+        "{label}: SolveStart count"
     );
     assert_eq!(
         collector.count_of(EventKind::SolveEnd),
         1,
-        "{label} t{threads}: SolveEnd count"
+        "{label}: SolveEnd count"
     );
 
     // The trace's node multiset matches the solver's own accounting.
     assert_eq!(
         collector.count_of(EventKind::BnbNode),
         sol.stats().nodes,
-        "{label} t{threads}: BnbNode count vs stats.nodes"
+        "{label}: BnbNode count vs stats.nodes"
     );
 
     // Per-node pivots are counted on every outcome path (wasted warm
@@ -61,12 +53,12 @@ fn solve_and_check(m: &Model, threads: usize, label: &str) -> f64 {
     assert_eq!(
         pivot_sum,
         sol.stats().simplex_iterations as u64,
-        "{label} t{threads}: BnbNode pivot sum vs stats.simplex_iterations"
+        "{label}: BnbNode pivot sum vs stats.simplex_iterations"
     );
     assert_eq!(
         warm_sum,
         sol.stats().warm_nodes,
-        "{label} t{threads}: BnbNode warm flags vs stats.warm_nodes"
+        "{label}: BnbNode warm flags vs stats.warm_nodes"
     );
 
     // SolveEnd carries the same totals the stats report.
@@ -79,16 +71,17 @@ fn solve_and_check(m: &Model, threads: usize, label: &str) -> f64 {
     else {
         unreachable!("of_kind returned a non-SolveEnd record");
     };
-    assert_eq!(nodes, sol.stats().nodes, "{label} t{threads}: end nodes");
+    assert_eq!(nodes, sol.stats().nodes, "{label}: end nodes");
     assert_eq!(
         simplex_iterations,
         sol.stats().simplex_iterations,
-        "{label} t{threads}: end simplex iterations"
+        "{label}: end simplex iterations"
     );
-    assert!(proven, "{label} t{threads}: end proven flag");
+    assert!(proven, "{label}: end proven flag");
 
-    // Incumbents are emitted under the incumbent lock, so the collected
-    // sequence is strictly improving and ends at the reported objective.
+    // The search only installs strictly better incumbents, so the
+    // collected sequence is strictly improving and ends at the reported
+    // objective.
     let incumbents: Vec<f64> = collector
         .of_kind(EventKind::Incumbent)
         .iter()
@@ -99,7 +92,7 @@ fn solve_and_check(m: &Model, threads: usize, label: &str) -> f64 {
         .collect();
     assert!(
         !incumbents.is_empty(),
-        "{label} t{threads}: no incumbent events on a feasible solve"
+        "{label}: no incumbent events on a feasible solve"
     );
     for pair in incumbents.windows(2) {
         let improved = match m.sense() {
@@ -108,13 +101,13 @@ fn solve_and_check(m: &Model, threads: usize, label: &str) -> f64 {
         };
         assert!(
             improved,
-            "{label} t{threads}: incumbent sequence not monotone: {incumbents:?}"
+            "{label}: incumbent sequence not monotone: {incumbents:?}"
         );
     }
     let last = *incumbents.last().unwrap();
     assert!(
         (last - sol.objective()).abs() < 1e-9,
-        "{label} t{threads}: last incumbent {last} != objective {}",
+        "{label}: last incumbent {last} != objective {}",
         sol.objective()
     );
 
@@ -122,35 +115,21 @@ fn solve_and_check(m: &Model, threads: usize, label: &str) -> f64 {
 }
 
 #[test]
-fn classics_trace_consistently_across_thread_counts() {
+fn classics_trace_consistently() {
     for (label, build) in classic_cases() {
         let (m, expected) = build();
-        let mut objectives = Vec::new();
-        for threads in THREAD_COUNTS {
-            objectives.push(solve_and_check(&m, threads, label));
-        }
-        for &obj in &objectives {
-            assert!(
-                (obj - expected).abs() < 1e-6,
-                "{label}: objective {obj} != known optimum {expected}"
-            );
-        }
+        let obj = solve_and_check(&m, label);
+        assert!(
+            (obj - expected).abs() < 1e-6,
+            "{label}: objective {obj} != known optimum {expected}"
+        );
     }
 }
 
 #[test]
-fn random_models_trace_consistently_across_thread_counts() {
+fn random_models_trace_consistently() {
     for seed in 0..8u64 {
-        let m = random_milp(seed);
-        let label = format!("random_milp(seed {seed})");
-        let serial_obj = solve_and_check(&m, 1, &label);
-        for threads in [2, 4] {
-            let obj = solve_and_check(&m, threads, &label);
-            assert!(
-                (obj - serial_obj).abs() < 1e-6,
-                "{label}: t{threads} objective {obj} != serial {serial_obj}"
-            );
-        }
+        solve_and_check(&random_milp(seed), &format!("random_milp(seed {seed})"));
     }
 }
 
@@ -159,7 +138,7 @@ fn random_models_trace_consistently_across_thread_counts() {
 #[test]
 fn disabled_tracer_changes_nothing() {
     let (m, _) = common::facility_location();
-    let opts = SolveOptions::default().with_threads(1);
+    let opts = SolveOptions::default();
     let plain = m.solve_with(&opts).unwrap();
     let traced = m.solve_traced(&opts, &Tracer::disabled()).unwrap();
     assert_eq!(plain.values(), traced.values());

@@ -1,11 +1,11 @@
 //! Warm-start equivalence: warm-started dual simplex is a performance
 //! lever, never a semantics lever. Every suite here solves the same model
 //! cold (`with_warm_start(false)`, the pre-warm-start behavior) and warm,
-//! serial and parallel, and requires identical proven objectives.
+//! and requires identical proven objectives.
 
 mod common;
 
-use common::{classic_cases, parallel, random_milp, serial};
+use common::{classic_cases, random_milp};
 use fp_milp::{Model, Optimality, Sense, SolveOptions};
 
 const TOL: f64 = 1e-9;
@@ -40,15 +40,14 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
 fn classics_agree_cold_vs_warm() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let cold = proven(&model, &serial().with_warm_start(false), name);
-        let warm = proven(&model, &serial(), name);
-        let par_warm = proven(&model, &parallel(), name);
+        let cold = proven(
+            &model,
+            &SolveOptions::default().with_warm_start(false),
+            name,
+        );
+        let warm = proven(&model, &SolveOptions::default(), name);
         assert!(close(cold, expected), "{name}: cold {cold} != {expected}");
         assert!(close(warm, expected), "{name}: warm {warm} != {expected}");
-        assert!(
-            close(par_warm, expected),
-            "{name}: parallel warm {par_warm} != {expected}"
-        );
     }
 }
 
@@ -58,16 +57,20 @@ fn seeded_models_agree_cold_vs_warm() {
     for seed in 0..20u64 {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
-        let cold = proven(&model, &serial().with_warm_start(false), &what);
-        let warm_sol = model.solve_with(&serial()).expect("feasible");
+        let cold = proven(
+            &model,
+            &SolveOptions::default().with_warm_start(false),
+            &what,
+        );
+        let warm_sol = model
+            .solve_with(&SolveOptions::default())
+            .expect("feasible");
         assert_eq!(warm_sol.optimality(), Optimality::Proven, "{what}");
-        let par = proven(&model, &parallel(), &what);
         assert!(
             close(cold, warm_sol.objective()),
             "{what}: warm {} != cold {cold}",
             warm_sol.objective()
         );
-        assert!(close(cold, par), "{what}: parallel {par} != cold {cold}");
         warm_total += warm_sol.stats().warm_nodes;
     }
     // Individually a tiny tree may solve all-cold; across 20 seeds the
@@ -99,10 +102,10 @@ fn degenerate_duplicated_rows_fall_back_and_stay_correct() {
     };
     let cold = proven(
         &build(),
-        &serial().with_warm_start(false),
+        &SolveOptions::default().with_warm_start(false),
         "degenerate cold",
     );
-    let warm = proven(&build(), &serial(), "degenerate warm");
+    let warm = proven(&build(), &SolveOptions::default(), "degenerate warm");
     assert!(close(cold, warm), "degenerate: warm {warm} != cold {cold}");
 }
 
@@ -113,8 +116,12 @@ fn tiny_pivot_cap_only_costs_time() {
     for seed in [2u64, 7, 11] {
         let model = random_milp(seed);
         let what = format!("capped seed {seed}");
-        let cold = proven(&model, &serial().with_warm_start(false), &what);
-        let capped_opts = serial().with_warm_pivot_cap(1);
+        let cold = proven(
+            &model,
+            &SolveOptions::default().with_warm_start(false),
+            &what,
+        );
+        let capped_opts = SolveOptions::default().with_warm_pivot_cap(1);
         let capped_sol = model.solve_with(&capped_opts).expect("feasible");
         assert_eq!(capped_sol.optimality(), Optimality::Proven, "{what}");
         assert!(

@@ -15,8 +15,9 @@ use std::sync::Mutex;
 
 /// Writes one JSON object per record to a buffered writer.
 ///
-/// Lines are written atomically under a mutex, so a parallel solve
-/// produces interleaved but individually well-formed lines. Buffered
+/// Lines are written atomically under a mutex, so fp-serve's workers and
+/// a portfolio race's legs produce interleaved but individually
+/// well-formed lines. Buffered
 /// output is flushed by [`Sink::flush`] and on drop.
 pub struct JsonlSink {
     out: Mutex<BufWriter<Box<dyn Write + Send>>>,

@@ -17,8 +17,8 @@
 //!   human-readable run summary.
 //! * **A cheap handle** ([`Tracer`]): `Clone + Send + Sync`, one
 //!   `Option` check when disabled, and atomics-only per-event-kind
-//!   counters when enabled — safe to thread through the parallel
-//!   branch-and-bound without measurable overhead.
+//!   counters when enabled — safe to share between fp-serve's workers
+//!   and a portfolio race's legs without measurable overhead.
 //!
 //! # Example
 //!

@@ -5,9 +5,9 @@ use std::sync::{Arc, Mutex};
 
 /// Receives sequence-stamped records from a [`Tracer`](crate::Tracer).
 ///
-/// Implementations must be thread-safe: the parallel branch-and-bound
-/// emits from every worker. `record` takes `&self`; interior mutability
-/// is the implementor's business.
+/// Implementations must be thread-safe: fp-serve's workers and the legs
+/// of a portfolio race emit into one sink at once. `record` takes
+/// `&self`; interior mutability is the implementor's business.
 pub trait Sink: Send + Sync {
     /// Accepts one record.
     fn record(&self, record: &Record);

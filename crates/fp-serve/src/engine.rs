@@ -879,7 +879,6 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
             fp_milp::SolveOptions::default()
                 .with_node_limit(config.node_limit)
                 .with_time_limit(config.time_limit)
-                .with_threads(1)
                 .with_basis_store(Arc::clone(&shared.basis), load_key, job.key),
         )
         // The driver re-budgets every augmentation/re-optimization MILP
@@ -1027,14 +1026,28 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
         );
     }
 
+    let chip_width = floorplan.chip_width();
+    let chip_height = floorplan.chip_height();
+    let area = floorplan.chip_area();
+    let utilization = floorplan.utilization(netlist);
+    // Finite module sizes can still multiply or add past f64::MAX, and the
+    // line protocol encodes a non-finite number as `null`. Such a job has
+    // no answer to give, so it fails, and a failure is never cached.
+    if ![chip_width, chip_height, area, utilization, wirelength]
+        .iter()
+        .all(|v| v.is_finite())
+    {
+        return JobResponse::failure(req.id, "floorplan dimensions overflow f64");
+    }
+
     let resp = JobResponse {
         id: req.id,
         ok: true,
         error: String::new(),
-        chip_width: floorplan.chip_width(),
-        chip_height: floorplan.chip_height(),
-        area: floorplan.chip_area(),
-        utilization: floorplan.utilization(netlist),
+        chip_width,
+        chip_height,
+        area,
+        utilization,
         wirelength,
         degraded,
         cached: false,

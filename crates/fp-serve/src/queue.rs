@@ -1,7 +1,6 @@
 //! A bounded multi-producer multi-consumer queue on `Mutex` + `Condvar`.
 //!
-//! The same std-only discipline as the solver's shared frontier
-//! (`fp-milp/src/branch.rs`): all state under one mutex, two condvars for
+//! A std-only discipline: all state under one mutex, two condvars for
 //! the two directions of blocking, and a `closed` flag that lets consumers
 //! *drain* remaining items before observing end-of-stream — the property
 //! the engine's clean shutdown relies on.

@@ -1,8 +1,8 @@
 //! Service-level concurrency tests: response accounting under many
 //! producers, deadline degradation, cache semantics, clean shutdown, and
 //! the TCP front end. Every potentially-blocking scenario runs under a
-//! watchdog (the `parallel_limits` idiom) so a stuck queue or a lost
-//! response fails the test instead of hanging the suite.
+//! watchdog (the idiom of fp-milp's `limits` suite) so a stuck queue or a
+//! lost response fails the test instead of hanging the suite.
 
 use fp_netlist::generator::ProblemGenerator;
 use fp_obs::{Collector, Event, EventKind, Tracer};
@@ -201,6 +201,57 @@ fn cache_answers_second_identical_job() {
         .filter(|r| matches!(r.event, Event::CacheHit { .. }))
         .count();
     assert_eq!(hits, 1);
+}
+
+/// Finite module sizes can still overflow the chip's width, height, area
+/// or utilization, which the line protocol would encode as `null`. Such a
+/// job fails, is never cached, and the engine keeps serving.
+#[test]
+fn overflowing_dimensions_fail_and_the_engine_keeps_serving() {
+    let decks = [
+        // A module whose own area overflows, placed by the greedy fallback.
+        "module a rigid 1e308 1e308 rot\nmodule b rigid 2 3 rot\n",
+        // Finite module areas whose sum overflows.
+        "module a rigid 1e154 1e154 rot\nmodule b rigid 1e154 1e154 rot\n",
+        // A finite chip width and height whose product overflows.
+        "module a rigid 1e300 1 fixed\nmodule b rigid 1 1e300 fixed\n",
+    ];
+    let (failures, normal) = with_watchdog(move || {
+        let engine = Engine::start(tiny_config().with_workers(1));
+        let client = engine.client();
+        let mut failures = Vec::new();
+        for (i, deck) in decks.iter().enumerate() {
+            let nl = fp_netlist::format::parse(deck).expect("finite sizes parse");
+            // Twice: a failure must not be answered from the cache.
+            for _ in 0..2 {
+                failures.push(client.call(JobRequest::new(i as u64, &nl)));
+            }
+        }
+        let nl = ProblemGenerator::new(4, 1).generate();
+        let normal = client.call(JobRequest::new(9, &nl));
+        engine.shutdown();
+        (failures, normal)
+    });
+    for resp in &failures {
+        assert!(
+            !resp.ok,
+            "deck {} answered ok with area {}",
+            resp.id, resp.area
+        );
+        assert!(!resp.cached, "deck {}: a failure was cached", resp.id);
+        assert!(
+            resp.error.contains("overflow f64"),
+            "deck {}: {}",
+            resp.id,
+            resp.error
+        );
+    }
+    assert!(
+        normal.ok,
+        "normal job after the overflows: {}",
+        normal.error
+    );
+    assert!(normal.area.is_finite() && normal.area > 0.0);
 }
 
 #[test]

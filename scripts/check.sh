@@ -36,7 +36,7 @@ cargo test -q --release --locked --offline --manifest-path perfbench/Cargo.toml
 # Observability: an end-to-end traced run must produce schema-valid JSONL
 # (each line parses as a flat object carrying numeric `seq` plus string
 # `phase`/`event`) and a non-empty per-phase summary. The trace suites
-# themselves (trace_invariants, trace_regression, traced_parallel) already
+# themselves (trace_invariants, trace_regression, traced_solve) already
 # ran under `cargo test --workspace` above.
 echo "== trace schema sanity (fp-cli --trace | validate_trace)"
 trace_file="$(mktemp --suffix=.jsonl)"
@@ -103,6 +103,22 @@ for key in '"median_gradient_speedup"' '"median_overlap_speedup"'; do
         || { echo "check.sh: geom_snapshot output missing $key"; exit 1; }
 done
 
+# Determinism gate: the branch-and-bound search is serial, so a floorplan
+# depends only on its inputs, whatever the core count. One ami33 run
+# pinned to one core and three on all cores must print the same result
+# line, its `time` field aside.
+echo "== determinism gate (floorplan --ami33 on one core and on all cores)"
+cargo build --release -q -p fp-cli
+ami33_result() { "$@" ./target/release/floorplan --ami33 2>/dev/null | sed 's/  time .*$//'; }
+pinned="$(ami33_result taskset -c 0)"
+[ -n "$pinned" ] || { echo "check.sh: pinned ami33 run printed no result"; exit 1; }
+echo "$pinned"
+for run in 1 2 3; do
+    free="$(ami33_result)"
+    [ "$free" = "$pinned" ] \
+        || { echo "check.sh: all-core ami33 run $run printed '$free', the pinned run '$pinned'"; exit 1; }
+done
+
 # Service smoke: bring up `floorplan serve` on an ephemeral port, drive it
 # with the `load` generator over a repeated instance, and require (a) every
 # response accounted for and (b) the repeats answered from the solution
@@ -113,7 +129,6 @@ serve_log="$(mktemp)"
 serve_trace="$(mktemp --suffix=.jsonl)"
 load_log="$(mktemp)"
 trap 'rm -f "$trace_file" "$summary_file" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log"; kill "${serve_pid:-0}" 2>/dev/null || true' EXIT
-cargo build --release -q -p fp-cli
 ./target/release/floorplan serve --bind 127.0.0.1:0 --workers 2 \
     --trace "$serve_trace" > "$serve_log" 2>&1 &
 serve_pid=$!

@@ -79,9 +79,12 @@ fn pipeline_with_envelopes_and_routing() {
 fn determinism_same_seed_same_everything() {
     let run = || {
         let netlist = ProblemGenerator::new(9, 4242).generate();
-        // threads = 1 pins the deterministic serial solver: run-to-run
-        // identity is only guaranteed under the serial node order.
-        let cfg = fast().with_solver_threads(1);
+        // Only the node limit may stop a step: a time limit that binds
+        // differs from run to run.
+        let opts = fast()
+            .step_options
+            .with_time_limit(Duration::from_secs(24 * 3600));
+        let cfg = fast().with_step_options(opts);
         let result = Floorplanner::with_config(&netlist, cfg).run().unwrap();
         let routing = route(&result.floorplan, &netlist, &RouteConfig::default()).unwrap();
         (
