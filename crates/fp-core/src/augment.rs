@@ -84,11 +84,9 @@ pub struct StepStats {
     pub warm_nodes: usize,
     /// Branch-and-bound nodes solved by the cold two-phase primal.
     pub cold_nodes: usize,
-    /// Basis LU (re)factorizations across this step's node LPs (sparse
-    /// revised kernel; `0` when the dense reference kernel is selected).
+    /// Basis LU (re)factorizations across this step's node LPs.
     pub refactorizations: usize,
-    /// Eta-file basis updates across this step's node LPs (sparse revised
-    /// kernel only).
+    /// Eta-file basis updates across this step's node LPs.
     pub eta_updates: usize,
     /// Rows whose big-M coefficients the root strengthening layer
     /// tightened in this step's MILP.
@@ -164,7 +162,7 @@ impl RunStats {
     }
 
     /// Basis LU (re)factorizations performed by the sparse revised simplex,
-    /// over all steps. Zero when every step ran the dense reference kernel.
+    /// over all steps.
     #[must_use]
     pub fn refactorizations(&self) -> usize {
         self.steps.iter().map(|s| s.refactorizations).sum()

@@ -8,7 +8,7 @@
 //! basis instead of a cold two-phase primal. The floorplan service uses it
 //! for ECO re-solves: the delta job's step LPs load the base job's bases.
 //!
-//! Safety is inherited from the kernels' snapshot validation: a snapshot
+//! Safety is inherited from the kernel's snapshot validation: a snapshot
 //! with the wrong column count never loads, one with fewer rows loads via
 //! the same slack-extension path the root cut loop uses, and any numerical
 //! doubt falls back to the cold solve. A wrong-but-well-formed basis can
@@ -22,13 +22,16 @@ use std::sync::{Arc, Mutex};
 /// How a solve's root LP was seeded from a [`BasisStore`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Default)]
 pub enum BasisTier {
-    /// No cross-solve basis was used (store miss, disabled, or the root
-    /// already had a committed cut-loop basis of its own).
+    /// No cross-solve basis was fetched (no store, a store miss, or warm
+    /// starts off).
     #[default]
     Cold,
-    /// A stored basis over fewer rows seeded the root via slack extension.
+    /// A stored basis over fewer rows than the presolved root was fetched;
+    /// it loads via slack extension into the root cut loop's first LP (or
+    /// the root node, with strengthening off).
     Warm,
-    /// A stored basis with exactly matching dimensions seeded the root.
+    /// A stored basis with exactly matching dimensions was fetched and
+    /// seeds the same first root LP.
     Hot,
 }
 

@@ -44,6 +44,18 @@ struct StrengthenCounters {
     cuts_added: usize,
 }
 
+/// Fixpoint passes of the classic presolve loop (singleton folding,
+/// activity bounds, implied/integral tightening); the number actually run
+/// is reported in [`SolveStats::presolve_passes`].
+const PRESOLVE_PASSES: usize = 4;
+
+/// Work budget for 0-1 probing: tentative fix-and-propagate runs (each
+/// single-binary probe costs two, each co-occurring pair probe four).
+const PROBE_BUDGET: usize = 512;
+
+/// Cutting planes appended to the root LP across all separation rounds.
+const MAX_CUTS: usize = 64;
+
 /// Cut generation rounds run against the root relaxation (logic cuts take
 /// the first round, violated-cut separation the rest).
 const CUT_ROUNDS: usize = 4;
@@ -60,10 +72,10 @@ const CUT_IMPROVE_TOL: f64 = 1e-9;
 /// provisional until the re-solved root LP proves a relative bound
 /// improvement of at least [`CUT_IMPROVE_TOL`]; a stalled round is
 /// truncated off the row set and separation stops. Returns the number of
-/// cuts kept (capped at [`SolveOptions::max_cuts`]) plus the optimal basis
-/// of the final committed row set when the last LP solve still describes
-/// it — the tree's root node warm-starts from that basis instead of
-/// repeating the same cold two-phase solve.
+/// cuts kept (capped at [`MAX_CUTS`]) plus the optimal basis of the final
+/// committed row set when the last LP solve still describes it — the
+/// tree's root node warm-starts from that basis instead of repeating the
+/// same cold two-phase solve.
 ///
 /// The LP pivots spent separating are deliberately *not* counted in
 /// [`SolveStats::simplex_iterations`], which tallies tree-node pivots only
@@ -87,11 +99,9 @@ fn add_root_cuts(
     Option<Arc<BasisSnapshot>>,
 ) {
     let mut sep = CutSeparator::new(st, rows, lb, ub, integral);
-    let max = options.max_cuts;
     let mut added = 0;
 
-    let deadline = started.checked_add(options.time_limit);
-    let lp_cfg = lp_config(options, deadline, rows.len(), c.len());
+    let lp_cfg = lp_config(options, started);
     let mut ws = Workspace::new();
 
     // Bound of the relaxation over the committed row set; the first
@@ -120,8 +130,8 @@ fn add_root_cuts(
             ub,
         };
         // Rounds after the first warm-start from the last committed basis:
-        // the sparse kernel extends it across the appended cut rows (their
-        // slacks go basic) and dual-repairs just those rows.
+        // the kernel extends it across the appended cut rows (their slacks
+        // go basic) and dual-repairs just those rows.
         let (outcome, _) = ws.solve(&problem, committed.as_ref(), &lp_cfg);
         let x = match outcome {
             LpOutcome::Optimal { x, obj } => {
@@ -164,18 +174,18 @@ fn add_root_cuts(
                 break;
             }
         };
-        if round == CUT_ROUNDS || added >= max || options.stop.is_set() {
+        if round == CUT_ROUNDS || added >= MAX_CUTS || options.stop.is_set() {
             break;
         }
         // Logic cuts need no LP point and go first; when probing found
         // none, the first round separates like the rest.
         let mut cuts = if round == 0 {
-            sep.logic_cuts(max - added)
+            sep.logic_cuts(MAX_CUTS - added)
         } else {
             Vec::new()
         };
         if cuts.is_empty() {
-            cuts = sep.separate(&x, rows, max - added);
+            cuts = sep.separate(&x, rows, MAX_CUTS - added);
         }
         if cuts.is_empty() {
             break;
@@ -188,23 +198,17 @@ fn add_root_cuts(
     (added, committed, baseline)
 }
 
-/// The per-node LP configuration derived once per solve. The kernel choice
-/// ([`SparseMode`](crate::SparseMode)) is resolved here against the root
-/// dimensions — every
-/// node of one solve runs on the same kernel.
-fn lp_config(
-    options: &SolveOptions,
-    deadline: Option<Instant>,
-    rows: usize,
-    structural_cols: usize,
-) -> LpConfig {
+/// The LP configuration shared by every LP of one solve. Its absolute
+/// deadline lets a single long relaxation stop at the time limit (`None`
+/// if the limit overflows [`Instant`]); the warm pivot cap and the
+/// refactorization interval are sized automatically.
+fn lp_config(options: &SolveOptions, started: Instant) -> LpConfig {
     LpConfig {
         feas_tol: options.feas_tol,
         opt_tol: options.opt_tol,
-        deadline,
-        warm_pivot_cap: options.warm_pivot_cap,
-        sparse: options.sparse.resolve(rows, structural_cols),
-        refactor_interval: options.refactor_interval,
+        deadline: started.checked_add(options.time_limit),
+        warm_pivot_cap: 0,
+        refactor_interval: 0,
     }
 }
 
@@ -267,7 +271,7 @@ pub(crate) fn solve(
         base_ub,
         &integral,
         options.feas_tol,
-        options.presolve_passes,
+        PRESOLVE_PASSES,
     );
     if pre.status == PresolveStatus::Infeasible {
         tracer.emit(
@@ -292,9 +296,12 @@ pub(crate) fn solve(
 
     // Cross-solve warm start: seed this solve's root relaxation from the
     // basis an earlier keyed solve published. Dimension checks mirror what
-    // the kernels accept (`n_struct` must match; fewer rows load via slack
+    // the kernel accepts (`n_struct` must match; fewer rows load via slack
     // extension), so a stale entry degrades to a cold root, never an error —
-    // a wrong-but-well-formed basis can only cost pivots.
+    // a wrong-but-well-formed basis can only cost pivots. The tier reports
+    // which seed was fetched: the cut loop's first LP loads it (or the root
+    // node does, with strengthening off), and a load that fails numerically
+    // falls back cold inside the kernel without changing the tier.
     let mut basis_tier = crate::BasisTier::Cold;
     let basis_seed = if options.warm_start {
         options.basis_store.as_ref().and_then(|store| {
@@ -330,7 +337,7 @@ pub(crate) fn solve(
             &mut ub,
             &integral,
             options.feas_tol,
-            options.probe_budget,
+            PROBE_BUDGET,
         ) {
             Ok(st) => st,
             Err(()) => {
@@ -358,27 +365,13 @@ pub(crate) fn solve(
                 implications: st.implications.len(),
             },
         );
-        if options.max_cuts > 0 {
-            let (cuts_added, basis, baseline) = add_root_cuts(
-                model,
-                options,
-                started,
-                &c,
-                &mut rows,
-                &lb,
-                &ub,
-                &integral,
-                &st,
-                basis_seed.clone(),
-                tracer,
-            );
-            counters.cuts_added = cuts_added;
-            publish_basis = baseline;
-            if options.warm_start {
-                root_basis = basis;
-            }
-        } else if options.warm_start {
-            root_basis = basis_seed.clone();
+        let (cuts_added, basis, baseline) = add_root_cuts(
+            model, options, started, &c, &mut rows, &lb, &ub, &integral, &st, basis_seed, tracer,
+        );
+        counters.cuts_added = cuts_added;
+        publish_basis = baseline;
+        if options.warm_start {
+            root_basis = basis;
         }
     } else {
         tracer.emit(
@@ -608,13 +601,10 @@ fn search(
                                                        // exists, which the epilogue reports as `Infeasible`.
     let mut bound = cutoff;
     let mut proven = true;
-    // Absolute deadline handed to every LP so a single long relaxation
-    // cannot overshoot the time limit (`None` if it overflows Instant).
-    let deadline = started.checked_add(options.time_limit);
-    let lp_cfg = lp_config(options, deadline, rows.len(), c.len());
+    let lp_cfg = lp_config(options, started);
     // One workspace for the whole solve: the dive child is popped
     // immediately after its parent, so its warm start is usually the hot
-    // path (bound deltas applied to the still-loaded parent tableau).
+    // path (bound deltas applied to the parent's still-loaded basis).
     let mut ws = Workspace::new();
 
     let mut stack = vec![root];
@@ -1052,6 +1042,39 @@ mod tests {
         let (hits, _, published) = store.stats();
         assert!(hits >= 1);
         assert!(published >= 2, "both solves publish");
+    }
+
+    #[test]
+    fn basis_store_fewer_rows_seed_is_warm() {
+        use crate::{BasisStore, BasisTier, Var};
+        use std::sync::Arc;
+
+        let store = Arc::new(BasisStore::new(8));
+        let key = 0xcafe_u64;
+        let opts = SolveOptions::default().with_basis_store(Arc::clone(&store), key, key);
+        let base = covering_knapsack().solve_with(&opts).unwrap();
+        assert_eq!(base.stats().basis_tier, BasisTier::Cold);
+        assert!(
+            !store.is_empty(),
+            "the first solve publishes its root basis"
+        );
+
+        // The same model plus one valid row that presolve keeps: the
+        // optimum picks far fewer than 9 of the 10 binaries, and the row's
+        // maximum activity 10 exceeds its bound. The stored basis then has
+        // one row fewer than the new root and loads by slack extension.
+        let mut grown = covering_knapsack();
+        let count: crate::LinExpr = (0..10).map(|i| 1.0 * Var(i)).sum();
+        grown.add_le(count, 9.0);
+        let load_only = SolveOptions::default().with_basis_store(Arc::clone(&store), key, 0);
+        let warm = grown.solve_with(&load_only).unwrap();
+        assert_eq!(warm.stats().basis_tier, BasisTier::Warm);
+        assert_eq!(warm.optimality(), Optimality::Proven);
+
+        let unkeyed = grown.solve_with(&SolveOptions::default()).unwrap();
+        assert_eq!(unkeyed.stats().basis_tier, BasisTier::Cold);
+        assert!((warm.objective() - unkeyed.objective()).abs() < 1e-9);
+        assert!((warm.objective() - base.objective()).abs() < 1e-9);
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! package as a procedure. This crate is the open substitute for LINDO: an
 //! exact solver for small-to-medium mixed 0-1 linear programs built on
 //!
-//! * a **two-phase, bounded-variable primal simplex** — by default a sparse
-//!   revised implementation with an LU-factorized basis and eta-file updates
-//!   (the `sparse` module), with the original dense-tableau engine kept as a
-//!   differential reference behind [`SolveOptions::sparse`] — and
+//! * a **two-phase, bounded-variable primal simplex** — a sparse revised
+//!   implementation with an LU-factorized basis and eta-file updates (the
+//!   `sparse` module; a dense tableau survives only as the unit tests'
+//!   differential oracle) — and
 //! * a **branch-and-bound** search on the integer variables with
 //!   most-fractional / user-priority branching, depth-first diving for early
 //!   incumbents, and node / time limits that return the best incumbent found
@@ -81,6 +81,6 @@ pub use error::SolveError;
 pub use expr::LinExpr;
 pub use lp_parse::parse_lp;
 pub use model::{Cmp, Constraint, Model, Sense};
-pub use options::{SolveOptions, SparseMode, StopFlag};
+pub use options::{SolveOptions, StopFlag};
 pub use solution::{Optimality, Solution, SolveStats};
 pub use var::{Var, VarKind};

@@ -58,48 +58,6 @@ impl PartialEq for StopFlag {
     }
 }
 
-/// Which simplex kernel solves node LPs: the sparse revised simplex, the
-/// dense reference tableau, or an automatic per-instance choice.
-///
-/// Both kernels implement identical pivot rules and are held equal by a
-/// differential test suite, so the mode only changes speed. `BENCH_MILP`
-/// shows the sparse kernel at 0.33–0.54× the dense per-pivot throughput on
-/// tiny knapsacks (the CSC/LU machinery has fixed overhead a one-row
-/// tableau never amortizes) while winning clearly on placement-sized LPs —
-/// hence [`SparseMode::Auto`], which keeps the dense tableau below a small
-/// size threshold.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum SparseMode {
-    /// Pick per solve from the root LP dimensions: dense when
-    /// `rows + structural columns < `[`SparseMode::AUTO_THRESHOLD`], sparse
-    /// otherwise. The default.
-    #[default]
-    Auto,
-    /// Always the sparse revised kernel.
-    Sparse,
-    /// Always the dense reference tableau.
-    Dense,
-}
-
-impl SparseMode {
-    /// `Auto` switches to the sparse kernel when `rows + structural
-    /// columns` reaches this value. Calibrated so the knapsack family
-    /// (1 row + ≤30 columns) stays dense while the placement MILPs
-    /// (tens of rows and columns) go sparse.
-    pub const AUTO_THRESHOLD: usize = 48;
-
-    /// Resolves the mode against an instance's root dimensions: `true`
-    /// selects the sparse kernel.
-    #[must_use]
-    pub fn resolve(self, rows: usize, structural_cols: usize) -> bool {
-        match self {
-            SparseMode::Sparse => true,
-            SparseMode::Dense => false,
-            SparseMode::Auto => rows + structural_cols >= Self::AUTO_THRESHOLD,
-        }
-    }
-}
-
 /// Tunable limits and tolerances for [`Model::solve_with`](crate::Model::solve_with).
 ///
 /// The defaults are sized for the floorplanner's augmentation subproblems
@@ -133,44 +91,12 @@ pub struct SolveOptions {
     /// Purely a performance lever: any numerical doubt falls back to the
     /// cold solve, so results are identical either way. Default `true`.
     pub warm_start: bool,
-    /// Maximum dual-simplex pivots per warm attempt before giving up and
-    /// re-solving cold. `0` (the default) sizes the cap automatically from
-    /// the row count.
-    pub warm_pivot_cap: usize,
-    /// Which kernel solves node LPs: the sparse revised simplex (CSC
-    /// matrix, LU-factored basis with eta-file updates, partial pricing),
-    /// the dense reference tableau, or a per-instance automatic choice.
-    /// Both kernels implement identical pivot rules and are held equal by a
-    /// differential test suite, so this only changes speed. Default
-    /// [`SparseMode::Auto`]; [`SolveOptions::with_sparse`] still forces a
-    /// kernel explicitly.
-    pub sparse: SparseMode,
-    /// Eta-file updates tolerated between basis refactorizations on the
-    /// sparse kernel. Smaller values trade factorization time for tighter
-    /// numerical drift control; `0` (the default) picks automatically.
-    /// Ignored by the dense kernel, which refactorizes never (it carries
-    /// `B⁻¹·A` explicitly). Sits alongside [`Self::warm_pivot_cap`] in the
-    /// numerics-vs-speed knob family.
-    pub refactor_interval: usize,
     /// Run the root model-strengthening layer (big-M coefficient
     /// tightening, 0-1 probing, root cutting planes) after classic
     /// presolve. Purely a performance lever: every reduction preserves the
     /// set of integer-feasible points, so the proven objective is identical
     /// either way. Default `true`.
     pub strengthen: bool,
-    /// Work budget for 0-1 probing: the maximum number of tentative
-    /// fix-and-propagate runs (each single-binary probe costs two, each
-    /// co-occurring pair probe costs four). `0` disables probing while
-    /// keeping coefficient tightening and knapsack cover cuts.
-    pub probe_budget: usize,
-    /// Maximum cutting planes appended to the root LP across all
-    /// separation rounds. `0` disables cut generation.
-    pub max_cuts: usize,
-    /// Maximum fixpoint passes of the classic presolve loop (singleton
-    /// folding, activity bounds, implied/integral tightening). The number
-    /// actually run is reported in
-    /// [`SolveStats::presolve_passes`](crate::SolveStats::presolve_passes).
-    pub presolve_passes: usize,
     /// An externally known objective value (in the model's sense) that the
     /// search must strictly beat — typically the cost of a solution another
     /// solver already holds. Branch-and-bound prunes against it from the
@@ -187,10 +113,13 @@ pub struct SolveOptions {
     pub stop: StopFlag,
     /// Cross-solve root-basis store (see [`BasisStore`]). When set, the
     /// solve fetches a root basis under [`Self::basis_load_key`] before the
-    /// tree starts (unless the root cut loop already committed one of its
-    /// own) and publishes its committed root basis under
-    /// [`Self::basis_publish_key`] afterwards. `None` (the default) keeps
-    /// warm starts strictly within one solve.
+    /// tree starts. The fetched basis seeds the first root LP: the root cut
+    /// loop's baseline solve, whose committed basis the root node then
+    /// starts from, or the root node itself when strengthening is off.
+    /// Afterwards the solve publishes its cut-free root basis under
+    /// [`Self::basis_publish_key`] (a solve with strengthening off has none
+    /// to publish). `None` (the default) keeps warm starts strictly within
+    /// one solve.
     pub basis_store: Option<Arc<BasisStore>>,
     /// Store key the root basis is *fetched* under — typically the base
     /// instance's fingerprint (an ECO re-solve loads the base job's basis).
@@ -210,13 +139,7 @@ impl Default for SolveOptions {
             int_tol: 1e-6,
             absolute_gap: 0.0,
             warm_start: true,
-            warm_pivot_cap: 0,
-            sparse: SparseMode::Auto,
-            refactor_interval: 0,
             strengthen: true,
-            probe_budget: 512,
-            max_cuts: 64,
-            presolve_passes: 4,
             initial_upper_bound: f64::INFINITY,
             stop: StopFlag::disabled(),
             basis_store: None,
@@ -264,68 +187,10 @@ impl SolveOptions {
         self
     }
 
-    /// Returns options with the given per-node dual pivot cap (`0` = auto).
-    #[must_use]
-    pub fn with_warm_pivot_cap(mut self, cap: usize) -> Self {
-        self.warm_pivot_cap = cap;
-        self
-    }
-
-    /// Returns options forcing a kernel: the sparse revised simplex
-    /// (`true`) or the dense reference tableau (`false`), overriding the
-    /// default per-instance [`SparseMode::Auto`] choice.
-    #[must_use]
-    pub fn with_sparse(mut self, sparse: bool) -> Self {
-        self.sparse = if sparse {
-            SparseMode::Sparse
-        } else {
-            SparseMode::Dense
-        };
-        self
-    }
-
-    /// Returns options with the given kernel-selection mode.
-    #[must_use]
-    pub fn with_sparse_mode(mut self, mode: SparseMode) -> Self {
-        self.sparse = mode;
-        self
-    }
-
-    /// Returns options with the given eta-update budget between basis
-    /// refactorizations (`0` = auto; ignored by the dense kernel).
-    #[must_use]
-    pub fn with_refactor_interval(mut self, interval: usize) -> Self {
-        self.refactor_interval = interval;
-        self
-    }
-
     /// Returns options with root model strengthening enabled or disabled.
     #[must_use]
     pub fn with_strengthen(mut self, on: bool) -> Self {
         self.strengthen = on;
-        self
-    }
-
-    /// Returns options with the given probing work budget (`0` disables
-    /// probing).
-    #[must_use]
-    pub fn with_probe_budget(mut self, probes: usize) -> Self {
-        self.probe_budget = probes;
-        self
-    }
-
-    /// Returns options with the given root-cut cap (`0` disables cuts).
-    #[must_use]
-    pub fn with_max_cuts(mut self, cuts: usize) -> Self {
-        self.max_cuts = cuts;
-        self
-    }
-
-    /// Returns options with the given presolve fixpoint pass cap (values
-    /// `< 1` are treated as `1`; one pass always runs).
-    #[must_use]
-    pub fn with_presolve_passes(mut self, passes: usize) -> Self {
-        self.presolve_passes = passes;
         self
     }
 
@@ -346,10 +211,10 @@ impl SolveOptions {
         self
     }
 
-    /// Returns options wired to a cross-solve [`BasisStore`]: the root LP
-    /// is seeded from the basis stored under `load_key` and the committed
-    /// root basis is published under `publish_key` (pass the same key for
-    /// plain repeat-traffic warm starts).
+    /// Returns options wired to a cross-solve [`BasisStore`]: the first
+    /// root LP is seeded from the basis stored under `load_key` and the
+    /// cut-free root basis is published under `publish_key` (pass the same
+    /// key for plain repeat-traffic warm starts; see [`Self::basis_store`]).
     #[must_use]
     pub fn with_basis_store(
         mut self,
@@ -381,20 +246,33 @@ mod tests {
 
     #[test]
     fn defaults_are_sane() {
-        let o = SolveOptions::default();
-        assert!(o.feas_tol > 0.0 && o.feas_tol < 1e-3);
-        assert!(o.int_tol >= o.feas_tol / 10.0);
-        assert!(o.node_limit > 1_000);
-        assert!(o.warm_start);
-        assert_eq!(o.warm_pivot_cap, 0);
-        assert_eq!(o.sparse, SparseMode::Auto);
-        assert_eq!(o.refactor_interval, 0);
-        assert!(o.strengthen);
-        assert!(o.probe_budget > 0);
-        assert!(o.max_cuts > 0);
-        assert!(o.presolve_passes >= 1);
-        assert!(o.initial_upper_bound.is_infinite());
-        assert!(!o.stop.is_set());
+        // Destructured without `..`, so adding or removing a field fails
+        // to compile here until its default is pinned too.
+        let SolveOptions {
+            node_limit,
+            time_limit,
+            feas_tol,
+            opt_tol,
+            int_tol,
+            absolute_gap,
+            warm_start,
+            strengthen,
+            initial_upper_bound,
+            stop,
+            basis_store,
+            basis_load_key,
+            basis_publish_key,
+        } = SolveOptions::default();
+        assert_eq!(node_limit, 200_000);
+        assert_eq!(time_limit, Duration::from_secs(120));
+        assert_eq!((feas_tol, opt_tol, int_tol), (1e-7, 1e-9, 1e-6));
+        assert_eq!(absolute_gap, 0.0);
+        assert!(warm_start);
+        assert!(strengthen);
+        assert_eq!(initial_upper_bound, f64::INFINITY);
+        assert!(!stop.is_set());
+        assert!(basis_store.is_none());
+        assert_eq!((basis_load_key, basis_publish_key), (0, 0));
     }
 
     #[test]
@@ -427,56 +305,12 @@ mod tests {
 
     #[test]
     fn strengthen_builders() {
-        let o = SolveOptions::default()
-            .with_strengthen(false)
-            .with_probe_budget(17)
-            .with_max_cuts(3)
-            .with_presolve_passes(9);
-        assert!(!o.strengthen);
-        assert_eq!(o.probe_budget, 17);
-        assert_eq!(o.max_cuts, 3);
-        assert_eq!(o.presolve_passes, 9);
+        assert!(!SolveOptions::default().with_strengthen(false).strengthen);
     }
 
     #[test]
     fn warm_start_builders() {
-        let o = SolveOptions::default()
-            .with_warm_start(false)
-            .with_warm_pivot_cap(7);
-        assert!(!o.warm_start);
-        assert_eq!(o.warm_pivot_cap, 7);
-    }
-
-    #[test]
-    fn sparse_builders() {
-        let o = SolveOptions::default()
-            .with_sparse(false)
-            .with_refactor_interval(16);
-        assert_eq!(o.sparse, SparseMode::Dense);
-        assert_eq!(o.refactor_interval, 16);
-        assert_eq!(
-            SolveOptions::default().with_sparse(true).sparse,
-            SparseMode::Sparse
-        );
-        assert_eq!(
-            SolveOptions::default()
-                .with_sparse_mode(SparseMode::Auto)
-                .sparse,
-            SparseMode::Auto
-        );
-    }
-
-    #[test]
-    fn sparse_mode_resolution() {
-        // Forced modes ignore the dimensions entirely.
-        assert!(SparseMode::Sparse.resolve(0, 0));
-        assert!(!SparseMode::Dense.resolve(1_000, 1_000));
-        // Auto: knapsack-sized stays dense, placement-sized goes sparse.
-        assert!(!SparseMode::Auto.resolve(1, 22)); // knapsack22
-        assert!(SparseMode::Auto.resolve(32, 21)); // placement4
-        let t = SparseMode::AUTO_THRESHOLD;
-        assert!(!SparseMode::Auto.resolve(t - 1, 0));
-        assert!(SparseMode::Auto.resolve(t, 0));
+        assert!(!SolveOptions::default().with_warm_start(false).warm_start);
     }
 
     #[test]

@@ -1,31 +1,31 @@
-//! Two-phase, bounded-variable primal simplex on a dense tableau, plus a
-//! bounded-variable **dual simplex** used to warm-start branch-and-bound
-//! nodes from their parent's optimal basis.
+//! The LP layer underneath branch-and-bound: problem, outcome and basis
+//! types, plus the per-solve [`Workspace`] that runs every node LP on the
+//! sparse revised simplex of `sparse.rs`.
 //!
-//! This is the LP engine underneath branch-and-bound. It handles general
-//! variable bounds (including free and fixed variables) without expanding
-//! them into rows, which matters because every 0-1 variable of the
-//! floorplanning MILP would otherwise add a row.
-//!
-//! Method: all rows are converted to equalities with one slack column each
-//! (`<=` gets a slack in `[0, ∞)`, `>=` in `(-∞, 0]`, `==` in `[0, 0]`).
-//! Phase 1 adds one artificial column per row, signed so the artificial
-//! starts basic and non-negative, and minimizes the sum of artificials.
-//! Phase 2 fixes the artificials to zero and optimizes the true objective.
-//! Dantzig pricing with a permanent switch to Bland's rule after a stall
-//! threshold guards against cycling.
+//! LPs are bound-constrained: general variable bounds (including free and
+//! fixed variables) are handled without expanding them into rows, which
+//! matters because every 0-1 variable of the floorplanning MILP would
+//! otherwise add a row. All rows are converted to equalities with one slack
+//! column each (`<=` gets a slack in `[0, ∞)`, `>=` in `(-∞, 0]`, `==` in
+//! `[0, 0]`), and a cold solve adds one artificial column per row for its
+//! phase 1. Pricing picks the largest reduced cost (within partial-pricing
+//! blocks), with a permanent switch to Bland's rule after a stall
+//! threshold to guard against cycling.
 //!
 //! Warm starts: a branch-and-bound child differs from its parent by one
 //! tightened 0-1 bound, so the parent's optimal basis is still dual
 //! feasible (reduced-cost signs are untouched by bound changes) while at
 //! most one basic variable is primal infeasible. [`Workspace`] keeps the
-//! tableau allocations alive across node solves and can be re-seeded from
-//! a [`BasisSnapshot`]; the dual simplex then restores primal feasibility
-//! in a handful of pivots instead of re-running phase 1 from scratch. Any
-//! numerical trouble (singular refactorization, dual pivot cap, a
-//! feasibility re-check failure against the original rows) falls back to
-//! the cold two-phase primal, so warm starts can only ever change speed,
-//! never answers.
+//! kernel's allocations and factorization alive across node solves and can
+//! be re-seeded from a [`BasisSnapshot`]; the dual simplex then restores
+//! primal feasibility in a handful of pivots instead of re-running phase 1
+//! from scratch. Any numerical trouble (singular refactorization, dual
+//! pivot cap, a feasibility re-check failure against the original rows)
+//! falls back to the cold two-phase primal, so warm starts can only ever
+//! change speed, never answers.
+//!
+//! A dense two-phase tableau with the same pivot rules is compiled for
+//! tests only, as the differential oracle of this module's unit tests.
 
 use crate::model::Cmp;
 use crate::sparse::SparseKernel;
@@ -37,7 +37,7 @@ pub(crate) type SparseRow = (Vec<(usize, f64)>, Cmp, f64);
 
 /// How often (in simplex iterations) the cooperative deadline is polled.
 /// `Instant::now()` costs tens of nanoseconds while even a small pivot is
-/// microseconds of dense row arithmetic, so polling every 16 iterations is
+/// an FTRAN, a BTRAN and a pricing pass, so polling every 16 iterations is
 /// free yet bounds the overshoot past a deadline to 16 pivots.
 pub(crate) const DEADLINE_POLL_MASK: usize = 15;
 
@@ -83,13 +83,10 @@ pub(crate) struct LpConfig {
     /// Cooperative deadline polled inside the pivot loops.
     pub deadline: Option<Instant>,
     /// Max dual pivots per warm attempt before falling back cold
-    /// (`0` = auto: `2·m + 100`).
+    /// (`0` = auto: `2·m + 100`). Solves use auto; tests starve it.
     pub warm_pivot_cap: usize,
-    /// Solve on the sparse revised kernel (LU basis + eta file) instead of
-    /// the dense tableau. Both kernels implement identical pivot rules.
-    pub sparse: bool,
-    /// Eta updates tolerated between basis refactorizations on the sparse
-    /// kernel (`0` = auto).
+    /// Eta updates tolerated between basis refactorizations (`0` = auto).
+    /// Solves use auto; tests force a refactorization per pivot.
     pub refactor_interval: usize,
 }
 
@@ -101,17 +98,15 @@ pub(crate) struct LpInfo {
     pub warm: bool,
     /// Simplex pivots spent on this node, wasted warm pivots included.
     pub pivots: usize,
-    /// Basis LU (re)factorizations performed on this node (sparse kernel;
-    /// the dense tableau reports `0`).
+    /// Basis LU (re)factorizations performed on this node.
     pub refactors: usize,
-    /// Eta-file updates appended between refactorizations on this node
-    /// (sparse kernel; the dense tableau reports `0`).
+    /// Eta-file updates appended between refactorizations on this node.
     pub etas: usize,
 }
 
 /// A saved basis: which column is basic in each row plus the resting
 /// status of every column, as captured at a node's optimum. Shared to both
-/// children through an [`Arc`] so the frontier never clones tableaux.
+/// children through an [`Arc`] so the frontier never clones kernel state.
 #[derive(Debug)]
 pub(crate) struct BasisSnapshot {
     pub(crate) m: usize,
@@ -140,30 +135,10 @@ pub(crate) fn default_status(lb: f64, ub: f64) -> ColStatus {
     }
 }
 
-struct Tableau {
-    m: usize,
-    /// Total columns: structural + slacks + artificials.
-    n: usize,
-    /// Row-major dense `m x n` tableau, kept equal to `B⁻¹·A`.
-    t: Vec<f64>,
-    /// Reduced costs for the current phase's cost vector.
-    d: Vec<f64>,
-    /// Values of the basic variables, one per row.
-    xb: Vec<f64>,
-    /// Basic column per row.
-    basis: Vec<usize>,
-    status: Vec<ColStatus>,
-    lb: Vec<f64>,
-    ub: Vec<f64>,
-    opt_tol: f64,
-    iterations: usize,
-    bland: bool,
-}
-
 pub(crate) const PIVOT_TOL: f64 = 1e-9;
-/// Minimum acceptable pivot magnitude when re-eliminating a snapshot basis;
-/// anything smaller means the saved basis is (numerically) singular for the
-/// child and the warm attempt is abandoned.
+/// Minimum acceptable pivot magnitude when factorizing a basis; anything
+/// smaller means the basis is (numerically) singular for the rows at hand
+/// and a warm attempt is abandoned.
 pub(crate) const REFACTOR_TOL: f64 = 1e-8;
 
 pub(crate) enum StepOutcome {
@@ -172,21 +147,21 @@ pub(crate) enum StepOutcome {
     Pivoted,
 }
 
-/// Why a call to [`Tableau::optimize`] stopped iterating.
+/// Why a primal `optimize` call stopped iterating.
 pub(crate) enum OptimizeEnd {
     Done(StepOutcome),
     IterationCap,
     TimedOut,
 }
 
-/// Why a call to [`Tableau::dual_optimize`] stopped iterating.
+/// Why a call to [`SparseKernel::dual_optimize`] stopped iterating.
 pub(crate) enum DualEnd {
     /// All basic variables are back inside their bounds.
     Feasible,
     /// A violated row has no eligible entering column — an infeasibility
     /// claim. The caller either certifies it from the stuck row
-    /// ([`Tableau::certify_infeasible`]) or confirms it with a cold solve;
-    /// the raw claim is never trusted on its own.
+    /// ([`SparseKernel::certify_infeasible`]) or confirms it with a cold
+    /// solve; the raw claim is never trusted on its own.
     NoEntering {
         /// The violated row the ratio test got stuck on.
         row: usize,
@@ -196,406 +171,18 @@ pub(crate) enum DualEnd {
     TimedOut,
 }
 
-impl Tableau {
-    #[inline]
-    fn at(&self, i: usize, j: usize) -> f64 {
-        self.t[i * self.n + j]
-    }
-
-    /// Current (non-basic or parked) value of column `j`.
-    fn nonbasic_value(&self, j: usize) -> f64 {
-        match self.status[j] {
-            ColStatus::AtLower => self.lb[j],
-            ColStatus::AtUpper => self.ub[j],
-            ColStatus::FreeAtZero => 0.0,
-            ColStatus::Basic(r) => self.xb[r],
-        }
-    }
-
-    /// One simplex iteration: price, ratio test, pivot or bound flip.
-    fn step(&mut self) -> StepOutcome {
-        // --- pricing: pick the entering column -------------------------
-        let mut enter: Option<(usize, i8, f64)> = None; // (col, dir, score)
-        for j in 0..self.n {
-            let (eligible, dir) = match self.status[j] {
-                ColStatus::Basic(_) => (false, 0i8),
-                ColStatus::AtLower => (self.d[j] < -self.opt_tol, 1),
-                ColStatus::AtUpper => (self.d[j] > self.opt_tol, -1),
-                ColStatus::FreeAtZero => (
-                    self.d[j].abs() > self.opt_tol,
-                    if self.d[j] < 0.0 { 1 } else { -1 },
-                ),
-            };
-            if !eligible {
-                continue;
-            }
-            if self.bland {
-                enter = Some((j, dir, 0.0));
-                break;
-            }
-            let score = self.d[j].abs();
-            if enter.is_none_or(|(_, _, s)| score > s) {
-                enter = Some((j, dir, score));
-            }
-        }
-        let Some((q, dir, _)) = enter else {
-            return StepOutcome::Optimal;
-        };
-        let dir = f64::from(dir);
-
-        // --- ratio test ------------------------------------------------
-        // The entering variable moves by t >= 0 in direction `dir`; each
-        // basic variable changes by -dir * t * T[i][q].
-        let own_limit = if self.lb[q].is_finite() && self.ub[q].is_finite() {
-            self.ub[q] - self.lb[q]
-        } else {
-            f64::INFINITY
-        };
-        let mut t_best = own_limit;
-        let mut leave: Option<(usize, bool)> = None; // (row, hits_upper)
-        for i in 0..self.m {
-            let alpha = dir * self.at(i, q);
-            let bi = self.basis[i];
-            let (limit, hits_upper) = if alpha > PIVOT_TOL {
-                if self.lb[bi].is_finite() {
-                    ((self.xb[i] - self.lb[bi]) / alpha, false)
-                } else {
-                    continue;
-                }
-            } else if alpha < -PIVOT_TOL {
-                if self.ub[bi].is_finite() {
-                    ((self.ub[bi] - self.xb[i]) / (-alpha), true)
-                } else {
-                    continue;
-                }
-            } else {
-                continue;
-            };
-            let limit = limit.max(0.0); // degenerate steps clamp to zero
-            let better = match leave {
-                None => limit < t_best - PIVOT_TOL || (t_best.is_infinite() && limit.is_finite()),
-                Some((r, _)) => {
-                    limit < t_best - PIVOT_TOL
-                        // stability tie-break: larger pivot magnitude
-                        || (limit < t_best + PIVOT_TOL
-                            && self.at(i, q).abs() > self.at(r, q).abs())
-                }
-            };
-            if better {
-                t_best = limit;
-                leave = Some((i, hits_upper));
-            }
-        }
-
-        if t_best.is_infinite() {
-            return StepOutcome::Unbounded;
-        }
-
-        self.iterations += 1;
-        let v_q = self.nonbasic_value(q);
-
-        match leave {
-            // Bound flip: entering variable runs to its opposite bound.
-            None => {
-                for i in 0..self.m {
-                    self.xb[i] -= dir * t_best * self.at(i, q);
-                }
-                self.status[q] = if dir > 0.0 {
-                    ColStatus::AtUpper
-                } else {
-                    ColStatus::AtLower
-                };
-            }
-            Some((r, hits_upper)) => {
-                for i in 0..self.m {
-                    self.xb[i] -= dir * t_best * self.at(i, q);
-                }
-                let old = self.basis[r];
-                // Snap the leaving variable exactly onto the bound it hit.
-                self.status[old] = if hits_upper {
-                    self.xb[r] = self.ub[old];
-                    ColStatus::AtUpper
-                } else {
-                    self.xb[r] = self.lb[old];
-                    ColStatus::AtLower
-                };
-                let entering_value = v_q + dir * t_best;
-                self.pivot(r, q);
-                self.basis[r] = q;
-                self.status[q] = ColStatus::Basic(r);
-                self.xb[r] = entering_value;
-            }
-        }
-        StepOutcome::Pivoted
-    }
-
-    /// Gaussian elimination so column `q` becomes the `r`-th unit vector;
-    /// also updates the reduced-cost row.
-    fn pivot(&mut self, r: usize, q: usize) {
-        let n = self.n;
-        let piv = self.t[r * n + q];
-        debug_assert!(piv.abs() > PIVOT_TOL, "pivot too small: {piv}");
-        let inv = 1.0 / piv;
-        for j in 0..n {
-            self.t[r * n + j] *= inv;
-        }
-        self.t[r * n + q] = 1.0; // exact
-        for i in 0..self.m {
-            if i == r {
-                continue;
-            }
-            let factor = self.t[i * n + q];
-            if factor == 0.0 {
-                continue;
-            }
-            for j in 0..n {
-                self.t[i * n + j] -= factor * self.t[r * n + j];
-            }
-            self.t[i * n + q] = 0.0; // exact
-        }
-        let dq = self.d[q];
-        if dq != 0.0 {
-            for j in 0..n {
-                self.d[j] -= dq * self.t[r * n + j];
-            }
-            self.d[q] = 0.0;
-        }
-    }
-
-    /// Runs simplex iterations until optimal / unbounded / capped / past
-    /// the caller's deadline.
-    fn optimize(&mut self, max_iters: usize, deadline: Option<Instant>) -> OptimizeEnd {
-        let stall_switch = 3 * (self.m + self.n) + 200;
-        let start = self.iterations;
-        loop {
-            if self.iterations - start > stall_switch {
-                self.bland = true;
-            }
-            if self.iterations > max_iters {
-                return OptimizeEnd::IterationCap;
-            }
-            if self.iterations & DEADLINE_POLL_MASK == 0 {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return OptimizeEnd::TimedOut;
-                    }
-                }
-            }
-            match self.step() {
-                StepOutcome::Pivoted => continue,
-                other => return OptimizeEnd::Done(other),
-            }
-        }
-    }
-
-    /// Bounded-variable dual simplex: starting from a dual-feasible basis
-    /// whose `xb` violates some bounds (the warm-start state after a
-    /// branching bound change), drives every basic variable back inside
-    /// its bounds while keeping the reduced-cost signs valid.
-    ///
-    /// Leaving row: the largest relative bound violation. Entering column:
-    /// minimum dual ratio `d_j / α_j` where `α_j = σ·T[r][j]` and `σ` is
-    /// `+1` above the upper bound, `-1` below the lower; ties break on
-    /// larger `|α|` for stability. The step moves the entering variable by
-    /// exactly enough to land the leaving one on its violated bound; the
-    /// entering variable is allowed to overshoot its own opposite bound
-    /// (that just becomes the next iteration's violation).
-    fn dual_optimize(
-        &mut self,
-        feas_tol: f64,
-        max_pivots: usize,
-        deadline: Option<Instant>,
-    ) -> DualEnd {
-        let start = self.iterations;
-        loop {
-            if self.iterations - start >= max_pivots {
-                return DualEnd::Cap;
-            }
-            if self.iterations & DEADLINE_POLL_MASK == 0 {
-                if let Some(d) = deadline {
-                    if Instant::now() >= d {
-                        return DualEnd::TimedOut;
-                    }
-                }
-            }
-
-            // --- leaving row: worst bound violation --------------------
-            let mut leave: Option<(usize, f64, f64)> = None; // (row, target, viol)
-            for i in 0..self.m {
-                let bi = self.basis[i];
-                let (target, viol) = if self.xb[i] > self.ub[bi] {
-                    (
-                        self.ub[bi],
-                        (self.xb[i] - self.ub[bi]) / (1.0 + self.ub[bi].abs()),
-                    )
-                } else if self.xb[i] < self.lb[bi] {
-                    (
-                        self.lb[bi],
-                        (self.lb[bi] - self.xb[i]) / (1.0 + self.lb[bi].abs()),
-                    )
-                } else {
-                    continue;
-                };
-                if viol > feas_tol && leave.is_none_or(|(_, _, v)| viol > v) {
-                    leave = Some((i, target, viol));
-                }
-            }
-            let Some((r, target, _)) = leave else {
-                return DualEnd::Feasible;
-            };
-            let sigma = if self.xb[r] > target { 1.0 } else { -1.0 };
-
-            // --- entering column: min dual ratio -----------------------
-            let mut enter: Option<(usize, f64, f64)> = None; // (col, ratio, |alpha|)
-            for j in 0..self.n {
-                let alpha = sigma * self.at(r, j);
-                let eligible = match self.status[j] {
-                    ColStatus::Basic(_) => false,
-                    ColStatus::AtLower => alpha > PIVOT_TOL,
-                    ColStatus::AtUpper => alpha < -PIVOT_TOL,
-                    ColStatus::FreeAtZero => alpha.abs() > PIVOT_TOL,
-                };
-                if !eligible {
-                    continue;
-                }
-                // Both eligible cases give d_j/α_j >= 0 in exact arithmetic;
-                // clamp so a slightly wrong-signed d cannot produce a
-                // negative ratio that derails the min search.
-                let ratio = (self.d[j] / alpha).max(0.0);
-                let better = match enter {
-                    None => true,
-                    Some((_, best, besta)) => {
-                        ratio < best - PIVOT_TOL
-                            || (ratio < best + PIVOT_TOL && alpha.abs() > besta)
-                    }
-                };
-                if better {
-                    enter = Some((j, ratio, alpha.abs()));
-                }
-            }
-            let Some((q, _, _)) = enter else {
-                return DualEnd::NoEntering { row: r };
-            };
-
-            // --- pivot: land xb[r] exactly on its violated bound -------
-            self.iterations += 1;
-            let step = (self.xb[r] - target) / self.at(r, q);
-            let entering_value = self.nonbasic_value(q) + step;
-            for i in 0..self.m {
-                if i != r {
-                    self.xb[i] -= step * self.at(i, q);
-                }
-            }
-            let old = self.basis[r];
-            self.status[old] = if sigma > 0.0 {
-                ColStatus::AtUpper
-            } else {
-                ColStatus::AtLower
-            };
-            self.pivot(r, q);
-            self.basis[r] = q;
-            self.status[q] = ColStatus::Basic(r);
-            self.xb[r] = entering_value;
-        }
-    }
-
-    /// One-row infeasibility certificate for the state the dual ratio test
-    /// got stuck in: row `r`'s basic variable sits outside its bounds and
-    /// no eligible entering column exists, so the row equation
-    /// `xb[r] = resid_r − Σ T[r][j]·x_j` bounds how far `xb[r]` can move
-    /// over the whole nonbasic box. When even the extreme of that range
-    /// stays outside the violated bound by more than the margin, the LP is
-    /// infeasible regardless of further pivoting — no cold confirmation
-    /// needed.
-    ///
-    /// Columns with an unbounded range are only treated as immovable when
-    /// their row coefficient is below [`PIVOT_TOL`]: a sub-tolerance pivot
-    /// element is rejected by every pivoting rule in this module, so
-    /// "numerically zero" here matches what a cold solve could exploit.
-    fn certify_infeasible(&self, r: usize, feas_tol: f64) -> bool {
-        let bi = self.basis[r];
-        let (sigma, bound) = if self.xb[r] > self.ub[bi] {
-            (1.0, self.ub[bi])
-        } else if self.xb[r] < self.lb[bi] {
-            (-1.0, self.lb[bi])
-        } else {
-            return false;
-        };
-        // Total movement of `xb[r]` toward the violated bound achievable
-        // by sweeping every nonbasic column across its box.
-        let mut slack = 0.0f64;
-        for j in 0..self.n {
-            // Helpful coefficient: positive means moving `x_j` off its
-            // resting value (up from a lower bound, down from an upper)
-            // pushes `xb[r]` toward `bound`.
-            let helpful = match self.status[j] {
-                ColStatus::Basic(_) => continue,
-                ColStatus::AtLower => sigma * self.at(r, j),
-                ColStatus::AtUpper => -sigma * self.at(r, j),
-                ColStatus::FreeAtZero => self.at(r, j).abs(),
-            };
-            if helpful <= 0.0 {
-                continue;
-            }
-            let width = match self.status[j] {
-                ColStatus::FreeAtZero => f64::INFINITY,
-                _ => self.ub[j] - self.lb[j],
-            };
-            if width.is_finite() {
-                slack += helpful * width;
-            } else if helpful > PIVOT_TOL {
-                return false; // genuinely usable unbounded column
-            }
-        }
-        let margin = feas_tol.max(1e-7) * (1.0 + bound.abs());
-        (self.xb[r] - bound).abs() > slack + margin
-    }
-
-    /// Recomputes reduced costs `d = c - c_B·T` for a new cost vector.
-    fn reprice(&mut self, c: &[f64]) {
-        self.d.copy_from_slice(c);
-        for i in 0..self.m {
-            let cb = c[self.basis[i]];
-            if cb == 0.0 {
-                continue;
-            }
-            for j in 0..self.n {
-                self.d[j] -= cb * self.t[i * self.n + j];
-            }
-        }
-        for i in 0..self.m {
-            self.d[self.basis[i]] = 0.0;
-        }
-    }
-}
-
-/// Reusable per-solve LP state: owns the tableau / reduced-cost / basis
-/// allocations so branch-and-bound nodes don't churn fresh `Vec`s, and
-/// remembers which [`BasisSnapshot`] its tableau currently realizes so a
-/// child popped right after its parent (the dive) skips even the
-/// refactorization.
+/// Reusable per-solve LP state: owns the sparse kernel so branch-and-bound
+/// nodes reuse its allocations and factorization instead of churning fresh
+/// buffers, and remembers which [`BasisSnapshot`] the kernel currently
+/// realizes so a child popped right after its parent (the dive) skips the
+/// snapshot reload and its refactorization.
 pub(crate) struct Workspace {
-    tab: Tableau,
-    /// The sparse revised kernel, engaged when [`LpConfig::sparse`] is set.
-    /// Both kernels stay allocated; a workspace can switch per solve.
     pub(crate) sp: SparseKernel,
-    /// Which kernel produced the current state — governs which one
-    /// [`Workspace::snapshot`] reads and gates the hot path (a hot re-seed
-    /// is only valid on the kernel that actually realizes the snapshot).
-    last_sparse: bool,
-    /// Whether the sparse kernel's in-place state realizes an optimal basis
-    /// for its cached row set. When it does, a sibling or backtracked node
-    /// over the same rows can warm-start by applying bound deltas directly
-    /// — no snapshot reload, no refactorization — even though the basis is
-    /// not the parent's.
-    sp_optimal: bool,
-    n_struct: usize,
-    /// Phase-2 cost buffer (structural costs then zeros), reused per solve.
-    cost: Vec<f64>,
-    /// Scratch `B⁻¹·b` column carried through refactorization.
-    resid: Vec<f64>,
-    row_used: Vec<bool>,
-    /// Snapshot the current tableau state was captured as, if any.
+    /// Whether the kernel's in-place state is an optimal basis for its
+    /// cached row set — the precondition for the hot tier, which applies
+    /// bound deltas to that state directly.
+    optimal: bool,
+    /// Snapshot the current kernel state was captured as, if any.
     loaded: Option<Weak<BasisSnapshot>>,
 }
 
@@ -609,58 +196,35 @@ enum WarmAttempt {
 impl Workspace {
     pub(crate) fn new() -> Self {
         Workspace {
-            tab: Tableau {
-                m: 0,
-                n: 0,
-                t: Vec::new(),
-                d: Vec::new(),
-                xb: Vec::new(),
-                basis: Vec::new(),
-                status: Vec::new(),
-                lb: Vec::new(),
-                ub: Vec::new(),
-                opt_tol: 1e-9,
-                iterations: 0,
-                bland: false,
-            },
             sp: SparseKernel::new(),
-            last_sparse: false,
-            sp_optimal: false,
-            n_struct: 0,
-            cost: Vec::new(),
-            resid: Vec::new(),
-            row_used: Vec::new(),
+            optimal: false,
             loaded: None,
         }
     }
 
     /// Captures the current basis so children of this node can warm-start.
-    /// Only meaningful right after a solve that returned `Optimal`. The
-    /// snapshot format is kernel-agnostic (basis columns + resting
-    /// statuses), so a basis saved by one kernel warm-starts the other.
+    /// Only meaningful right after a solve that returned `Optimal`.
     pub(crate) fn snapshot(&mut self) -> Arc<BasisSnapshot> {
-        let snap = if self.last_sparse {
-            Arc::new(BasisSnapshot {
-                m: self.sp.m,
-                n_struct: self.sp.n_struct,
-                basis: self.sp.basis.clone(),
-                status: self.sp.status.clone(),
-            })
-        } else {
-            Arc::new(BasisSnapshot {
-                m: self.tab.m,
-                n_struct: self.n_struct,
-                basis: self.tab.basis.clone(),
-                status: self.tab.status.clone(),
-            })
-        };
+        let snap = Arc::new(BasisSnapshot {
+            m: self.sp.m,
+            n_struct: self.sp.n_struct,
+            basis: self.sp.basis.clone(),
+            status: self.sp.status.clone(),
+        });
         self.loaded = Some(Arc::downgrade(&snap));
         snap
     }
 
-    /// Solves the LP on the kernel selected by [`LpConfig::sparse`],
-    /// warm-starting from `basis` when given and falling back to the cold
-    /// two-phase primal on any numerical doubt.
+    /// Solves the LP, warm-starting from `basis` when given and falling
+    /// back to the cold two-phase primal on any numerical doubt. Pivots and
+    /// factorization work spent on an abandoned warm attempt are still
+    /// charged to this node's counters.
+    ///
+    /// Two warm tiers are tried in order. *Hot*: the kernel still holds the
+    /// optimal state `basis` was captured from, over the same row set, so
+    /// only the bound deltas are applied — no reload, no refactorization.
+    /// *Warm*: `basis` is loaded and factorized once. The dual simplex then
+    /// repairs from whichever basis was seeded.
     pub(crate) fn solve(
         &mut self,
         p: &LpProblem<'_>,
@@ -668,89 +232,25 @@ impl Workspace {
         cfg: &LpConfig,
     ) -> (LpOutcome, LpInfo) {
         let loaded = self.loaded.take();
-        if cfg.sparse {
-            return self.solve_sparse(p, basis, cfg, loaded);
-        }
-        self.tab.opt_tol = cfg.opt_tol;
-        let mut wasted = 0;
-        if let Some(snap) = basis {
-            if snap.m == p.rows.len() && snap.n_struct == p.ncols {
-                let hot = !self.last_sparse
-                    && loaded
-                        .as_ref()
-                        .and_then(Weak::upgrade)
-                        .is_some_and(|cur| Arc::ptr_eq(&cur, snap));
-                match self.attempt_warm(p, snap, cfg, hot) {
-                    WarmAttempt::Done(out) => {
-                        self.last_sparse = false;
-                        let pivots = self.tab.iterations;
-                        return (
-                            out,
-                            LpInfo {
-                                warm: true,
-                                pivots,
-                                refactors: 0,
-                                etas: 0,
-                            },
-                        );
-                    }
-                    WarmAttempt::Fallback(pivots) => wasted = pivots,
-                }
-            }
-        }
-        let out = self.solve_cold(p, cfg);
-        self.last_sparse = false;
-        let pivots = self.tab.iterations + wasted;
-        (
-            out,
-            LpInfo {
-                warm: false,
-                pivots,
-                refactors: 0,
-                etas: 0,
-            },
-        )
-    }
-
-    /// The sparse-kernel twin of the dispatch above: same warm/cold tiers,
-    /// with pivots *and* factorization work spent on an abandoned warm
-    /// attempt still charged to this node's counters. The hot tier is wider
-    /// than the dense kernel's: the revised method can re-seed from *any*
-    /// optimal in-place state over the same row set by applying bound
-    /// deltas (the dual simplex repairs from whatever basis is current), so
-    /// backtracking to a sibling costs no snapshot reload and no
-    /// refactorization. The parent-snapshot reload is the middle tier.
-    fn solve_sparse(
-        &mut self,
-        p: &LpProblem<'_>,
-        basis: Option<&Arc<BasisSnapshot>>,
-        cfg: &LpConfig,
-        loaded: Option<Weak<BasisSnapshot>>,
-    ) -> (LpOutcome, LpInfo) {
         self.sp.opt_tol = cfg.opt_tol;
         self.sp.refactor_interval = cfg.refactor_interval;
         let mut wasted = (0, 0, 0);
         if let Some(snap) = basis {
-            // `snap.m < rows` is the cut-round case: the snapshot predates
-            // appended rows, and the warm load extends it with their slacks.
+            // `snap.m < rows` is the cut-round and cross-solve case: the
+            // snapshot predates appended rows, and the warm load extends it
+            // with their slacks.
             if snap.m <= p.rows.len() && snap.n_struct == p.ncols {
                 let parent_state = loaded
                     .as_ref()
                     .and_then(Weak::upgrade)
                     .is_some_and(|cur| Arc::ptr_eq(&cur, snap));
                 for hot in [true, false] {
-                    if hot
-                        && !(self.last_sparse
-                            && self.sp_optimal
-                            && parent_state
-                            && self.sp.matches_problem(p))
-                    {
+                    if hot && !(self.optimal && parent_state && self.sp.matches_problem(p)) {
                         continue;
                     }
-                    match self.attempt_warm_sparse(p, snap, cfg, hot) {
+                    match self.attempt_warm(p, snap, cfg, hot) {
                         WarmAttempt::Done(out) => {
-                            self.last_sparse = true;
-                            self.sp_optimal = matches!(out, LpOutcome::Optimal { .. });
+                            self.optimal = matches!(out, LpOutcome::Optimal { .. });
                             return (
                                 out,
                                 LpInfo {
@@ -771,8 +271,7 @@ impl Workspace {
             }
         }
         let out = self.sp.solve_cold(p, cfg);
-        self.last_sparse = true;
-        self.sp_optimal = matches!(out, LpOutcome::Optimal { .. });
+        self.optimal = matches!(out, LpOutcome::Optimal { .. });
         (
             out,
             LpInfo {
@@ -784,11 +283,14 @@ impl Workspace {
         )
     }
 
-    /// One warm attempt on the sparse kernel, mirroring [`Self::attempt_warm`]
-    /// tier for tier. There is no reprice step: the revised method derives
-    /// reduced costs from `Bᵀ·y = c_B` fresh every iteration, so loading
-    /// the phase-2 cost vector is the entire re-seed.
-    fn attempt_warm_sparse(
+    /// One warm attempt: seed the kernel (in place if `hot`, else by
+    /// loading the snapshot basis against these rows), restore primal
+    /// feasibility with the dual simplex, polish with the primal, and
+    /// re-check the claimed optimum against the original rows. There is no
+    /// reprice step: the revised method derives reduced costs from
+    /// `Bᵀ·y = c_B`, so loading the phase-2 cost vector is the entire
+    /// re-seed.
+    fn attempt_warm(
         &mut self,
         p: &LpProblem<'_>,
         snap: &BasisSnapshot,
@@ -811,12 +313,13 @@ impl Workspace {
         } else {
             2 * m + 100
         };
-        let dual_end = self.sp.dual_optimize(cfg.feas_tol, cap, cfg.deadline);
-        match dual_end {
+        match self.sp.dual_optimize(cfg.feas_tol, cap, cfg.deadline) {
             DualEnd::TimedOut => return WarmAttempt::Done(LpOutcome::TimedOut),
-            // Same trust policy as the dense kernel: an infeasibility claim
-            // is only accepted with a one-row interval certificate; anything
-            // weaker is confirmed by the cold fallback.
+            // An infeasibility claim from the dual ratio test is only
+            // accepted with a one-row interval certificate (branched
+            // children with an empty feasible box carry one); anything it
+            // cannot certify is confirmed cold, so a noisy warm start can
+            // never prune a feasible subtree.
             DualEnd::NoEntering { row } => {
                 if self.sp.certify_infeasible(row, cfg.feas_tol) {
                     return WarmAttempt::Done(LpOutcome::Infeasible);
@@ -829,16 +332,16 @@ impl Workspace {
 
         let max_iters = 60 * (m + self.sp.n) + 5_000;
         self.sp.bland = false;
-        let end = self.sp.optimize(max_iters, cfg.deadline);
-        match end {
+        match self.sp.optimize(max_iters, cfg.deadline) {
             OptimizeEnd::TimedOut => WarmAttempt::Done(LpOutcome::TimedOut),
+            // A warm "unbounded" on the child of a bounded parent is far
+            // more likely numerical drift than truth; let cold decide.
             OptimizeEnd::IterationCap | OptimizeEnd::Done(StepOutcome::Unbounded) => {
                 WarmAttempt::Fallback(self.sp.iterations)
             }
             OptimizeEnd::Done(_) => {
                 let (x, obj) = self.sp.extract(p.c);
-                let ok = verify_primal(p, &x, cfg.feas_tol);
-                if ok {
+                if verify_primal(p, &x, cfg.feas_tol) {
                     WarmAttempt::Done(LpOutcome::Optimal { x, obj })
                 } else {
                     WarmAttempt::Fallback(self.sp.iterations)
@@ -846,440 +349,12 @@ impl Workspace {
             }
         }
     }
-
-    /// One warm attempt: seed the tableau (in place if `hot`, else by
-    /// refactorizing the snapshot basis against the child's rows), restore
-    /// primal feasibility with the dual simplex, polish with the primal,
-    /// and re-check the claimed optimum against the original rows.
-    fn attempt_warm(
-        &mut self,
-        p: &LpProblem<'_>,
-        snap: &BasisSnapshot,
-        cfg: &LpConfig,
-        hot: bool,
-    ) -> WarmAttempt {
-        let seeded = if hot {
-            self.apply_bound_deltas(p)
-        } else {
-            self.refactorize(p, snap)
-        };
-        if !seeded {
-            return WarmAttempt::Fallback(self.tab.iterations);
-        }
-
-        // Reprice from scratch every attempt: O(m·n), about one pivot, and
-        // it stops reduced-cost drift accumulating across a warm dive chain.
-        self.cost.clear();
-        self.cost.resize(self.tab.n, 0.0);
-        self.cost[..self.n_struct].copy_from_slice(p.c);
-        let cost = std::mem::take(&mut self.cost);
-        self.tab.reprice(&cost);
-        self.cost = cost;
-
-        let m = self.tab.m;
-        let cap = if cfg.warm_pivot_cap > 0 {
-            cfg.warm_pivot_cap
-        } else {
-            2 * m + 100
-        };
-        match self.tab.dual_optimize(cfg.feas_tol, cap, cfg.deadline) {
-            DualEnd::TimedOut => return WarmAttempt::Done(LpOutcome::TimedOut),
-            // An infeasibility claim from the dual ratio test is only as
-            // good as the refactorized tableau. The stuck row itself often
-            // carries an interval certificate (branched children with an
-            // empty feasible box); anything it cannot certify is confirmed
-            // cold so a noisy warm start can never prune a feasible subtree.
-            DualEnd::NoEntering { row } => {
-                if self.tab.certify_infeasible(row, cfg.feas_tol) {
-                    return WarmAttempt::Done(LpOutcome::Infeasible);
-                }
-                return WarmAttempt::Fallback(self.tab.iterations);
-            }
-            DualEnd::Cap => return WarmAttempt::Fallback(self.tab.iterations),
-            DualEnd::Feasible => {}
-        }
-
-        let max_iters = 60 * (m + self.tab.n) + 5_000;
-        self.tab.bland = false;
-        match self.tab.optimize(max_iters, cfg.deadline) {
-            OptimizeEnd::TimedOut => WarmAttempt::Done(LpOutcome::TimedOut),
-            // A warm "unbounded" on the child of a bounded parent is far
-            // more likely numerical drift than truth; let cold decide.
-            OptimizeEnd::IterationCap | OptimizeEnd::Done(StepOutcome::Unbounded) => {
-                WarmAttempt::Fallback(self.tab.iterations)
-            }
-            OptimizeEnd::Done(_) => match self.extract_checked(p, cfg.feas_tol) {
-                Some((x, obj)) => WarmAttempt::Done(LpOutcome::Optimal { x, obj }),
-                None => WarmAttempt::Fallback(self.tab.iterations),
-            },
-        }
-    }
-
-    /// Hot path: the tableau already realizes `snap` for the parent's
-    /// bounds, so only the bound deltas need applying — basic columns just
-    /// update their box, nonbasic columns shift `xb` by
-    /// `Δ(resting value) · T[·][j]`. No refactorization, no phase 1.
-    fn apply_bound_deltas(&mut self, p: &LpProblem<'_>) -> bool {
-        self.tab.iterations = 0;
-        self.tab.bland = false;
-        for j in 0..p.ncols {
-            let (nl, nu) = (p.lb[j], p.ub[j]);
-            if nl == self.tab.lb[j] && nu == self.tab.ub[j] {
-                continue;
-            }
-            match self.tab.status[j] {
-                ColStatus::Basic(_) => {
-                    self.tab.lb[j] = nl;
-                    self.tab.ub[j] = nu;
-                }
-                st => {
-                    let old_v = match st {
-                        ColStatus::AtLower => self.tab.lb[j],
-                        ColStatus::AtUpper => self.tab.ub[j],
-                        _ => 0.0,
-                    };
-                    let new_st = match st {
-                        ColStatus::AtLower if nl.is_finite() => ColStatus::AtLower,
-                        ColStatus::AtUpper if nu.is_finite() => ColStatus::AtUpper,
-                        ColStatus::FreeAtZero if nl == f64::NEG_INFINITY && nu == f64::INFINITY => {
-                            ColStatus::FreeAtZero
-                        }
-                        _ => default_status(nl, nu),
-                    };
-                    let new_v = match new_st {
-                        ColStatus::AtLower => nl,
-                        ColStatus::AtUpper => nu,
-                        _ => 0.0,
-                    };
-                    let delta = new_v - old_v;
-                    if !delta.is_finite() {
-                        return false; // resting on an infinite bound: refuse
-                    }
-                    if delta != 0.0 {
-                        let n = self.tab.n;
-                        for i in 0..self.tab.m {
-                            self.tab.xb[i] -= delta * self.tab.t[i * n + j];
-                        }
-                    }
-                    self.tab.lb[j] = nl;
-                    self.tab.ub[j] = nu;
-                    self.tab.status[j] = new_st;
-                }
-            }
-        }
-        true
-    }
-
-    /// Warm path for a snapshot taken on a *different* tableau state:
-    /// rebuild the raw rows, then Gauss-Jordan the snapshot's basis
-    /// columns to the identity (free row pivoting on the largest available
-    /// pivot), carrying the rhs along so `xb = B⁻¹b − B⁻¹N·x_N` drops out.
-    /// Returns `false` when the basis is singular for these rows.
-    fn refactorize(&mut self, p: &LpProblem<'_>, snap: &BasisSnapshot) -> bool {
-        let m = p.rows.len();
-        let n_struct = p.ncols;
-        let n = n_struct + 2 * m;
-        self.n_struct = n_struct;
-        let tab = &mut self.tab;
-        tab.m = m;
-        tab.n = n;
-        tab.iterations = 0;
-        tab.bland = false;
-
-        tab.t.clear();
-        tab.t.resize(m * n, 0.0);
-        tab.d.clear();
-        tab.d.resize(n, 0.0);
-        tab.lb.clear();
-        tab.ub.clear();
-        tab.lb.extend_from_slice(p.lb);
-        tab.ub.extend_from_slice(p.ub);
-        for (_, cmp, _) in p.rows {
-            match cmp {
-                Cmp::Le => {
-                    tab.lb.push(0.0);
-                    tab.ub.push(f64::INFINITY);
-                }
-                Cmp::Ge => {
-                    tab.lb.push(f64::NEG_INFINITY);
-                    tab.ub.push(0.0);
-                }
-                Cmp::Eq => {
-                    tab.lb.push(0.0);
-                    tab.ub.push(0.0);
-                }
-            }
-        }
-        // Artificials stay fixed at zero; they only exist so a snapshot in
-        // which a redundant row kept its artificial basic stays a basis.
-        // Phase-1 sign folds are irrelevant here (row scaling by ±1 never
-        // changes which column sets are bases), so plain +1 units do.
-        tab.lb.resize(n, 0.0);
-        tab.ub.resize(n, 0.0);
-
-        self.resid.clear();
-        for (i, (terms, _, rhs)) in p.rows.iter().enumerate() {
-            for &(j, a) in terms {
-                tab.t[i * n + j] = a;
-            }
-            tab.t[i * n + n_struct + i] = 1.0; // slack
-            tab.t[i * n + n_struct + m + i] = 1.0; // artificial
-            self.resid.push(*rhs);
-        }
-
-        // Resting statuses from the snapshot, sanitized against the
-        // child's bounds (a status is only kept if its bound is finite).
-        tab.status.clear();
-        for (j, st) in snap.status.iter().enumerate() {
-            tab.status.push(match st {
-                ColStatus::Basic(_) => ColStatus::AtLower, // overwritten below
-                ColStatus::AtLower if tab.lb[j].is_finite() => ColStatus::AtLower,
-                ColStatus::AtUpper if tab.ub[j].is_finite() => ColStatus::AtUpper,
-                ColStatus::FreeAtZero
-                    if tab.lb[j] == f64::NEG_INFINITY && tab.ub[j] == f64::INFINITY =>
-                {
-                    ColStatus::FreeAtZero
-                }
-                _ => default_status(tab.lb[j], tab.ub[j]),
-            });
-        }
-
-        // Gauss-Jordan: make each snapshot basis column a unit vector,
-        // picking the not-yet-used row with the largest pivot magnitude.
-        self.row_used.clear();
-        self.row_used.resize(m, false);
-        tab.basis.clear();
-        tab.basis.resize(m, usize::MAX);
-        for &col in &snap.basis {
-            let mut best: Option<(usize, f64)> = None;
-            for i in 0..m {
-                if self.row_used[i] {
-                    continue;
-                }
-                let a = tab.t[i * n + col].abs();
-                if best.is_none_or(|(_, b)| a > b) {
-                    best = Some((i, a));
-                }
-            }
-            let Some((r, mag)) = best else { return false };
-            if mag <= REFACTOR_TOL {
-                return false; // singular for the child's rows
-            }
-            let inv = 1.0 / tab.t[r * n + col];
-            for j in 0..n {
-                tab.t[r * n + j] *= inv;
-            }
-            tab.t[r * n + col] = 1.0; // exact
-            self.resid[r] *= inv;
-            for i in 0..m {
-                if i == r {
-                    continue;
-                }
-                let factor = tab.t[i * n + col];
-                if factor == 0.0 {
-                    continue;
-                }
-                for j in 0..n {
-                    tab.t[i * n + j] -= factor * tab.t[r * n + j];
-                }
-                tab.t[i * n + col] = 0.0; // exact
-                self.resid[i] -= factor * self.resid[r];
-            }
-            self.row_used[r] = true;
-            tab.basis[r] = col;
-            tab.status[col] = ColStatus::Basic(r);
-        }
-
-        // xb = B⁻¹b − Σ_{nonbasic j with nonzero resting value} T[·][j]·x_j.
-        tab.xb.clear();
-        tab.xb.extend_from_slice(&self.resid);
-        for j in 0..n {
-            if matches!(tab.status[j], ColStatus::Basic(_)) {
-                continue;
-            }
-            let v = tab.nonbasic_value(j);
-            if v == 0.0 {
-                continue;
-            }
-            for i in 0..m {
-                tab.xb[i] -= v * tab.t[i * n + j];
-            }
-        }
-        true
-    }
-
-    /// Reads the structural solution off the tableau and re-checks it
-    /// against the *original* bounds and rows — the warm path's defense
-    /// against accumulated elimination error. `None` means "don't trust
-    /// this tableau", which sends the caller to the cold path.
-    fn extract_checked(&self, p: &LpProblem<'_>, feas_tol: f64) -> Option<(Vec<f64>, f64)> {
-        let mut x = vec![0.0; p.ncols];
-        for (j, xv) in x.iter_mut().enumerate() {
-            *xv = self.tab.nonbasic_value(j);
-        }
-        if !verify_primal(p, &x, feas_tol) {
-            return None;
-        }
-        let obj = p.c.iter().zip(&x).map(|(c, v)| c * v).sum();
-        Some((x, obj))
-    }
-
-    /// The cold two-phase primal, building into this workspace's buffers.
-    fn solve_cold(&mut self, p: &LpProblem<'_>, cfg: &LpConfig) -> LpOutcome {
-        let m = p.rows.len();
-        let n_struct = p.ncols;
-        let n_slack = m;
-        let n = n_struct + n_slack + m; // + artificials
-        self.n_struct = n_struct;
-
-        let tab = &mut self.tab;
-        tab.m = m;
-        tab.n = n;
-        tab.iterations = 0;
-        tab.bland = false;
-
-        // Dense tableau of the original system (B = signed identity on
-        // artificials initially, folded in below).
-        tab.t.clear();
-        tab.t.resize(m * n, 0.0);
-        tab.lb.clear();
-        tab.ub.clear();
-        tab.lb.extend_from_slice(p.lb);
-        tab.ub.extend_from_slice(p.ub);
-        for (_, cmp, _) in p.rows {
-            match cmp {
-                Cmp::Le => {
-                    tab.lb.push(0.0);
-                    tab.ub.push(f64::INFINITY);
-                }
-                Cmp::Ge => {
-                    tab.lb.push(f64::NEG_INFINITY);
-                    tab.ub.push(0.0);
-                }
-                Cmp::Eq => {
-                    tab.lb.push(0.0);
-                    tab.ub.push(0.0);
-                }
-            }
-        }
-        tab.lb.resize(n, 0.0);
-        tab.ub.resize(n, f64::INFINITY);
-
-        tab.status.clear();
-        for j in 0..n_struct + n_slack {
-            tab.status.push(default_status(tab.lb[j], tab.ub[j]));
-        }
-        tab.status.resize(n, ColStatus::AtLower);
-
-        // Row data and initial residuals r_i = b_i - A_i · x_N.
-        tab.basis.clear();
-        tab.xb.clear();
-        for (i, (terms, _, rhs)) in p.rows.iter().enumerate() {
-            let mut residual = *rhs;
-            for &(j, a) in terms {
-                tab.t[i * n + j] = a;
-                let xj = match tab.status[j] {
-                    ColStatus::AtLower => tab.lb[j],
-                    ColStatus::AtUpper => tab.ub[j],
-                    _ => 0.0,
-                };
-                residual -= a * xj;
-            }
-            // slack column
-            let sj = n_struct + i;
-            tab.t[i * n + sj] = 1.0;
-            let s_val = match tab.status[sj] {
-                ColStatus::AtLower => tab.lb[sj],
-                ColStatus::AtUpper => tab.ub[sj],
-                _ => 0.0,
-            };
-            residual -= s_val;
-            // artificial column, signed so it starts basic and >= 0
-            let aj = n_struct + n_slack + i;
-            let sign = if residual >= 0.0 { 1.0 } else { -1.0 };
-            tab.t[i * n + aj] = sign;
-            // Fold B⁻¹ = diag(sign) into the tableau row immediately.
-            if sign < 0.0 {
-                for j in 0..n {
-                    tab.t[i * n + j] = -tab.t[i * n + j];
-                }
-            }
-            tab.basis.push(aj);
-            tab.status[aj] = ColStatus::Basic(i);
-            tab.xb.push(residual.abs());
-        }
-
-        let max_iters = 60 * (m + n) + 5_000;
-
-        // --- Phase 1: minimize the sum of artificials ------------------
-        self.cost.clear();
-        self.cost.resize(n, 0.0);
-        self.cost[n_struct + n_slack..n].fill(1.0);
-        let c1 = std::mem::take(&mut self.cost);
-        tab.d.clear();
-        tab.d.resize(n, 0.0);
-        tab.reprice(&c1);
-        self.cost = c1;
-        match tab.optimize(max_iters, cfg.deadline) {
-            OptimizeEnd::IterationCap => return LpOutcome::IterationLimit,
-            OptimizeEnd::TimedOut => return LpOutcome::TimedOut,
-            OptimizeEnd::Done(StepOutcome::Unbounded) => {
-                // Phase-1 objective is bounded below by 0; unboundedness here
-                // is numerical nonsense worth flagging loudly in debug builds.
-                debug_assert!(false, "phase 1 reported unbounded");
-                return LpOutcome::IterationLimit;
-            }
-            OptimizeEnd::Done(_) => {}
-        }
-        let phase1_obj: f64 = (0..m)
-            .filter(|&i| tab.basis[i] >= n_struct + n_slack)
-            .map(|i| tab.xb[i])
-            .sum();
-        if phase1_obj > cfg.feas_tol.max(1e-7) * (1.0 + phase1_obj.abs()) && phase1_obj > 1e-6 {
-            return LpOutcome::Infeasible;
-        }
-
-        // Fix artificials at zero so they can never re-enter or grow.
-        for j in n_struct + n_slack..n {
-            tab.lb[j] = 0.0;
-            tab.ub[j] = 0.0;
-            if let ColStatus::Basic(r) = tab.status[j] {
-                // Snap tiny residuals to exactly zero.
-                if tab.xb[r].abs() <= 1e-6 {
-                    tab.xb[r] = 0.0;
-                }
-            } else {
-                tab.status[j] = ColStatus::AtLower;
-            }
-        }
-
-        // --- Phase 2: the real objective -------------------------------
-        self.cost.clear();
-        self.cost.resize(n, 0.0);
-        self.cost[..n_struct].copy_from_slice(p.c);
-        let c2 = std::mem::take(&mut self.cost);
-        tab.reprice(&c2);
-        self.cost = c2;
-        tab.bland = false;
-        match tab.optimize(max_iters, cfg.deadline) {
-            OptimizeEnd::IterationCap => LpOutcome::IterationLimit,
-            OptimizeEnd::TimedOut => LpOutcome::TimedOut,
-            OptimizeEnd::Done(StepOutcome::Unbounded) => LpOutcome::Unbounded,
-            OptimizeEnd::Done(_) => {
-                let mut x = vec![0.0; n_struct];
-                for (j, xv) in x.iter_mut().enumerate() {
-                    *xv = tab.nonbasic_value(j);
-                }
-                let obj = p.c.iter().zip(&x).map(|(c, v)| c * v).sum();
-                LpOutcome::Optimal { x, obj }
-            }
-        }
-    }
 }
 
 /// Re-checks a candidate structural solution against the *original* bounds
-/// and rows, shared by both kernels' warm-path extraction. A `false` means
-/// "don't trust this basis representation" and sends the caller cold.
+/// and rows — the warm path's defense against accumulated elimination
+/// error. A `false` means "don't trust this basis representation" and sends
+/// the caller cold.
 fn verify_primal(p: &LpProblem<'_>, x: &[f64], feas_tol: f64) -> bool {
     let tol0 = feas_tol.max(1e-7);
     for (j, xv) in x.iter().enumerate() {
@@ -1303,7 +378,370 @@ fn verify_primal(p: &LpProblem<'_>, x: &[f64], feas_tol: f64) -> bool {
     true
 }
 
-/// Cold one-shot solve on a chosen kernel, kept as a test entry point.
+/// The dense bounded-variable tableau: the reference two-phase primal
+/// simplex that the sparse kernel mirrors rule for rule (column layout,
+/// Dantzig pricing, ratio-test tie-breaks, stall-to-Bland switch and
+/// tolerances), kept for tests as the LP oracle of the differential unit
+/// tests below. It carries `B⁻¹·A` explicitly, O(m·n) per pivot.
+#[cfg(test)]
+mod dense {
+    use super::*;
+
+    pub(super) struct Tableau {
+        m: usize,
+        /// Total columns: structural + slacks + artificials.
+        n: usize,
+        /// Row-major dense `m x n` tableau, kept equal to `B⁻¹·A`.
+        t: Vec<f64>,
+        /// Reduced costs for the current phase's cost vector.
+        d: Vec<f64>,
+        /// Values of the basic variables, one per row.
+        xb: Vec<f64>,
+        /// Basic column per row.
+        basis: Vec<usize>,
+        status: Vec<ColStatus>,
+        lb: Vec<f64>,
+        ub: Vec<f64>,
+        opt_tol: f64,
+        iterations: usize,
+        bland: bool,
+    }
+
+    impl Tableau {
+        #[inline]
+        fn at(&self, i: usize, j: usize) -> f64 {
+            self.t[i * self.n + j]
+        }
+
+        /// Current (non-basic or parked) value of column `j`.
+        fn nonbasic_value(&self, j: usize) -> f64 {
+            match self.status[j] {
+                ColStatus::AtLower => self.lb[j],
+                ColStatus::AtUpper => self.ub[j],
+                ColStatus::FreeAtZero => 0.0,
+                ColStatus::Basic(r) => self.xb[r],
+            }
+        }
+
+        /// One simplex iteration: price, ratio test, pivot or bound flip.
+        fn step(&mut self) -> StepOutcome {
+            // --- pricing: pick the entering column -------------------------
+            let mut enter: Option<(usize, i8, f64)> = None; // (col, dir, score)
+            for j in 0..self.n {
+                let (eligible, dir) = match self.status[j] {
+                    ColStatus::Basic(_) => (false, 0i8),
+                    ColStatus::AtLower => (self.d[j] < -self.opt_tol, 1),
+                    ColStatus::AtUpper => (self.d[j] > self.opt_tol, -1),
+                    ColStatus::FreeAtZero => (
+                        self.d[j].abs() > self.opt_tol,
+                        if self.d[j] < 0.0 { 1 } else { -1 },
+                    ),
+                };
+                if !eligible {
+                    continue;
+                }
+                if self.bland {
+                    enter = Some((j, dir, 0.0));
+                    break;
+                }
+                let score = self.d[j].abs();
+                if enter.is_none_or(|(_, _, s)| score > s) {
+                    enter = Some((j, dir, score));
+                }
+            }
+            let Some((q, dir, _)) = enter else {
+                return StepOutcome::Optimal;
+            };
+            let dir = f64::from(dir);
+
+            // --- ratio test ------------------------------------------------
+            // The entering variable moves by t >= 0 in direction `dir`; each
+            // basic variable changes by -dir * t * T[i][q].
+            let own_limit = if self.lb[q].is_finite() && self.ub[q].is_finite() {
+                self.ub[q] - self.lb[q]
+            } else {
+                f64::INFINITY
+            };
+            let mut t_best = own_limit;
+            let mut leave: Option<(usize, bool)> = None; // (row, hits_upper)
+            for i in 0..self.m {
+                let alpha = dir * self.at(i, q);
+                let bi = self.basis[i];
+                let (limit, hits_upper) = if alpha > PIVOT_TOL {
+                    if self.lb[bi].is_finite() {
+                        ((self.xb[i] - self.lb[bi]) / alpha, false)
+                    } else {
+                        continue;
+                    }
+                } else if alpha < -PIVOT_TOL {
+                    if self.ub[bi].is_finite() {
+                        ((self.ub[bi] - self.xb[i]) / (-alpha), true)
+                    } else {
+                        continue;
+                    }
+                } else {
+                    continue;
+                };
+                let limit = limit.max(0.0); // degenerate steps clamp to zero
+                let better = match leave {
+                    None => {
+                        limit < t_best - PIVOT_TOL || (t_best.is_infinite() && limit.is_finite())
+                    }
+                    Some((r, _)) => {
+                        limit < t_best - PIVOT_TOL
+                            // stability tie-break: larger pivot magnitude
+                            || (limit < t_best + PIVOT_TOL
+                                && self.at(i, q).abs() > self.at(r, q).abs())
+                    }
+                };
+                if better {
+                    t_best = limit;
+                    leave = Some((i, hits_upper));
+                }
+            }
+
+            if t_best.is_infinite() {
+                return StepOutcome::Unbounded;
+            }
+
+            self.iterations += 1;
+            let v_q = self.nonbasic_value(q);
+
+            match leave {
+                // Bound flip: entering variable runs to its opposite bound.
+                None => {
+                    for i in 0..self.m {
+                        self.xb[i] -= dir * t_best * self.at(i, q);
+                    }
+                    self.status[q] = if dir > 0.0 {
+                        ColStatus::AtUpper
+                    } else {
+                        ColStatus::AtLower
+                    };
+                }
+                Some((r, hits_upper)) => {
+                    for i in 0..self.m {
+                        self.xb[i] -= dir * t_best * self.at(i, q);
+                    }
+                    let old = self.basis[r];
+                    // Snap the leaving variable exactly onto the bound it hit.
+                    self.status[old] = if hits_upper {
+                        self.xb[r] = self.ub[old];
+                        ColStatus::AtUpper
+                    } else {
+                        self.xb[r] = self.lb[old];
+                        ColStatus::AtLower
+                    };
+                    let entering_value = v_q + dir * t_best;
+                    self.pivot(r, q);
+                    self.basis[r] = q;
+                    self.status[q] = ColStatus::Basic(r);
+                    self.xb[r] = entering_value;
+                }
+            }
+            StepOutcome::Pivoted
+        }
+
+        /// Gaussian elimination so column `q` becomes the `r`-th unit vector;
+        /// also updates the reduced-cost row.
+        fn pivot(&mut self, r: usize, q: usize) {
+            let n = self.n;
+            let piv = self.t[r * n + q];
+            debug_assert!(piv.abs() > PIVOT_TOL, "pivot too small: {piv}");
+            let inv = 1.0 / piv;
+            for j in 0..n {
+                self.t[r * n + j] *= inv;
+            }
+            self.t[r * n + q] = 1.0; // exact
+            for i in 0..self.m {
+                if i == r {
+                    continue;
+                }
+                let factor = self.t[i * n + q];
+                if factor == 0.0 {
+                    continue;
+                }
+                for j in 0..n {
+                    self.t[i * n + j] -= factor * self.t[r * n + j];
+                }
+                self.t[i * n + q] = 0.0; // exact
+            }
+            let dq = self.d[q];
+            if dq != 0.0 {
+                for j in 0..n {
+                    self.d[j] -= dq * self.t[r * n + j];
+                }
+                self.d[q] = 0.0;
+            }
+        }
+
+        /// Runs simplex iterations until optimal / unbounded / capped / past
+        /// the caller's deadline.
+        fn optimize(&mut self, max_iters: usize, deadline: Option<Instant>) -> OptimizeEnd {
+            let stall_switch = 3 * (self.m + self.n) + 200;
+            let start = self.iterations;
+            loop {
+                if self.iterations - start > stall_switch {
+                    self.bland = true;
+                }
+                if self.iterations > max_iters {
+                    return OptimizeEnd::IterationCap;
+                }
+                if self.iterations & DEADLINE_POLL_MASK == 0 {
+                    if let Some(d) = deadline {
+                        if Instant::now() >= d {
+                            return OptimizeEnd::TimedOut;
+                        }
+                    }
+                }
+                match self.step() {
+                    StepOutcome::Pivoted => continue,
+                    other => return OptimizeEnd::Done(other),
+                }
+            }
+        }
+
+        /// Recomputes reduced costs `d = c - c_B·T` for a new cost vector.
+        fn reprice(&mut self, c: &[f64]) {
+            self.d.copy_from_slice(c);
+            for i in 0..self.m {
+                let cb = c[self.basis[i]];
+                if cb == 0.0 {
+                    continue;
+                }
+                for j in 0..self.n {
+                    self.d[j] -= cb * self.t[i * self.n + j];
+                }
+            }
+            for i in 0..self.m {
+                self.d[self.basis[i]] = 0.0;
+            }
+        }
+
+        /// The cold two-phase primal on a fresh tableau.
+        pub(super) fn solve_cold(p: &LpProblem<'_>, cfg: &LpConfig) -> LpOutcome {
+            let m = p.rows.len();
+            let n_struct = p.ncols;
+            let n_slack = m;
+            let n = n_struct + n_slack + m; // + artificials
+
+            // Dense tableau of the original system (B = signed identity on
+            // artificials initially, folded in below).
+            let mut tab = Tableau {
+                m,
+                n,
+                t: vec![0.0; m * n],
+                d: vec![0.0; n],
+                xb: Vec::with_capacity(m),
+                basis: Vec::with_capacity(m),
+                status: Vec::with_capacity(n),
+                lb: p.lb.to_vec(),
+                ub: p.ub.to_vec(),
+                opt_tol: cfg.opt_tol,
+                iterations: 0,
+                bland: false,
+            };
+            for (_, cmp, _) in p.rows {
+                let (lo, hi) = match cmp {
+                    Cmp::Le => (0.0, f64::INFINITY),
+                    Cmp::Ge => (f64::NEG_INFINITY, 0.0),
+                    Cmp::Eq => (0.0, 0.0),
+                };
+                tab.lb.push(lo);
+                tab.ub.push(hi);
+            }
+            tab.lb.resize(n, 0.0);
+            tab.ub.resize(n, f64::INFINITY);
+
+            for j in 0..n_struct + n_slack {
+                tab.status.push(default_status(tab.lb[j], tab.ub[j]));
+            }
+            tab.status.resize(n, ColStatus::AtLower);
+
+            // Row data and initial residuals r_i = b_i - A_i · x_N.
+            for (i, (terms, _, rhs)) in p.rows.iter().enumerate() {
+                let mut residual = *rhs;
+                for &(j, a) in terms {
+                    tab.t[i * n + j] = a;
+                    residual -= a * tab.nonbasic_value(j);
+                }
+                // slack column
+                let sj = n_struct + i;
+                tab.t[i * n + sj] = 1.0;
+                residual -= tab.nonbasic_value(sj);
+                // artificial column, signed so it starts basic and >= 0
+                let aj = n_struct + n_slack + i;
+                let sign = if residual >= 0.0 { 1.0 } else { -1.0 };
+                tab.t[i * n + aj] = sign;
+                // Fold B⁻¹ = diag(sign) into the tableau row immediately.
+                if sign < 0.0 {
+                    for j in 0..n {
+                        tab.t[i * n + j] = -tab.t[i * n + j];
+                    }
+                }
+                tab.basis.push(aj);
+                tab.status[aj] = ColStatus::Basic(i);
+                tab.xb.push(residual.abs());
+            }
+
+            let max_iters = 60 * (m + n) + 5_000;
+
+            // --- Phase 1: minimize the sum of artificials ------------------
+            let mut cost = vec![0.0; n];
+            cost[n_struct + n_slack..].fill(1.0);
+            tab.reprice(&cost);
+            match tab.optimize(max_iters, cfg.deadline) {
+                OptimizeEnd::IterationCap => return LpOutcome::IterationLimit,
+                OptimizeEnd::TimedOut => return LpOutcome::TimedOut,
+                OptimizeEnd::Done(StepOutcome::Unbounded) => {
+                    // Phase-1 objective is bounded below by 0.
+                    panic!("phase 1 reported unbounded");
+                }
+                OptimizeEnd::Done(_) => {}
+            }
+            let phase1_obj: f64 = (0..m)
+                .filter(|&i| tab.basis[i] >= n_struct + n_slack)
+                .map(|i| tab.xb[i])
+                .sum();
+            if phase1_obj > cfg.feas_tol.max(1e-7) * (1.0 + phase1_obj.abs()) && phase1_obj > 1e-6 {
+                return LpOutcome::Infeasible;
+            }
+
+            // Fix artificials at zero so they can never re-enter or grow.
+            for j in n_struct + n_slack..n {
+                tab.lb[j] = 0.0;
+                tab.ub[j] = 0.0;
+                if let ColStatus::Basic(r) = tab.status[j] {
+                    // Snap tiny residuals to exactly zero.
+                    if tab.xb[r].abs() <= 1e-6 {
+                        tab.xb[r] = 0.0;
+                    }
+                } else {
+                    tab.status[j] = ColStatus::AtLower;
+                }
+            }
+
+            // --- Phase 2: the real objective -------------------------------
+            cost.fill(0.0);
+            cost[..n_struct].copy_from_slice(p.c);
+            tab.reprice(&cost);
+            tab.bland = false;
+            match tab.optimize(max_iters, cfg.deadline) {
+                OptimizeEnd::IterationCap => LpOutcome::IterationLimit,
+                OptimizeEnd::TimedOut => LpOutcome::TimedOut,
+                OptimizeEnd::Done(StepOutcome::Unbounded) => LpOutcome::Unbounded,
+                OptimizeEnd::Done(_) => {
+                    let x: Vec<f64> = (0..n_struct).map(|j| tab.nonbasic_value(j)).collect();
+                    let obj = p.c.iter().zip(&x).map(|(c, v)| c * v).sum();
+                    LpOutcome::Optimal { x, obj }
+                }
+            }
+        }
+    }
+}
+
+/// Cold one-shot solve on a chosen kernel — the sparse revised simplex or
+/// the dense reference tableau — for the differential unit tests.
 #[cfg(test)]
 pub(crate) fn solve_lp_kernel(
     p: &LpProblem<'_>,
@@ -1317,17 +755,23 @@ pub(crate) fn solve_lp_kernel(
         opt_tol,
         deadline,
         warm_pivot_cap: 0,
-        sparse,
         refactor_interval: 0,
     };
-    Workspace::new().solve(p, None, &cfg).0
+    if sparse {
+        Workspace::new().solve(p, None, &cfg).0
+    } else {
+        dense::Tableau::solve_cold(p, &cfg)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     /// Owned problem data for tests; `LpProblem` itself borrows.
+    #[derive(Clone)]
     struct Owned {
         ncols: usize,
         rows: Vec<SparseRow>,
@@ -1358,40 +802,40 @@ mod tests {
         (terms, Cmp::Eq, rhs)
     }
 
-    fn cfg_kernel(sparse: bool) -> LpConfig {
+    fn cfg() -> LpConfig {
         LpConfig {
             feas_tol: 1e-7,
             opt_tol: 1e-9,
             deadline: None,
             warm_pivot_cap: 0,
-            sparse,
             refactor_interval: 0,
         }
     }
 
-    fn cfg() -> LpConfig {
-        cfg_kernel(true)
-    }
-
-    /// Differential solve: every in-module case runs on both kernels and
-    /// must agree on the outcome variant (and objective, when optimal)
-    /// before the sparse result is handed to the assertion.
-    fn solve(p: &Owned) -> LpOutcome {
-        let dense = solve_lp_kernel(&p.as_problem(), 1e-7, 1e-9, None, false);
-        let sparse = solve_lp_kernel(&p.as_problem(), 1e-7, 1e-9, None, true);
-        match (&dense, &sparse) {
+    /// Requires `got` to match the dense oracle's `want`: the same outcome
+    /// variant, and the same objective when optimal.
+    fn assert_agrees(want: &LpOutcome, got: &LpOutcome, what: &str) {
+        match (want, got) {
             (LpOutcome::Optimal { obj: a, .. }, LpOutcome::Optimal { obj: b, .. }) => {
                 assert!(
                     (a - b).abs() <= 1e-7 * (1.0 + a.abs()),
-                    "dense obj {a} vs sparse obj {b}"
+                    "{what}: dense obj {a} vs sparse obj {b}"
                 );
             }
             (d, s) => assert_eq!(
                 std::mem::discriminant(d),
                 std::mem::discriminant(s),
-                "dense {d:?} vs sparse {s:?}"
+                "{what}: dense {d:?} vs sparse {s:?}"
             ),
         }
+    }
+
+    /// Differential solve: every in-module case runs cold on both kernels
+    /// and must agree before the sparse result is handed to the assertion.
+    fn solve(p: &Owned) -> LpOutcome {
+        let dense = solve_lp_kernel(&p.as_problem(), 1e-7, 1e-9, None, false);
+        let sparse = solve_lp_kernel(&p.as_problem(), 1e-7, 1e-9, None, true);
+        assert_agrees(&dense, &sparse, "cold");
         sparse
     }
 
@@ -1625,78 +1069,49 @@ mod tests {
 
     #[test]
     fn hot_warm_start_matches_cold_after_tightening() {
-        for c in [cfg_kernel(false), cfg_kernel(true)] {
-            let mut p = branchy();
-            let mut ws = Workspace::new();
-            let (out, info) = ws.solve(&p.as_problem(), None, &c);
-            expect_opt(&out);
-            assert!(!info.warm);
-            let snap = ws.snapshot();
+        let c = cfg();
+        let mut p = branchy();
+        let mut ws = Workspace::new();
+        let (out, info) = ws.solve(&p.as_problem(), None, &c);
+        expect_opt(&out);
+        assert!(!info.warm);
+        let snap = ws.snapshot();
 
-            // Branch x1 down to 0, then up to 1, reusing the same workspace.
-            for (lo, hi) in [(0.0, 0.0), (1.0, 1.0)] {
-                p.lb[1] = lo;
-                p.ub[1] = hi;
-                let (warm_out, warm_info) = ws.solve(&p.as_problem(), Some(&snap), &c);
-                let (wx, wobj) = expect_opt(&warm_out);
-                assert!(warm_info.warm, "expected the warm path for ({lo},{hi})");
-                let (cx, cobj) = optimal(&p);
-                assert!(
-                    (wobj - cobj).abs() <= 1e-9 * (1.0 + cobj.abs()),
-                    "warm {wobj} vs cold {cobj}"
-                );
-                for (a, b) in wx.iter().zip(&cx) {
-                    assert!((a - b).abs() < 1e-6, "warm x {wx:?} vs cold {cx:?}");
-                }
+        // Branch x1 down to 0, then up to 1, reusing the same workspace.
+        for (lo, hi) in [(0.0, 0.0), (1.0, 1.0)] {
+            p.lb[1] = lo;
+            p.ub[1] = hi;
+            let (warm_out, warm_info) = ws.solve(&p.as_problem(), Some(&snap), &c);
+            let (wx, wobj) = expect_opt(&warm_out);
+            assert!(warm_info.warm, "expected the warm path for ({lo},{hi})");
+            let (cx, cobj) = optimal(&p);
+            assert!(
+                (wobj - cobj).abs() <= 1e-9 * (1.0 + cobj.abs()),
+                "warm {wobj} vs cold {cobj}"
+            );
+            for (a, b) in wx.iter().zip(&cx) {
+                assert!((a - b).abs() < 1e-6, "warm x {wx:?} vs cold {cx:?}");
             }
         }
     }
 
     #[test]
     fn refactorized_warm_start_from_foreign_workspace() {
-        for c in [cfg_kernel(false), cfg_kernel(true)] {
-            let mut p = branchy();
-            let mut ws1 = Workspace::new();
-            let (out, _) = ws1.solve(&p.as_problem(), None, &c);
-            expect_opt(&out);
-            let snap = ws1.snapshot();
+        let c = cfg();
+        let mut p = branchy();
+        let mut ws1 = Workspace::new();
+        let (out, _) = ws1.solve(&p.as_problem(), None, &c);
+        expect_opt(&out);
+        let snap = ws1.snapshot();
 
-            // A different workspace never saw this basis: must refactorize.
-            p.ub[0] = 0.0;
-            let mut ws2 = Workspace::new();
-            let (warm_out, warm_info) = ws2.solve(&p.as_problem(), Some(&snap), &c);
-            let (_, wobj) = expect_opt(&warm_out);
-            assert!(warm_info.warm);
-            let (_, cobj) = optimal(&p);
-            assert!((wobj - cobj).abs() <= 1e-9 * (1.0 + cobj.abs()));
-        }
-    }
-
-    #[test]
-    fn snapshot_crosses_kernels_both_ways() {
-        // A basis captured on one kernel must warm-start the other: the
-        // snapshot format is kernel-agnostic, and a cross-solve basis store
-        // is free to hand a sparse-made snapshot to the dense kernel (or
-        // vice versa).
-        for (first, second) in [(false, true), (true, false)] {
-            let mut p = branchy();
-            let mut ws = Workspace::new();
-            let (out, _) = ws.solve(&p.as_problem(), None, &cfg_kernel(first));
-            expect_opt(&out);
-            let snap = ws.snapshot();
-
-            p.ub[1] = 0.0;
-            let (warm_out, info) = ws.solve(&p.as_problem(), Some(&snap), &cfg_kernel(second));
-            let (_, wobj) = expect_opt(&warm_out);
-            let (_, cobj) = optimal(&p);
-            assert!(
-                (wobj - cobj).abs() <= 1e-9 * (1.0 + cobj.abs()),
-                "cross-kernel warm {wobj} vs cold {cobj}"
-            );
-            // The hot path must NOT fire across kernels; warm (refactorize)
-            // or cold fallback are both acceptable, wrong answers are not.
-            let _ = info;
-        }
+        // A different workspace never saw this basis: must refactorize.
+        p.ub[0] = 0.0;
+        let mut ws2 = Workspace::new();
+        let (warm_out, warm_info) = ws2.solve(&p.as_problem(), Some(&snap), &c);
+        let (_, wobj) = expect_opt(&warm_out);
+        assert!(warm_info.warm);
+        let (_, cobj) = optimal(&p);
+        assert!((wobj - cobj).abs() <= 1e-9 * (1.0 + cobj.abs()));
     }
 
     #[test]
@@ -1723,50 +1138,48 @@ mod tests {
     fn warm_start_with_redundant_equality_basis() {
         // The snapshot keeps an artificial basic on the redundant row;
         // refactorization must re-admit it as a plain unit column.
-        for c in [cfg_kernel(false), cfg_kernel(true)] {
-            let mut p = Owned {
-                ncols: 2,
-                rows: vec![
-                    eq(vec![(0, 1.0), (1, 1.0)], 2.0),
-                    eq(vec![(0, 1.0), (1, 1.0)], 2.0),
-                ],
-                c: vec![1.0, 2.0],
-                lb: vec![0.0, 0.0],
-                ub: vec![2.0, 2.0],
-            };
-            let mut ws = Workspace::new();
-            let (out, _) = ws.solve(&p.as_problem(), None, &c);
-            expect_opt(&out);
-            let snap = ws.snapshot();
+        let c = cfg();
+        let mut p = Owned {
+            ncols: 2,
+            rows: vec![
+                eq(vec![(0, 1.0), (1, 1.0)], 2.0),
+                eq(vec![(0, 1.0), (1, 1.0)], 2.0),
+            ],
+            c: vec![1.0, 2.0],
+            lb: vec![0.0, 0.0],
+            ub: vec![2.0, 2.0],
+        };
+        let mut ws = Workspace::new();
+        let (out, _) = ws.solve(&p.as_problem(), None, &c);
+        expect_opt(&out);
+        let snap = ws.snapshot();
 
-            p.ub[0] = 0.5; // force x1 = 1.5
-            let (warm_out, info) = ws.solve(&p.as_problem(), Some(&snap), &c);
-            let (x, obj) = expect_opt(&warm_out);
-            assert!(info.warm);
-            assert!((x[0] - 0.5).abs() < 1e-6);
-            assert!((obj - 3.5).abs() < 1e-6);
-        }
+        p.ub[0] = 0.5; // force x1 = 1.5
+        let (warm_out, info) = ws.solve(&p.as_problem(), Some(&snap), &c);
+        let (x, obj) = expect_opt(&warm_out);
+        assert!(info.warm);
+        assert!((x[0] - 0.5).abs() < 1e-6);
+        assert!((obj - 3.5).abs() < 1e-6);
     }
 
     #[test]
     fn tiny_pivot_cap_forces_cold_fallback() {
-        for mut c in [cfg_kernel(false), cfg_kernel(true)] {
-            let mut p = branchy();
-            let mut ws = Workspace::new();
-            ws.solve(&p.as_problem(), None, &c);
-            let snap = ws.snapshot();
+        let mut c = cfg();
+        let mut p = branchy();
+        let mut ws = Workspace::new();
+        ws.solve(&p.as_problem(), None, &c);
+        let snap = ws.snapshot();
 
-            p.ub[1] = 0.0;
-            p.lb[2] = 1.0;
-            c.warm_pivot_cap = 1; // starve the dual loop so it caps out
-            let (out, info) = ws.solve(&p.as_problem(), Some(&snap), &c);
-            let (_, wobj) = expect_opt(&out);
-            let (_, cobj) = optimal(&p);
-            assert!((wobj - cobj).abs() <= 1e-9 * (1.0 + cobj.abs()));
-            // Either the dual finished within one pivot (warm) or it fell
-            // back cold; both must be correct, a cap must never error out.
-            let _ = info;
-        }
+        p.ub[1] = 0.0;
+        p.lb[2] = 1.0;
+        c.warm_pivot_cap = 1; // starve the dual loop so it caps out
+        let (out, info) = ws.solve(&p.as_problem(), Some(&snap), &c);
+        let (_, wobj) = expect_opt(&out);
+        let (_, cobj) = optimal(&p);
+        assert!((wobj - cobj).abs() <= 1e-9 * (1.0 + cobj.abs()));
+        // Either the dual finished within one pivot (warm) or it fell
+        // back cold; both must be correct, a cap must never error out.
+        let _ = info;
     }
 
     #[test]
@@ -1776,24 +1189,23 @@ mod tests {
         // helpful column is boxed to zero width), or the claim fails the
         // certificate and a cold solve confirms it. Either way the outcome
         // must be `Infeasible` — never a bogus optimum.
-        for c in [cfg_kernel(false), cfg_kernel(true)] {
-            let mut p = Owned {
-                ncols: 2,
-                rows: vec![ge(vec![(0, 1.0), (1, 1.0)], 1.5)],
-                c: vec![1.0, 1.0],
-                lb: vec![0.0, 0.0],
-                ub: vec![1.0, 1.0],
-            };
-            let mut ws = Workspace::new();
-            let (out, _) = ws.solve(&p.as_problem(), None, &c);
-            expect_opt(&out);
-            let snap = ws.snapshot();
+        let c = cfg();
+        let mut p = Owned {
+            ncols: 2,
+            rows: vec![ge(vec![(0, 1.0), (1, 1.0)], 1.5)],
+            c: vec![1.0, 1.0],
+            lb: vec![0.0, 0.0],
+            ub: vec![1.0, 1.0],
+        };
+        let mut ws = Workspace::new();
+        let (out, _) = ws.solve(&p.as_problem(), None, &c);
+        expect_opt(&out);
+        let snap = ws.snapshot();
 
-            p.ub[0] = 0.0;
-            p.ub[1] = 0.0;
-            let (out, _info) = ws.solve(&p.as_problem(), Some(&snap), &c);
-            assert!(matches!(out, LpOutcome::Infeasible), "got {out:?}");
-        }
+        p.ub[0] = 0.0;
+        p.ub[1] = 0.0;
+        let (out, _info) = ws.solve(&p.as_problem(), Some(&snap), &c);
+        assert!(matches!(out, LpOutcome::Infeasible), "got {out:?}");
     }
 
     #[test]
@@ -1802,30 +1214,29 @@ mod tests {
         // via two Ge rows): feasible, but a narrow warm box might tempt a
         // sloppy certificate. The solve must find the optimum, not claim
         // infeasibility.
-        for c in [cfg_kernel(false), cfg_kernel(true)] {
-            let mut p = Owned {
-                ncols: 2,
-                rows: vec![
-                    ge(vec![(0, 1.0), (1, -1.0)], 0.0),
-                    ge(vec![(0, -1.0), (1, 1.0)], 0.0),
-                ],
-                c: vec![1.0, 0.0],
-                lb: vec![0.0, f64::NEG_INFINITY],
-                ub: vec![5.0, f64::INFINITY],
-            };
-            let mut ws = Workspace::new();
-            let (out, _) = ws.solve(&p.as_problem(), None, &c);
-            expect_opt(&out);
-            let snap = ws.snapshot();
+        let c = cfg();
+        let mut p = Owned {
+            ncols: 2,
+            rows: vec![
+                ge(vec![(0, 1.0), (1, -1.0)], 0.0),
+                ge(vec![(0, -1.0), (1, 1.0)], 0.0),
+            ],
+            c: vec![1.0, 0.0],
+            lb: vec![0.0, f64::NEG_INFINITY],
+            ub: vec![5.0, f64::INFINITY],
+        };
+        let mut ws = Workspace::new();
+        let (out, _) = ws.solve(&p.as_problem(), None, &c);
+        expect_opt(&out);
+        let snap = ws.snapshot();
 
-            p.lb[0] = 2.0;
-            p.ub[0] = 3.0;
-            let (out, _) = ws.solve(&p.as_problem(), Some(&snap), &c);
-            let LpOutcome::Optimal { obj, .. } = out else {
-                panic!("feasible child judged {out:?}");
-            };
-            assert!((obj - 2.0).abs() < 1e-6, "obj {obj}");
-        }
+        p.lb[0] = 2.0;
+        p.ub[0] = 3.0;
+        let (out, _) = ws.solve(&p.as_problem(), Some(&snap), &c);
+        let LpOutcome::Optimal { obj, .. } = out else {
+            panic!("feasible child judged {out:?}");
+        };
+        assert!((obj - 2.0).abs() < 1e-6, "obj {obj}");
     }
 
     #[test]
@@ -1835,16 +1246,155 @@ mod tests {
         // refactorization after every pivot must not change the optimum.
         let p = branchy();
         let mut ws = Workspace::new();
-        let (out, info) = ws.solve(&p.as_problem(), None, &cfg_kernel(true));
+        let (out, info) = ws.solve(&p.as_problem(), None, &cfg());
         let (_, obj) = expect_opt(&out);
         assert!(info.refactors >= 1, "refactors {}", info.refactors);
 
-        let mut forced = cfg_kernel(true);
+        let mut forced = cfg();
         forced.refactor_interval = 1;
         let mut ws2 = Workspace::new();
         let (out2, info2) = ws2.solve(&p.as_problem(), None, &forced);
         let (_, obj2) = expect_opt(&out2);
         assert!((obj - obj2).abs() <= 1e-9 * (1.0 + obj.abs()));
         assert!(info2.refactors >= info.refactors);
+    }
+
+    // --- seeded property test: warm tiers against the dense oracle -----
+
+    /// An integer point of the box `[lb, ub]` (integer bounds).
+    fn random_point(rng: &mut StdRng, lb: &[f64], ub: &[f64]) -> Vec<f64> {
+        lb.iter()
+            .zip(ub)
+            .map(|(&l, &u)| f64::from(rng.gen_range(l as i32..=u as i32)))
+            .collect()
+    }
+
+    /// A row with small integer coefficients that `x` satisfies: an
+    /// equality through `x`, or an inequality with up to 3 units of slack.
+    fn random_row(rng: &mut StdRng, ncols: usize, x: &[f64]) -> SparseRow {
+        let mut terms = Vec::new();
+        for j in 0..ncols {
+            let a = f64::from(rng.gen_range(-4i32..=4));
+            if a != 0.0 && rng.gen_bool(0.6) {
+                terms.push((j, a));
+            }
+        }
+        if terms.is_empty() {
+            terms.push((rng.gen_range(0..ncols), 1.0));
+        }
+        let at_x: f64 = terms.iter().map(|&(j, a)| a * x[j]).sum();
+        let slack = f64::from(rng.gen_range(0i32..=3));
+        match rng.gen_range(0..5u32) {
+            0 => (terms, Cmp::Eq, at_x),
+            1 | 2 => (terms, Cmp::Le, at_x + slack),
+            _ => (terms, Cmp::Ge, at_x - slack),
+        }
+    }
+
+    /// A random bounded LP with small integer data: 2–7 columns in integer
+    /// boxes and 1–5 rows that one integer point of the box satisfies, so
+    /// the cold solve is always optimal.
+    fn random_bounded_lp(rng: &mut StdRng) -> Owned {
+        let ncols = rng.gen_range(2..8usize);
+        let lb: Vec<f64> = (0..ncols)
+            .map(|_| f64::from(rng.gen_range(-3i32..=0)))
+            .collect();
+        let ub: Vec<f64> = lb
+            .iter()
+            .map(|&l| l + f64::from(rng.gen_range(1i32..=4)))
+            .collect();
+        let x0 = random_point(rng, &lb, &ub);
+        let rows = (0..rng.gen_range(1..6usize))
+            .map(|_| random_row(rng, ncols, &x0))
+            .collect();
+        let c = (0..ncols)
+            .map(|_| f64::from(rng.gen_range(-5i32..=5)))
+            .collect();
+        Owned {
+            ncols,
+            rows,
+            c,
+            lb,
+            ub,
+        }
+    }
+
+    /// Seeded property test of the warm tiers. On random bounded LPs it
+    /// solves cold and takes a snapshot, then
+    /// (a) tightens one to three bounds to integers inside the box, as
+    ///     branching does, and re-solves both hot in the same workspace and
+    ///     by reloading the snapshot into a fresh one;
+    /// (b) appends one to three random rows and re-solves from the
+    ///     snapshot, which now has fewer rows than the problem: the
+    ///     slack-extension load that every cut round and every cross-solve
+    ///     `Warm` seed takes.
+    ///
+    /// Every outcome and objective must equal the dense oracle's cold solve.
+    #[test]
+    fn warm_tiers_match_dense_oracle() {
+        const CASES: usize = 400;
+        let c = cfg();
+        let mut rng = StdRng::seed_from_u64(0x5eed);
+        let mut warm = [0usize; 3];
+        let mut infeasible = [0usize; 2];
+        for case in 0..CASES {
+            let base = random_bounded_lp(&mut rng);
+            let mut ws = Workspace::new();
+            let (out, _) = ws.solve(&base.as_problem(), None, &c);
+            expect_opt(&out);
+            let snap = ws.snapshot();
+
+            // (a) Tightened bounds over the same row set, so the workspace
+            // that took the snapshot may re-seed in place.
+            let (mut lb, mut ub) = (base.lb.clone(), base.ub.clone());
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let j = rng.gen_range(0..base.ncols);
+                let v = f64::from(rng.gen_range(lb[j] as i32..=ub[j] as i32));
+                if rng.gen_bool(0.5) {
+                    lb[j] = v;
+                } else {
+                    ub[j] = v;
+                }
+            }
+            let tight = LpProblem {
+                lb: &lb,
+                ub: &ub,
+                ..base.as_problem()
+            };
+            let want = solve_lp_kernel(&tight, 1e-7, 1e-9, None, false);
+            infeasible[0] += usize::from(matches!(want, LpOutcome::Infeasible));
+            let (hot, info) = ws.solve(&tight, Some(&snap), &c);
+            assert_agrees(&want, &hot, &format!("case {case} hot"));
+            warm[0] += usize::from(info.warm);
+            let (reloaded, info) = Workspace::new().solve(&tight, Some(&snap), &c);
+            assert_agrees(&want, &reloaded, &format!("case {case} reloaded"));
+            warm[1] += usize::from(info.warm);
+
+            // (b) Appended rows, through a point of the box that need not
+            // satisfy the original rows.
+            let mut grown = base.clone();
+            let x1 = random_point(&mut rng, &grown.lb, &grown.ub);
+            for _ in 0..rng.gen_range(1..=3usize) {
+                let row = random_row(&mut rng, grown.ncols, &x1);
+                grown.rows.push(row);
+            }
+            let want = solve_lp_kernel(&grown.as_problem(), 1e-7, 1e-9, None, false);
+            infeasible[1] += usize::from(matches!(want, LpOutcome::Infeasible));
+            let (extended, info) = Workspace::new().solve(&grown.as_problem(), Some(&snap), &c);
+            assert_agrees(&want, &extended, &format!("case {case} extended"));
+            warm[2] += usize::from(info.warm);
+        }
+        // A fallback is legitimate now and then, but a tier that rarely
+        // engages tests little, and both verdicts must be exercised.
+        for (tier, count) in ["hot", "reloaded", "extended"].iter().zip(warm) {
+            assert!(
+                count * 10 > CASES * 9,
+                "{tier}: only {count} of {CASES} solves stayed warm"
+            );
+        }
+        assert!(
+            infeasible.iter().all(|&n| n > 0 && n < CASES),
+            "infeasible verdicts (tightened, extended): {infeasible:?}"
+        );
     }
 }

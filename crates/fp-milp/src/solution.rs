@@ -23,28 +23,25 @@ pub struct SolveStats {
     /// Nodes whose LP was solved warm from a known basis, so that
     /// `warm_nodes + cold_nodes == nodes`. A child node starts from its
     /// parent's basis. The root starts from the basis the root cut loop
-    /// committed, or from a [`BasisStore`](crate::BasisStore) entry, and
-    /// solves cold only when it has neither.
+    /// committed (whose first LP may itself start from a
+    /// [`BasisStore`](crate::BasisStore) entry), or, with strengthening
+    /// off, from the store entry directly, and solves cold only when it has
+    /// neither.
     pub warm_nodes: usize,
     /// Nodes solved by the cold two-phase primal (including warm attempts
     /// that fell back on numerical trouble).
     pub cold_nodes: usize,
-    /// Total basis LU (re)factorizations across all node LPs. Zero when the
-    /// dense reference kernel solves them ([`SparseMode::Dense`], or
-    /// [`SparseMode::Auto`] below its size threshold), since the dense
-    /// tableau never factorizes.
-    ///
-    /// [`SparseMode::Dense`]: crate::SparseMode::Dense
-    /// [`SparseMode::Auto`]: crate::SparseMode::Auto
+    /// Total basis LU (re)factorizations across all node LPs: every cold
+    /// start and snapshot load factorizes the basis, and the eta file is
+    /// folded into fresh factors once it reaches 64 updates, outgrows the
+    /// factors, or a pivot looks numerically unstable.
     pub refactorizations: usize,
     /// Total eta-file basis updates recorded between refactorizations
-    /// across all node LPs (sparse kernel only; see
-    /// [`SolveOptions::refactor_interval`](crate::SolveOptions::refactor_interval)).
+    /// across all node LPs, one per basis exchange.
     pub eta_updates: usize,
     /// Wall-clock time of the solve.
     pub elapsed: Duration,
-    /// Classic presolve fixpoint passes actually run (capped by
-    /// [`SolveOptions::presolve_passes`](crate::SolveOptions::presolve_passes)).
+    /// Classic presolve fixpoint passes actually run, at most 4.
     pub presolve_passes: usize,
     /// Rows whose big-M / binary coefficients were tightened at the root.
     pub rows_tightened: usize,
@@ -56,11 +53,13 @@ pub struct SolveStats {
     pub implications: usize,
     /// Cutting planes appended to the root LP (inherited by every node).
     pub cuts_added: usize,
-    /// How the root LP was seeded from a cross-solve
-    /// [`BasisStore`](crate::BasisStore): `Hot` (exact-dimension stored
-    /// basis), `Warm` (stored basis over fewer rows, slack-extended), or
-    /// `Cold` (no cross-solve basis engaged — the default, including when
-    /// no store is wired or the cut loop committed its own basis).
+    /// Which cross-solve [`BasisStore`](crate::BasisStore) seed the root
+    /// LP was offered: `Hot` (a stored basis over exactly the presolved row
+    /// count), `Warm` (a stored basis over fewer rows, slack-extended on
+    /// load), or `Cold` (no seed fetched — the default, including when no
+    /// store is wired or warm starts are off). A fetched seed feeds the
+    /// root cut loop's first LP, or the root node itself when strengthening
+    /// is off, so the tier is `Hot` or `Warm` whenever one was fetched.
     pub basis_tier: crate::BasisTier,
 }
 

@@ -3,13 +3,13 @@
 //! periodic refactorization on a fill / instability trigger, and partial
 //! pricing over the nonbasic set.
 //!
-//! This kernel implements exactly the same bounded-variable two-phase
-//! primal and dual simplex semantics as the dense tableau in `simplex.rs`
-//! (same slack/artificial column layout, same pivot eligibility rules,
-//! tie-breaks, stall-to-Bland switch, and tolerances), so the two engines
-//! are interchangeable behind [`Workspace`](crate::simplex::Workspace) and
-//! can be differentially tested against each other. The difference is pure
-//! arithmetic: instead of maintaining `B⁻¹·A` densely (O(m·n) per pivot),
+//! This is the solver's only LP kernel; [`Workspace`](crate::simplex::Workspace)
+//! runs every node LP on it. Its bounded-variable two-phase primal follows
+//! the dense reference tableau kept in `simplex.rs`'s tests (same
+//! slack/artificial column layout, same pivot eligibility rules,
+//! tie-breaks, stall-to-Bland switch, and tolerances), which is what lets
+//! those tests use the tableau as a differential oracle. The difference is
+//! pure arithmetic: instead of maintaining `B⁻¹·A` densely (O(m·n) per pivot),
 //! the revised method keeps an LU factorization of the `m×m` basis and
 //! answers the two linear systems each pivot needs —
 //! `FTRAN: B·α = a_q` and `BTRAN: Bᵀ·y = c_B` — through the factors plus a
@@ -96,7 +96,7 @@ impl Csc {
     }
 
     /// Rebuilds the matrix from `rows`. Duplicate terms within a row keep
-    /// the last occurrence, matching the dense builder's overwrite.
+    /// the last occurrence, matching the dense test oracle's overwrite.
     fn build(&mut self, rows: &[SparseRow], ncols: usize) {
         let mut cols: Vec<Vec<(usize, f64)>> = vec![Vec::new(); ncols];
         let mut tmp: Vec<(usize, f64)> = Vec::new();
@@ -585,9 +585,10 @@ fn btran(lu: &Lu, etas: &EtaFile, c: &mut [f64], out: &mut [f64]) {
     }
 }
 
-/// Reusable sparse revised simplex state, the per-solve peer of the dense
-/// [`Tableau`](crate::simplex). Column layout, statuses, and pivot rules
-/// mirror the dense kernel exactly; see the module docs for what differs.
+/// Reusable sparse revised simplex state, owned by one
+/// [`Workspace`](crate::simplex::Workspace) per solve. Column layout,
+/// statuses, and pivot rules mirror the dense test oracle; see the module
+/// docs for what differs.
 pub(crate) struct SparseKernel {
     mat: Csc,
     /// Per-row artificial signs (`±1`).
@@ -939,8 +940,8 @@ impl SparseKernel {
     }
 
     /// One primal iteration: price, FTRAN, ratio test, pivot or bound flip.
-    /// The ratio test and update rules mirror the dense kernel exactly,
-    /// with `alpha[i]` standing in for the tableau entry `T[i][q]`.
+    /// The ratio test and update rules mirror the dense test oracle's, with
+    /// `alpha[i]` standing in for its tableau entry `T[i][q]`.
     fn step(&mut self) -> StepOutcome {
         let Some((q, dir)) = self.price() else {
             return StepOutcome::Optimal;
@@ -1054,13 +1055,21 @@ impl SparseKernel {
         }
     }
 
-    /// Bounded-variable dual simplex on the revised kernel: same leaving /
-    /// entering rules as the dense version, with the stuck row's tableau
-    /// coefficients answered by one BTRAN (`ρ = B⁻ᵀ·e_r`, then
-    /// `α_j = ρ·a_j` per nonbasic column). Reduced costs are priced once on
-    /// the first pivot and then maintained incrementally across pivots
-    /// (`d_j ← d_j − θ·α_rj`, the dense kernel's cost-row update); any drift
-    /// is corrected by the primal cleanup phase, which prices fresh duals.
+    /// Bounded-variable dual simplex: starting from a dual-feasible basis
+    /// whose `x_B` violates some bounds (the warm-start state after a
+    /// branching bound change or appended cut rows), drives every basic
+    /// variable back inside its bounds while keeping the reduced-cost signs
+    /// valid. Leaving row: the largest relative bound violation. Entering
+    /// column: minimum dual ratio `d_j / α_j`, where `α_j = σ·(B⁻¹A)_rj`
+    /// and `σ` is `+1` above the upper bound, `-1` below the lower; ties
+    /// break on larger `|α|` for stability, and cheaper candidates whose
+    /// whole-interval flip cannot absorb the violation are flipped instead
+    /// (the bound-flipping ratio test in the loop). The row's coefficients come
+    /// from one BTRAN (`ρ = B⁻ᵀ·e_r`, then `α_j = ρ·a_j` per nonbasic
+    /// column). Reduced costs are priced once on the first pivot and then
+    /// maintained incrementally across pivots (`d_j ← d_j − θ·α_rj`); any
+    /// drift is corrected by the primal cleanup phase, which prices fresh
+    /// duals.
     pub(crate) fn dual_optimize(
         &mut self,
         feas_tol: f64,
@@ -1233,10 +1242,18 @@ impl SparseKernel {
         }
     }
 
-    /// One-row infeasibility certificate for a stuck dual row, identical in
-    /// logic to the dense kernel's: the row equation bounds how far `xb[r]`
-    /// can move over the whole nonbasic box. The row coefficients come from
-    /// one BTRAN instead of the tableau.
+    /// One-row infeasibility certificate for the state the dual ratio test
+    /// got stuck in: row `r`'s basic variable sits outside its bounds and
+    /// no eligible entering column exists, so the row equation bounds how
+    /// far `xb[r]` can move over the whole nonbasic box. When even the
+    /// extreme of that range stays outside the violated bound by more than
+    /// the margin, the LP is infeasible regardless of further pivoting — no
+    /// cold confirmation needed. The row coefficients come from one BTRAN.
+    ///
+    /// Columns with an unbounded range are only treated as immovable when
+    /// their row coefficient is below [`PIVOT_TOL`]: a sub-tolerance pivot
+    /// element is rejected by every pivoting rule in this kernel, so
+    /// "numerically zero" here matches what a cold solve could exploit.
     pub(crate) fn certify_infeasible(&mut self, r: usize, feas_tol: f64) -> bool {
         let bi = self.basis[r];
         let (sigma, bound) = if self.xb[r] > self.ub[bi] {
@@ -1282,7 +1299,7 @@ impl SparseKernel {
         self.cost[..self.n_struct].copy_from_slice(c);
     }
 
-    /// Cold two-phase primal solve, mirroring the dense `solve_cold`.
+    /// Cold two-phase primal solve, mirroring the dense oracle's.
     pub(crate) fn solve_cold(&mut self, p: &LpProblem<'_>, cfg: &LpConfig) -> LpOutcome {
         self.ensure_matrix(p);
         let m = p.rows.len();

@@ -64,7 +64,6 @@ pub fn sparse_root_lp_probe(model: &Model, refactor_interval: usize) -> LuProbe 
         opt_tol: 1e-9,
         deadline: None,
         warm_pivot_cap: 0,
-        sparse: true,
         refactor_interval,
     };
     let mut ws = Workspace::new();

@@ -1,19 +1,17 @@
-//! Dense vs sparse kernel equivalence: the sparse revised simplex is a
-//! performance lever, never a semantics lever. Every suite here solves the
-//! same model on the dense reference tableau (`with_sparse(false)`) and on
-//! the sparse LU + eta-file kernel (the default), and requires identical
-//! proven objectives and identical feasibility verdicts.
-//! Degenerate structure — duplicated equalities, rank-deficient row sets,
-//! zero-cost ties — gets its own cases, and a highly degenerate instance
-//! runs under a hard pivot-count watchdog so a cycling regression fails
-//! fast instead of hanging the suite.
+//! The LP kernel against ground truth. The sparse revised simplex is the
+//! solver's only kernel, so every suite here checks its proven answers
+//! against optima known without it: the classics' known optima, the
+//! hand-derived optima of degenerate structure (duplicated equalities,
+//! rank-deficient row sets, zero-cost ties), and exhaustive enumeration of
+//! the seeded random MILPs. A highly degenerate instance runs under a hard
+//! pivot-count watchdog so a cycling regression fails fast instead of
+//! hanging the suite. The differential check of the kernel against the
+//! dense reference tableau lives in `simplex.rs`'s unit tests.
 
 mod common;
 
 use common::{classic_cases, random_milp};
-use fp_milp::{
-    LinExpr, Model, Optimality, Sense, Solution, SolveError, SolveOptions, SparseMode, Var,
-};
+use fp_milp::{LinExpr, Model, Optimality, Sense, Solution, SolveError, Var};
 use std::sync::mpsc;
 use std::time::Duration;
 
@@ -27,20 +25,10 @@ fn close(a: f64, b: f64) -> bool {
     (a - b).abs() <= TOL * (1.0 + a.abs().max(b.abs()))
 }
 
-fn dense() -> SolveOptions {
-    SolveOptions::default().with_sparse(false)
-}
-
-fn sparse() -> SolveOptions {
-    SolveOptions::default().with_sparse(true)
-}
-
-/// Solves `model` under `opts` expecting proven optimality and a feasible
-/// incumbent; returns the solution for stats inspection.
-fn proven(model: &Model, opts: &SolveOptions, what: &str) -> Solution {
-    let sol = model
-        .solve_with(opts)
-        .unwrap_or_else(|e| panic!("{what}: {e:?}"));
+/// Solves `model` with the default options expecting proven optimality
+/// and a feasible incumbent; returns the solution for stats inspection.
+fn proven(model: &Model, what: &str) -> Solution {
+    let sol = model.solve().unwrap_or_else(|e| panic!("{what}: {e:?}"));
     assert_eq!(
         sol.optimality(),
         Optimality::Proven,
@@ -50,31 +38,14 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> Solution {
         model.is_feasible(sol.values(), 1e-6),
         "{what}: proven incumbent violates the model"
     );
-    if opts.sparse == SparseMode::Dense {
-        let stats = sol.stats();
-        assert_eq!(
-            (stats.refactorizations, stats.eta_updates),
-            (0, 0),
-            "{what}: dense kernel must not report factorization work"
-        );
-    }
     sol
 }
 
-/// Solves on both kernels and requires the two proven objectives to
-/// coincide; returns the agreed objective.
-fn assert_kernels_agree(model: &Model, what: &str) -> f64 {
-    let d = proven(model, &dense(), &format!("{what} [dense]")).objective();
-    let s = proven(model, &sparse(), &format!("{what} [sparse]")).objective();
-    assert!(close(d, s), "{what}: dense {d} != sparse {s}");
-    d
-}
-
 #[test]
-fn classics_agree_dense_vs_sparse() {
+fn classics_reach_known_optima() {
     for (name, build) in classic_cases() {
         let (model, expected) = build();
-        let obj = assert_kernels_agree(&model, name);
+        let obj = proven(&model, name).objective();
         assert!(
             close(obj, expected),
             "{name}: {obj} != known optimum {expected}"
@@ -82,46 +53,54 @@ fn classics_agree_dense_vs_sparse() {
     }
 }
 
-/// `SparseMode::Auto` is a dispatch policy, never a semantics lever: on
-/// every classic case it must prove the same objective as both forced
-/// kernels, whichever side of the size threshold the instance lands on.
-#[test]
-fn auto_mode_matches_forced_kernels() {
-    for (name, build) in classic_cases() {
-        let (model, expected) = build();
-        let opts = SolveOptions::default().with_sparse_mode(SparseMode::Auto);
-        let obj = proven(&model, &opts, &format!("{name} [auto]")).objective();
-        assert!(
-            close(obj, expected),
-            "{name} [auto]: {obj} != known optimum {expected}"
-        );
+/// The optimum of a seeded `random_milp` by exhaustive enumeration. Its
+/// variables are the binaries followed by the continuous `y`, which the
+/// objective rewards and only `y <= Σ b` and `y <= n` bound, so at the
+/// optimum `y` equals the number of binaries picked.
+fn enumerated_optimum(model: &Model) -> f64 {
+    let n = model.num_vars() - 1;
+    assert!(n <= 12, "{n} binaries is too many to enumerate");
+    let mut best = f64::NEG_INFINITY;
+    let mut values = vec![0.0; n + 1];
+    for mask in 0u32..1 << n {
+        for (i, v) in values[..n].iter_mut().enumerate() {
+            *v = f64::from((mask >> i) & 1);
+        }
+        values[n] = f64::from(mask.count_ones());
+        if model.is_feasible(&values, 1e-9) {
+            best = best.max(model.objective_expr().eval(&values));
+        }
     }
+    best
 }
 
 #[test]
-fn seeded_models_agree_dense_vs_sparse() {
+fn seeded_models_match_exhaustive_enumeration() {
     let mut refactors = 0usize;
     for seed in 0..32u64 {
         let model = random_milp(seed);
         let what = format!("seed {seed}");
-        let d = proven(&model, &dense(), &format!("{what} [dense]"));
-        let s = proven(&model, &sparse(), &format!("{what} [sparse]"));
-        let (dobj, sobj) = (d.objective(), s.objective());
-        assert!(close(dobj, sobj), "{what}: dense {dobj} != sparse {sobj}");
-        refactors += s.stats().refactorizations;
+        let sol = proven(&model, &what);
+        let want = enumerated_optimum(&model);
+        assert!(
+            close(sol.objective(), want),
+            "{what}: proven {} != enumerated {want}",
+            sol.objective()
+        );
+        refactors += sol.stats().refactorizations;
     }
-    // Every sparse node LP factorizes at least once on load, so a sweep
-    // that never refactorized means the counters (or the dispatch to the
-    // sparse kernel) are broken.
-    assert!(refactors > 0, "sparse sweep reported no factorizations");
+    // Every node LP factorizes at least once on load, so a sweep that
+    // never refactorized means the counters are broken.
+    assert!(refactors > 0, "sweep reported no factorizations");
 }
 
 /// Duplicated equality rows: the slack of every copy is pinned to `[0, 0]`
 /// and only one copy can sit in a nonsingular basis, so cold starts must
 /// lean on the artificial handling and warm starts on the singularity
-/// fallback.
+/// fallback. By hand: `b = 1` allows `x = 4, y = 2` for 13, `b = 0` forces
+/// `x = 0, y = 6` for 6.
 #[test]
-fn duplicated_equalities_agree() {
+fn duplicated_equalities_reach_hand_optimum() {
     let mut m = Model::new(Sense::Maximize);
     let x = m.add_continuous("x", 0.0, 10.0);
     let y = m.add_continuous("y", 0.0, 10.0);
@@ -131,14 +110,14 @@ fn duplicated_equalities_agree() {
     }
     m.add_le(x - 4.0 * b, 0.0);
     m.set_objective(2.0 * x + y + 3.0 * b);
-    let obj = assert_kernels_agree(&m, "duplicated_equalities");
+    let obj = proven(&m, "duplicated_equalities").objective();
     assert!(close(obj, 13.0), "{obj} != 13");
 }
 
-/// Contradictory duplicated equalities: both kernels must prove
-/// infeasibility, not disagree or stall on the rank-deficient row set.
+/// Contradictory duplicated equalities: the solver must prove
+/// infeasibility, not stall on the rank-deficient row set.
 #[test]
-fn contradictory_duplicates_are_infeasible_on_both_kernels() {
+fn contradictory_duplicates_are_infeasible() {
     let mut m = Model::new(Sense::Minimize);
     let x = m.add_continuous("x", 0.0, 10.0);
     let y = m.add_continuous("y", 0.0, 10.0);
@@ -146,19 +125,20 @@ fn contradictory_duplicates_are_infeasible_on_both_kernels() {
     m.add_eq(x + y, 1.0);
     m.add_eq(x + y, 2.0);
     m.set_objective(x + y);
-    for (opts, what) in [(dense(), "dense"), (sparse(), "sparse")] {
-        assert_eq!(
-            m.solve_with(&opts).map(|s| s.objective()),
-            Err(SolveError::Infeasible),
-            "{what} kernel missed the contradiction"
-        );
-    }
+    assert_eq!(
+        m.solve().map(|s| s.objective()),
+        Err(SolveError::Infeasible),
+        "missed the contradiction"
+    );
 }
 
 /// Rank-deficient row set: scaled copies and a summed row add nothing to
-/// the span, leaving several basis candidates singular.
+/// the span, leaving several basis candidates singular. By hand: each unit
+/// of `x` costs 1 plus half an integer unit of `z` at 3, each unit of `y`
+/// costs 2, so `y = 4` and `x = z = 0` give 8 (against 9 for `x = y = 2`
+/// and 10 for `x = 4`).
 #[test]
-fn rank_deficient_rows_agree() {
+fn rank_deficient_rows_reach_hand_optimum() {
     let mut m = Model::new(Sense::Minimize);
     let x = m.add_continuous("x", 0.0, 20.0);
     let y = m.add_continuous("y", 0.0, 20.0);
@@ -169,14 +149,15 @@ fn rank_deficient_rows_agree() {
     m.add_ge(3.0 * x + 3.0 * y, 12.0); // and again, rescaled
     m.add_ge(1.0 * z - 0.5 * x, 0.0);
     m.set_objective(x + 2.0 * y + 3.0 * z);
-    let obj = assert_kernels_agree(&m, "rank_deficient_rows");
+    let obj = proven(&m, "rank_deficient_rows").objective();
     assert!(close(obj, 8.0), "{obj} != 8");
 }
 
 /// Zero-cost ties: every vertex of the assignment polytope is optimal, so
-/// pricing breaks ties constantly. Objectives must still agree exactly.
+/// pricing breaks ties constantly. Every assignment picks four cells at
+/// 1.25 each, so the optimum is 5.
 #[test]
-fn zero_cost_ties_agree() {
+fn zero_cost_ties_reach_hand_optimum() {
     let n = 4usize;
     let mut m = Model::new(Sense::Minimize);
     let x: Vec<Vec<Var>> = (0..n)
@@ -191,14 +172,16 @@ fn zero_cost_ties_agree() {
     // Uniform costs: the objective is 5 at every feasible point.
     let obj: LinExpr = x.iter().flatten().map(|&v| 1.25 * v).sum();
     m.set_objective(obj);
-    let got = assert_kernels_agree(&m, "zero_cost_ties");
+    let got = proven(&m, "zero_cost_ties").objective();
     assert!(close(got, 5.0), "{got} != 5");
 }
 
 /// A transportation-style instance with massive primal degeneracy (every
 /// supply equals every demand, uniform costs) solved under both a
 /// wall-clock watchdog and a hard pivot budget: anti-cycling (the Bland
-/// fallback) must terminate the sparse kernel in bounded work.
+/// fallback) must terminate the kernel in bounded work. By hand: any
+/// permutation with `t00 = 1` ships six units at 2 and needs no `pick`,
+/// so the optimum is 12.
 #[test]
 fn degenerate_instance_respects_pivot_watchdog() {
     let n = 6usize;
@@ -222,45 +205,22 @@ fn degenerate_instance_respects_pivot_watchdog() {
     let cost: LinExpr = x.iter().flatten().map(|&v| 2.0 * v).sum();
     m.set_objective(cost + 0.5 * pick);
 
-    for (opts, what) in [(dense(), "dense"), (sparse(), "sparse")] {
-        let (tx, rx) = mpsc::channel();
-        let model = m.clone();
-        std::thread::spawn(move || {
-            let _ = tx.send(model.solve_with(&opts));
-        });
-        let sol = rx
-            .recv_timeout(WATCHDOG)
-            .unwrap_or_else(|_| panic!("{what}: solver cycled past the watchdog"))
-            .unwrap_or_else(|e| panic!("{what}: {e:?}"));
-        assert_eq!(sol.optimality(), Optimality::Proven, "{what}");
-        assert!(close(sol.objective(), 12.0), "{what}: {}", sol.objective());
-        // Hard pivot budget: a healthy solve of this instance takes tens of
-        // pivots; anything in the thousands means the anti-cycling switch
-        // failed and the iteration cap bailed us out instead.
-        assert!(
-            sol.stats().simplex_iterations < 2_000,
-            "{what}: {} pivots on a 6x6 degenerate transportation instance",
-            sol.stats().simplex_iterations
-        );
-    }
-}
-
-/// The refactorization interval is a drift-control knob, not a semantics
-/// knob: factorizing after every pivot and (nearly) never must both land
-/// on the reference objective.
-#[test]
-fn refactor_interval_extremes_agree() {
-    for seed in [2u64, 7, 11] {
-        let model = random_milp(seed);
-        let what = format!("seed {seed}");
-        let reference = proven(&model, &dense(), &format!("{what} [dense]")).objective();
-        for interval in [1usize, 1_000_000] {
-            let opts = sparse().with_refactor_interval(interval);
-            let got = proven(&model, &opts, &format!("{what} [interval {interval}]")).objective();
-            assert!(
-                close(reference, got),
-                "{what}: interval {interval} drifted: {got} != {reference}"
-            );
-        }
-    }
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = tx.send(m.solve());
+    });
+    let sol = rx
+        .recv_timeout(WATCHDOG)
+        .expect("solver cycled past the watchdog")
+        .unwrap_or_else(|e| panic!("{e:?}"));
+    assert_eq!(sol.optimality(), Optimality::Proven);
+    assert!(close(sol.objective(), 12.0), "{}", sol.objective());
+    // Hard pivot budget: a healthy solve of this instance takes tens of
+    // pivots; anything in the thousands means the anti-cycling switch
+    // failed and the iteration cap bailed us out instead.
+    assert!(
+        sol.stats().simplex_iterations < 2_000,
+        "{} pivots on a 6x6 degenerate transportation instance",
+        sol.stats().simplex_iterations
+    );
 }

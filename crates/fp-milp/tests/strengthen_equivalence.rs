@@ -100,29 +100,6 @@ fn seeded_models_agree_strengthen_on_vs_off() {
     );
 }
 
-/// Starved knobs must degrade to exactly the off behavior, never to a
-/// half-strengthened model with different semantics.
-#[test]
-fn zero_budgets_match_off_objectives() {
-    for seed in [1u64, 5, 13] {
-        let model = random_milp(seed);
-        let what = format!("starved seed {seed}");
-        let off = proven(
-            &model,
-            &SolveOptions::default().with_strengthen(false),
-            &what,
-        );
-        let starved = SolveOptions::default()
-            .with_probe_budget(0)
-            .with_max_cuts(0);
-        let starved_obj = proven(&model, &starved, &what);
-        assert!(
-            close(off, starved_obj),
-            "{what}: starved {starved_obj} != off {off}"
-        );
-    }
-}
-
 /// Strengthening composes with warm starts disabled: the cuts land in the
 /// root rows before the tree starts, so the cold path must see them too.
 #[test]

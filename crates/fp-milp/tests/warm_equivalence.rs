@@ -108,37 +108,3 @@ fn degenerate_duplicated_rows_fall_back_and_stay_correct() {
     let warm = proven(&build(), &SolveOptions::default(), "degenerate warm");
     assert!(close(cold, warm), "degenerate: warm {warm} != cold {cold}");
 }
-
-/// A pivot cap of 1 starves almost every dual re-optimization, forcing
-/// the fallback path; results must not change.
-#[test]
-fn tiny_pivot_cap_only_costs_time() {
-    for seed in [2u64, 7, 11] {
-        let model = random_milp(seed);
-        let what = format!("capped seed {seed}");
-        let cold = proven(
-            &model,
-            &SolveOptions::default().with_warm_start(false),
-            &what,
-        );
-        let capped_opts = SolveOptions::default().with_warm_pivot_cap(1);
-        let capped_sol = model.solve_with(&capped_opts).expect("feasible");
-        assert_eq!(capped_sol.optimality(), Optimality::Proven, "{what}");
-        assert!(
-            close(cold, capped_sol.objective()),
-            "{what}: capped {} != cold {cold}",
-            capped_sol.objective()
-        );
-        let stats = capped_sol.stats();
-        assert_eq!(stats.warm_nodes + stats.cold_nodes, stats.nodes, "{what}");
-        if stats.nodes > 1 {
-            assert!(
-                stats.cold_nodes > 1,
-                "{what}: a 1-pivot cap should force cold fallbacks \
-                 (got {} cold of {} nodes)",
-                stats.cold_nodes,
-                stats.nodes
-            );
-        }
-    }
-}

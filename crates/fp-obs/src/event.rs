@@ -84,11 +84,10 @@ pub enum Event {
         /// Simplex pivots spent on this node's LP, wasted warm pivots
         /// included on cold fallbacks.
         pivots: u64,
-        /// Basis LU (re)factorizations this node's LP performed (sparse
-        /// revised kernel; the dense reference tableau reports `0`).
+        /// Basis LU (re)factorizations this node's LP performed.
         refactors: u64,
         /// Eta-file basis updates recorded between refactorizations on
-        /// this node's LP (sparse revised kernel only).
+        /// this node's LP.
         etas: u64,
     },
     /// A new incumbent was installed. Within one solve these are emitted

@@ -503,12 +503,10 @@ impl Engine {
         self.shared.solver.strengthening_snapshot()
     }
 
-    /// `(refactorizations, eta_updates)` of the sparse revised simplex
-    /// basis, accumulated over every node LP this engine has solved. Jobs
-    /// cannot select a kernel: every step runs the solver's default
-    /// [`fp_milp::SparseMode::Auto`], which keeps the dense tableau for
-    /// small models, so both counts grow only with steps large enough
-    /// for the sparse kernel.
+    /// `(refactorizations, eta_updates)` of the simplex basis, accumulated
+    /// over every node LP this engine has solved. The solver has one LP
+    /// kernel, the sparse revised simplex, so every step MILP adds to both
+    /// counts.
     #[must_use]
     pub fn factorization_stats(&self) -> (u64, u64) {
         self.shared.solver.factorization_snapshot()

@@ -61,23 +61,24 @@ grep -q '"warm":true' "$trace_file" \
 # engaging (the equivalence pins live in fp-milp's strengthen_equivalence).
 grep -Eq '"event":"Presolve".*"rows_tightened":[1-9]' "$trace_file" \
     || { echo "check.sh: ami33 trace has no Presolve event with tightened rows"; exit 1; }
-# Sparse-kernel smoke: validate_trace above already requires every BnbNode
+# LP-kernel smoke: validate_trace above already requires every BnbNode
 # line to carry the numeric `refactors`/`etas` factorization fields; here
-# additionally require that some node actually refactorized — all-zero
-# means the solver silently fell back to the dense tableau (the
-# equivalence pins live in fp-milp's sparse_equivalence).
+# additionally require that some node actually refactorized. Every LP
+# factorizes its basis on a cold start or a snapshot load, so all-zero
+# means the factorization counters stopped reporting (the kernel's
+# ground-truth pins live in fp-milp's sparse_equivalence).
 grep -Eq '"event":"BnbNode".*"refactors":[1-9]' "$trace_file" \
     || { echo "check.sh: ami33 trace shows no LU refactorizations"; exit 1; }
 
 # MILP benchmark snapshot smoke: the snapshot binary must run end to end
-# and emit the dense-vs-sparse comparison legs BENCH_MILP.json is diffed
-# against (per-instance `sparse` objects plus the two headline medians).
+# and emit the legs BENCH_MILP.json is diffed against (per-instance
+# `strengthen` objects plus the warm-start and strengthening medians).
 echo "== milp_snapshot smoke"
 bench_json="$(mktemp --suffix=.json)"
 trap 'rm -f "$trace_file" "$summary_file" "$bench_json"' EXIT
 cargo run --release -q -p fp-bench --bin milp_snapshot -- "$bench_json" \
     > /dev/null
-for key in '"sparse"' '"pivot_time_speedup"' '"median_sparse_pivot_time_speedup"' '"median_sparse_speedup"'; do
+for key in '"strengthen"' '"median_strengthen_speedup"' '"median_node_throughput_speedup"'; do
     grep -q "$key" "$bench_json" \
         || { echo "check.sh: milp_snapshot output missing $key"; exit 1; }
 done
