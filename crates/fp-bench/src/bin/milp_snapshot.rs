@@ -10,9 +10,10 @@
 //! * `cold` / `warm` — warm-start off vs on (strengthening at its default)
 //!   for the node-throughput comparison; the headline
 //!   `median_node_throughput_speedup` is the median over instances of
-//!   `warm throughput / cold throughput`. The `warm` leg, the default
-//!   configuration, also records the basis `refactorizations` and
-//!   `eta_updates` of its node LPs.
+//!   `warm throughput / cold throughput`. Both legs record the nodes bound
+//!   propagation settled without an LP (`propagated_nodes`). The `warm`
+//!   leg, the default configuration, also records the basis
+//!   `refactorizations` and `eta_updates` of its node LPs.
 //! * `strengthen.off` / `strengthen.on` — probing presolve, coefficient
 //!   tightening and root cuts off vs on (warm starts at their default).
 //!   Per instance the snapshot records `node_reduction`
@@ -34,6 +35,7 @@ struct Measured {
     pivots: usize,
     warm_nodes: usize,
     cold_nodes: usize,
+    propagated_nodes: usize,
     rows_tightened: usize,
     binaries_fixed: usize,
     cuts_added: usize,
@@ -55,6 +57,7 @@ fn measure(model: &fp_milp::Model, opts: &SolveOptions) -> Measured {
                 pivots: stats.simplex_iterations,
                 warm_nodes: stats.warm_nodes,
                 cold_nodes: stats.cold_nodes,
+                propagated_nodes: stats.propagated_nodes,
                 rows_tightened: stats.rows_tightened,
                 binaries_fixed: stats.binaries_fixed,
                 cuts_added: stats.cuts_added,
@@ -119,10 +122,10 @@ fn main() {
             rows,
             "    {{\"name\": \"{name}\", \
              \"cold\": {{\"elapsed_s\": {:.6}, \"nodes\": {}, \"pivots\": {}, \
-             \"nodes_per_s\": {:.1}}}, \
+             \"propagated_nodes\": {}, \"nodes_per_s\": {:.1}}}, \
              \"warm\": {{\"elapsed_s\": {:.6}, \"nodes\": {}, \"pivots\": {}, \
-             \"warm_nodes\": {}, \"cold_nodes\": {}, \"refactorizations\": {}, \
-             \"eta_updates\": {}, \"nodes_per_s\": {:.1}}}, \
+             \"warm_nodes\": {}, \"cold_nodes\": {}, \"propagated_nodes\": {}, \
+             \"refactorizations\": {}, \"eta_updates\": {}, \"nodes_per_s\": {:.1}}}, \
              \"node_throughput_speedup\": {:.3}, \
              \"strengthen\": {{\
              \"off\": {{\"elapsed_s\": {:.6}, \"nodes\": {}, \"pivots\": {}}}, \
@@ -133,12 +136,14 @@ fn main() {
             cold.elapsed_s,
             cold.nodes,
             cold.pivots,
+            cold.propagated_nodes,
             cold_tp,
             warm.elapsed_s,
             warm.nodes,
             warm.pivots,
             warm.warm_nodes,
             warm.cold_nodes,
+            warm.propagated_nodes,
             warm.refactorizations,
             warm.eta_updates,
             warm_tp,
@@ -157,13 +162,15 @@ fn main() {
         );
         eprintln!(
             "{name}: cold {:.1} nodes/s ({} pivots), warm {:.1} nodes/s \
-             ({} pivots, {}/{} warm, {} refactors, {} etas), speedup {speedup:.2}x",
+             ({} pivots, {}/{} warm, {} settled by propagation, {} refactors, \
+             {} etas), speedup {speedup:.2}x",
             cold_tp,
             cold.pivots,
             warm_tp,
             warm.pivots,
             warm.warm_nodes,
             warm.nodes,
+            warm.propagated_nodes,
             warm.refactorizations,
             warm.eta_updates
         );

@@ -23,7 +23,7 @@ use crate::greedy::{greedy_height_on, widest_error};
 use crate::placement::{Floorplan, PlacedModule};
 use fp_geom::covering::covering_rectangles_from_skyline;
 use fp_geom::Skyline;
-use fp_milp::{Optimality, SolveError};
+use fp_milp::{Optimality, SolveError, SolveStats};
 use fp_netlist::{ordering, ModuleId, Netlist};
 use fp_obs::{Event, Phase, StepTermination};
 use std::time::{Duration, Instant};
@@ -76,7 +76,8 @@ pub struct StepStats {
     pub obstacles: usize,
     /// 0-1 variables in the step MILP.
     pub binaries: usize,
-    /// Branch-and-bound nodes explored.
+    /// Branch-and-bound nodes explored, so that
+    /// `warm_nodes + cold_nodes + propagated_nodes == nodes`.
     pub nodes: usize,
     /// Total simplex pivots.
     pub simplex_iterations: usize,
@@ -84,6 +85,9 @@ pub struct StepStats {
     pub warm_nodes: usize,
     /// Branch-and-bound nodes solved by the cold two-phase primal.
     pub cold_nodes: usize,
+    /// Branch-and-bound nodes settled without an LP, because bound
+    /// propagation proved their LP relaxation infeasible.
+    pub propagated_nodes: usize,
     /// Basis LU (re)factorizations across this step's node LPs.
     pub refactorizations: usize,
     /// Eta-file basis updates across this step's node LPs.
@@ -99,6 +103,39 @@ pub struct StepStats {
     pub elapsed: Duration,
     /// How the step concluded.
     pub outcome: StepOutcome,
+}
+
+impl StepStats {
+    /// The record of one step, with the solver counters taken from
+    /// `solve` (all zero for a step no MILP finished).
+    pub(crate) fn new(
+        kind: StepKind,
+        group: Vec<ModuleId>,
+        obstacles: usize,
+        binaries: usize,
+        solve: &SolveStats,
+        elapsed: Duration,
+        outcome: StepOutcome,
+    ) -> Self {
+        StepStats {
+            kind,
+            group,
+            obstacles,
+            binaries,
+            nodes: solve.nodes,
+            simplex_iterations: solve.simplex_iterations,
+            warm_nodes: solve.warm_nodes,
+            cold_nodes: solve.cold_nodes,
+            propagated_nodes: solve.propagated_nodes,
+            refactorizations: solve.refactorizations,
+            eta_updates: solve.eta_updates,
+            rows_tightened: solve.rows_tightened,
+            binaries_fixed: solve.binaries_fixed,
+            cuts_added: solve.cuts_added,
+            elapsed,
+            outcome,
+        }
+    }
 }
 
 /// Statistics of a whole floorplanning run.
@@ -147,8 +184,9 @@ impl RunStats {
     }
 
     /// Branch-and-bound nodes solved warm from a parent basis, over all
-    /// steps. Together with [`cold_nodes`](Self::cold_nodes) this
-    /// partitions [`total_nodes`](Self::total_nodes).
+    /// steps. Together with [`cold_nodes`](Self::cold_nodes) and
+    /// [`propagated_nodes`](Self::propagated_nodes) this partitions
+    /// [`total_nodes`](Self::total_nodes).
     #[must_use]
     pub fn warm_nodes(&self) -> usize {
         self.steps.iter().map(|s| s.warm_nodes).sum()
@@ -159,6 +197,13 @@ impl RunStats {
     #[must_use]
     pub fn cold_nodes(&self) -> usize {
         self.steps.iter().map(|s| s.cold_nodes).sum()
+    }
+
+    /// Branch-and-bound nodes that bound propagation settled without an
+    /// LP, over all steps.
+    #[must_use]
+    pub fn propagated_nodes(&self) -> usize {
+        self.steps.iter().map(|s| s.propagated_nodes).sum()
     }
 
     /// Basis LU (re)factorizations performed by the sparse revised simplex,
@@ -352,76 +397,57 @@ impl<'a> Floorplanner<'a> {
                     .min(chip_width * inc_height);
             }
             let bounded = step_options.initial_upper_bound.is_finite();
-            let (new_placements, outcome, nodes, pivots, warm, cold, factor, strengthened) =
-                match step_model
-                    .model
-                    .solve_traced(&step_options, &self.config.tracer)
-                {
-                    Ok(sol) => {
-                        let outcome = match sol.optimality() {
-                            Optimality::Proven => StepOutcome::Optimal,
-                            Optimality::Limit => StepOutcome::Incumbent,
-                        };
-                        (
-                            step_model.extract(&sol, group),
-                            outcome,
-                            sol.stats().nodes,
-                            sol.stats().simplex_iterations,
-                            sol.stats().warm_nodes,
-                            sol.stats().cold_nodes,
-                            (sol.stats().refactorizations, sol.stats().eta_updates),
-                            (
-                                sol.stats().rows_tightened,
-                                sol.stats().binaries_fixed,
-                                sol.stats().cuts_added,
-                            ),
-                        )
-                    }
-                    Err(SolveError::InvalidModel(why)) => {
-                        return Err(FloorplanError::Solver(SolveError::InvalidModel(why)))
-                    }
-                    Err(SolveError::Infeasible) if bounded => {
-                        // The greedy witness makes the step feasible, so a
-                        // *proven* infeasibility under an injected cutoff
-                        // means no placement of this group beats the
-                        // incumbent height — and the floor only rises from
-                        // here, so neither will any later step.
-                        return Err(FloorplanError::Cancelled(
-                            "step proved the portfolio incumbent unbeatable".into(),
-                        ));
-                    }
-                    Err(_) => {
-                        // Infeasible cannot truly happen (the greedy witness
-                        // satisfies every constraint); numerical trouble and
-                        // limits both degrade to the greedy placement.
-                        self.config
-                            .tracer
-                            .emit(Phase::Augment, Event::GreedyFallback { step: step_index });
-                        let fallback = greedy
-                            .iter()
-                            .zip(group)
-                            .map(|(g, spec)| {
-                                let (rect, envelope, rotated) = spec.realize(g.x, g.y, g.z, g.dw);
-                                PlacedModule {
-                                    id: spec.id,
-                                    rect,
-                                    envelope,
-                                    rotated,
-                                }
-                            })
-                            .collect();
-                        (
-                            fallback,
-                            StepOutcome::GreedyFallback,
-                            0,
-                            0,
-                            0,
-                            0,
-                            (0, 0),
-                            (0, 0, 0),
-                        )
-                    }
-                };
+            let (new_placements, outcome, solve) = match step_model
+                .model
+                .solve_traced(&step_options, &self.config.tracer)
+            {
+                Ok(sol) => {
+                    let outcome = match sol.optimality() {
+                        Optimality::Proven => StepOutcome::Optimal,
+                        Optimality::Limit => StepOutcome::Incumbent,
+                    };
+                    (
+                        step_model.extract(&sol, group),
+                        outcome,
+                        sol.stats().clone(),
+                    )
+                }
+                Err(SolveError::InvalidModel(why)) => {
+                    return Err(FloorplanError::Solver(SolveError::InvalidModel(why)))
+                }
+                Err(SolveError::Infeasible) if bounded => {
+                    // The greedy witness makes the step feasible, so a
+                    // *proven* infeasibility under an injected cutoff
+                    // means no placement of this group beats the
+                    // incumbent height — and the floor only rises from
+                    // here, so neither will any later step.
+                    return Err(FloorplanError::Cancelled(
+                        "step proved the portfolio incumbent unbeatable".into(),
+                    ));
+                }
+                Err(_) => {
+                    // Infeasible cannot truly happen (the greedy witness
+                    // satisfies every constraint); numerical trouble and
+                    // limits both degrade to the greedy placement.
+                    self.config
+                        .tracer
+                        .emit(Phase::Augment, Event::GreedyFallback { step: step_index });
+                    let fallback = greedy
+                        .iter()
+                        .zip(group)
+                        .map(|(g, spec)| {
+                            let (rect, envelope, rotated) = spec.realize(g.x, g.y, g.z, g.dw);
+                            PlacedModule {
+                                id: spec.id,
+                                rect,
+                                envelope,
+                                rotated,
+                            }
+                        })
+                        .collect();
+                    (fallback, StepOutcome::GreedyFallback, SolveStats::default())
+                }
+            };
 
             // Exactly one terminal event per augmentation step, after any
             // fallback marker.
@@ -432,27 +458,19 @@ impl<'a> Floorplanner<'a> {
                     group: take,
                     obstacles: obstacles.len(),
                     binaries,
-                    nodes,
+                    nodes: solve.nodes,
                     outcome: outcome.termination(),
                 },
             );
-            stats.steps.push(StepStats {
-                kind: StepKind::Placement,
-                group: group.iter().map(|s| s.id).collect(),
-                obstacles: obstacles.len(),
+            stats.steps.push(StepStats::new(
+                StepKind::Placement,
+                group.iter().map(|s| s.id).collect(),
+                obstacles.len(),
                 binaries,
-                nodes,
-                simplex_iterations: pivots,
-                warm_nodes: warm,
-                cold_nodes: cold,
-                refactorizations: factor.0,
-                eta_updates: factor.1,
-                rows_tightened: strengthened.0,
-                binaries_fixed: strengthened.1,
-                cuts_added: strengthened.2,
-                elapsed: step_started.elapsed(),
+                &solve,
+                step_started.elapsed(),
                 outcome,
-            });
+            ));
             let before = placed.len();
             placed.extend(new_placements);
             for p in &placed[before..] {

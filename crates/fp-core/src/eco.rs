@@ -36,7 +36,7 @@ use crate::greedy::greedy_height;
 use crate::improve::improve_traced;
 use crate::placement::{Floorplan, PlacedModule};
 use fp_geom::Rect;
-use fp_milp::Optimality;
+use fp_milp::{Optimality, SolveStats};
 use fp_netlist::{ModuleId, Netlist};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -343,23 +343,15 @@ pub fn eco_replace(
             if spec.soft.is_none() && !spec.has_dw {
                 let step_started = Instant::now();
                 if let Some(pm) = place_single_exact(spec, &obstacles, chip_width, floor) {
-                    stats.steps.push(StepStats {
-                        kind: StepKind::Placement,
-                        group: vec![spec.id],
-                        obstacles: obstacles.len(),
-                        binaries: 0,
-                        nodes: 0,
-                        simplex_iterations: 0,
-                        warm_nodes: 0,
-                        cold_nodes: 0,
-                        refactorizations: 0,
-                        eta_updates: 0,
-                        rows_tightened: 0,
-                        binaries_fixed: 0,
-                        cuts_added: 0,
-                        elapsed: step_started.elapsed(),
-                        outcome: StepOutcome::Optimal,
-                    });
+                    stats.steps.push(StepStats::new(
+                        StepKind::Placement,
+                        vec![spec.id],
+                        obstacles.len(),
+                        0,
+                        &SolveStats::default(),
+                        step_started.elapsed(),
+                        StepOutcome::Optimal,
+                    ));
                     placed.push(pm);
                     cursor += 1;
                     continue;
@@ -437,23 +429,15 @@ pub fn eco_replace(
         };
         let s = sol_stats.unwrap_or_default();
         basis = basis.max(s.basis_tier);
-        stats.steps.push(StepStats {
-            kind: StepKind::Placement,
-            group: group.iter().map(|g| g.id).collect(),
-            obstacles: obstacles.len(),
+        stats.steps.push(StepStats::new(
+            StepKind::Placement,
+            group.iter().map(|g| g.id).collect(),
+            obstacles.len(),
             binaries,
-            nodes: s.nodes,
-            simplex_iterations: s.simplex_iterations,
-            warm_nodes: s.warm_nodes,
-            cold_nodes: s.cold_nodes,
-            refactorizations: s.refactorizations,
-            eta_updates: s.eta_updates,
-            rows_tightened: s.rows_tightened,
-            binaries_fixed: s.binaries_fixed,
-            cuts_added: s.cuts_added,
-            elapsed: step_started.elapsed(),
+            &s,
+            step_started.elapsed(),
             outcome,
-        });
+        ));
         placed.extend(new_placements);
         cursor += take;
     }

@@ -20,7 +20,7 @@ use crate::placement::{Floorplan, PlacedModule};
 use crate::topology::optimize_topology;
 use fp_geom::covering::covering_rectangles;
 use fp_geom::Rect;
-use fp_milp::Optimality;
+use fp_milp::{Optimality, SolveStats};
 use fp_netlist::Netlist;
 use fp_obs::{Event, Phase};
 use std::time::Instant;
@@ -156,53 +156,34 @@ fn reoptimize_band_recorded(
         // incumbent still explored nodes, and those belong in the totals.
         // On errors no `Solution` exists, so the node count comes from the
         // tracer's counter delta (0 when tracing is disabled).
-        let (outcome, nodes, pivots, warm, cold, factor, strengthened) = match &solved {
+        let (outcome, solve) = match &solved {
             Ok(sol) => (
                 match sol.optimality() {
                     Optimality::Proven => StepOutcome::Optimal,
                     Optimality::Limit => StepOutcome::Incumbent,
                 },
-                sol.stats().nodes,
-                sol.stats().simplex_iterations,
-                sol.stats().warm_nodes,
-                sol.stats().cold_nodes,
-                (sol.stats().refactorizations, sol.stats().eta_updates),
-                (
-                    sol.stats().rows_tightened,
-                    sol.stats().binaries_fixed,
-                    sol.stats().cuts_added,
-                ),
+                sol.stats().clone(),
             ),
             Err(_) => {
                 let explored = config.tracer.count(fp_obs::EventKind::BnbNode) - nodes_before;
                 (
                     StepOutcome::GreedyFallback,
-                    explored as usize,
-                    0,
-                    0,
-                    0,
-                    (0, 0),
-                    (0, 0, 0),
+                    SolveStats {
+                        nodes: explored as usize,
+                        ..SolveStats::default()
+                    },
                 )
             }
         };
-        stats.steps.push(StepStats {
-            kind: StepKind::Reoptimize,
-            group: specs.iter().map(|s| s.id).collect(),
-            obstacles: obstacles.len(),
-            binaries: step.model.num_integer_vars(),
-            nodes,
-            simplex_iterations: pivots,
-            warm_nodes: warm,
-            cold_nodes: cold,
-            refactorizations: factor.0,
-            eta_updates: factor.1,
-            rows_tightened: strengthened.0,
-            binaries_fixed: strengthened.1,
-            cuts_added: strengthened.2,
-            elapsed: step_started.elapsed(),
+        stats.steps.push(StepStats::new(
+            StepKind::Reoptimize,
+            specs.iter().map(|s| s.id).collect(),
+            obstacles.len(),
+            step.model.num_integer_vars(),
+            &solve,
+            step_started.elapsed(),
             outcome,
-        });
+        ));
     }
     let Ok(sol) = solved else {
         return Ok(floorplan.clone());

@@ -4,8 +4,8 @@
 //! is a pure function of the input.
 //!
 //! Each pin sums the augmentation and improvement steps' branch-and-bound
-//! nodes, simplex pivots, basis refactorizations and eta updates, and
-//! records the final chip height. A change meant to leave answers alone,
+//! nodes, simplex pivots, basis refactorizations, eta updates and nodes
+//! settled by bound propagation, and records the final chip height. A change meant to leave answers alone,
 //! such as a faster LP kernel, must leave every number as it is. A change
 //! that moves answers on purpose updates the numbers and says why.
 //!
@@ -14,6 +14,13 @@
 //! which can return a different optimal vertex, so that move changed
 //! their counts; xerox10's 55-binary re-optimization step now stops at
 //! the 4000-node cap.
+//!
+//! Node bound propagation moved the LP counts of every deck and left
+//! `nodes` and `height` alone. It settles most nodes whose LP relaxation
+//! is infeasible before their LP runs (`propagated_nodes`), so their
+//! pivots, refactorizations and eta updates are gone; every LP that still
+//! runs sees the same bounds and the same warm start, and the search is
+//! the same node for node.
 
 use fp_core::{improve_traced, FloorplanConfig, Floorplanner, StepStats};
 use fp_milp::SolveOptions;
@@ -26,6 +33,7 @@ struct Counts {
     pivots: usize,
     refactorizations: usize,
     eta_updates: usize,
+    propagated_nodes: usize,
     height: f64,
 }
 
@@ -50,6 +58,7 @@ fn flow_counts(netlist: &Netlist) -> Counts {
         pivots: sum(|s| s.simplex_iterations),
         refactorizations: sum(|s| s.refactorizations),
         eta_updates: sum(|s| s.eta_updates),
+        propagated_nodes: sum(|s| s.propagated_nodes),
         height: floorplan.chip_height(),
     }
 }
@@ -60,9 +69,10 @@ fn ami33_flow_counts_are_pinned() {
         flow_counts(&ami33()),
         Counts {
             nodes: 7539,
-            pivots: 28950,
-            refactorizations: 4461,
-            eta_updates: 27836,
+            pivots: 18169,
+            refactorizations: 2906,
+            eta_updates: 17741,
+            propagated_nodes: 2709,
             height: 116.0,
         }
     );
@@ -76,9 +86,10 @@ fn gsrc20_flow_counts_are_pinned() {
         flow_counts(&decks::gsrc_style(20, 1)),
         Counts {
             nodes: 7130,
-            pivots: 24792,
-            refactorizations: 4008,
-            eta_updates: 23970,
+            pivots: 15268,
+            refactorizations: 2402,
+            eta_updates: 14983,
+            propagated_nodes: 2971,
             height: 34.0,
         }
     );
@@ -90,9 +101,10 @@ fn apte9_flow_counts_are_pinned() {
         flow_counts(&apte9()),
         Counts {
             nodes: 8128,
-            pivots: 41313,
-            refactorizations: 5389,
-            eta_updates: 39219,
+            pivots: 21570,
+            refactorizations: 2928,
+            eta_updates: 20322,
+            propagated_nodes: 3080,
             height: 122.0,
         }
     );
@@ -104,9 +116,10 @@ fn xerox10_flow_counts_are_pinned() {
         flow_counts(&xerox10()),
         Counts {
             nodes: 5871,
-            pivots: 20874,
-            refactorizations: 3323,
-            eta_updates: 19604,
+            pivots: 13804,
+            refactorizations: 2278,
+            eta_updates: 12788,
+            propagated_nodes: 2059,
             height: 70.0,
         }
     );

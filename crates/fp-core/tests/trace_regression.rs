@@ -61,13 +61,21 @@ fn assert_no_fallback_and_bounded(netlist: &Netlist, config: FloorplanConfig, la
 
     // Warm-start coverage: every non-root branch-and-bound node inherits
     // its parent's basis, so at default config the dual-simplex warm path
-    // must carry the large majority of non-root solves. A regression to
+    // must carry the large majority of non-root LP solves. A regression to
     // all-cold (e.g. the fallback tripping on every node) is a perf bug
-    // the equivalence suites cannot see.
+    // the equivalence suites cannot see. Nodes that bound propagation
+    // settled ran no LP, so they are neither warm nor cold and do not
+    // count here.
     let (mut non_root, mut warm_non_root) = (0usize, 0usize);
     for r in collector.of_kind(EventKind::BnbNode) {
-        if let Event::BnbNode { depth, warm, .. } = r.event {
-            if depth > 0 {
+        if let Event::BnbNode {
+            depth,
+            warm,
+            propagated,
+            ..
+        } = r.event
+        {
+            if depth > 0 && !propagated {
                 non_root += 1;
                 warm_non_root += usize::from(warm);
             }

@@ -17,7 +17,9 @@
 use crate::error::SolveError;
 use crate::model::Model;
 use crate::options::SolveOptions;
-use crate::presolve::{presolve, strengthen, CutSeparator, PresolveStatus, Strengthened};
+use crate::presolve::{
+    presolve, strengthen, CutSeparator, NodePropagator, PresolveStatus, PropBox, Strengthened,
+};
 use crate::simplex::{BasisSnapshot, LpConfig, LpOutcome, LpProblem, SparseRow, Workspace};
 use crate::solution::{Optimality, Solution, SolveStats};
 use fp_obs::{Event, Phase, Tracer};
@@ -32,6 +34,9 @@ struct Node {
     /// LP can warm-start via the dual simplex. `None` at the root or when
     /// [`SolveOptions::warm_start`] is off.
     basis: Option<Arc<BasisSnapshot>>,
+    /// The parent's propagated box and the column the parent branched on,
+    /// shared by both children like `basis`. `None` at the root.
+    parent_box: Option<(Arc<PropBox>, usize)>,
 }
 
 /// Root strengthening counters patched onto [`SolveStats`] after the search.
@@ -247,17 +252,7 @@ pub(crate) fn solve(
         f64::INFINITY
     };
 
-    let rows: Vec<SparseRow> = model
-        .cons
-        .iter()
-        .map(|con| {
-            (
-                con.expr.iter().map(|(v, a)| (v.index(), a)).collect(),
-                con.cmp,
-                con.rhs,
-            )
-        })
-        .collect();
+    let rows = model.sparse_rows();
 
     let base_lb: Vec<f64> = model.vars.iter().map(|d| d.lb).collect();
     let base_ub: Vec<f64> = model.vars.iter().map(|d| d.ub).collect();
@@ -405,6 +400,7 @@ pub(crate) fn solve(
         ub,
         depth: 0,
         basis: root_basis,
+        parent_box: None,
     };
 
     // Integral columns ordered by descending branch priority (stable).
@@ -510,13 +506,21 @@ fn branch_choice(
 }
 
 /// Splits `node` on column `j` at LP value `v` into (down, up) children,
-/// both warm-startable from the parent's optimal `basis`.
-fn split(node: Node, j: usize, v: f64, basis: Option<Arc<BasisSnapshot>>) -> (Node, Node) {
+/// both warm-startable from the parent's optimal `basis` and both
+/// propagating from the parent's box `prop`.
+fn split(
+    node: Node,
+    j: usize,
+    v: f64,
+    basis: Option<Arc<BasisSnapshot>>,
+    prop: Arc<PropBox>,
+) -> (Node, Node) {
     let mut down = Node {
         lb: node.lb.clone(),
         ub: node.ub.clone(),
         depth: node.depth + 1,
         basis: basis.clone(),
+        parent_box: Some((Arc::clone(&prop), j)),
     };
     down.ub[j] = v.floor();
     let mut up = Node {
@@ -524,6 +528,7 @@ fn split(node: Node, j: usize, v: f64, basis: Option<Arc<BasisSnapshot>>) -> (No
         ub: node.ub,
         depth: node.depth + 1,
         basis,
+        parent_box: Some((prop, j)),
     };
     up.lb[j] = v.ceil();
     (down, up)
@@ -555,6 +560,22 @@ impl TraceCtx<'_> {
                 pivots: info.pivots as u64,
                 refactors: info.refactors as u64,
                 etas: info.etas as u64,
+                propagated: false,
+            },
+        );
+    }
+
+    /// The `BnbNode` of a node that propagation settled without an LP.
+    fn settled(&self, depth: usize) {
+        self.tracer.emit(
+            Phase::Solver,
+            Event::BnbNode {
+                depth,
+                warm: false,
+                pivots: 0,
+                refactors: 0,
+                etas: 0,
+                propagated: true,
             },
         );
     }
@@ -578,8 +599,9 @@ impl TraceCtx<'_> {
     }
 }
 
-/// The dive-first DFS loop: pops the last-pushed node, solves its LP warm
-/// from the parent's basis, and prunes, records or branches.
+/// The dive-first DFS loop: pops the last-pushed node, propagates its
+/// bounds, solves its LP warm from the parent's basis unless propagation
+/// proved that LP infeasible, and prunes, records or branches.
 #[allow(clippy::too_many_arguments)]
 fn search(
     model: &Model,
@@ -606,6 +628,7 @@ fn search(
     // immediately after its parent, so its warm start is usually the hot
     // path (bound deltas applied to the parent's still-loaded basis).
     let mut ws = Workspace::new();
+    let mut prop = NodePropagator::new(rows, model.num_vars());
 
     let mut stack = vec![root];
 
@@ -618,6 +641,16 @@ fn search(
             break;
         }
         stats.nodes += 1;
+
+        // A node whose propagated box is empty is settled exactly as an
+        // infeasible LP would settle it, only without the LP.
+        let parent_box = node.parent_box.as_ref().map(|(b, j)| (&**b, *j));
+        if !prop.run(&node.lb, &node.ub, parent_box) {
+            stats.propagated_nodes += 1;
+            ws.unlink();
+            trace.settled(node.depth);
+            continue;
+        }
 
         let problem = LpProblem {
             ncols: model.num_vars(),
@@ -695,7 +728,7 @@ fn search(
             Some((j, v)) => {
                 let floor = v.floor();
                 let snap = options.warm_start.then(|| ws.snapshot());
-                let (down, up) = split(node, j, v, snap);
+                let (down, up) = split(node, j, v, snap, Arc::new(prop.share()));
                 // Dive toward the nearer integer: push the preferred child
                 // last so the LIFO stack pops it first.
                 if v - floor <= 0.5 {
@@ -912,7 +945,10 @@ mod tests {
 
         let warm = m.solve_with(&SolveOptions::default()).unwrap();
         let ws = warm.stats();
-        assert_eq!(ws.warm_nodes + ws.cold_nodes, ws.nodes);
+        assert_eq!(
+            ws.warm_nodes + ws.cold_nodes + ws.propagated_nodes,
+            ws.nodes
+        );
         assert!(ws.warm_nodes > 0, "a branching solve should warm-start");
 
         // Without the strengthening cut loop there is no recovered root
@@ -921,7 +957,10 @@ mod tests {
             .solve_with(&SolveOptions::default().with_strengthen(false))
             .unwrap();
         let ns = nostr.stats();
-        assert_eq!(ns.warm_nodes + ns.cold_nodes, ns.nodes);
+        assert_eq!(
+            ns.warm_nodes + ns.cold_nodes + ns.propagated_nodes,
+            ns.nodes
+        );
         assert!(ns.cold_nodes >= 1, "without root cuts the root solves cold");
 
         let cold = m
@@ -929,7 +968,7 @@ mod tests {
             .unwrap();
         let cs = cold.stats();
         assert_eq!(cs.warm_nodes, 0);
-        assert_eq!(cs.cold_nodes, cs.nodes);
+        assert_eq!(cs.cold_nodes + cs.propagated_nodes, cs.nodes);
         assert!((warm.objective() - cold.objective()).abs() < 1e-9);
     }
 

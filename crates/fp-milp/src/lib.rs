@@ -16,7 +16,12 @@
 //!   (the `branch` module). Child nodes **warm-start a dual simplex** from
 //!   the parent's optimal basis instead of re-solving from scratch — a pure
 //!   performance lever (every warm answer is re-verified or re-solved cold),
-//!   toggled by [`SolveOptions::warm_start`].
+//!   toggled by [`SolveOptions::warm_start`]. Before its LP, each node runs
+//!   LP-valid activity-based bound propagation, which never rounds an
+//!   integral bound; a node it proves infeasible is settled without its LP
+//!   ([`SolveStats::propagated_nodes`]), and every LP that still runs sees
+//!   the same bounds and warm start, so answers and node counts do not
+//!   change.
 //!
 //! # Example
 //!

@@ -437,6 +437,20 @@ impl Model {
         (c, offset)
     }
 
+    /// Internal: the constraint rows in the solver's sparse form.
+    pub(crate) fn sparse_rows(&self) -> Vec<crate::simplex::SparseRow> {
+        self.cons
+            .iter()
+            .map(|con| {
+                (
+                    con.expr.iter().map(|(v, a)| (v.index(), a)).collect(),
+                    con.cmp,
+                    con.rhs,
+                )
+            })
+            .collect()
+    }
+
     /// Internal: converts a minimization objective value back to the model's
     /// sense.
     pub(crate) fn externalize_obj(&self, min_obj: f64) -> f64 {

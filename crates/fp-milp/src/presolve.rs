@@ -16,7 +16,7 @@
 
 use crate::model::Cmp;
 use crate::simplex::SparseRow;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 
 /// Outcome of presolving.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -433,6 +433,239 @@ pub(crate) fn propagate(
         }
     }
     true
+}
+
+/// Relative margin of node propagation. A row proves a node infeasible
+/// only when its activity bound misses the right-hand side by more than
+/// `NODE_PROP_TOL · (1 + |rhs| + Σ|a_j|·(1 + |bound_j|))`, and every bound
+/// it implies is relaxed by the same margin. The margin dominates the
+/// simplex's feasibility tolerances, so a node whose LP relaxation the
+/// kernel would call feasible is never settled.
+const NODE_PROP_TOL: f64 = 1e-6;
+
+/// The box node propagation proved for one branch-and-bound node, shared
+/// by both of its children the way the parent's basis snapshot is.
+#[derive(Debug)]
+pub(crate) struct PropBox {
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+}
+
+/// Activity-based bound propagation run before each node's LP. Unlike
+/// [`propagate`] it is LP-valid: it never rounds an integral bound, so
+/// every bound it derives holds at every point of the node's LP
+/// relaxation, and it proves infeasible only nodes whose LP is
+/// infeasible. It is incremental: a child starts from its parent's
+/// [`PropBox`], applies its branching bound and queues only the rows of
+/// columns whose bound moved, up to a cap of row visits per node. The
+/// derived bounds only ever test for infeasibility; the LP never sees
+/// them, because a tighter box would move the LP's vertices.
+pub(crate) struct NodePropagator<'a> {
+    rows: &'a [SparseRow],
+    /// The rows of column `j` are `col_rows[col_start[j]..col_start[j + 1]]`.
+    col_start: Vec<usize>,
+    col_rows: Vec<usize>,
+    lb: Vec<f64>,
+    ub: Vec<f64>,
+    queue: VecDeque<usize>,
+    queued: Vec<bool>,
+    /// Row visits one node may spend; a node cut short runs its LP.
+    visit_cap: usize,
+}
+
+impl<'a> NodePropagator<'a> {
+    pub(crate) fn new(rows: &'a [SparseRow], ncols: usize) -> Self {
+        let mut col_start = vec![0; ncols + 1];
+        for (terms, _, _) in rows {
+            for &(j, _) in terms {
+                col_start[j + 1] += 1;
+            }
+        }
+        for j in 0..ncols {
+            col_start[j + 1] += col_start[j];
+        }
+        let mut fill = col_start.clone();
+        let mut col_rows = vec![0; col_start[ncols]];
+        for (r, (terms, _, _)) in rows.iter().enumerate() {
+            for &(j, _) in terms {
+                col_rows[fill[j]] = r;
+                fill[j] += 1;
+            }
+        }
+        NodePropagator {
+            rows,
+            col_start,
+            col_rows,
+            lb: vec![0.0; ncols],
+            ub: vec![0.0; ncols],
+            queue: VecDeque::new(),
+            queued: vec![false; rows.len()],
+            visit_cap: 4 * rows.len() + 64,
+        }
+    }
+
+    /// Propagates one node whose LP bounds are `lb`/`ub` and returns
+    /// `false` when that proves its LP relaxation infeasible. The root
+    /// (`parent` is `None`) starts from `lb`/`ub` with every row queued. A
+    /// child starts from its parent's box, intersects column `j`'s bounds
+    /// with `lb[j]`/`ub[j]` (the only column its branching moved) and
+    /// queues `j`'s rows.
+    pub(crate) fn run(
+        &mut self,
+        lb: &[f64],
+        ub: &[f64],
+        parent: Option<(&PropBox, usize)>,
+    ) -> bool {
+        let feasible = match parent {
+            None => {
+                self.lb.copy_from_slice(lb);
+                self.ub.copy_from_slice(ub);
+                for r in 0..self.rows.len() {
+                    self.queued[r] = true;
+                    self.queue.push_back(r);
+                }
+                self.drain()
+            }
+            Some((from, j)) => {
+                self.lb.copy_from_slice(&from.lb);
+                self.ub.copy_from_slice(&from.ub);
+                self.tighten_lb(j, lb[j]) && self.tighten_ub(j, ub[j]) && self.drain()
+            }
+        };
+        while let Some(r) = self.queue.pop_front() {
+            self.queued[r] = false;
+        }
+        feasible
+    }
+
+    /// The box the last [`run`](Self::run) proved, for the children of a
+    /// node that branches.
+    pub(crate) fn share(&self) -> PropBox {
+        PropBox {
+            lb: self.lb.clone(),
+            ub: self.ub.clone(),
+        }
+    }
+
+    /// Visits queued rows until the queue empties or the visit cap binds;
+    /// `false` means a row proved the box infeasible.
+    fn drain(&mut self) -> bool {
+        for _ in 0..self.visit_cap {
+            let Some(r) = self.queue.front().copied() else {
+                return true;
+            };
+            // The row stays marked while it is visited, so the bounds it
+            // tightens do not queue it again.
+            let ok = match self.rows[r].1 {
+                Cmp::Le => self.visit(r, 1.0),
+                Cmp::Ge => self.visit(r, -1.0),
+                Cmp::Eq => self.visit(r, 1.0) && self.visit(r, -1.0),
+            };
+            if !ok {
+                return false;
+            }
+            self.queue.pop_front();
+            self.queued[r] = false;
+        }
+        true
+    }
+
+    /// Propagates row `r` read as `Σ s·a_j·x_j ≤ s·rhs`: infeasible when
+    /// its minimum activity exceeds the right-hand side, otherwise each
+    /// column's bound is implied by the minimum activity of the rest. At
+    /// most one column may rest on an infinite bound; only that column
+    /// then gets an implied bound.
+    fn visit(&mut self, r: usize, s: f64) -> bool {
+        let rows = self.rows;
+        let (terms, _, rhs) = &rows[r];
+        let rhs = s * rhs;
+        let mut act = 0.0;
+        let mut scale = 1.0 + rhs.abs();
+        let mut infinite = None;
+        for &(j, a) in terms {
+            let a = s * a;
+            if a == 0.0 {
+                continue;
+            }
+            let b = if a > 0.0 { self.lb[j] } else { self.ub[j] };
+            if b.is_infinite() {
+                if infinite.is_some() {
+                    return true;
+                }
+                infinite = Some(j);
+            } else {
+                act += a * b;
+                scale += a.abs() * (1.0 + b.abs());
+            }
+        }
+        let room = rhs + NODE_PROP_TOL * scale;
+        if infinite.is_none() && act > room {
+            return false;
+        }
+        for &(j, a) in terms {
+            let a = s * a;
+            if a.abs() < 1e-9 {
+                continue;
+            }
+            let rest = match infinite {
+                None => act - a * if a > 0.0 { self.lb[j] } else { self.ub[j] },
+                Some(k) if k == j => act,
+                Some(_) => continue,
+            };
+            let implied = (room - rest) / a;
+            let ok = if a > 0.0 {
+                self.tighten_ub(j, implied)
+            } else {
+                self.tighten_lb(j, implied)
+            };
+            if !ok {
+                return false;
+            }
+        }
+        true
+    }
+
+    /// Lowers `ub[j]` to `bound` when that is a real improvement, queuing
+    /// `j`'s rows; `false` when the bound crosses `lb[j]` by more than the
+    /// margin.
+    fn tighten_ub(&mut self, j: usize, bound: f64) -> bool {
+        let (lb, ub) = (self.lb[j], self.ub[j]);
+        // Written so that a NaN bound never counts as an improvement.
+        let improves = bound < ub - NODE_PROP_TOL * (1.0 + bound.abs());
+        if !improves {
+            return true;
+        }
+        if bound < lb - NODE_PROP_TOL * (1.0 + lb.abs() + bound.abs()) {
+            return false;
+        }
+        self.ub[j] = bound.max(lb);
+        self.queue_rows(j);
+        true
+    }
+
+    /// Raises `lb[j]` to `bound`; the mirror of [`tighten_ub`](Self::tighten_ub).
+    fn tighten_lb(&mut self, j: usize, bound: f64) -> bool {
+        let (lb, ub) = (self.lb[j], self.ub[j]);
+        let improves = bound > lb + NODE_PROP_TOL * (1.0 + bound.abs());
+        if !improves {
+            return true;
+        }
+        if bound > ub + NODE_PROP_TOL * (1.0 + ub.abs() + bound.abs()) {
+            return false;
+        }
+        self.lb[j] = bound.min(ub);
+        self.queue_rows(j);
+        true
+    }
+
+    fn queue_rows(&mut self, j: usize) {
+        for &r in &self.col_rows[self.col_start[j]..self.col_start[j + 1]] {
+            if !self.queued[r] {
+                self.queued[r] = true;
+                self.queue.push_back(r);
+            }
+        }
+    }
 }
 
 /// A free (unfixed) 0-1 column under the current bounds.
@@ -1638,5 +1871,73 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Runs node propagation at the root of `rows` over `lb`/`ub`.
+    fn node_root(rows: &[SparseRow], lb: &[f64], ub: &[f64]) -> bool {
+        NodePropagator::new(rows, lb.len()).run(lb, ub, None)
+    }
+
+    #[test]
+    fn node_propagation_proves_a_chain_overflow() {
+        // x0 + 5 <= x1, x1 + 5 <= x2, x2 <= 7: the chain needs x2 >= 10.
+        let chain = |cap: f64| {
+            vec![
+                le(vec![(0, 1.0), (1, -1.0)], -5.0),
+                le(vec![(1, 1.0), (2, -1.0)], -5.0),
+                le(vec![(2, 1.0)], cap),
+            ]
+        };
+        let (lb, ub) = (vec![0.0; 3], vec![100.0; 3]);
+        assert!(!node_root(&chain(7.0), &lb, &ub));
+        // Exactly enough room: the box is feasible and stays open.
+        assert!(node_root(&chain(10.0), &lb, &ub));
+        // A visit cap that cuts the proof short leaves the node open, so
+        // its LP runs.
+        let rows = chain(7.0);
+        let mut prop = NodePropagator::new(&rows, 3);
+        prop.visit_cap = 1;
+        assert!(prop.run(&lb, &ub, None));
+    }
+
+    #[test]
+    fn node_propagation_never_rounds_integral_bounds() {
+        // 2b >= 1 and 2b <= 1.5 hold at b = 0.6 but at no integer b. The
+        // rounding presolve propagation proves that infeasible; node
+        // propagation must not, because the node's LP is feasible.
+        let rows = vec![ge(vec![(0, 2.0)], 1.0), le(vec![(0, 2.0)], 1.5)];
+        let (mut lb, mut ub) = (vec![0.0], vec![1.0]);
+        assert!(node_root(&rows, &lb, &ub));
+        assert!(!propagate(&rows, &mut lb, &mut ub, &[true], 1e-7, 4));
+    }
+
+    #[test]
+    fn node_propagation_ignores_violations_inside_the_margin() {
+        // x >= 1 and x <= 1 - 1e-8 miss each other by less than the LP's
+        // feasibility tolerance: not settled.
+        let rows = vec![ge(vec![(0, 1.0)], 1.0), le(vec![(0, 1.0)], 1.0 - 1e-8)];
+        assert!(node_root(&rows, &[0.0], &[2.0]));
+        let rows = vec![ge(vec![(0, 1.0)], 1.0), le(vec![(0, 1.0)], 0.99)];
+        assert!(!node_root(&rows, &[0.0], &[2.0]));
+    }
+
+    #[test]
+    fn node_propagation_children_start_from_the_parent_box() {
+        // x - 10b <= 0 and x + y >= 2 with y <= 0.5: the root derives
+        // x >= 1.5 and the LP-valid (unrounded) b >= 0.15. The child b = 0
+        // crosses that bound at once; the child b = 1 stays open.
+        let rows = vec![
+            le(vec![(0, 1.0), (2, -10.0)], 0.0),
+            ge(vec![(0, 1.0), (1, 1.0)], 2.0),
+        ];
+        let (lb, ub) = (vec![0.0; 3], vec![10.0, 0.5, 1.0]);
+        let mut prop = NodePropagator::new(&rows, 3);
+        assert!(prop.run(&lb, &ub, None));
+        let root = prop.share();
+        assert!((root.lb[0] - 1.5).abs() < 1e-4 && (root.lb[2] - 0.15).abs() < 1e-4);
+        let down_ub = vec![10.0, 0.5, 0.0];
+        assert!(!prop.run(&lb, &down_ub, Some((&root, 2))));
+        let up_lb = vec![0.0, 0.0, 1.0];
+        assert!(prop.run(&up_lb, &ub, Some((&root, 2))));
     }
 }

@@ -215,6 +215,13 @@ impl Workspace {
         snap
     }
 
+    /// Drops the hot link for a node settled without its LP, as
+    /// [`solve`](Self::solve) does for a solved one, so the next node
+    /// reloads its snapshot exactly as it would after that node's LP.
+    pub(crate) fn unlink(&mut self) {
+        self.loaded = None;
+    }
+
     /// Solves the LP, warm-starting from `basis` when given and falling
     /// back to the cold two-phase primal on any numerical doubt. Pivots and
     /// factorization work spent on an abandoned warm attempt are still

@@ -16,14 +16,16 @@ pub enum Optimality {
 /// Search statistics reported alongside a [`Solution`].
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
 pub struct SolveStats {
-    /// Branch-and-bound nodes whose LP relaxation was solved.
+    /// Branch-and-bound nodes taken off the search stack, whether their LP
+    /// relaxation was solved or node propagation settled them, so that
+    /// `warm_nodes + cold_nodes + propagated_nodes == nodes`. The node
+    /// limit counts these.
     pub nodes: usize,
     /// Total simplex pivots across all nodes.
     pub simplex_iterations: usize,
-    /// Nodes whose LP was solved warm from a known basis, so that
-    /// `warm_nodes + cold_nodes == nodes`. A child node starts from its
-    /// parent's basis. The root starts from the basis the root cut loop
-    /// committed (whose first LP may itself start from a
+    /// Nodes whose LP was solved warm from a known basis. A child node
+    /// starts from its parent's basis. The root starts from the basis the
+    /// root cut loop committed (whose first LP may itself start from a
     /// [`BasisStore`](crate::BasisStore) entry), or, with strengthening
     /// off, from the store entry directly, and solves cold only when it has
     /// neither.
@@ -31,6 +33,12 @@ pub struct SolveStats {
     /// Nodes solved by the cold two-phase primal (including warm attempts
     /// that fell back on numerical trouble).
     pub cold_nodes: usize,
+    /// Nodes settled without an LP: activity-based bound propagation over
+    /// the node's bounds proved its LP relaxation infeasible. Propagation
+    /// is LP-valid (it never rounds an integral bound), so exactly these
+    /// nodes would have solved to an infeasible LP, and the search, its
+    /// answer and `nodes` are what they would be without it.
+    pub propagated_nodes: usize,
     /// Total basis LU (re)factorizations across all node LPs: every cold
     /// start and snapshot load factorizes the basis, and the eta file is
     /// folded into fresh factors once it reaches 64 updates, outgrows the

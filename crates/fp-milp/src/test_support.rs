@@ -1,12 +1,78 @@
-//! Test-only probes into the sparse revised simplex kernel.
+//! Test-only probes into the sparse revised simplex kernel and the node
+//! bound propagator.
 //!
 //! Hidden from docs and semver guarantees: this module exists so the
-//! integration-level property tests (`tests/prop_solver.rs`) can measure
-//! internal invariants — the LU + eta-file basis round-trip — that have no
-//! business in the public API. Nothing here is stable.
+//! integration-level property tests (`tests/prop_solver.rs`,
+//! `tests/node_propagation.rs`) can measure internal invariants — the LU +
+//! eta-file basis round-trip, and that propagation only settles nodes
+//! whose LP is infeasible — that have no business in the public API.
+//! Nothing here is stable.
 
 use crate::model::Model;
-use crate::simplex::{LpConfig, LpOutcome, LpProblem, SparseRow, Workspace};
+use crate::options::SolveOptions;
+use crate::presolve::NodePropagator;
+use crate::simplex::{LpConfig, LpOutcome, LpProblem, Workspace};
+
+/// The columns of `model`'s integral (binary or integer) variables.
+pub fn integral_columns(model: &Model) -> Vec<usize> {
+    (0..model.vars.len())
+        .filter(|&j| model.vars[j].kind.is_integral())
+        .collect()
+}
+
+/// What [`node_propagation_probe`] found on one bound box.
+#[derive(Debug, Clone, Copy)]
+pub struct PropagationProbe {
+    /// Node propagation proved the box's LP relaxation infeasible, so
+    /// branch-and-bound would settle the node without solving its LP.
+    pub settled: bool,
+    /// A cold LP solve of the box, at the solver's default tolerances,
+    /// reported `Infeasible`.
+    pub lp_infeasible: bool,
+}
+
+/// Runs the node propagator and a cold LP solve on one bound box: the
+/// model's own bounds with column `j` fixed to `v` for each `(j, v)` of
+/// `fixes`. Propagation reaches the box the way branch-and-bound does: a
+/// root pass over the model's bounds, then one branching step per fix,
+/// each starting from the box the step before proved.
+pub fn node_propagation_probe(model: &Model, fixes: &[(usize, f64)]) -> PropagationProbe {
+    let (c, _) = model.min_objective();
+    let rows = model.sparse_rows();
+    let mut lb: Vec<f64> = model.vars.iter().map(|d| d.lb).collect();
+    let mut ub: Vec<f64> = model.vars.iter().map(|d| d.ub).collect();
+    let mut prop = NodePropagator::new(&rows, model.vars.len());
+    let mut settled = !prop.run(&lb, &ub, None);
+    for &(j, v) in fixes {
+        if settled {
+            break;
+        }
+        lb[j] = v;
+        ub[j] = v;
+        let parent = prop.share();
+        settled = !prop.run(&lb, &ub, Some((&parent, j)));
+    }
+    let defaults = SolveOptions::default();
+    let cfg = LpConfig {
+        feas_tol: defaults.feas_tol,
+        opt_tol: defaults.opt_tol,
+        deadline: None,
+        warm_pivot_cap: 0,
+        refactor_interval: 0,
+    };
+    let p = LpProblem {
+        ncols: model.vars.len(),
+        rows: &rows,
+        c: &c,
+        lb: &lb,
+        ub: &ub,
+    };
+    let (out, _) = Workspace::new().solve(&p, None, &cfg);
+    PropagationProbe {
+        settled,
+        lp_infeasible: matches!(out, LpOutcome::Infeasible),
+    }
+}
 
 /// What [`sparse_root_lp_probe`] measured on one root-LP solve.
 #[derive(Debug, Clone, Copy)]
@@ -39,17 +105,7 @@ pub struct LuProbe {
 /// equivalence argument depends on.
 pub fn sparse_root_lp_probe(model: &Model, refactor_interval: usize) -> LuProbe {
     let (c, c_offset) = model.min_objective();
-    let rows: Vec<SparseRow> = model
-        .cons
-        .iter()
-        .map(|con| {
-            (
-                con.expr.iter().map(|(v, a)| (v.index(), a)).collect(),
-                con.cmp,
-                con.rhs,
-            )
-        })
-        .collect();
+    let rows = model.sparse_rows();
     let lb: Vec<f64> = model.vars.iter().map(|d| d.lb).collect();
     let ub: Vec<f64> = model.vars.iter().map(|d| d.ub).collect();
     let p = LpProblem {

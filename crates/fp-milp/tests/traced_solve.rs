@@ -41,14 +41,31 @@ fn solve_and_check(m: &Model, label: &str) -> f64 {
 
     // Per-node pivots are counted on every outcome path (wasted warm
     // pivots included), so they must sum to the stats total, and the
-    // per-node warm flags must sum to the stats warm count.
-    let (mut pivot_sum, mut warm_sum) = (0u64, 0usize);
+    // per-node warm and propagated flags must sum to the stats counts. A
+    // node settled by propagation ran no LP, so it is never warm and
+    // spent nothing.
+    let (mut pivot_sum, mut warm_sum, mut propagated_sum) = (0u64, 0usize, 0usize);
     for r in collector.of_kind(EventKind::BnbNode) {
-        let Event::BnbNode { warm, pivots, .. } = r.event else {
+        let Event::BnbNode {
+            warm,
+            pivots,
+            refactors,
+            etas,
+            propagated,
+            ..
+        } = r.event
+        else {
             unreachable!("of_kind returned a non-BnbNode record");
         };
+        if propagated {
+            assert!(
+                !warm && pivots == 0 && refactors == 0 && etas == 0,
+                "{label}: a settled node reports LP work"
+            );
+        }
         pivot_sum += pivots;
         warm_sum += usize::from(warm);
+        propagated_sum += usize::from(propagated);
     }
     assert_eq!(
         pivot_sum,
@@ -59,6 +76,11 @@ fn solve_and_check(m: &Model, label: &str) -> f64 {
         warm_sum,
         sol.stats().warm_nodes,
         "{label}: BnbNode warm flags vs stats.warm_nodes"
+    );
+    assert_eq!(
+        propagated_sum,
+        sol.stats().propagated_nodes,
+        "{label}: BnbNode propagated flags vs stats.propagated_nodes"
     );
 
     // SolveEnd carries the same totals the stats report.

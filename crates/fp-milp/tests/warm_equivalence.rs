@@ -26,9 +26,9 @@ fn proven(model: &Model, opts: &SolveOptions, what: &str) -> f64 {
     );
     let stats = sol.stats();
     assert_eq!(
-        stats.warm_nodes + stats.cold_nodes,
+        stats.warm_nodes + stats.cold_nodes + stats.propagated_nodes,
         stats.nodes,
-        "{what}: warm/cold counts must partition the node count"
+        "{what}: warm/cold/propagated counts must partition the node count"
     );
     if !opts.warm_start {
         assert_eq!(stats.warm_nodes, 0, "{what}: warm solves while disabled");

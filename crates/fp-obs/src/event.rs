@@ -74,7 +74,8 @@ pub enum Event {
         /// Relaxation objective in the model's own sense.
         objective: f64,
     },
-    /// One branch-and-bound node was claimed and its LP relaxation solved.
+    /// One branch-and-bound node was claimed, and either its LP
+    /// relaxation was solved or bound propagation settled it.
     BnbNode {
         /// Depth of the node in the search tree (root = 0).
         depth: usize,
@@ -89,6 +90,9 @@ pub enum Event {
         /// Eta-file basis updates recorded between refactorizations on
         /// this node's LP.
         etas: u64,
+        /// Whether bound propagation proved the node's LP infeasible, so
+        /// no LP ran: `warm` is then `false` and every count is 0.
+        propagated: bool,
     },
     /// A new incumbent was installed. Within one solve these are emitted
     /// in improvement order, so the objective sequence is monotone
@@ -547,12 +551,14 @@ impl Record {
                 pivots,
                 refactors,
                 etas,
+                propagated,
             } => {
                 field("depth", depth.to_string());
                 field("warm", warm.to_string());
                 field("pivots", pivots.to_string());
                 field("refactors", refactors.to_string());
                 field("etas", etas.to_string());
+                field("propagated", propagated.to_string());
             }
             Event::Incumbent { objective } => field("objective", jnum(*objective)),
             Event::Presolve {

@@ -284,9 +284,10 @@ pub fn parse_line(line: &str) -> Result<ParsedRecord, String> {
 
 /// Parses `line` and checks the trace schema: a numeric `seq`, a string
 /// `phase` and a string `event` field must be present. `BnbNode` lines
-/// additionally carry a numeric `depth`, a boolean `warm` and numeric
-/// `pivots`, `refactors` and `etas` (the warm-start and factorization
-/// coverage fields downstream tooling keys on);
+/// additionally carry a numeric `depth`, booleans `warm` and `propagated`
+/// and numeric `pivots`, `refactors` and `etas` (the warm-start,
+/// propagation and factorization coverage fields downstream tooling keys
+/// on);
 /// `Presolve` lines carry the four numeric strengthening counters and
 /// `CutRound` lines a numeric `round` and `cuts`. Service lines have
 /// schemas of their own: `Coalesced` carries a string `key`, `Shed` a
@@ -318,8 +319,10 @@ pub fn validate_line(line: &str) -> Result<ParsedRecord, String> {
                 return Err(format!("BnbNode: missing numeric '{key}' field"));
             }
         }
-        if parsed.bool_field("warm").is_none() {
-            return Err("BnbNode: missing boolean 'warm' field".to_string());
+        for key in ["warm", "propagated"] {
+            if parsed.bool_field(key).is_none() {
+                return Err(format!("BnbNode: missing boolean '{key}' field"));
+            }
         }
     }
     if parsed.str_field("event") == Some("Presolve") {
@@ -455,6 +458,7 @@ mod tests {
                 pivots: 7,
                 refactors: 1,
                 etas: 5,
+                propagated: false,
             },
         );
         t.emit(Phase::Solver, Event::Incumbent { objective: 7.0 });
@@ -791,25 +795,28 @@ mod tests {
     fn bnb_node_lines_require_warm_start_fields() {
         let ok = "{\"seq\":0,\"phase\":\"solver\",\"event\":\"BnbNode\",\
                   \"depth\":1,\"warm\":true,\"pivots\":4,\
-                  \"refactors\":1,\"etas\":3}";
+                  \"refactors\":1,\"etas\":3,\"propagated\":false}";
         let parsed = validate_line(ok).unwrap();
         assert_eq!(parsed.bool_field("warm"), Some(true));
+        assert_eq!(parsed.bool_field("propagated"), Some(false));
         assert_eq!(parsed.num("pivots"), Some(4.0));
         assert_eq!(parsed.num("refactors"), Some(1.0));
         assert_eq!(parsed.num("etas"), Some(3.0));
         // Missing warm, non-boolean warm, missing pivots, missing
-        // factorization counters: all rejected.
+        // factorization counters, missing propagated: all rejected.
         for bad in [
             "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
-             \"pivots\":4,\"refactors\":0,\"etas\":0}",
+             \"warm\":false,\"pivots\":4,\"refactors\":0,\"etas\":0}",
             "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
-             \"warm\":1,\"pivots\":4,\"refactors\":0,\"etas\":0}",
+             \"pivots\":4,\"refactors\":0,\"etas\":0,\"propagated\":false}",
             "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
-             \"warm\":false,\"refactors\":0,\"etas\":0}",
+             \"warm\":1,\"pivots\":4,\"refactors\":0,\"etas\":0,\"propagated\":false}",
             "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
-             \"warm\":false,\"pivots\":4,\"etas\":0}",
+             \"warm\":false,\"refactors\":0,\"etas\":0,\"propagated\":false}",
             "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
-             \"warm\":false,\"pivots\":4,\"refactors\":0}",
+             \"warm\":false,\"pivots\":4,\"etas\":0,\"propagated\":false}",
+            "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
+             \"warm\":false,\"pivots\":4,\"refactors\":0,\"propagated\":false}",
         ] {
             assert!(validate_line(bad).is_err(), "should reject: {bad}");
         }
@@ -843,6 +850,7 @@ mod tests {
                     pivots: 0,
                     refactors: 1,
                     etas: 0,
+                    propagated: false,
                 },
             );
             t.flush();

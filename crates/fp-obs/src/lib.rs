@@ -27,7 +27,7 @@
 //!
 //! let collector = Collector::new();
 //! let tracer = Tracer::new(collector.clone());
-//! tracer.emit(Phase::Solver, Event::BnbNode { depth: 0, warm: false, pivots: 0, refactors: 1, etas: 0 });
+//! tracer.emit(Phase::Solver, Event::BnbNode { depth: 0, warm: false, pivots: 0, refactors: 1, etas: 0, propagated: false });
 //! tracer.emit(Phase::Solver, Event::Incumbent { objective: 42.0 });
 //! assert_eq!(tracer.count(EventKind::BnbNode), 1);
 //! let records = collector.records();
@@ -36,7 +36,7 @@
 //!
 //! // Disabled tracing emits nothing and costs one Option check.
 //! let off = Tracer::disabled();
-//! off.emit(Phase::Solver, Event::BnbNode { depth: 9, warm: false, pivots: 0, refactors: 0, etas: 0 });
+//! off.emit(Phase::Solver, Event::BnbNode { depth: 9, warm: false, pivots: 0, refactors: 0, etas: 0, propagated: false });
 //! assert_eq!(off.count(EventKind::BnbNode), 0);
 //! ```
 
@@ -227,6 +227,7 @@ mod tests {
                 pivots: 0,
                 refactors: 0,
                 etas: 0,
+                propagated: false,
             },
         );
         drop(t.span(Phase::Augment, "noop"));
@@ -250,6 +251,7 @@ mod tests {
                     pivots: 0,
                     refactors: 0,
                     etas: 0,
+                    propagated: false,
                 },
             );
         }
@@ -274,6 +276,7 @@ mod tests {
                 pivots: 0,
                 refactors: 0,
                 etas: 0,
+                propagated: false,
             },
         );
         b.emit(
@@ -284,6 +287,7 @@ mod tests {
                 pivots: 0,
                 refactors: 0,
                 etas: 0,
+                propagated: false,
             },
         );
         assert_eq!(a.count(EventKind::BnbNode), 2);
@@ -326,6 +330,7 @@ mod tests {
                                 pivots: 0,
                                 refactors: 0,
                                 etas: 0,
+                                propagated: false,
                             },
                         );
                     }

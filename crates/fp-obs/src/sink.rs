@@ -154,6 +154,7 @@ mod tests {
                 pivots: 0,
                 refactors: 0,
                 etas: 0,
+                propagated: false,
             },
         );
         t.emit(Phase::Solver, Event::Incumbent { objective: 1.0 });
@@ -165,6 +166,7 @@ mod tests {
                 pivots: 0,
                 refactors: 0,
                 etas: 0,
+                propagated: false,
             },
         );
         assert_eq!(c.len(), 3);
@@ -197,6 +199,7 @@ mod tests {
                 pivots: 0,
                 refactors: 0,
                 etas: 0,
+                propagated: false,
             },
         );
         assert_eq!(t.count(EventKind::BnbNode), 1); // counters still work

@@ -14,8 +14,9 @@ pub fn render_summary(records: &[Record]) -> String {
     let mut solver_nodes = 0usize;
     let mut simplex = 0usize;
     let mut incumbents = 0usize;
-    let mut bnb_nodes = 0usize;
+    let mut lp_nodes = 0usize;
     let mut warm_bnb = 0usize;
+    let mut settled_bnb = 0usize;
     let mut node_refactors = 0u64;
     let mut node_etas = 0u64;
     let mut presolves = 0usize;
@@ -77,12 +78,15 @@ pub fn render_summary(records: &[Record]) -> String {
             }
             Event::Incumbent { .. } => incumbents += 1,
             Event::BnbNode {
+                propagated: true, ..
+            } => settled_bnb += 1,
+            Event::BnbNode {
                 warm,
                 refactors,
                 etas,
                 ..
             } => {
-                bnb_nodes += 1;
+                lp_nodes += 1;
                 warm_bnb += usize::from(*warm);
                 node_refactors += refactors;
                 node_etas += etas;
@@ -200,10 +204,12 @@ pub fn render_summary(records: &[Record]) -> String {
     if solves > 0 {
         // Node-level records are optional (summaries are also rendered from
         // streams that only carry solve boundaries), so the warm-start
-        // rollup only appears when BnbNode events are present.
-        let warm = if bnb_nodes > 0 {
+        // rollup only appears when BnbNode events are present. Nodes that
+        // propagation settled ran no LP, so they count apart.
+        let warm = if lp_nodes + settled_bnb > 0 {
             format!(
-                ", {warm_bnb}/{bnb_nodes} warm node solves, \
+                ", {warm_bnb}/{lp_nodes} warm node solves, \
+                 {settled_bnb} nodes settled by propagation, \
                  {node_refactors} refactorizations, {node_etas} eta updates"
             )
         } else {
@@ -408,6 +414,7 @@ mod tests {
                     pivots: 12,
                     refactors: 2,
                     etas: 10,
+                    propagated: false,
                 },
             ),
             rec(
@@ -419,6 +426,7 @@ mod tests {
                     pivots: 2,
                     refactors: 1,
                     etas: 2,
+                    propagated: false,
                 },
             ),
             rec(
@@ -430,13 +438,26 @@ mod tests {
                     pivots: 3,
                     refactors: 0,
                     etas: 0,
+                    propagated: false,
                 },
             ),
             rec(
                 4,
                 Phase::Solver,
+                Event::BnbNode {
+                    depth: 2,
+                    warm: false,
+                    pivots: 0,
+                    refactors: 0,
+                    etas: 0,
+                    propagated: true,
+                },
+            ),
+            rec(
+                5,
+                Phase::Solver,
                 Event::SolveEnd {
-                    nodes: 3,
+                    nodes: 4,
                     simplex_iterations: 17,
                     proven: true,
                 },
@@ -444,6 +465,7 @@ mod tests {
         ];
         let text = render_summary(&records);
         assert!(text.contains("2/3 warm node solves"), "{text}");
+        assert!(text.contains("1 nodes settled by propagation"), "{text}");
         assert!(
             text.contains("3 refactorizations, 12 eta updates"),
             "{text}"

@@ -202,16 +202,18 @@ impl ServeConfig {
     }
 }
 
-/// Engine-wide branch-and-bound node counters, split by how each node's LP
-/// relaxation was solved (warm dual-simplex restart vs. cold two-phase),
-/// plus the root model-strengthening work (rows tightened, binaries fixed,
-/// cuts added) accumulated over every step MILP.
+/// Engine-wide branch-and-bound node counters, split by how each node was
+/// settled (warm dual-simplex restart, cold two-phase, or bound
+/// propagation without an LP), plus the root model-strengthening work
+/// (rows tightened, binaries fixed, cuts added) accumulated over every
+/// step MILP.
 /// Relaxed ordering suffices: these are monotone telemetry counters, never
 /// used for synchronization.
 #[derive(Debug, Default)]
 struct SolverCounters {
     warm: AtomicU64,
     cold: AtomicU64,
+    propagated: AtomicU64,
     refactorizations: AtomicU64,
     eta_updates: AtomicU64,
     rows_tightened: AtomicU64,
@@ -225,6 +227,7 @@ impl SolverCounters {
         for (counter, value) in [
             (&self.warm, stats.warm_nodes()),
             (&self.cold, stats.cold_nodes()),
+            (&self.propagated, stats.propagated_nodes()),
             (&self.refactorizations, stats.refactorizations()),
             (&self.eta_updates, stats.eta_updates()),
             (&self.rows_tightened, stats.rows_tightened()),
@@ -489,10 +492,20 @@ impl Engine {
     /// engine has made. Warm nodes restarted from a simplex basis: a
     /// child from its parent's, a root from the one the cross-job basis
     /// store holds for its instance. Cold nodes ran the two-phase primal
-    /// from scratch.
+    /// from scratch. Nodes settled without an LP count in neither; see
+    /// [`propagated_nodes`](Self::propagated_nodes).
     #[must_use]
     pub fn solver_stats(&self) -> (u64, u64) {
         self.shared.solver.snapshot()
+    }
+
+    /// Branch-and-bound nodes that bound propagation settled without an
+    /// LP, over the same runs as [`solver_stats`](Self::solver_stats).
+    /// With its `(warm, cold)` pair this partitions every node the
+    /// engine's searches explored.
+    #[must_use]
+    pub fn propagated_nodes(&self) -> u64 {
+        self.shared.solver.propagated.load(Ordering::Relaxed)
     }
 
     /// `(rows_tightened, binaries_fixed, cuts_added)` accumulated by the

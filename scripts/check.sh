@@ -55,6 +55,12 @@ grep -q "0 greedy fallback" "$summary_file" \
 # lives in fp-core's trace_regression).
 grep -q '"warm":true' "$trace_file" \
     || { echo "check.sh: ami33 trace has no warm node solves"; exit 1; }
+# Node-propagation smoke: most infeasible nodes of the ami33 step MILPs
+# are settled by bound propagation before their LP runs, so some node
+# must carry the flag. None means propagation silently stopped engaging
+# (the per-deck counts are pinned in fp-core's flow_pins).
+grep -q '"propagated":true' "$trace_file" \
+    || { echo "check.sh: ami33 trace has no node settled by propagation"; exit 1; }
 # Strengthening smoke: every solve emits a Presolve event, and the ami33
 # obstacle big-Ms leave enough slack that at least one step must report
 # tightened rows. All-zero means the strengthening layer silently stopped
@@ -85,7 +91,7 @@ done
 # The snapshot solves serially, so its counts repeat exactly: every count
 # field of the fresh run must equal the committed BENCH_MILP.json's, in
 # order. Only the timings may differ.
-count_fields='"(nodes|pivots|warm_nodes|cold_nodes|refactorizations|eta_updates|rows_tightened|binaries_fixed|cuts_added)": [0-9]+'
+count_fields='"(nodes|pivots|warm_nodes|cold_nodes|propagated_nodes|refactorizations|eta_updates|rows_tightened|binaries_fixed|cuts_added)": [0-9]+'
 diff <(grep -Eo "$count_fields" BENCH_MILP.json) <(grep -Eo "$count_fields" "$bench_json") \
     || { echo "check.sh: milp_snapshot counts differ from BENCH_MILP.json"; exit 1; }
 
