@@ -48,7 +48,7 @@ fn main() {
             format!("{:.0}", out.floorplan.chip_area()),
             format!("{:.1}%", 100.0 * total / out.floorplan.chip_area()),
             format!("{:.0}", out.floorplan.center_wirelength(netlist)),
-            secs(out.elapsed),
+            secs(out.stats.elapsed),
         ]);
 
         // 2. Wong-Liu slicing simulated annealing [WON86].

@@ -67,7 +67,7 @@ fn main() {
                 format!("{:.0}", fp.chip_area()),
                 format!("{:.1}%", 100.0 * util),
                 format!("{:.0}", routing.total_wirelength),
-                secs(out.elapsed),
+                secs(out.stats.elapsed),
             ]);
         }
     }

@@ -60,7 +60,7 @@ fn main() {
                 format!("{:.0}", routing.adjustment.final_area()),
                 format!("{:.0}", routing.total_wirelength),
                 routing.adjustment.overflowed_edges.to_string(),
-                secs(out.elapsed),
+                secs(out.stats.elapsed),
             ]);
         }
     }

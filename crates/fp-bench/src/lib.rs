@@ -11,9 +11,9 @@
 
 pub mod instances;
 
-use fp_core::{improve, Floorplan, FloorplanConfig, FloorplanError, Floorplanner, RunStats};
+use fp_core::{FloorplanConfig, FloorplanError, FloorplanResult, Floorplanner};
 use fp_netlist::Netlist;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// The solver budget used by all experiments: generous enough that nearly
 /// every augmentation step solves to proven optimality at ami33 scale.
@@ -78,20 +78,9 @@ pub fn improve_config(base: &FloorplanConfig) -> FloorplanConfig {
     config
 }
 
-/// Outcome of the floorplanning pipeline: augmentation plus the paper's
-/// "adjust floorplan" step (Fig. 3 line 13), realized as the §2.5 topology
-/// LP.
-#[derive(Debug, Clone)]
-pub struct PipelineOutcome {
-    /// The final (adjusted) floorplan.
-    pub floorplan: Floorplan,
-    /// Per-step statistics from augmentation.
-    pub stats: RunStats,
-    /// End-to-end wall time including the adjustment LP.
-    pub elapsed: Duration,
-}
-
-/// Runs floorplanning + topology adjustment and validates the result.
+/// Runs the paper's flow, augmentation then the "adjust floorplan" step
+/// (Fig. 3 line 13: top re-optimization + the §2.5 topology LP, 6 rounds
+/// or 3 in quick mode under [`improve_config`]), and validates the result.
 ///
 /// # Errors
 ///
@@ -104,23 +93,17 @@ pub struct PipelineOutcome {
 pub fn run_pipeline(
     netlist: &Netlist,
     config: &FloorplanConfig,
-) -> Result<PipelineOutcome, FloorplanError> {
-    let started = Instant::now();
-    let result = Floorplanner::with_config(netlist, config.clone()).run()?;
-    // Fig. 3 line 13, "adjust floorplan": top re-optimization + topology LP.
+) -> Result<FloorplanResult, FloorplanError> {
     let rounds = if quick_mode() { 3 } else { 6 };
-    let floorplan = improve(&result.floorplan, netlist, &improve_config(config), rounds)?;
-    let elapsed = started.elapsed();
+    let result = Floorplanner::with_config(netlist, config.clone())
+        .with_improvement(rounds, Some(improve_config(config)))
+        .run()?;
     assert!(
-        floorplan.is_valid(),
+        result.floorplan.is_valid(),
         "invalid floorplan: {:?}",
-        floorplan.violations()
+        result.floorplan.violations()
     );
-    Ok(PipelineOutcome {
-        floorplan,
-        stats: result.stats,
-        elapsed,
-    })
+    Ok(result)
 }
 
 /// A plain-text table printer that mirrors the paper's table layout.
@@ -228,7 +211,7 @@ mod tests {
         );
         let out = run_pipeline(&nl, &cfg).unwrap();
         assert_eq!(out.floorplan.len(), 6);
-        assert!(out.elapsed > Duration::ZERO);
+        assert!(out.stats.elapsed > Duration::ZERO);
     }
 
     #[test]

@@ -18,12 +18,14 @@
 use crate::config::{FloorplanConfig, Objective, OrderingStrategy};
 use crate::envelope::ShapeSpec;
 use crate::error::FloorplanError;
-use crate::formulation::{estimate_binaries, StepInput, StepModel};
+use crate::formulation::{fit_group, StepInput};
 use crate::greedy::{greedy_height_on, widest_error};
+use crate::improve::improve_traced;
 use crate::placement::{Floorplan, PlacedModule};
+use crate::step::solve_step;
 use fp_geom::covering::covering_rectangles_from_skyline;
 use fp_geom::Skyline;
-use fp_milp::{Optimality, SolveError, SolveStats};
+use fp_milp::{SolveError, SolveStats};
 use fp_netlist::{ordering, ModuleId, Netlist};
 use fp_obs::{Event, Phase, StepTermination};
 use std::time::{Duration, Instant};
@@ -248,18 +250,23 @@ pub struct FloorplanResult {
     pub stats: RunStats,
 }
 
-/// The MILP floorplanner (paper's contribution).
+/// The MILP floorplanner (paper's contribution) and the one entry point
+/// of the paper's Fig. 3 flow: successive augmentation, then optional
+/// improvement rounds ("adjust floorplan").
 ///
 /// ```
-/// use fp_core::{Floorplanner, FloorplanConfig};
+/// use fp_core::{Floorplanner, FloorplanConfig, StepKind};
 /// # fn main() -> Result<(), fp_core::FloorplanError> {
 /// let netlist = fp_netlist::generator::ProblemGenerator::new(6, 1).generate();
-/// // Budget each augmentation-step MILP (optional; defaults are generous).
+/// // Budget each step MILP (optional; defaults are generous).
 /// let config = FloorplanConfig::default()
 ///     .with_step_options(fp_milp::SolveOptions::default().with_node_limit(2_000));
-/// let result = Floorplanner::with_config(&netlist, config).run()?;
+/// let result = Floorplanner::with_config(&netlist, config)
+///     .with_improvement(1, None)
+///     .run()?;
 /// assert!(result.floorplan.is_valid());
 /// assert_eq!(result.floorplan.len(), 6);
+/// assert_eq!(result.stats.steps[0].kind, StepKind::Placement);
 /// # Ok(())
 /// # }
 /// ```
@@ -267,22 +274,42 @@ pub struct FloorplanResult {
 pub struct Floorplanner<'a> {
     netlist: &'a Netlist,
     config: FloorplanConfig,
+    improve_rounds: usize,
+    improve_config: Option<FloorplanConfig>,
 }
 
 impl<'a> Floorplanner<'a> {
     /// A floorplanner with default configuration.
     #[must_use]
     pub fn new(netlist: &'a Netlist) -> Self {
-        Floorplanner {
-            netlist,
-            config: FloorplanConfig::default(),
-        }
+        Floorplanner::with_config(netlist, FloorplanConfig::default())
     }
 
     /// A floorplanner with explicit configuration.
     #[must_use]
     pub fn with_config(netlist: &'a Netlist, config: FloorplanConfig) -> Self {
-        Floorplanner { netlist, config }
+        Floorplanner {
+            netlist,
+            config,
+            improve_rounds: 0,
+            improve_config: None,
+        }
+    }
+
+    /// Follows augmentation with `rounds` improvement rounds (top/band
+    /// re-optimization alternated with the §2.5 topology LP, as in
+    /// [`improve_traced`](crate::improve_traced)) under `budget`, or under
+    /// the augmentation's own configuration when `budget` is `None`. The
+    /// default is 0 rounds: augmentation alone.
+    ///
+    /// Improvement is best-effort polish. The flow skips it once the
+    /// budget's deadline has passed or its stop flag is raised, and an
+    /// improvement error keeps the augmented floorplan.
+    #[must_use]
+    pub fn with_improvement(mut self, rounds: usize, budget: Option<FloorplanConfig>) -> Self {
+        self.improve_rounds = rounds;
+        self.improve_config = budget;
+        self
     }
 
     /// The active configuration.
@@ -291,16 +318,41 @@ impl<'a> Floorplanner<'a> {
         &self.config
     }
 
-    /// Runs successive augmentation to completion.
+    /// Runs successive augmentation to completion, then the improvement
+    /// rounds set by [`with_improvement`](Self::with_improvement). The
+    /// result's [`RunStats`] records every step MILP of both, placement
+    /// steps first, and its `elapsed` covers the whole flow.
     ///
     /// # Errors
     ///
     /// * [`FloorplanError::EmptyNetlist`] for an empty problem,
     /// * [`FloorplanError::ModuleTooWide`] when a module cannot fit the chip,
     /// * [`FloorplanError::InvalidOrdering`] for a bad custom order,
+    /// * [`FloorplanError::Cancelled`] when the stop flag is raised or a
+    ///   portfolio incumbent proves augmentation cannot win,
     /// * [`FloorplanError::Solver`] only for internal model bugs.
     pub fn run(&self) -> Result<FloorplanResult, FloorplanError> {
         let started = Instant::now();
+        let (mut floorplan, mut stats) = self.augment()?;
+        let budget = self.improve_config.as_ref().unwrap_or(&self.config);
+        let expired = budget.deadline.is_some_and(|d| Instant::now() >= d);
+        if self.improve_rounds > 0 && !expired && !budget.stop.is_set() {
+            if let Ok(better) = improve_traced(
+                &floorplan,
+                self.netlist,
+                budget,
+                self.improve_rounds,
+                &mut stats,
+            ) {
+                floorplan = better;
+            }
+        }
+        stats.elapsed = started.elapsed();
+        Ok(FloorplanResult { floorplan, stats })
+    }
+
+    /// Successive augmentation (Fig. 3 lines 1–11).
+    fn augment(&self) -> Result<(Floorplan, RunStats), FloorplanError> {
         let order = resolve_order(self.netlist, &self.config)?;
         let chip_width = resolve_chip_width(self.netlist, &self.config)?;
         let specs: Vec<ShapeSpec> = order
@@ -349,17 +401,11 @@ impl<'a> Floorplanner<'a> {
 
             // Adaptive group size: honor the target but stay under the
             // binary budget (>= 1 module per step, always).
-            let mut take = target.min(specs.len() - cursor).max(1);
-            while take > 1 {
-                let rot = specs[cursor..cursor + take]
-                    .iter()
-                    .filter(|s| s.has_z)
-                    .count();
-                if estimate_binaries(take, obstacles.len(), rot) <= self.config.max_binaries {
-                    break;
-                }
-                take -= 1;
-            }
+            let take = fit_group(
+                &specs[cursor..(cursor + target).min(specs.len())],
+                obstacles.len(),
+                self.config.max_binaries,
+            );
             let group = &specs[cursor..cursor + take];
 
             // Greedy witness: both the incumbent fallback and the height
@@ -368,7 +414,6 @@ impl<'a> Floorplanner<'a> {
                 return Err(widest_error(group, chip_width, self.netlist));
             };
 
-            let step_started = Instant::now();
             let input = StepInput {
                 netlist: self.netlist,
                 config: &self.config,
@@ -380,42 +425,16 @@ impl<'a> Floorplanner<'a> {
                 floor,
                 pull_down: false,
             };
-            let step_model = StepModel::build(&input);
-            let binaries = step_model.model.num_integer_vars();
-            let step_index = stats.steps.len();
-
-            // Re-budgeted per step: with a config deadline the limit is
-            // the *remaining* wall clock, so K steps cannot overshoot by
-            // K × the per-step limit.
-            let mut step_options = self.config.budgeted_step_options();
             // Pure-area step objective is W · height, so the incumbent
             // height becomes an external objective cutoff the step must
-            // strictly beat.
-            if inc_height.is_finite() {
-                step_options.initial_upper_bound = step_options
-                    .initial_upper_bound
-                    .min(chip_width * inc_height);
-            }
-            let bounded = step_options.initial_upper_bound.is_finite();
-            let (new_placements, outcome, solve) = match step_model
-                .model
-                .solve_traced(&step_options, &self.config.tracer)
-            {
-                Ok(sol) => {
-                    let outcome = match sol.optimality() {
-                        Optimality::Proven => StepOutcome::Optimal,
-                        Optimality::Limit => StepOutcome::Incumbent,
-                    };
-                    (
-                        step_model.extract(&sol, group),
-                        outcome,
-                        sol.stats().clone(),
-                    )
-                }
-                Err(SolveError::InvalidModel(why)) => {
-                    return Err(FloorplanError::Solver(SolveError::InvalidModel(why)))
-                }
-                Err(SolveError::Infeasible) if bounded => {
+            // strictly beat, as must any bound the step options carry.
+            let bound = self.config.step_options.initial_upper_bound;
+            let cutoff = bound.min(chip_width * inc_height);
+            let step_index = stats.steps.len();
+            let step = solve_step(StepKind::Placement, &input, &greedy, cutoff);
+            match step.error {
+                Some(e @ SolveError::InvalidModel(_)) => return Err(FloorplanError::Solver(e)),
+                Some(SolveError::Infeasible) if cutoff.is_finite() => {
                     // The greedy witness makes the step feasible, so a
                     // *proven* infeasibility under an injected cutoff
                     // means no placement of this group beats the
@@ -425,29 +444,15 @@ impl<'a> Floorplanner<'a> {
                         "step proved the portfolio incumbent unbeatable".into(),
                     ));
                 }
-                Err(_) => {
-                    // Infeasible cannot truly happen (the greedy witness
-                    // satisfies every constraint); numerical trouble and
-                    // limits both degrade to the greedy placement.
-                    self.config
-                        .tracer
-                        .emit(Phase::Augment, Event::GreedyFallback { step: step_index });
-                    let fallback = greedy
-                        .iter()
-                        .zip(group)
-                        .map(|(g, spec)| {
-                            let (rect, envelope, rotated) = spec.realize(g.x, g.y, g.z, g.dw);
-                            PlacedModule {
-                                id: spec.id,
-                                rect,
-                                envelope,
-                                rotated,
-                            }
-                        })
-                        .collect();
-                    (fallback, StepOutcome::GreedyFallback, SolveStats::default())
-                }
-            };
+                // Infeasible cannot truly happen (the greedy witness
+                // satisfies every constraint); numerical trouble and
+                // limits both degrade to the greedy placement.
+                Some(_) => self
+                    .config
+                    .tracer
+                    .emit(Phase::Augment, Event::GreedyFallback { step: step_index }),
+                None => {}
+            }
 
             // Exactly one terminal event per augmentation step, after any
             // fallback marker.
@@ -457,22 +462,14 @@ impl<'a> Floorplanner<'a> {
                     step: step_index,
                     group: take,
                     obstacles: obstacles.len(),
-                    binaries,
-                    nodes: solve.nodes,
-                    outcome: outcome.termination(),
+                    binaries: step.stats.binaries,
+                    nodes: step.stats.nodes,
+                    outcome: step.stats.outcome.termination(),
                 },
             );
-            stats.steps.push(StepStats::new(
-                StepKind::Placement,
-                group.iter().map(|s| s.id).collect(),
-                obstacles.len(),
-                binaries,
-                &solve,
-                step_started.elapsed(),
-                outcome,
-            ));
+            stats.steps.push(step.stats);
             let before = placed.len();
-            placed.extend(new_placements);
+            placed.extend(step.placements);
             for p in &placed[before..] {
                 sky.add_rect(&p.envelope);
             }
@@ -480,11 +477,7 @@ impl<'a> Floorplanner<'a> {
             target = self.config.group_size.max(1);
         }
 
-        stats.elapsed = started.elapsed();
-        Ok(FloorplanResult {
-            floorplan: Floorplan::new(chip_width, placed),
-            stats,
-        })
+        Ok((Floorplan::new(chip_width, placed), stats))
     }
 }
 

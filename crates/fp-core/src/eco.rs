@@ -31,12 +31,13 @@ use crate::augment::{resolve_chip_width, RunStats, StepKind, StepOutcome, StepSt
 use crate::config::{FloorplanConfig, Objective};
 use crate::envelope::ShapeSpec;
 use crate::error::FloorplanError;
-use crate::formulation::{estimate_binaries, StepInput, StepModel};
-use crate::greedy::greedy_height;
+use crate::formulation::{fit_group, StepInput};
+use crate::greedy::{greedy_height, widest_error};
 use crate::improve::improve_traced;
 use crate::placement::{Floorplan, PlacedModule};
+use crate::step::solve_step;
 use fp_geom::Rect;
-use fp_milp::{Optimality, SolveStats};
+use fp_milp::{SolveError, SolveStats};
 use fp_netlist::{ModuleId, Netlist};
 use std::collections::BTreeSet;
 use std::time::Instant;
@@ -323,15 +324,12 @@ pub fn eco_replace(
         let obstacles: Vec<Rect> = placed.iter().map(|p| p.envelope).collect();
         let floor = obstacles.iter().map(Rect::top).fold(0.0, f64::max);
 
-        let mut take = config.group_size.min(order.len() - cursor).max(1);
-        while take > 1 {
-            let group = &order[cursor..cursor + take];
-            let rot = group.iter().filter(|id| specs[id.0].has_z).count();
-            if estimate_binaries(take, obstacles.len(), rot) <= config.max_binaries {
-                break;
-            }
-            take -= 1;
-        }
+        let window: Vec<ShapeSpec> = order[cursor..]
+            .iter()
+            .take(config.group_size.max(1))
+            .map(|id| specs[id.0].clone())
+            .collect();
+        let take = fit_group(&window, obstacles.len(), config.max_binaries);
 
         // A single rigid module under the pure-area objective is placed
         // exactly by candidate enumeration — the common ECO shape (one
@@ -339,7 +337,7 @@ pub fn eco_replace(
         // otherwise spend thousands of nodes on ~4k obstacle binaries.
         if take == 1 && matches!(config.objective, Objective::Area) && !config.enforce_critical_nets
         {
-            let spec = &specs[order[cursor].0];
+            let spec = &window[0];
             if spec.soft.is_none() && !spec.has_dw {
                 let step_started = Instant::now();
                 if let Some(pm) = place_single_exact(spec, &obstacles, chip_width, floor) {
@@ -358,21 +356,10 @@ pub fn eco_replace(
                 }
             }
         }
-        let group: Vec<ShapeSpec> = order[cursor..cursor + take]
-            .iter()
-            .map(|id| specs[id.0].clone())
-            .collect();
+        let group = &window[..take];
 
-        let Some((greedy, h_ub)) = greedy_height(&obstacles, &group, chip_width) else {
-            let widest = group
-                .iter()
-                .max_by(|a, b| a.min_env_width().total_cmp(&b.min_env_width()))
-                .expect("non-empty group");
-            return Err(FloorplanError::ModuleTooWide {
-                module: netlist.module(widest.id).name().to_string(),
-                min_width: widest.min_env_width(),
-                chip_width,
-            });
+        let Some((greedy, h_ub)) = greedy_height(&obstacles, group, chip_width) else {
+            return Err(widest_error(group, chip_width, netlist));
         };
 
         let input = StepInput {
@@ -381,64 +368,22 @@ pub fn eco_replace(
             chip_width,
             obstacles: &obstacles,
             placed: &placed,
-            group: &group,
+            group,
             h_ub,
             floor,
             // The kept top usually pins the chip height, so packing the
             // replacements low is the objective that actually helps.
             pull_down: true,
         };
-        let step = StepModel::build(&input);
-        let binaries = step.model.num_integer_vars();
-        let step_started = Instant::now();
-        let solved = step
-            .model
-            .solve_traced(&config.budgeted_step_options(), &config.tracer);
-        let (new_placements, outcome, sol_stats) = match solved {
-            Ok(sol) => {
-                let outcome = match sol.optimality() {
-                    Optimality::Proven => StepOutcome::Optimal,
-                    Optimality::Limit => StepOutcome::Incumbent,
-                };
-                let s = sol.stats().clone();
-                (step.extract(&sol, &group), outcome, Some(s))
-            }
-            Err(fp_milp::SolveError::InvalidModel(why)) => {
-                return Err(FloorplanError::Solver(fp_milp::SolveError::InvalidModel(
-                    why,
-                )))
-            }
-            Err(_) => {
-                // The greedy witness satisfies every constraint, so limits
-                // and numerical trouble degrade to the greedy placement.
-                let fallback = greedy
-                    .iter()
-                    .zip(&group)
-                    .map(|(g, spec)| {
-                        let (rect, envelope, rotated) = spec.realize(g.x, g.y, g.z, g.dw);
-                        PlacedModule {
-                            id: spec.id,
-                            rect,
-                            envelope,
-                            rotated,
-                        }
-                    })
-                    .collect();
-                (fallback, StepOutcome::GreedyFallback, None)
-            }
-        };
-        let s = sol_stats.unwrap_or_default();
-        basis = basis.max(s.basis_tier);
-        stats.steps.push(StepStats::new(
-            StepKind::Placement,
-            group.iter().map(|g| g.id).collect(),
-            obstacles.len(),
-            binaries,
-            &s,
-            step_started.elapsed(),
-            outcome,
-        ));
-        placed.extend(new_placements);
+        // The greedy witness satisfies every constraint, so limits and
+        // numerical trouble degrade to the greedy placement.
+        let step = solve_step(StepKind::Placement, &input, &greedy, f64::INFINITY);
+        if let Some(e @ SolveError::InvalidModel(_)) = step.error {
+            return Err(FloorplanError::Solver(e));
+        }
+        basis = basis.max(step.basis);
+        stats.steps.push(step.stats);
+        placed.extend(step.placements);
         cursor += take;
     }
 

@@ -82,6 +82,19 @@ pub(crate) fn estimate_binaries(group_size: usize, obstacles: usize, rotatable: 
         + rotatable
 }
 
+/// How many of `candidates`, taken as a prefix and at least one, one step
+/// MILP can place against `obstacles` fixed rectangles without exceeding
+/// `max_binaries` 0-1 variables.
+pub(crate) fn fit_group(candidates: &[ShapeSpec], obstacles: usize, max_binaries: usize) -> usize {
+    (2..=candidates.len())
+        .rev()
+        .find(|&take| {
+            let rot = candidates[..take].iter().filter(|s| s.has_z).count();
+            estimate_binaries(take, obstacles, rot) <= max_binaries
+        })
+        .unwrap_or(1)
+}
+
 impl StepModel {
     /// Builds the MILP for one augmentation step.
     pub(crate) fn build(input: &StepInput<'_>) -> StepModel {

@@ -132,9 +132,18 @@ pub fn bottom_left(
         // which resolve_chip_width should have caught; report the widest.
         widest_error(&specs, chip_w, netlist)
     })?;
-    let placed = placements
+    Ok(Floorplan::new(chip_w, realize_greedy(&placements, &specs)))
+}
+
+/// The placed modules of greedy decisions: `placements[i]` places
+/// `group[i]`.
+pub(crate) fn realize_greedy(
+    placements: &[GreedyPlacement],
+    group: &[ShapeSpec],
+) -> Vec<PlacedModule> {
+    placements
         .iter()
-        .zip(&specs)
+        .zip(group)
         .map(|(g, spec)| {
             let (rect, envelope, rotated) = spec.realize(g.x, g.y, g.z, g.dw);
             PlacedModule {
@@ -144,8 +153,7 @@ pub fn bottom_left(
                 rotated,
             }
         })
-        .collect();
-    Ok(Floorplan::new(chip_w, placed))
+        .collect()
 }
 
 /// One module's shape decision handed to [`legalize`], in placement order.

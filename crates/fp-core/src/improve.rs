@@ -10,17 +10,17 @@
 //! stays bounded. [`improve`] alternates this with the §2.5 topology LP
 //! until a round stops helping.
 
-use crate::augment::{resolve_chip_width, RunStats, StepKind, StepOutcome, StepStats};
+use crate::augment::{resolve_chip_width, RunStats, StepKind};
 use crate::config::FloorplanConfig;
 use crate::envelope::ShapeSpec;
 use crate::error::FloorplanError;
-use crate::formulation::{estimate_binaries, StepInput, StepModel};
+use crate::formulation::{estimate_binaries, StepInput};
 use crate::greedy::greedy_height;
 use crate::placement::{Floorplan, PlacedModule};
+use crate::step::solve_step;
 use crate::topology::optimize_topology;
 use fp_geom::covering::covering_rectangles;
 use fp_geom::Rect;
-use fp_milp::{Optimality, SolveStats};
 use fp_netlist::Netlist;
 use fp_obs::{Event, Phase};
 use std::time::Instant;
@@ -41,34 +41,28 @@ pub fn reoptimize_top(
     config: &FloorplanConfig,
     group_size: usize,
 ) -> Result<Floorplan, FloorplanError> {
-    reoptimize_band(floorplan, netlist, config, group_size, 0)
+    reoptimize(
+        floorplan,
+        netlist,
+        config,
+        group_size,
+        0,
+        &mut RunStats::default(),
+    )
 }
 
 /// Like [`reoptimize_top`], but skips the `skip_top` topmost modules before
-/// selecting the group — re-solving a deeper band of the chip. Used by
-/// [`improve`] to keep making progress when the very top is already
-/// optimal.
-pub fn reoptimize_band(
+/// selecting the group — re-solving a deeper band of the chip, which lets
+/// [`improve`] keep making progress when the very top is already optimal.
+/// Every MILP it solves is appended to `stats` as a
+/// [`StepKind::Reoptimize`] step, whatever its outcome.
+fn reoptimize(
     floorplan: &Floorplan,
     netlist: &Netlist,
     config: &FloorplanConfig,
     group_size: usize,
     skip_top: usize,
-) -> Result<Floorplan, FloorplanError> {
-    reoptimize_band_recorded(floorplan, netlist, config, group_size, skip_top, None)
-}
-
-/// [`reoptimize_band`] plus per-solve bookkeeping: when `stats` is given,
-/// every MILP actually solved is appended as a
-/// [`StepKind::Reoptimize`] step, so re-optimization branch-and-bound
-/// nodes show up in [`RunStats::total_nodes`].
-fn reoptimize_band_recorded(
-    floorplan: &Floorplan,
-    netlist: &Netlist,
-    config: &FloorplanConfig,
-    group_size: usize,
-    skip_top: usize,
-    stats: Option<&mut RunStats>,
+    stats: &mut RunStats,
 ) -> Result<Floorplan, FloorplanError> {
     if floorplan.len() < 2 || group_size == 0 {
         return Ok(floorplan.clone());
@@ -84,13 +78,12 @@ fn reoptimize_band_recorded(
     let skip = skip_top.min(floorplan.len().saturating_sub(2));
     let group_size = group_size.min(floorplan.len() - skip - 1).max(1);
 
-    let band: Vec<&PlacedModule> = order[skip..skip + group_size].to_vec();
-    let remaining: Vec<&PlacedModule> = order[..skip]
+    let mut removed: Vec<&PlacedModule> = order[skip..skip + group_size].to_vec();
+    let remaining: Vec<PlacedModule> = order[..skip]
         .iter()
         .chain(order[skip + group_size..].iter())
-        .copied()
+        .map(|&&p| p)
         .collect();
-    let removed = band;
 
     let envelopes: Vec<Rect> = remaining.iter().map(|p| p.envelope).collect();
     // Top removal (skip = 0) leaves a flat-ish arrangement where the
@@ -100,7 +93,7 @@ fn reoptimize_band_recorded(
     let mut obstacles = if skip == 0 {
         covering_rectangles(&envelopes)
     } else {
-        envelopes.clone()
+        envelopes
     };
     let floor = obstacles.iter().map(Rect::top).fold(0.0, f64::max);
 
@@ -110,7 +103,6 @@ fn reoptimize_band_recorded(
         .iter()
         .map(|p| ShapeSpec::from_module(p.id, netlist.module(p.id), config))
         .collect();
-    let mut removed = removed;
     let mut returned: Vec<PlacedModule> = Vec::new();
     while specs.len() > 1 {
         let rot = specs.iter().filter(|s| s.has_z).count();
@@ -125,7 +117,7 @@ fn reoptimize_band_recorded(
         returned.push(back);
     }
 
-    let Some((_, h_ub)) = greedy_height(&obstacles, &specs, chip_width) else {
+    let Some((greedy, h_ub)) = greedy_height(&obstacles, &specs, chip_width) else {
         return Ok(floorplan.clone());
     };
     // The current floorplan height is also an upper bound achieved by a
@@ -136,7 +128,7 @@ fn reoptimize_band_recorded(
         config,
         chip_width,
         obstacles: &obstacles,
-        placed: &remaining.iter().map(|&&p| p).collect::<Vec<_>>(),
+        placed: &remaining,
         group: &specs,
         h_ub: h_ub.min(current.max(floor)).max(floor),
         floor,
@@ -145,54 +137,18 @@ fn reoptimize_band_recorded(
         // prunes better.
         pull_down: skip > 0,
     };
-    let step = StepModel::build(&input);
-    let step_started = Instant::now();
-    let nodes_before = config.tracer.count(fp_obs::EventKind::BnbNode);
-    let solved = step
-        .model
-        .solve_traced(&config.budgeted_step_options(), &config.tracer);
-    if let Some(stats) = stats {
-        // Record the solve whatever its outcome: a limit that produced no
-        // incumbent still explored nodes, and those belong in the totals.
-        // On errors no `Solution` exists, so the node count comes from the
-        // tracer's counter delta (0 when tracing is disabled).
-        let (outcome, solve) = match &solved {
-            Ok(sol) => (
-                match sol.optimality() {
-                    Optimality::Proven => StepOutcome::Optimal,
-                    Optimality::Limit => StepOutcome::Incumbent,
-                },
-                sol.stats().clone(),
-            ),
-            Err(_) => {
-                let explored = config.tracer.count(fp_obs::EventKind::BnbNode) - nodes_before;
-                (
-                    StepOutcome::GreedyFallback,
-                    SolveStats {
-                        nodes: explored as usize,
-                        ..SolveStats::default()
-                    },
-                )
-            }
-        };
-        stats.steps.push(StepStats::new(
-            StepKind::Reoptimize,
-            specs.iter().map(|s| s.id).collect(),
-            obstacles.len(),
-            step.model.num_integer_vars(),
-            &solve,
-            step_started.elapsed(),
-            outcome,
-        ));
-    }
-    let Ok(sol) = solved else {
+    // Record the solve whatever its outcome: a limit that produced no
+    // incumbent still explored nodes, and those belong in the totals.
+    let step = solve_step(StepKind::Reoptimize, &input, &greedy, f64::INFINITY);
+    stats.steps.push(step.stats);
+    // A failed solve keeps the input: it is a legal placement already.
+    if step.error.is_some() {
         return Ok(floorplan.clone());
-    };
-    let new_placements = step.extract(&sol, &specs);
+    }
 
-    let mut modules: Vec<PlacedModule> = remaining.iter().map(|&&p| p).collect();
+    let mut modules = remaining;
     modules.extend(returned);
-    modules.extend(new_placements);
+    modules.extend(step.placements);
     let candidate = Floorplan::new(floorplan.chip_width(), modules);
     debug_assert_eq!(
         candidate.len(),
@@ -269,7 +225,7 @@ pub fn improve_traced(
         if config.deadline.is_some_and(|d| Instant::now() >= d) {
             break;
         }
-        let candidate = reoptimize_band_recorded(&best, netlist, config, group, skip, Some(stats))?;
+        let candidate = reoptimize(&best, netlist, config, group, skip, stats)?;
         let candidate = optimize_topology(&candidate, netlist, config)?;
         let better = candidate.chip_height() < best.chip_height() - 1e-9
             || (candidate.chip_height() < best.chip_height() + 1e-9

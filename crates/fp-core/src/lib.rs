@@ -12,6 +12,9 @@
 //! * **successive augmentation** (Fig. 3): modules are added a few at a
 //!   time, the partial floorplan is collapsed into covering rectangles
 //!   (`fp_geom::covering`), and each step is solved optimally;
+//! * **one flow**: [`Floorplanner::run`] runs augmentation, then the
+//!   "adjust floorplan" rounds of [`Floorplanner::with_improvement`]; the
+//!   CLI, the facade's `Pipeline`, fp-serve and fp-bench all enter here;
 //! * §3.2 routing **envelopes**: module sides grow proportionally to their
 //!   pin counts so the MILP reserves routing space;
 //! * §2.5 **given-topology optimization**: with relations fixed, all
@@ -54,6 +57,7 @@ mod greedy;
 mod improve;
 mod placement;
 mod portfolio;
+mod step;
 mod topology;
 
 pub use augment::{

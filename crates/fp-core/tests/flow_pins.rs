@@ -22,7 +22,7 @@
 //! runs sees the same bounds and the same warm start, and the search is
 //! the same node for node.
 
-use fp_core::{improve_traced, FloorplanConfig, Floorplanner, StepStats};
+use fp_core::{FloorplanConfig, FloorplanResult, Floorplanner, StepStats};
 use fp_milp::SolveOptions;
 use fp_netlist::{ami33, apte9, decks, xerox10, Netlist};
 use std::time::Duration;
@@ -37,20 +37,19 @@ struct Counts {
     height: f64,
 }
 
-/// Augmentation, then one improvement round, as the benchmark's flow
-/// runs them.
+/// Augmentation, then one improvement round, through the flow entry
+/// point. The benchmark composes the same flow from `Floorplanner::run`
+/// and `improve_traced`; the pins were taken from that composition.
 fn flow_counts(netlist: &Netlist) -> Counts {
     let config = FloorplanConfig::default().with_step_options(
         SolveOptions::default()
             .with_node_limit(4000)
             .with_time_limit(Duration::from_secs(24 * 3600)),
     );
-    let augmented = Floorplanner::with_config(netlist, config.clone())
+    let FloorplanResult { floorplan, stats } = Floorplanner::with_config(netlist, config)
+        .with_improvement(1, None)
         .run()
-        .expect("augmentation succeeds");
-    let mut stats = augmented.stats;
-    let floorplan = improve_traced(&augmented.floorplan, netlist, &config, 1, &mut stats)
-        .expect("improvement succeeds");
+        .expect("the flow succeeds");
     assert!(floorplan.is_valid(), "{:?}", floorplan.violations());
     let sum = |f: fn(&StepStats) -> usize| stats.steps.iter().map(f).sum();
     Counts {

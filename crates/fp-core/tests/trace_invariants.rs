@@ -4,13 +4,16 @@
 //!
 //! Budgets are generous on purpose: every step MILP returns `Ok`, so the
 //! trace's node accounting and `RunStats` describe the same solves with no
-//! error-path slack.
+//! error-path slack. One case starves the steps instead, to pin that a
+//! step ending without a solution still counts the nodes it explored.
 
 use fp_core::{
     bottom_left, improve_traced, FloorplanConfig, Floorplanner, RunStats, StepKind, StepOutcome,
 };
+use fp_milp::SolveOptions;
 use fp_netlist::generator::ProblemGenerator;
 use fp_obs::{Collector, Event, EventKind, Phase, Record, StepTermination, Tracer};
+use std::time::Duration;
 
 /// A collector-backed config over a seeded problem. Budgets stay at the
 /// generous defaults so no step errors out.
@@ -61,6 +64,32 @@ fn bnb_node_events_match_run_stats() {
         end_nodes,
         result.stats.total_nodes(),
         "SolveEnd nodes vs RunStats::total_nodes"
+    );
+}
+
+/// A step MILP that stops at its node limit without a solution falls back
+/// to the greedy placement, yet its search explored nodes: a traced run
+/// counts them, so the trace and the run statistics still agree.
+#[test]
+fn failed_steps_count_their_traced_nodes() {
+    let netlist = ProblemGenerator::new(10, 7).generate();
+    let (config, collector) = traced_config();
+    // Only the 1-node limit may end a search, so the run is repeatable.
+    let config = config.with_step_options(
+        SolveOptions::default()
+            .with_node_limit(1)
+            .with_time_limit(Duration::from_secs(24 * 3600)),
+    );
+    let result = Floorplanner::with_config(&netlist, config).run().unwrap();
+
+    assert!(
+        result.stats.greedy_fallbacks() > 0,
+        "a 1-node limit must leave some step without a solution"
+    );
+    assert_eq!(
+        collector.count_of(EventKind::BnbNode),
+        result.stats.total_nodes(),
+        "BnbNode events vs RunStats::total_nodes"
     );
 }
 

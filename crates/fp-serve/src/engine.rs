@@ -222,7 +222,9 @@ struct SolverCounters {
 }
 
 impl SolverCounters {
-    /// Adds one augmentation run's step totals.
+    /// Adds the step totals of one run: a finished MILP leg's flow
+    /// (augmentation and improvement) or an ECO re-placement with its
+    /// polish round.
     fn record(&self, stats: &RunStats) {
         for (counter, value) in [
             (&self.warm, stats.warm_nodes()),
@@ -488,8 +490,8 @@ impl Engine {
     }
 
     /// `(warm, cold)` branch-and-bound node counts accumulated over every
-    /// augmentation run (finished MILP legs and ECO re-placements) this
-    /// engine has made. Warm nodes restarted from a simplex basis: a
+    /// step MILP of every run (finished MILP legs, improvement rounds
+    /// included, and ECO re-placements) this engine has made. Warm nodes restarted from a simplex basis: a
     /// child from its parent's, a root from the one the cross-job basis
     /// store holds for its instance. Cold nodes ran the two-phase primal
     /// from scratch. Nodes settled without an LP count in neither; see

@@ -3,8 +3,8 @@
 //!
 //! Three backends cover complementary regimes:
 //!
-//! * **milp** — the paper's successive-augmentation pipeline plus the
-//!   improvement loop: slow, highest quality. Under a tight deadline the
+//! * **milp** — the paper's successive-augmentation flow plus its
+//!   improvement rounds: slow, highest quality. Under a tight deadline the
 //!   shared incumbent is injected into every step MILP as a
 //!   branch-and-bound cutoff, letting a fast heuristic answer prune the
 //!   search or abort it outright.
@@ -15,16 +15,18 @@
 //!   fastest to a decent placement on tight budgets.
 //!
 //! Every job fp-serve solves goes through [`race`]: the default backend
-//! list is `[milp]`, a one-leg race, so [`milp_leg`] is fp-serve's only
-//! copy of the pipeline. The calling thread runs the first listed leg
-//! itself and each further leg gets a scoped thread, all under one
-//! shared deadline — a one-backend race spawns no thread. When plenty of
-//! budget remains the race is **best-of-N** (wait for everyone, pick the
-//! lowest cost); under a tight deadline it degrades to **any-of-N** (the
-//! first leg to finish with a legal answer wins and cancels the rest
-//! through their cooperative [`StopFlag`]s). Either way every leg's
-//! outcome is published as an [`Event::BackendDone`] and the race as an
-//! [`Event::Portfolio`].
+//! list is `[milp]`, a one-leg race. [`milp_leg`] enters fp-core's one
+//! flow entry point, `Floorplanner::with_improvement(..).run()`, which
+//! the CLI, the facade `Pipeline` and fp-bench's tables call too, so
+//! fp-serve holds no copy of the pipeline. The calling thread runs the
+//! first listed leg itself and each further leg gets a scoped thread,
+//! all under one shared deadline — a one-backend race spawns no thread.
+//! When plenty of budget remains the race is **best-of-N** (wait for
+//! everyone, pick the lowest cost); under a tight deadline it degrades to
+//! **any-of-N** (the first leg to finish with a legal answer wins and
+//! cancels the rest through their cooperative [`StopFlag`]s). Either way
+//! every leg's outcome is published as an [`Event::BackendDone`] and the
+//! race as an [`Event::Portfolio`].
 
 use fp_core::{
     Floorplan, FloorplanConfig, FloorplanError, FloorplanResult, Floorplanner, LegalizeItem,
@@ -106,8 +108,8 @@ pub struct RaceOutcome {
     /// The winning backend and its legal floorplan; `None` when no leg
     /// produced one (the caller then falls back to the greedy skyline).
     pub winner: Option<(Backend, Floorplan)>,
-    /// The MILP leg's augmentation statistics whenever that leg finished,
-    /// whether it won or not.
+    /// The MILP leg's step statistics, augmentation and improvement,
+    /// whenever that leg finished, whether it won or not.
     pub milp_stats: Option<RunStats>,
 }
 
@@ -116,7 +118,7 @@ struct Leg {
     outcome: Result<Floorplan, FloorplanError>,
     /// [`cost_of`] the answer; NaN when the leg failed.
     cost: f64,
-    /// The augmentation run's statistics (MILP leg only).
+    /// The flow's step statistics (MILP leg only).
     stats: Option<RunStats>,
     micros: u64,
 }
@@ -132,16 +134,15 @@ fn cost_of(fp: &Floorplan, netlist: &Netlist, objective: Objective) -> f64 {
     }
 }
 
-/// Runs the full MILP pipeline (augment → improve) — fp-serve's one copy
-/// of the paper's floorplanner. `incumbent` is `Some` only under a tight
-/// deadline (any-of mode): the shared cell then feeds every step MILP an
-/// external branch-and-bound cutoff, so a heuristic leg that already
-/// answered lets this leg prune hard or abort instead of burning the
-/// rest of the budget on a provably losing search. In best-of mode no
+/// Runs fp-core's flow (augment → improve). `incumbent` is `Some` only
+/// under a tight deadline (any-of mode): the shared cell then feeds every
+/// step MILP an external branch-and-bound cutoff, so a heuristic leg that
+/// already answered lets this leg prune hard or abort instead of burning
+/// the rest of the budget on a provably losing search. In best-of mode no
 /// incumbent is injected, so the leg gives exactly the answer of a
 /// MILP-only race — which is what makes the race's cost provably never
 /// worse than that (abort-on-incumbent reasons at the augmentation level
-/// and cannot account for gains the improvement rung would have made).
+/// and cannot account for gains the improvement rounds would have made).
 fn milp_leg(
     netlist: &Netlist,
     fp_config: &FloorplanConfig,
@@ -153,16 +154,9 @@ fn milp_leg(
         .clone()
         .with_stop(stop.clone())
         .with_incumbent(incumbent);
-    let mut result = Floorplanner::with_config(netlist, config.clone()).run()?;
-    let expired = config.deadline.is_some_and(|d| Instant::now() >= d);
-    if improve_rounds > 0 && !expired && !stop.is_set() {
-        // Improvement is best-effort: keep the augmented placement if
-        // re-optimization fails.
-        if let Ok(better) = fp_core::improve(&result.floorplan, netlist, &config, improve_rounds) {
-            result.floorplan = better;
-        }
-    }
-    Ok(result)
+    Floorplanner::with_config(netlist, config)
+        .with_improvement(improve_rounds, None)
+        .run()
 }
 
 /// Runs the slicing annealer width-constrained to the job's chip width,

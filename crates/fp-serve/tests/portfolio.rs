@@ -1,11 +1,17 @@
 //! Portfolio-mode integration tests: legality, winner attribution, the
 //! quality guarantee against the default MILP-only race, the MILP leg's
-//! degraded flag and solver counters, and tight-deadline any-of behavior.
+//! degraded flag and solver counters (improvement round included), and
+//! tight-deadline any-of behavior.
 
+use fp_core::{FloorplanConfig, Floorplanner, StepKind};
+use fp_milp::{BasisStore, SolveOptions};
 use fp_netlist::generator::ProblemGenerator;
 use fp_netlist::Netlist;
 use fp_obs::{Collector, EventKind, Tracer};
+use fp_serve::fingerprint::{canonical, fingerprint_of, FingerprintParams};
 use fp_serve::{Backend, Engine, JobRequest, JobResponse, ServeConfig};
+use std::sync::Arc;
+use std::time::Duration;
 
 /// Solves `netlist` on a fresh single-worker engine (cache off so every
 /// run actually solves) and returns the response.
@@ -178,6 +184,69 @@ fn raced_milp_leg_feeds_the_solver_counters() {
         warm + cold > 0,
         "the finished MILP leg's nodes must be counted, got ({warm}, {cold})"
     );
+}
+
+/// The engine's solver counters cover every step MILP of the flow its
+/// MILP leg runs, the improvement round included: a fresh engine's totals
+/// for one deck equal those of fp-core's flow run with the engine's step
+/// options.
+#[test]
+fn solver_counters_cover_the_improvement_round() {
+    // Only node limits may end a search, so both runs are repeatable.
+    let time_limit = Duration::from_secs(24 * 3600);
+    let config = ServeConfig {
+        time_limit,
+        ..ServeConfig::default()
+    }
+    .with_workers(1)
+    .with_cache_capacity(0);
+    assert_eq!(config.improve_rounds, 1);
+    let node_limit = config.node_limit;
+    let req = JobRequest::new(1, &fp_netlist::xerox10()).with_cache(false);
+    let netlist = req.parse_netlist().expect("the deck round-trips");
+    let engine = Engine::start(config);
+    let resp = engine.client().call(req);
+    let served = (
+        engine.solver_stats(),
+        engine.propagated_nodes(),
+        engine.factorization_stats().0,
+    );
+    engine.shutdown();
+    assert_legal(&resp, netlist.num_modules());
+
+    // The engine's step options: its limits, plus a fresh cross-solve
+    // basis store that every step loads from and publishes to under the
+    // job's fingerprint.
+    let params = FingerprintParams {
+        width: None,
+        lambda: 0.0,
+        rotation: true,
+        route: false,
+    };
+    let key = fingerprint_of(&canonical(&netlist, &params));
+    let options = SolveOptions::default()
+        .with_node_limit(node_limit)
+        .with_time_limit(time_limit)
+        .with_basis_store(Arc::new(BasisStore::new(256)), key, key);
+    let flow = Floorplanner::with_config(
+        &netlist,
+        FloorplanConfig::default().with_step_options(options),
+    )
+    .with_improvement(1, None)
+    .run()
+    .expect("the flow succeeds");
+    assert!(flow.stats.nodes_of_kind(StepKind::Reoptimize) > 0);
+    let stats = &flow.stats;
+    assert_eq!(
+        served,
+        (
+            (stats.warm_nodes() as u64, stats.cold_nodes() as u64),
+            stats.propagated_nodes() as u64,
+            stats.refactorizations() as u64,
+        ),
+        "engine counters ((warm, cold), propagated, refactorizations) vs the flow's"
+    );
+    assert_eq!(resp.chip_height, flow.floorplan.chip_height());
 }
 
 #[test]

@@ -150,6 +150,57 @@ fn huge_deadline_does_not_kill_workers() {
     }
 }
 
+/// TCP twin of `prop_singleflight`'s in-process fan-out test. A blocker
+/// holds the single worker, so the first of K identical jobs, each sent
+/// over its own connection, stays queued while the rest arrive and join
+/// its flight: K−1 answers come back coalesced, whatever the host's speed.
+#[test]
+fn tcp_duplicates_join_a_queued_leader() {
+    const K: usize = 6;
+    let collector = Collector::new();
+    let tracer = Tracer::new(collector.clone());
+    let (responses, coalesced_events) = with_watchdog(move || {
+        let config = ServeConfig::default()
+            .with_workers(1)
+            .with_cache_capacity(0)
+            .with_tracer(tracer);
+        let server = Server::bind("127.0.0.1:0", config).expect("bind ephemeral");
+        let addr = server.local_addr();
+        let send = |req: JobRequest| {
+            let mut stream = TcpStream::connect(addr).expect("connect");
+            writeln!(stream, "{}", req.encode()).expect("send");
+            BufReader::new(stream)
+        };
+        let answer = |mut reader: BufReader<TcpStream>| {
+            let mut line = String::new();
+            reader.read_line(&mut line).expect("read line");
+            JobResponse::decode(line.trim_end()).expect("decode response")
+        };
+
+        // The worker takes the blocker up (its cache lookup misses) and
+        // spends far longer on ami33 than the duplicates take to arrive.
+        let blocker = send(JobRequest::new(1000, &fp_netlist::ami33()));
+        while collector.count_of(EventKind::CacheMiss) == 0 {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        let nl = ProblemGenerator::new(5, 7).generate();
+        let readers: Vec<_> = (0..K)
+            .map(|i| send(JobRequest::new(i as u64, &nl)))
+            .collect();
+        assert!(answer(blocker).ok);
+        let responses: Vec<JobResponse> = readers.into_iter().map(answer).collect();
+        server.shutdown();
+        (responses, collector.count_of(EventKind::Coalesced))
+    });
+
+    for resp in &responses {
+        assert!(resp.ok, "job {}: {}", resp.id, resp.error);
+    }
+    let coalesced = responses.iter().filter(|r| r.coalesced).count();
+    assert_eq!(coalesced, K - 1, "one leader and K-1 coalesced followers");
+    assert_eq!(coalesced_events, K - 1, "one Coalesced event per follower");
+}
+
 #[test]
 fn cache_answers_second_identical_job() {
     let collector = Collector::new();

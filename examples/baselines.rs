@@ -23,8 +23,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // Analytical MILP (this paper): augment, then improve + compact.
     let config = FloorplanConfig::default();
     let started = Instant::now();
-    let result = Floorplanner::with_config(&netlist, config.clone()).run()?;
-    let milp = improve(&result.floorplan, &netlist, &config, 4)?;
+    let milp = Floorplanner::with_config(&netlist, config.clone())
+        .with_improvement(4, None)
+        .run()?
+        .floorplan;
     println!(
         "MILP (analytical):  area {:>7.0}  utilization {:>5.1}%  [{:.2?}]",
         milp.chip_area(),

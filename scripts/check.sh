@@ -162,10 +162,12 @@ grep -q '"event":"CacheHit"' "$serve_trace" \
 
 # Overload smoke: 200 open-loop connections, half submitting one shared
 # duplicate instance, against one worker with a tiny global queue. The
-# duplicates must coalesce onto in-flight solves (>=1 Coalesced event)
-# and the overflow must be load-shed with a typed retry (>=1 Shed event),
-# all in a schema-valid trace, with every job answered (ok or shed).
-echo "== overload smoke (coalescing + load shedding)"
+# overflow must be load-shed with a typed retry (>=1 Shed event), all in
+# a schema-valid trace, with every job answered (ok or shed). Whether a
+# duplicate here coalesces depends on solve time against arrival timing,
+# so coalescing over TCP is checked deterministically by fp-serve's
+# `tcp_duplicates_join_a_queued_leader` test instead.
+echo "== overload smoke (load shedding)"
 shed_log="$(mktemp)"
 shed_trace="$(mktemp --suffix=.jsonl)"
 shed_load="$(mktemp)"
@@ -188,8 +190,6 @@ grep -q "lost 0" "$shed_load" \
 kill "$shed_pid" 2>/dev/null || true
 wait "$shed_pid" 2>/dev/null || true
 cargo run --release -q -p fp-obs --example validate_trace -- "$shed_trace"
-grep -q '"event":"Coalesced"' "$shed_trace" \
-    || { echo "check.sh: duplicate instances never coalesced"; exit 1; }
 grep -q '"event":"Shed"' "$shed_trace" \
     || { echo "check.sh: overload never load-shed"; exit 1; }
 

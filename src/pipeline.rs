@@ -1,8 +1,10 @@
 //! One-call orchestration of the full paper flow:
 //! floorplan (successive augmentation) → adjust (top re-optimization +
-//! §2.5 compaction) → global route → channel adjustment.
+//! §2.5 compaction) → global route → channel adjustment. The first two
+//! stages are fp-core's flow entry point
+//! ([`Floorplanner::with_improvement`]); routing stays in fp-route.
 
-use fp_core::{improve, Floorplan, FloorplanConfig, FloorplanError, Floorplanner, RunStats};
+use fp_core::{Floorplan, FloorplanConfig, FloorplanError, Floorplanner, RunStats};
 use fp_netlist::Netlist;
 use fp_route::{route, RouteConfig, RouteError, RoutingResult};
 use std::error::Error;
@@ -55,7 +57,7 @@ pub struct PipelineReport {
     pub floorplan: Floorplan,
     /// Routing result, when routing was enabled.
     pub routing: Option<RoutingResult>,
-    /// Augmentation statistics.
+    /// Step statistics of augmentation and improvement.
     pub stats: RunStats,
     /// End-to-end wall time.
     pub elapsed: Duration,
@@ -118,8 +120,10 @@ impl Pipeline {
         self
     }
 
-    /// Enables `rounds` of post-pass improvement (top/band re-optimization
-    /// alternated with §2.5 compaction).
+    /// Enables `rounds` of best-effort post-pass improvement (top/band
+    /// re-optimization alternated with §2.5 compaction). They are skipped
+    /// past the improvement configuration's deadline or stop flag, and an
+    /// improvement error keeps the augmented floorplan.
     pub fn improve_rounds(&mut self, rounds: usize) -> &mut Self {
         self.improve_rounds = rounds;
         self
@@ -145,18 +149,15 @@ impl Pipeline {
     /// [`PipelineError`] naming the failing stage.
     pub fn run(&self, netlist: &Netlist) -> Result<PipelineReport, PipelineError> {
         let started = Instant::now();
-        let result = Floorplanner::with_config(netlist, self.floorplan.clone()).run()?;
-        let mut floorplan = result.floorplan;
-        if self.improve_rounds > 0 {
-            let improve_cfg = self.improve_config.as_ref().unwrap_or(&self.floorplan);
-            floorplan = improve(&floorplan, netlist, improve_cfg, self.improve_rounds)?;
-        }
+        let result = Floorplanner::with_config(netlist, self.floorplan.clone())
+            .with_improvement(self.improve_rounds, self.improve_config.clone())
+            .run()?;
         let routing = match &self.route {
-            Some(route_cfg) => Some(route(&floorplan, netlist, route_cfg)?),
+            Some(route_cfg) => Some(route(&result.floorplan, netlist, route_cfg)?),
             None => None,
         };
         Ok(PipelineReport {
-            floorplan,
+            floorplan: result.floorplan,
             routing,
             stats: result.stats,
             elapsed: started.elapsed(),

@@ -3,7 +3,7 @@
 //! the same quality band — the precondition for the `comparison` benchmark
 //! binary to be meaningful.
 
-use analytical_floorplan::core::{improve, FloorplanConfig, Floorplanner};
+use analytical_floorplan::core::{FloorplanConfig, Floorplanner};
 use analytical_floorplan::milp::SolveOptions;
 use analytical_floorplan::netlist::generator::ProblemGenerator;
 use analytical_floorplan::slicing::SlicingAnnealer;
@@ -21,8 +21,11 @@ fn fast() -> FloorplanConfig {
 fn both_methods_produce_valid_floorplans() {
     let netlist = ProblemGenerator::new(10, 2024).generate();
 
-    let milp = Floorplanner::with_config(&netlist, fast()).run().unwrap();
-    let milp_fp = improve(&milp.floorplan, &netlist, &fast(), 2).unwrap();
+    let milp = Floorplanner::with_config(&netlist, fast())
+        .with_improvement(2, None)
+        .run()
+        .unwrap();
+    let milp_fp = &milp.floorplan;
     assert!(milp_fp.is_valid());
     assert_eq!(milp_fp.len(), 10);
 

@@ -1,7 +1,7 @@
 //! End-to-end integration: floorplan → improve → route → adjust, across
 //! crates, on generated problems.
 
-use analytical_floorplan::core::{improve, FloorplanConfig, Floorplanner, Objective};
+use analytical_floorplan::core::{FloorplanConfig, Floorplanner, Objective};
 use analytical_floorplan::milp::SolveOptions;
 use analytical_floorplan::netlist::generator::ProblemGenerator;
 use analytical_floorplan::route::{route, RouteAlgorithm, RouteConfig, RoutingMode};
@@ -18,12 +18,15 @@ fn fast() -> FloorplanConfig {
 #[test]
 fn pipeline_rigid_modules() {
     let netlist = ProblemGenerator::new(10, 100).generate();
-    let result = Floorplanner::with_config(&netlist, fast()).run().unwrap();
-    let fp = improve(&result.floorplan, &netlist, &fast(), 2).unwrap();
+    let result = Floorplanner::with_config(&netlist, fast())
+        .with_improvement(2, None)
+        .run()
+        .unwrap();
+    let fp = &result.floorplan;
     assert!(fp.is_valid(), "{:?}", fp.violations());
     assert_eq!(fp.len(), 10);
 
-    let routing = route(&fp, &netlist, &RouteConfig::default()).unwrap();
+    let routing = route(fp, &netlist, &RouteConfig::default()).unwrap();
     assert_eq!(routing.routes.len(), netlist.num_nets());
     assert!(routing.total_wirelength > 0.0);
     assert!(routing.adjustment.final_area() >= fp.chip_area() - 1e-6);
