@@ -434,7 +434,7 @@ impl<'a> Floorplanner<'a> {
             let step = solve_step(StepKind::Placement, &input, &greedy, cutoff);
             match step.error {
                 Some(e @ SolveError::InvalidModel(_)) => return Err(FloorplanError::Solver(e)),
-                Some(SolveError::Infeasible) if cutoff.is_finite() => {
+                Some(SolveError::Infeasible(_)) if cutoff.is_finite() => {
                     // The greedy witness makes the step feasible, so a
                     // *proven* infeasibility under an injected cutoff
                     // means no placement of this group beats the
@@ -664,7 +664,7 @@ mod tests {
         let inc = Arc::new(SharedIncumbent::new());
         // Nothing can be strictly below zero height: the very first step's
         // bound makes the MILP proven-infeasible and the run cancels.
-        inc.publish(0.0, 0.0);
+        inc.publish(0.0);
         let cfg = fast().with_incumbent(Some(inc.clone()));
         assert!(matches!(
             Floorplanner::with_config(&nl, cfg).run(),
@@ -698,7 +698,7 @@ mod tests {
         // A loose incumbent (well above what the run achieves) must not
         // change the outcome: pruning against it is inactive on the optimal
         // path.
-        inc.publish(f64::MAX / 4.0, baseline.floorplan.chip_height() * 2.0);
+        inc.publish(baseline.floorplan.chip_height() * 2.0);
         let cfg = untimed().with_incumbent(Some(inc));
         let bounded = Floorplanner::with_config(&nl, cfg).run().unwrap();
         assert!(

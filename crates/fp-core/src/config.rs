@@ -97,12 +97,6 @@ pub struct FloorplanConfig {
     pub pitch_h: f64,
     /// Metal pitch of one vertical routing track.
     pub pitch_v: f64,
-    /// Envelope margins are rounded **up** to a multiple of this quantum
-    /// (0 disables). Raw `pins × pitch` margins differ slightly per module,
-    /// which fragments the skyline into many small steps and hurts both the
-    /// covering-rectangle reduction and packing; quantizing restores
-    /// alignment while never shrinking the reserved space.
-    pub margin_quantum: f64,
     /// Linearization used for flexible modules.
     pub soft_model: SoftShapeModel,
     /// Solver limits for each augmentation-step MILP.
@@ -127,8 +121,9 @@ pub struct FloorplanConfig {
     pub tracer: fp_obs::Tracer,
     /// Cooperative cancellation flag, checked at every augmentation-step
     /// boundary and inside every step MILP's branch-and-bound loop. When
-    /// raised, the run returns [`FloorplanError::Cancelled`]
-    /// (crate::FloorplanError::Cancelled). Disabled by default.
+    /// raised, the run returns
+    /// [`FloorplanError::Cancelled`](crate::FloorplanError::Cancelled).
+    /// Disabled by default.
     pub stop: StopFlag,
     /// Shared portfolio incumbent. When set and the objective is pure
     /// [`Objective::Area`], each step MILP receives the incumbent's best
@@ -152,7 +147,6 @@ impl Default for FloorplanConfig {
             envelopes: false,
             pitch_h: 0.10,
             pitch_v: 0.10,
-            margin_quantum: 0.5,
             soft_model: SoftShapeModel::default(),
             step_options: SolveOptions::default()
                 .with_node_limit(20_000)

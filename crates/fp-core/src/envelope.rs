@@ -111,14 +111,20 @@ pub(crate) struct ShapeSpec {
     pub area: f64,
 }
 
+/// Envelope margins are rounded **up** to a multiple of this quantum. Raw
+/// `pins × pitch` margins differ slightly per module, which fragments the
+/// skyline into many small steps and hurts both the covering-rectangle
+/// reduction and packing; quantizing restores alignment while never
+/// shrinking the reserved space.
+const MARGIN_QUANTUM: f64 = 0.5;
+
 impl ShapeSpec {
     /// Builds the spec for `module` under `config`.
     pub(crate) fn from_module(id: ModuleId, module: &Module, config: &FloorplanConfig) -> Self {
         let pins = module.pins();
         let quantize = |margin: f64| -> f64 {
-            let q = config.margin_quantum;
-            if q > 0.0 && margin > 0.0 {
-                (margin / q).ceil() * q
+            if margin > 0.0 {
+                (margin / MARGIN_QUANTUM).ceil() * MARGIN_QUANTUM
             } else {
                 margin
             }

@@ -79,7 +79,7 @@ mod tests {
             chip_width: 30.0,
         };
         assert!(e.to_string().contains("ram"));
-        let s: FloorplanError = fp_milp::SolveError::Infeasible.into();
+        let s: FloorplanError = fp_milp::SolveError::Infeasible(Box::default()).into();
         assert!(std::error::Error::source(&s).is_some());
     }
 }

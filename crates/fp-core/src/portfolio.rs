@@ -1,61 +1,48 @@
 //! Shared incumbent state for portfolio races.
 //!
 //! When several backends (MILP augmentation, annealer, analytical placer)
-//! race the same instance, each publishes every *full, legal* floorplan it
-//! finishes into a [`SharedIncumbent`]. Other backends read it to prune:
+//! race the same instance, each publishes the chip height of every *full,
+//! legal* floorplan it finishes into a [`SharedIncumbent`]. Other backends
+//! read it to prune:
 //! the MILP driver injects the best height as a
 //! [`SolveOptions::initial_upper_bound`](fp_milp::SolveOptions) and aborts
 //! outright once its partial-floorplan floor cannot beat it.
 //!
-//! The cell keeps two independent min-registers — best *cost* (the race's
-//! comparison metric, e.g. area + λ·wirelength) and best *height* (the pure
-//! chip-height bound a fixed-width MILP step can prune against). Tracking
-//! the minima independently is sound: each is a valid bound on its own
-//! metric over the set of published floorplans, even if no single floorplan
-//! attains both.
+//! The cell keeps one min-register: the best chip height, the bound a
+//! fixed-width MILP step can prune against.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Lock-free cell holding the best cost and best height published by any
-/// backend so far (both `f64::INFINITY` until a first publish).
+/// Lock-free cell holding the best chip height published by any backend
+/// so far (`f64::INFINITY` until a first publish).
 ///
 /// ```
 /// use fp_core::SharedIncumbent;
 /// let inc = SharedIncumbent::new();
-/// assert!(inc.best_cost().is_infinite());
-/// inc.publish(120.0, 10.0);
-/// inc.publish(150.0, 8.0); // worse cost, better height
-/// assert_eq!(inc.best_cost(), 120.0);
-/// assert_eq!(inc.best_height(), 8.0);
+/// assert!(inc.best_height().is_infinite());
+/// inc.publish(10.0);
+/// inc.publish(12.0); // worse height, ignored
+/// assert_eq!(inc.best_height(), 10.0);
 /// ```
 #[derive(Debug)]
 pub struct SharedIncumbent {
-    cost_bits: AtomicU64,
     height_bits: AtomicU64,
 }
 
 impl SharedIncumbent {
-    /// An empty incumbent: both registers start at `f64::INFINITY`.
+    /// An empty incumbent: the register starts at `f64::INFINITY`.
     #[must_use]
     pub fn new() -> Self {
         SharedIncumbent {
-            cost_bits: AtomicU64::new(f64::INFINITY.to_bits()),
             height_bits: AtomicU64::new(f64::INFINITY.to_bits()),
         }
     }
 
-    /// Records a finished full legal floorplan: its race cost and its chip
-    /// height. Each register only ever decreases. Non-finite values are
-    /// ignored (they cannot tighten a min-register).
-    pub fn publish(&self, cost: f64, height: f64) {
-        store_min(&self.cost_bits, cost);
+    /// Records the chip height of a finished full legal floorplan. The
+    /// register only ever decreases. Non-finite heights are ignored (they
+    /// cannot tighten a min-register).
+    pub fn publish(&self, height: f64) {
         store_min(&self.height_bits, height);
-    }
-
-    /// The best race cost published so far (`f64::INFINITY` if none).
-    #[must_use]
-    pub fn best_cost(&self) -> f64 {
-        f64::from_bits(self.cost_bits.load(Ordering::Relaxed))
     }
 
     /// The best chip height published so far (`f64::INFINITY` if none).
@@ -71,13 +58,12 @@ impl Default for SharedIncumbent {
     }
 }
 
-/// Snapshot equality: two incumbents compare equal when their current
-/// registers hold the same values (exists so containing configs can keep
+/// Snapshot equality: two incumbents compare equal when their registers
+/// currently hold the same value (exists so containing configs can keep
 /// deriving `PartialEq`).
 impl PartialEq for SharedIncumbent {
     fn eq(&self, other: &Self) -> bool {
-        self.cost_bits.load(Ordering::Relaxed) == other.cost_bits.load(Ordering::Relaxed)
-            && self.height_bits.load(Ordering::Relaxed) == other.height_bits.load(Ordering::Relaxed)
+        self.height_bits.load(Ordering::Relaxed) == other.height_bits.load(Ordering::Relaxed)
     }
 }
 
@@ -107,15 +93,15 @@ mod tests {
     #[test]
     fn starts_empty_and_tracks_minima_independently() {
         let inc = SharedIncumbent::new();
-        assert!(inc.best_cost().is_infinite());
         assert!(inc.best_height().is_infinite());
-        inc.publish(100.0, 12.0);
-        inc.publish(90.0, 15.0); // better cost, worse height
-        assert_eq!(inc.best_cost(), 90.0);
+        inc.publish(12.0);
+        inc.publish(15.0); // worse height
         assert_eq!(inc.best_height(), 12.0);
-        inc.publish(f64::NAN, f64::INFINITY); // ignored
-        assert_eq!(inc.best_cost(), 90.0);
+        inc.publish(f64::NAN); // ignored
+        inc.publish(f64::NEG_INFINITY); // ignored
         assert_eq!(inc.best_height(), 12.0);
+        inc.publish(11.5);
+        assert_eq!(inc.best_height(), 11.5);
     }
 
     #[test]
@@ -127,13 +113,12 @@ mod tests {
                 s.spawn(move || {
                     for i in 0..1000 {
                         let v = (((t * 1000 + i) * 7919) % 5000) as f64 + 1.0;
-                        inc.publish(v, v / 2.0);
+                        inc.publish(v / 2.0);
                     }
                 });
             }
         });
         // 7919 is coprime to 5000, so some k*7919 % 5000 == 0 -> min 1.0.
-        assert_eq!(inc.best_cost(), 1.0);
         assert_eq!(inc.best_height(), 0.5);
     }
 
@@ -142,9 +127,9 @@ mod tests {
         let a = SharedIncumbent::new();
         let b = SharedIncumbent::new();
         assert_eq!(a, b);
-        a.publish(10.0, 5.0);
+        a.publish(5.0);
         assert_ne!(a, b);
-        b.publish(10.0, 5.0);
+        b.publish(5.0);
         assert_eq!(a, b);
     }
 }

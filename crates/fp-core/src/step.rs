@@ -6,8 +6,7 @@ use crate::augment::{StepKind, StepOutcome, StepStats};
 use crate::formulation::{StepInput, StepModel};
 use crate::greedy::{realize_greedy, GreedyPlacement};
 use crate::placement::PlacedModule;
-use fp_milp::{BasisTier, Optimality, SolveError, SolveStats};
-use fp_obs::EventKind;
+use fp_milp::{BasisTier, Optimality, SolveError};
 use std::time::Instant;
 
 /// What one step MILP produced.
@@ -25,10 +24,8 @@ pub(crate) struct SolvedStep {
 /// Builds the step MILP of `input`, solves it with the budgeted step
 /// options under the objective `cutoff` (`+∞` for none), and records it
 /// as a `kind` step timed over build plus solve. `greedy` is the witness
-/// behind `input.h_ub`.
-///
-/// A failed solve returns no solver statistics, so its node count is the
-/// tracer's `BnbNode` delta: exact when tracing, 0 otherwise.
+/// behind `input.h_ub`. A failed solve records the statistics its error
+/// carries, so a traced and an untraced run count the same work.
 pub(crate) fn solve_step(
     kind: StepKind,
     input: &StepInput<'_>,
@@ -37,7 +34,6 @@ pub(crate) fn solve_step(
 ) -> SolvedStep {
     let started = Instant::now();
     let tracer = &input.config.tracer;
-    let nodes_before = tracer.count(EventKind::BnbNode);
     let step = StepModel::build(input);
     // Budgeted after the build: with a config deadline the limit is the
     // wall clock *remaining*, so K steps cannot overshoot it K-fold.
@@ -53,11 +49,7 @@ pub(crate) fn solve_step(
             (step.extract(&sol, input.group), outcome, stats, None)
         }
         Err(e) => {
-            let nodes = (tracer.count(EventKind::BnbNode) - nodes_before) as usize;
-            let stats = SolveStats {
-                nodes,
-                ..SolveStats::default()
-            };
+            let stats = e.stats().cloned().unwrap_or_default();
             let greedy = realize_greedy(greedy, input.group);
             (greedy, StepOutcome::GreedyFallback, stats, Some(e))
         }

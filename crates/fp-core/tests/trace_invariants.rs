@@ -68,8 +68,9 @@ fn bnb_node_events_match_run_stats() {
 }
 
 /// A step MILP that stops at its node limit without a solution falls back
-/// to the greedy placement, yet its search explored nodes: a traced run
-/// counts them, so the trace and the run statistics still agree.
+/// to the greedy placement, yet its search explored nodes: its error hands
+/// back their statistics, so the trace and the run statistics agree, and
+/// an untraced run records the same work as a traced one.
 #[test]
 fn failed_steps_count_their_traced_nodes() {
     let netlist = ProblemGenerator::new(10, 7).generate();
@@ -80,7 +81,9 @@ fn failed_steps_count_their_traced_nodes() {
             .with_node_limit(1)
             .with_time_limit(Duration::from_secs(24 * 3600)),
     );
-    let result = Floorplanner::with_config(&netlist, config).run().unwrap();
+    let result = Floorplanner::with_config(&netlist, config.clone())
+        .run()
+        .unwrap();
 
     assert!(
         result.stats.greedy_fallbacks() > 0,
@@ -91,6 +94,19 @@ fn failed_steps_count_their_traced_nodes() {
         result.stats.total_nodes(),
         "BnbNode events vs RunStats::total_nodes"
     );
+
+    let untraced = config.with_tracer(Tracer::disabled());
+    let untraced = Floorplanner::with_config(&netlist, untraced).run().unwrap();
+    let counters = |s: &RunStats| {
+        (
+            s.total_nodes(),
+            s.warm_nodes(),
+            s.cold_nodes(),
+            s.propagated_nodes(),
+            s.refactorizations(),
+        )
+    };
+    assert_eq!(counters(&untraced.stats), counters(&result.stats));
 }
 
 /// Every augmentation step emits exactly one terminal `AugmentStep` event,

@@ -49,7 +49,7 @@ impl BasisTier {
 
 /// A bounded, thread-safe map from caller-chosen keys to committed root
 /// bases. Keys are mixed with the model's structural column count (see
-/// [`slot`]) so a stored basis can only ever be offered to a solve whose
+/// `slot`) so a stored basis can only ever be offered to a solve whose
 /// variable space it describes.
 ///
 /// Eviction is least-recently-stored via a monotonic clock, matching the

@@ -83,9 +83,6 @@ pub struct SolveOptions {
     pub opt_tol: f64,
     /// How far from integral a value may be and still count as integral.
     pub int_tol: f64,
-    /// Accept any incumbent whose objective is within this absolute gap of
-    /// the best bound and stop early. `0.0` demands a proven optimum.
-    pub absolute_gap: f64,
     /// Warm-start each node's LP from its parent's optimal basis via the
     /// dual simplex instead of re-running two-phase primal from scratch.
     /// Purely a performance lever: any numerical doubt falls back to the
@@ -137,7 +134,6 @@ impl Default for SolveOptions {
             feas_tol: 1e-7,
             opt_tol: 1e-9,
             int_tol: 1e-6,
-            absolute_gap: 0.0,
             warm_start: true,
             strengthen: true,
             initial_upper_bound: f64::INFINITY,
@@ -161,13 +157,6 @@ impl SolveOptions {
     #[must_use]
     pub fn with_time_limit(mut self, limit: Duration) -> Self {
         self.time_limit = limit;
-        self
-    }
-
-    /// Returns options accepting incumbents within `gap` of the best bound.
-    #[must_use]
-    pub fn with_absolute_gap(mut self, gap: f64) -> Self {
-        self.absolute_gap = gap;
         self
     }
 
@@ -237,11 +226,9 @@ mod tests {
     fn builder_chains() {
         let o = SolveOptions::default()
             .with_node_limit(5)
-            .with_time_limit(Duration::from_millis(10))
-            .with_absolute_gap(0.5);
+            .with_time_limit(Duration::from_millis(10));
         assert_eq!(o.node_limit, 5);
         assert_eq!(o.time_limit, Duration::from_millis(10));
-        assert_eq!(o.absolute_gap, 0.5);
     }
 
     #[test]
@@ -254,7 +241,6 @@ mod tests {
             feas_tol,
             opt_tol,
             int_tol,
-            absolute_gap,
             warm_start,
             strengthen,
             initial_upper_bound,
@@ -266,7 +252,6 @@ mod tests {
         assert_eq!(node_limit, 200_000);
         assert_eq!(time_limit, Duration::from_secs(120));
         assert_eq!((feas_tol, opt_tol, int_tol), (1e-7, 1e-9, 1e-6));
-        assert_eq!(absolute_gap, 0.0);
         assert!(warm_start);
         assert!(strengthen);
         assert_eq!(initial_upper_bound, f64::INFINITY);

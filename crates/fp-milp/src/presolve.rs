@@ -16,7 +16,7 @@
 
 use crate::model::Cmp;
 use crate::simplex::SparseRow;
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 
 /// Outcome of presolving.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -100,86 +100,10 @@ pub(crate) fn presolve(
                 }
             }
 
-            // Activity bounds.
-            let mut min_act = 0.0_f64;
-            let mut max_act = 0.0_f64;
-            let mut finite = true;
-            for &(j, a) in terms {
-                let (lo, hi) = if a >= 0.0 {
-                    (a * lb[j], a * ub[j])
-                } else {
-                    (a * ub[j], a * lb[j])
-                };
-                min_act += lo;
-                max_act += hi;
-                if !lo.is_finite() || !hi.is_finite() {
-                    finite = false;
-                }
-            }
-
-            match cmp {
-                Cmp::Le => {
-                    if (finite || min_act.is_finite())
-                        && min_act > rhs + feas_tol.max(1e-9) * (1.0 + rhs.abs())
-                    {
-                        return infeasible(lb, ub);
-                    }
-                    if max_act.is_finite() && max_act <= rhs + 1e-12 {
-                        alive[r] = false; // redundant
-                        changed = true;
-                        continue;
-                    }
-                    // Implied bounds: a_j x_j <= rhs - (min_act - own min).
-                    if min_act.is_finite() {
-                        for &(j, a) in terms {
-                            let own_min = if a >= 0.0 { a * lb[j] } else { a * ub[j] };
-                            let slack = rhs - (min_act - own_min);
-                            if a > 1e-12 {
-                                let implied = slack / a;
-                                if implied < ub[j] - 1e-9 {
-                                    ub[j] = implied;
-                                    changed = true;
-                                }
-                            } else if a < -1e-12 {
-                                let implied = slack / a;
-                                if implied > lb[j] + 1e-9 {
-                                    lb[j] = implied;
-                                    changed = true;
-                                }
-                            }
-                        }
-                    }
-                }
-                Cmp::Ge => {
-                    if max_act.is_finite() && max_act < rhs - feas_tol.max(1e-9) * (1.0 + rhs.abs())
-                    {
-                        return infeasible(lb, ub);
-                    }
-                    if min_act.is_finite() && min_act >= rhs - 1e-12 {
-                        alive[r] = false;
-                        changed = true;
-                        continue;
-                    }
-                    if max_act.is_finite() {
-                        for &(j, a) in terms {
-                            let own_max = if a >= 0.0 { a * ub[j] } else { a * lb[j] };
-                            let slack = rhs - (max_act - own_max);
-                            if a > 1e-12 {
-                                let implied = slack / a;
-                                if implied > lb[j] + 1e-9 {
-                                    lb[j] = implied;
-                                    changed = true;
-                                }
-                            } else if a < -1e-12 {
-                                let implied = slack / a;
-                                if implied < ub[j] - 1e-9 {
-                                    ub[j] = implied;
-                                    changed = true;
-                                }
-                            }
-                        }
-                    }
-                }
+            let (min_act, max_act) = activity(terms, &lb, &ub);
+            let s = match cmp {
+                Cmp::Le => 1.0,
+                Cmp::Ge => -1.0,
                 Cmp::Eq => {
                     // Treat as both <= and >= for feasibility only (bound
                     // tightening through equalities is left to the LP).
@@ -189,36 +113,30 @@ pub(crate) fn presolve(
                     if max_act.is_finite() && max_act < rhs - feas_tol * (1.0 + rhs.abs()) {
                         return infeasible(lb, ub);
                     }
+                    continue;
                 }
-            }
-        }
-
-        // Integral rounding + bound sanity.
-        for j in 0..lb.len() {
-            if integral[j] {
-                let rl = lb[j].ceil();
-                let ru = ub[j].floor();
-                if rl > lb[j] + 1e-9 {
-                    // Guard against float fuzz pushing past a true integer.
-                    lb[j] = if (lb[j] - lb[j].round()).abs() <= 1e-9 {
-                        lb[j].round()
-                    } else {
-                        rl
-                    };
-                    changed = true;
-                }
-                if ru < ub[j] - 1e-9 {
-                    ub[j] = if (ub[j] - ub[j].round()).abs() <= 1e-9 {
-                        ub[j].round()
-                    } else {
-                        ru
-                    };
-                    changed = true;
-                }
-            }
-            if lb[j] > ub[j] + feas_tol {
+            };
+            // Read as `Σ s·a_j·x_j ≤ s·rhs`, the row's least left-hand side
+            // is `s·act` and its greatest `s·worst`.
+            let (act, worst) = if s > 0.0 {
+                (min_act, max_act)
+            } else {
+                (max_act, min_act)
+            };
+            if exceeds(s, *rhs, act, feas_tol) {
                 return infeasible(lb, ub);
             }
+            if worst.is_finite() && s * worst <= s * rhs + 1e-12 {
+                alive[r] = false; // redundant
+                changed = true;
+                continue;
+            }
+            changed |= imply_bounds(terms, s, *rhs, act, &mut lb, &mut ub);
+        }
+
+        match round_integral(&mut lb, &mut ub, integral, feas_tol) {
+            Some(moved) => changed |= moved,
+            None => return infeasible(lb, ub),
         }
 
         if !changed {
@@ -248,6 +166,113 @@ fn infeasible(lb: Vec<f64>, ub: Vec<f64>) -> Presolved {
         ub,
         passes: 0,
     }
+}
+
+/// The sides a row propagates as, each read as `Σ s·a_j·x_j ≤ s·rhs`: an
+/// equality propagates as both inequalities.
+fn sides(cmp: Cmp) -> &'static [f64] {
+    match cmp {
+        Cmp::Le => &[1.0],
+        Cmp::Ge => &[-1.0],
+        Cmp::Eq => &[1.0, -1.0],
+    }
+}
+
+/// The least and the greatest value of `Σ a_j·x_j` over the box.
+fn activity(terms: &[(usize, f64)], lb: &[f64], ub: &[f64]) -> (f64, f64) {
+    let mut min_act = 0.0_f64;
+    let mut max_act = 0.0_f64;
+    for &(j, a) in terms {
+        let (lo, hi) = if a >= 0.0 {
+            (a * lb[j], a * ub[j])
+        } else {
+            (a * ub[j], a * lb[j])
+        };
+        min_act += lo;
+        max_act += hi;
+    }
+    (min_act, max_act)
+}
+
+/// Whether one side of a row, read as `Σ s·a_j·x_j ≤ s·rhs`, proves the box
+/// infeasible. `act` is the row's activity `Σ a_j·x_j` at the box corner
+/// that minimizes the left-hand side: the least activity for `s = 1`, the
+/// greatest for `s = -1`. The box is infeasible when that left-hand side
+/// misses the right-hand side by more than the feasibility margin.
+fn exceeds(s: f64, rhs: f64, act: f64, feas_tol: f64) -> bool {
+    act.is_finite() && s * act > s * rhs + feas_tol.max(1e-9) * (1.0 + rhs.abs())
+}
+
+/// Bounds each column of one side of a row, read and with `act` as in
+/// [`exceeds`], by what the rest of the row leaves it, and returns whether
+/// a bound moved. The arithmetic stays in the row's own signs, so a `≥` row
+/// and its negated `≤` twin derive the same bounds.
+fn imply_bounds(
+    terms: &[(usize, f64)],
+    s: f64,
+    rhs: f64,
+    act: f64,
+    lb: &mut [f64],
+    ub: &mut [f64],
+) -> bool {
+    if !act.is_finite() {
+        return false;
+    }
+    let mut changed = false;
+    for &(j, a) in terms {
+        let own = a * if (a >= 0.0) == (s > 0.0) {
+            lb[j]
+        } else {
+            ub[j]
+        };
+        let implied = (rhs - (act - own)) / a;
+        if s * a > 1e-12 {
+            if implied < ub[j] - 1e-9 {
+                ub[j] = implied;
+                changed = true;
+            }
+        } else if s * a < -1e-12 && implied > lb[j] + 1e-9 {
+            lb[j] = implied;
+            changed = true;
+        }
+    }
+    changed
+}
+
+/// Rounds the bounds of integral columns inward and checks every column for
+/// crossed bounds. `None` means some column's bounds cross by more than
+/// `feas_tol`; otherwise the result says whether a bound moved.
+fn round_integral(
+    lb: &mut [f64],
+    ub: &mut [f64],
+    integral: &[bool],
+    feas_tol: f64,
+) -> Option<bool> {
+    // Float fuzz must not push a bound past the integer it sits on.
+    let snap = |bound: f64, rounded: f64| {
+        if (bound - bound.round()).abs() <= 1e-9 {
+            bound.round()
+        } else {
+            rounded
+        }
+    };
+    let mut changed = false;
+    for j in 0..lb.len() {
+        if integral[j] {
+            if lb[j].ceil() > lb[j] + 1e-9 {
+                lb[j] = snap(lb[j], lb[j].ceil());
+                changed = true;
+            }
+            if ub[j].floor() < ub[j] - 1e-9 {
+                ub[j] = snap(ub[j], ub[j].floor());
+                changed = true;
+            }
+        }
+        if lb[j] > ub[j] + feas_tol {
+            return None;
+        }
+    }
+    Some(changed)
 }
 
 // ---------------------------------------------------------------------------
@@ -296,20 +321,6 @@ pub(crate) struct BoundImpl {
     pub bound: f64,
 }
 
-/// `(p, q) = (vp, vq)` implies `var`'s `kind` bound improves to `bound` —
-/// the two-binary analogue of [`BoundImpl`], harvested from pair probing on
-/// the floorplan disjunction shape (rows with exactly two binaries).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub(crate) struct PairImpl {
-    pub p: usize,
-    pub q: usize,
-    pub vp: bool,
-    pub vq: bool,
-    pub var: usize,
-    pub kind: BoundKind,
-    pub bound: f64,
-}
-
 /// What [`strengthen`] learned, feeding both `SolveStats` counters and the
 /// root [`CutSeparator`].
 #[derive(Debug, Default)]
@@ -323,8 +334,6 @@ pub(crate) struct Strengthened {
     pub implications: Vec<Implication>,
     /// Single-binary continuous-bound implications.
     pub bound_impls: Vec<BoundImpl>,
-    /// Pair-vertex continuous-bound implications.
-    pub pair_impls: Vec<PairImpl>,
 }
 
 /// Activity-based bound propagation to a fixpoint (capped at `max_passes`):
@@ -343,90 +352,20 @@ pub(crate) fn propagate(
     for _ in 0..max_passes.max(1) {
         let mut changed = false;
         for (terms, cmp, rhs) in rows {
-            // An equality propagates as both inequalities.
-            let as_le = matches!(cmp, Cmp::Le | Cmp::Eq);
-            let as_ge = matches!(cmp, Cmp::Ge | Cmp::Eq);
-            let mut min_act = 0.0_f64;
-            let mut max_act = 0.0_f64;
-            for &(j, a) in terms {
-                let (lo, hi) = if a >= 0.0 {
-                    (a * lb[j], a * ub[j])
-                } else {
-                    (a * ub[j], a * lb[j])
-                };
-                min_act += lo;
-                max_act += hi;
-            }
-            let tol = feas_tol.max(1e-9) * (1.0 + rhs.abs());
-            if as_le && min_act.is_finite() {
-                if min_act > rhs + tol {
+            // Both sides of an equality start from the activities the row
+            // had before either tightened.
+            let (min_act, max_act) = activity(terms, lb, ub);
+            for &s in sides(*cmp) {
+                let act = if s > 0.0 { min_act } else { max_act };
+                if exceeds(s, *rhs, act, feas_tol) {
                     return false;
                 }
-                for &(j, a) in terms {
-                    let own_min = if a >= 0.0 { a * lb[j] } else { a * ub[j] };
-                    let slack = rhs - (min_act - own_min);
-                    if a > 1e-12 {
-                        let implied = slack / a;
-                        if implied < ub[j] - 1e-9 {
-                            ub[j] = implied;
-                            changed = true;
-                        }
-                    } else if a < -1e-12 {
-                        let implied = slack / a;
-                        if implied > lb[j] + 1e-9 {
-                            lb[j] = implied;
-                            changed = true;
-                        }
-                    }
-                }
-            }
-            if as_ge && max_act.is_finite() {
-                if max_act < rhs - tol {
-                    return false;
-                }
-                for &(j, a) in terms {
-                    let own_max = if a >= 0.0 { a * ub[j] } else { a * lb[j] };
-                    let slack = rhs - (max_act - own_max);
-                    if a > 1e-12 {
-                        let implied = slack / a;
-                        if implied > lb[j] + 1e-9 {
-                            lb[j] = implied;
-                            changed = true;
-                        }
-                    } else if a < -1e-12 {
-                        let implied = slack / a;
-                        if implied < ub[j] - 1e-9 {
-                            ub[j] = implied;
-                            changed = true;
-                        }
-                    }
-                }
+                changed |= imply_bounds(terms, s, *rhs, act, lb, ub);
             }
         }
-        for j in 0..lb.len() {
-            if integral[j] {
-                let rl = lb[j].ceil();
-                let ru = ub[j].floor();
-                if rl > lb[j] + 1e-9 {
-                    lb[j] = if (lb[j] - lb[j].round()).abs() <= 1e-9 {
-                        lb[j].round()
-                    } else {
-                        rl
-                    };
-                    changed = true;
-                }
-                if ru < ub[j] - 1e-9 {
-                    ub[j] = if (ub[j] - ub[j].round()).abs() <= 1e-9 {
-                        ub[j].round()
-                    } else {
-                        ru
-                    };
-                    changed = true;
-                }
-            }
-            if lb[j] > ub[j] + feas_tol {
-                return false;
-            }
+        match round_integral(lb, ub, integral, feas_tol) {
+            Some(moved) => changed |= moved,
+            None => return false,
         }
         if !changed {
             break;
@@ -556,12 +495,7 @@ impl<'a> NodePropagator<'a> {
             };
             // The row stays marked while it is visited, so the bounds it
             // tightens do not queue it again.
-            let ok = match self.rows[r].1 {
-                Cmp::Le => self.visit(r, 1.0),
-                Cmp::Ge => self.visit(r, -1.0),
-                Cmp::Eq => self.visit(r, 1.0) && self.visit(r, -1.0),
-            };
-            if !ok {
+            if !sides(self.rows[r].1).iter().all(|&s| self.visit(r, s)) {
                 return false;
             }
             self.queue.pop_front();
@@ -862,8 +796,7 @@ pub(crate) fn strengthen(
 
     // Stage 3: pair probing on rows with exactly two free binaries — the
     // non-overlap disjunction shape. Each infeasible vertex is an
-    // implication; each feasible vertex donates bound implications over the
-    // variables the pair's rows share.
+    // implication, and the surviving vertices may fix either binary.
     let mut pairs: BTreeSet<(usize, usize)> = BTreeSet::new();
     for (terms, _, _) in rows.iter() {
         let mut bins = terms
@@ -884,9 +817,8 @@ pub(crate) fn strengthen(
             continue;
         }
         budget -= 4;
-        let vertices = [(false, false), (false, true), (true, false), (true, true)];
-        let mut feas: [Option<(Vec<f64>, Vec<f64>)>; 4] = [None, None, None, None];
-        for (k, &(vp, vq)) in vertices.iter().enumerate() {
+        let mut alive = Vec::new();
+        for (vp, vq) in [(false, false), (false, true), (true, false), (true, true)] {
             let mut plb = lb.to_vec();
             let mut pub_ = ub.to_vec();
             plb[p] = f64::from(u8::from(vp));
@@ -894,7 +826,7 @@ pub(crate) fn strengthen(
             plb[q] = f64::from(u8::from(vq));
             pub_[q] = plb[q];
             if propagate(rows, &mut plb, &mut pub_, integral, feas_tol, PROBE_PASSES) {
-                feas[k] = Some((plb, pub_));
+                alive.push((vp, vq));
             } else {
                 implications.insert(Implication {
                     bin: p,
@@ -904,84 +836,19 @@ pub(crate) fn strengthen(
                 });
             }
         }
-        let alive: Vec<usize> = (0..4).filter(|&k| feas[k].is_some()).collect();
-        match alive.len() {
-            0 => return Err(()),
-            1 => {
-                let (vp, vq) = vertices[alive[0]];
-                lb[p] = f64::from(u8::from(vp));
-                ub[p] = lb[p];
-                lb[q] = f64::from(u8::from(vq));
-                ub[q] = lb[q];
-                out.binaries_fixed += 2;
+        // A value every surviving vertex gives a binary fixes it.
+        let Some(&(vp, vq)) = alive.first() else {
+            return Err(());
+        };
+        for (j, v, shared) in [
+            (p, vp, alive.iter().all(|a| a.0 == vp)),
+            (q, vq, alive.iter().all(|a| a.1 == vq)),
+        ] {
+            if shared {
+                lb[j] = f64::from(u8::from(v));
+                ub[j] = lb[j];
+                out.binaries_fixed += 1;
                 fixed_any = true;
-                continue;
-            }
-            2 => {
-                // Both survivors sharing a coordinate value fix that binary.
-                let (a, b) = (vertices[alive[0]], vertices[alive[1]]);
-                if a.0 == b.0 {
-                    lb[p] = f64::from(u8::from(a.0));
-                    ub[p] = lb[p];
-                    out.binaries_fixed += 1;
-                    fixed_any = true;
-                }
-                if a.1 == b.1 {
-                    lb[q] = f64::from(u8::from(a.1));
-                    ub[q] = lb[q];
-                    out.binaries_fixed += 1;
-                    fixed_any = true;
-                }
-            }
-            _ => {}
-        }
-        // Variables appearing in a row together with both p and q.
-        let mut shared: BTreeSet<usize> = BTreeSet::new();
-        for &r in &var_rows[p] {
-            let (terms, _, _) = &rows[r];
-            if terms.iter().any(|&(j, _)| j == q) {
-                shared.extend(terms.iter().map(|&(j, _)| j));
-            }
-        }
-        shared.remove(&p);
-        shared.remove(&q);
-        let mut harvested = 0usize;
-        for (k, &(vp, vq)) in vertices.iter().enumerate() {
-            let Some((plb, pub_)) = &feas[k] else {
-                continue;
-            };
-            for &v in &shared {
-                if harvested >= HARVEST_CAP {
-                    break;
-                }
-                let tol = 1e-7 * (1.0 + lb[v].abs().min(ub[v].abs()));
-                if plb[v] > lb[v] + tol && plb[v].is_finite() {
-                    out.pair_impls.push(PairImpl {
-                        p,
-                        q,
-                        vp,
-                        vq,
-                        var: v,
-                        kind: BoundKind::Lower,
-                        bound: plb[v],
-                    });
-                    harvested += 1;
-                }
-                if harvested >= HARVEST_CAP {
-                    break;
-                }
-                if pub_[v] < ub[v] - tol && pub_[v].is_finite() {
-                    out.pair_impls.push(PairImpl {
-                        p,
-                        q,
-                        vp,
-                        vq,
-                        var: v,
-                        kind: BoundKind::Upper,
-                        bound: pub_[v],
-                    });
-                    harvested += 1;
-                }
             }
         }
     }
@@ -1080,35 +947,23 @@ fn row_key(terms: &[(usize, f64)], rhs: f64) -> RowKey {
 /// the LP point to be worth a round.
 const CUT_VIOLATION: f64 = 1e-6;
 
-/// Separates root cutting planes from what [`strengthen`] learned plus the
-/// `<=`-rows themselves. All cuts are `<=` rows valid for every
-/// integer-feasible point, so appending them before the tree starts changes
-/// relaxation bounds, never answers.
+/// Separates root cutting planes from what [`strengthen`] learned: logic
+/// cuts from its binary implications and implied-bound cuts from its bound
+/// implications. All cuts are `<=` rows valid for every integer-feasible
+/// point, so appending them before the tree starts changes relaxation
+/// bounds, never answers.
 pub(crate) struct CutSeparator {
     implications: Vec<Implication>,
     bound_impls: Vec<BoundImpl>,
-    pair_impls: Vec<PairImpl>,
-    /// Conflict edges `(p, q)` meaning `p + q <= 1`, and the adjacency the
-    /// greedy clique extension walks.
-    conflicts: BTreeSet<(usize, usize)>,
-    adjacent: BTreeMap<usize, BTreeSet<usize>>,
     lb: Vec<f64>,
     ub: Vec<f64>,
-    /// Free-binary mask at separation time.
-    bin: Vec<bool>,
     seen: BTreeSet<RowKey>,
 }
 
 impl CutSeparator {
     /// Builds a separator over the strengthened system. Every existing row
     /// is registered so no duplicate of it can be emitted as a cut.
-    pub(crate) fn new(
-        st: &Strengthened,
-        rows: &[SparseRow],
-        lb: &[f64],
-        ub: &[f64],
-        integral: &[bool],
-    ) -> Self {
+    pub(crate) fn new(st: &Strengthened, rows: &[SparseRow], lb: &[f64], ub: &[f64]) -> Self {
         let mut seen = BTreeSet::new();
         for (terms, cmp, rhs) in rows {
             let neg: Vec<(usize, f64)> = terms.iter().map(|&(j, a)| (j, -a)).collect();
@@ -1125,28 +980,11 @@ impl CutSeparator {
                 }
             }
         }
-        let mut conflicts = BTreeSet::new();
-        let mut adjacent: BTreeMap<usize, BTreeSet<usize>> = BTreeMap::new();
-        for imp in &st.implications {
-            // `p=1 ⇒ q=0` is the "not both" edge feeding clique cuts.
-            if imp.val && !imp.forced {
-                let (a, b) = (imp.bin.min(imp.other), imp.bin.max(imp.other));
-                conflicts.insert((a, b));
-                adjacent.entry(a).or_default().insert(b);
-                adjacent.entry(b).or_default().insert(a);
-            }
-        }
         CutSeparator {
             implications: st.implications.clone(),
             bound_impls: st.bound_impls.clone(),
-            pair_impls: st.pair_impls.clone(),
-            conflicts,
-            adjacent,
             lb: lb.to_vec(),
             ub: ub.to_vec(),
-            bin: (0..lb.len())
-                .map(|j| is_binary(j, lb, ub, integral))
-                .collect(),
             seen,
         }
     }
@@ -1188,19 +1026,11 @@ impl CutSeparator {
         cuts
     }
 
-    /// Cuts violated by the LP point `x`, at most `max` of them.
-    pub(crate) fn separate(&mut self, x: &[f64], rows: &[SparseRow], max: usize) -> Vec<SparseRow> {
+    /// Implied-bound cuts violated by the LP point `x`, at most `max` of
+    /// them: each `bin=val ⇒ x ⋄ bound` is linearized over the binary so
+    /// the relaxation feels the implication fractionally.
+    pub(crate) fn separate(&mut self, x: &[f64], max: usize) -> Vec<SparseRow> {
         let mut cuts = Vec::new();
-        self.implied_bound_cuts(x, &mut cuts, max);
-        self.pair_bound_cuts(x, &mut cuts, max);
-        self.clique_cuts(x, &mut cuts, max);
-        self.cover_cuts(x, rows, &mut cuts, max);
-        cuts
-    }
-
-    /// Single-binary implied-bound cuts: `bin=val ⇒ x ⋄ bound` linearized
-    /// over the binary so the relaxation feels the implication fractionally.
-    fn implied_bound_cuts(&mut self, x: &[f64], cuts: &mut Vec<SparseRow>, max: usize) {
         for bi in self.bound_impls.clone() {
             let (b, v) = (bi.bin, bi.var);
             let (terms, rhs) = match bi.kind {
@@ -1235,180 +1065,13 @@ impl CutSeparator {
                     }
                 }
             };
-            if violated(&terms, rhs, x) && !self.push(cuts, terms, rhs, max) {
-                return;
+            let act: f64 = terms.iter().map(|&(j, a)| a * x[j]).sum();
+            if act > rhs + CUT_VIOLATION && !self.push(&mut cuts, terms, rhs, max) {
+                break;
             }
         }
+        cuts
     }
-
-    /// Pair-vertex implied-bound cuts. With `φ = c0 + sp·p + sq·q` (1 at
-    /// the probed vertex, 0 at adjacent vertices, -1 opposite), a lower
-    /// implication `x >= bound` at the vertex linearizes to
-    /// `x >= lb + (bound-lb)·φ`, which holds at all four vertices and cuts
-    /// fractional `(p, q)` points — the tightened-disjunction inequality
-    /// for the floorplan non-overlap rows.
-    fn pair_bound_cuts(&mut self, x: &[f64], cuts: &mut Vec<SparseRow>, max: usize) {
-        for pi in self.pair_impls.clone() {
-            let sp = if pi.vp { 1.0 } else { -1.0 };
-            let sq = if pi.vq { 1.0 } else { -1.0 };
-            let c0 = f64::from(u8::from(!pi.vp)) + f64::from(u8::from(!pi.vq)) - 1.0;
-            let v = pi.var;
-            let (terms, rhs) = match pi.kind {
-                BoundKind::Lower => {
-                    let l = self.lb[v];
-                    if !l.is_finite() {
-                        continue;
-                    }
-                    let g = pi.bound - l;
-                    if g <= 1e-9 {
-                        continue;
-                    }
-                    (vec![(v, -1.0), (pi.p, g * sp), (pi.q, g * sq)], -l - g * c0)
-                }
-                BoundKind::Upper => {
-                    let u = self.ub[v];
-                    if !u.is_finite() {
-                        continue;
-                    }
-                    let g = u - pi.bound;
-                    if g <= 1e-9 {
-                        continue;
-                    }
-                    (vec![(v, 1.0), (pi.p, g * sp), (pi.q, g * sq)], u - g * c0)
-                }
-            };
-            if violated(&terms, rhs, x) && !self.push(cuts, terms, rhs, max) {
-                return;
-            }
-        }
-    }
-
-    /// Clique cuts from the conflict graph: each violated "not both" edge
-    /// is greedily extended to a maximal clique (largest LP value first),
-    /// giving `Σ clique <= 1`.
-    fn clique_cuts(&mut self, x: &[f64], cuts: &mut Vec<SparseRow>, max: usize) {
-        for (p, q) in self.conflicts.clone() {
-            if x[p] + x[q] <= 1.0 + CUT_VIOLATION {
-                continue;
-            }
-            let mut clique = vec![p, q];
-            loop {
-                let mut best: Option<usize> = None;
-                for (&cand, neigh) in &self.adjacent {
-                    if clique.contains(&cand) || !self.bin[cand] {
-                        continue;
-                    }
-                    if clique.iter().all(|m| neigh.contains(m))
-                        && best.is_none_or(|b| x[cand] > x[b] + 1e-12)
-                    {
-                        best = Some(cand);
-                    }
-                }
-                match best {
-                    Some(c) => clique.push(c),
-                    None => break,
-                }
-            }
-            clique.sort_unstable();
-            let lhs: f64 = clique.iter().map(|&j| x[j]).sum();
-            if lhs > 1.0 + CUT_VIOLATION {
-                let terms: Vec<(usize, f64)> = clique.iter().map(|&j| (j, 1.0)).collect();
-                if !self.push(cuts, terms, 1.0, max) {
-                    return;
-                }
-            }
-        }
-    }
-
-    /// Knapsack cover cuts from each `<=` row's binary support: complement
-    /// negative coefficients, absorb the continuous part's worst case into
-    /// the capacity, greedily build a violated minimal cover `C`, and emit
-    /// `Σ_{j∈C} x'_j <= |C| - 1` back in original variables.
-    fn cover_cuts(&mut self, x: &[f64], rows: &[SparseRow], cuts: &mut Vec<SparseRow>, max: usize) {
-        for (terms, cmp, rhs) in rows {
-            if *cmp != Cmp::Le {
-                continue;
-            }
-            let mut cap = *rhs;
-            // (column, weight, complemented LP value, complemented?)
-            let mut items: Vec<(usize, f64, f64, bool)> = Vec::new();
-            let mut finite = true;
-            for &(j, a) in terms {
-                if self.bin[j] && a.abs() > 1e-9 {
-                    if a > 0.0 {
-                        items.push((j, a, x[j], false));
-                    } else {
-                        cap -= a; // substitute x = 1 - x'
-                        items.push((j, -a, 1.0 - x[j], true));
-                    }
-                } else {
-                    let mn = if a >= 0.0 {
-                        a * self.lb[j]
-                    } else {
-                        a * self.ub[j]
-                    };
-                    if !mn.is_finite() {
-                        finite = false;
-                        break;
-                    }
-                    cap -= mn;
-                }
-            }
-            if !finite || items.len() < 2 || cap < -1e-9 {
-                continue;
-            }
-            let total: f64 = items.iter().map(|i| i.1).sum();
-            if total <= cap + 1e-9 {
-                continue; // no cover exists
-            }
-            items.sort_by(|a, b| {
-                b.2.partial_cmp(&a.2)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(a.0.cmp(&b.0))
-            });
-            let mut cover: Vec<(usize, f64, f64, bool)> = Vec::new();
-            let mut w = 0.0;
-            for it in &items {
-                cover.push(*it);
-                w += it.1;
-                if w > cap + 1e-9 {
-                    break;
-                }
-            }
-            if w <= cap + 1e-9 {
-                continue;
-            }
-            // Minimalize from the weakest member up.
-            let mut i = cover.len();
-            while i > 0 {
-                i -= 1;
-                if w - cover[i].1 > cap + 1e-9 {
-                    w -= cover[i].1;
-                    cover.remove(i);
-                }
-            }
-            let lhs: f64 = cover.iter().map(|it| it.2).sum();
-            if lhs <= cover.len() as f64 - 1.0 + CUT_VIOLATION {
-                continue;
-            }
-            let ncompl = cover.iter().filter(|it| it.3).count();
-            let mut terms: Vec<(usize, f64)> = cover
-                .iter()
-                .map(|it| (it.0, if it.3 { -1.0 } else { 1.0 }))
-                .collect();
-            terms.sort_unstable_by_key(|t| t.0);
-            let rhs = cover.len() as f64 - 1.0 - ncompl as f64;
-            if !self.push(cuts, terms, rhs, max) {
-                return;
-            }
-        }
-    }
-}
-
-/// Whether the `<=` cut is violated at `x` beyond [`CUT_VIOLATION`].
-fn violated(terms: &[(usize, f64)], rhs: f64, x: &[f64]) -> bool {
-    let act: f64 = terms.iter().map(|&(j, a)| a * x[j]).sum();
-    act > rhs + CUT_VIOLATION
 }
 
 #[cfg(test)]
@@ -1556,6 +1219,52 @@ mod tests {
         assert!((p.ub[1] - 3.0).abs() < 1e-9);
     }
 
+    #[test]
+    fn ge_row_and_its_negated_le_twin_derive_identical_bounds() {
+        // 1.3x - 0.7y + 2.9z >= 4.1 and its negation -1.3x + 0.7y - 2.9z
+        // <= -4.1 describe the same set: presolve must derive the same
+        // bounds bit for bit, integral rounding of z included.
+        let terms = [(0, 1.3), (1, -0.7), (2, 2.9)];
+        let neg: Vec<(usize, f64)> = terms.iter().map(|&(j, a)| (j, -a)).collect();
+        let side = vec![ge(vec![(0, 1.0), (1, 1.0)], 1.7)];
+        let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        for rhs in [4.1, 6.35, 9.9] {
+            let run = |row: SparseRow| {
+                let mut rows = side.clone();
+                rows.push(row);
+                presolve(
+                    &rows,
+                    vec![0.2, 0.3, 0.0],
+                    vec![2.5, 3.1, 3.0],
+                    &[false, false, true],
+                    1e-7,
+                    4,
+                )
+            };
+            let g = run(ge(terms.to_vec(), rhs));
+            let l = run(le(neg.clone(), -rhs));
+            assert_eq!(g.status, l.status, "rhs {rhs}");
+            assert_eq!(g.kept_rows, l.kept_rows, "rhs {rhs}");
+            assert_eq!(g.passes, l.passes, "rhs {rhs}");
+            assert_eq!(
+                bits(&g.lb),
+                bits(&l.lb),
+                "rhs {rhs}: {:?} vs {:?}",
+                g.lb,
+                l.lb
+            );
+            assert_eq!(
+                bits(&g.ub),
+                bits(&l.ub),
+                "rhs {rhs}: {:?} vs {:?}",
+                g.ub,
+                l.ub
+            );
+            let moved = g.lb != [0.2, 0.3, 0.0] || g.ub != [2.5, 3.1, 3.0];
+            assert!(moved || g.status == PresolveStatus::Infeasible, "rhs {rhs}");
+        }
+    }
+
     // -- strengthening ------------------------------------------------------
 
     /// `x + 5b <= 12` with `x in [0, 8]`: the `b = 0` branch has slack 4,
@@ -1656,72 +1365,6 @@ mod tests {
     }
 
     #[test]
-    fn pair_probing_harvests_vertex_bound() {
-        // The placement disjunction shape: y_j + 4 - y_i + 10p + 10q <= 20
-        // (i.e. "i above j" when (p, q) = (1, 1)) with y's in [0, 10]. At
-        // the (1, 1) vertex propagation derives y_i >= y_j + 4 >= 4 — a
-        // bound that only holds at that vertex, which the separator turns
-        // into the tightened-disjunction cut -y_i + 4p + 4q <= 4.
-        let mut rows = vec![le(vec![(0, -1.0), (1, 1.0), (2, 10.0), (3, 10.0)], 16.0)];
-        let mut lb = vec![0.0; 4];
-        let mut ub = vec![10.0, 10.0, 1.0, 1.0];
-        let integral = [false, false, true, true];
-        let st = strengthen(&mut rows, &mut lb, &mut ub, &integral, 1e-7, 64).unwrap();
-        assert!(
-            st.pair_impls.iter().any(|pi| pi.p == 2
-                && pi.q == 3
-                && pi.vp
-                && pi.vq
-                && pi.var == 0
-                && pi.kind == BoundKind::Lower
-                && (pi.bound - 4.0).abs() < 1e-9),
-            "pair implications: {:?}",
-            st.pair_impls
-        );
-
-        // Violated at the fractional-friendly point (y_i, y_j, p, q) =
-        // (0, 0, 1, 1); the emitted cut must not be the original row.
-        let mut sep = CutSeparator::new(&st, &rows, &lb, &ub, &integral);
-        let cuts = sep.separate(&[0.0, 0.0, 1.0, 1.0], &rows, 64);
-        let cut = cuts
-            .iter()
-            .find(|(t, _, _)| t.iter().any(|&(j, a)| j == 0 && a < 0.0))
-            .unwrap_or_else(|| panic!("no pair cut on y_i: {cuts:?}"));
-        // Every integer vertex with its implied y_i survives the cuts.
-        for pt in [
-            [0.0, 0.0, 0.0, 0.0],
-            [0.0, 0.0, 1.0, 0.0],
-            [0.0, 0.0, 0.0, 1.0],
-            [4.0, 0.0, 1.0, 1.0],
-            [10.0, 6.0, 1.0, 1.0],
-        ] {
-            let act: f64 = cut.0.iter().map(|&(j, a)| a * pt[j]).sum();
-            assert!(act <= cut.2 + 1e-9, "cut {cut:?} excludes vertex {pt:?}");
-        }
-    }
-
-    #[test]
-    fn cover_cut_separated_and_valid() {
-        // 3a + 4b + 2c <= 6: {a, b} is a minimal cover; at the fractional
-        // point (1, 0.9, 0) it is violated and yields a + b <= 1.
-        let rows = vec![le(vec![(0, 3.0), (1, 4.0), (2, 2.0)], 6.0)];
-        let lb = vec![0.0; 3];
-        let ub = vec![1.0; 3];
-        let integral = [true, true, true];
-        let st = Strengthened::default();
-        let mut sep = CutSeparator::new(&st, &rows, &lb, &ub, &integral);
-        let cuts = sep.separate(&[1.0, 0.9, 0.0], &rows, 64);
-        assert!(
-            cuts.iter()
-                .any(|(t, _, rhs)| t == &vec![(0, 1.0), (1, 1.0)] && (*rhs - 1.0).abs() < 1e-9),
-            "cuts: {cuts:?}"
-        );
-        // No cover is violated at an integral feasible point.
-        let none = sep.separate(&[0.0, 1.0, 1.0], &rows, 64);
-        assert!(none.is_empty(), "spurious cuts: {none:?}");
-    }
-
-    #[test]
     fn logic_cuts_dedup_against_existing_rows() {
         let st = Strengthened {
             implications: vec![Implication {
@@ -1736,18 +1379,18 @@ mod tests {
         let rows = vec![le(vec![(0, 1.0), (1, 1.0)], 1.0)];
         let lb = vec![0.0; 2];
         let ub = vec![1.0; 2];
-        let mut sep = CutSeparator::new(&st, &rows, &lb, &ub, &[true, true]);
+        let mut sep = CutSeparator::new(&st, &rows, &lb, &ub);
         assert!(sep.logic_cuts(64).is_empty());
 
         // Without the row it materializes.
-        let mut sep = CutSeparator::new(&st, &[], &lb, &ub, &[true, true]);
+        let mut sep = CutSeparator::new(&st, &[], &lb, &ub);
         let cuts = sep.logic_cuts(64);
         assert_eq!(cuts.len(), 1);
         assert_eq!(cuts[0].0, vec![(0, 1.0), (1, 1.0)]);
     }
 
-    /// Satellite: randomized check that the whole strengthening pipeline —
-    /// tightening, probing, and every cut family — never excludes an
+    /// Randomized check that the whole strengthening pipeline —
+    /// tightening, probing, and both cut families — never excludes an
     /// integer point that was feasible in the original system.
     #[test]
     fn strengthening_never_cuts_feasible_integer_points() {
@@ -1844,7 +1487,7 @@ mod tests {
             // Generate every cut family: unconditional logic cuts plus
             // separation against random fractional LP-like points.
             let mut all_rows = rows.clone();
-            let mut sep = CutSeparator::new(&st, &rows, &lb, &ub, &integral);
+            let mut sep = CutSeparator::new(&st, &rows, &lb, &ub);
             all_rows.extend(sep.logic_cuts(256));
             for _ in 0..4 {
                 let x: Vec<f64> = (0..n)
@@ -1857,7 +1500,7 @@ mod tests {
                         }
                     })
                     .collect();
-                let cuts = sep.separate(&x, &all_rows, 256);
+                let cuts = sep.separate(&x, 256);
                 if cuts.is_empty() {
                     break;
                 }

@@ -56,8 +56,8 @@ pub struct SolveStats {
     /// Binaries fixed by root probing (tentative fix propagated to a
     /// contradiction, so the opposite value is forced).
     pub binaries_fixed: usize,
-    /// Binary implications harvested by probing (`x=1 ⇒ y=v` edges feeding
-    /// the clique cuts).
+    /// Binary implications harvested by probing (`x=u ⇒ y=v` edges, each
+    /// of which the root cut loop may add as a logic cut).
     pub implications: usize,
     /// Cutting planes appended to the root LP (inherited by every node).
     pub cuts_added: usize,

@@ -71,7 +71,10 @@ fn assert_limit_outcome(m: &Model, result: Result<Solution, SolveError>, label: 
                 "{label}: limit incumbent is infeasible"
             );
         }
-        Err(e) => assert_eq!(e, SolveError::LimitWithoutIncumbent, "{label}"),
+        Err(e) => assert!(
+            matches!(e, SolveError::LimitWithoutIncumbent(_)),
+            "{label}: {e:?}"
+        ),
     }
 }
 
@@ -105,5 +108,5 @@ fn both_limits_zero_return_immediately() {
         .with_node_limit(0)
         .with_time_limit(Duration::ZERO);
     let result = solve_with_watchdog(hard_packing(6), opts);
-    assert_eq!(result.unwrap_err(), SolveError::LimitWithoutIncumbent);
+    assert!(matches!(result, Err(SolveError::LimitWithoutIncumbent(_))));
 }

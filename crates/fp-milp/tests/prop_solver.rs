@@ -140,7 +140,7 @@ proptest! {
                 // The reported point itself must be feasible.
                 prop_assert!(model.is_feasible(sol.values(), 1e-6));
             }
-            (Err(SolveError::Infeasible), None) => {}
+            (Err(SolveError::Infeasible(_)), None) => {}
             (got, want) => prop_assert!(false, "solver {:?} vs brute force {:?}", got, want),
         }
     }

@@ -125,9 +125,8 @@ fn contradictory_duplicates_are_infeasible() {
     m.add_eq(x + y, 1.0);
     m.add_eq(x + y, 2.0);
     m.set_objective(x + y);
-    assert_eq!(
-        m.solve().map(|s| s.objective()),
-        Err(SolveError::Infeasible),
+    assert!(
+        matches!(m.solve(), Err(SolveError::Infeasible(_))),
         "missed the contradiction"
     );
 }

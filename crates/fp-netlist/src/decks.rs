@@ -42,7 +42,7 @@ const AMI49_TIERS: [(usize, f64, f64); 3] =
 const ASPECT_RANGE: (f64, f64) = (0.5, 2.0);
 
 /// A 49-module macro-heavy deck in the `ami49` mold. Rigid, rotatable
-/// modules in three area tiers (see [`AMI49_TIERS`]), ~2.2 nets per module
+/// modules in three area tiers (see `AMI49_TIERS`), ~2.2 nets per module
 /// with locality bias. Deterministic in `seed`.
 ///
 /// ```

@@ -20,6 +20,7 @@ use crate::error::NetlistError;
 use crate::module::{Module, SidePins};
 use crate::net::Net;
 use crate::netlist::Netlist;
+use crate::ModuleId;
 use std::fmt::Write as _;
 
 /// Serializes a netlist to the text format. [`parse`] round-trips it.
@@ -87,11 +88,13 @@ pub fn write(netlist: &Netlist) -> String {
 /// # Errors
 ///
 /// [`NetlistError::Parse`] with a line number for malformed lines,
-/// non-finite numbers (`inf`, `NaN`) included;
+/// non-finite numbers (`inf`, `NaN`) and module areas that overflow `f64`
+/// included;
 /// [`NetlistError::DuplicateModule`] / [`NetlistError::UnknownModuleName`]
 /// for semantic defects.
 pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
     let mut netlist = Netlist::new("unnamed");
+    let mut total_area = 0.0;
     let err = |line: usize, message: &str| NetlistError::Parse {
         line,
         message: message.to_string(),
@@ -172,7 +175,7 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
                 } else {
                     module
                 };
-                netlist.add_module(module)?;
+                add_module(&mut netlist, &mut total_area, module, lineno)?;
             }
             "net" => {
                 let name = *tokens
@@ -228,6 +231,32 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
         }
     }
     Ok(netlist)
+}
+
+/// Adds `module`, declared on line `line`, to `netlist`, whose modules
+/// cover `total_area` so far. A module whose area, or the summed area with
+/// it, is not finite is a parse error: every later sum over the chip would
+/// overflow with it.
+pub(crate) fn add_module(
+    netlist: &mut Netlist,
+    total_area: &mut f64,
+    module: Module,
+    line: usize,
+) -> Result<ModuleId, NetlistError> {
+    let area = module.area();
+    if !area.is_finite() || !(*total_area + area).is_finite() {
+        let what = if area.is_finite() {
+            "summed module area"
+        } else {
+            "area"
+        };
+        return Err(NetlistError::Parse {
+            line,
+            message: format!("{what} of module '{}' overflows f64", module.name()),
+        });
+    }
+    *total_area += area;
+    netlist.add_module(module)
 }
 
 /// Parses a finite `f64`. Rust's float syntax also admits `inf` and
@@ -312,6 +341,34 @@ mod tests {
         }
         assert!(parse("module a blobby 1 2\n").is_err());
         assert!(parse("net n :\n").is_err());
+    }
+
+    #[test]
+    fn rejects_areas_that_overflow() {
+        // Finite sides whose product, or whose running total, is not.
+        for (text, line) in [
+            ("module a rigid 1e308 1e308 rot\n", 1),
+            ("problem p\nmodule a rigid 1e200 1e200 fixed\n", 2),
+            (
+                "module a rigid 1e154 1e154 rot\nmodule b rigid 1e154 1e154 rot\n",
+                2,
+            ),
+            (
+                "module a flexible 1.7e308 1 2\nmodule b flexible 1.7e308 1 2\n",
+                2,
+            ),
+        ] {
+            match parse(text) {
+                Err(NetlistError::Parse { line: at, message }) => {
+                    assert_eq!(at, line, "{text:?}");
+                    assert!(message.contains("overflows"), "{message}");
+                }
+                other => panic!("{text:?} parsed as {other:?}"),
+            }
+        }
+        // The largest areas that still sum to a finite total pass.
+        let nl = parse("module a rigid 1e154 1e154 rot\nmodule b rigid 1e153 1e154 rot\n");
+        assert_eq!(nl.unwrap().num_modules(), 2);
     }
 
     #[test]

@@ -39,13 +39,15 @@ use crate::net::Net;
 use crate::netlist::Netlist;
 use std::collections::HashMap;
 
-/// Parses a YAL deck (see the [module docs](self) for the supported
-/// subset).
+/// Parses a YAL deck: `MODULE` blocks with their `TYPE`, `DIMENSIONS` and
+/// `IOLIST`, and the `NETWORK` of the `TYPE PARENT` block. Other
+/// statements are skipped.
 ///
 /// # Errors
 ///
 /// [`NetlistError::Parse`] with an approximate line number for malformed
-/// statements; semantic errors (duplicate modules, unknown instance types)
+/// statements and for instances whose area, or summed area, overflows
+/// `f64`; semantic errors (duplicate modules, unknown instance types)
 /// use their specific variants.
 pub fn parse_yal(text: &str) -> Result<Netlist, NetlistError> {
     // Strip (non-nested) /* ... */ comments, preserving newlines so line
@@ -60,15 +62,17 @@ pub fn parse_yal(text: &str) -> Result<Netlist, NetlistError> {
         let mut start_line = 1usize;
         let mut line = 1usize;
         for raw in text.split_inclusive(';') {
+            if current.is_empty() {
+                // A statement starts on the line of its first token.
+                let lead = raw.len() - raw.trim_start().len();
+                start_line = line + raw[..lead].matches('\n').count();
+            }
             let newlines = raw.matches('\n').count();
             let stmt = raw.trim_end_matches(';');
             let mut tokens: Vec<String> = stmt.split_whitespace().map(|t| t.to_string()).collect();
             current.append(&mut tokens);
-            if raw.ends_with(';') {
-                if !current.is_empty() {
-                    statements.push((start_line, std::mem::take(&mut current)));
-                }
-                start_line = line + newlines;
+            if raw.ends_with(';') && !current.is_empty() {
+                statements.push((start_line, std::mem::take(&mut current)));
             }
             line += newlines;
         }
@@ -89,8 +93,8 @@ pub fn parse_yal(text: &str) -> Result<Netlist, NetlistError> {
     let err = |line: usize, message: String| NetlistError::Parse { line, message };
 
     let mut defs: HashMap<String, ModuleDef> = HashMap::new();
-    // (instance, module type, signals)
-    let mut instances: Vec<(String, String, Vec<String>)> = Vec::new();
+    // (line, instance, module type, signals)
+    let mut instances: Vec<(usize, String, String, Vec<String>)> = Vec::new();
 
     let mut current: Option<(String, ModuleDef)> = None;
     let mut in_iolist = false;
@@ -161,7 +165,12 @@ pub fn parse_yal(text: &str) -> Result<Netlist, NetlistError> {
             "ENDNETWORK" => in_network = false,
             // <instance> <module> <signal...>
             _ if in_network && tokens.len() >= 2 => {
-                instances.push((tokens[0].clone(), tokens[1].clone(), tokens[2..].to_vec()));
+                instances.push((
+                    line,
+                    tokens[0].clone(),
+                    tokens[1].clone(),
+                    tokens[2..].to_vec(),
+                ));
             }
             _ if in_iolist => {
                 // <pin> <class> <x> <y> [...]; count toward the nearest side.
@@ -190,8 +199,9 @@ pub fn parse_yal(text: &str) -> Result<Netlist, NetlistError> {
 
     // Build the netlist: one module per *instance* of a non-PAD type.
     let mut netlist = Netlist::new("yal");
+    let mut total_area = 0.0;
     let mut signal_members: HashMap<String, Vec<crate::ModuleId>> = HashMap::new();
-    for (inst, mod_type, signals) in &instances {
+    for (line, inst, mod_type, signals) in &instances {
         let Some(def) = defs.get(mod_type) else {
             return Err(NetlistError::UnknownModuleName {
                 net: "NETWORK".to_string(),
@@ -207,8 +217,8 @@ pub fn parse_yal(text: &str) -> Result<Netlist, NetlistError> {
                 message: format!("module type '{mod_type}' has no DIMENSIONS"),
             });
         }
-        let id = netlist
-            .add_module(Module::rigid(inst.clone(), def.w, def.h, true).with_pins(def.pins))?;
+        let module = Module::rigid(inst.clone(), def.w, def.h, true).with_pins(def.pins);
+        let id = crate::format::add_module(&mut netlist, &mut total_area, module, *line)?;
         for signal in signals {
             let upper = signal.to_ascii_uppercase();
             if upper == "VDD" || upper == "VSS" || upper == "GND" {
@@ -340,6 +350,28 @@ ENDMODULE;
                 matches!(parse_yal(&deck), Err(NetlistError::Parse { .. })),
                 "DIMENSIONS {dims} must be a parse error"
             );
+        }
+    }
+
+    #[test]
+    fn rejects_areas_that_overflow() {
+        // Finite sides whose product, or whose running total over the
+        // instances, is not: the error names the instance's line.
+        for (side, instances, line) in [
+            ("1e200", "u1 big a;", 8),
+            ("1e154", "u1 big a;\nu2 big a;", 9),
+        ] {
+            let deck = format!(
+                "MODULE big;\nTYPE GENERAL;\nDIMENSIONS 0 0 0 {side} 1.5e154 {side} 1.5e154 0;\n\
+                 ENDMODULE;\nMODULE chip;\nTYPE PARENT;\nNETWORK;\n{instances}\nENDNETWORK;\nENDMODULE;\n"
+            );
+            match parse_yal(&deck) {
+                Err(NetlistError::Parse { line: at, message }) => {
+                    assert_eq!(at, line, "{deck}");
+                    assert!(message.contains("overflows"), "{message}");
+                }
+                other => panic!("{deck} parsed as {other:?}"),
+            }
         }
     }
 

@@ -174,7 +174,7 @@ pub enum Event {
     },
     /// One net was routed.
     RouteNet {
-        /// Net index ([`fp_netlist::NetId`] index).
+        /// Net index (the index of an `fp_netlist::NetId`).
         net: usize,
         /// Routed length.
         length: f64,

@@ -44,9 +44,6 @@ pub struct ServeConfig {
     pub time_limit: Duration,
     /// Improvement rounds after augmentation (skipped past a deadline).
     pub improve_rounds: usize,
-    /// Whether identical concurrent jobs may share one solve
-    /// (single-flight coalescing); requests can opt out per job.
-    pub coalesce: bool,
     /// Event-loop shard (poll thread) count.
     pub shards: usize,
     /// Per-shard bound on decoded-but-unanswered jobs; excess requests
@@ -56,9 +53,6 @@ pub struct ServeConfig {
     /// exceeds it without a newline gets an error response and is
     /// closed (slow-loris / runaway-frame protection).
     pub max_line_bytes: usize,
-    /// How long shutdown waits for shards to flush answers to slow
-    /// readers before force-closing their connections.
-    pub drain_timeout: Duration,
     /// Tracer receiving the service events ([`Event::CacheHit`] /
     /// [`Event::CacheMiss`] / [`Event::JobDone`] / [`Event::Coalesced`] /
     /// [`Event::Shed`] / [`Event::ShardStats`]).
@@ -91,13 +85,11 @@ impl Default for ServeConfig {
             node_limit: 4_000,
             time_limit: Duration::from_secs(10),
             improve_rounds: 1,
-            coalesce: true,
             shards: std::thread::available_parallelism()
                 .map_or(1, std::num::NonZeroUsize::get)
                 .min(4),
             per_shard_pending: 256,
             max_line_bytes: 1 << 20,
-            drain_timeout: Duration::from_secs(5),
             tracer: Tracer::disabled(),
             backends: vec![Backend::Milp],
             eco_threshold: 0.5,
@@ -135,13 +127,6 @@ impl ServeConfig {
         self
     }
 
-    /// Enables or disables single-flight coalescing engine-wide.
-    #[must_use]
-    pub fn with_coalesce(mut self, on: bool) -> Self {
-        self.coalesce = on;
-        self
-    }
-
     /// Sets the event-loop shard count (minimum 1).
     #[must_use]
     pub fn with_shards(mut self, shards: usize) -> Self {
@@ -160,13 +145,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_max_line_bytes(mut self, bytes: usize) -> Self {
         self.max_line_bytes = bytes.max(1024);
-        self
-    }
-
-    /// Sets the shutdown drain timeout.
-    #[must_use]
-    pub fn with_drain_timeout(mut self, timeout: Duration) -> Self {
-        self.drain_timeout = timeout;
         self
     }
 
@@ -373,7 +351,8 @@ pub(crate) struct Shared {
 /// response. While running, jobs in flight make `submitted` larger.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct EngineStats {
-    /// Jobs handed to [`submit`] (including ones later shed or refused).
+    /// Jobs handed to [`Client::submit`] or its siblings (including ones
+    /// later shed or refused).
     pub submitted: u64,
     /// Responses delivered that were not load-sheds (success, degraded,
     /// failure, and coalesced fan-outs alike).
@@ -731,7 +710,7 @@ pub(crate) fn submit(shared: &Arc<Shared>, req: JobRequest, reply: Reply, admiss
         submitted,
         reply,
     };
-    let route = if shared.config.coalesce && req.coalesce {
+    let route = if req.coalesce {
         match shared.table.join(key, &canon, waiter) {
             Admit::Follower => {
                 // An identical instance is already being solved; this

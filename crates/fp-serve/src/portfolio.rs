@@ -124,7 +124,7 @@ struct Leg {
 }
 
 /// Objective cost of a floorplan under the job's objective — the metric
-/// the best-of-N decision and the shared incumbent use.
+/// the best-of-N decision uses.
 fn cost_of(fp: &Floorplan, netlist: &Netlist, objective: Objective) -> f64 {
     match objective {
         Objective::Area => fp.chip_area(),
@@ -225,11 +225,11 @@ fn analytic_leg(
 /// Races `backends` on one job. The outcome names the winner, if any
 /// leg produced a legal answer, and carries the MILP leg's statistics.
 ///
-/// Each finishing leg publishes its `(cost, height)` to the shared
-/// incumbent; under a tight deadline (any-of mode) the MILP leg reads it
-/// as a branch-and-bound cutoff, so a fast heuristic answer tightens the
-/// search mid-race (see [`milp_leg`] for why best-of mode does not
-/// inject it). Losers are cancelled through their stop flags: by the
+/// Each finishing leg publishes its chip height to the shared incumbent;
+/// under a tight deadline (any-of mode) the MILP leg reads it as a
+/// branch-and-bound cutoff, so a fast heuristic answer tightens the
+/// search mid-race. Best-of mode does not inject it, so the MILP leg
+/// answers exactly as a MILP-only race would. Losers are cancelled through their stop flags: by the
 /// winning leg the moment it finishes in any-of-N mode, and not at all
 /// in best-of-N (where everyone runs to completion anyway).
 pub fn race(
@@ -268,7 +268,7 @@ pub fn race(
             .as_ref()
             .map_or(f64::NAN, |fp| cost_of(fp, netlist, objective));
         if let Ok(fp) = &outcome {
-            incumbent.publish(cost, fp.chip_height());
+            incumbent.publish(fp.chip_height());
             if any_of && first_ok.set(i).is_ok() {
                 // First legal answer wins: cancel everyone else.
                 stops.iter().for_each(StopFlag::trigger);

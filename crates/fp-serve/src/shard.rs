@@ -26,7 +26,11 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
+
+/// How long shutdown waits for a shard to flush answers to slow readers
+/// before force-closing their connections.
+const DRAIN_TIMEOUT: Duration = Duration::from_secs(5);
 
 /// Messages other threads leave in a shard's inbox.
 pub(crate) enum Inbound {
@@ -189,7 +193,6 @@ fn run(shard: &Arc<ShardShared>, engine: &Arc<Shared>, wake_rx: &TcpStream) {
     let tracer = engine.config.tracer.clone();
     let per_shard_pending = engine.config.per_shard_pending.max(1);
     let max_line = engine.config.max_line_bytes;
-    let drain_timeout = engine.config.drain_timeout;
 
     let mut conns: HashMap<u64, Conn> = HashMap::new();
     let mut next_conn: u64 = 0;
@@ -202,7 +205,7 @@ fn run(shard: &Arc<ShardShared>, engine: &Arc<Shared>, wake_rx: &TcpStream) {
     loop {
         let draining = shard.draining.load(Ordering::Relaxed);
         if draining && drain_deadline.is_none() {
-            drain_deadline = Some(Instant::now() + drain_timeout);
+            drain_deadline = Some(Instant::now() + DRAIN_TIMEOUT);
         }
 
         // Build the poll set: the wake socket first, then every live

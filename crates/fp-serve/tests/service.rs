@@ -5,6 +5,7 @@
 //! lost response fails the test instead of hanging the suite.
 
 use fp_netlist::generator::ProblemGenerator;
+use fp_netlist::{Module, Netlist};
 use fp_obs::{Collector, Event, EventKind, Tracer};
 use fp_serve::{Engine, JobRequest, JobResponse, ServeConfig, Server};
 use std::collections::HashSet;
@@ -254,16 +255,13 @@ fn cache_answers_second_identical_job() {
     assert_eq!(hits, 1);
 }
 
-/// Finite module sizes can still overflow the chip's width, height, area
+/// Finite module areas can still overflow the chip's width, height, area
 /// or utilization, which the line protocol would encode as `null`. Such a
-/// job fails, is never cached, and the engine keeps serving.
+/// job fails, is never cached, and the engine keeps serving. (Module
+/// areas that overflow are bad netlists; see the next test.)
 #[test]
 fn overflowing_dimensions_fail_and_the_engine_keeps_serving() {
     let decks = [
-        // A module whose own area overflows, placed by the greedy fallback.
-        "module a rigid 1e308 1e308 rot\nmodule b rigid 2 3 rot\n",
-        // Finite module areas whose sum overflows.
-        "module a rigid 1e154 1e154 rot\nmodule b rigid 1e154 1e154 rot\n",
         // A finite chip width and height whose product overflows.
         "module a rigid 1e300 1 fixed\nmodule b rigid 1 1e300 fixed\n",
     ];
@@ -342,6 +340,42 @@ fn submit_after_shutdown_fails_cleanly() {
     assert!(!resp.ok);
     assert_eq!(resp.id, 77);
     assert!(resp.error.contains("shut down"));
+}
+
+/// A module whose area, or the summed module area, overflows f64 is a bad
+/// netlist: the job fails at parse time with the offending line, before
+/// any cache lookup or solve.
+#[test]
+fn overflowing_module_area_is_a_bad_netlist() {
+    let (answers, cache, solver) = with_watchdog(|| {
+        let engine = Engine::start(tiny_config());
+        let client = engine.client();
+        // The builder API does not check areas; the engine's parser must.
+        let answers: Vec<JobResponse> = [[(2.0, 3.0), (1e308, 1e308)], [(1e154, 1e154); 2]]
+            .iter()
+            .enumerate()
+            .map(|(id, sides)| {
+                let mut nl = Netlist::new("huge");
+                for (k, &(w, h)) in sides.iter().enumerate() {
+                    nl.add_module(Module::rigid(format!("m{k}"), w, h, true))
+                        .unwrap();
+                }
+                client.call(JobRequest::new(id as u64, &nl))
+            })
+            .collect();
+        let stats = (engine.cache_stats(), engine.solver_stats());
+        engine.shutdown();
+        (answers, stats.0, stats.1)
+    });
+    for resp in &answers {
+        assert!(!resp.ok, "{resp:?}");
+        assert!(resp.error.starts_with("bad netlist: "), "{}", resp.error);
+        // Line 1 names the problem; the second module is on line 3.
+        assert!(resp.error.contains("line 3"), "{}", resp.error);
+        assert!(resp.error.contains("overflows"), "{}", resp.error);
+    }
+    assert_eq!(cache, (0, 0), "a job reached the cache");
+    assert_eq!(solver, (0, 0), "a job reached the solver");
 }
 
 #[test]

@@ -3,7 +3,7 @@
 //!
 //! The DAC 1990 paper positions its analytical (MILP) method against the
 //! then-dominant **slicing** floorplanners, chiefly Wong & Liu's simulated
-//! annealing over *normalized Polish expressions* ([WON86] in the paper's
+//! annealing over *normalized Polish expressions* (\[WON86\] in the paper's
 //! §2.1). This crate implements that baseline so the benchmark harness can
 //! compare both on the same problems:
 //!

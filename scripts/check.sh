@@ -14,6 +14,9 @@ cargo fmt --all --check
 echo "== cargo clippy (deny warnings)"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "== cargo doc (deny warnings)"
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
+
 echo "== cargo test"
 cargo test --workspace -q
 
