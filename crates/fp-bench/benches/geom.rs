@@ -1,10 +1,10 @@
-//! Criterion benchmarks for the spatial-indexing layer: R-tree queries vs
-//! the brute-force scan, sweep-line union area vs the compressed-grid
-//! oracle, and the pruned vs all-pairs analytic gradient.
+//! Criterion benchmarks for the spatial layer: sweep-line union area vs
+//! the compressed-grid oracle, and the pruned vs all-pairs analytic
+//! gradient.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use fp_analytic::bench_support::GradHarness;
-use fp_geom::{union_area, union_area_oracle, RTree, Rect};
+use fp_geom::{union_area, union_area_oracle, Rect};
 use fp_netlist::decks::gsrc_style;
 
 /// A deterministic scatter of `n` rects over a `side × side` region.
@@ -27,33 +27,6 @@ fn scattered_rects(n: usize) -> Vec<Rect> {
             )
         })
         .collect()
-}
-
-fn bench_rtree_query(c: &mut Criterion) {
-    let mut group = c.benchmark_group("rtree");
-    for &n in &[33usize, 100, 300] {
-        let rects = scattered_rects(n);
-        let tree = RTree::from_entries(rects.iter().enumerate().map(|(i, &r)| (i as u64, r)));
-        group.bench_with_input(BenchmarkId::new("query_all", n), &rects, |b, rs| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for r in rs {
-                    hits += tree.query(r).len();
-                }
-                hits
-            })
-        });
-        group.bench_with_input(BenchmarkId::new("scan_all", n), &rects, |b, rs| {
-            b.iter(|| {
-                let mut hits = 0usize;
-                for a in rs {
-                    hits += rs.iter().filter(|b| a.overlaps(b)).count();
-                }
-                hits
-            })
-        });
-    }
-    group.finish();
 }
 
 fn bench_union_area(c: &mut Criterion) {
@@ -93,5 +66,5 @@ fn bench_gradient(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_rtree_query, bench_union_area, bench_gradient);
+criterion_group!(benches, bench_union_area, bench_gradient);
 criterion_main!(benches);

@@ -1,12 +1,12 @@
-//! Writes `BENCH_GEOM.json`: spatial-indexing impact on the placement hot
-//! paths, across the scale deck set.
+//! Writes `BENCH_GEOM.json`: the bin grid's impact on the analytic
+//! placer's overlap gradient, across the scale deck set.
 //!
 //! Usage: `geom_snapshot [OUT_PATH] [--max-n N]` (default
 //! `BENCH_GEOM.json`, all sizes). `--max-n` truncates the instance set —
 //! check.sh smokes the binary at `--max-n 100`.
 //!
 //! Instances: `ami33` (n = 33), an ami49-class deck (n = 49) and
-//! GSRC-style decks at n ∈ {100, 200, 300}. Per instance, three legs:
+//! GSRC-style decks at n ∈ {100, 200, 300}. Per instance, two legs:
 //!
 //! * `gradient` — the overlap term's cost+gradient (the term the bin grid
 //!   accelerates) through the pruned `O(n·k)` path vs the all-pairs
@@ -18,18 +18,12 @@
 //!   instance also records `full_eval` — the same comparison for the
 //!   *whole* cost function, whose wirelength/height/wall terms are
 //!   identical on both kernels and dilute the ratio (Amdahl).
-//! * `overlap` — steady-state legality probes on the floorplan the
-//!   analytic placer produced: per-module `RTree::any_overlap` against
-//!   a maintained index (the structure the augment/improve drivers and
-//!   the annealer's audit keep across queries) vs the brute all-pairs
-//!   rectangle scan. Headline: `median_overlap_speedup`.
 //! * `analytic` — end-to-end `fp_analytic::place` wall-clock (median of
 //!   [`REPS`] runs) plus the realized chip area, pinning what the scale
 //!   work is ultimately for.
 
 use fp_analytic::bench_support::GradHarness;
 use fp_analytic::{place, AnalyticConfig};
-use fp_geom::RTree;
 use fp_netlist::decks::{ami49_class, gsrc_style};
 use fp_netlist::{ami33, Netlist};
 use std::fmt::Write as _;
@@ -92,7 +86,6 @@ fn main() {
 
     let mut rows = String::new();
     let mut gradient_speedups = Vec::new();
-    let mut overlap_speedups = Vec::new();
     for (i, (name, nl)) in instances(max_n).into_iter().enumerate() {
         let n = nl.num_modules();
 
@@ -118,8 +111,7 @@ fn main() {
         let full_eval_speedup = full_all_pairs_s / full_pruned_s.max(1e-12);
         gradient_speedups.push(gradient_speedup);
 
-        // End-to-end analytic placement (also produces the floorplan the
-        // overlap leg probes).
+        // End-to-end analytic placement.
         let cfg = AnalyticConfig::default().with_seed(SEED);
         let mut analytic_times: Vec<f64> = (0..REPS)
             .map(|_| {
@@ -134,38 +126,6 @@ fn main() {
         let fp = result.floorplan;
         assert!(fp.is_valid(), "{name}: analytic placement is invalid");
 
-        // Overlap leg: steady-state legality probes — every module asked
-        // "do you overlap anything else?" against a maintained R-tree vs
-        // the brute all-pairs rectangle scan. The floorplan is legal, so
-        // neither side gets an early exit; this is the workload the
-        // drivers' validity audits actually issue.
-        let rects = fp.envelope_rects();
-        let tree = RTree::from_entries(rects.iter().enumerate().map(|(k, &r)| (k as u64, r)));
-        let indexed_s = time_per_call(|| {
-            let mut hits = 0usize;
-            for (k, r) in rects.iter().enumerate() {
-                if tree.any_overlap(r, k as u64) {
-                    hits += 1;
-                }
-            }
-            hits
-        }) / n as f64;
-        let brute_s = time_per_call(|| {
-            let mut hits = 0usize;
-            for (k, r) in rects.iter().enumerate() {
-                if rects
-                    .iter()
-                    .enumerate()
-                    .any(|(j, o)| j != k && o.overlaps(r))
-                {
-                    hits += 1;
-                }
-            }
-            hits
-        }) / n as f64;
-        let overlap_speedup = brute_s / indexed_s.max(1e-12);
-        overlap_speedups.push(overlap_speedup);
-
         if i > 0 {
             rows.push_str(",\n");
         }
@@ -176,8 +136,6 @@ fn main() {
              \"all_pairs_s_per_eval\": {:.9}, \"speedup\": {:.3}}}, \
              \"full_eval\": {{\"pruned_s_per_eval\": {:.9}, \
              \"all_pairs_s_per_eval\": {:.9}, \"speedup\": {:.3}}}, \
-             \"overlap\": {{\"indexed_s_per_probe\": {:.9}, \
-             \"brute_s_per_probe\": {:.9}, \"speedup\": {:.3}}}, \
              \"analytic\": {{\"elapsed_s\": {:.6}, \"chip_area\": {:.1}}}}}",
             pruned_s,
             all_pairs_s,
@@ -185,34 +143,23 @@ fn main() {
             full_pruned_s,
             full_all_pairs_s,
             full_eval_speedup,
-            indexed_s,
-            brute_s,
-            overlap_speedup,
             analytic_s,
             fp.chip_area()
         );
         eprintln!(
             "{name} (n={n}): overlap-grad pruned {:.1} us vs all-pairs {:.1} us \
              ({gradient_speedup:.2}x; full eval {full_eval_speedup:.2}x), \
-             probes indexed {:.0} ns vs brute {:.0} ns ({overlap_speedup:.2}x), \
              analytic {analytic_s:.3}s",
             pruned_s * 1e6,
             all_pairs_s * 1e6,
-            indexed_s * 1e9,
-            brute_s * 1e9,
         );
     }
     let median_gradient = median(&mut gradient_speedups);
-    let median_overlap = median(&mut overlap_speedups);
     let json = format!(
         "{{\n  \"bench\": \"geom_scale\",\n  \"reps\": {REPS},\n  \
          \"median_gradient_speedup\": {median_gradient:.3},\n  \
-         \"median_overlap_speedup\": {median_overlap:.3},\n  \
          \"instances\": [\n{rows}\n  ]\n}}\n"
     );
     std::fs::write(&out_path, &json).expect("write snapshot");
-    eprintln!(
-        "median gradient speedup: {median_gradient:.2}x, median overlap \
-         speedup: {median_overlap:.2}x -> {out_path}"
-    );
+    eprintln!("median gradient speedup: {median_gradient:.2}x -> {out_path}");
 }

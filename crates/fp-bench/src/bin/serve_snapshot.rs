@@ -25,7 +25,8 @@
 //!   and by the milp+annealer+analytic portfolio race. Recorded per leg:
 //!   deadline-hit rate, degraded share, mean area, and which backend won
 //!   each job. The portfolio's hit rate must be at least the MILP-only
-//!   one's.
+//!   one's. `serve_snapshot --deadline-only` runs just this leg, with
+//!   that assert, and prints its JSON object to stdout.
 //! * `eco` — one [`ECO_MODULES`]-module base instance solved from
 //!   scratch, then [`ECO_EDITS`] single-module edits each solved both
 //!   ways: from scratch (the edited netlist as a fresh job) and as an
@@ -449,6 +450,35 @@ fn deadline_json(leg: &DeadlineLeg) -> String {
     )
 }
 
+/// Runs both deadline legs, prints their progress lines, and asserts
+/// the portfolio meets at least as many deadlines as the MILP alone.
+fn deadline_legs_checked() -> (DeadlineLeg, DeadlineLeg) {
+    let sequential = drive_deadline(vec![Backend::Milp]);
+    let portfolio = drive_deadline(vec![Backend::Milp, Backend::Annealer, Backend::Analytic]);
+    for (leg, m) in [("sequential", &sequential), ("portfolio", &portfolio)] {
+        eprintln!(
+            "deadline/{leg}: {}/{DL_JOBS} within {DL_MS}ms, {} degraded, mean area {:.0}",
+            m.hits, m.degraded, m.mean_area
+        );
+    }
+    assert!(
+        portfolio.hits >= sequential.hits,
+        "portfolio hit {}/{DL_JOBS} deadlines, milp alone {}/{DL_JOBS} — racing made it worse",
+        portfolio.hits,
+        sequential.hits
+    );
+    (sequential, portfolio)
+}
+
+fn deadline_legs_json(sequential: &DeadlineLeg, portfolio: &DeadlineLeg) -> String {
+    format!(
+        "{{\"jobs\": {DL_JOBS}, \"modules\": {DL_MODULES}, \
+         \"deadline_ms\": {DL_MS}, \"sequential\": {}, \"portfolio\": {}}}",
+        deadline_json(sequential),
+        deadline_json(portfolio)
+    )
+}
+
 fn eco_json(leg: &EcoLeg) -> String {
     format!(
         "{{\"modules\": {ECO_MODULES}, \"edits\": {ECO_EDITS}, \
@@ -493,6 +523,13 @@ fn main() {
         // object on stdout (progress stays on stderr).
         let eco = eco_leg_checked();
         println!("{}", eco_json(&eco));
+        return;
+    }
+    if args.iter().any(|a| a == "--deadline-only") {
+        // The check-script entry point: just the two deadline legs, their
+        // JSON object on stdout (progress stays on stderr).
+        let (sequential, portfolio) = deadline_legs_checked();
+        println!("{}", deadline_legs_json(&sequential, &portfolio));
         return;
     }
     if args.iter().any(|a| a == "--overload-only") {
@@ -543,20 +580,7 @@ fn main() {
     let oacc = overload.report.accounting;
     assert_eq!(oacc.accepted, oacc.completed + oacc.shed);
 
-    let sequential = drive_deadline(vec![Backend::Milp]);
-    let portfolio = drive_deadline(vec![Backend::Milp, Backend::Annealer, Backend::Analytic]);
-    for (leg, m) in [("sequential", &sequential), ("portfolio", &portfolio)] {
-        eprintln!(
-            "deadline/{leg}: {}/{DL_JOBS} within {DL_MS}ms, {} degraded, mean area {:.0}",
-            m.hits, m.degraded, m.mean_area
-        );
-    }
-    assert!(
-        portfolio.hits >= sequential.hits,
-        "portfolio hit {}/{DL_JOBS} deadlines, milp alone {}/{DL_JOBS} — racing made it worse",
-        portfolio.hits,
-        sequential.hits
-    );
+    let (sequential, portfolio) = deadline_legs_checked();
 
     let eco = eco_leg_checked();
 
@@ -566,13 +590,11 @@ fn main() {
          \"modules\": {MODULES},\n  \
          \"event\": {},\n  \
          \"overload\": {},\n  \
-         \"deadline\": {{\"jobs\": {DL_JOBS}, \"modules\": {DL_MODULES}, \
-         \"deadline_ms\": {DL_MS}, \"sequential\": {}, \"portfolio\": {}}},\n  \
+         \"deadline\": {},\n  \
          \"eco\": {}\n}}\n",
         leg_json(&event),
         overload_json(&overload),
-        deadline_json(&sequential),
-        deadline_json(&portfolio),
+        deadline_legs_json(&sequential, &portfolio),
         eco_json(&eco)
     );
     std::fs::write(&out_path, &json).expect("write snapshot");

@@ -15,7 +15,7 @@
 //! close to a constant in each step", which is what makes the whole run
 //! linear in the number of modules (Table 1).
 
-use crate::config::{FloorplanConfig, Objective, OrderingStrategy};
+use crate::config::{FloorplanConfig, OrderingStrategy};
 use crate::envelope::ShapeSpec;
 use crate::error::FloorplanError;
 use crate::formulation::{fit_group, StepInput};
@@ -328,8 +328,7 @@ impl<'a> Floorplanner<'a> {
     /// * [`FloorplanError::EmptyNetlist`] for an empty problem,
     /// * [`FloorplanError::ModuleTooWide`] when a module cannot fit the chip,
     /// * [`FloorplanError::InvalidOrdering`] for a bad custom order,
-    /// * [`FloorplanError::Cancelled`] when the stop flag is raised or a
-    ///   portfolio incumbent proves augmentation cannot win,
+    /// * [`FloorplanError::Cancelled`] when the stop flag is raised,
     /// * [`FloorplanError::Solver`] only for internal model bugs.
     pub fn run(&self) -> Result<FloorplanResult, FloorplanError> {
         let started = Instant::now();
@@ -384,21 +383,6 @@ impl<'a> Floorplanner<'a> {
             };
             let floor = sky.max_height();
 
-            // Portfolio pruning, sound only for the pure-area objective
-            // (with λ > 0 a same-height, lower-wirelength completion could
-            // still win the race): the partial floor is monotone across
-            // steps, so once it reaches the best full-floorplan height any
-            // backend has published, this run can never strictly beat it.
-            let inc_height = match (&self.config.incumbent, self.config.objective) {
-                (Some(inc), Objective::Area) => inc.best_height(),
-                _ => f64::INFINITY,
-            };
-            if floor >= inc_height - 1e-9 {
-                return Err(FloorplanError::Cancelled(
-                    "partial floor cannot beat the portfolio incumbent".into(),
-                ));
-            }
-
             // Adaptive group size: honor the target but stay under the
             // binary budget (>= 1 module per step, always).
             let take = fit_group(
@@ -425,25 +409,10 @@ impl<'a> Floorplanner<'a> {
                 floor,
                 pull_down: false,
             };
-            // Pure-area step objective is W · height, so the incumbent
-            // height becomes an external objective cutoff the step must
-            // strictly beat, as must any bound the step options carry.
-            let bound = self.config.step_options.initial_upper_bound;
-            let cutoff = bound.min(chip_width * inc_height);
             let step_index = stats.steps.len();
-            let step = solve_step(StepKind::Placement, &input, &greedy, cutoff);
+            let step = solve_step(StepKind::Placement, &input, &greedy);
             match step.error {
                 Some(e @ SolveError::InvalidModel(_)) => return Err(FloorplanError::Solver(e)),
-                Some(SolveError::Infeasible(_)) if cutoff.is_finite() => {
-                    // The greedy witness makes the step feasible, so a
-                    // *proven* infeasibility under an injected cutoff
-                    // means no placement of this group beats the
-                    // incumbent height — and the floor only rises from
-                    // here, so neither will any later step.
-                    return Err(FloorplanError::Cancelled(
-                        "step proved the portfolio incumbent unbeatable".into(),
-                    ));
-                }
                 // Infeasible cannot truly happen (the greedy witness
                 // satisfies every constraint); numerical trouble and
                 // limits both degrade to the greedy placement.
@@ -654,59 +623,6 @@ mod tests {
             Floorplanner::with_config(&nl, cfg).run(),
             Err(FloorplanError::Cancelled(_))
         ));
-    }
-
-    #[test]
-    fn unbeatable_incumbent_cancels_area_run() {
-        use crate::portfolio::SharedIncumbent;
-        use std::sync::Arc;
-        let nl = ProblemGenerator::new(8, 3).generate();
-        let inc = Arc::new(SharedIncumbent::new());
-        // Nothing can be strictly below zero height: the very first step's
-        // bound makes the MILP proven-infeasible and the run cancels.
-        inc.publish(0.0);
-        let cfg = fast().with_incumbent(Some(inc.clone()));
-        assert!(matches!(
-            Floorplanner::with_config(&nl, cfg).run(),
-            Err(FloorplanError::Cancelled(_))
-        ));
-        // With λ > 0 the incumbent must be ignored: the run completes.
-        let cfg = fast()
-            .with_incumbent(Some(inc))
-            .with_objective(Objective::AreaPlusWirelength { lambda: 0.5 });
-        let result = Floorplanner::with_config(&nl, cfg).run().unwrap();
-        assert!(result.floorplan.is_valid());
-    }
-
-    #[test]
-    fn beatable_incumbent_does_not_change_area_result() {
-        use crate::portfolio::SharedIncumbent;
-        use std::sync::Arc;
-        // The two runs are compared, so only the node limit may stop a
-        // step: a time limit that binds differs from run to run.
-        let untimed = || {
-            let cfg = fast();
-            let opts = cfg
-                .step_options
-                .clone()
-                .with_time_limit(Duration::from_secs(24 * 3600));
-            cfg.with_step_options(opts)
-        };
-        let nl = ProblemGenerator::new(8, 5).generate();
-        let baseline = Floorplanner::with_config(&nl, untimed()).run().unwrap();
-        let inc = Arc::new(SharedIncumbent::new());
-        // A loose incumbent (well above what the run achieves) must not
-        // change the outcome: pruning against it is inactive on the optimal
-        // path.
-        inc.publish(baseline.floorplan.chip_height() * 2.0);
-        let cfg = untimed().with_incumbent(Some(inc));
-        let bounded = Floorplanner::with_config(&nl, cfg).run().unwrap();
-        assert!(
-            (bounded.floorplan.chip_height() - baseline.floorplan.chip_height()).abs() < 1e-9,
-            "incumbent-bounded run changed the result: {} vs {}",
-            bounded.floorplan.chip_height(),
-            baseline.floorplan.chip_height()
-        );
     }
 
     #[test]

@@ -1,9 +1,7 @@
 //! Floorplanner configuration.
 
-use crate::portfolio::SharedIncumbent;
 use fp_milp::{SolveOptions, StopFlag};
 use fp_netlist::ModuleId;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// Objective function for the MILP steps (paper §4, Series 2 compares the
@@ -125,12 +123,6 @@ pub struct FloorplanConfig {
     /// [`FloorplanError::Cancelled`](crate::FloorplanError::Cancelled).
     /// Disabled by default.
     pub stop: StopFlag,
-    /// Shared portfolio incumbent. When set and the objective is pure
-    /// [`Objective::Area`], each step MILP receives the incumbent's best
-    /// height as an external upper bound, and the run aborts with
-    /// `Cancelled` as soon as its partial floorplan provably cannot beat
-    /// that height (the partial floor is monotone across steps).
-    pub incumbent: Option<Arc<SharedIncumbent>>,
 }
 
 impl Default for FloorplanConfig {
@@ -156,7 +148,6 @@ impl Default for FloorplanConfig {
             covering_reduction: true,
             tracer: fp_obs::Tracer::disabled(),
             stop: StopFlag::disabled(),
-            incumbent: None,
         }
     }
 }
@@ -292,14 +283,6 @@ impl FloorplanConfig {
     #[must_use]
     pub fn with_stop(mut self, stop: StopFlag) -> Self {
         self.stop = stop;
-        self
-    }
-
-    /// Installs (or clears) a shared portfolio incumbent used to bound and
-    /// early-abort pure-area runs.
-    #[must_use]
-    pub fn with_incumbent(mut self, incumbent: Option<Arc<SharedIncumbent>>) -> Self {
-        self.incumbent = incumbent;
         self
     }
 }

@@ -377,7 +377,7 @@ pub fn eco_replace(
         };
         // The greedy witness satisfies every constraint, so limits and
         // numerical trouble degrade to the greedy placement.
-        let step = solve_step(StepKind::Placement, &input, &greedy, f64::INFINITY);
+        let step = solve_step(StepKind::Placement, &input, &greedy);
         if let Some(e @ SolveError::InvalidModel(_)) = step.error {
             return Err(FloorplanError::Solver(e));
         }

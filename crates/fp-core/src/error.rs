@@ -26,8 +26,7 @@ pub enum FloorplanError {
     /// A topology re-optimization was asked for a module set that does not
     /// match the floorplan.
     TopologyMismatch(String),
-    /// The run was cancelled cooperatively — the stop flag was raised, or a
-    /// shared portfolio incumbent proved this backend cannot win. Not a
+    /// The run was cancelled cooperatively: its stop flag was raised. Not a
     /// failure of the instance: another backend's result should be used.
     Cancelled(String),
 }

@@ -56,7 +56,6 @@ mod formulation;
 mod greedy;
 mod improve;
 mod placement;
-mod portfolio;
 mod step;
 mod topology;
 
@@ -70,5 +69,4 @@ pub use fp_milp::StopFlag;
 pub use greedy::{bottom_left, legalize, LegalizeItem};
 pub use improve::{improve, improve_traced, reoptimize_top};
 pub use placement::{Floorplan, PlacedModule};
-pub use portfolio::SharedIncumbent;
 pub use topology::{extract_topology, optimize_topology, Relation};

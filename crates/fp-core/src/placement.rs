@@ -1,6 +1,6 @@
 //! Floorplan result types.
 
-use fp_geom::{union_area, RTree, Rect, GEOM_EPS};
+use fp_geom::{union_area, Rect, GEOM_EPS};
 use fp_netlist::{ModuleId, Netlist};
 use std::collections::HashMap;
 
@@ -182,38 +182,6 @@ impl Floorplan {
                 ));
             }
         }
-        // Pairwise envelope overlaps via the spatial index: each module probes
-        // the R-tree with its own envelope instead of scanning every other
-        // placement. Candidates come back sorted, so the report order matches
-        // the brute-force (k, k+1..) scan.
-        let tree = RTree::from_entries(
-            self.modules
-                .iter()
-                .enumerate()
-                .map(|(k, m)| (k as u64, m.envelope)),
-        );
-        for (k, a) in self.modules.iter().enumerate() {
-            for j in tree.query(&a.envelope) {
-                let j = j as usize;
-                if j > k && a.envelope.overlaps(&self.modules[j].envelope) {
-                    let b = &self.modules[j];
-                    out.push(format!(
-                        "{} and {} overlap: {} vs {}",
-                        a.id, b.id, a.envelope, b.envelope
-                    ));
-                }
-            }
-        }
-        out
-    }
-
-    /// All-pairs reference implementation of the overlap portion of
-    /// [`Floorplan::violations`]. Kept as the differential oracle for the
-    /// R-tree-backed scan and as the brute-force baseline in fp-bench.
-    #[doc(hidden)]
-    #[must_use]
-    pub fn overlap_violations_brute_force(&self) -> Vec<String> {
-        let mut out = Vec::new();
         for (k, a) in self.modules.iter().enumerate() {
             for b in &self.modules[k + 1..] {
                 if a.envelope.overlaps(&b.envelope) {
@@ -323,42 +291,6 @@ mod tests {
         assert!((fp.utilization(&nl) - 32.0 / 50.0).abs() < 1e-9);
         // centers (2, 1.5) and (6, 2.5): manhattan 5, weight 2.
         assert!((fp.center_wirelength(&nl) - 10.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn indexed_overlap_scan_matches_brute_force() {
-        // Seeded congested placements: many genuine overlaps plus exact
-        // abutments that must NOT be reported.
-        let mut state = 0x9e37_79b9_u64;
-        let mut next = move || {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 33) as f64) / ((1u64 << 31) as f64)
-        };
-        for n in [0usize, 1, 2, 17, 60] {
-            let mut modules = Vec::with_capacity(n + 2);
-            for k in 0..n {
-                let x = (next() * 16.0).floor() * 0.5;
-                let y = (next() * 16.0).floor() * 0.5;
-                let w = 0.5 + (next() * 4.0).floor() * 0.5;
-                let h = 0.5 + (next() * 4.0).floor() * 0.5;
-                modules.push(place(k, x, y, w, h));
-            }
-            if n >= 2 {
-                // Touching pair on the grid: legal, must stay unreported by both.
-                modules.push(place(n, 20.0, 0.0, 1.0, 1.0));
-                modules.push(place(n + 1, 21.0, 0.0, 1.0, 1.0));
-            }
-            let fp = Floorplan::new(64.0, modules);
-            let oracle = fp.overlap_violations_brute_force();
-            let indexed: Vec<String> = fp
-                .violations()
-                .into_iter()
-                .filter(|v| v.contains("overlap:"))
-                .collect();
-            assert_eq!(indexed, oracle, "n={n}");
-        }
     }
 
     #[test]

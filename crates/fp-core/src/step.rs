@@ -22,23 +22,21 @@ pub(crate) struct SolvedStep {
 }
 
 /// Builds the step MILP of `input`, solves it with the budgeted step
-/// options under the objective `cutoff` (`+∞` for none), and records it
-/// as a `kind` step timed over build plus solve. `greedy` is the witness
-/// behind `input.h_ub`. A failed solve records the statistics its error
-/// carries, so a traced and an untraced run count the same work.
+/// options, and records it as a `kind` step timed over build plus solve.
+/// `greedy` is the witness behind `input.h_ub`. A failed solve records
+/// the statistics its error carries, so a traced and an untraced run
+/// count the same work.
 pub(crate) fn solve_step(
     kind: StepKind,
     input: &StepInput<'_>,
     greedy: &[GreedyPlacement],
-    cutoff: f64,
 ) -> SolvedStep {
     let started = Instant::now();
     let tracer = &input.config.tracer;
     let step = StepModel::build(input);
     // Budgeted after the build: with a config deadline the limit is the
     // wall clock *remaining*, so K steps cannot overshoot it K-fold.
-    let mut options = input.config.budgeted_step_options();
-    options.initial_upper_bound = options.initial_upper_bound.min(cutoff);
+    let options = input.config.budgeted_step_options();
     let (placements, outcome, solve, error) = match step.model.solve_traced(&options, tracer) {
         Ok(sol) => {
             let outcome = match sol.optimality() {

@@ -2,13 +2,11 @@
 //!
 //! The analytic placer's bell overlap kernel has *compact support*: the
 //! pair `(i, j)` contributes exactly zero unless `|cx_i − cx_j| <
-//! (w_i + w_j)/2` **and** `|cy_i − cy_j| < (h_i + h_j)/2`. With cell size
-//! at least the maximum module width and height, every pair within the
-//! kernel's support satisfies `|cx_i − cx_j| ≤ (w_i + w_j)/2 ≤ w_max ≤
-//! cell` (and likewise in y), so both centers fall in the same cell or in
-//! adjacent cells. Scanning each point's 3×3 cell neighborhood therefore
-//! visits **every** pair the all-pairs loop would have scored non-zero —
-//! the pruning is exact, not approximate.
+//! (w_i + w_j)/2` **and** `|cy_i − cy_j| < (h_i + h_j)/2`. Every pair
+//! within the kernel's support therefore has `j`'s center inside the
+//! window `cx_i ± (w_i + w_max)/2` × `cy_i ± (h_i + h_max)/2`, and
+//! [`BinGrid::for_each_run_in_window`] visits every point in every cell
+//! that window touches — the pruning is exact, not approximate.
 
 /// A uniform grid bucketing point indices (`u32`) by cell.
 ///
@@ -21,7 +19,9 @@
 /// let pts = [(0.0, 0.0), (0.5, 0.5), (10.0, 10.0)];
 /// let grid = BinGrid::build(pts.iter().copied(), 1.0);
 /// let mut near_origin = Vec::new();
-/// grid.for_each_neighbor(0.0, 0.0, |j| near_origin.push(j));
+/// grid.for_each_run_in_window(-1.0, -1.0, 1.0, 1.0, |run| {
+///     near_origin.extend_from_slice(&grid.items()[run]);
+/// });
 /// assert_eq!(near_origin, vec![0, 1]); // the far point is pruned
 /// ```
 #[derive(Debug, Clone)]
@@ -186,8 +186,7 @@ impl BinGrid {
     /// contiguous CSR run — cells within a row are adjacent in memory, so
     /// empty cells in the span cost nothing and every callback is a
     /// single sequential scan. Rows scan bottom-to-top (deterministic).
-    /// Unlike the fixed 3×3 scan of [`BinGrid::for_each_neighbor`], the
-    /// window — and therefore the slice of the grid touched — is the
+    /// The window — and therefore the slice of the grid touched — is the
     /// caller's: per-query radii prune tighter when point extents are
     /// heterogeneous.
     pub fn for_each_run_in_window(
@@ -220,46 +219,35 @@ impl BinGrid {
             }
         }
     }
-
-    /// Calls `f(j)` for every point index in the 3×3 cell neighborhood of
-    /// `(x, y)`, scanning cells bottom-to-top then left-to-right and each
-    /// cell in input order (deterministic).
-    pub fn for_each_neighbor(&self, x: f64, y: f64, mut f: impl FnMut(u32)) {
-        if self.items.is_empty() {
-            return;
-        }
-        let cx = (((x - self.min_x) / self.cell_x).floor() as isize).clamp(0, self.nx as isize - 1);
-        let cy = (((y - self.min_y) / self.cell_y).floor() as isize).clamp(0, self.ny as isize - 1);
-        for gy in (cy - 1).max(0)..=(cy + 1).min(self.ny as isize - 1) {
-            for gx in (cx - 1).max(0)..=(cx + 1).min(self.nx as isize - 1) {
-                let c = gy as usize * self.nx + gx as usize;
-                let lo = self.starts[c] as usize;
-                let hi = self.starts[c + 1] as usize;
-                for &j in &self.items[lo..hi] {
-                    f(j);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// The point indices in every cell the window touches, in scan order.
+    fn window(grid: &BinGrid, x0: f64, y0: f64, x1: f64, y1: f64) -> Vec<usize> {
+        let mut seen = Vec::new();
+        grid.for_each_run_in_window(x0, y0, x1, y1, |r| {
+            seen.extend(grid.items()[r].iter().map(|&j| j as usize));
+        });
+        seen
+    }
+
     #[test]
     fn empty_grid() {
         let grid = BinGrid::build(std::iter::empty(), 1.0);
         assert!(grid.is_empty());
         let mut called = false;
-        grid.for_each_neighbor(0.0, 0.0, |_| called = true);
+        grid.for_each_run_in_window(-1.0, -1.0, 1.0, 1.0, |_| called = true);
         assert!(!called);
     }
 
     #[test]
     fn neighborhood_covers_all_pairs_within_cell_distance() {
         // Any two points closer than `cell` in both axes must see each
-        // other through a 3×3 scan — the compact-support guarantee.
+        // other through a window of half-width `cell` — the compact-support
+        // guarantee.
         let cell = 2.0;
         let pts: Vec<(f64, f64)> = (0..40)
             .map(|k| {
@@ -270,10 +258,10 @@ mod tests {
         let grid = BinGrid::build(pts.iter().copied(), cell);
         assert_eq!(grid.len(), 40);
         for i in 0..pts.len() {
-            let mut seen = Vec::new();
-            grid.for_each_neighbor(pts[i].0, pts[i].1, |j| seen.push(j as usize));
+            let (x, y) = pts[i];
+            let seen = window(&grid, x - cell, y - cell, x + cell, y + cell);
             for (j, p) in pts.iter().enumerate() {
-                let close = (p.0 - pts[i].0).abs() < cell && (p.1 - pts[i].1).abs() < cell;
+                let close = (p.0 - x).abs() < cell && (p.1 - y).abs() < cell;
                 assert!(
                     !close || seen.contains(&j),
                     "pair ({i}, {j}) within cell distance but pruned"
@@ -294,10 +282,7 @@ mod tests {
         let grid = BinGrid::build(pts.iter().copied(), 1.5);
         // Every point recovered through its own zero-radius window.
         for (i, &(x, y)) in pts.iter().enumerate() {
-            let mut seen = Vec::new();
-            grid.for_each_run_in_window(x, y, x, y, |r| {
-                seen.extend(grid.items()[r].iter().map(|&j| j as usize));
-            });
+            let seen = window(&grid, x, y, x, y);
             assert!(seen.contains(&i), "point {i} missing from its own cell");
         }
         // A window spanning everything yields each point exactly once.
@@ -313,10 +298,7 @@ mod tests {
         // the window is inside one of its cells and must be seen. The
         // converse is *not* asserted — a run covers whole cells, so it may
         // legitimately include near-window points the caller re-filters.
-        let mut seen = Vec::new();
-        grid.for_each_run_in_window(2.0, 2.0, 5.0, 5.0, |r| {
-            seen.extend(grid.items()[r].iter().map(|&j| j as usize));
-        });
+        let seen = window(&grid, 2.0, 2.0, 5.0, 5.0);
         for (j, &(x, y)) in pts.iter().enumerate() {
             if (2.0..=5.0).contains(&x) && (2.0..=5.0).contains(&y) {
                 assert!(seen.contains(&j), "point {j} in window but unseen");
@@ -332,8 +314,6 @@ mod tests {
     #[test]
     fn single_point_degenerate_extent() {
         let grid = BinGrid::build([(3.0, 4.0)], 5.0);
-        let mut seen = Vec::new();
-        grid.for_each_neighbor(3.0, 4.0, |j| seen.push(j));
-        assert_eq!(seen, vec![0]);
+        assert_eq!(window(&grid, -2.0, -1.0, 8.0, 9.0), vec![0]);
     }
 }

@@ -37,7 +37,6 @@ pub mod covering;
 mod grid;
 mod point;
 mod rect;
-mod rtree;
 mod skyline;
 
 pub use area::{union_area, union_area_oracle};
@@ -45,7 +44,6 @@ pub use contour::Contour;
 pub use grid::BinGrid;
 pub use point::Point;
 pub use rect::Rect;
-pub use rtree::RTree;
 pub use skyline::Skyline;
 
 /// Geometric comparison tolerance used across the workspace.

@@ -1,9 +1,9 @@
-//! Property/differential tests for the spatial-indexing layer: R-tree
-//! insert/remove/query against a brute-force scan, and sweep-line union
+//! Property/differential tests for the spatial layer: sweep-line union
 //! area against the `O(n³)` compressed-grid oracle — including touching
-//! edges and GEOM_EPS-degenerate inputs.
+//! edges and GEOM_EPS-degenerate inputs — and incremental skylines
+//! against batch builds.
 
-use fp_geom::{union_area, union_area_oracle, RTree, Rect, Skyline, GEOM_EPS};
+use fp_geom::{union_area, union_area_oracle, Rect, Skyline, GEOM_EPS};
 use proptest::prelude::*;
 
 /// Rectangles on a quarter-unit grid, so exact abutments (shared edges)
@@ -41,67 +41,7 @@ fn messy_rects() -> impl Strategy<Value = Vec<Rect>> {
     )
 }
 
-fn brute_query(entries: &[(u64, Rect)], region: &Rect) -> Vec<u64> {
-    let mut out: Vec<u64> = entries
-        .iter()
-        .filter(|(_, r)| r.overlaps(region))
-        .map(|&(id, _)| id)
-        .collect();
-    out.sort_unstable();
-    out
-}
-
 proptest! {
-    /// R-tree query equals a brute-force scan after any interleaving of
-    /// inserts and removes, on grids dense with touching edges.
-    #[test]
-    fn rtree_matches_brute_force(
-        rects in grid_rects(),
-        removals in proptest::collection::vec(0usize..40, 0..20),
-        probe in (0u32..60, 0u32..40, 1u32..20, 1u32..20),
-    ) {
-        let mut tree = RTree::new();
-        let mut entries: Vec<(u64, Rect)> = Vec::new();
-        for (k, r) in rects.iter().enumerate() {
-            tree.insert(k as u64, *r);
-            entries.push((k as u64, *r));
-        }
-        for &victim in &removals {
-            let id = victim as u64;
-            let present = entries.iter().any(|&(e, _)| e == id);
-            prop_assert_eq!(tree.remove(id), present);
-            entries.retain(|&(e, _)| e != id);
-        }
-        prop_assert_eq!(tree.len(), entries.len());
-        let region = Rect::new(
-            f64::from(probe.0) * 0.25,
-            f64::from(probe.1) * 0.25,
-            f64::from(probe.2) * 0.25,
-            f64::from(probe.3) * 0.25,
-        );
-        prop_assert_eq!(tree.query(&region), brute_query(&entries, &region));
-        prop_assert_eq!(
-            tree.any_overlap(&region, u64::MAX),
-            !brute_query(&entries, &region).is_empty()
-        );
-    }
-
-    /// Identical overlap verdicts on every stored rect probed against the
-    /// rest — the legality-check pattern used by the placement drivers.
-    #[test]
-    fn rtree_overlap_verdicts_match_pairwise_scan(rects in grid_rects()) {
-        let tree = RTree::from_entries(
-            rects.iter().enumerate().map(|(k, r)| (k as u64, *r)),
-        );
-        for (i, r) in rects.iter().enumerate() {
-            let brute = rects
-                .iter()
-                .enumerate()
-                .any(|(j, other)| j != i && other.overlaps(r));
-            prop_assert_eq!(tree.any_overlap(r, i as u64), brute, "module {}", i);
-        }
-    }
-
     /// Sweep-line union area equals the O(n³) oracle on touching-edge
     /// grids (exactly) ...
     #[test]

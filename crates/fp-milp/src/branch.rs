@@ -16,7 +16,7 @@
 
 use crate::error::SolveError;
 use crate::model::Model;
-use crate::options::SolveOptions;
+use crate::options::{SolveOptions, FEAS_TOL, INT_TOL, OPT_TOL};
 use crate::presolve::{
     presolve, strengthen, CutSeparator, NodePropagator, PresolveStatus, PropBox, Strengthened,
 };
@@ -198,8 +198,8 @@ fn add_root_cuts(
 /// refactorization interval are sized automatically.
 fn lp_config(options: &SolveOptions, started: Instant) -> LpConfig {
     LpConfig {
-        feas_tol: options.feas_tol,
-        opt_tol: options.opt_tol,
+        feas_tol: FEAS_TOL,
+        opt_tol: OPT_TOL,
         deadline: started.checked_add(options.time_limit),
         warm_pivot_cap: 0,
         refactor_interval: 0,
@@ -235,17 +235,6 @@ pub(crate) fn solve(
     );
     let (c, c_offset) = model.min_objective();
 
-    // External-sense cutoff internalized to minimization form: the search
-    // prunes against it from the first node and only accepts strictly
-    // better incumbents, so the returned solution can never be at or worse
-    // than the injected bound. `externalize_obj` is an involution, so it
-    // also maps external → internal sense.
-    let cutoff = if options.initial_upper_bound.is_finite() {
-        model.externalize_obj(options.initial_upper_bound) - c_offset
-    } else {
-        f64::INFINITY
-    };
-
     let rows = model.sparse_rows();
 
     let base_lb: Vec<f64> = model.vars.iter().map(|d| d.lb).collect();
@@ -259,7 +248,7 @@ pub(crate) fn solve(
         base_lb,
         base_ub,
         &integral,
-        options.feas_tol,
+        FEAS_TOL,
         PRESOLVE_PASSES,
     );
     // Statistics of the whole solve: the root counters go in as they are
@@ -338,7 +327,7 @@ pub(crate) fn solve(
             &mut lb,
             &mut ub,
             &integral,
-            options.feas_tol,
+            FEAS_TOL,
             PROBE_BUDGET,
         ) {
             Ok(st) => st,
@@ -416,7 +405,7 @@ pub(crate) fn solve(
         c_offset,
     };
     let searched = search(
-        model, options, started, &c, &rows, &int_cols, root, cutoff, &trace, &mut stats,
+        model, options, started, &c, &rows, &int_cols, root, &trace, &mut stats,
     );
     let (incumbent, proven) = match searched {
         Ok(result) => result,
@@ -588,16 +577,13 @@ fn search(
     rows: &[SparseRow],
     int_cols: &[usize],
     root: Node,
-    cutoff: f64,
     trace: &TraceCtx,
     stats: &mut SolveStats,
 ) -> SearchResult {
-    let mut incumbent: Option<(Vec<f64>, f64)> = None; // (values, min-form obj)
-                                                       // Pruning bound: starts at the externally injected cutoff (infinite when
-                                                       // none) and tightens to each new incumbent. Exhausting the tree with a
-                                                       // finite cutoff and no incumbent proves nothing better than the cutoff
-                                                       // exists, which the epilogue reports as `Infeasible`.
-    let mut bound = cutoff;
+    // The best integer point so far as (values, min-form objective); its
+    // objective is the pruning bound, +∞ until the first one.
+    let mut incumbent: Option<(Vec<f64>, f64)> = None;
+    let mut bound = f64::INFINITY;
     let mut proven = true;
     let lp_cfg = lp_config(options, started);
     // One workspace for the whole solve: the dive child is popped
@@ -682,13 +668,12 @@ fn search(
             }
         };
 
-        // Bound pruning against the incumbent or injected cutoff
-        // (minimization form).
+        // Bound pruning against the incumbent (minimization form).
         if obj >= bound - 1e-9 {
             continue;
         }
 
-        match branch_choice(model, int_cols, &x, options.int_tol) {
+        match branch_choice(model, int_cols, &x, INT_TOL) {
             None => {
                 // Integer feasible: snap integers exactly and record.
                 let mut vals = x;
@@ -935,8 +920,8 @@ mod tests {
         assert!((warm.objective() - cold.objective()).abs() < 1e-9);
     }
 
-    /// Minimization covering knapsack used by the cutoff tests: enough
-    /// binaries that the tree is nontrivial, so pruning is observable.
+    /// Minimization covering knapsack used by the limit and basis-store
+    /// tests: enough binaries that the tree is nontrivial.
     fn covering_knapsack() -> Model {
         let mut m = Model::new(Sense::Minimize);
         let vars: Vec<_> = (0..10).map(|i| m.add_binary(format!("b{i}"))).collect();
@@ -953,62 +938,6 @@ mod tests {
             .sum();
         m.set_objective(cost);
         m
-    }
-
-    #[test]
-    fn initial_upper_bound_prunes_and_never_returns_worse() {
-        let baseline = covering_knapsack()
-            .solve_with(&SolveOptions::default())
-            .unwrap();
-        let opt = baseline.objective();
-        assert_eq!(baseline.optimality(), Optimality::Proven);
-
-        // A bound strictly above the optimum: same answer, and the injected
-        // cutoff can only prune (the dive order is identical), so the tree
-        // is no larger than the baseline's.
-        let loose = covering_knapsack()
-            .solve_with(&SolveOptions::default().with_initial_upper_bound(opt + 0.5))
-            .unwrap();
-        assert!((loose.objective() - opt).abs() < 1e-7);
-        assert_eq!(loose.optimality(), Optimality::Proven);
-        assert!(loose.stats().nodes <= baseline.stats().nodes);
-
-        // A bound at the optimum: the solver must strictly beat it, so it
-        // proves no acceptable solution exists rather than returning one
-        // that merely ties.
-        let tied =
-            covering_knapsack().solve_with(&SolveOptions::default().with_initial_upper_bound(opt));
-        assert!(matches!(tied, Err(SolveError::Infeasible(_))));
-
-        // A bound below the optimum: likewise never returns anything worse
-        // than the bound.
-        let below = covering_knapsack()
-            .solve_with(&SolveOptions::default().with_initial_upper_bound(opt - 1.0));
-        assert!(matches!(below, Err(SolveError::Infeasible(_))));
-    }
-
-    #[test]
-    fn initial_upper_bound_maximize_sense() {
-        // max 10a + 13b + 7c, 3a + 4b + 2c <= 6 -> optimum 20 (b + c).
-        let build = || {
-            let mut m = Model::new(Sense::Maximize);
-            let a = m.add_binary("a");
-            let b = m.add_binary("b");
-            let c = m.add_binary("c");
-            m.add_le(3.0 * a + 4.0 * b + 2.0 * c, 6.0);
-            m.set_objective(10.0 * a + 13.0 * b + 7.0 * c);
-            m
-        };
-        // For Maximize the "upper bound" is an objective value to beat from
-        // below externally: a known solution of value 19 must not stop the
-        // solver from finding 20...
-        let s = build()
-            .solve_with(&SolveOptions::default().with_initial_upper_bound(19.0))
-            .unwrap();
-        assert!((s.objective() - 20.0).abs() < 1e-7);
-        // ...and a known solution of value 20 proves nothing better exists.
-        let tied = build().solve_with(&SolveOptions::default().with_initial_upper_bound(20.0));
-        assert!(matches!(tied, Err(SolveError::Infeasible(_))));
     }
 
     #[test]

@@ -13,9 +13,7 @@ use std::fmt;
 /// count.
 #[derive(Debug, Clone, PartialEq)]
 pub enum SolveError {
-    /// The constraint system admits no feasible point, or, under an
-    /// [`initial_upper_bound`](crate::SolveOptions::initial_upper_bound),
-    /// none strictly better than it.
+    /// The constraint system admits no integer-feasible point.
     Infeasible(Box<SolveStats>),
     /// The objective is unbounded in the optimization direction.
     Unbounded(Box<SolveStats>),

@@ -58,7 +58,14 @@ impl PartialEq for StopFlag {
     }
 }
 
-/// Tunable limits and tolerances for [`Model::solve_with`](crate::Model::solve_with).
+/// Feasibility tolerance for simplex basic values and constraint checks.
+pub(crate) const FEAS_TOL: f64 = 1e-7;
+/// Reduced-cost optimality tolerance.
+pub(crate) const OPT_TOL: f64 = 1e-9;
+/// How far from integral a value may be and still count as integral.
+pub(crate) const INT_TOL: f64 = 1e-6;
+
+/// Tunable limits for [`Model::solve_with`](crate::Model::solve_with).
 ///
 /// The defaults are sized for the floorplanner's augmentation subproblems
 /// (tens of binaries, a few hundred constraints). The paper relies on LINDO
@@ -77,12 +84,6 @@ pub struct SolveOptions {
     pub node_limit: usize,
     /// Wall-clock budget for the whole solve.
     pub time_limit: Duration,
-    /// Feasibility tolerance for simplex basic values and constraint checks.
-    pub feas_tol: f64,
-    /// Reduced-cost optimality tolerance.
-    pub opt_tol: f64,
-    /// How far from integral a value may be and still count as integral.
-    pub int_tol: f64,
     /// Warm-start each node's LP from its parent's optimal basis via the
     /// dual simplex instead of re-running two-phase primal from scratch.
     /// Purely a performance lever: any numerical doubt falls back to the
@@ -94,17 +95,6 @@ pub struct SolveOptions {
     /// set of integer-feasible points, so the proven objective is identical
     /// either way. Default `true`.
     pub strengthen: bool,
-    /// An externally known objective value (in the model's sense) that the
-    /// search must strictly beat — typically the cost of a solution another
-    /// solver already holds. Branch-and-bound prunes against it from the
-    /// first node and only installs incumbents strictly better than it, so
-    /// a solve can never return a solution at or worse than this bound; if
-    /// nothing better exists the solve reports
-    /// [`SolveError::Infeasible`](crate::SolveError) (proven) or
-    /// [`SolveError::LimitWithoutIncumbent`](crate::SolveError) (limit
-    /// bound first). For `Maximize` models the value acts as a lower
-    /// cutoff. Non-finite values (the default, `f64::INFINITY`) disable it.
-    pub initial_upper_bound: f64,
     /// Cooperative cancellation flag polled at node boundaries; see
     /// [`StopFlag`]. Disabled by default.
     pub stop: StopFlag,
@@ -131,12 +121,8 @@ impl Default for SolveOptions {
         SolveOptions {
             node_limit: 200_000,
             time_limit: Duration::from_secs(120),
-            feas_tol: 1e-7,
-            opt_tol: 1e-9,
-            int_tol: 1e-6,
             warm_start: true,
             strengthen: true,
-            initial_upper_bound: f64::INFINITY,
             stop: StopFlag::disabled(),
             basis_store: None,
             basis_load_key: 0,
@@ -180,15 +166,6 @@ impl SolveOptions {
     #[must_use]
     pub fn with_strengthen(mut self, on: bool) -> Self {
         self.strengthen = on;
-        self
-    }
-
-    /// Returns options with an externally known objective cutoff the search
-    /// must strictly beat (non-finite disables; see
-    /// [`Self::initial_upper_bound`]).
-    #[must_use]
-    pub fn with_initial_upper_bound(mut self, bound: f64) -> Self {
-        self.initial_upper_bound = bound;
         self
     }
 
@@ -238,12 +215,8 @@ mod tests {
         let SolveOptions {
             node_limit,
             time_limit,
-            feas_tol,
-            opt_tol,
-            int_tol,
             warm_start,
             strengthen,
-            initial_upper_bound,
             stop,
             basis_store,
             basis_load_key,
@@ -251,10 +224,8 @@ mod tests {
         } = SolveOptions::default();
         assert_eq!(node_limit, 200_000);
         assert_eq!(time_limit, Duration::from_secs(120));
-        assert_eq!((feas_tol, opt_tol, int_tol), (1e-7, 1e-9, 1e-6));
         assert!(warm_start);
         assert!(strengthen);
-        assert_eq!(initial_upper_bound, f64::INFINITY);
         assert!(!stop.is_set());
         assert!(basis_store.is_none());
         assert_eq!((basis_load_key, basis_publish_key), (0, 0));
@@ -281,10 +252,7 @@ mod tests {
     #[test]
     fn portfolio_builders() {
         let stop = StopFlag::new();
-        let o = SolveOptions::default()
-            .with_initial_upper_bound(42.5)
-            .with_stop(stop.clone());
-        assert_eq!(o.initial_upper_bound, 42.5);
+        let o = SolveOptions::default().with_stop(stop.clone());
         assert_eq!(o.stop, stop);
     }
 

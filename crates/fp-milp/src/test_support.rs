@@ -9,7 +9,7 @@
 //! Nothing here is stable.
 
 use crate::model::Model;
-use crate::options::SolveOptions;
+use crate::options::{FEAS_TOL, OPT_TOL};
 use crate::presolve::NodePropagator;
 use crate::simplex::{LpConfig, LpOutcome, LpProblem, Workspace};
 
@@ -52,10 +52,9 @@ pub fn node_propagation_probe(model: &Model, fixes: &[(usize, f64)]) -> Propagat
         let parent = prop.share();
         settled = !prop.run(&lb, &ub, Some((&parent, j)));
     }
-    let defaults = SolveOptions::default();
     let cfg = LpConfig {
-        feas_tol: defaults.feas_tol,
-        opt_tol: defaults.opt_tol,
+        feas_tol: FEAS_TOL,
+        opt_tol: OPT_TOL,
         deadline: None,
         warm_pivot_cap: 0,
         refactor_interval: 0,
@@ -116,8 +115,8 @@ pub fn sparse_root_lp_probe(model: &Model, refactor_interval: usize) -> LuProbe 
         ub: &ub,
     };
     let cfg = LpConfig {
-        feas_tol: 1e-7,
-        opt_tol: 1e-9,
+        feas_tol: FEAS_TOL,
+        opt_tol: OPT_TOL,
         deadline: None,
         warm_pivot_cap: 0,
         refactor_interval,

@@ -43,6 +43,11 @@ impl Netlist {
         &self.name
     }
 
+    /// Renames the instance.
+    pub(crate) fn set_name(&mut self, name: &str) {
+        name.clone_into(&mut self.name);
+    }
+
     /// Adds a module, returning its id.
     ///
     /// # Errors
@@ -52,8 +57,13 @@ impl Netlist {
         if self.modules.iter().any(|m| m.name() == module.name()) {
             return Err(NetlistError::DuplicateModule(module.name().to_string()));
         }
+        Ok(self.push_module(module))
+    }
+
+    /// Adds a module whose name the caller has already checked is new.
+    pub(crate) fn push_module(&mut self, module: Module) -> ModuleId {
         self.modules.push(module);
-        Ok(ModuleId(self.modules.len() - 1))
+        ModuleId(self.modules.len() - 1)
     }
 
     /// Adds a net, returning its id.

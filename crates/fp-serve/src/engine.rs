@@ -26,6 +26,35 @@ use std::sync::{mpsc, Arc};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+/// ECO jobs whose touched fraction (edited modules / total) exceeds this
+/// threshold solve from scratch instead of incrementally — past it the
+/// "delta" is most of the instance and keeping the base buys nothing.
+const ECO_THRESHOLD: f64 = 0.5;
+
+/// Most modules an instance may have. The default ordering builds a
+/// dense K×K connectivity matrix, 32 MiB at this cap; the largest deck
+/// the repo runs (gsrc300) has 300 modules.
+pub const MAX_MODULES: usize = 2048;
+
+/// Most net members an instance may have, summed over its nets.
+pub const MAX_NET_MEMBERS: usize = 65_536;
+
+/// Checks `netlist` against [`MAX_MODULES`] and [`MAX_NET_MEMBERS`],
+/// naming the cap it exceeds.
+fn within_caps(netlist: &Netlist) -> Result<(), String> {
+    let modules = netlist.num_modules();
+    if modules > MAX_MODULES {
+        return Err(format!("{modules} modules exceed the cap of {MAX_MODULES}"));
+    }
+    let members: usize = netlist.nets().map(|(_, n)| n.modules().len()).sum();
+    if members > MAX_NET_MEMBERS {
+        return Err(format!(
+            "{members} net members exceed the cap of {MAX_NET_MEMBERS}"
+        ));
+    }
+    Ok(())
+}
+
 /// Engine configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -62,11 +91,6 @@ pub struct ServeConfig {
     /// paper's pipeline alone, run on the worker thread. An empty list
     /// races nothing, so every solve degrades to the greedy skyline.
     pub backends: Vec<Backend>,
-    /// ECO jobs whose touched fraction (edited modules / total) exceeds
-    /// this threshold solve from scratch instead of incrementally — past
-    /// it the "delta" is most of the instance and keeping the base buys
-    /// nothing.
-    pub eco_threshold: f64,
     /// Solution-cache snapshot file: loaded (if present) on
     /// [`Engine::start`], re-written in the background (atomic
     /// tmp+rename, every 500ms when the cache changed) and once more on
@@ -92,7 +116,6 @@ impl Default for ServeConfig {
             max_line_bytes: 1 << 20,
             tracer: Tracer::disabled(),
             backends: vec![Backend::Milp],
-            eco_threshold: 0.5,
             cache_path: None,
         }
     }
@@ -160,14 +183,6 @@ impl ServeConfig {
     #[must_use]
     pub fn with_backends(mut self, backends: Vec<Backend>) -> Self {
         self.backends = backends;
-        self
-    }
-
-    /// Sets the ECO touched-fraction threshold (clamped to `[0, 1]`)
-    /// above which delta jobs solve from scratch.
-    #[must_use]
-    pub fn with_eco_threshold(mut self, threshold: f64) -> Self {
-        self.eco_threshold = threshold.clamp(0.0, 1.0);
         self
     }
 
@@ -628,7 +643,9 @@ pub(crate) fn emit_shed(shared: &Shared, retry_after_ms: u64) {
 
 /// The single entry point for every job.
 ///
-/// Parses and canonicalizes on the calling thread, coalesces onto an
+/// Parses and canonicalizes on the calling thread, refuses an instance
+/// past [`MAX_MODULES`] or [`MAX_NET_MEMBERS`] (the request's, and for an
+/// ECO job the edited one) before anything solves it, coalesces onto an
 /// identical in-flight solve when allowed (followers park in the table
 /// and return immediately), then enqueues under the chosen admission
 /// policy. Whatever happens — parse failure, full queue, closed queue —
@@ -651,6 +668,9 @@ pub(crate) fn submit(shared: &Arc<Shared>, req: JobRequest, reply: Reply, admiss
         Ok(n) => n,
         Err(e) => return fail(&req, reply, format!("bad netlist: {e}")),
     };
+    if let Err(e) = within_caps(&netlist) {
+        return fail(&req, reply, format!("bad netlist: {e}"));
+    }
     let params = FingerprintParams {
         width: req.width,
         lambda: req.lambda,
@@ -670,6 +690,9 @@ pub(crate) fn submit(shared: &Arc<Shared>, req: JobRequest, reply: Reply, admiss
             Ok(v) => v,
             Err(e) => return fail(&req, reply, format!("bad delta: {e}")),
         };
+        if let Err(e) = within_caps(&out.netlist) {
+            return fail(&req, reply, format!("bad netlist: {e}"));
+        }
         let base_canon: Arc<str> = Arc::from(canonical(&netlist, &params));
         let base_key = fingerprint_of(&base_canon);
         let base_trusted = req.eco_base.is_none_or(|pinned| pinned == base_key);
@@ -908,7 +931,7 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
             .iter()
             .filter_map(|name| netlist.module_by_name(name))
             .collect();
-        if total == 0 || edited_ids.len() as f64 / total as f64 > config.eco_threshold {
+        if total == 0 || edited_ids.len() as f64 / total as f64 > ECO_THRESHOLD {
             return None;
         }
         // Base placements mapped by *name* into the edited id space;

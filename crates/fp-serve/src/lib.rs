@@ -22,7 +22,9 @@
 //!   with the same canonical-text collision check as the cache.
 //! * **Admission control**: bounded per-shard and global queue depth;
 //!   overload answers a typed `retry_after_ms` load-shed response
-//!   ([`JobResponse::is_shed`]) instead of silently queueing latency.
+//!   ([`JobResponse::is_shed`]) instead of silently queueing latency. An
+//!   instance past [`MAX_MODULES`] modules or [`MAX_NET_MEMBERS`] net
+//!   members is refused as a bad netlist before anything solves it.
 //! * **Per-job deadlines** measured from submission (queue wait counts
 //!   against the budget) with *graceful degradation*: a job that exceeds its
 //!   budget returns the greedy bottom-left skyline placement flagged
@@ -71,7 +73,7 @@ pub mod singleflight;
 mod sys;
 
 pub use delta::{apply as apply_delta, parse_ops as parse_delta_ops, DeltaOp, DeltaOutcome};
-pub use engine::{Client, Engine, EngineStats, ServeConfig};
+pub use engine::{Client, Engine, EngineStats, ServeConfig, MAX_MODULES, MAX_NET_MEMBERS};
 pub use portfolio::{race, Backend, RaceOutcome};
 pub use protocol::{JobRequest, JobResponse, PlacedRect};
 pub use server::{ServeAccounting, Server, ShutdownReport};

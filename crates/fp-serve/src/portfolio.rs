@@ -1,13 +1,10 @@
 //! Deadline-aware solver portfolio: race heterogeneous backends on one
-//! job, share the incumbent, cancel the losers.
+//! job, cancel the losers.
 //!
 //! Three backends cover complementary regimes:
 //!
 //! * **milp** — the paper's successive-augmentation flow plus its
-//!   improvement rounds: slow, highest quality. Under a tight deadline the
-//!   shared incumbent is injected into every step MILP as a
-//!   branch-and-bound cutoff, letting a fast heuristic answer prune the
-//!   search or abort it outright.
+//!   improvement rounds: slow, highest quality.
 //! * **annealer** — the Wong-Liu slicing annealer (`fp-slicing`),
 //!   width-constrained to the job's chip width and legalized onto the
 //!   skyline so its answer lives on the same fixed outline.
@@ -24,17 +21,18 @@
 //! When plenty of budget remains the race is **best-of-N** (wait for
 //! everyone, pick the lowest cost); under a tight deadline it degrades to
 //! **any-of-N** (the first leg to finish with a legal answer wins and
-//! cancels the rest through their cooperative [`StopFlag`]s). Either way
-//! every leg's outcome is published as an [`Event::BackendDone`] and the
-//! race as an [`Event::Portfolio`].
+//! cancels the rest through their cooperative [`StopFlag`]s). The legs
+//! share nothing but the deadline and those flags. Either way every
+//! leg's outcome is published as an [`Event::BackendDone`] and the race
+//! as an [`Event::Portfolio`].
 
 use fp_core::{
     Floorplan, FloorplanConfig, FloorplanError, FloorplanResult, Floorplanner, LegalizeItem,
-    Objective, RunStats, SharedIncumbent, StopFlag,
+    Objective, RunStats, StopFlag,
 };
 use fp_netlist::Netlist;
 use fp_obs::{Event, Phase, Tracer};
-use std::sync::{Arc, OnceLock};
+use std::sync::OnceLock;
 use std::time::{Duration, Instant};
 
 /// Remaining budget below which the race switches from best-of-N to
@@ -134,26 +132,14 @@ fn cost_of(fp: &Floorplan, netlist: &Netlist, objective: Objective) -> f64 {
     }
 }
 
-/// Runs fp-core's flow (augment → improve). `incumbent` is `Some` only
-/// under a tight deadline (any-of mode): the shared cell then feeds every
-/// step MILP an external branch-and-bound cutoff, so a heuristic leg that
-/// already answered lets this leg prune hard or abort instead of burning
-/// the rest of the budget on a provably losing search. In best-of mode no
-/// incumbent is injected, so the leg gives exactly the answer of a
-/// MILP-only race — which is what makes the race's cost provably never
-/// worse than that (abort-on-incumbent reasons at the augmentation level
-/// and cannot account for gains the improvement rounds would have made).
+/// Runs fp-core's flow (augment → improve) under the leg's stop flag.
 fn milp_leg(
     netlist: &Netlist,
     fp_config: &FloorplanConfig,
     stop: &StopFlag,
-    incumbent: Option<Arc<SharedIncumbent>>,
     improve_rounds: usize,
 ) -> Result<FloorplanResult, FloorplanError> {
-    let config = fp_config
-        .clone()
-        .with_stop(stop.clone())
-        .with_incumbent(incumbent);
+    let config = fp_config.clone().with_stop(stop.clone());
     Floorplanner::with_config(netlist, config)
         .with_improvement(improve_rounds, None)
         .run()
@@ -225,13 +211,9 @@ fn analytic_leg(
 /// Races `backends` on one job. The outcome names the winner, if any
 /// leg produced a legal answer, and carries the MILP leg's statistics.
 ///
-/// Each finishing leg publishes its chip height to the shared incumbent;
-/// under a tight deadline (any-of mode) the MILP leg reads it as a
-/// branch-and-bound cutoff, so a fast heuristic answer tightens the
-/// search mid-race. Best-of mode does not inject it, so the MILP leg
-/// answers exactly as a MILP-only race would. Losers are cancelled through their stop flags: by the
-/// winning leg the moment it finishes in any-of-N mode, and not at all
-/// in best-of-N (where everyone runs to completion anyway).
+/// Losers are cancelled through their stop flags: by the winning leg the
+/// moment it finishes in any-of-N mode, and not at all in best-of-N
+/// (where everyone runs to completion anyway).
 pub fn race(
     netlist: &Netlist,
     fp_config: &FloorplanConfig,
@@ -241,7 +223,6 @@ pub fn race(
     tracer: &Tracer,
 ) -> RaceOutcome {
     let started = Instant::now();
-    let incumbent = Arc::new(SharedIncumbent::default());
     let stops: Vec<StopFlag> = backends.iter().map(|_| StopFlag::new()).collect();
     let any_of = fp_config
         .deadline
@@ -254,25 +235,19 @@ pub fn race(
         let leg_started = Instant::now();
         let stop = &stops[i];
         let (outcome, stats) = match backends[i] {
-            Backend::Milp => {
-                let shared = any_of.then(|| Arc::clone(&incumbent));
-                match milp_leg(netlist, fp_config, stop, shared, improve_rounds) {
-                    Ok(result) => (Ok(result.floorplan), Some(result.stats)),
-                    Err(e) => (Err(e), None),
-                }
-            }
+            Backend::Milp => match milp_leg(netlist, fp_config, stop, improve_rounds) {
+                Ok(result) => (Ok(result.floorplan), Some(result.stats)),
+                Err(e) => (Err(e), None),
+            },
             Backend::Annealer => (annealer_leg(netlist, fp_config, stop, seed), None),
             Backend::Analytic => (analytic_leg(netlist, fp_config, stop, seed), None),
         };
         let cost = outcome
             .as_ref()
             .map_or(f64::NAN, |fp| cost_of(fp, netlist, objective));
-        if let Ok(fp) = &outcome {
-            incumbent.publish(fp.chip_height());
-            if any_of && first_ok.set(i).is_ok() {
-                // First legal answer wins: cancel everyone else.
-                stops.iter().for_each(StopFlag::trigger);
-            }
+        if outcome.is_ok() && any_of && first_ok.set(i).is_ok() {
+            // First legal answer wins: cancel everyone else.
+            stops.iter().for_each(StopFlag::trigger);
         }
         Leg {
             outcome,

@@ -130,14 +130,21 @@ fn eco_falls_back_to_scratch_without_base_or_on_mismatch() {
         assert!(resp.ok);
         assert!(!resp.eco_base_hit, "mismatched eco_base must not hit");
 
-        // Threshold 0: every delta counts as too large, scratch solve.
-        let engine2 = Engine::start(tiny_config().with_eco_threshold(0.0));
+        // A delta that edits 4 of the 6 modules touches more than half
+        // of the instance, so it solves from scratch.
+        let engine2 = Engine::start(tiny_config());
         let client2 = engine2.client();
         let base = client2.call(JobRequest::new(4, &nl));
         assert!(base.ok);
-        let resp = client2.call(JobRequest::new(5, &nl).with_eco("mod! m01 rigid 2 2 rot"));
-        assert!(resp.ok);
-        assert!(!resp.eco_base_hit, "threshold 0 diverts to scratch");
+        let script = "mod! m01 rigid 2 2 rot; mod! m02 rigid 3 2 rot; \
+                      mod! m03 rigid 2 3 rot; mod! m04 rigid 3 3 rot";
+        let resp = client2.call(JobRequest::new(5, &nl).with_eco(script));
+        assert!(resp.ok, "{}", resp.error);
+        assert_eq!(resp.eco_total, 6);
+        assert!(
+            !resp.eco_base_hit,
+            "a delta over half the modules diverts to scratch"
+        );
 
         // A malformed script is a typed failure, not a crash.
         let resp = client2.call(JobRequest::new(6, &nl).with_eco("frob m01"));

@@ -110,9 +110,8 @@ fn portfolio_names_its_winner_and_is_legal() {
 fn portfolio_cost_never_exceeds_the_sequential_ladder() {
     // With no deadline the race is best-of-N and the MILP leg gives
     // exactly the default config's answer (same budgets, same
-    // improvement rounds, no incumbent cutoff — that is an any-of-mode
-    // mechanism). The winner is the lowest-cost leg, so the portfolio's
-    // cost is bounded by the default's on every instance.
+    // improvement rounds). The winner is the lowest-cost leg, so the
+    // portfolio's cost is bounded by the default's on every instance.
     for seed in [3_u64, 17, 42] {
         let netlist = ProblemGenerator::new(6, seed).generate();
         let sequential = solve(

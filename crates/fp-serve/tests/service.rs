@@ -5,9 +5,11 @@
 //! lost response fails the test instead of hanging the suite.
 
 use fp_netlist::generator::ProblemGenerator;
-use fp_netlist::{Module, Netlist};
+use fp_netlist::{Module, Net, Netlist};
 use fp_obs::{Collector, Event, EventKind, Tracer};
-use fp_serve::{Engine, JobRequest, JobResponse, ServeConfig, Server};
+use fp_serve::{
+    Engine, JobRequest, JobResponse, ServeConfig, Server, MAX_MODULES, MAX_NET_MEMBERS,
+};
 use std::collections::HashSet;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -376,6 +378,58 @@ fn overflowing_module_area_is_a_bad_netlist() {
     }
     assert_eq!(cache, (0, 0), "a job reached the cache");
     assert_eq!(solver, (0, 0), "a job reached the solver");
+}
+
+#[test]
+fn oversized_instances_are_bad_netlists() {
+    let (answers, cache, solver, after) = with_watchdog(|| {
+        let engine = Engine::start(tiny_config());
+        let client = engine.client();
+        let squares = |n: usize| {
+            let mut nl = Netlist::new("big");
+            for k in 0..n {
+                nl.add_module(Module::rigid(format!("m{k}"), 1.0, 1.0, true))
+                    .unwrap();
+            }
+            nl
+        };
+        // One module over the cap.
+        let too_many_modules = JobRequest::new(1, &squares(MAX_MODULES + 1));
+        // Three modules, but one net member over the cap.
+        let mut wired = squares(3);
+        let ids: Vec<_> = wired.module_ids();
+        for k in 0..=MAX_NET_MEMBERS / 2 {
+            wired
+                .add_net(Net::new(format!("n{k}"), [ids[k % 3], ids[(k + 1) % 3]]))
+                .unwrap();
+        }
+        let too_many_members = JobRequest::new(2, &wired);
+        // A base at the cap whose delta adds one module.
+        let grown = JobRequest::new(3, &squares(MAX_MODULES)).with_eco("mod! extra rigid 1 1 rot");
+        // A deadline makes the answer quick even where the cap is missing.
+        let answers: Vec<JobResponse> = [too_many_modules, too_many_members, grown]
+            .into_iter()
+            .map(|req| client.call(req.with_deadline_ms(1)))
+            .collect();
+        let cache = engine.cache_stats();
+        let solver = (engine.solver_stats(), engine.propagated_nodes());
+        let after = client.call(JobRequest::new(4, &ProblemGenerator::new(4, 9).generate()));
+        engine.shutdown();
+        (answers, cache, solver, after)
+    });
+    let caps = [
+        format!("cap of {MAX_MODULES}"),
+        format!("cap of {MAX_NET_MEMBERS}"),
+        format!("cap of {MAX_MODULES}"),
+    ];
+    for (resp, cap) in answers.iter().zip(&caps) {
+        assert!(!resp.ok, "{resp:?}");
+        assert!(resp.error.starts_with("bad netlist: "), "{}", resp.error);
+        assert!(resp.error.contains(cap.as_str()), "{}", resp.error);
+    }
+    assert_eq!(cache, (0, 0), "an oversized job reached the cache");
+    assert_eq!(solver, ((0, 0), 0), "an oversized job reached the solver");
+    assert!(after.ok, "{}", after.error);
 }
 
 #[test]

@@ -4,7 +4,7 @@
 use crate::curve::ShapeCurve;
 use crate::polish::{Element, PolishExpression};
 use fp_core::{Floorplan, PlacedModule, StopFlag};
-use fp_geom::{RTree, Rect};
+use fp_geom::Rect;
 use fp_netlist::{ModuleId, Netlist, Shape};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -367,32 +367,13 @@ fn realize(
             }
         }
     }
+    let floorplan = Floorplan::new(root_pt.w, placed);
     debug_assert!(
-        first_overlap(&placed).is_none(),
-        "slicing realization produced overlapping modules: {:?}",
-        first_overlap(&placed)
+        floorplan.is_valid(),
+        "slicing realization is illegal: {:?}",
+        floorplan.violations()
     );
-    Floorplan::new(root_pt.w, placed)
-}
-
-/// Incremental legality audit: inserts each placement into an R-tree and
-/// probes for an interior overlap before insertion, so checking a slicing
-/// realization costs O(n log n) instead of the all-pairs scan. Returns the
-/// first offending pair (probe module second), or `None` when legal.
-pub(crate) fn first_overlap(placed: &[PlacedModule]) -> Option<(ModuleId, ModuleId)> {
-    let mut tree = RTree::new();
-    for (k, p) in placed.iter().enumerate() {
-        if tree.any_overlap(&p.envelope, u64::MAX) {
-            let hit = tree
-                .query(&p.envelope)
-                .into_iter()
-                .find(|&j| placed[j as usize].envelope.overlaps(&p.envelope))
-                .expect("any_overlap implies a concrete overlapping entry");
-            return Some((placed[hit as usize].id, p.id));
-        }
-        tree.insert(k as u64, p.envelope);
-    }
-    None
+    floorplan
 }
 
 #[cfg(test)]
@@ -414,34 +395,6 @@ mod tests {
         let result = SlicingAnnealer::new(&nl).run();
         assert!(result.floorplan.is_valid());
         assert!((result.area - 16.0).abs() < 1e-6, "area {}", result.area);
-    }
-
-    #[test]
-    fn first_overlap_agrees_with_floorplan_scan() {
-        let mk = |id: usize, x: f64, y: f64, w: f64, h: f64| PlacedModule {
-            id: ModuleId(id),
-            rect: Rect::new(x, y, w, h),
-            envelope: Rect::new(x, y, w, h),
-            rotated: false,
-        };
-        // Legal: exact abutments only.
-        let legal = vec![
-            mk(0, 0.0, 0.0, 2.0, 2.0),
-            mk(1, 2.0, 0.0, 2.0, 2.0),
-            mk(2, 0.0, 2.0, 4.0, 1.0),
-        ];
-        assert_eq!(first_overlap(&legal), None);
-        // Illegal: module 3 sits on top of module 1's interior.
-        let mut bad = legal;
-        bad.push(mk(3, 2.5, 0.5, 1.0, 1.0));
-        assert_eq!(first_overlap(&bad), Some((ModuleId(1), ModuleId(3))));
-        // Annealer output must pass the audit on generated problems.
-        for seed in [5u64, 6] {
-            let nl = ProblemGenerator::new(12, seed).generate();
-            let result = SlicingAnnealer::new(&nl).with_seed(seed).run();
-            let placed: Vec<PlacedModule> = result.floorplan.iter().copied().collect();
-            assert_eq!(first_overlap(&placed), None);
-        }
     }
 
     #[test]

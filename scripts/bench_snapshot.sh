@@ -6,11 +6,10 @@
 #  - BENCH_SERVE.json: the event-driven front end on a 1000-connection
 #    50%-duplicate workload, plus the overload/load-shed accounting,
 #    deadline and ECO legs (crates/fp-bench/src/bin/serve_snapshot.rs).
-#  - BENCH_GEOM.json: spatial-indexing impact on the placement hot paths —
-#    pruned vs all-pairs analytic overlap gradient, R-tree vs brute
-#    legality probes, and end-to-end analytic wall-clock across the
-#    ami33/ami49-class/GSRC-style scale decks up to n = 300
-#    (crates/fp-bench/src/bin/geom_snapshot.rs).
+#  - BENCH_GEOM.json: the bin grid's impact on the analytic placer —
+#    pruned vs all-pairs overlap gradient and end-to-end analytic
+#    wall-clock across the ami33/ami49-class/GSRC-style scale decks up to
+#    n = 300 (crates/fp-bench/src/bin/geom_snapshot.rs).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 

@@ -98,9 +98,9 @@ count_fields='"(nodes|pivots|warm_nodes|cold_nodes|propagated_nodes|refactorizat
 diff <(grep -Eo "$count_fields" BENCH_MILP.json) <(grep -Eo "$count_fields" "$bench_json") \
     || { echo "check.sh: milp_snapshot counts differ from BENCH_MILP.json"; exit 1; }
 
-# Geometry benchmark snapshot smoke: the spatial-indexing snapshot must
+# Geometry benchmark snapshot smoke: the bin-grid gradient snapshot must
 # run end to end on the sub-100-module decks (the full 300-module sweep
-# stays in scripts/bench_snapshot.sh) and emit both headline medians
+# stays in scripts/bench_snapshot.sh) and emit the headline median
 # BENCH_GEOM.json is diffed against.
 echo "== geom_snapshot smoke (--max-n 100)"
 geom_json="$(mktemp --suffix=.json)"
@@ -108,10 +108,8 @@ trap 'rm -f "$trace_file" "$summary_file" "$bench_json" "$geom_json"' EXIT
 cargo run --release -q -p fp-bench --bin geom_snapshot -- "$geom_json" --max-n 100 \
     > /dev/null
 [ -s "$geom_json" ] || { echo "check.sh: geom_snapshot wrote no output"; exit 1; }
-for key in '"median_gradient_speedup"' '"median_overlap_speedup"'; do
-    grep -q "$key" "$geom_json" \
-        || { echo "check.sh: geom_snapshot output missing $key"; exit 1; }
-done
+grep -q '"median_gradient_speedup"' "$geom_json" \
+    || { echo "check.sh: geom_snapshot output missing median_gradient_speedup"; exit 1; }
 
 # Determinism gate: the branch-and-bound search is serial, so a floorplan
 # depends only on its inputs, whatever the core count. One ami33 run
@@ -211,6 +209,16 @@ fresh_p99="$(printf '%s\n' "$fresh_overload" | sed -n 's/.*"p99_ms": \([0-9.]*\)
 awk -v fresh="$fresh_p99" -v base="$base_p99" \
     'BEGIN { exit !(fresh <= 2 * base + 50) }' \
     || { echo "check.sh: overload p99 ${fresh_p99}ms vs snapshot ${base_p99}ms — past 2x + 50ms"; exit 1; }
+
+# Portfolio deadline pin: a fresh run of the snapshot's deadline leg must
+# keep the milp+annealer+analytic race meeting at least as many 50 ms
+# deadlines as the MILP leg alone (serve_snapshot asserts it and exits
+# nonzero otherwise). The committed BENCH_SERVE.json must carry the leg.
+echo "== portfolio deadline pin (serve_snapshot --deadline-only)"
+grep -q '"deadline": {"jobs"' BENCH_SERVE.json \
+    || { echo "check.sh: BENCH_SERVE.json has no deadline leg"; exit 1; }
+cargo run --release -q -p fp-bench --bin serve_snapshot -- --deadline-only \
+    || { echo "check.sh: the portfolio met fewer deadlines than the MILP leg alone"; exit 1; }
 
 # ECO smoke: serve with a trace, solve a base instance from scratch, then
 # send delta jobs against it. The load accounting must show every delta
