@@ -88,7 +88,7 @@ pub struct StepStats {
     /// Branch-and-bound nodes solved by the cold two-phase primal.
     pub cold_nodes: usize,
     /// Branch-and-bound nodes settled without an LP, because bound
-    /// propagation proved their LP relaxation infeasible.
+    /// propagation proved that their box holds no integer point.
     pub propagated_nodes: usize,
     /// Basis LU (re)factorizations across this step's node LPs.
     pub refactorizations: usize,

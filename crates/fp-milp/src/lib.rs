@@ -17,11 +17,13 @@
 //!   the parent's optimal basis instead of re-solving from scratch — a pure
 //!   performance lever (every warm answer is re-verified or re-solved cold),
 //!   toggled by [`SolveOptions::warm_start`]. Before its LP, each node runs
-//!   LP-valid activity-based bound propagation, which never rounds an
-//!   integral bound; a node it proves infeasible is settled without its LP
-//!   ([`SolveStats::propagated_nodes`]), and every LP that still runs sees
-//!   the same bounds and warm start, so answers and node counts do not
-//!   change.
+//!   activity-based bound propagation whose implied bounds on integral
+//!   columns round inward by the search's integrality tolerance; a node
+//!   whose box it proves to hold no integer point is settled without its
+//!   LP ([`SolveStats::propagated_nodes`]). No incumbent could come from
+//!   below such a node, and every LP that still runs sees the same bounds
+//!   and warm start, so a search that finishes returns the same answer
+//!   with fewer nodes.
 //!
 //! # Example
 //!

@@ -15,6 +15,7 @@
 //! enable more.
 
 use crate::model::Cmp;
+use crate::options::INT_TOL;
 use crate::simplex::SparseRow;
 use std::collections::{BTreeSet, VecDeque};
 
@@ -378,8 +379,10 @@ pub(crate) fn propagate(
 /// only when its activity bound misses the right-hand side by more than
 /// `NODE_PROP_TOL · (1 + |rhs| + Σ|a_j|·(1 + |bound_j|))`, and every bound
 /// it implies is relaxed by the same margin. The margin dominates the
-/// simplex's feasibility tolerances, so a node whose LP relaxation the
-/// kernel would call feasible is never settled.
+/// simplex's feasibility tolerances, and each term's share
+/// `NODE_PROP_TOL · |a_j|·(1 + |bound_j|)` covers an integral column
+/// sitting up to `INT_TOL` past the integer its bound was rounded to, so
+/// no point the search would accept is ever cut off.
 const NODE_PROP_TOL: f64 = 1e-6;
 
 /// The box node propagation proved for one branch-and-bound node, shared
@@ -390,17 +393,26 @@ pub(crate) struct PropBox {
     ub: Vec<f64>,
 }
 
-/// Activity-based bound propagation run before each node's LP. Unlike
-/// [`propagate`] it is LP-valid: it never rounds an integral bound, so
-/// every bound it derives holds at every point of the node's LP
-/// relaxation, and it proves infeasible only nodes whose LP is
-/// infeasible. It is incremental: a child starts from its parent's
-/// [`PropBox`], applies its branching bound and queues only the rows of
-/// columns whose bound moved, up to a cap of row visits per node. The
-/// derived bounds only ever test for infeasibility; the LP never sees
-/// them, because a tighter box would move the LP's vertices.
+/// Activity-based bound propagation run before each node's LP. Every
+/// bound it derives holds at every point of the node's box that the
+/// search would accept: a continuous column's implied bound is relaxed by
+/// [`NODE_PROP_TOL`] and kept as it is, and an integral column's is then
+/// rounded inward by the search's own integrality tolerance,
+/// `ub ← ⌊b + INT_TOL⌋` and `lb ← ⌈b − INT_TOL⌉`. So it settles a node
+/// only when the node's box holds no point with every integral column
+/// within `INT_TOL` of an integer and every row within the LP's
+/// tolerances: such a subtree could never yield an incumbent. (Unlike
+/// [`propagate`]'s rounding, which snaps only within 1e-9, an implied
+/// lower bound of 1e-7 stays 0 here, because the search accepts 1e-7 as
+/// 0.) It is incremental: a child starts from its parent's [`PropBox`],
+/// applies its branching bound and queues only the rows of columns whose
+/// bound moved, up to a cap of row visits per node. The derived bounds
+/// only ever test for infeasibility; the LP never sees them, because a
+/// tighter box would move the LP's vertices.
 pub(crate) struct NodePropagator<'a> {
     rows: &'a [SparseRow],
+    /// Columns whose implied bounds round inward to integers.
+    integral: &'a [bool],
     /// The rows of column `j` are `col_rows[col_start[j]..col_start[j + 1]]`.
     col_start: Vec<usize>,
     col_rows: Vec<usize>,
@@ -413,7 +425,9 @@ pub(crate) struct NodePropagator<'a> {
 }
 
 impl<'a> NodePropagator<'a> {
-    pub(crate) fn new(rows: &'a [SparseRow], ncols: usize) -> Self {
+    /// A propagator over `rows`, with one entry of `integral` per column.
+    pub(crate) fn new(rows: &'a [SparseRow], integral: &'a [bool]) -> Self {
+        let ncols = integral.len();
         let mut col_start = vec![0; ncols + 1];
         for (terms, _, _) in rows {
             for &(j, _) in terms {
@@ -433,6 +447,7 @@ impl<'a> NodePropagator<'a> {
         }
         NodePropagator {
             rows,
+            integral,
             col_start,
             col_rows,
             lb: vec![0.0; ncols],
@@ -444,11 +459,11 @@ impl<'a> NodePropagator<'a> {
     }
 
     /// Propagates one node whose LP bounds are `lb`/`ub` and returns
-    /// `false` when that proves its LP relaxation infeasible. The root
-    /// (`parent` is `None`) starts from `lb`/`ub` with every row queued. A
-    /// child starts from its parent's box, intersects column `j`'s bounds
-    /// with `lb[j]`/`ub[j]` (the only column its branching moved) and
-    /// queues `j`'s rows.
+    /// `false` when that proves its box holds no point the search would
+    /// accept. The root (`parent` is `None`) starts from `lb`/`ub` with
+    /// every row queued. A child starts from its parent's box, intersects
+    /// column `j`'s bounds with `lb[j]`/`ub[j]` (the only column its
+    /// branching moved) and queues `j`'s rows.
     pub(crate) fn run(
         &mut self,
         lb: &[f64],
@@ -559,10 +574,15 @@ impl<'a> NodePropagator<'a> {
         true
     }
 
-    /// Lowers `ub[j]` to `bound` when that is a real improvement, queuing
-    /// `j`'s rows; `false` when the bound crosses `lb[j]` by more than the
-    /// margin.
+    /// Lowers `ub[j]` to `bound`, rounded down to an integer when `j` is
+    /// integral, when that is a real improvement, queuing `j`'s rows;
+    /// `false` when the bound crosses `lb[j]` by more than the margin.
     fn tighten_ub(&mut self, j: usize, bound: f64) -> bool {
+        let bound = if self.integral[j] {
+            (bound + INT_TOL).floor()
+        } else {
+            bound
+        };
         let (lb, ub) = (self.lb[j], self.ub[j]);
         // Written so that a NaN bound never counts as an improvement.
         let improves = bound < ub - NODE_PROP_TOL * (1.0 + bound.abs());
@@ -579,6 +599,11 @@ impl<'a> NodePropagator<'a> {
 
     /// Raises `lb[j]` to `bound`; the mirror of [`tighten_ub`](Self::tighten_ub).
     fn tighten_lb(&mut self, j: usize, bound: f64) -> bool {
+        let bound = if self.integral[j] {
+            (bound - INT_TOL).ceil()
+        } else {
+            bound
+        };
         let (lb, ub) = (self.lb[j], self.ub[j]);
         let improves = bound > lb + NODE_PROP_TOL * (1.0 + bound.abs());
         if !improves {
@@ -1516,9 +1541,10 @@ mod tests {
         }
     }
 
-    /// Runs node propagation at the root of `rows` over `lb`/`ub`.
+    /// Runs node propagation at the root of `rows` over `lb`/`ub`, with
+    /// every column continuous.
     fn node_root(rows: &[SparseRow], lb: &[f64], ub: &[f64]) -> bool {
-        NodePropagator::new(rows, lb.len()).run(lb, ub, None)
+        NodePropagator::new(rows, &vec![false; lb.len()]).run(lb, ub, None)
     }
 
     #[test]
@@ -1538,20 +1564,43 @@ mod tests {
         // A visit cap that cuts the proof short leaves the node open, so
         // its LP runs.
         let rows = chain(7.0);
-        let mut prop = NodePropagator::new(&rows, 3);
+        let mut prop = NodePropagator::new(&rows, &[false; 3]);
         prop.visit_cap = 1;
         assert!(prop.run(&lb, &ub, None));
     }
 
     #[test]
-    fn node_propagation_never_rounds_integral_bounds() {
-        // 2b >= 1 and 2b <= 1.5 hold at b = 0.6 but at no integer b. The
-        // rounding presolve propagation proves that infeasible; node
-        // propagation must not, because the node's LP is feasible.
+    fn node_propagation_rounds_integral_columns_only() {
+        // 2x >= 1 and 2x <= 1.5 hold at x = 0.6 but at no integer x: an
+        // integral x settles the box, a continuous one leaves it open.
         let rows = vec![ge(vec![(0, 2.0)], 1.0), le(vec![(0, 2.0)], 1.5)];
-        let (mut lb, mut ub) = (vec![0.0], vec![1.0]);
-        assert!(node_root(&rows, &lb, &ub));
-        assert!(!propagate(&rows, &mut lb, &mut ub, &[true], 1e-7, 4));
+        let (lb, ub) = ([0.0], [1.0]);
+        assert!(!NodePropagator::new(&rows, &[true]).run(&lb, &ub, None));
+        assert!(NodePropagator::new(&rows, &[false]).run(&lb, &ub, None));
+
+        // x >= 0.3 rounds up to 1 when x is integral and stays 0.3 (less
+        // the margin) when it is continuous.
+        let rows = vec![ge(vec![(0, 1.0)], 0.3)];
+        let (lb, ub) = ([0.0], [5.0]);
+        let mut prop = NodePropagator::new(&rows, &[true]);
+        assert!(prop.run(&lb, &ub, None));
+        assert_eq!(prop.share().lb[0], 1.0);
+        let mut prop = NodePropagator::new(&rows, &[false]);
+        assert!(prop.run(&lb, &ub, None));
+        assert!((prop.share().lb[0] - 0.3).abs() < 1e-5);
+
+        // An implied bound less than INT_TOL past an integer rounds to that
+        // integer, not past it: 1000x >= 5e-4 holds at x = 5e-7, which the
+        // search accepts as 0, so lb stays 0 (a 1e-9 snap would make it
+        // 1); 1000x <= -5e-4 likewise lowers ub to 0, not -1.
+        let rows = vec![ge(vec![(0, 1000.0)], 5e-4)];
+        let mut prop = NodePropagator::new(&rows, &[true]);
+        assert!(prop.run(&[0.0], &[f64::INFINITY], None));
+        assert_eq!(prop.share().lb[0], 0.0);
+        let rows = vec![le(vec![(0, 1000.0)], -5e-4)];
+        let mut prop = NodePropagator::new(&rows, &[true]);
+        assert!(prop.run(&[f64::NEG_INFINITY], &[f64::INFINITY], None));
+        assert_eq!(prop.share().ub[0], 0.0);
     }
 
     #[test]
@@ -1574,7 +1623,7 @@ mod tests {
             ge(vec![(0, 1.0), (1, 1.0)], 2.0),
         ];
         let (lb, ub) = (vec![0.0; 3], vec![10.0, 0.5, 1.0]);
-        let mut prop = NodePropagator::new(&rows, 3);
+        let mut prop = NodePropagator::new(&rows, &[false; 3]);
         assert!(prop.run(&lb, &ub, None));
         let root = prop.share();
         assert!((root.lb[0] - 1.5).abs() < 1e-4 && (root.lb[2] - 0.15).abs() < 1e-4);

@@ -34,10 +34,11 @@ pub struct SolveStats {
     /// that fell back on numerical trouble).
     pub cold_nodes: usize,
     /// Nodes settled without an LP: activity-based bound propagation over
-    /// the node's bounds proved its LP relaxation infeasible. Propagation
-    /// is LP-valid (it never rounds an integral bound), so exactly these
-    /// nodes would have solved to an infeasible LP, and the search, its
-    /// answer and `nodes` are what they would be without it.
+    /// the node's bounds, rounding the implied bounds of integral columns
+    /// inward, proved that the node's box holds no integer point. Their LP
+    /// may be feasible, but no incumbent could come from their subtree, so
+    /// a search that finishes returns the answer it would return without
+    /// propagation, in fewer `nodes`.
     pub propagated_nodes: usize,
     /// Total basis LU (re)factorizations across all node LPs: every cold
     /// start and snapshot load factorizes the basis, and the eta file is

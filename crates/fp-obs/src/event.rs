@@ -90,8 +90,9 @@ pub enum Event {
         /// Eta-file basis updates recorded between refactorizations on
         /// this node's LP.
         etas: u64,
-        /// Whether bound propagation proved the node's LP infeasible, so
-        /// no LP ran: `warm` is then `false` and every count is 0.
+        /// Whether bound propagation proved that the node's box holds no
+        /// integer point, so no LP ran: `warm` is then `false` and every
+        /// count is 0.
         propagated: bool,
     },
     /// A new incumbent was installed. Within one solve these are emitted

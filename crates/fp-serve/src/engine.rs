@@ -11,6 +11,7 @@
 //! of the flight.
 
 use crate::cache::SolutionCache;
+use crate::delta::Refusal;
 use crate::fingerprint::{canonical, fingerprint_of, FingerprintParams};
 use crate::portfolio::Backend;
 use crate::protocol::{JobRequest, JobResponse};
@@ -39,20 +40,25 @@ pub const MAX_MODULES: usize = 2048;
 /// Most net members an instance may have, summed over its nets.
 pub const MAX_NET_MEMBERS: usize = 65_536;
 
-/// Checks `netlist` against [`MAX_MODULES`] and [`MAX_NET_MEMBERS`],
-/// naming the cap it exceeds.
-fn within_caps(netlist: &Netlist) -> Result<(), String> {
-    let modules = netlist.num_modules();
+/// Checks an instance of `modules` modules and `members` net members
+/// against [`MAX_MODULES`] and [`MAX_NET_MEMBERS`], naming the cap it
+/// exceeds.
+pub(crate) fn caps(modules: usize, members: usize) -> Result<(), String> {
     if modules > MAX_MODULES {
         return Err(format!("{modules} modules exceed the cap of {MAX_MODULES}"));
     }
-    let members: usize = netlist.nets().map(|(_, n)| n.modules().len()).sum();
     if members > MAX_NET_MEMBERS {
         return Err(format!(
             "{members} net members exceed the cap of {MAX_NET_MEMBERS}"
         ));
     }
     Ok(())
+}
+
+/// [`caps`] on `netlist`.
+fn within_caps(netlist: &Netlist) -> Result<(), String> {
+    let members = netlist.nets().map(|(_, n)| n.modules().len()).sum();
+    caps(netlist.num_modules(), members)
 }
 
 /// Engine configuration.
@@ -353,6 +359,7 @@ pub(crate) struct Shared {
     answered: AtomicU64,
     shed: AtomicU64,
     coalesced: AtomicU64,
+    uncertified: AtomicU64,
     /// Exponential moving average of job service time in microseconds;
     /// feeds the `retry_after_ms` estimate.
     ema_micros: AtomicU64,
@@ -377,6 +384,10 @@ pub struct EngineStats {
     /// Jobs that joined an existing flight instead of solving
     /// (informational; they are eventually counted in `answered`).
     pub coalesced: u64,
+    /// Solved answers that failed the legality certificate
+    /// ([`Floorplan::violations`]) and went out as the degraded greedy
+    /// skyline placement instead.
+    pub uncertified: u64,
 }
 
 /// The worker-pool engine. Dropping it (or calling
@@ -412,6 +423,7 @@ impl Engine {
             answered: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             coalesced: AtomicU64::new(0),
+            uncertified: AtomicU64::new(0),
             ema_micros: AtomicU64::new(0),
             config,
         });
@@ -529,6 +541,7 @@ impl Engine {
             answered: self.shared.answered.load(Ordering::Relaxed),
             shed: self.shared.shed.load(Ordering::Relaxed),
             coalesced: self.shared.coalesced.load(Ordering::Relaxed),
+            uncertified: self.shared.uncertified.load(Ordering::Relaxed),
         }
     }
 
@@ -554,6 +567,7 @@ impl Engine {
             answered: self.shared.answered.load(Ordering::Relaxed),
             shed: self.shared.shed.load(Ordering::Relaxed),
             coalesced: self.shared.coalesced.load(Ordering::Relaxed),
+            uncertified: self.shared.uncertified.load(Ordering::Relaxed),
         }
     }
 }
@@ -685,14 +699,13 @@ pub(crate) fn submit(shared: &Arc<Shared>, req: JobRequest, reply: Reply, admiss
         (netlist, None)
     } else {
         let applied = crate::delta::parse_ops(&req.eco_ops)
-            .and_then(|ops| crate::delta::apply(&netlist, &ops).map(|out| (ops, out)));
+            .map_err(Refusal::Script)
+            .and_then(|ops| crate::delta::replay(&netlist, &ops).map(|out| (ops, out)));
         let (ops, out) = match applied {
             Ok(v) => v,
-            Err(e) => return fail(&req, reply, format!("bad delta: {e}")),
+            Err(Refusal::Script(e)) => return fail(&req, reply, format!("bad delta: {e}")),
+            Err(Refusal::Cap(e)) => return fail(&req, reply, format!("bad netlist: {e}")),
         };
-        if let Err(e) = within_caps(&out.netlist) {
-            return fail(&req, reply, format!("bad netlist: {e}"));
-        }
         let base_canon: Arc<str> = Arc::from(canonical(&netlist, &params));
         let base_key = fingerprint_of(&base_canon);
         let base_trusted = req.eco_base.is_none_or(|pinned| pinned == base_key);
@@ -839,10 +852,21 @@ fn worker_loop(shared: &Arc<Shared>) {
     }
 }
 
+/// Whether a solved answer passes the legality certificate: no
+/// [`Floorplan::violations`]. A failure is counted in `uncertified`.
+fn certified(floorplan: &Floorplan, uncertified: &AtomicU64) -> bool {
+    let legal = floorplan.violations().is_empty();
+    if !legal {
+        uncertified.fetch_add(1, Ordering::Relaxed);
+    }
+    legal
+}
+
 /// Runs one job through the degradation ladder: cache hit → ECO
 /// re-placement → greedy bottom-left skyline if the budget ran out before
 /// solving → the backend race ([`crate::race`]; the default is the
-/// paper's pipeline alone) → greedy if the race has no winner, then
+/// paper's pipeline alone) → greedy if the race has no winner or the ECO
+/// or raced answer fails the legality certificate ([`certified`]), then
 /// routing while budget remains. Only a missing/unplaceable instance
 /// yields `ok: false`. Returns a *template* response: `id`, `micros` and
 /// `coalesced` are stamped per waiter by `finish`.
@@ -996,11 +1020,15 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
             })
         }
     };
+    // The legality certificate: a solved answer that fails it never
+    // leaves the engine, and the greedy placement below replaces it.
+    let solved = solved.filter(|(_, fp)| certified(fp, &shared.uncertified));
     let (backend, floorplan) = match solved {
         Some(answer) => answer,
         None => {
-            // No time left to solve, or no leg produced a legal answer:
-            // greedy skyline placement instead of an error.
+            // No time left to solve, no leg produced a legal answer, or
+            // the answer failed its certificate: greedy skyline placement
+            // instead of an error.
             degraded = true;
             match fp_core::bottom_left(netlist, &fp_config) {
                 Ok(fp) => ("greedy", fp),
@@ -1093,4 +1121,43 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
         shared.cache.insert(job.key, Arc::clone(&job.canon), cached);
     }
     resp
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use fp_geom::Rect;
+    use fp_netlist::ModuleId;
+
+    fn placed(id: usize, rect: Rect) -> PlacedModule {
+        PlacedModule {
+            id: ModuleId(id),
+            rect,
+            envelope: rect,
+            rotated: false,
+        }
+    }
+
+    #[test]
+    fn certificate_refuses_overlaps_and_counts_them() {
+        let uncertified = AtomicU64::new(0);
+        let apart = Floorplan::new(
+            4.0,
+            vec![
+                placed(0, Rect::new(0.0, 0.0, 2.0, 2.0)),
+                placed(1, Rect::new(2.0, 0.0, 2.0, 2.0)),
+            ],
+        );
+        assert!(certified(&apart, &uncertified));
+        assert_eq!(uncertified.load(Ordering::Relaxed), 0);
+        let overlapping = Floorplan::new(
+            4.0,
+            vec![
+                placed(0, Rect::new(0.0, 0.0, 2.0, 2.0)),
+                placed(1, Rect::new(1.0, 1.0, 2.0, 2.0)),
+            ],
+        );
+        assert!(!certified(&overlapping, &uncertified));
+        assert_eq!(uncertified.load(Ordering::Relaxed), 1);
+    }
 }

@@ -142,13 +142,15 @@ fn portfolio_cost_never_exceeds_the_sequential_ladder() {
 
 #[test]
 fn milp_leg_with_greedy_fallbacks_answers_degraded_and_uncached() {
-    // At the default node limit some augmentation step of this routed
-    // deck gives up and places its group greedily: the answer must say
-    // so, and a degraded answer must not be replayed from the cache.
+    // A one-node budget stops this routed deck's fractional seed step at
+    // its root LP with no incumbent, so the step places its group
+    // greedily: the answer must say so, and a degraded answer must not
+    // be replayed from the cache.
     let netlist = ProblemGenerator::new(5, 10_004).generate();
     let engine = Engine::start(
         ServeConfig::default()
             .with_workers(1)
+            .with_node_limit(1)
             .with_backends(vec![Backend::Milp]),
     );
     let client = engine.client();

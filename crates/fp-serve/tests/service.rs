@@ -406,14 +406,20 @@ fn oversized_instances_are_bad_netlists() {
         let too_many_members = JobRequest::new(2, &wired);
         // A base at the cap whose delta adds one module.
         let grown = JobRequest::new(3, &squares(MAX_MODULES)).with_eco("mod! extra rigid 1 1 rot");
+        // The same base with a 40,000-op delta, about 1 MB: the replay
+        // stops at the first op past the cap.
+        let flood: Vec<String> = (0..40_000)
+            .map(|k| format!("mod! x{k} rigid 1 1 rot"))
+            .collect();
+        let flooded = JobRequest::new(4, &squares(MAX_MODULES)).with_eco(flood.join("; "));
         // A deadline makes the answer quick even where the cap is missing.
-        let answers: Vec<JobResponse> = [too_many_modules, too_many_members, grown]
+        let answers: Vec<JobResponse> = [too_many_modules, too_many_members, grown, flooded]
             .into_iter()
             .map(|req| client.call(req.with_deadline_ms(1)))
             .collect();
         let cache = engine.cache_stats();
         let solver = (engine.solver_stats(), engine.propagated_nodes());
-        let after = client.call(JobRequest::new(4, &ProblemGenerator::new(4, 9).generate()));
+        let after = client.call(JobRequest::new(5, &ProblemGenerator::new(4, 9).generate()));
         engine.shutdown();
         (answers, cache, solver, after)
     });
@@ -421,7 +427,12 @@ fn oversized_instances_are_bad_netlists() {
         format!("cap of {MAX_MODULES}"),
         format!("cap of {MAX_NET_MEMBERS}"),
         format!("cap of {MAX_MODULES}"),
+        format!(
+            "{} modules exceed the cap of {MAX_MODULES}",
+            MAX_MODULES + 1
+        ),
     ];
+    assert_eq!(answers.len(), caps.len());
     for (resp, cap) in answers.iter().zip(&caps) {
         assert!(!resp.ok, "{resp:?}");
         assert!(resp.error.starts_with("bad netlist: "), "{}", resp.error);

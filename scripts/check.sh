@@ -121,6 +121,12 @@ ami33_result() { "$@" ./target/release/floorplan --ami33 2>/dev/null | sed 's/  
 pinned="$(ami33_result taskset -c 0)"
 [ -n "$pinned" ] || { echo "check.sh: pinned ami33 run printed no result"; exit 1; }
 echo "$pinned"
+# The answer itself is pinned too, node count aside, so a solver change
+# that moves ami33's floorplan fails here even when it repeats.
+ami33_answer='chip 117.0 x 119.0 = 13923  utilization 82.7%  wirelength(est) 37562  steps 11'
+pinned_answer="$(printf '%s\n' "$pinned" | sed -n 's/  nodes .*$//p')"
+[ "$pinned_answer" = "$ami33_answer" ] \
+    || { echo "check.sh: ami33 answered '$pinned_answer', pinned '$ami33_answer'"; exit 1; }
 for run in 1 2 3; do
     free="$(ami33_result)"
     [ "$free" = "$pinned" ] \
