@@ -21,7 +21,6 @@ use crate::module::{Module, SidePins};
 use crate::net::Net;
 use crate::netlist::Netlist;
 use crate::ModuleId;
-use std::collections::HashMap;
 use std::fmt::Write as _;
 
 /// Serializes a netlist to the text format. [`parse`] round-trips it.
@@ -96,9 +95,6 @@ pub fn write(netlist: &Netlist) -> String {
 pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
     let mut netlist = Netlist::new("unnamed");
     let mut total_area = 0.0;
-    // Name → id of every module so far: the duplicate check and the net
-    // member lookups stay linear in the deck size.
-    let mut ids = HashMap::new();
     let err = |line: usize, message: &str| NetlistError::Parse {
         line,
         message: message.to_string(),
@@ -172,7 +168,7 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
                 } else {
                     module
                 };
-                add_module(&mut netlist, &mut ids, &mut total_area, module, lineno)?;
+                add_module(&mut netlist, &mut total_area, module, lineno)?;
             }
             "net" => {
                 let name = *tokens
@@ -204,11 +200,13 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
                 }
                 let mut members = Vec::new();
                 for &t in &tokens[colon + 1..] {
-                    let id = ids.get(t).ok_or_else(|| NetlistError::UnknownModuleName {
-                        net: name.to_string(),
-                        name: t.to_string(),
+                    let id = netlist.module_by_name(t).ok_or_else(|| {
+                        NetlistError::UnknownModuleName {
+                            net: name.to_string(),
+                            name: t.to_string(),
+                        }
                     })?;
-                    members.push(*id);
+                    members.push(id);
                 }
                 if members.len() < 2 {
                     return Err(err(lineno, "net needs at least 2 members"));
@@ -229,12 +227,11 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
 }
 
 /// Adds `module`, declared on line `line`, to `netlist`, whose modules
-/// cover `total_area` so far and are named in `ids`. A module whose area,
-/// or the summed area with it, is not finite is a parse error: every later
-/// sum over the chip would overflow with it.
+/// cover `total_area` so far. A module whose area, or the summed area with
+/// it, is not finite is a parse error: every later sum over the chip would
+/// overflow with it.
 pub(crate) fn add_module(
     netlist: &mut Netlist,
-    ids: &mut HashMap<String, ModuleId>,
     total_area: &mut f64,
     module: Module,
     line: usize,
@@ -251,13 +248,8 @@ pub(crate) fn add_module(
             message: format!("{what} of module '{}' overflows f64", module.name()),
         });
     }
-    if ids.contains_key(module.name()) {
-        return Err(NetlistError::DuplicateModule(module.name().to_string()));
-    }
+    let id = netlist.add_module(module)?;
     *total_area += area;
-    let name = module.name().to_string();
-    let id = netlist.push_module(module);
-    ids.insert(name, id);
     Ok(id)
 }
 

@@ -199,7 +199,6 @@ pub fn parse_yal(text: &str) -> Result<Netlist, NetlistError> {
 
     // Build the netlist: one module per *instance* of a non-PAD type.
     let mut netlist = Netlist::new("yal");
-    let mut ids = HashMap::new();
     let mut total_area = 0.0;
     let mut signal_members: HashMap<String, Vec<crate::ModuleId>> = HashMap::new();
     for (line, inst, mod_type, signals) in &instances {
@@ -219,7 +218,7 @@ pub fn parse_yal(text: &str) -> Result<Netlist, NetlistError> {
             });
         }
         let module = Module::rigid(inst.clone(), def.w, def.h, true).with_pins(def.pins);
-        let id = crate::format::add_module(&mut netlist, &mut ids, &mut total_area, module, *line)?;
+        let id = crate::format::add_module(&mut netlist, &mut total_area, module, *line)?;
         for signal in signals {
             let upper = signal.to_ascii_uppercase();
             if upper == "VDD" || upper == "VSS" || upper == "GND" {
