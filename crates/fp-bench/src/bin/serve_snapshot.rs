@@ -340,10 +340,10 @@ fn median(sorted: &[f64]) -> f64 {
 }
 
 /// Drives the eco leg through an in-process engine: solve the base from
-/// scratch (warming the solution cache and basis store), then time each
-/// single-module edit as a fresh scratch job and as a pinned delta job.
-/// Scratch runs first so the delta job cannot ride anything the scratch
-/// solve published beyond what any equally fresh client would see.
+/// scratch (warming the solution cache), then time each single-module
+/// edit as a fresh scratch job and as a pinned delta job. Scratch runs
+/// first; the cache is all the two share, and the delta job reads only
+/// the base's entry from it.
 fn drive_eco() -> EcoLeg {
     let engine = Engine::start(
         ServeConfig::default()

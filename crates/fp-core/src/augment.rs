@@ -22,7 +22,7 @@ use crate::formulation::{fit_group, StepInput};
 use crate::greedy::{greedy_height_on, widest_error};
 use crate::improve::improve_traced;
 use crate::placement::{Floorplan, PlacedModule};
-use crate::step::solve_step;
+use crate::step::{solve_step, Seeds};
 use fp_geom::covering::covering_rectangles_from_skyline;
 use fp_geom::Skyline;
 use fp_milp::{SolveError, SolveStats};
@@ -254,6 +254,13 @@ pub struct FloorplanResult {
 /// of the paper's Fig. 3 flow: successive augmentation, then optional
 /// improvement rounds ("adjust floorplan").
 ///
+/// A run's answer depends only on the netlist and the configuration: the
+/// step MILPs have many optima of equal cost, and the one each returns
+/// depends on where its root LP starts, so augmentation seeds each step
+/// from the run's own earlier steps and from nothing else (see
+/// [`run`](Self::run)). Only a time limit, deadline or stop flag that
+/// binds can make two runs differ.
+///
 /// ```
 /// use fp_core::{Floorplanner, FloorplanConfig, StepKind};
 /// # fn main() -> Result<(), fp_core::FloorplanError> {
@@ -323,6 +330,12 @@ impl<'a> Floorplanner<'a> {
     /// result's [`RunStats`] records every step MILP of both, placement
     /// steps first, and its `elapsed` covers the whole flow.
     ///
+    /// Each augmentation step MILP starts its root LP from the cut-free
+    /// root basis ([`fp_milp::SolveStats::root_basis`]) of the latest
+    /// earlier augmentation step of this run whose model has the same
+    /// column count; improvement steps start as their own root cut loop
+    /// leaves them.
+    ///
     /// # Errors
     ///
     /// * [`FloorplanError::EmptyNetlist`] for an empty problem,
@@ -350,7 +363,8 @@ impl<'a> Floorplanner<'a> {
         Ok(FloorplanResult { floorplan, stats })
     }
 
-    /// Successive augmentation (Fig. 3 lines 1–11).
+    /// Successive augmentation (Fig. 3 lines 1–11), its steps seeded as
+    /// [`run`](Self::run) describes from a map that lives for this call.
     fn augment(&self) -> Result<(Floorplan, RunStats), FloorplanError> {
         let order = resolve_order(self.netlist, &self.config)?;
         let chip_width = resolve_chip_width(self.netlist, &self.config)?;
@@ -364,6 +378,7 @@ impl<'a> Floorplanner<'a> {
         // `add_rect` per placed module instead of a full rebuild per step.
         let mut sky = Skyline::new();
         let mut stats = RunStats::default();
+        let mut seeds = Seeds::new();
         let mut cursor = 0usize;
         let mut target = self.config.seed_size.min(specs.len()).max(1);
 
@@ -410,7 +425,7 @@ impl<'a> Floorplanner<'a> {
                 pull_down: false,
             };
             let step_index = stats.steps.len();
-            let step = solve_step(StepKind::Placement, &input, &greedy);
+            let step = solve_step(StepKind::Placement, &input, &greedy, Some(&mut seeds));
             match step.error {
                 Some(e @ SolveError::InvalidModel(_)) => return Err(FloorplanError::Solver(e)),
                 // Infeasible cannot truly happen (the greedy witness

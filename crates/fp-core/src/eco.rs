@@ -55,9 +55,6 @@ pub struct EcoOutcome {
     pub replaced: Vec<ModuleId>,
     /// Total modules in the edited instance.
     pub total: usize,
-    /// Best cross-solve basis reuse any replacement step achieved (from
-    /// the [`fp_milp::BasisStore`] wired into the step options, if any).
-    pub basis: fp_milp::BasisTier,
 }
 
 impl EcoOutcome {
@@ -314,7 +311,6 @@ pub fn eco_replace(
     });
 
     let mut stats = RunStats::default();
-    let mut basis = fp_milp::BasisTier::Cold;
     let mut placed: Vec<PlacedModule> = kept.clone();
     let mut cursor = 0usize;
     while cursor < order.len() {
@@ -377,11 +373,10 @@ pub fn eco_replace(
         };
         // The greedy witness satisfies every constraint, so limits and
         // numerical trouble degrade to the greedy placement.
-        let step = solve_step(StepKind::Placement, &input, &greedy);
+        let step = solve_step(StepKind::Placement, &input, &greedy, None);
         if let Some(e @ SolveError::InvalidModel(_)) = step.error {
             return Err(FloorplanError::Solver(e));
         }
-        basis = basis.max(step.basis);
         stats.steps.push(step.stats);
         placed.extend(step.placements);
         cursor += take;
@@ -411,7 +406,6 @@ pub fn eco_replace(
             .into_iter()
             .collect(),
         total,
-        basis,
     })
 }
 

@@ -139,7 +139,7 @@ fn reoptimize(
     };
     // Record the solve whatever its outcome: a limit that produced no
     // incumbent still explored nodes, and those belong in the totals.
-    let step = solve_step(StepKind::Reoptimize, &input, &greedy);
+    let step = solve_step(StepKind::Reoptimize, &input, &greedy, None);
     stats.steps.push(step.stats);
     // A failed solve keeps the input: it is a legal placement already.
     if step.error.is_some() {

@@ -14,7 +14,11 @@
 //!   (`fp_geom::covering`), and each step is solved optimally;
 //! * **one flow**: [`Floorplanner::run`] runs augmentation, then the
 //!   "adjust floorplan" rounds of [`Floorplanner::with_improvement`]; the
-//!   CLI, the facade's `Pipeline`, fp-serve and fp-bench all enter here;
+//!   CLI, the facade's `Pipeline`, fp-serve and fp-bench all enter here.
+//!   Each augmentation step starts its root LP from the root basis of
+//!   the run's latest earlier step with the same column count, and no
+//!   solver state crosses runs, so every caller gets one answer per
+//!   instance at the same options;
 //! * §3.2 routing **envelopes**: module sides grow proportionally to their
 //!   pin counts so the MILP reserves routing space;
 //! * §2.5 **given-topology optimization**: with relations fixed, all

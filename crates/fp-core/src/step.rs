@@ -6,8 +6,15 @@ use crate::augment::{StepKind, StepOutcome, StepStats};
 use crate::formulation::{StepInput, StepModel};
 use crate::greedy::{realize_greedy, GreedyPlacement};
 use crate::placement::PlacedModule;
-use fp_milp::{BasisTier, Optimality, SolveError};
+use fp_milp::{Optimality, RootBasis, SolveError};
+use std::collections::HashMap;
 use std::time::Instant;
+
+/// The root bases of a run's earlier step MILPs, one per column count:
+/// the latest step of each count that reported one. Step models of equal
+/// column count share their variable space, so a later step of that count
+/// starts its root LP from the stored basis.
+pub(crate) type Seeds = HashMap<usize, RootBasis>;
 
 /// What one step MILP produced.
 pub(crate) struct SolvedStep {
@@ -15,8 +22,6 @@ pub(crate) struct SolvedStep {
     /// when the solve failed.
     pub placements: Vec<PlacedModule>,
     pub stats: StepStats,
-    /// How the root LP was seeded from a cross-solve basis store.
-    pub basis: BasisTier,
     /// Why the solve failed (the outcome is then `GreedyFallback`).
     pub error: Option<SolveError>,
 }
@@ -26,10 +31,15 @@ pub(crate) struct SolvedStep {
 /// `greedy` is the witness behind `input.h_ub`. A failed solve records
 /// the statistics its error carries, so a traced and an untraced run
 /// count the same work.
+///
+/// With `seeds`, the solve starts its root LP from the stored basis of
+/// the model's column count, if any, and leaves its own root basis there
+/// for the next step of that count, whether or not the solve succeeded.
 pub(crate) fn solve_step(
     kind: StepKind,
     input: &StepInput<'_>,
     greedy: &[GreedyPlacement],
+    seeds: Option<&mut Seeds>,
 ) -> SolvedStep {
     let started = Instant::now();
     let tracer = &input.config.tracer;
@@ -37,7 +47,10 @@ pub(crate) fn solve_step(
     // Budgeted after the build: with a config deadline the limit is the
     // wall clock *remaining*, so K steps cannot overshoot it K-fold.
     let options = input.config.budgeted_step_options();
-    let (placements, outcome, solve, error) = match step.model.solve_traced(&options, tracer) {
+    let columns = step.model.num_vars();
+    let seed = seeds.as_deref().and_then(|seeds| seeds.get(&columns));
+    let solved = step.model.solve_seeded(&options, tracer, seed);
+    let (placements, outcome, solve, error) = match solved {
         Ok(sol) => {
             let outcome = match sol.optimality() {
                 Optimality::Proven => StepOutcome::Optimal,
@@ -52,6 +65,9 @@ pub(crate) fn solve_step(
             (greedy, StepOutcome::GreedyFallback, stats, Some(e))
         }
     };
+    if let (Some(seeds), Some(basis)) = (seeds, &solve.root_basis) {
+        seeds.insert(columns, basis.clone());
+    }
     let group = input.group.iter().map(|s| s.id).collect();
     let binaries = step.model.num_integer_vars();
     SolvedStep {
@@ -65,7 +81,6 @@ pub(crate) fn solve_step(
             started.elapsed(),
             outcome,
         ),
-        basis: solve.basis_tier,
         error,
     }
 }

@@ -21,7 +21,7 @@ use crate::presolve::{
     presolve, strengthen, CutSeparator, NodePropagator, PresolveStatus, PropBox, Strengthened,
 };
 use crate::simplex::{BasisSnapshot, LpConfig, LpOutcome, LpProblem, SparseRow, Workspace};
-use crate::solution::{Optimality, Solution, SolveStats};
+use crate::solution::{Optimality, RootBasis, Solution, SolveStats};
 use fp_obs::{Event, Phase, Tracer};
 use std::sync::Arc;
 use std::time::Instant;
@@ -107,12 +107,12 @@ fn add_root_cuts(
     // Optimal basis over the latest *committed* row set, captured before any
     // provisional cuts are appended — a rollback truncates back to exactly
     // the row count this basis was solved over, so it stays reusable. The
-    // cross-solve `seed` (if any) plays the role of a zeroth committed
-    // basis, so the otherwise-cold baseline solve warm-starts from it.
+    // caller's `seed` (if any) plays the role of a zeroth committed basis,
+    // so the otherwise-cold baseline solve warm-starts from it.
     let mut committed: Option<Arc<BasisSnapshot>> = seed;
     // The basis of the cut-free baseline relaxation: the only snapshot whose
-    // row count a *future* solve of this model can still load (cut rows are
-    // per-solve), so it is what a BasisStore publishes.
+    // row count a *later* solve can still load (cut rows are per-solve), so
+    // it is the solve's reported root basis.
     let mut baseline: Option<Arc<BasisSnapshot>> = None;
 
     for round in 0..=CUT_ROUNDS {
@@ -214,7 +214,8 @@ type Failure = fn(Box<SolveStats>) -> SolveError;
 /// or the error its failed root LP ends the solve with.
 type SearchResult = Result<(Option<(Vec<f64>, f64)>, bool), Failure>;
 
-/// Entry point used by [`Model::solve_with`] and [`Model::solve_traced`].
+/// Entry point used by [`Model::solve_seeded`] and so by every other
+/// solve method; `seed` is the caller's root basis, if any.
 ///
 /// Trace contract: exactly one `SolveStart` is emitted on entry and exactly
 /// one `SolveEnd` on every exit path (including errors), with one `BnbNode`
@@ -224,6 +225,7 @@ pub(crate) fn solve(
     model: &Model,
     options: &SolveOptions,
     tracer: &Tracer,
+    seed: Option<&RootBasis>,
 ) -> Result<Solution, SolveError> {
     let started = Instant::now();
     tracer.emit(
@@ -280,48 +282,22 @@ pub(crate) fn solve(
     let mut rows: Vec<SparseRow> = pre.kept_rows.iter().map(|&r| rows[r].clone()).collect();
     let mut lb = pre.lb;
     let mut ub = pre.ub;
-    // Optimal basis of the final root relaxation, recovered from the cut
-    // loop so the tree's root node does not repeat its cold solve.
-    let mut root_basis: Option<Arc<BasisSnapshot>> = None;
-    // The basis a cross-solve BasisStore publishes for future solves; only
-    // the cut-free baseline qualifies (cut rows are per-solve).
-    let mut publish_basis: Option<Arc<BasisSnapshot>> = None;
-
-    // Cross-solve warm start: seed this solve's root relaxation from the
-    // basis an earlier keyed solve published. Dimension checks mirror what
-    // the kernel accepts (`n_struct` must match; fewer rows load via slack
-    // extension), so a stale entry degrades to a cold root, never an error —
-    // a wrong-but-well-formed basis can only cost pivots. The tier reports
-    // which seed was fetched: the cut loop's first LP loads it (or the root
-    // node does, with strengthening off), and a load that fails numerically
-    // falls back cold inside the kernel without changing the tier.
-    let mut basis_tier = crate::BasisTier::Cold;
-    let basis_seed = if options.warm_start {
-        options.basis_store.as_ref().and_then(|store| {
-            store
-                .fetch(crate::basis_store::slot(
-                    options.basis_load_key,
-                    model.num_vars(),
-                ))
-                .filter(|snap| snap.n_struct == model.num_vars() && snap.m <= rows.len())
-        })
-    } else {
-        None
-    };
-    if let Some(snap) = &basis_seed {
-        basis_tier = if snap.m == rows.len() {
-            crate::BasisTier::Hot
-        } else {
-            crate::BasisTier::Warm
-        };
-    }
-
-    stats.basis_tier = basis_tier;
+    // The caller's seed for the first root LP. The checks mirror what the
+    // kernel accepts (`n_struct` must match; fewer rows load via slack
+    // extension), so a seed from another model is ignored, never an error:
+    // a wrong-but-well-formed basis can only cost pivots. A load that fails
+    // numerically falls back cold inside the kernel.
+    let seed = seed
+        .filter(|_| options.warm_start)
+        .map(|seed| Arc::clone(&seed.0))
+        .filter(|snap| snap.n_struct == model.num_vars() && snap.m <= rows.len());
 
     // Root model strengthening: big-M coefficient tightening, 0-1 probing,
     // and cutting planes appended to the row set so every node (and every
-    // warm-started basis) inherits the tighter relaxation.
-    if options.strengthen {
+    // warm-started basis) inherits the tighter relaxation. The tree's root
+    // node starts from the cut loop's final basis, so it does not repeat
+    // that cold solve, or, with strengthening off, from the seed.
+    let root_start = if options.strengthen {
         let st = match strengthen(
             &mut rows,
             &mut lb,
@@ -347,13 +323,11 @@ pub(crate) fn solve(
             },
         );
         let (cuts_added, basis, baseline) = add_root_cuts(
-            model, options, started, &c, &mut rows, &lb, &ub, &st, basis_seed, tracer,
+            model, options, started, &c, &mut rows, &lb, &ub, &st, seed, tracer,
         );
         stats.cuts_added = cuts_added;
-        publish_basis = baseline;
-        if options.warm_start {
-            root_basis = basis;
-        }
+        stats.root_basis = baseline.map(RootBasis);
+        basis.filter(|_| options.warm_start)
     } else {
         tracer.emit(
             Phase::Solver,
@@ -364,28 +338,14 @@ pub(crate) fn solve(
                 implications: 0,
             },
         );
-        if options.warm_start {
-            root_basis = basis_seed;
-        }
-    }
-
-    // Publish the cut-free baseline basis for future solves of this (or a
-    // structurally similar) instance. Solves that never reached a baseline
-    // optimum (strengthen off, infeasible root, limits) publish nothing.
-    if let Some(store) = &options.basis_store {
-        if let Some(snap) = &publish_basis {
-            store.publish(
-                crate::basis_store::slot(options.basis_publish_key, model.num_vars()),
-                Arc::clone(snap),
-            );
-        }
-    }
+        seed
+    };
 
     let root = Node {
         lb,
         ub,
         depth: 0,
-        basis: root_basis,
+        basis: root_start,
         parent_box: None,
     };
 
@@ -712,7 +672,8 @@ fn search(
 
 #[cfg(test)]
 mod tests {
-    use crate::{Model, Optimality, Sense, SolveError, SolveOptions};
+    use crate::{Model, Optimality, RootBasis, Sense, Solution, SolveError, SolveOptions};
+    use fp_obs::{Event, Tracer};
     use std::time::Duration;
 
     #[test]
@@ -944,8 +905,8 @@ mod tests {
         assert!((warm.objective() - cold.objective()).abs() < 1e-9);
     }
 
-    /// Minimization covering knapsack used by the limit and basis-store
-    /// tests: enough binaries that the tree is nontrivial.
+    /// Minimization covering knapsack used by the limit and seed tests:
+    /// enough binaries that the tree is nontrivial.
     fn covering_knapsack() -> Model {
         let mut m = Model::new(Sense::Minimize);
         let vars: Vec<_> = (0..10).map(|i| m.add_binary(format!("b{i}"))).collect();
@@ -973,91 +934,99 @@ mod tests {
         assert!(matches!(s, Err(SolveError::LimitWithoutIncumbent(_))));
     }
 
-    #[test]
-    fn basis_store_cross_solve_hot_reuse() {
-        use crate::{BasisStore, BasisTier};
-        use std::sync::Arc;
+    /// Solves `model` seeded with `seed` under `options` with strengthening
+    /// off, so the seed (if it loads) starts the root node's LP itself;
+    /// returns the solution and whether that first LP ran warm.
+    fn seeded_root(
+        model: &Model,
+        options: SolveOptions,
+        seed: Option<&RootBasis>,
+    ) -> (Solution, bool) {
+        use fp_obs::{Collector, EventKind};
+        let collector = Collector::new();
+        let tracer = Tracer::new(collector.clone());
+        let sol = model
+            .solve_seeded(&options.with_strengthen(false), &tracer, seed)
+            .unwrap();
+        let root = collector.of_kind(EventKind::BnbNode);
+        let warm = match root.first().map(|r| &r.event) {
+            Some(Event::BnbNode { depth: 0, warm, .. }) => *warm,
+            other => panic!("first node is not the root: {other:?}"),
+        };
+        (sol, warm)
+    }
 
-        let store = Arc::new(BasisStore::new(8));
-        let key = 0xfeed_beef_u64;
-        let opts = SolveOptions::default().with_basis_store(Arc::clone(&store), key, key);
-
-        // First solve: store is empty, so the root LP is cold; the cut-free
-        // baseline basis is published under (key, num_vars).
-        let cold = covering_knapsack().solve_with(&opts).unwrap();
-        assert_eq!(cold.stats().basis_tier, BasisTier::Cold);
-        assert!(!store.is_empty(), "first solve publishes its root basis");
-
-        // Second solve of the identical model: same column and row space, so
-        // the stored basis loads hot and the answer is unchanged.
-        let hot = covering_knapsack().solve_with(&opts).unwrap();
-        assert_eq!(hot.stats().basis_tier, BasisTier::Hot);
-        assert!((hot.objective() - cold.objective()).abs() < 1e-9);
-        assert_eq!(hot.optimality(), Optimality::Proven);
-        let (hits, _, published) = store.stats();
-        assert!(hits >= 1);
-        assert!(published >= 2, "both solves publish");
+    /// The cut-free root basis of a default solve of `model`.
+    fn root_basis_of(model: &Model) -> RootBasis {
+        let sol = model.solve().unwrap();
+        sol.stats()
+            .root_basis
+            .clone()
+            .expect("a cut-free root basis")
     }
 
     #[test]
-    fn basis_store_fewer_rows_seed_is_warm() {
-        use crate::{BasisStore, BasisTier, Var};
-        use std::sync::Arc;
+    fn seed_from_the_same_model_loads() {
+        let model = covering_knapsack();
+        let seed = root_basis_of(&model);
+        let (cold, cold_root) = seeded_root(&model, SolveOptions::default(), None);
+        assert!(!cold_root, "an unseeded root starts cold");
+        let (seeded, warm_root) = seeded_root(&model, SolveOptions::default(), Some(&seed));
+        assert!(warm_root, "the seed starts the root LP");
+        assert_eq!(seeded.optimality(), Optimality::Proven);
+        assert!((seeded.objective() - cold.objective()).abs() < 1e-9);
+        // With strengthening on, the seed starts the cut loop's first LP
+        // and the proven objective is unchanged too.
+        let strengthened = model
+            .solve_seeded(&SolveOptions::default(), &Tracer::disabled(), Some(&seed))
+            .unwrap();
+        assert!((strengthened.objective() - cold.objective()).abs() < 1e-9);
+    }
 
-        let store = Arc::new(BasisStore::new(8));
-        let key = 0xcafe_u64;
-        let opts = SolveOptions::default().with_basis_store(Arc::clone(&store), key, key);
-        let base = covering_knapsack().solve_with(&opts).unwrap();
-        assert_eq!(base.stats().basis_tier, BasisTier::Cold);
-        assert!(
-            !store.is_empty(),
-            "the first solve publishes its root basis"
-        );
-
+    #[test]
+    fn seed_over_fewer_rows_loads_by_slack_extension() {
+        use crate::Var;
+        let seed = root_basis_of(&covering_knapsack());
         // The same model plus one valid row that presolve keeps: the
         // optimum picks far fewer than 9 of the 10 binaries, and the row's
-        // maximum activity 10 exceeds its bound. The stored basis then has
-        // one row fewer than the new root and loads by slack extension.
+        // maximum activity 10 exceeds its bound. The seed then has one row
+        // fewer than the new root and loads with the new row's slack basic.
         let mut grown = covering_knapsack();
         let count: crate::LinExpr = (0..10).map(|i| 1.0 * Var(i)).sum();
         grown.add_le(count, 9.0);
-        let load_only = SolveOptions::default().with_basis_store(Arc::clone(&store), key, 0);
-        let warm = grown.solve_with(&load_only).unwrap();
-        assert_eq!(warm.stats().basis_tier, BasisTier::Warm);
-        assert_eq!(warm.optimality(), Optimality::Proven);
-
-        let unkeyed = grown.solve_with(&SolveOptions::default()).unwrap();
-        assert_eq!(unkeyed.stats().basis_tier, BasisTier::Cold);
-        assert!((warm.objective() - unkeyed.objective()).abs() < 1e-9);
-        assert!((warm.objective() - base.objective()).abs() < 1e-9);
+        let (plain, _) = seeded_root(&grown, SolveOptions::default(), None);
+        let (seeded, warm_root) = seeded_root(&grown, SolveOptions::default(), Some(&seed));
+        assert!(warm_root, "the shorter seed starts the root LP");
+        assert_eq!(seeded.optimality(), Optimality::Proven);
+        assert!((seeded.objective() - plain.objective()).abs() < 1e-9);
     }
 
     #[test]
-    fn basis_store_mismatched_key_stays_cold() {
-        use crate::{BasisStore, BasisTier};
-        use std::sync::Arc;
-
-        let store = Arc::new(BasisStore::new(8));
-        let first = SolveOptions::default().with_basis_store(Arc::clone(&store), 1, 1);
-        covering_knapsack().solve_with(&first).unwrap();
-        // Loading under a different key misses; the solve stays cold and
-        // still reaches the same proven optimum.
-        let second = SolveOptions::default().with_basis_store(Arc::clone(&store), 2, 2);
-        let s = covering_knapsack().solve_with(&second).unwrap();
-        assert_eq!(s.stats().basis_tier, BasisTier::Cold);
-        assert_eq!(s.optimality(), Optimality::Proven);
+    fn seed_over_another_column_count_is_ignored() {
+        let seed = root_basis_of(&covering_knapsack());
+        let mut wider = covering_knapsack();
+        let extra = wider.add_binary("extra");
+        wider.add_le(extra + 0.0, 1.0);
+        let (plain, _) = seeded_root(&wider, SolveOptions::default(), None);
+        let (seeded, warm_root) = seeded_root(&wider, SolveOptions::default(), Some(&seed));
+        assert!(
+            !warm_root,
+            "a seed over 10 columns cannot start an 11-column root"
+        );
+        assert_eq!(seeded.values(), plain.values());
+        assert_eq!(seeded.stats().nodes, plain.stats().nodes);
     }
 
     #[test]
-    fn basis_store_warm_start_off_ignores_store() {
-        use crate::{BasisStore, BasisTier};
-        use std::sync::Arc;
-
-        let store = Arc::new(BasisStore::new(8));
-        let opts = SolveOptions::default().with_basis_store(Arc::clone(&store), 5, 5);
-        covering_knapsack().solve_with(&opts).unwrap();
-        let no_warm = opts.clone().with_warm_start(false);
-        let s = covering_knapsack().solve_with(&no_warm).unwrap();
-        assert_eq!(s.stats().basis_tier, BasisTier::Cold);
+    fn warm_start_off_ignores_the_seed() {
+        let model = covering_knapsack();
+        let seed = root_basis_of(&model);
+        let no_warm = SolveOptions::default().with_warm_start(false);
+        let (plain, _) = seeded_root(&model, no_warm.clone(), None);
+        let (seeded, warm_root) = seeded_root(&model, no_warm, Some(&seed));
+        assert!(!warm_root);
+        assert_eq!(seeded.stats().warm_nodes, 0);
+        assert_eq!(seeded.values(), plain.values());
+        assert_eq!(seeded.stats().nodes, plain.stats().nodes);
     }
 }

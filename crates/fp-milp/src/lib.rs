@@ -16,7 +16,11 @@
 //!   (the `branch` module). Child nodes **warm-start a dual simplex** from
 //!   the parent's optimal basis instead of re-solving from scratch — a pure
 //!   performance lever (every warm answer is re-verified or re-solved cold),
-//!   toggled by [`SolveOptions::warm_start`]. Before its LP, each node runs
+//!   toggled by [`SolveOptions::warm_start`]. A caller can also start a
+//!   solve's first root LP from the cut-free root basis of an earlier solve
+//!   of a model with the same columns ([`Model::solve_seeded`],
+//!   [`SolveStats::root_basis`]); the solver itself keeps no state from
+//!   one solve to the next. Before its LP, each node runs
 //!   activity-based bound propagation whose implied bounds on integral
 //!   columns round inward by the search's integrality tolerance; a node
 //!   whose box it proves to hold no integer point is settled without its
@@ -67,7 +71,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-mod basis_store;
 mod branch;
 mod error;
 mod expr;
@@ -83,11 +86,10 @@ mod sparse;
 pub mod test_support;
 mod var;
 
-pub use basis_store::{BasisStore, BasisTier};
 pub use error::SolveError;
 pub use expr::LinExpr;
 pub use lp_parse::parse_lp;
 pub use model::{Cmp, Constraint, Model, Sense};
 pub use options::{SolveOptions, StopFlag};
-pub use solution::{Optimality, Solution, SolveStats};
+pub use solution::{Optimality, RootBasis, Solution, SolveStats};
 pub use var::{Var, VarKind};

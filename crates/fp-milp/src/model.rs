@@ -4,7 +4,7 @@ use crate::branch;
 use crate::error::SolveError;
 use crate::expr::LinExpr;
 use crate::options::SolveOptions;
-use crate::solution::Solution;
+use crate::solution::{RootBasis, Solution};
 use crate::var::{Var, VarDef, VarKind};
 
 /// Optimization direction.
@@ -388,8 +388,47 @@ impl Model {
         options: &SolveOptions,
         tracer: &fp_obs::Tracer,
     ) -> Result<Solution, SolveError> {
+        self.solve_seeded(options, tracer, None)
+    }
+
+    /// [`Model::solve_traced`], with the first root LP started from `seed`:
+    /// the cut-free root basis of an earlier solve
+    /// ([`SolveStats::root_basis`](crate::SolveStats::root_basis)). The
+    /// seed loads only when [`SolveOptions::warm_start`] is on, this model
+    /// has the seed's column count, and presolve leaves it at least the
+    /// seed's rows; otherwise the solve runs as if it had none. Where the
+    /// model has several optima of equal cost, the seed can decide which
+    /// one comes back; the proven objective does not depend on it.
+    ///
+    /// ```
+    /// use fp_milp::{Model, Sense, SolveOptions};
+    /// use fp_obs::Tracer;
+    /// # fn main() -> Result<(), fp_milp::SolveError> {
+    /// let mut m = Model::new(Sense::Maximize);
+    /// let x = m.add_integer("x", 0.0, 10.0);
+    /// let y = m.add_integer("y", 0.0, 10.0);
+    /// m.add_le(2.0 * x + 3.0 * y, 12.0);
+    /// m.set_objective(x + y);
+    /// let (options, tracer) = (SolveOptions::default(), Tracer::disabled());
+    /// let first = m.solve_traced(&options, &tracer)?;
+    /// let seed = first.stats().root_basis.clone();
+    /// let again = m.solve_seeded(&options, &tracer, seed.as_ref())?;
+    /// assert_eq!(again.objective(), first.objective());
+    /// # Ok(())
+    /// # }
+    /// ```
+    ///
+    /// # Errors
+    ///
+    /// As for [`Model::solve_traced`].
+    pub fn solve_seeded(
+        &self,
+        options: &SolveOptions,
+        tracer: &fp_obs::Tracer,
+        seed: Option<&RootBasis>,
+    ) -> Result<Solution, SolveError> {
         self.validate()?;
-        branch::solve(self, options, tracer)
+        branch::solve(self, options, tracer, seed)
     }
 
     /// Solves the **LP relaxation**: integrality is dropped, everything else

@@ -1,6 +1,5 @@
 //! Solver configuration.
 
-use crate::basis_store::BasisStore;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -88,6 +87,8 @@ pub struct SolveOptions {
     /// dual simplex instead of re-running two-phase primal from scratch.
     /// Purely a performance lever: any numerical doubt falls back to the
     /// cold solve, so results are identical either way. Default `true`.
+    /// Turned off, it also ignores the seed of
+    /// [`Model::solve_seeded`](crate::Model::solve_seeded).
     pub warm_start: bool,
     /// Run the root model-strengthening layer (big-M coefficient
     /// tightening, 0-1 probing, root cutting planes) after classic
@@ -98,22 +99,6 @@ pub struct SolveOptions {
     /// Cooperative cancellation flag polled at node boundaries; see
     /// [`StopFlag`]. Disabled by default.
     pub stop: StopFlag,
-    /// Cross-solve root-basis store (see [`BasisStore`]). When set, the
-    /// solve fetches a root basis under [`Self::basis_load_key`] before the
-    /// tree starts. The fetched basis seeds the first root LP: the root cut
-    /// loop's baseline solve, whose committed basis the root node then
-    /// starts from, or the root node itself when strengthening is off.
-    /// Afterwards the solve publishes its cut-free root basis under
-    /// [`Self::basis_publish_key`] (a solve with strengthening off has none
-    /// to publish). `None` (the default) keeps warm starts strictly within
-    /// one solve.
-    pub basis_store: Option<Arc<BasisStore>>,
-    /// Store key the root basis is *fetched* under — typically the base
-    /// instance's fingerprint (an ECO re-solve loads the base job's basis).
-    pub basis_load_key: u64,
-    /// Store key the committed root basis is *published* under — typically
-    /// this instance's own fingerprint.
-    pub basis_publish_key: u64,
 }
 
 impl Default for SolveOptions {
@@ -124,9 +109,6 @@ impl Default for SolveOptions {
             warm_start: true,
             strengthen: true,
             stop: StopFlag::disabled(),
-            basis_store: None,
-            basis_load_key: 0,
-            basis_publish_key: 0,
         }
     }
 }
@@ -176,23 +158,6 @@ impl SolveOptions {
         self.stop = stop;
         self
     }
-
-    /// Returns options wired to a cross-solve [`BasisStore`]: the first
-    /// root LP is seeded from the basis stored under `load_key` and the
-    /// cut-free root basis is published under `publish_key` (pass the same
-    /// key for plain repeat-traffic warm starts; see [`Self::basis_store`]).
-    #[must_use]
-    pub fn with_basis_store(
-        mut self,
-        store: Arc<BasisStore>,
-        load_key: u64,
-        publish_key: u64,
-    ) -> Self {
-        self.basis_store = Some(store);
-        self.basis_load_key = load_key;
-        self.basis_publish_key = publish_key;
-        self
-    }
 }
 
 #[cfg(test)]
@@ -218,17 +183,12 @@ mod tests {
             warm_start,
             strengthen,
             stop,
-            basis_store,
-            basis_load_key,
-            basis_publish_key,
         } = SolveOptions::default();
         assert_eq!(node_limit, 200_000);
         assert_eq!(time_limit, Duration::from_secs(120));
         assert!(warm_start);
         assert!(strengthen);
         assert!(!stop.is_set());
-        assert!(basis_store.is_none());
-        assert_eq!((basis_load_key, basis_publish_key), (0, 0));
     }
 
     #[test]
@@ -264,18 +224,6 @@ mod tests {
     #[test]
     fn warm_start_builders() {
         assert!(!SolveOptions::default().with_warm_start(false).warm_start);
-    }
-
-    #[test]
-    fn basis_store_builder() {
-        let o = SolveOptions::default();
-        assert!(o.basis_store.is_none());
-        let store = Arc::new(BasisStore::new(8));
-        let o = o.with_basis_store(Arc::clone(&store), 3, 9);
-        assert!(o.basis_store.is_some());
-        assert_eq!((o.basis_load_key, o.basis_publish_key), (3, 9));
-        // Identity equality, like StopFlag: a clone of the handle is equal.
-        assert_eq!(o.clone(), o);
     }
 
     #[test]

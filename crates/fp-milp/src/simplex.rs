@@ -107,7 +107,7 @@ pub(crate) struct LpInfo {
 /// A saved basis: which column is basic in each row plus the resting
 /// status of every column, as captured at a node's optimum. Shared to both
 /// children through an [`Arc`] so the frontier never clones kernel state.
-#[derive(Debug)]
+#[derive(Debug, PartialEq, Eq)]
 pub(crate) struct BasisSnapshot {
     pub(crate) m: usize,
     pub(crate) n_struct: usize,
@@ -243,7 +243,7 @@ impl Workspace {
         self.sp.refactor_interval = cfg.refactor_interval;
         let mut wasted = (0, 0, 0);
         if let Some(snap) = basis {
-            // `snap.m < rows` is the cut-round and cross-solve case: the
+            // `snap.m < rows` is the cut-round and seeded-root case: the
             // snapshot predates appended rows, and the warm load extends it
             // with their slacks.
             if snap.m <= p.rows.len() && snap.n_struct == p.ncols {
@@ -1333,8 +1333,8 @@ mod tests {
     ///     by reloading the snapshot into a fresh one;
     /// (b) appends one to three random rows and re-solves from the
     ///     snapshot, which now has fewer rows than the problem: the
-    ///     slack-extension load that every cut round and every cross-solve
-    ///     `Warm` seed takes.
+    ///     slack-extension load that every cut round and every seed over
+    ///     fewer rows takes.
     ///
     /// Every outcome and objective must equal the dense oracle's cold solve.
     #[test]

@@ -1,6 +1,8 @@
 //! Solution values and solve statistics.
 
+use crate::simplex::BasisSnapshot;
 use crate::var::Var;
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Whether the returned solution is a proven optimum or the best incumbent
@@ -25,10 +27,10 @@ pub struct SolveStats {
     pub simplex_iterations: usize,
     /// Nodes whose LP was solved warm from a known basis. A child node
     /// starts from its parent's basis. The root starts from the basis the
-    /// root cut loop committed (whose first LP may itself start from a
-    /// [`BasisStore`](crate::BasisStore) entry), or, with strengthening
-    /// off, from the store entry directly, and solves cold only when it has
-    /// neither.
+    /// root cut loop committed (whose first LP may itself start from the
+    /// seed of [`Model::solve_seeded`](crate::Model::solve_seeded)), or,
+    /// with strengthening off, from the seed directly, and solves cold
+    /// only when it has neither.
     pub warm_nodes: usize,
     /// Nodes solved by the cold two-phase primal (including warm attempts
     /// that fell back on numerical trouble).
@@ -62,14 +64,30 @@ pub struct SolveStats {
     pub implications: usize,
     /// Cutting planes appended to the root LP (inherited by every node).
     pub cuts_added: usize,
-    /// Which cross-solve [`BasisStore`](crate::BasisStore) seed the root
-    /// LP was offered: `Hot` (a stored basis over exactly the presolved row
-    /// count), `Warm` (a stored basis over fewer rows, slack-extended on
-    /// load), or `Cold` (no seed fetched — the default, including when no
-    /// store is wired or warm starts are off). A fetched seed feeds the
-    /// root cut loop's first LP, or the root node itself when strengthening
-    /// is off, so the tier is `Hot` or `Warm` whenever one was fetched.
-    pub basis_tier: crate::BasisTier,
+    /// The optimal basis of the cut-free root relaxation, which a later
+    /// solve of a model with the same column count can take as its seed
+    /// ([`Model::solve_seeded`](crate::Model::solve_seeded)). `None` when
+    /// strengthening is off or the solve ended before that LP reached an
+    /// optimum. A failed solve's [`SolveError`](crate::SolveError) hands
+    /// it back too.
+    pub root_basis: Option<RootBasis>,
+}
+
+/// The cut-free root basis of one solve, as [`SolveStats::root_basis`]
+/// reports it: an opaque handle whose only use is as the seed of a later
+/// [`Model::solve_seeded`](crate::Model::solve_seeded), which says when it
+/// loads. A seed can change which of several equal-cost optima comes back
+/// and how many pivots it takes, never the proven objective.
+#[derive(Clone, PartialEq, Eq)]
+pub struct RootBasis(pub(crate) Arc<BasisSnapshot>);
+
+impl std::fmt::Debug for RootBasis {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("RootBasis")
+            .field("rows", &self.0.m)
+            .field("columns", &self.0.n_struct)
+            .finish()
+    }
 }
 
 /// The result of a successful solve: an assignment of values to every model

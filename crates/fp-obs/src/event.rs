@@ -311,9 +311,6 @@ pub enum Event {
         replaced: usize,
         /// Modules in the edited instance.
         total: usize,
-        /// Cross-job basis reuse tier of the first re-solve LP
-        /// (`"hot"` / `"warm"` / `"cold"`).
-        basis: &'static str,
     },
 }
 
@@ -714,14 +711,12 @@ impl Record {
                 base_hit,
                 replaced,
                 total,
-                basis,
             } => {
                 field("id", id.to_string());
                 field("base_key", format!("\"{base_key:016x}\""));
                 field("base_hit", base_hit.to_string());
                 field("replaced", replaced.to_string());
                 field("total", total.to_string());
-                field("basis", format!("\"{basis}\""));
             }
         }
         s.push('}');

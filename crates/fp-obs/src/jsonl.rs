@@ -296,9 +296,8 @@ pub fn parse_line(line: &str) -> Result<ParsedRecord, String> {
 /// numeric `micros` and a boolean `won` (its `cost` may be `null` for
 /// failed legs), `Portfolio` a string `winner` and numeric
 /// `backends` and `micros`, `DeltaApply` a string `base_key` and numeric
-/// `ops`, `touched` and `total`, and `EcoJob` string `base_key` and
-/// `basis`, a boolean `base_hit` and numeric `id`, `replaced` and
-/// `total`.
+/// `ops`, `touched` and `total`, and `EcoJob` a string `base_key`, a
+/// boolean `base_hit` and numeric `id`, `replaced` and `total`.
 ///
 /// # Errors
 ///
@@ -400,10 +399,8 @@ pub fn validate_line(line: &str) -> Result<ParsedRecord, String> {
         }
     }
     if parsed.str_field("event") == Some("EcoJob") {
-        for key in ["base_key", "basis"] {
-            if parsed.str_field(key).is_none() {
-                return Err(format!("EcoJob: missing string '{key}' field"));
-            }
+        if parsed.str_field("base_key").is_none() {
+            return Err("EcoJob: missing string 'base_key' field".to_string());
         }
         if parsed.bool_field("base_hit").is_none() {
             return Err("EcoJob: missing boolean 'base_hit' field".to_string());
@@ -595,7 +592,6 @@ mod tests {
                 base_hit: true,
                 replaced: 4,
                 total: 33,
-                basis: "hot",
             },
         );
         t.flush();
@@ -659,7 +655,6 @@ mod tests {
         assert_eq!(eco.str_field("base_key"), Some("ffffffffffffffff"));
         assert_eq!(eco.bool_field("base_hit"), Some(true));
         assert_eq!(eco.num("replaced"), Some(4.0));
-        assert_eq!(eco.str_field("basis"), Some("hot"));
     }
 
     #[test]
@@ -672,7 +667,7 @@ mod tests {
         validate_line(
             "{\"seq\":0,\"phase\":\"serve\",\"event\":\"EcoJob\",\"id\":3,\
              \"base_key\":\"ab\",\"base_hit\":false,\"replaced\":9,\
-             \"total\":9,\"basis\":\"cold\"}",
+             \"total\":9}",
         )
         .unwrap();
         for bad in [
@@ -682,13 +677,13 @@ mod tests {
             // DeltaApply missing the op count.
             "{\"seq\":0,\"phase\":\"serve\",\"event\":\"DeltaApply\",\
              \"base_key\":\"ab\",\"touched\":1,\"total\":9}",
-            // EcoJob missing the basis tier.
+            // EcoJob missing the replaced count.
             "{\"seq\":0,\"phase\":\"serve\",\"event\":\"EcoJob\",\"id\":3,\
-             \"base_key\":\"ab\",\"base_hit\":false,\"replaced\":9,\"total\":9}",
+             \"base_key\":\"ab\",\"base_hit\":false,\"total\":9}",
             // EcoJob with a non-boolean base_hit.
             "{\"seq\":0,\"phase\":\"serve\",\"event\":\"EcoJob\",\"id\":3,\
              \"base_key\":\"ab\",\"base_hit\":1,\"replaced\":9,\
-             \"total\":9,\"basis\":\"cold\"}",
+             \"total\":9}",
         ] {
             assert!(validate_line(bad).is_err(), "should reject: {bad}");
         }

@@ -56,8 +56,6 @@ pub fn render_summary(records: &[Record]) -> String {
     let mut eco_hits = 0usize;
     let mut eco_replaced = 0usize;
     let mut eco_total = 0usize;
-    let mut eco_hot = 0usize;
-    let mut eco_warm = 0usize;
 
     let mut races = 0usize;
     let mut race_micros = 0u64;
@@ -185,15 +183,12 @@ pub fn render_summary(records: &[Record]) -> String {
                 base_hit,
                 replaced,
                 total,
-                basis,
                 ..
             } => {
                 eco_jobs += 1;
                 eco_hits += usize::from(*base_hit);
                 eco_replaced += replaced;
                 eco_total += total;
-                eco_hot += usize::from(*basis == "hot");
-                eco_warm += usize::from(*basis == "warm");
             }
             _ => {}
         }
@@ -276,8 +271,7 @@ pub fn render_summary(records: &[Record]) -> String {
     if eco_jobs > 0 {
         out.push_str(&format!(
             "  eco:     {eco_jobs} delta jobs ({eco_hits} base hits), \
-             replaced {eco_replaced}/{eco_total} modules, \
-             basis {eco_hot} hot / {eco_warm} warm\n"
+             replaced {eco_replaced}/{eco_total} modules\n"
         ));
     }
     if races > 0 || !backends.is_empty() {
@@ -642,7 +636,6 @@ mod tests {
                     base_hit: true,
                     replaced: 2,
                     total: 12,
-                    basis: "hot",
                 },
             ),
             rec(
@@ -654,7 +647,6 @@ mod tests {
                     base_hit: false,
                     replaced: 12,
                     total: 12,
-                    basis: "cold",
                 },
             ),
         ];
@@ -664,6 +656,5 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("replaced 14/24 modules"), "{text}");
-        assert!(text.contains("basis 1 hot / 0 warm"), "{text}");
     }
 }

@@ -55,10 +55,26 @@ pub(crate) fn caps(modules: usize, members: usize) -> Result<(), String> {
     Ok(())
 }
 
-/// [`caps`] on `netlist`.
-fn within_caps(netlist: &Netlist) -> Result<(), String> {
+/// [`caps`] on `netlist`, then its worst-case extent. With `S` the sum of
+/// every module's longest possible side, the chip is at most `S` tall and
+/// about `max(S, width)` wide, so an instance whose `S × max(S, width)` is
+/// not finite would overflow f64 in its chip area, and it is refused
+/// before anything solves it. The final check in [`process`] still fails
+/// any answer that overflows anyway.
+fn within_caps(netlist: &Netlist, width: Option<f64>) -> Result<(), String> {
     let members = netlist.nets().map(|(_, n)| n.modules().len()).sum();
-    caps(netlist.num_modules(), members)
+    caps(netlist.num_modules(), members)?;
+    let side: f64 = netlist
+        .modules()
+        .map(|(_, m)| m.width_range().1.max(m.height_range().1))
+        .sum();
+    if (side * side.max(width.unwrap_or(0.0))).is_finite() {
+        Ok(())
+    } else {
+        Err(format!(
+            "modules whose sides sum to {side:e} make a chip area that overflows f64"
+        ))
+    }
 }
 
 /// Engine configuration.
@@ -351,9 +367,6 @@ pub(crate) struct Shared {
     pub(crate) queue: Bounded<Job>,
     table: Inflight<Waiter>,
     cache: SolutionCache,
-    /// Cross-job root-basis store: every solve publishes its root basis
-    /// under the instance fingerprint, ECO re-solves load the base's.
-    basis: Arc<fp_milp::BasisStore>,
     solver: SolverCounters,
     submitted: AtomicU64,
     answered: AtomicU64,
@@ -417,7 +430,6 @@ impl Engine {
             queue: Bounded::new(config.queue_capacity),
             table: Inflight::new(),
             cache,
-            basis: Arc::new(fp_milp::BasisStore::new(256)),
             solver: SolverCounters::default(),
             submitted: AtomicU64::new(0),
             answered: AtomicU64::new(0),
@@ -489,18 +501,13 @@ impl Engine {
         self.shared.cache.stats()
     }
 
-    /// `(hits, misses, published)` of the cross-job root-basis store.
-    #[must_use]
-    pub fn basis_stats(&self) -> (u64, u64, u64) {
-        self.shared.basis.stats()
-    }
-
     /// `(warm, cold)` branch-and-bound node counts accumulated over every
     /// step MILP of every run (finished MILP legs, improvement rounds
-    /// included, and ECO re-placements) this engine has made. Warm nodes restarted from a simplex basis: a
-    /// child from its parent's, a root from the one the cross-job basis
-    /// store holds for its instance. Cold nodes ran the two-phase primal
-    /// from scratch. Nodes settled without an LP count in neither; see
+    /// included, and ECO re-placements) this engine has made. Warm nodes
+    /// restarted from a simplex basis: a child from its parent's, a root
+    /// from its own root cut loop's or, in augmentation, from an earlier
+    /// step of the same run. Cold nodes ran the two-phase primal from
+    /// scratch. Nodes settled without an LP count in neither; see
     /// [`propagated_nodes`](Self::propagated_nodes).
     #[must_use]
     pub fn solver_stats(&self) -> (u64, u64) {
@@ -658,8 +665,9 @@ pub(crate) fn emit_shed(shared: &Shared, retry_after_ms: u64) {
 /// The single entry point for every job.
 ///
 /// Parses and canonicalizes on the calling thread, refuses an instance
-/// past [`MAX_MODULES`] or [`MAX_NET_MEMBERS`] (the request's, and for an
-/// ECO job the edited one) before anything solves it, coalesces onto an
+/// past [`MAX_MODULES`] or [`MAX_NET_MEMBERS`], or one whose worst-case
+/// chip area overflows f64 (the request's, and for an ECO job the edited
+/// one), before anything solves it, coalesces onto an
 /// identical in-flight solve when allowed (followers park in the table
 /// and return immediately), then enqueues under the chosen admission
 /// policy. Whatever happens — parse failure, full queue, closed queue —
@@ -682,7 +690,7 @@ pub(crate) fn submit(shared: &Arc<Shared>, req: JobRequest, reply: Reply, admiss
         Ok(n) => n,
         Err(e) => return fail(&req, reply, format!("bad netlist: {e}")),
     };
-    if let Err(e) = within_caps(&netlist) {
+    if let Err(e) = within_caps(&netlist, req.width) {
         return fail(&req, reply, format!("bad netlist: {e}"));
     }
     let params = FingerprintParams {
@@ -706,6 +714,9 @@ pub(crate) fn submit(shared: &Arc<Shared>, req: JobRequest, reply: Reply, admiss
             Err(Refusal::Script(e)) => return fail(&req, reply, format!("bad delta: {e}")),
             Err(Refusal::Cap(e)) => return fail(&req, reply, format!("bad netlist: {e}")),
         };
+        if let Err(e) = within_caps(&out.netlist, req.width) {
+            return fail(&req, reply, format!("bad netlist: {e}"));
+        }
         let base_canon: Arc<str> = Arc::from(canonical(&netlist, &params));
         let base_key = fingerprint_of(&base_canon);
         let base_trusted = req.eco_base.is_none_or(|pinned| pinned == base_key);
@@ -907,18 +918,13 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
     } else {
         Objective::Area
     };
-    // Every solve publishes its committed root basis under its own
-    // fingerprint and loads under the base's (ECO) or its own (repeat
-    // traffic), so re-solves of related instances start hot or warm.
-    let load_key = job.eco.as_ref().map_or(job.key, |e| e.base_key);
     let mut fp_config = FloorplanConfig::default()
         .with_objective(objective)
         .with_rotation(req.rotation)
         .with_step_options(
             fp_milp::SolveOptions::default()
                 .with_node_limit(config.node_limit)
-                .with_time_limit(config.time_limit)
-                .with_basis_store(Arc::clone(&shared.basis), load_key, job.key),
+                .with_time_limit(config.time_limit),
         )
         // The driver re-budgets every augmentation/re-optimization MILP
         // with the time *remaining* before the deadline (the per-step
@@ -939,7 +945,6 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
     // delta too large, driver error) falls through to a scratch solve of
     // the edited instance — the answer is then merely slower, never wrong.
     let mut eco_replaced = 0usize;
-    let mut eco_basis = fp_milp::BasisTier::Cold;
     let eco_fp: Option<Floorplan> = job.eco.as_ref().and_then(|eco| {
         if expired(Instant::now()) {
             return None;
@@ -977,7 +982,6 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
         degraded |= outcome.stats.greedy_fallbacks() > 0;
         shared.solver.record(&outcome.stats);
         eco_replaced = outcome.replaced.len();
-        eco_basis = outcome.basis;
         Some(outcome.floorplan)
     });
     let eco_base_hit = eco_fp.is_some();
@@ -990,7 +994,6 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
                 base_hit: eco_base_hit,
                 replaced: eco_replaced,
                 total: netlist.num_modules(),
-                basis: eco_basis.as_str(),
             },
         );
     }

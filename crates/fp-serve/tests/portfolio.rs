@@ -4,13 +4,11 @@
 //! tight-deadline any-of behavior.
 
 use fp_core::{FloorplanConfig, Floorplanner, StepKind};
-use fp_milp::{BasisStore, SolveOptions};
+use fp_milp::SolveOptions;
 use fp_netlist::generator::ProblemGenerator;
 use fp_netlist::Netlist;
 use fp_obs::{Collector, EventKind, Tracer};
-use fp_serve::fingerprint::{canonical, fingerprint_of, FingerprintParams};
 use fp_serve::{Backend, Engine, JobRequest, JobResponse, ServeConfig};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// Solves `netlist` on a fresh single-worker engine (cache off so every
@@ -215,20 +213,10 @@ fn solver_counters_cover_the_improvement_round() {
     engine.shutdown();
     assert_legal(&resp, netlist.num_modules());
 
-    // The engine's step options: its limits, plus a fresh cross-solve
-    // basis store that every step loads from and publishes to under the
-    // job's fingerprint.
-    let params = FingerprintParams {
-        width: None,
-        lambda: 0.0,
-        rotation: true,
-        route: false,
-    };
-    let key = fingerprint_of(&canonical(&netlist, &params));
+    // The plain flow at the engine's step options.
     let options = SolveOptions::default()
         .with_node_limit(node_limit)
-        .with_time_limit(time_limit)
-        .with_basis_store(Arc::new(BasisStore::new(256)), key, key);
+        .with_time_limit(time_limit);
     let flow = Floorplanner::with_config(
         &netlist,
         FloorplanConfig::default().with_step_options(options),

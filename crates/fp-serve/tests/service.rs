@@ -4,6 +4,8 @@
 //! watchdog (the idiom of fp-milp's `limits` suite) so a stuck queue or a
 //! lost response fails the test instead of hanging the suite.
 
+use fp_core::{Floorplan, FloorplanConfig, Floorplanner};
+use fp_milp::SolveOptions;
 use fp_netlist::generator::ProblemGenerator;
 use fp_netlist::{Module, Net, Netlist};
 use fp_obs::{Collector, Event, EventKind, Tracer};
@@ -264,8 +266,11 @@ fn cache_answers_second_identical_job() {
 #[test]
 fn overflowing_dimensions_fail_and_the_engine_keeps_serving() {
     let decks = [
-        // A finite chip width and height whose product overflows.
-        "module a rigid 1e300 1 fixed\nmodule b rigid 1 1e300 fixed\n",
+        // Finite module sides and a finite net weight whose product with
+        // the modules' center distance overflows the wirelength. (Sides
+        // whose chip area could overflow are bad netlists; see
+        // `oversized_instances_are_bad_netlists`.)
+        "module a rigid 2 2 fixed\nmodule b rigid 2 2 fixed\nnet n weight 1e308 : a b\n",
     ];
     let (failures, normal) = with_watchdog(move || {
         let engine = Engine::start(tiny_config().with_workers(1));
@@ -303,6 +308,85 @@ fn overflowing_dimensions_fail_and_the_engine_keeps_serving() {
         normal.error
     );
     assert!(normal.area.is_finite() && normal.area > 0.0);
+}
+
+/// The placement text of `floorplan` as the engine encodes it.
+fn placement_text(floorplan: &Floorplan, netlist: &Netlist) -> String {
+    floorplan
+        .iter()
+        .map(|m| {
+            let r = m.rect;
+            let name = netlist.module(m.id).name();
+            format!(
+                "{name} {} {} {} {} {}",
+                r.x,
+                r.y,
+                r.w,
+                r.h,
+                u8::from(m.rotated)
+            )
+        })
+        .collect::<Vec<_>>()
+        .join(";")
+}
+
+/// One instance, one answer: the engine seeds nothing across jobs, so a
+/// repeated uncached request gets the same placement, and its answer is
+/// the flow's own at the engine's step options. The decks are ones whose
+/// answers depend on where each augmentation step's root LP starts.
+#[test]
+fn engine_answers_each_instance_as_the_flow_does() {
+    // Only node limits may end a search, so every answer repeats.
+    let time_limit = Duration::from_secs(24 * 3600);
+    let config = ServeConfig {
+        time_limit,
+        ..ServeConfig::default()
+    }
+    .with_workers(1)
+    .with_cache_capacity(0);
+    assert_eq!(config.improve_rounds, 1);
+    let options = SolveOptions::default()
+        .with_node_limit(config.node_limit)
+        .with_time_limit(time_limit);
+    let decks = [(15, 7), (35, 5)];
+    let (first, second, served) = with_watchdog(move || {
+        let engine = Engine::start(config);
+        let client = engine.client();
+        let call = |netlist: &Netlist| client.call(JobRequest::new(1, netlist).with_cache(false));
+        let repeated = ProblemGenerator::new(20, 4).generate();
+        let (first, second) = (call(&repeated), call(&repeated));
+        let served: Vec<JobResponse> = decks
+            .iter()
+            .map(|&(n, seed)| call(&ProblemGenerator::new(n, seed).generate()))
+            .collect();
+        engine.shutdown();
+        (first, second, served)
+    });
+    for resp in served.iter().chain([&first, &second]) {
+        assert!(resp.ok && !resp.degraded, "{resp:?}");
+    }
+    assert_eq!(
+        second.placement, first.placement,
+        "a repeat moved the answer"
+    );
+    assert_eq!(second.area.to_bits(), first.area.to_bits());
+
+    for (&(n, seed), served) in decks.iter().zip(&served) {
+        let netlist = ProblemGenerator::new(n, seed).generate();
+        let flow = Floorplanner::with_config(
+            &netlist,
+            FloorplanConfig::default().with_step_options(options.clone()),
+        )
+        .with_improvement(1, None)
+        .run()
+        .expect("the flow succeeds");
+        assert_eq!(
+            served.placement,
+            placement_text(&flow.floorplan, &netlist),
+            "{n}:{seed}: the engine's placement vs the flow's"
+        );
+        assert_eq!(served.area.to_bits(), flow.floorplan.chip_area().to_bits());
+    }
 }
 
 #[test]
@@ -412,11 +496,31 @@ fn oversized_instances_are_bad_netlists() {
             .map(|k| format!("mod! x{k} rigid 1 1 rot"))
             .collect();
         let flooded = JobRequest::new(4, &squares(MAX_MODULES)).with_eco(flood.join("; "));
+        // Finite sides whose chip area overflows f64: 1e300 × 1 beside
+        // 1 × 1e300, and a base of two unit squares whose delta adds a
+        // rotatable 1e300 × 1 module.
+        let mut stretched = Netlist::new("stretched");
+        stretched
+            .add_module(Module::rigid("a", 1e300, 1.0, false))
+            .unwrap();
+        stretched
+            .add_module(Module::rigid("b", 1.0, 1e300, false))
+            .unwrap();
+        let stretched = JobRequest::new(6, &stretched);
+        let stretched_by_delta =
+            JobRequest::new(7, &squares(2)).with_eco("mod! a rigid 1e300 1 rot");
         // A deadline makes the answer quick even where the cap is missing.
-        let answers: Vec<JobResponse> = [too_many_modules, too_many_members, grown, flooded]
-            .into_iter()
-            .map(|req| client.call(req.with_deadline_ms(1)))
-            .collect();
+        let answers: Vec<JobResponse> = [
+            too_many_modules,
+            too_many_members,
+            grown,
+            flooded,
+            stretched,
+            stretched_by_delta,
+        ]
+        .into_iter()
+        .map(|req| client.call(req.with_deadline_ms(1)))
+        .collect();
         let cache = engine.cache_stats();
         let solver = (engine.solver_stats(), engine.propagated_nodes());
         let after = client.call(JobRequest::new(5, &ProblemGenerator::new(4, 9).generate()));
@@ -431,6 +535,8 @@ fn oversized_instances_are_bad_netlists() {
             "{} modules exceed the cap of {MAX_MODULES}",
             MAX_MODULES + 1
         ),
+        "chip area that overflows f64".to_string(),
+        "chip area that overflows f64".to_string(),
     ];
     assert_eq!(answers.len(), caps.len());
     for (resp, cap) in answers.iter().zip(&caps) {

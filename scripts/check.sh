@@ -112,26 +112,38 @@ grep -q '"median_gradient_speedup"' "$geom_json" \
     || { echo "check.sh: geom_snapshot output missing median_gradient_speedup"; exit 1; }
 
 # Determinism gate: the branch-and-bound search is serial, so a floorplan
-# depends only on its inputs, whatever the core count. One ami33 run
-# pinned to one core and three on all cores must print the same result
-# line, its `time` field aside.
-echo "== determinism gate (floorplan --ami33 on one core and on all cores)"
+# depends only on its inputs, whatever the core count. Each pinned deck
+# runs once pinned to one core and three times on all cores, and every
+# run must print the same result line, its `time` field aside. The
+# answer itself is pinned too, node count aside, so a solver change that
+# moves the floorplan fails here even when it repeats.
+echo "== determinism gate (pinned floorplans on one core and on all cores)"
 cargo build --release -q -p fp-cli
-ami33_result() { "$@" ./target/release/floorplan --ami33 2>/dev/null | sed 's/  time .*$//'; }
-pinned="$(ami33_result taskset -c 0)"
-[ -n "$pinned" ] || { echo "check.sh: pinned ami33 run printed no result"; exit 1; }
-echo "$pinned"
-# The answer itself is pinned too, node count aside, so a solver change
-# that moves ami33's floorplan fails here even when it repeats.
-ami33_answer='chip 117.0 x 119.0 = 13923  utilization 82.7%  wirelength(est) 37562  steps 11'
-pinned_answer="$(printf '%s\n' "$pinned" | sed -n 's/  nodes .*$//p')"
-[ "$pinned_answer" = "$ami33_answer" ] \
-    || { echo "check.sh: ami33 answered '$pinned_answer', pinned '$ami33_answer'"; exit 1; }
-for run in 1 2 3; do
-    free="$(ami33_result)"
-    [ "$free" = "$pinned" ] \
-        || { echo "check.sh: all-core ami33 run $run printed '$free', the pinned run '$pinned'"; exit 1; }
-done
+result_line() { "$@" 2>/dev/null | sed 's/  time .*$//'; }
+determinism_gate() {
+    local answer="$1"
+    shift
+    local pinned pinned_answer free run
+    pinned="$(result_line taskset -c 0 ./target/release/floorplan "$@")"
+    [ -n "$pinned" ] || { echo "check.sh: pinned run of '$*' printed no result"; exit 1; }
+    echo "$pinned"
+    pinned_answer="$(printf '%s\n' "$pinned" | sed -n 's/  nodes .*$//p')"
+    [ "$pinned_answer" = "$answer" ] \
+        || { echo "check.sh: '$*' answered '$pinned_answer', pinned '$answer'"; exit 1; }
+    for run in 1 2 3; do
+        free="$(result_line ./target/release/floorplan "$@")"
+        [ "$free" = "$pinned" ] \
+            || { echo "check.sh: all-core run $run of '$*' printed '$free', the pinned run '$pinned'"; exit 1; }
+    done
+}
+determinism_gate 'chip 117.0 x 119.0 = 13923  utilization 82.7%  wirelength(est) 37562  steps 11' \
+    --ami33
+# ami33's answer does not depend on where each augmentation step's root
+# LP starts. This deck's does, so its line also pins the flow's seeding
+# rule: each step starts from the root basis of the run's latest earlier
+# step with the same column count (fp-core/src/step.rs).
+determinism_gate 'chip 75.0 x 87.0 = 6525  utilization 72.4%  wirelength(est) 11437  steps 12' \
+    --random 35:5 --node-limit 4000
 
 # Service smoke: bring up `floorplan serve` on an ephemeral port, drive it
 # with the `load` generator over a repeated instance, and require (a) every
