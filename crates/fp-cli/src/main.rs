@@ -197,6 +197,10 @@ struct EcoBase {
 /// 1000+ ranges the normal mix draws from.
 const ECO_BASE_SEED: u64 = 0xEC0;
 
+/// Request id of the `--eco` base solve: 2^53 − 1, the largest id the
+/// line protocol carries, far above the job indices the load jobs use.
+const ECO_BASE_ID: u64 = (1 << 53) - 1;
+
 /// Solves the `--eco` base instance once over its own connection so its
 /// placement is in the service's solution cache before any delta job
 /// refers to it.
@@ -207,7 +211,7 @@ fn solve_eco_base(args: &LoadArgs) -> Result<EcoBase, String> {
     stream.set_nodelay(true).map_err(|e| e.to_string())?;
     let mut writer = stream.try_clone().map_err(|e| e.to_string())?;
     let mut reader = BufReader::new(stream);
-    let req = JobRequest::new(u64::MAX, &netlist);
+    let req = JobRequest::new(ECO_BASE_ID, &netlist);
     writeln!(writer, "{}", req.encode()).map_err(|e| e.to_string())?;
     let mut line = String::new();
     if reader.read_line(&mut line).map_err(|e| e.to_string())? == 0 {

@@ -202,9 +202,10 @@ pub fn improve(
 /// augmentation), and each round emits an
 /// [`fp_obs::Event::ImproveRound`] through the config's tracer.
 ///
-/// The §2.5 topology LP has no integer variables and is deliberately left
-/// untraced: traced branch-and-bound node totals stay comparable to the
-/// recorded MILP step statistics.
+/// The §2.5 topology LP has no integer variables, so its solve emits no
+/// solver events and traced branch-and-bound node totals stay equal to the
+/// recorded MILP step statistics; each call is timed as a `topology_lp`
+/// span.
 ///
 /// # Errors
 ///

@@ -23,7 +23,8 @@
 //!   pin counts so the MILP reserves routing space;
 //! * §2.5 **given-topology optimization**: with relations fixed, all
 //!   integer variables vanish and a single LP re-optimizes coordinates and
-//!   soft shapes ([`optimize_topology`]) — usable as global compaction;
+//!   soft shapes ([`optimize_topology`]) — usable as global compaction; it
+//!   keeps only the rows no chain of other relations implies;
 //! * a bottom-left greedy [`baseline`](bottom_left) used as warm start,
 //!   fallback, and comparison point.
 //!

@@ -2,11 +2,42 @@
 //!
 //! When the relative position of every module pair is known, all integer
 //! variables vanish: for each pair only the single active non-overlap
-//! inequality is kept, leaving a pure LP with `2K` continuous variables and
-//! `O(K)` constraints. The paper proposes this for shape optimization; here
-//! it also serves as a **compaction pass** — re-solving the entire chip's
-//! coordinates (and flexible shapes) at once after successive augmentation,
-//! something the per-step MILPs cannot do globally.
+//! inequality is needed, leaving a pure LP over the `2K` coordinates (plus
+//! one `Δw` per flexible module). The paper proposes this for shape
+//! optimization; here it also serves as a **compaction pass** — re-solving
+//! the entire chip's coordinates (and flexible shapes) at once after
+//! successive augmentation, something the per-step MILPs cannot do
+//! globally.
+//!
+//! # Rows: the transitive reduction of each axis
+//!
+//! [`extract_topology`] returns one relation for each of the `K(K−1)/2`
+//! pairs, but most of their rows are implied. Read the horizontal
+//! relations as a directed graph (`LeftOf(i, j)` is the edge `i → j`,
+//! `RightOf(i, j)` the edge `j → i`) and the vertical ones likewise
+//! (`Below`, `Above`). When a path `u → k → … → v` of two or more edges
+//! joins a pair, summing the path's rows gives `x_u + w_u + Σ w_k ≤ x_v`,
+//! and every envelope side is positive for every value of its columns: a
+//! rigid side is a constant, a flexible width is `w_max − Δw ≥ w_min > 0`
+//! and a flexible height `h(w_max) + slope·Δw` with a positive slope. So
+//! the path implies the pair's own row, and [`optimize_topology`] emits a
+//! row only for the edges of each axis graph's transitive reduction, in
+//! the relations' order. The feasible set and the optimum are exactly
+//! those of the all-pairs LP; the row count falls from `K(K−1)/2` to a
+//! few per module (ami33 528 → 139, ami49c 1176 → 227, gsrc100
+//! 4950 → 642, gsrc130 8385 → 829, gsrc200 19900 → 1471 on augmented
+//! floorplans).
+//!
+//! A legal floorplan's axis graphs are acyclic: a chosen relation's gap is
+//! at least `−GEOM_EPS`, so a cycle needs sides summing below `GEOM_EPS`.
+//! An axis whose graph has a cycle anyway keeps every one of its rows.
+//!
+//! The LP's own optimal vertex is the answer. Packing each axis to its
+//! longest-path positions instead would make the compacted floorplan
+//! independent of the row set, but it moves the floorplans that later
+//! node-limited re-optimization MILPs start from: on the end-to-end
+//! benchmark's paper_flow workload it took the ECO polish MILPs of two
+//! decks to their node cap and the ECO median from 8 ms to 75 ms.
 
 use crate::config::FloorplanConfig;
 use crate::envelope::ShapeSpec;
@@ -15,6 +46,7 @@ use crate::placement::{Floorplan, PlacedModule};
 use fp_geom::GEOM_EPS;
 use fp_milp::{LinExpr, Model, Sense};
 use fp_netlist::Netlist;
+use fp_obs::Phase;
 
 /// The relative position of an ordered module pair `(i, j)` — which of the
 /// four disjuncts of system (2) is active.
@@ -72,8 +104,11 @@ pub fn extract_topology(
 /// topology of `floorplan`, minimizing chip height. Orientations are kept
 /// as placed. Returns the compacted floorplan.
 ///
-/// The result is never taller than the input (the input is feasible for the
-/// LP), which the integration tests assert.
+/// The LP carries one non-overlap row per edge of each axis's transitive
+/// reduction (see the module docs), which has the same feasible set and
+/// optimum as one row per pair. The result is never taller than the input
+/// (the input is feasible for the LP), which the integration tests assert.
+/// A traced `config` times the call as a `topology_lp` span.
 ///
 /// # Errors
 ///
@@ -85,11 +120,109 @@ pub fn optimize_topology(
     netlist: &Netlist,
     config: &FloorplanConfig,
 ) -> Result<Floorplan, FloorplanError> {
-    let placed: Vec<&PlacedModule> = floorplan.iter().collect();
-    if placed.is_empty() {
+    let _span = config.tracer.span(Phase::Improve, "topology_lp");
+    if floorplan.is_empty() {
         return Ok(floorplan.clone());
     }
     let relations = extract_topology(floorplan)?;
+    let keep = transitive_reduction(floorplan.len(), &relations);
+    let rows: Vec<(usize, usize, Relation)> = relations
+        .into_iter()
+        .zip(keep)
+        .filter_map(|(relation, kept)| kept.then_some(relation))
+        .collect();
+    solve_topology_lp(floorplan, netlist, config, &rows)
+}
+
+/// The edge `from → to` that `relation` puts on the horizontal graph
+/// (`true`) or the vertical one (`false`).
+fn axis_edge(&(i, j, relation): &(usize, usize, Relation)) -> (bool, usize, usize) {
+    match relation {
+        Relation::LeftOf => (true, i, j),
+        Relation::RightOf => (true, j, i),
+        Relation::Below => (false, i, j),
+        Relation::Above => (false, j, i),
+    }
+}
+
+/// Marks which of `relations` (over modules `0..n`) are edges of the
+/// transitive reduction of their axis's relation graph: `u → v` is kept
+/// unless a path of two or more edges also leads from `u` to `v`. An axis
+/// whose graph has a cycle keeps all of its relations.
+///
+/// Reachability is a `u64` bitset per module, filled in reverse
+/// topological order, so the cost is `O(n · E / 64)` for `E` edges.
+fn transitive_reduction(n: usize, relations: &[(usize, usize, Relation)]) -> Vec<bool> {
+    let mut keep = vec![true; relations.len()];
+    let words = n.div_ceil(64);
+    for horizontal in [true, false] {
+        // Successors of each module on this axis, with the relation's index.
+        let mut succ: Vec<Vec<(usize, usize)>> = vec![Vec::new(); n];
+        for (r, relation) in relations.iter().enumerate() {
+            let (axis, from, to) = axis_edge(relation);
+            if axis == horizontal {
+                succ[from].push((to, r));
+            }
+        }
+        let Some(order) = topological_order(&succ) else {
+            continue;
+        };
+        // reach[u]: the modules reachable from u over one or more edges.
+        let mut reach = vec![0u64; n * words];
+        let mut implied = vec![0u64; words];
+        for &u in order.iter().rev() {
+            // Modules reachable from u over two or more edges.
+            implied.fill(0);
+            for &(v, _) in &succ[u] {
+                for (bits, &from_v) in implied.iter_mut().zip(&reach[v * words..(v + 1) * words]) {
+                    *bits |= from_v;
+                }
+            }
+            for &(v, r) in &succ[u] {
+                if implied[v / 64] >> (v % 64) & 1 == 1 {
+                    keep[r] = false;
+                }
+            }
+            let reach_u = &mut reach[u * words..(u + 1) * words];
+            reach_u.copy_from_slice(&implied);
+            for &(v, _) in &succ[u] {
+                reach_u[v / 64] |= 1 << (v % 64);
+            }
+        }
+    }
+    keep
+}
+
+/// A topological order of the graph `succ` (Kahn's algorithm), or `None`
+/// when it has a cycle.
+fn topological_order(succ: &[Vec<(usize, usize)>]) -> Option<Vec<usize>> {
+    let mut indegree = vec![0usize; succ.len()];
+    for &(v, _) in succ.iter().flatten() {
+        indegree[v] += 1;
+    }
+    let mut order: Vec<usize> = (0..succ.len()).filter(|&u| indegree[u] == 0).collect();
+    let mut next = 0;
+    while let Some(&u) = order.get(next) {
+        next += 1;
+        for &(v, _) in &succ[u] {
+            indegree[v] -= 1;
+            if indegree[v] == 0 {
+                order.push(v);
+            }
+        }
+    }
+    (order.len() == succ.len()).then_some(order)
+}
+
+/// The §2.5 LP of `floorplan` with one non-overlap row for each of `rows`
+/// (pairs of indices into `floorplan.iter()`), solved and realized.
+fn solve_topology_lp(
+    floorplan: &Floorplan,
+    netlist: &Netlist,
+    config: &FloorplanConfig,
+    rows: &[(usize, usize, Relation)],
+) -> Result<Floorplan, FloorplanError> {
+    let placed: Vec<&PlacedModule> = floorplan.iter().collect();
     let chip_w = floorplan.chip_width();
 
     let specs: Vec<ShapeSpec> = placed
@@ -143,27 +276,16 @@ pub fn optimize_topology(
         model.add_le(row, 0.0);
     }
 
-    // One active non-overlap row per pair (§2.5: "only one inequality is
-    // needed" per pair, integer variables eliminated).
-    for &(i, j, rel) in &relations {
-        match rel {
-            Relation::LeftOf => {
-                let row = vars[i].0 + env_w(i) - vars[j].0;
-                model.add_le(row, 0.0);
-            }
-            Relation::RightOf => {
-                let row = vars[j].0 + env_w(j) - vars[i].0;
-                model.add_le(row, 0.0);
-            }
-            Relation::Below => {
-                let row = vars[i].1 + env_h(i) - vars[j].1;
-                model.add_le(row, 0.0);
-            }
-            Relation::Above => {
-                let row = vars[j].1 + env_h(j) - vars[i].1;
-                model.add_le(row, 0.0);
-            }
-        }
+    // One active non-overlap row per relation (§2.5: "only one inequality
+    // is needed" per pair, integer variables eliminated).
+    for relation in rows {
+        let (horizontal, from, to) = axis_edge(relation);
+        let row = if horizontal {
+            vars[from].0 + env_w(from) - vars[to].0
+        } else {
+            vars[from].1 + env_h(from) - vars[to].1
+        };
+        model.add_le(row, 0.0);
     }
 
     // Objective: chip area (W·height), plus the configured wirelength term
@@ -230,9 +352,12 @@ pub fn optimize_topology(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{Objective, SoftShapeModel};
     use fp_geom::Rect;
+    use fp_netlist::decks;
     use fp_netlist::generator::ProblemGenerator;
     use fp_netlist::{Module, ModuleId};
+    use proptest::prelude::*;
 
     fn place(id: usize, x: f64, y: f64, w: f64, h: f64) -> PlacedModule {
         PlacedModule {
@@ -349,6 +474,172 @@ mod tests {
             pa.manhattan(&pc)
         );
         assert!(out.chip_height() <= fp.chip_height() + 1e-9);
+    }
+
+    #[test]
+    fn reduction_drops_the_edge_a_chain_implies() {
+        use Relation::{Above, Below, LeftOf, RightOf};
+        // a → b → c with a → c, once per axis and direction.
+        for (ab, ac, bc) in [
+            ((0, 1, LeftOf), (0, 2, LeftOf), (1, 2, LeftOf)),
+            ((1, 0, RightOf), (2, 0, RightOf), (2, 1, RightOf)),
+            ((0, 1, Below), (0, 2, Below), (1, 2, Below)),
+            ((1, 0, Above), (2, 0, Above), (2, 1, Above)),
+        ] {
+            assert_eq!(
+                transitive_reduction(3, &[ab, ac, bc]),
+                vec![true, false, true]
+            );
+        }
+        // Edges on the other axis are no path: a left of b, b below c, a
+        // left of c keeps all three.
+        assert_eq!(
+            transitive_reduction(3, &[(0, 1, LeftOf), (0, 2, LeftOf), (1, 2, Below)]),
+            vec![true; 3]
+        );
+    }
+
+    #[test]
+    fn cyclic_axis_keeps_every_row() {
+        use Relation::{Below, LeftOf, RightOf};
+        // Horizontally the cycle 0 → 1 → 2 → 0 beside 3 → 4 → 5 with the
+        // implied 3 → 5, which the cycle keeps too; vertically 6 → 7 → 8
+        // with the implied 6 → 8, which goes.
+        let relations = [
+            (0, 1, LeftOf),
+            (0, 2, RightOf),
+            (1, 2, LeftOf),
+            (3, 4, LeftOf),
+            (3, 5, LeftOf),
+            (4, 5, LeftOf),
+            (6, 7, Below),
+            (6, 8, Below),
+            (7, 8, Below),
+        ];
+        let mut expected = vec![true; relations.len()];
+        expected[7] = false;
+        assert_eq!(transitive_reduction(9, &relations), expected);
+    }
+
+    /// Which modules `edges` reach from `from`, leaving out the edge at
+    /// index `skip`.
+    fn reaches(n: usize, edges: &[(usize, usize)], skip: Option<usize>, from: usize) -> Vec<bool> {
+        let mut seen = vec![false; n];
+        let mut stack = vec![from];
+        while let Some(u) = stack.pop() {
+            for (e, &(a, b)) in edges.iter().enumerate() {
+                if a == u && Some(e) != skip && !seen[b] {
+                    seen[b] = true;
+                    stack.push(b);
+                }
+            }
+        }
+        seen
+    }
+
+    /// Up to 39 random rectangles, each kept only when it overlaps none
+    /// kept before it: a legal floorplan whose topology is arbitrary.
+    fn random_floorplan() -> impl Strategy<Value = Floorplan> {
+        proptest::collection::vec(
+            (0.0f64..40.0, 0.0f64..40.0, 0.5f64..9.0, 0.5f64..9.0),
+            1..40,
+        )
+        .prop_map(|candidates| {
+            let mut placed: Vec<PlacedModule> = Vec::new();
+            for (x, y, w, h) in candidates {
+                let rect = Rect::new(x, y, w, h);
+                if placed.iter().all(|p| !p.envelope.overlaps(&rect)) {
+                    placed.push(place(placed.len(), x, y, w, h));
+                }
+            }
+            Floorplan::new(50.0, placed)
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// The kept relations reach exactly what all relations reach on
+        /// each axis, and dropping any kept one loses a reachable pair.
+        #[test]
+        fn reduction_keeps_reachability_and_is_minimal(fp in random_floorplan()) {
+            let n = fp.len();
+            let relations = extract_topology(&fp).unwrap();
+            let keep = transitive_reduction(n, &relations);
+            for horizontal in [true, false] {
+                let mut all = Vec::new();
+                let mut kept = Vec::new();
+                for (relation, &k) in relations.iter().zip(&keep) {
+                    let (axis, from, to) = axis_edge(relation);
+                    if axis == horizontal {
+                        all.push((from, to));
+                        if k {
+                            kept.push((from, to));
+                        }
+                    }
+                }
+                for u in 0..n {
+                    prop_assert_eq!(reaches(n, &all, None, u), reaches(n, &kept, None, u));
+                }
+                for (e, &(from, to)) in kept.iter().enumerate() {
+                    prop_assert!(
+                        !reaches(n, &kept, Some(e), from)[to],
+                        "kept edge {} -> {} is implied",
+                        from,
+                        to
+                    );
+                }
+            }
+        }
+
+        /// The LP over the reduced rows and over every pair's row reach the
+        /// same optimum, on rigid and soft decks, at λ = 0 and λ > 0.
+        #[test]
+        fn reduced_rows_keep_the_optimum(
+            n in 2usize..24,
+            seed in 0u64..1000,
+            gsrc in any::<bool>(),
+            lambda in prop_oneof![Just(0.0), 0.05f64..2.0],
+            envelopes in any::<bool>(),
+            taylor in any::<bool>(),
+        ) {
+            let netlist = if gsrc {
+                decks::gsrc_style(n, seed)
+            } else {
+                ProblemGenerator::new(n, seed).with_flexible_fraction(0.3).generate()
+            };
+            let objective = if lambda > 0.0 {
+                Objective::AreaPlusWirelength { lambda }
+            } else {
+                Objective::Area
+            };
+            let soft = if taylor { SoftShapeModel::Taylor } else { SoftShapeModel::Secant };
+            let cfg = FloorplanConfig::default()
+                .with_objective(objective)
+                .with_envelopes(envelopes)
+                .with_soft_model(soft);
+            let fp = crate::greedy::bottom_left(&netlist, &cfg).unwrap();
+            let reduced = optimize_topology(&fp, &netlist, &cfg).unwrap();
+            let full = solve_topology_lp(&fp, &netlist, &cfg, &extract_topology(&fp).unwrap())
+                .unwrap();
+            prop_assert!(reduced.is_valid(), "{:?}", reduced.violations());
+            let (a, b) = (reduced.chip_height(), full.chip_height());
+            prop_assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "heights {} vs {}", a, b);
+            // The objective the LP minimizes, read off the envelopes.
+            let cost = |out: &Floorplan| {
+                let modules: Vec<&PlacedModule> = out.iter().collect();
+                let mut wire = 0.0;
+                for (k, p) in modules.iter().enumerate() {
+                    for q in &modules[k + 1..] {
+                        let c = netlist.connectivity(p.id, q.id);
+                        wire += c * p.envelope.center().manhattan(&q.envelope.center());
+                    }
+                }
+                out.chip_width() * out.chip_height() + lambda * wire
+            };
+            let (a, b) = (cost(&reduced), cost(&full));
+            prop_assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "objectives {} vs {}", a, b);
+        }
     }
 
     #[test]

@@ -27,6 +27,14 @@
 //! that stops at the 4000-node cap searches past its old frontier within
 //! the same budget, which is why xerox10's pivots rose (13804 → 14045)
 //! and apte9's node count, two capped steps' worth, stayed 8128.
+//!
+//! The §2.5 topology LP now carries one row per edge of each axis's
+//! transitive reduction instead of one per module pair. Its feasible set
+//! and optimum are the same, so every `height` stayed, but it can return a
+//! different optimal vertex, and the improvement round's re-optimization
+//! MILP starts from the compacted floorplan. ami33's counts moved (nodes
+//! 6387 → 6257, pivots 16244 → 16026) and gsrc20's too (nodes 3553 → 2767,
+//! pivots 10636 → 8422); apte9's and xerox10's did not.
 
 use fp_core::{FloorplanConfig, FloorplanResult, Floorplanner, StepStats};
 use fp_milp::SolveOptions;
@@ -73,11 +81,11 @@ fn ami33_flow_counts_are_pinned() {
     assert_eq!(
         flow_counts(&ami33()),
         Counts {
-            nodes: 6387,
-            pivots: 16244,
-            refactorizations: 2562,
-            eta_updates: 15948,
-            propagated_nodes: 2061,
+            nodes: 6257,
+            pivots: 16026,
+            refactorizations: 2530,
+            eta_updates: 15722,
+            propagated_nodes: 1992,
             height: 116.0,
         }
     );
@@ -90,11 +98,11 @@ fn gsrc20_flow_counts_are_pinned() {
     assert_eq!(
         flow_counts(&decks::gsrc_style(20, 1)),
         Counts {
-            nodes: 3553,
-            pivots: 10636,
-            refactorizations: 1412,
-            eta_updates: 10320,
-            propagated_nodes: 1228,
+            nodes: 2767,
+            pivots: 8422,
+            refactorizations: 1134,
+            eta_updates: 8185,
+            propagated_nodes: 842,
             height: 34.0,
         }
     );

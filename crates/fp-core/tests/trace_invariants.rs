@@ -12,7 +12,10 @@ use fp_core::{
 };
 use fp_milp::SolveOptions;
 use fp_netlist::generator::ProblemGenerator;
-use fp_obs::{Collector, Event, EventKind, Phase, Record, StepTermination, Tracer};
+use fp_obs::{
+    validate_line, Collector, Event, EventKind, JsonlSink, Phase, Record, StepTermination, Tracer,
+};
+use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
 /// A collector-backed config over a seeded problem. Budgets stay at the
@@ -300,4 +303,42 @@ fn outcome_vocabulary_is_total() {
         StepOutcome::GreedyFallback.termination(),
         StepTermination::GreedyFallback
     );
+}
+
+/// The §2.5 topology LP is timed: one traced `improve_traced` round
+/// compacts twice (the input, then the round's re-optimized candidate),
+/// so it emits two `topology_lp` spans, and the JSONL stream validates.
+#[test]
+fn improve_round_times_two_topology_lps() {
+    #[derive(Clone, Default)]
+    struct SharedBuf(Arc<Mutex<Vec<u8>>>);
+    impl std::io::Write for SharedBuf {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.0.lock().unwrap().extend_from_slice(buf);
+            Ok(buf.len())
+        }
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    let netlist = ProblemGenerator::new(8, 5).generate();
+    let base = bottom_left(&netlist, &FloorplanConfig::default()).unwrap();
+    let buf = SharedBuf::default();
+    let config = FloorplanConfig::default()
+        .with_tracer(Tracer::new(JsonlSink::to_writer(Box::new(buf.clone()))));
+    improve_traced(&base, &netlist, &config, 1, &mut RunStats::default()).unwrap();
+    config.tracer.flush();
+
+    let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+    let mut spans = 0;
+    for line in text.lines() {
+        let record = validate_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+        if record.str_field("event") == Some("Span") {
+            assert_eq!(record.str_field("name"), Some("topology_lp"), "{line}");
+            assert_eq!(record.str_field("phase"), Some("improve"), "{line}");
+            spans += 1;
+        }
+    }
+    assert_eq!(spans, 2, "{text}");
 }

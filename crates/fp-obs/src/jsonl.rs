@@ -398,6 +398,14 @@ pub fn validate_line(line: &str) -> Result<ParsedRecord, String> {
             }
         }
     }
+    if parsed.str_field("event") == Some("Span") {
+        if parsed.str_field("name").is_none() {
+            return Err("Span: missing string 'name' field".to_string());
+        }
+        if parsed.num("micros").is_none() {
+            return Err("Span: missing numeric 'micros' field".to_string());
+        }
+    }
     if parsed.str_field("event") == Some("EcoJob") {
         if parsed.str_field("base_key").is_none() {
             return Err("EcoJob: missing string 'base_key' field".to_string());
@@ -770,6 +778,24 @@ mod tests {
              \"rows_tightened\":\"x\",\"binaries_fixed\":0,\"implications\":1}",
             // CutRound missing cuts.
             "{\"seq\":0,\"phase\":\"s\",\"event\":\"CutRound\",\"round\":0}",
+        ] {
+            assert!(validate_line(bad).is_err(), "should reject: {bad}");
+        }
+    }
+
+    #[test]
+    fn span_lines_require_name_and_micros() {
+        validate_line(
+            "{\"seq\":0,\"phase\":\"improve\",\"event\":\"Span\",\
+             \"name\":\"topology_lp\",\"micros\":812}",
+        )
+        .unwrap();
+        for bad in [
+            // Span missing its name.
+            "{\"seq\":0,\"phase\":\"route\",\"event\":\"Span\",\"micros\":5}",
+            // Span with a string duration.
+            "{\"seq\":0,\"phase\":\"route\",\"event\":\"Span\",\
+             \"name\":\"route_all\",\"micros\":\"5\"}",
         ] {
             assert!(validate_line(bad).is_err(), "should reject: {bad}");
         }

@@ -57,6 +57,9 @@ pub fn render_summary(records: &[Record]) -> String {
     let mut eco_replaced = 0usize;
     let mut eco_total = 0usize;
 
+    // Per-span (name, count, micros) in first-seen order.
+    let mut spans: Vec<(&'static str, usize, u64)> = Vec::new();
+
     let mut races = 0usize;
     let mut race_micros = 0u64;
     // Per-backend (name, legs, wins, wall-clock micros) in first-seen order.
@@ -175,6 +178,13 @@ pub fn render_summary(records: &[Record]) -> String {
                 entry.2 += usize::from(*won);
                 entry.3 += micros;
             }
+            Event::Span { name, micros } => match spans.iter_mut().find(|e| e.0 == *name) {
+                Some(e) => {
+                    e.1 += 1;
+                    e.2 += micros;
+                }
+                None => spans.push((name, 1, *micros)),
+            },
             Event::Portfolio { micros, .. } => {
                 races += 1;
                 race_micros += micros;
@@ -249,6 +259,15 @@ pub fn render_summary(records: &[Record]) -> String {
              (+{:.3} w, +{:.3} h)\n",
             extra.0, extra.1
         ));
+    }
+    if !spans.is_empty() {
+        let timed: Vec<String> = spans
+            .iter()
+            .map(|(name, count, micros)| {
+                format!("{name} {count} ({:.3} ms)", *micros as f64 / 1000.0)
+            })
+            .collect();
+        out.push_str(&format!("  spans:   {}\n", timed.join(", ")));
     }
     if jobs > 0 || cache_hits > 0 || cache_misses > 0 || shed > 0 || coalesced > 0 {
         let mean = if jobs > 0 {
@@ -380,6 +399,21 @@ mod tests {
         assert!(text.contains("final height 11.500"), "{text}");
         assert!(text.contains("wirelength 4.500"), "{text}");
         assert!(text.contains("1 channel adjustments"), "{text}");
+    }
+
+    #[test]
+    fn spans_roll_up_per_name() {
+        let span = |seq, phase, name, micros| rec(seq, phase, Event::Span { name, micros });
+        let records = vec![
+            span(0, Phase::Improve, "topology_lp", 1500),
+            span(1, Phase::Route, "route_all", 12_250),
+            span(2, Phase::Improve, "topology_lp", 700),
+        ];
+        let text = render_summary(&records);
+        assert!(
+            text.contains("spans:   topology_lp 2 (2.200 ms), route_all 1 (12.250 ms)"),
+            "{text}"
+        );
     }
 
     #[test]

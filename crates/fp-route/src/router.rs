@@ -92,7 +92,8 @@ impl RoutingResult {
 /// Nets are routed in descending criticality (ties: descending weight, then
 /// netlist order) — "nets with the tight timing requirements are routed
 /// first". Multi-pin nets are decomposed into two-pin segments along a
-/// minimum spanning tree of their generalized pins.
+/// minimum spanning tree of their generalized pins. A traced `config`
+/// times the call as a `route_all` span.
 ///
 /// # Errors
 ///
@@ -104,6 +105,7 @@ pub fn route(
     netlist: &Netlist,
     config: &RouteConfig,
 ) -> Result<RoutingResult, RouteError> {
+    let _span = config.tracer.span(Phase::Route, "route_all");
     let grid = RoutingGrid::build(floorplan, config)?;
     let mut usage = vec![0.0_f64; grid.num_edges()];
     config.tracer.emit(

@@ -58,9 +58,12 @@ pub(crate) fn caps(modules: usize, members: usize) -> Result<(), String> {
 /// [`caps`] on `netlist`, then its worst-case extent. With `S` the sum of
 /// every module's longest possible side, the chip is at most `S` tall and
 /// about `max(S, width)` wide, so an instance whose `S × max(S, width)` is
-/// not finite would overflow f64 in its chip area, and it is refused
-/// before anything solves it. The final check in [`process`] still fails
-/// any answer that overflows anyway.
+/// not finite would overflow f64 in its chip area. Two module centres are
+/// then at most `S + max(S, width)` apart, and the centre wirelength
+/// counts each net's weight once per pair of its members, so an instance
+/// whose `Σ |weight| × pairs × (S + max(S, width))` is not finite could
+/// overflow it. Either is refused before anything solves it. The final
+/// check in [`process`] still fails any answer that overflows anyway.
 fn within_caps(netlist: &Netlist, width: Option<f64>) -> Result<(), String> {
     let members = netlist.nets().map(|(_, n)| n.modules().len()).sum();
     caps(netlist.num_modules(), members)?;
@@ -68,13 +71,23 @@ fn within_caps(netlist: &Netlist, width: Option<f64>) -> Result<(), String> {
         .modules()
         .map(|(_, m)| m.width_range().1.max(m.height_range().1))
         .sum();
-    if (side * side.max(width.unwrap_or(0.0))).is_finite() {
-        Ok(())
-    } else {
-        Err(format!(
+    let across = side.max(width.unwrap_or(0.0));
+    if !(side * across).is_finite() {
+        return Err(format!(
             "modules whose sides sum to {side:e} make a chip area that overflows f64"
-        ))
+        ));
     }
+    let wirelength: f64 = netlist
+        .nets()
+        .map(|(_, n)| {
+            let m = n.modules().len() as f64;
+            n.weight().abs() * (m * (m - 1.0) / 2.0) * (side + across)
+        })
+        .sum();
+    if !wirelength.is_finite() {
+        return Err("net weights make a worst-case wirelength that overflows f64".to_string());
+    }
+    Ok(())
 }
 
 /// Engine configuration.
@@ -666,8 +679,8 @@ pub(crate) fn emit_shed(shared: &Shared, retry_after_ms: u64) {
 ///
 /// Parses and canonicalizes on the calling thread, refuses an instance
 /// past [`MAX_MODULES`] or [`MAX_NET_MEMBERS`], or one whose worst-case
-/// chip area overflows f64 (the request's, and for an ECO job the edited
-/// one), before anything solves it, coalesces onto an
+/// chip area or wirelength overflows f64 (the request's, and for an ECO
+/// job the edited one), before anything solves it, coalesces onto an
 /// identical in-flight solve when allowed (followers park in the table
 /// and return immediately), then enqueues under the chosen admission
 /// policy. Whatever happens — parse failure, full queue, closed queue —

@@ -12,7 +12,9 @@ use fp_netlist::Netlist;
 /// One floorplanning job.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobRequest {
-    /// Caller-chosen correlation id, echoed in the response.
+    /// Caller-chosen correlation id, echoed in the response. It travels
+    /// as a JSON number, so a decoded id is below 2^53, where every
+    /// integer survives the trip through f64.
     pub id: u64,
     /// The instance in [`fp_netlist::format`] text.
     pub netlist: String,
@@ -451,12 +453,19 @@ pub(crate) fn json_str(s: &str) -> String {
     out
 }
 
+/// 2^53: integers on the wire are parsed as f64, which holds every
+/// integer below this exactly. At or above it a number may already have
+/// been rounded (`9007199254740993` parses as 2^53) or saturated (`1e300`).
+const EXACT_INTEGERS: f64 = 9_007_199_254_740_992.0;
+
+/// The integer field `key`, refused unless it is a whole number in
+/// `[0, 2^53)`, so the value decoded is the value the sender wrote.
 fn num_u64(p: &fp_obs::ParsedRecord, key: &str) -> Result<u64, String> {
     let n = p
         .num(key)
         .ok_or_else(|| format!("missing numeric '{key}' field"))?;
-    if n < 0.0 || n.fract() != 0.0 {
-        return Err(format!("'{key}' must be a non-negative integer"));
+    if !(0.0..EXACT_INTEGERS).contains(&n) || n.fract() != 0.0 {
+        return Err(format!("'{key}' must be a non-negative integer below 2^53"));
     }
     Ok(n as u64)
 }

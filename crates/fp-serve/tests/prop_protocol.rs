@@ -13,8 +13,14 @@ use proptest::collection::vec;
 use proptest::prelude::*;
 
 /// Integers on the wire travel as JSON numbers, which are f64: every
-/// count and id below stays under 2^53 so it round-trips exactly.
+/// count and id below stays under 2^53 so it round-trips exactly, and a
+/// decoder refuses an id at or above it.
 const EXACT: u64 = 1 << 53;
+
+/// An id anywhere below 2^53, with the largest one drawn often.
+fn wire_id() -> impl Strategy<Value = u64> {
+    prop_oneof![0..EXACT, Just(EXACT - 1)]
+}
 
 /// String pieces that exercise the escaper: the escaped characters,
 /// multi-byte UTF-8, and JSON punctuation inside a string.
@@ -119,7 +125,7 @@ fn delta_script() -> impl Strategy<Value = String> {
 
 fn request() -> impl Strategy<Value = JobRequest> {
     let numbers = (
-        0..EXACT,
+        wire_id(),
         optional(finite(0.0..1e6)),
         finite(0.0..10.0),
         0..EXACT,
@@ -152,7 +158,7 @@ fn request() -> impl Strategy<Value = JobRequest> {
 }
 
 fn response() -> impl Strategy<Value = JobResponse> {
-    let head = (0..EXACT, any::<bool>(), text());
+    let head = (wire_id(), any::<bool>(), text());
     let geometry = (
         finite(0.0..1e6),
         finite(0.0..1e6),
@@ -257,6 +263,29 @@ fn mutate(line: &str, mutation: &Mutation) -> String {
         }
     };
     head + &tail
+}
+
+/// An id of 2^53 or more cannot come back as sent: `9007199254740993`
+/// parses as 2^53 and `1e300` saturates. Both decoders refuse it, and
+/// keep 2^53 − 1.
+#[test]
+fn ids_past_two_to_the_53_are_refused() {
+    for id in ["9007199254740993", "9007199254740992", "1e300", "1e400"] {
+        let request = format!("{{\"id\":{id},\"netlist\":\"\"}}");
+        let response = format!("{{\"id\":{id},\"ok\":true}}");
+        for decoded in [
+            JobRequest::decode(&request).map(|r| r.id),
+            JobResponse::decode(&response).map(|r| r.id),
+        ] {
+            let error = decoded.expect_err(id);
+            assert!(error.contains("below 2^53"), "{id}: {error}");
+        }
+    }
+    let largest = EXACT - 1;
+    let request = format!("{{\"id\":{largest},\"netlist\":\"\"}}");
+    let response = format!("{{\"id\":{largest},\"ok\":true}}");
+    assert_eq!(JobRequest::decode(&request).map(|r| r.id), Ok(largest));
+    assert_eq!(JobResponse::decode(&response).map(|r| r.id), Ok(largest));
 }
 
 proptest! {

@@ -259,57 +259,6 @@ fn cache_answers_second_identical_job() {
     assert_eq!(hits, 1);
 }
 
-/// Finite module areas can still overflow the chip's width, height, area
-/// or utilization, which the line protocol would encode as `null`. Such a
-/// job fails, is never cached, and the engine keeps serving. (Module
-/// areas that overflow are bad netlists; see the next test.)
-#[test]
-fn overflowing_dimensions_fail_and_the_engine_keeps_serving() {
-    let decks = [
-        // Finite module sides and a finite net weight whose product with
-        // the modules' center distance overflows the wirelength. (Sides
-        // whose chip area could overflow are bad netlists; see
-        // `oversized_instances_are_bad_netlists`.)
-        "module a rigid 2 2 fixed\nmodule b rigid 2 2 fixed\nnet n weight 1e308 : a b\n",
-    ];
-    let (failures, normal) = with_watchdog(move || {
-        let engine = Engine::start(tiny_config().with_workers(1));
-        let client = engine.client();
-        let mut failures = Vec::new();
-        for (i, deck) in decks.iter().enumerate() {
-            let nl = fp_netlist::format::parse(deck).expect("finite sizes parse");
-            // Twice: a failure must not be answered from the cache.
-            for _ in 0..2 {
-                failures.push(client.call(JobRequest::new(i as u64, &nl)));
-            }
-        }
-        let nl = ProblemGenerator::new(4, 1).generate();
-        let normal = client.call(JobRequest::new(9, &nl));
-        engine.shutdown();
-        (failures, normal)
-    });
-    for resp in &failures {
-        assert!(
-            !resp.ok,
-            "deck {} answered ok with area {}",
-            resp.id, resp.area
-        );
-        assert!(!resp.cached, "deck {}: a failure was cached", resp.id);
-        assert!(
-            resp.error.contains("overflow f64"),
-            "deck {}: {}",
-            resp.id,
-            resp.error
-        );
-    }
-    assert!(
-        normal.ok,
-        "normal job after the overflows: {}",
-        normal.error
-    );
-    assert!(normal.area.is_finite() && normal.area > 0.0);
-}
-
 /// The placement text of `floorplan` as the engine encodes it.
 fn placement_text(floorplan: &Floorplan, netlist: &Netlist) -> String {
     floorplan
@@ -509,6 +458,17 @@ fn oversized_instances_are_bad_netlists() {
         let stretched = JobRequest::new(6, &stretched);
         let stretched_by_delta =
             JobRequest::new(7, &squares(2)).with_eco("mod! a rigid 1e300 1 rot");
+        // Finite sides and a finite net weight whose product with the
+        // modules' centre distance overflows the wirelength: two 2 × 2
+        // modules joined by a net of weight 1e308, sent whole and as a
+        // delta on two unit squares.
+        let heavy = fp_netlist::format::parse(
+            "module a rigid 2 2 fixed\nmodule b rigid 2 2 fixed\nnet n weight 1e308 : a b\n",
+        )
+        .expect("finite sizes parse");
+        let heavy = JobRequest::new(8, &heavy);
+        let heavy_by_delta =
+            JobRequest::new(9, &squares(2)).with_eco("net! n weight 1e308 : m0 m1");
         // A deadline makes the answer quick even where the cap is missing.
         let answers: Vec<JobResponse> = [
             too_many_modules,
@@ -517,6 +477,8 @@ fn oversized_instances_are_bad_netlists() {
             flooded,
             stretched,
             stretched_by_delta,
+            heavy,
+            heavy_by_delta,
         ]
         .into_iter()
         .map(|req| client.call(req.with_deadline_ms(1)))
@@ -537,6 +499,8 @@ fn oversized_instances_are_bad_netlists() {
         ),
         "chip area that overflows f64".to_string(),
         "chip area that overflows f64".to_string(),
+        "worst-case wirelength that overflows f64".to_string(),
+        "worst-case wirelength that overflows f64".to_string(),
     ];
     assert_eq!(answers.len(), caps.len());
     for (resp, cap) in answers.iter().zip(&caps) {

@@ -138,6 +138,11 @@ determinism_gate() {
 }
 determinism_gate 'chip 117.0 x 119.0 = 13923  utilization 82.7%  wirelength(est) 37562  steps 11' \
     --ami33
+# The same flow followed by the §2.5 topology LP (fp-core/src/topology.rs),
+# so the gate also pins an answer of that LP: its row set or its vertex
+# moving shows here.
+determinism_gate 'chip 117.0 x 116.0 = 13572  utilization 84.9%  wirelength(est) 37222  steps 11' \
+    --ami33 --compact
 # ami33's answer does not depend on where each augmentation step's root
 # LP starts. This deck's does, so its line also pins the flow's seeding
 # rule: each step starts from the root basis of the run's latest earlier
