@@ -19,7 +19,7 @@ use crate::config::{FloorplanConfig, OrderingStrategy};
 use crate::envelope::ShapeSpec;
 use crate::error::FloorplanError;
 use crate::formulation::{fit_group, StepInput};
-use crate::greedy::{greedy_height_on, widest_error};
+use crate::greedy::{greedy_height, widest_error};
 use crate::improve::improve_traced;
 use crate::placement::{Floorplan, PlacedModule};
 use crate::step::{solve_step, Seeds};
@@ -367,7 +367,7 @@ impl<'a> Floorplanner<'a> {
     /// [`run`](Self::run) describes from a map that lives for this call.
     fn augment(&self) -> Result<(Floorplan, RunStats), FloorplanError> {
         let order = resolve_order(self.netlist, &self.config)?;
-        let chip_width = resolve_chip_width(self.netlist, &self.config)?;
+        let chip_width = derive_chip_width(self.netlist, &self.config)?;
         let specs: Vec<ShapeSpec> = order
             .iter()
             .map(|&id| ShapeSpec::from_module(id, self.netlist.module(id), &self.config))
@@ -409,7 +409,7 @@ impl<'a> Floorplanner<'a> {
 
             // Greedy witness: both the incumbent fallback and the height
             // bound that keeps the MILP's big-M tight.
-            let Some((greedy, h_ub)) = greedy_height_on(&sky, group, chip_width) else {
+            let Some((greedy, h_ub)) = greedy_height(&sky, group, chip_width) else {
                 return Err(widest_error(group, chip_width, self.netlist));
             };
 
@@ -498,9 +498,17 @@ pub(crate) fn resolve_order(
     Ok(order)
 }
 
-/// Resolves the chip width: configured, or derived from total envelope area
-/// and the target utilization; always at least the widest module.
-pub(crate) fn resolve_chip_width(
+/// The chip width a run with this configuration uses: the configured width,
+/// or one derived from total envelope area and the target utilization,
+/// always at least the widest module. Public so alternative backends
+/// (annealer, analytical placer) can target the same fixed outline the
+/// MILP pipeline solves for, making portfolio costs directly comparable.
+///
+/// # Errors
+///
+/// [`FloorplanError::EmptyNetlist`] or [`FloorplanError::ModuleTooWide`]
+/// exactly as [`Floorplanner::run`] would report them.
+pub fn derive_chip_width(
     netlist: &Netlist,
     config: &FloorplanConfig,
 ) -> Result<f64, FloorplanError> {
@@ -532,23 +540,6 @@ pub(crate) fn resolve_chip_width(
             Ok((total / util).sqrt().ceil().max(widest.ceil()))
         }
     }
-}
-
-/// The chip width a run with this configuration would use: the configured
-/// width, or one derived from total module area and the target utilization.
-/// Exposed so alternative backends (annealer, analytical placer) can target
-/// the same fixed outline the MILP pipeline solves for, making portfolio
-/// costs directly comparable.
-///
-/// # Errors
-///
-/// [`FloorplanError::EmptyNetlist`] or [`FloorplanError::ModuleTooWide`]
-/// exactly as [`Floorplanner::run`] would report them.
-pub fn derive_chip_width(
-    netlist: &Netlist,
-    config: &FloorplanConfig,
-) -> Result<f64, FloorplanError> {
-    resolve_chip_width(netlist, config)
 }
 
 #[cfg(test)]
@@ -704,7 +695,7 @@ mod tests {
         // §2.3 direct formulation); it can never be worse than the
         // suboptimal successive augmentation on the same width.
         let nl = ProblemGenerator::new(5, 44).generate();
-        let width = resolve_chip_width(&nl, &FloorplanConfig::default()).unwrap();
+        let width = derive_chip_width(&nl, &FloorplanConfig::default()).unwrap();
         let exact_cfg = FloorplanConfig::default()
             .with_chip_width(width)
             .with_group_sizes(5, 5);
@@ -759,7 +750,7 @@ mod tests {
     #[test]
     fn derived_chip_width_fits_everything() {
         let nl = ProblemGenerator::new(9, 13).generate();
-        let w = resolve_chip_width(&nl, &FloorplanConfig::default()).unwrap();
+        let w = derive_chip_width(&nl, &FloorplanConfig::default()).unwrap();
         let result = Floorplanner::with_config(&nl, fast()).run().unwrap();
         assert_eq!(result.floorplan.chip_width(), w);
         for p in result.floorplan.iter() {

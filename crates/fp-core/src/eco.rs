@@ -27,7 +27,7 @@
 //! *valid* floorplan of the edited instance — only its quality, never its
 //! legality, depends on how local the edit really was.
 
-use crate::augment::{resolve_chip_width, RunStats, StepKind, StepOutcome, StepStats};
+use crate::augment::{derive_chip_width, RunStats, StepKind, StepOutcome, StepStats};
 use crate::config::{FloorplanConfig, Objective};
 use crate::envelope::ShapeSpec;
 use crate::error::FloorplanError;
@@ -36,7 +36,7 @@ use crate::greedy::{greedy_height, widest_error};
 use crate::improve::improve_traced;
 use crate::placement::{Floorplan, PlacedModule};
 use crate::step::solve_step;
-use fp_geom::Rect;
+use fp_geom::{Rect, Skyline};
 use fp_milp::{SolveError, SolveStats};
 use fp_netlist::{ModuleId, Netlist};
 use std::collections::BTreeSet;
@@ -181,7 +181,7 @@ pub fn eco_replace(
     if total == 0 {
         return Err(FloorplanError::EmptyNetlist);
     }
-    let chip_width = resolve_chip_width(netlist, config)?;
+    let chip_width = derive_chip_width(netlist, config)?;
     let specs: Vec<ShapeSpec> = netlist
         .module_ids()
         .into_iter()
@@ -354,7 +354,9 @@ pub fn eco_replace(
         }
         let group = &window[..take];
 
-        let Some((greedy, h_ub)) = greedy_height(&obstacles, group, chip_width) else {
+        let Some((greedy, h_ub)) =
+            greedy_height(&Skyline::from_rects(&obstacles), group, chip_width)
+        else {
             return Err(widest_error(group, chip_width, netlist));
         };
 

@@ -249,40 +249,41 @@ impl StepModel {
 
         if lambda > 0.0 || input.config.enforce_critical_nets {
             let mut dist_cache: HashMap<(usize, DistTarget), (Var, Var)> = HashMap::new();
-
-            // Wirelength between new modules.
-            for i in 0..input.group.len() {
-                for j in i + 1..input.group.len() {
-                    let c = input
-                        .netlist
-                        .connectivity(input.group[i].id, input.group[j].id);
-                    if c > 0.0 && lambda > 0.0 {
-                        let (dx, dy) = dist_vars(
-                            &mut model,
-                            &mut dist_cache,
-                            input,
-                            &vars,
-                            i,
-                            DistTarget::Group(j),
-                        );
-                        objective.add_term(dx, lambda * c);
-                        objective.add_term(dy, lambda * c);
+            if lambda > 0.0 {
+                let conn = input.netlist.connectivity_matrix();
+                for i in 0..input.group.len() {
+                    let row = &conn[input.group[i].id.index()];
+                    // Wirelength between new modules.
+                    for j in i + 1..input.group.len() {
+                        let c = row[input.group[j].id.index()];
+                        if c > 0.0 {
+                            let (dx, dy) = dist_vars(
+                                &mut model,
+                                &mut dist_cache,
+                                input,
+                                &vars,
+                                i,
+                                DistTarget::Group(j),
+                            );
+                            objective.add_term(dx, lambda * c);
+                            objective.add_term(dy, lambda * c);
+                        }
                     }
-                }
-                // Wirelength to already-placed modules.
-                for (k, placed) in input.placed.iter().enumerate() {
-                    let c = input.netlist.connectivity(input.group[i].id, placed.id);
-                    if c > 0.0 && lambda > 0.0 {
-                        let (dx, dy) = dist_vars(
-                            &mut model,
-                            &mut dist_cache,
-                            input,
-                            &vars,
-                            i,
-                            DistTarget::Placed(k),
-                        );
-                        objective.add_term(dx, lambda * c);
-                        objective.add_term(dy, lambda * c);
+                    // Wirelength to already-placed modules.
+                    for (k, placed) in input.placed.iter().enumerate() {
+                        let c = row[placed.id.index()];
+                        if c > 0.0 {
+                            let (dx, dy) = dist_vars(
+                                &mut model,
+                                &mut dist_cache,
+                                input,
+                                &vars,
+                                i,
+                                DistTarget::Placed(k),
+                            );
+                            objective.add_term(dx, lambda * c);
+                            objective.add_term(dy, lambda * c);
+                        }
                     }
                 }
             }
@@ -801,10 +802,11 @@ mod tests {
     #[test]
     fn ami33_steps_objectives_match_strengthen_on_off() {
         use crate::greedy::greedy_height;
+        use fp_geom::Skyline;
         let nl = fp_netlist::ami33();
         let cfg = FloorplanConfig::default();
         let order = crate::augment::resolve_order(&nl, &cfg).unwrap();
-        let chip_width = crate::augment::resolve_chip_width(&nl, &cfg).unwrap();
+        let chip_width = crate::augment::derive_chip_width(&nl, &cfg).unwrap();
         let specs: Vec<ShapeSpec> = order
             .iter()
             .map(|&id| ShapeSpec::from_module(id, nl.module(id), &cfg))
@@ -819,7 +821,8 @@ mod tests {
         while cursor < specs.len() && steps < 3 {
             let take = cfg.group_size.min(specs.len() - cursor);
             let group = &specs[cursor..cursor + take];
-            let (_, h_ub) = greedy_height(&envelopes, group, chip_width).unwrap();
+            let (_, h_ub) =
+                greedy_height(&Skyline::from_rects(&envelopes), group, chip_width).unwrap();
             let floor = envelopes.iter().map(Rect::top).fold(0.0, f64::max);
             let input = StepInput {
                 netlist: &nl,

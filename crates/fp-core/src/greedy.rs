@@ -29,23 +29,15 @@ pub(crate) struct GreedyPlacement {
     pub dw: f64,
 }
 
-/// Drops each module of `group` (in order) bottom-left onto the skyline of
-/// `existing` envelopes, choosing the shape candidate that minimizes the
-/// resulting top edge (ties: smaller x).
+/// Drops each module of `group` (in order) bottom-left onto the `existing`
+/// skyline of placed envelopes, choosing the shape candidate that
+/// minimizes the resulting top edge (ties: smaller x). Augmentation keeps
+/// one skyline across all its steps; other callers build one with
+/// [`Skyline::from_rects`].
 ///
 /// Returns `None` if some module fits in no orientation/shape — the caller
 /// treats that as [`FloorplanError::ModuleTooWide`].
 pub(crate) fn greedy_place(
-    existing: &[Rect],
-    group: &[ShapeSpec],
-    chip_w: f64,
-) -> Option<Vec<GreedyPlacement>> {
-    greedy_place_on(&Skyline::from_rects(existing), group, chip_w)
-}
-
-/// [`greedy_place`] on a pre-built skyline — the incremental path for the
-/// augmentation driver, which maintains one skyline across all steps.
-pub(crate) fn greedy_place_on(
     existing: &Skyline,
     group: &[ShapeSpec],
     chip_w: f64,
@@ -84,22 +76,13 @@ pub(crate) fn greedy_place_on(
 }
 
 /// The resulting chip height of a greedy placement of `group` on top of
-/// `existing` (the feasible upper bound fed to the MILP).
+/// the `existing` skyline (the feasible upper bound fed to the MILP).
 pub(crate) fn greedy_height(
-    existing: &[Rect],
-    group: &[ShapeSpec],
-    chip_w: f64,
-) -> Option<(Vec<GreedyPlacement>, f64)> {
-    greedy_height_on(&Skyline::from_rects(existing), group, chip_w)
-}
-
-/// [`greedy_height`] on a pre-built skyline (see [`greedy_place_on`]).
-pub(crate) fn greedy_height_on(
     existing: &Skyline,
     group: &[ShapeSpec],
     chip_w: f64,
 ) -> Option<(Vec<GreedyPlacement>, f64)> {
-    let placements = greedy_place_on(existing, group, chip_w)?;
+    let placements = greedy_place(existing, group, chip_w)?;
     let mut top: f64 = existing.max_height();
     for (g, spec) in placements.iter().zip(group) {
         top = top.max(g.y + spec.env_height(g.z, g.dw));
@@ -122,14 +105,14 @@ pub fn bottom_left(
     config: &FloorplanConfig,
 ) -> Result<Floorplan, FloorplanError> {
     let order = crate::augment::resolve_order(netlist, config)?;
-    let chip_w = crate::augment::resolve_chip_width(netlist, config)?;
+    let chip_w = crate::augment::derive_chip_width(netlist, config)?;
     let specs: Vec<ShapeSpec> = order
         .iter()
         .map(|&id| ShapeSpec::from_module(id, netlist.module(id), config))
         .collect();
-    let placements = greedy_place(&[], &specs, chip_w).ok_or_else(|| {
+    let placements = greedy_place(&Skyline::new(), &specs, chip_w).ok_or_else(|| {
         // greedy_place only fails when some module exceeds the chip width,
-        // which resolve_chip_width should have caught; report the widest.
+        // which derive_chip_width should have caught; report the widest.
         widest_error(&specs, chip_w, netlist)
     })?;
     Ok(Floorplan::new(chip_w, realize_greedy(&placements, &specs)))
@@ -218,7 +201,7 @@ pub fn legalize(
             items.len()
         )));
     }
-    let chip_w = crate::augment::resolve_chip_width(netlist, config)?;
+    let chip_w = crate::augment::derive_chip_width(netlist, config)?;
 
     // Incremental skyline: one `add_rect` per placed module instead of an
     // O(n) rebuild before each drop.
@@ -303,7 +286,7 @@ mod tests {
             spec(1, 4.0, 2.0, false),
             spec(2, 4.0, 2.0, false),
         ];
-        let g = greedy_place(&[], &group, 8.0).unwrap();
+        let g = greedy_place(&Skyline::new(), &group, 8.0).unwrap();
         assert_eq!((g[0].x, g[0].y), (0.0, 0.0));
         assert_eq!((g[1].x, g[1].y), (4.0, 0.0));
         assert_eq!((g[2].x, g[2].y), (0.0, 2.0));
@@ -313,18 +296,18 @@ mod tests {
     fn rotation_used_when_it_helps() {
         // 6x2 module on a 3-wide chip only fits rotated (2x6).
         let group = vec![spec(0, 6.0, 2.0, true)];
-        let g = greedy_place(&[], &group, 3.0).unwrap();
+        let g = greedy_place(&Skyline::new(), &group, 3.0).unwrap();
         assert!(g[0].z);
         // Without rotation it cannot fit.
         let fixed = vec![spec(0, 6.0, 2.0, false)];
-        assert!(greedy_place(&[], &fixed, 3.0).is_none());
+        assert!(greedy_place(&Skyline::new(), &fixed, 3.0).is_none());
     }
 
     #[test]
     fn respects_existing_obstacles() {
         let existing = vec![Rect::new(0.0, 0.0, 8.0, 3.0)];
         let group = vec![spec(0, 4.0, 2.0, false)];
-        let (g, top) = greedy_height(&existing, &group, 8.0).unwrap();
+        let (g, top) = greedy_height(&Skyline::from_rects(&existing), &group, 8.0).unwrap();
         assert_eq!(g[0].y, 3.0);
         assert_eq!(top, 5.0);
     }
@@ -333,7 +316,7 @@ mod tests {
     fn greedy_height_counts_existing_top() {
         let existing = vec![Rect::new(0.0, 0.0, 2.0, 10.0)];
         let group = vec![spec(0, 4.0, 2.0, false)];
-        let (_, top) = greedy_height(&existing, &group, 8.0).unwrap();
+        let (_, top) = greedy_height(&Skyline::from_rects(&existing), &group, 8.0).unwrap();
         assert_eq!(top, 10.0); // module fits beside the tower
     }
 

@@ -10,7 +10,7 @@
 //! stays bounded. [`improve`] alternates this with the §2.5 topology LP
 //! until a round stops helping.
 
-use crate::augment::{resolve_chip_width, RunStats, StepKind};
+use crate::augment::{derive_chip_width, RunStats, StepKind};
 use crate::config::FloorplanConfig;
 use crate::envelope::ShapeSpec;
 use crate::error::FloorplanError;
@@ -20,7 +20,7 @@ use crate::placement::{Floorplan, PlacedModule};
 use crate::step::solve_step;
 use crate::topology::optimize_topology;
 use fp_geom::covering::covering_rectangles;
-use fp_geom::Rect;
+use fp_geom::{Rect, Skyline};
 use fp_netlist::Netlist;
 use fp_obs::{Event, Phase};
 use std::time::Instant;
@@ -67,7 +67,7 @@ fn reoptimize(
     if floorplan.len() < 2 || group_size == 0 {
         return Ok(floorplan.clone());
     }
-    let chip_width = resolve_chip_width(
+    let chip_width = derive_chip_width(
         netlist,
         &config.clone().with_chip_width(floorplan.chip_width()),
     )?;
@@ -117,7 +117,8 @@ fn reoptimize(
         returned.push(back);
     }
 
-    let Some((greedy, h_ub)) = greedy_height(&obstacles, &specs, chip_width) else {
+    let Some((greedy, h_ub)) = greedy_height(&Skyline::from_rects(&obstacles), &specs, chip_width)
+    else {
         return Ok(floorplan.clone());
     };
     // The current floorplan height is also an upper bound achieved by a

@@ -143,10 +143,11 @@ impl Floorplan {
     /// the final placement.
     #[must_use]
     pub fn center_wirelength(&self, netlist: &Netlist) -> f64 {
+        let conn = netlist.connectivity_matrix();
         let mut total = 0.0;
         for (k, a) in self.modules.iter().enumerate() {
             for b in &self.modules[k + 1..] {
-                let c = netlist.connectivity(a.id, b.id);
+                let c = conn[a.id.index()][b.id.index()];
                 if c > 0.0 {
                     total += c * a.rect.center().manhattan(&b.rect.center());
                 }
@@ -215,7 +216,8 @@ impl Floorplan {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fp_netlist::{Module, Net};
+    use fp_netlist::generator::ProblemGenerator;
+    use fp_netlist::{decks, Module, Net};
 
     fn place(id: usize, x: f64, y: f64, w: f64, h: f64) -> PlacedModule {
         PlacedModule {
@@ -291,6 +293,49 @@ mod tests {
         assert!((fp.utilization(&nl) - 32.0 / 50.0).abs() < 1e-9);
         // centers (2, 1.5) and (6, 2.5): manhattan 5, weight 2.
         assert!((fp.center_wirelength(&nl) - 10.0).abs() < 1e-9);
+    }
+
+    /// The centre wirelength with each pair's `c_ij` counted by its own
+    /// scan of every net: an oracle independent of the connectivity matrix.
+    fn pairwise_center_wirelength(fp: &Floorplan, netlist: &Netlist) -> f64 {
+        let modules: Vec<&PlacedModule> = fp.iter().collect();
+        let mut total = 0.0;
+        for (k, a) in modules.iter().enumerate() {
+            for b in &modules[k + 1..] {
+                let c: f64 = netlist
+                    .nets()
+                    .filter(|(_, n)| n.connects(a.id) && n.connects(b.id))
+                    .map(|(_, n)| n.weight())
+                    .sum();
+                if c > 0.0 {
+                    total += c * a.rect.center().manhattan(&b.rect.center());
+                }
+            }
+        }
+        total
+    }
+
+    #[test]
+    fn center_wirelength_matches_the_pairwise_oracle_bit_for_bit() {
+        let mut decks: Vec<Netlist> = [(12, 7), (33, 1), (60, 3)]
+            .into_iter()
+            .map(|(n, seed)| ProblemGenerator::new(n, seed).generate())
+            .collect();
+        decks.push(fp_netlist::ami33());
+        decks.push(decks::ami49_class(1));
+        decks.push(decks::gsrc_style(100, 1));
+        decks.push(decks::gsrc_style(130, 2));
+        for nl in &decks {
+            let fp = crate::bottom_left(nl, &crate::FloorplanConfig::default()).unwrap();
+            let got = fp.center_wirelength(nl);
+            let oracle = pairwise_center_wirelength(&fp, nl);
+            assert_eq!(
+                got.to_bits(),
+                oracle.to_bits(),
+                "{}: {got} vs {oracle}",
+                nl.name()
+            );
+        }
     }
 
     #[test]

@@ -296,9 +296,11 @@ fn solve_topology_lp(
     let lambda = config.objective.lambda();
     if lambda > 0.0 {
         let span = chip_w.max(h_ub);
+        let conn = netlist.connectivity_matrix();
         for i in 0..placed.len() {
+            let row = &conn[placed[i].id.index()];
             for j in i + 1..placed.len() {
-                let c = netlist.connectivity(placed[i].id, placed[j].id);
+                let c = row[placed[j].id.index()];
                 if c <= 0.0 {
                     continue;
                 }
@@ -626,12 +628,13 @@ mod tests {
             let (a, b) = (reduced.chip_height(), full.chip_height());
             prop_assert!((a - b).abs() <= 1e-9 * b.abs().max(1.0), "heights {} vs {}", a, b);
             // The objective the LP minimizes, read off the envelopes.
+            let conn = netlist.connectivity_matrix();
             let cost = |out: &Floorplan| {
                 let modules: Vec<&PlacedModule> = out.iter().collect();
                 let mut wire = 0.0;
                 for (k, p) in modules.iter().enumerate() {
                     for q in &modules[k + 1..] {
-                        let c = netlist.connectivity(p.id, q.id);
+                        let c = conn[p.id.index()][q.id.index()];
                         wire += c * p.envelope.center().manhattan(&q.envelope.center());
                     }
                 }

@@ -12,9 +12,7 @@ use fp_core::{
 };
 use fp_milp::SolveOptions;
 use fp_netlist::generator::ProblemGenerator;
-use fp_obs::{
-    validate_line, Collector, Event, EventKind, JsonlSink, Phase, Record, StepTermination, Tracer,
-};
+use fp_obs::{validate_line, Collector, Event, JsonlSink, Phase, Record, StepTermination, Tracer};
 use std::sync::{Arc, Mutex};
 use std::time::Duration;
 
@@ -50,13 +48,13 @@ fn bnb_node_events_match_run_stats() {
         "a fallback would void the node-accounting premise"
     );
     assert_eq!(
-        collector.count_of(EventKind::BnbNode),
+        collector.count_of(|e| matches!(e, Event::BnbNode { .. })),
         result.stats.total_nodes(),
         "BnbNode events vs RunStats::total_nodes"
     );
     // The per-solve SolveEnd totals tell the same story.
     let end_nodes: usize = collector
-        .of_kind(EventKind::SolveEnd)
+        .of_kind(|e| matches!(e, Event::SolveEnd { .. }))
         .iter()
         .map(|r| match r.event {
             Event::SolveEnd { nodes, .. } => nodes,
@@ -93,7 +91,7 @@ fn failed_steps_count_their_traced_nodes() {
         "a 1-node limit must leave some step without a solution"
     );
     assert_eq!(
-        collector.count_of(EventKind::BnbNode),
+        collector.count_of(|e| matches!(e, Event::BnbNode { .. })),
         result.stats.total_nodes(),
         "BnbNode events vs RunStats::total_nodes"
     );
@@ -120,7 +118,7 @@ fn one_terminal_event_per_augmentation_step() {
     let (config, collector) = traced_config();
     let result = Floorplanner::with_config(&netlist, config).run().unwrap();
 
-    let steps = collector.of_kind(EventKind::AugmentStep);
+    let steps = collector.of_kind(|e| matches!(e, Event::AugmentStep { .. }));
     assert_eq!(
         steps.len(),
         result.stats.steps.len(),
@@ -149,7 +147,7 @@ fn one_terminal_event_per_augmentation_step() {
     }
     // A fallback marker may precede a terminal event, never replace it.
     assert_eq!(
-        collector.count_of(EventKind::GreedyFallback),
+        collector.count_of(|e| matches!(e, Event::GreedyFallback { .. })),
         result.stats.greedy_fallbacks(),
         "GreedyFallback markers vs recorded fallbacks"
     );
@@ -255,9 +253,12 @@ fn improve_nodes_are_counted_in_run_stats() {
 
     // The trace corroborates: node events equal the recorded totals (the
     // topology LP is deliberately untraced and has no integer variables).
-    assert_eq!(collector.count_of(EventKind::BnbNode), stats.total_nodes());
     assert_eq!(
-        collector.count_of(EventKind::SolveStart),
+        collector.count_of(|e| matches!(e, Event::BnbNode { .. })),
+        stats.total_nodes()
+    );
+    assert_eq!(
+        collector.count_of(|e| matches!(e, Event::SolveStart { .. })),
         stats.steps.len(),
         "one traced solve per recorded step"
     );
@@ -266,7 +267,7 @@ fn improve_nodes_are_counted_in_run_stats() {
     // exhausting bands; with these sizes it runs all rounds), each carrying
     // a non-increasing height.
     let round_events: Vec<(usize, bool, f64)> = collector
-        .of_kind(EventKind::ImproveRound)
+        .of_kind(|e| matches!(e, Event::ImproveRound { .. }))
         .iter()
         .map(|r| match r.event {
             Event::ImproveRound {

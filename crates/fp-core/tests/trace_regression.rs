@@ -9,7 +9,7 @@
 
 use fp_core::{FloorplanConfig, Floorplanner};
 use fp_netlist::{ami33, generator::ProblemGenerator, Netlist};
-use fp_obs::{Collector, Event, EventKind, Tracer};
+use fp_obs::{Collector, Event, Tracer};
 
 /// Runs the floorplanner and asserts the no-fallback / bounded-binaries
 /// pins on both stats and trace.
@@ -32,7 +32,7 @@ fn assert_no_fallback_and_bounded(netlist: &Netlist, config: FloorplanConfig, la
         "{label}: fallback steps"
     );
     assert_eq!(
-        collector.count_of(EventKind::GreedyFallback),
+        collector.count_of(|e| matches!(e, Event::GreedyFallback { .. })),
         0,
         "{label}: GreedyFallback events at default config"
     );
@@ -45,7 +45,7 @@ fn assert_no_fallback_and_bounded(netlist: &Netlist, config: FloorplanConfig, la
         result.stats.max_binaries()
     );
     let trace_max = collector
-        .of_kind(EventKind::AugmentStep)
+        .of_kind(|e| matches!(e, Event::AugmentStep { .. }))
         .iter()
         .map(|r| match r.event {
             Event::AugmentStep { binaries, .. } => binaries,
@@ -67,7 +67,7 @@ fn assert_no_fallback_and_bounded(netlist: &Netlist, config: FloorplanConfig, la
     // settled ran no LP, so they are neither warm nor cold and do not
     // count here.
     let (mut non_root, mut warm_non_root) = (0usize, 0usize);
-    for r in collector.of_kind(EventKind::BnbNode) {
+    for r in collector.of_kind(|e| matches!(e, Event::BnbNode { .. })) {
         if let Event::BnbNode {
             depth,
             warm,

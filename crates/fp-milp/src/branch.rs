@@ -942,13 +942,13 @@ mod tests {
         options: SolveOptions,
         seed: Option<&RootBasis>,
     ) -> (Solution, bool) {
-        use fp_obs::{Collector, EventKind};
+        use fp_obs::Collector;
         let collector = Collector::new();
         let tracer = Tracer::new(collector.clone());
         let sol = model
             .solve_seeded(&options.with_strengthen(false), &tracer, seed)
             .unwrap();
-        let root = collector.of_kind(EventKind::BnbNode);
+        let root = collector.of_kind(|e| matches!(e, Event::BnbNode { .. }));
         let warm = match root.first().map(|r| &r.event) {
             Some(Event::BnbNode { depth: 0, warm, .. }) => *warm,
             other => panic!("first node is not the root: {other:?}"),

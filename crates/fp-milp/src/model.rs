@@ -364,7 +364,7 @@ impl Model {
     ///
     /// ```
     /// use fp_milp::{Model, Sense, SolveOptions};
-    /// use fp_obs::{Collector, EventKind, Tracer};
+    /// use fp_obs::{Collector, Event, Tracer};
     /// # fn main() -> Result<(), fp_milp::SolveError> {
     /// let mut m = Model::new(Sense::Maximize);
     /// let x = m.add_integer("x", 0.0, 10.0);
@@ -372,7 +372,7 @@ impl Model {
     /// m.set_objective(x + 0.0);
     /// let collector = Collector::new();
     /// let s = m.solve_traced(&SolveOptions::default(), &Tracer::new(collector.clone()))?;
-    /// assert_eq!(collector.count_of(EventKind::BnbNode), s.stats().nodes);
+    /// assert_eq!(collector.count_of(|e| matches!(e, Event::BnbNode { .. })), s.stats().nodes);
     /// # Ok(())
     /// # }
     /// ```

@@ -8,7 +8,7 @@ mod common;
 
 use common::{classic_cases, random_milp};
 use fp_milp::{Model, Optimality, SolveOptions};
-use fp_obs::{Collector, Event, EventKind, Tracer};
+use fp_obs::{Collector, Event, Tracer};
 
 /// Solves `m` with a collector attached and cross-checks the trace against
 /// the solver's own statistics. Returns the proven objective.
@@ -22,19 +22,19 @@ fn solve_and_check(m: &Model, label: &str) -> f64 {
 
     // Exactly one SolveStart / SolveEnd pair per solve.
     assert_eq!(
-        collector.count_of(EventKind::SolveStart),
+        collector.count_of(|e| matches!(e, Event::SolveStart { .. })),
         1,
         "{label}: SolveStart count"
     );
     assert_eq!(
-        collector.count_of(EventKind::SolveEnd),
+        collector.count_of(|e| matches!(e, Event::SolveEnd { .. })),
         1,
         "{label}: SolveEnd count"
     );
 
     // The trace's node multiset matches the solver's own accounting.
     assert_eq!(
-        collector.count_of(EventKind::BnbNode),
+        collector.count_of(|e| matches!(e, Event::BnbNode { .. })),
         sol.stats().nodes,
         "{label}: BnbNode count vs stats.nodes"
     );
@@ -45,7 +45,7 @@ fn solve_and_check(m: &Model, label: &str) -> f64 {
     // node settled by propagation ran no LP, so it is never warm and
     // spent nothing.
     let (mut pivot_sum, mut warm_sum, mut propagated_sum) = (0u64, 0usize, 0usize);
-    for r in collector.of_kind(EventKind::BnbNode) {
+    for r in collector.of_kind(|e| matches!(e, Event::BnbNode { .. })) {
         let Event::BnbNode {
             warm,
             pivots,
@@ -84,7 +84,7 @@ fn solve_and_check(m: &Model, label: &str) -> f64 {
     );
 
     // SolveEnd carries the same totals the stats report.
-    let ends = collector.of_kind(EventKind::SolveEnd);
+    let ends = collector.of_kind(|e| matches!(e, Event::SolveEnd { .. }));
     let Event::SolveEnd {
         nodes,
         simplex_iterations,
@@ -105,7 +105,7 @@ fn solve_and_check(m: &Model, label: &str) -> f64 {
     // collected sequence is strictly improving and ends at the reported
     // objective.
     let incumbents: Vec<f64> = collector
-        .of_kind(EventKind::Incumbent)
+        .of_kind(|e| matches!(e, Event::Incumbent { .. }))
         .iter()
         .map(|r| match r.event {
             Event::Incumbent { objective } => objective,

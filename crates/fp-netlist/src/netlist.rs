@@ -16,7 +16,7 @@ use std::collections::HashMap;
 /// let a = nl.add_module(Module::rigid("a", 2.0, 2.0, true))?;
 /// let b = nl.add_module(Module::rigid("b", 3.0, 1.0, true))?;
 /// nl.add_net(Net::new("ab", [a, b]))?;
-/// assert_eq!(nl.connectivity(a, b), 1.0);
+/// assert_eq!(nl.connectivity_matrix()[a.index()][b.index()], 1.0);
 /// assert_eq!(nl.total_module_area(), 7.0);
 /// # Ok(())
 /// # }
@@ -147,21 +147,10 @@ impl Netlist {
         (0..self.modules.len()).map(ModuleId).collect()
     }
 
-    /// The paper's `c_ij`: weighted number of nets shared by modules `i`
-    /// and `j` (0 when `i == j`).
-    #[must_use]
-    pub fn connectivity(&self, i: ModuleId, j: ModuleId) -> f64 {
-        if i == j {
-            return 0.0;
-        }
-        self.nets
-            .iter()
-            .filter(|n| n.connects(i) && n.connects(j))
-            .map(Net::weight)
-            .sum()
-    }
-
-    /// The full symmetric connectivity matrix.
+    /// The paper's `c_ij` for every module pair: entry `[i][j]` is the
+    /// weighted number of nets shared by modules `i` and `j` (0 on the
+    /// diagonal). One pass over the nets; each entry sums its nets' weights
+    /// in net order.
     #[must_use]
     pub fn connectivity_matrix(&self) -> Vec<Vec<f64>> {
         let k = self.num_modules();
@@ -176,12 +165,6 @@ impl Netlist {
             }
         }
         c
-    }
-
-    /// Weighted connectivity of module `i` to a set of modules.
-    #[must_use]
-    pub fn connectivity_to_set(&self, i: ModuleId, set: &[ModuleId]) -> f64 {
-        set.iter().map(|&j| self.connectivity(i, j)).sum()
     }
 
     /// Sum of all module areas (the paper quotes 11520 for ami33).
@@ -221,19 +204,15 @@ mod tests {
     #[test]
     fn connectivity_counts_common_nets() {
         let (nl, a, b, c) = three_module_netlist();
-        assert_eq!(nl.connectivity(a, b), 3.0); // n0 (1) + n1 (2)
-        assert_eq!(nl.connectivity(a, c), 2.0); // n1 (2)
-        assert_eq!(nl.connectivity(b, c), 3.0); // n1 (2) + n2 (1)
-        assert_eq!(nl.connectivity(a, a), 0.0);
-    }
-
-    #[test]
-    fn matrix_matches_pairwise() {
-        let (nl, a, b, c) = three_module_netlist();
         let m = nl.connectivity_matrix();
+        let conn = |i: ModuleId, j: ModuleId| m[i.index()][j.index()];
+        assert_eq!(conn(a, b), 3.0); // n0 (1) + n1 (2)
+        assert_eq!(conn(a, c), 2.0); // n1 (2)
+        assert_eq!(conn(b, c), 3.0); // n1 (2) + n2 (1)
         for &i in &[a, b, c] {
+            assert_eq!(conn(i, i), 0.0);
             for &j in &[a, b, c] {
-                assert_eq!(m[i.index()][j.index()], nl.connectivity(i, j));
+                assert_eq!(conn(i, j), conn(j, i));
             }
         }
     }
@@ -263,6 +242,5 @@ mod tests {
         assert_eq!(nl.module_by_name("zz"), None);
         assert_eq!(nl.total_module_area(), 1.0 + 2.0 + 4.0);
         assert_eq!(nl.nets_of(c).len(), 2);
-        assert_eq!(nl.connectivity_to_set(a, &[ModuleId(1), ModuleId(2)]), 5.0);
     }
 }

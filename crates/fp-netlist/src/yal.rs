@@ -314,9 +314,10 @@ ENDMODULE;
         assert_eq!(nl.num_nets(), 2);
         let u2 = nl.module_by_name("u2").unwrap();
         let u3 = nl.module_by_name("u3").unwrap();
-        assert_eq!(nl.connectivity(u1, u2), 1.0);
-        assert_eq!(nl.connectivity(u1, u3), 1.0);
-        assert_eq!(nl.connectivity(u2, u3), 0.0);
+        let conn = nl.connectivity_matrix();
+        assert_eq!(conn[u1.index()][u2.index()], 1.0);
+        assert_eq!(conn[u1.index()][u3.index()], 1.0);
+        assert_eq!(conn[u2.index()][u3.index()], 0.0);
     }
 
     #[test]

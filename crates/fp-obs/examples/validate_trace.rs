@@ -1,5 +1,6 @@
 //! Validates a JSONL trace file: every line must parse as a flat JSON
-//! object carrying `seq`, `phase` and `event` fields.
+//! object carrying `seq`, `phase` and `event` fields and every field of
+//! its event, each with its JSON type (see `fp_obs::validate_line`).
 //!
 //! Used by `scripts/check.sh` as a schema sanity check:
 //!

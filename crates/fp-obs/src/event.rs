@@ -17,6 +17,15 @@ pub enum Phase {
 }
 
 impl Phase {
+    /// Every phase; a trace line's `phase` must name one of them.
+    pub(crate) const ALL: [Phase; 5] = [
+        Phase::Solver,
+        Phase::Augment,
+        Phase::Improve,
+        Phase::Route,
+        Phase::Serve,
+    ];
+
     /// Stable lowercase name used in JSONL output.
     #[must_use]
     pub fn as_str(self) -> &'static str {
@@ -58,7 +67,10 @@ impl StepTermination {
 /// One structured trace event.
 ///
 /// Every variant is cheap to construct; emitters behind a disabled
-/// [`Tracer`](crate::Tracer) pay only an `Option` check.
+/// [`Tracer`](crate::Tracer) pay only an `Option` check. A new variant
+/// needs an arm in `Event::encode`, which names it and renders its fields
+/// on a trace line, and a row in the schema table that
+/// [`validate_line`](crate::validate_line) checks lines against.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Event {
     /// A MILP solve began (`binaries` integral variables, `constraints`
@@ -314,187 +326,6 @@ pub enum Event {
     },
 }
 
-/// Discriminant-only view of [`Event`], used for counters and filtering.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub enum EventKind {
-    /// [`Event::SolveStart`]
-    SolveStart,
-    /// [`Event::RootLp`]
-    RootLp,
-    /// [`Event::BnbNode`]
-    BnbNode,
-    /// [`Event::Incumbent`]
-    Incumbent,
-    /// [`Event::SolveEnd`]
-    SolveEnd,
-    /// [`Event::AugmentStep`]
-    AugmentStep,
-    /// [`Event::GreedyFallback`]
-    GreedyFallback,
-    /// [`Event::ImproveRound`]
-    ImproveRound,
-    /// [`Event::RouteStart`]
-    RouteStart,
-    /// [`Event::RouteNet`]
-    RouteNet,
-    /// [`Event::ChannelAdjust`]
-    ChannelAdjust,
-    /// [`Event::Span`]
-    Span,
-    /// [`Event::CacheHit`]
-    CacheHit,
-    /// [`Event::CacheMiss`]
-    CacheMiss,
-    /// [`Event::JobDone`]
-    JobDone,
-    /// [`Event::Presolve`]
-    Presolve,
-    /// [`Event::CutRound`]
-    CutRound,
-    /// [`Event::Coalesced`]
-    Coalesced,
-    /// [`Event::Shed`]
-    Shed,
-    /// [`Event::ShardStats`]
-    ShardStats,
-    /// [`Event::BackendDone`]
-    BackendDone,
-    /// [`Event::Portfolio`]
-    Portfolio,
-    /// [`Event::DeltaApply`]
-    DeltaApply,
-    /// [`Event::EcoJob`]
-    EcoJob,
-}
-
-impl EventKind {
-    /// Number of event kinds (sizes the per-kind counter array).
-    pub const COUNT: usize = 24;
-
-    /// Every kind, in counter-index order.
-    pub const ALL: [EventKind; EventKind::COUNT] = [
-        EventKind::SolveStart,
-        EventKind::RootLp,
-        EventKind::BnbNode,
-        EventKind::Incumbent,
-        EventKind::SolveEnd,
-        EventKind::AugmentStep,
-        EventKind::GreedyFallback,
-        EventKind::ImproveRound,
-        EventKind::RouteStart,
-        EventKind::RouteNet,
-        EventKind::ChannelAdjust,
-        EventKind::Span,
-        EventKind::CacheHit,
-        EventKind::CacheMiss,
-        EventKind::JobDone,
-        EventKind::Presolve,
-        EventKind::CutRound,
-        EventKind::Coalesced,
-        EventKind::Shed,
-        EventKind::ShardStats,
-        EventKind::BackendDone,
-        EventKind::Portfolio,
-        EventKind::DeltaApply,
-        EventKind::EcoJob,
-    ];
-
-    /// Dense index of this kind in [`EventKind::ALL`].
-    #[must_use]
-    pub fn index(self) -> usize {
-        match self {
-            EventKind::SolveStart => 0,
-            EventKind::RootLp => 1,
-            EventKind::BnbNode => 2,
-            EventKind::Incumbent => 3,
-            EventKind::SolveEnd => 4,
-            EventKind::AugmentStep => 5,
-            EventKind::GreedyFallback => 6,
-            EventKind::ImproveRound => 7,
-            EventKind::RouteStart => 8,
-            EventKind::RouteNet => 9,
-            EventKind::ChannelAdjust => 10,
-            EventKind::Span => 11,
-            EventKind::CacheHit => 12,
-            EventKind::CacheMiss => 13,
-            EventKind::JobDone => 14,
-            EventKind::Presolve => 15,
-            EventKind::CutRound => 16,
-            EventKind::Coalesced => 17,
-            EventKind::Shed => 18,
-            EventKind::ShardStats => 19,
-            EventKind::BackendDone => 20,
-            EventKind::Portfolio => 21,
-            EventKind::DeltaApply => 22,
-            EventKind::EcoJob => 23,
-        }
-    }
-
-    /// Stable name used as the `event` field in JSONL output.
-    #[must_use]
-    pub fn name(self) -> &'static str {
-        match self {
-            EventKind::SolveStart => "SolveStart",
-            EventKind::RootLp => "RootLp",
-            EventKind::BnbNode => "BnbNode",
-            EventKind::Incumbent => "Incumbent",
-            EventKind::SolveEnd => "SolveEnd",
-            EventKind::AugmentStep => "AugmentStep",
-            EventKind::GreedyFallback => "GreedyFallback",
-            EventKind::ImproveRound => "ImproveRound",
-            EventKind::RouteStart => "RouteStart",
-            EventKind::RouteNet => "RouteNet",
-            EventKind::ChannelAdjust => "ChannelAdjust",
-            EventKind::Span => "Span",
-            EventKind::CacheHit => "CacheHit",
-            EventKind::CacheMiss => "CacheMiss",
-            EventKind::JobDone => "JobDone",
-            EventKind::Presolve => "Presolve",
-            EventKind::CutRound => "CutRound",
-            EventKind::Coalesced => "Coalesced",
-            EventKind::Shed => "Shed",
-            EventKind::ShardStats => "ShardStats",
-            EventKind::BackendDone => "BackendDone",
-            EventKind::Portfolio => "Portfolio",
-            EventKind::DeltaApply => "DeltaApply",
-            EventKind::EcoJob => "EcoJob",
-        }
-    }
-}
-
-impl Event {
-    /// The discriminant of this event.
-    #[must_use]
-    pub fn kind(&self) -> EventKind {
-        match self {
-            Event::SolveStart { .. } => EventKind::SolveStart,
-            Event::RootLp { .. } => EventKind::RootLp,
-            Event::BnbNode { .. } => EventKind::BnbNode,
-            Event::Incumbent { .. } => EventKind::Incumbent,
-            Event::SolveEnd { .. } => EventKind::SolveEnd,
-            Event::AugmentStep { .. } => EventKind::AugmentStep,
-            Event::GreedyFallback { .. } => EventKind::GreedyFallback,
-            Event::ImproveRound { .. } => EventKind::ImproveRound,
-            Event::RouteStart { .. } => EventKind::RouteStart,
-            Event::RouteNet { .. } => EventKind::RouteNet,
-            Event::ChannelAdjust { .. } => EventKind::ChannelAdjust,
-            Event::Span { .. } => EventKind::Span,
-            Event::CacheHit { .. } => EventKind::CacheHit,
-            Event::CacheMiss { .. } => EventKind::CacheMiss,
-            Event::JobDone { .. } => EventKind::JobDone,
-            Event::Presolve { .. } => EventKind::Presolve,
-            Event::CutRound { .. } => EventKind::CutRound,
-            Event::Coalesced { .. } => EventKind::Coalesced,
-            Event::Shed { .. } => EventKind::Shed,
-            Event::ShardStats { .. } => EventKind::ShardStats,
-            Event::BackendDone { .. } => EventKind::BackendDone,
-            Event::Portfolio { .. } => EventKind::Portfolio,
-            Event::DeltaApply { .. } => EventKind::DeltaApply,
-            Event::EcoJob { .. } => EventKind::EcoJob,
-        }
-    }
-}
-
 /// A sequence-stamped event as delivered to sinks.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Record {
@@ -516,33 +347,35 @@ fn jnum(v: f64) -> String {
     }
 }
 
-impl Record {
-    /// Renders the record as one flat JSON object. Every line carries the
-    /// `seq`, `phase` and `event` fields; the remaining keys are the
-    /// event's own payload.
-    #[must_use]
-    pub fn to_json(&self) -> String {
-        let mut s = format!(
-            "{{\"seq\":{},\"phase\":\"{}\",\"event\":\"{}\"",
-            self.seq,
-            self.phase.as_str(),
-            self.event.kind().name()
-        );
-        let mut field = |key: &str, value: String| {
-            s.push_str(",\"");
-            s.push_str(key);
-            s.push_str("\":");
-            s.push_str(&value);
-        };
-        match &self.event {
+/// Formats a name as a JSON string. Names are static identifiers that
+/// need no escaping.
+fn quoted(name: &str) -> String {
+    format!("\"{name}\"")
+}
+
+/// Formats a fingerprint as a fixed-width hex string. Fingerprints are
+/// full 64-bit values; a JSON number would be parsed back as f64 and lose
+/// the low bits.
+fn hex(key: u64) -> String {
+    format!("\"{key:016x}\"")
+}
+
+impl Event {
+    /// The event's name and its `(key, JSON value)` fields, in line order.
+    /// This match is the one place an event's name and fields are written.
+    fn encode(&self) -> (&'static str, Vec<(&'static str, String)>) {
+        match self {
             Event::SolveStart {
                 binaries,
                 constraints,
-            } => {
-                field("binaries", binaries.to_string());
-                field("constraints", constraints.to_string());
-            }
-            Event::RootLp { objective } => field("objective", jnum(*objective)),
+            } => (
+                "SolveStart",
+                vec![
+                    ("binaries", binaries.to_string()),
+                    ("constraints", constraints.to_string()),
+                ],
+            ),
+            Event::RootLp { objective } => ("RootLp", vec![("objective", jnum(*objective))]),
             Event::BnbNode {
                 depth,
                 warm,
@@ -550,39 +383,48 @@ impl Record {
                 refactors,
                 etas,
                 propagated,
-            } => {
-                field("depth", depth.to_string());
-                field("warm", warm.to_string());
-                field("pivots", pivots.to_string());
-                field("refactors", refactors.to_string());
-                field("etas", etas.to_string());
-                field("propagated", propagated.to_string());
-            }
-            Event::Incumbent { objective } => field("objective", jnum(*objective)),
+            } => (
+                "BnbNode",
+                vec![
+                    ("depth", depth.to_string()),
+                    ("warm", warm.to_string()),
+                    ("pivots", pivots.to_string()),
+                    ("refactors", refactors.to_string()),
+                    ("etas", etas.to_string()),
+                    ("propagated", propagated.to_string()),
+                ],
+            ),
+            Event::Incumbent { objective } => ("Incumbent", vec![("objective", jnum(*objective))]),
             Event::Presolve {
                 passes,
                 rows_tightened,
                 binaries_fixed,
                 implications,
-            } => {
-                field("passes", passes.to_string());
-                field("rows_tightened", rows_tightened.to_string());
-                field("binaries_fixed", binaries_fixed.to_string());
-                field("implications", implications.to_string());
-            }
-            Event::CutRound { round, cuts } => {
-                field("round", round.to_string());
-                field("cuts", cuts.to_string());
-            }
+            } => (
+                "Presolve",
+                vec![
+                    ("passes", passes.to_string()),
+                    ("rows_tightened", rows_tightened.to_string()),
+                    ("binaries_fixed", binaries_fixed.to_string()),
+                    ("implications", implications.to_string()),
+                ],
+            ),
+            Event::CutRound { round, cuts } => (
+                "CutRound",
+                vec![("round", round.to_string()), ("cuts", cuts.to_string())],
+            ),
             Event::SolveEnd {
                 nodes,
                 simplex_iterations,
                 proven,
-            } => {
-                field("nodes", nodes.to_string());
-                field("simplex_iterations", simplex_iterations.to_string());
-                field("proven", proven.to_string());
-            }
+            } => (
+                "SolveEnd",
+                vec![
+                    ("nodes", nodes.to_string()),
+                    ("simplex_iterations", simplex_iterations.to_string()),
+                    ("proven", proven.to_string()),
+                ],
+            ),
             Event::AugmentStep {
                 step,
                 group,
@@ -590,75 +432,93 @@ impl Record {
                 binaries,
                 nodes,
                 outcome,
-            } => {
-                field("step", step.to_string());
-                field("group", group.to_string());
-                field("obstacles", obstacles.to_string());
-                field("binaries", binaries.to_string());
-                field("nodes", nodes.to_string());
-                field("outcome", format!("\"{}\"", outcome.as_str()));
-            }
-            Event::GreedyFallback { step } => field("step", step.to_string()),
+            } => (
+                "AugmentStep",
+                vec![
+                    ("step", step.to_string()),
+                    ("group", group.to_string()),
+                    ("obstacles", obstacles.to_string()),
+                    ("binaries", binaries.to_string()),
+                    ("nodes", nodes.to_string()),
+                    ("outcome", quoted(outcome.as_str())),
+                ],
+            ),
+            Event::GreedyFallback { step } => ("GreedyFallback", vec![("step", step.to_string())]),
             Event::ImproveRound {
                 round,
                 accepted,
                 height,
-            } => {
-                field("round", round.to_string());
-                field("accepted", accepted.to_string());
-                field("height", jnum(*height));
-            }
-            Event::RouteStart { nets, cells, edges } => {
-                field("nets", nets.to_string());
-                field("cells", cells.to_string());
-                field("edges", edges.to_string());
-            }
+            } => (
+                "ImproveRound",
+                vec![
+                    ("round", round.to_string()),
+                    ("accepted", accepted.to_string()),
+                    ("height", jnum(*height)),
+                ],
+            ),
+            Event::RouteStart { nets, cells, edges } => (
+                "RouteStart",
+                vec![
+                    ("nets", nets.to_string()),
+                    ("cells", cells.to_string()),
+                    ("edges", edges.to_string()),
+                ],
+            ),
             Event::RouteNet {
                 net,
                 length,
                 segments,
-            } => {
-                field("net", net.to_string());
-                field("length", jnum(*length));
-                field("segments", segments.to_string());
-            }
+            } => (
+                "RouteNet",
+                vec![
+                    ("net", net.to_string()),
+                    ("length", jnum(*length)),
+                    ("segments", segments.to_string()),
+                ],
+            ),
             Event::ChannelAdjust {
                 extra_width,
                 extra_height,
                 overflowed_edges,
-            } => {
-                field("extra_width", jnum(*extra_width));
-                field("extra_height", jnum(*extra_height));
-                field("overflowed_edges", overflowed_edges.to_string());
-            }
-            Event::Span { name, micros } => {
-                field("name", format!("\"{name}\""));
-                field("micros", micros.to_string());
-            }
-            // Fingerprints are full 64-bit values; a JSON number would be
-            // parsed back as f64 and lose the low bits, so they travel as
-            // fixed-width hex strings.
-            Event::CacheHit { key } => field("key", format!("\"{key:016x}\"")),
-            Event::CacheMiss { key } => field("key", format!("\"{key:016x}\"")),
+            } => (
+                "ChannelAdjust",
+                vec![
+                    ("extra_width", jnum(*extra_width)),
+                    ("extra_height", jnum(*extra_height)),
+                    ("overflowed_edges", overflowed_edges.to_string()),
+                ],
+            ),
+            Event::Span { name, micros } => (
+                "Span",
+                vec![("name", quoted(name)), ("micros", micros.to_string())],
+            ),
+            Event::CacheHit { key } => ("CacheHit", vec![("key", hex(*key))]),
+            Event::CacheMiss { key } => ("CacheMiss", vec![("key", hex(*key))]),
             Event::JobDone {
                 id,
                 micros,
                 degraded,
                 cached,
-            } => {
-                field("id", id.to_string());
-                field("micros", micros.to_string());
-                field("degraded", degraded.to_string());
-                field("cached", cached.to_string());
-            }
-            Event::Coalesced { key } => field("key", format!("\"{key:016x}\"")),
+            } => (
+                "JobDone",
+                vec![
+                    ("id", id.to_string()),
+                    ("micros", micros.to_string()),
+                    ("degraded", degraded.to_string()),
+                    ("cached", cached.to_string()),
+                ],
+            ),
+            Event::Coalesced { key } => ("Coalesced", vec![("key", hex(*key))]),
             Event::Shed {
                 queued,
                 retry_after_ms,
-            } => {
-                field("queued", queued.to_string());
-                field("retry_after_ms", retry_after_ms.to_string());
-            }
+            } => (
+                "Shed",
+                vec![
+                    ("queued", queued.to_string()),
+                    ("retry_after_ms", retry_after_ms.to_string()),
+                ],
+            ),
             Event::ShardStats {
                 shard,
                 conns,
@@ -666,58 +526,143 @@ impl Record {
                 completed,
                 shed,
                 malformed,
-            } => {
-                field("shard", shard.to_string());
-                field("conns", conns.to_string());
-                field("accepted", accepted.to_string());
-                field("completed", completed.to_string());
-                field("shed", shed.to_string());
-                field("malformed", malformed.to_string());
-            }
+            } => (
+                "ShardStats",
+                vec![
+                    ("shard", shard.to_string()),
+                    ("conns", conns.to_string()),
+                    ("accepted", accepted.to_string()),
+                    ("completed", completed.to_string()),
+                    ("shed", shed.to_string()),
+                    ("malformed", malformed.to_string()),
+                ],
+            ),
             Event::BackendDone {
                 backend,
                 micros,
                 cost,
                 won,
-            } => {
-                field("backend", format!("\"{backend}\""));
-                field("micros", micros.to_string());
-                field("cost", jnum(*cost));
-                field("won", won.to_string());
-            }
+            } => (
+                "BackendDone",
+                vec![
+                    ("backend", quoted(backend)),
+                    ("micros", micros.to_string()),
+                    ("cost", jnum(*cost)),
+                    ("won", won.to_string()),
+                ],
+            ),
             Event::Portfolio {
                 backends,
                 winner,
                 micros,
-            } => {
-                field("backends", backends.to_string());
-                field("winner", format!("\"{winner}\""));
-                field("micros", micros.to_string());
-            }
+            } => (
+                "Portfolio",
+                vec![
+                    ("backends", backends.to_string()),
+                    ("winner", quoted(winner)),
+                    ("micros", micros.to_string()),
+                ],
+            ),
             Event::DeltaApply {
                 base_key,
                 ops,
                 touched,
                 total,
-            } => {
-                field("base_key", format!("\"{base_key:016x}\""));
-                field("ops", ops.to_string());
-                field("touched", touched.to_string());
-                field("total", total.to_string());
-            }
+            } => (
+                "DeltaApply",
+                vec![
+                    ("base_key", hex(*base_key)),
+                    ("ops", ops.to_string()),
+                    ("touched", touched.to_string()),
+                    ("total", total.to_string()),
+                ],
+            ),
             Event::EcoJob {
                 id,
                 base_key,
                 base_hit,
                 replaced,
                 total,
-            } => {
-                field("id", id.to_string());
-                field("base_key", format!("\"{base_key:016x}\""));
-                field("base_hit", base_hit.to_string());
-                field("replaced", replaced.to_string());
-                field("total", total.to_string());
-            }
+            } => (
+                "EcoJob",
+                vec![
+                    ("id", id.to_string()),
+                    ("base_key", hex(*base_key)),
+                    ("base_hit", base_hit.to_string()),
+                    ("replaced", replaced.to_string()),
+                    ("total", total.to_string()),
+                ],
+            ),
+        }
+    }
+}
+
+/// The JSON type of one event field on a trace line.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum Field {
+    /// A count or an id: a number.
+    Int,
+    /// An `f64`: a number, or `null` when the value was not finite.
+    Float,
+    /// A boolean.
+    Bool,
+    /// A name: a string.
+    Name,
+    /// A 64-bit fingerprint: a 16-digit hex string.
+    Key,
+}
+
+/// Every event's name and its fields, in the order [`Event::encode`]
+/// writes them. [`validate_line`](crate::validate_line) checks each trace
+/// line against its event's row.
+#[rustfmt::skip]
+pub(crate) const SCHEMA: &[(&str, &[(&str, Field)])] = {
+    use Field::{Bool, Float, Int, Key, Name};
+    &[
+        ("SolveStart", &[("binaries", Int), ("constraints", Int)]),
+        ("RootLp", &[("objective", Float)]),
+        ("BnbNode", &[("depth", Int), ("warm", Bool), ("pivots", Int), ("refactors", Int), ("etas", Int), ("propagated", Bool)]),
+        ("Incumbent", &[("objective", Float)]),
+        ("Presolve", &[("passes", Int), ("rows_tightened", Int), ("binaries_fixed", Int), ("implications", Int)]),
+        ("CutRound", &[("round", Int), ("cuts", Int)]),
+        ("SolveEnd", &[("nodes", Int), ("simplex_iterations", Int), ("proven", Bool)]),
+        ("AugmentStep", &[("step", Int), ("group", Int), ("obstacles", Int), ("binaries", Int), ("nodes", Int), ("outcome", Name)]),
+        ("GreedyFallback", &[("step", Int)]),
+        ("ImproveRound", &[("round", Int), ("accepted", Bool), ("height", Float)]),
+        ("RouteStart", &[("nets", Int), ("cells", Int), ("edges", Int)]),
+        ("RouteNet", &[("net", Int), ("length", Float), ("segments", Int)]),
+        ("ChannelAdjust", &[("extra_width", Float), ("extra_height", Float), ("overflowed_edges", Int)]),
+        ("Span", &[("name", Name), ("micros", Int)]),
+        ("CacheHit", &[("key", Key)]),
+        ("CacheMiss", &[("key", Key)]),
+        ("JobDone", &[("id", Int), ("micros", Int), ("degraded", Bool), ("cached", Bool)]),
+        ("Coalesced", &[("key", Key)]),
+        ("Shed", &[("queued", Int), ("retry_after_ms", Int)]),
+        ("ShardStats", &[("shard", Int), ("conns", Int), ("accepted", Int), ("completed", Int), ("shed", Int), ("malformed", Int)]),
+        ("BackendDone", &[("backend", Name), ("micros", Int), ("cost", Float), ("won", Bool)]),
+        ("Portfolio", &[("backends", Int), ("winner", Name), ("micros", Int)]),
+        ("DeltaApply", &[("base_key", Key), ("ops", Int), ("touched", Int), ("total", Int)]),
+        ("EcoJob", &[("id", Int), ("base_key", Key), ("base_hit", Bool), ("replaced", Int), ("total", Int)]),
+    ]
+};
+
+impl Record {
+    /// Renders the record as one flat JSON object. Every line carries the
+    /// `seq`, `phase` and `event` fields; the remaining keys are the
+    /// event's own payload.
+    #[must_use]
+    pub fn to_json(&self) -> String {
+        let (name, fields) = self.event.encode();
+        let mut s = format!(
+            "{{\"seq\":{},\"phase\":\"{}\",\"event\":\"{name}\"",
+            self.seq,
+            self.phase.as_str()
+        );
+        for (key, value) in fields {
+            s.push_str(",\"");
+            s.push_str(key);
+            s.push_str("\":");
+            s.push_str(&value);
         }
         s.push('}');
         s
@@ -729,124 +674,10 @@ mod tests {
     use super::*;
 
     #[test]
-    fn kinds_are_dense_and_named() {
-        for (i, kind) in EventKind::ALL.iter().enumerate() {
-            assert_eq!(kind.index(), i);
-            assert!(!kind.name().is_empty());
-        }
-    }
-
-    #[test]
-    fn json_has_required_fields() {
-        let r = Record {
-            seq: 7,
-            phase: Phase::Augment,
-            event: Event::AugmentStep {
-                step: 2,
-                group: 3,
-                obstacles: 4,
-                binaries: 30,
-                nodes: 99,
-                outcome: StepTermination::Optimal,
-            },
-        };
-        let json = r.to_json();
-        assert!(json.starts_with('{') && json.ends_with('}'));
-        assert!(json.contains("\"seq\":7"));
-        assert!(json.contains("\"phase\":\"augment\""));
-        assert!(json.contains("\"event\":\"AugmentStep\""));
-        assert!(json.contains("\"outcome\":\"optimal\""));
-        assert!(json.contains("\"nodes\":99"));
-    }
-
-    #[test]
-    fn cache_keys_render_as_full_width_hex() {
-        let r = Record {
-            seq: 1,
-            phase: Phase::Serve,
-            event: Event::CacheHit {
-                key: 0xdead_beef_0000_0001,
-            },
-        };
-        let json = r.to_json();
-        assert!(json.contains("\"phase\":\"serve\""), "{json}");
-        assert!(json.contains("\"key\":\"deadbeef00000001\""), "{json}");
-        let r = Record {
-            seq: 2,
-            phase: Phase::Serve,
-            event: Event::JobDone {
-                id: 42,
-                micros: 1500,
-                degraded: true,
-                cached: false,
-            },
-        };
-        let json = r.to_json();
-        assert!(json.contains("\"id\":42"), "{json}");
-        assert!(json.contains("\"degraded\":true"), "{json}");
-        assert!(json.contains("\"cached\":false"), "{json}");
-    }
-
-    #[test]
-    fn portfolio_events_render() {
-        let r = Record {
-            seq: 3,
-            phase: Phase::Serve,
-            event: Event::BackendDone {
-                backend: "analytic",
-                micros: 812,
-                cost: 36.5,
-                won: true,
-            },
-        };
-        let json = r.to_json();
-        assert!(json.contains("\"event\":\"BackendDone\""), "{json}");
-        assert!(json.contains("\"backend\":\"analytic\""), "{json}");
-        assert!(json.contains("\"cost\":36.5"), "{json}");
-        assert!(json.contains("\"won\":true"), "{json}");
-        // A failed leg has no cost: NaN renders as null.
-        let r = Record {
-            seq: 4,
-            phase: Phase::Serve,
-            event: Event::BackendDone {
-                backend: "milp",
-                micros: 9,
-                cost: f64::NAN,
-                won: false,
-            },
-        };
-        assert!(r.to_json().contains("\"cost\":null"));
-        let r = Record {
-            seq: 5,
-            phase: Phase::Serve,
-            event: Event::Portfolio {
-                backends: 3,
-                winner: "annealer",
-                micros: 1200,
-            },
-        };
-        let json = r.to_json();
-        assert!(json.contains("\"event\":\"Portfolio\""), "{json}");
-        assert!(json.contains("\"backends\":3"), "{json}");
-        assert!(json.contains("\"winner\":\"annealer\""), "{json}");
-    }
-
-    #[test]
-    fn non_finite_floats_become_null() {
-        let r = Record {
-            seq: 0,
-            phase: Phase::Solver,
-            event: Event::Incumbent {
-                objective: f64::INFINITY,
-            },
-        };
-        assert!(r.to_json().contains("\"objective\":null"));
-    }
-
-    #[test]
     fn float_rendering_is_plain() {
         assert_eq!(jnum(1.0), "1");
         assert_eq!(jnum(-2.5), "-2.5");
         assert_eq!(jnum(f64::NAN), "null");
+        assert_eq!(jnum(f64::INFINITY), "null");
     }
 }

@@ -1,13 +1,13 @@
 //! JSONL file sink and a minimal parser/validator for its output.
 //!
 //! The trace format is one flat JSON object per line; every line carries
-//! at least `seq` (number), `phase` (string) and `event` (string). The
-//! parser here is intentionally small — it understands exactly the flat
+//! `seq` (number), `phase` (string) and `event` (string), then the
+//! event's own fields. The parser here is intentionally small — it understands exactly the flat
 //! string/number/bool/null objects [`Record::to_json`] emits — and
 //! exists so tests and `scripts/check.sh` can round-trip traces without
 //! an external JSON dependency.
 
-use crate::event::Record;
+use crate::event::{Field, Phase, Record, SCHEMA};
 use crate::sink::Sink;
 use std::io::{BufWriter, Write};
 use std::path::Path;
@@ -282,22 +282,12 @@ pub fn parse_line(line: &str) -> Result<ParsedRecord, String> {
     Ok(ParsedRecord { fields })
 }
 
-/// Parses `line` and checks the trace schema: a numeric `seq`, a string
-/// `phase` and a string `event` field must be present. `BnbNode` lines
-/// additionally carry a numeric `depth`, booleans `warm` and `propagated`
-/// and numeric `pivots`, `refactors` and `etas` (the warm-start,
-/// propagation and factorization coverage fields downstream tooling keys
-/// on);
-/// `Presolve` lines carry the four numeric strengthening counters and
-/// `CutRound` lines a numeric `round` and `cuts`. Service lines have
-/// schemas of their own: `Coalesced` carries a string `key`, `Shed` a
-/// numeric `queued` and `retry_after_ms`, `ShardStats` the six numeric
-/// per-shard accounting counters, `BackendDone` a string `backend`, a
-/// numeric `micros` and a boolean `won` (its `cost` may be `null` for
-/// failed legs), `Portfolio` a string `winner` and numeric
-/// `backends` and `micros`, `DeltaApply` a string `base_key` and numeric
-/// `ops`, `touched` and `total`, and `EcoJob` a string `base_key`, a
-/// boolean `base_hit` and numeric `id`, `replaced` and `total`.
+/// Parses `line` and checks the trace schema. A line carries a numeric
+/// `seq`, a `phase` naming a [`Phase`] and an `event` naming an
+/// [`Event`](crate::Event) variant, then every field of that event with its JSON type:
+/// counts and ids are numbers, `f64` values are numbers or `null`, flags
+/// are booleans, names are strings and fingerprints are 16-digit hex
+/// strings. Extra keys are allowed.
 ///
 /// # Errors
 ///
@@ -307,116 +297,37 @@ pub fn validate_line(line: &str) -> Result<ParsedRecord, String> {
     if parsed.num("seq").is_none() {
         return Err("missing numeric 'seq' field".to_string());
     }
-    for key in ["phase", "event"] {
-        if parsed.str_field(key).is_none() {
-            return Err(format!("missing string '{key}' field"));
-        }
+    let phase = parsed
+        .str_field("phase")
+        .ok_or("missing string 'phase' field")?;
+    if !Phase::ALL.iter().any(|p| p.as_str() == phase) {
+        return Err(format!("unknown phase '{phase}'"));
     }
-    if parsed.str_field("event") == Some("BnbNode") {
-        for key in ["depth", "pivots", "refactors", "etas"] {
-            if parsed.num(key).is_none() {
-                return Err(format!("BnbNode: missing numeric '{key}' field"));
-            }
-        }
-        for key in ["warm", "propagated"] {
-            if parsed.bool_field(key).is_none() {
-                return Err(format!("BnbNode: missing boolean '{key}' field"));
-            }
-        }
-    }
-    if parsed.str_field("event") == Some("Presolve") {
-        for key in ["passes", "rows_tightened", "binaries_fixed", "implications"] {
-            if parsed.num(key).is_none() {
-                return Err(format!("Presolve: missing numeric '{key}' field"));
-            }
-        }
-    }
-    if parsed.str_field("event") == Some("CutRound") {
-        for key in ["round", "cuts"] {
-            if parsed.num(key).is_none() {
-                return Err(format!("CutRound: missing numeric '{key}' field"));
-            }
-        }
-    }
-    if parsed.str_field("event") == Some("Coalesced") && parsed.str_field("key").is_none() {
-        return Err("Coalesced: missing string 'key' field".to_string());
-    }
-    if parsed.str_field("event") == Some("Shed") {
-        for key in ["queued", "retry_after_ms"] {
-            if parsed.num(key).is_none() {
-                return Err(format!("Shed: missing numeric '{key}' field"));
-            }
-        }
-    }
-    if parsed.str_field("event") == Some("ShardStats") {
-        for key in [
-            "shard",
-            "conns",
-            "accepted",
-            "completed",
-            "shed",
-            "malformed",
-        ] {
-            if parsed.num(key).is_none() {
-                return Err(format!("ShardStats: missing numeric '{key}' field"));
-            }
-        }
-    }
-    if parsed.str_field("event") == Some("BackendDone") {
-        if parsed.str_field("backend").is_none() {
-            return Err("BackendDone: missing string 'backend' field".to_string());
-        }
-        if parsed.num("micros").is_none() {
-            return Err("BackendDone: missing numeric 'micros' field".to_string());
-        }
-        if parsed.bool_field("won").is_none() {
-            return Err("BackendDone: missing boolean 'won' field".to_string());
-        }
-        // `cost` is null for failed legs; any other type is malformed.
-        match parsed.get("cost") {
-            Some(JsonValue::Num(_) | JsonValue::Null) => {}
-            _ => return Err("BackendDone: 'cost' must be a number or null".to_string()),
-        }
-    }
-    if parsed.str_field("event") == Some("Portfolio") {
-        if parsed.str_field("winner").is_none() {
-            return Err("Portfolio: missing string 'winner' field".to_string());
-        }
-        for key in ["backends", "micros"] {
-            if parsed.num(key).is_none() {
-                return Err(format!("Portfolio: missing numeric '{key}' field"));
-            }
-        }
-    }
-    if parsed.str_field("event") == Some("DeltaApply") {
-        if parsed.str_field("base_key").is_none() {
-            return Err("DeltaApply: missing string 'base_key' field".to_string());
-        }
-        for key in ["ops", "touched", "total"] {
-            if parsed.num(key).is_none() {
-                return Err(format!("DeltaApply: missing numeric '{key}' field"));
-            }
-        }
-    }
-    if parsed.str_field("event") == Some("Span") {
-        if parsed.str_field("name").is_none() {
-            return Err("Span: missing string 'name' field".to_string());
-        }
-        if parsed.num("micros").is_none() {
-            return Err("Span: missing numeric 'micros' field".to_string());
-        }
-    }
-    if parsed.str_field("event") == Some("EcoJob") {
-        if parsed.str_field("base_key").is_none() {
-            return Err("EcoJob: missing string 'base_key' field".to_string());
-        }
-        if parsed.bool_field("base_hit").is_none() {
-            return Err("EcoJob: missing boolean 'base_hit' field".to_string());
-        }
-        for key in ["id", "replaced", "total"] {
-            if parsed.num(key).is_none() {
-                return Err(format!("EcoJob: missing numeric '{key}' field"));
-            }
+    let event = parsed
+        .str_field("event")
+        .ok_or("missing string 'event' field")?;
+    let (_, fields) = SCHEMA
+        .iter()
+        .find(|(name, _)| *name == event)
+        .ok_or_else(|| format!("unknown event '{event}'"))?;
+    for &(key, field) in *fields {
+        let value = parsed.get(key);
+        let (fits, expected) = match field {
+            Field::Int => (matches!(value, Some(JsonValue::Num(_))), "a number"),
+            Field::Float => (
+                matches!(value, Some(JsonValue::Num(_) | JsonValue::Null)),
+                "a number or null",
+            ),
+            Field::Bool => (matches!(value, Some(JsonValue::Bool(_))), "a boolean"),
+            Field::Name => (matches!(value, Some(JsonValue::Str(_))), "a string"),
+            Field::Key => (
+                matches!(value, Some(JsonValue::Str(s))
+                    if s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit())),
+                "a 16-digit hex string",
+            ),
+        };
+        if !fits {
+            return Err(format!("{event}: '{key}' must be {expected}"));
         }
     }
     Ok(parsed)
@@ -425,7 +336,7 @@ pub fn validate_line(line: &str) -> Result<ParsedRecord, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::event::{Event, Phase, StepTermination};
+    use crate::event::{Event, StepTermination};
     use crate::Tracer;
     use std::sync::{Arc, Mutex};
 
@@ -443,359 +354,307 @@ mod tests {
         }
     }
 
+    /// One sample of every event variant, in schema order, with the exact
+    /// line the encoder writes for it as the tracer's event number `i`. A
+    /// byte that changes here changes in every trace that carries the
+    /// event.
+    fn samples() -> Vec<(Phase, Event, &'static str)> {
+        vec![
+            (
+                Phase::Solver,
+                Event::SolveStart {
+                    binaries: 12,
+                    constraints: 30,
+                },
+                r#"{"seq":0,"phase":"solver","event":"SolveStart","binaries":12,"constraints":30}"#,
+            ),
+            (
+                Phase::Solver,
+                Event::RootLp { objective: -3.25 },
+                r#"{"seq":1,"phase":"solver","event":"RootLp","objective":-3.25}"#,
+            ),
+            (
+                Phase::Solver,
+                Event::BnbNode {
+                    depth: 2,
+                    warm: true,
+                    pivots: 7,
+                    refactors: 1,
+                    etas: 5,
+                    propagated: false,
+                },
+                r#"{"seq":2,"phase":"solver","event":"BnbNode","depth":2,"warm":true,"pivots":7,"refactors":1,"etas":5,"propagated":false}"#,
+            ),
+            (
+                Phase::Solver,
+                Event::Incumbent { objective: 7.0 },
+                r#"{"seq":3,"phase":"solver","event":"Incumbent","objective":7}"#,
+            ),
+            (
+                Phase::Solver,
+                Event::Presolve {
+                    passes: 3,
+                    rows_tightened: 11,
+                    binaries_fixed: 2,
+                    implications: 5,
+                },
+                r#"{"seq":4,"phase":"solver","event":"Presolve","passes":3,"rows_tightened":11,"binaries_fixed":2,"implications":5}"#,
+            ),
+            (
+                Phase::Solver,
+                Event::CutRound { round: 1, cuts: 6 },
+                r#"{"seq":5,"phase":"solver","event":"CutRound","round":1,"cuts":6}"#,
+            ),
+            (
+                Phase::Solver,
+                Event::SolveEnd {
+                    nodes: 3,
+                    simplex_iterations: 40,
+                    proven: true,
+                },
+                r#"{"seq":6,"phase":"solver","event":"SolveEnd","nodes":3,"simplex_iterations":40,"proven":true}"#,
+            ),
+            (
+                Phase::Augment,
+                Event::AugmentStep {
+                    step: 0,
+                    group: 3,
+                    obstacles: 2,
+                    binaries: 22,
+                    nodes: 3,
+                    outcome: StepTermination::Incumbent,
+                },
+                r#"{"seq":7,"phase":"augment","event":"AugmentStep","step":0,"group":3,"obstacles":2,"binaries":22,"nodes":3,"outcome":"incumbent"}"#,
+            ),
+            (
+                Phase::Augment,
+                Event::GreedyFallback { step: 1 },
+                r#"{"seq":8,"phase":"augment","event":"GreedyFallback","step":1}"#,
+            ),
+            (
+                Phase::Improve,
+                Event::ImproveRound {
+                    round: 0,
+                    accepted: true,
+                    height: 12.5,
+                },
+                r#"{"seq":9,"phase":"improve","event":"ImproveRound","round":0,"accepted":true,"height":12.5}"#,
+            ),
+            (
+                Phase::Route,
+                Event::RouteStart {
+                    nets: 5,
+                    cells: 9,
+                    edges: 12,
+                },
+                r#"{"seq":10,"phase":"route","event":"RouteStart","nets":5,"cells":9,"edges":12}"#,
+            ),
+            (
+                Phase::Route,
+                Event::RouteNet {
+                    net: 4,
+                    length: 8.75,
+                    segments: 2,
+                },
+                r#"{"seq":11,"phase":"route","event":"RouteNet","net":4,"length":8.75,"segments":2}"#,
+            ),
+            (
+                Phase::Route,
+                Event::ChannelAdjust {
+                    extra_width: 0.5,
+                    extra_height: 0.0,
+                    overflowed_edges: 1,
+                },
+                r#"{"seq":12,"phase":"route","event":"ChannelAdjust","extra_width":0.5,"extra_height":0,"overflowed_edges":1}"#,
+            ),
+            (
+                Phase::Route,
+                Event::Span {
+                    name: "route_all",
+                    micros: 1234,
+                },
+                r#"{"seq":13,"phase":"route","event":"Span","name":"route_all","micros":1234}"#,
+            ),
+            (
+                Phase::Serve,
+                Event::CacheHit {
+                    key: 0xdead_beef_0000_0001,
+                },
+                r#"{"seq":14,"phase":"serve","event":"CacheHit","key":"deadbeef00000001"}"#,
+            ),
+            (
+                Phase::Serve,
+                Event::CacheMiss { key: 42 },
+                r#"{"seq":15,"phase":"serve","event":"CacheMiss","key":"000000000000002a"}"#,
+            ),
+            (
+                Phase::Serve,
+                Event::JobDone {
+                    id: 9,
+                    micros: 88,
+                    degraded: false,
+                    cached: true,
+                },
+                r#"{"seq":16,"phase":"serve","event":"JobDone","id":9,"micros":88,"degraded":false,"cached":true}"#,
+            ),
+            (
+                Phase::Serve,
+                Event::Coalesced { key: u64::MAX },
+                r#"{"seq":17,"phase":"serve","event":"Coalesced","key":"ffffffffffffffff"}"#,
+            ),
+            (
+                Phase::Serve,
+                Event::Shed {
+                    queued: 64,
+                    retry_after_ms: 25,
+                },
+                r#"{"seq":18,"phase":"serve","event":"Shed","queued":64,"retry_after_ms":25}"#,
+            ),
+            (
+                Phase::Serve,
+                Event::ShardStats {
+                    shard: 1,
+                    conns: 9,
+                    accepted: 40,
+                    completed: 38,
+                    shed: 2,
+                    malformed: 3,
+                },
+                r#"{"seq":19,"phase":"serve","event":"ShardStats","shard":1,"conns":9,"accepted":40,"completed":38,"shed":2,"malformed":3}"#,
+            ),
+            (
+                Phase::Serve,
+                // A leg that produced nothing has no cost: NaN renders as null.
+                Event::BackendDone {
+                    backend: "milp",
+                    micros: 700,
+                    cost: f64::NAN,
+                    won: false,
+                },
+                r#"{"seq":20,"phase":"serve","event":"BackendDone","backend":"milp","micros":700,"cost":null,"won":false}"#,
+            ),
+            (
+                Phase::Serve,
+                Event::Portfolio {
+                    backends: 3,
+                    winner: "analytic",
+                    micros: 1500,
+                },
+                r#"{"seq":21,"phase":"serve","event":"Portfolio","backends":3,"winner":"analytic","micros":1500}"#,
+            ),
+            (
+                Phase::Serve,
+                Event::DeltaApply {
+                    base_key: 0x0123_4567_89ab_cdef,
+                    ops: 2,
+                    touched: 3,
+                    total: 33,
+                },
+                r#"{"seq":22,"phase":"serve","event":"DeltaApply","base_key":"0123456789abcdef","ops":2,"touched":3,"total":33}"#,
+            ),
+            (
+                Phase::Serve,
+                Event::EcoJob {
+                    id: 12,
+                    base_key: 0x0123_4567_89ab_cdef,
+                    base_hit: true,
+                    replaced: 4,
+                    total: 33,
+                },
+                r#"{"seq":23,"phase":"serve","event":"EcoJob","id":12,"base_key":"0123456789abcdef","base_hit":true,"replaced":4,"total":33}"#,
+            ),
+        ]
+    }
+
+    /// The schema row of a validated line's event.
+    fn row_of(parsed: &ParsedRecord) -> &'static [(&'static str, Field)] {
+        let event = parsed.str_field("event").expect("validated");
+        SCHEMA
+            .iter()
+            .find(|(name, _)| *name == event)
+            .map(|(_, row)| *row)
+            .expect("validated")
+    }
+
     #[test]
-    fn every_emitted_line_validates() {
+    fn every_variant_writes_its_golden_line() {
         let buf = SharedBuf::default();
         let t = Tracer::new(JsonlSink::to_writer(Box::new(buf.clone())));
-        t.emit(
-            Phase::Solver,
-            Event::SolveStart {
-                binaries: 12,
-                constraints: 30,
-            },
-        );
-        t.emit(Phase::Solver, Event::RootLp { objective: -3.25 });
-        t.emit(
-            Phase::Solver,
-            Event::BnbNode {
-                depth: 2,
-                warm: true,
-                pivots: 7,
-                refactors: 1,
-                etas: 5,
-                propagated: false,
-            },
-        );
-        t.emit(Phase::Solver, Event::Incumbent { objective: 7.0 });
-        t.emit(
-            Phase::Solver,
-            Event::SolveEnd {
-                nodes: 3,
-                simplex_iterations: 40,
-                proven: true,
-            },
-        );
-        t.emit(
-            Phase::Augment,
-            Event::AugmentStep {
-                step: 0,
-                group: 3,
-                obstacles: 2,
-                binaries: 22,
-                nodes: 3,
-                outcome: StepTermination::Incumbent,
-            },
-        );
-        t.emit(Phase::Augment, Event::GreedyFallback { step: 1 });
-        t.emit(
-            Phase::Improve,
-            Event::ImproveRound {
-                round: 0,
-                accepted: true,
-                height: 12.5,
-            },
-        );
-        t.emit(
-            Phase::Route,
-            Event::RouteStart {
-                nets: 5,
-                cells: 9,
-                edges: 12,
-            },
-        );
-        t.emit(
-            Phase::Route,
-            Event::RouteNet {
-                net: 4,
-                length: 8.75,
-                segments: 2,
-            },
-        );
-        t.emit(
-            Phase::Route,
-            Event::ChannelAdjust {
-                extra_width: 0.5,
-                extra_height: 0.0,
-                overflowed_edges: 1,
-            },
-        );
-        t.emit(
-            Phase::Solver,
-            Event::Span {
-                name: "step",
-                micros: 1234,
-            },
-        );
-        t.emit(Phase::Serve, Event::CacheMiss { key: u64::MAX });
-        t.emit(Phase::Serve, Event::CacheHit { key: u64::MAX });
-        t.emit(
-            Phase::Serve,
-            Event::JobDone {
-                id: 9,
-                micros: 88,
-                degraded: false,
-                cached: true,
-            },
-        );
-        t.emit(
-            Phase::Solver,
-            Event::Presolve {
-                passes: 3,
-                rows_tightened: 11,
-                binaries_fixed: 2,
-                implications: 5,
-            },
-        );
-        t.emit(Phase::Solver, Event::CutRound { round: 1, cuts: 6 });
-        t.emit(Phase::Serve, Event::Coalesced { key: u64::MAX });
-        t.emit(
-            Phase::Serve,
-            Event::Shed {
-                queued: 64,
-                retry_after_ms: 25,
-            },
-        );
-        t.emit(
-            Phase::Serve,
-            Event::ShardStats {
-                shard: 1,
-                conns: 9,
-                accepted: 40,
-                completed: 38,
-                shed: 2,
-                malformed: 3,
-            },
-        );
-        t.emit(
-            Phase::Serve,
-            Event::BackendDone {
-                backend: "analytic",
-                micros: 700,
-                cost: 42.25,
-                won: false,
-            },
-        );
-        t.emit(
-            Phase::Serve,
-            Event::Portfolio {
-                backends: 3,
-                winner: "milp",
-                micros: 1500,
-            },
-        );
-        t.emit(
-            Phase::Serve,
-            Event::DeltaApply {
-                base_key: u64::MAX,
-                ops: 2,
-                touched: 3,
-                total: 33,
-            },
-        );
-        t.emit(
-            Phase::Serve,
-            Event::EcoJob {
-                id: 12,
-                base_key: u64::MAX,
-                base_hit: true,
-                replaced: 4,
-                total: 33,
-            },
-        );
+        let samples = samples();
+        for (phase, event, _) in &samples {
+            t.emit(*phase, event.clone());
+        }
         t.flush();
-
-        let bytes = buf.0.lock().unwrap().clone();
-        let text = String::from_utf8(bytes).unwrap();
-        let lines: Vec<&str> = text.lines().collect();
-        assert_eq!(lines.len(), 24);
-        for (i, line) in lines.iter().enumerate() {
-            let parsed = validate_line(line).unwrap_or_else(|e| panic!("line {i}: {e}\n{line}"));
-            assert_eq!(parsed.num("seq"), Some(i as f64));
-        }
-        // Spot-check payload round-trips.
-        let inc = parse_line(lines[3]).unwrap();
-        assert_eq!(inc.str_field("event"), Some("Incumbent"));
-        assert_eq!(inc.num("objective"), Some(7.0));
-        let adj = parse_line(lines[10]).unwrap();
-        assert_eq!(adj.num("extra_width"), Some(0.5));
-        assert_eq!(adj.num("overflowed_edges"), Some(1.0));
-        // Cache keys survive as full-width hex strings, not lossy numbers.
-        let hit = parse_line(lines[13]).unwrap();
-        assert_eq!(hit.str_field("event"), Some("CacheHit"));
-        assert_eq!(hit.str_field("key"), Some("ffffffffffffffff"));
-        let done = parse_line(lines[14]).unwrap();
-        assert_eq!(done.num("id"), Some(9.0));
-        assert_eq!(done.get("cached"), Some(&JsonValue::Bool(true)));
-        let pre = parse_line(lines[15]).unwrap();
-        assert_eq!(pre.str_field("event"), Some("Presolve"));
-        assert_eq!(pre.num("rows_tightened"), Some(11.0));
-        assert_eq!(pre.num("implications"), Some(5.0));
-        let cut = parse_line(lines[16]).unwrap();
-        assert_eq!(cut.str_field("event"), Some("CutRound"));
-        assert_eq!(cut.num("cuts"), Some(6.0));
-        let coalesced = parse_line(lines[17]).unwrap();
-        assert_eq!(coalesced.str_field("event"), Some("Coalesced"));
-        assert_eq!(coalesced.str_field("key"), Some("ffffffffffffffff"));
-        let shed = parse_line(lines[18]).unwrap();
-        assert_eq!(shed.num("queued"), Some(64.0));
-        assert_eq!(shed.num("retry_after_ms"), Some(25.0));
-        let shard = parse_line(lines[19]).unwrap();
-        assert_eq!(shard.num("shard"), Some(1.0));
-        assert_eq!(shard.num("accepted"), Some(40.0));
-        assert_eq!(shard.num("malformed"), Some(3.0));
-        let leg = parse_line(lines[20]).unwrap();
-        assert_eq!(leg.str_field("event"), Some("BackendDone"));
-        assert_eq!(leg.str_field("backend"), Some("analytic"));
-        assert_eq!(leg.num("cost"), Some(42.25));
-        assert_eq!(leg.bool_field("won"), Some(false));
-        let race = parse_line(lines[21]).unwrap();
-        assert_eq!(race.str_field("event"), Some("Portfolio"));
-        assert_eq!(race.str_field("winner"), Some("milp"));
-        assert_eq!(race.num("backends"), Some(3.0));
-        assert_eq!(race.num("micros"), Some(1500.0));
-        let delta = parse_line(lines[22]).unwrap();
-        assert_eq!(delta.str_field("event"), Some("DeltaApply"));
-        assert_eq!(delta.str_field("base_key"), Some("ffffffffffffffff"));
-        assert_eq!(delta.num("ops"), Some(2.0));
-        assert_eq!(delta.num("touched"), Some(3.0));
-        let eco = parse_line(lines[23]).unwrap();
-        assert_eq!(eco.str_field("event"), Some("EcoJob"));
-        assert_eq!(eco.str_field("base_key"), Some("ffffffffffffffff"));
-        assert_eq!(eco.bool_field("base_hit"), Some(true));
-        assert_eq!(eco.num("replaced"), Some(4.0));
+        let text = String::from_utf8(buf.0.lock().unwrap().clone()).unwrap();
+        let goldens: Vec<&str> = samples.iter().map(|(.., line)| *line).collect();
+        assert_eq!(text.lines().collect::<Vec<_>>(), goldens);
     }
 
     #[test]
-    fn eco_lines_require_their_fields() {
-        validate_line(
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"DeltaApply\",\
-             \"base_key\":\"ab\",\"ops\":1,\"touched\":1,\"total\":9}",
-        )
-        .unwrap();
-        validate_line(
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"EcoJob\",\"id\":3,\
-             \"base_key\":\"ab\",\"base_hit\":false,\"replaced\":9,\
-             \"total\":9}",
-        )
-        .unwrap();
-        for bad in [
-            // DeltaApply with a numeric base_key (must be a hex string).
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"DeltaApply\",\
-             \"base_key\":12,\"ops\":1,\"touched\":1,\"total\":9}",
-            // DeltaApply missing the op count.
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"DeltaApply\",\
-             \"base_key\":\"ab\",\"touched\":1,\"total\":9}",
-            // EcoJob missing the replaced count.
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"EcoJob\",\"id\":3,\
-             \"base_key\":\"ab\",\"base_hit\":false,\"total\":9}",
-            // EcoJob with a non-boolean base_hit.
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"EcoJob\",\"id\":3,\
-             \"base_key\":\"ab\",\"base_hit\":1,\"replaced\":9,\
-             \"total\":9}",
-        ] {
-            assert!(validate_line(bad).is_err(), "should reject: {bad}");
+    fn schema_rows_match_the_golden_lines() {
+        let mut names = Vec::new();
+        for (.., line) in samples() {
+            let parsed = validate_line(line).unwrap_or_else(|e| panic!("{e}: {line}"));
+            let keys: Vec<&str> = parsed.fields[3..].iter().map(|(k, _)| k.as_str()).collect();
+            let row: Vec<&str> = row_of(&parsed).iter().map(|(k, _)| *k).collect();
+            assert_eq!(keys, row, "{line}");
+            names.push(parsed.str_field("event").unwrap().to_string());
+        }
+        let table: Vec<&str> = SCHEMA.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, table, "one sample per schema row, in order");
+    }
+
+    #[test]
+    fn dropping_or_mistyping_any_field_is_refused() {
+        // A value of each JSON form, and the field types that admit it.
+        let forms: [(&str, &[Field]); 5] = [
+            ("7", &[Field::Int, Field::Float]),
+            ("null", &[Field::Float]),
+            ("true", &[Field::Bool]),
+            ("\"x\"", &[Field::Name]),
+            ("\"00000000000000ff\"", &[Field::Name, Field::Key]),
+        ];
+        for (.., line) in samples() {
+            let row = row_of(&validate_line(line).unwrap());
+            // No sample's string holds a comma, so its pairs split on commas.
+            let pairs: Vec<&str> = line[1..line.len() - 1].split(',').collect();
+            for (i, &(key, field)) in row.iter().enumerate() {
+                // The row's fields follow `seq`, `phase` and `event`.
+                let at = 3 + i;
+                let mut dropped = pairs.clone();
+                dropped.remove(at);
+                let dropped = format!("{{{}}}", dropped.join(","));
+                assert!(validate_line(&dropped).is_err(), "accepted: {dropped}");
+                for (form, admits) in forms {
+                    let pair = format!("\"{key}\":{form}");
+                    let mut typed = pairs.clone();
+                    typed[at] = &pair;
+                    let typed = format!("{{{}}}", typed.join(","));
+                    assert_eq!(
+                        validate_line(&typed).is_ok(),
+                        admits.contains(&field),
+                        "{typed}"
+                    );
+                }
+            }
         }
     }
 
     #[test]
-    fn portfolio_lines_require_their_fields() {
-        validate_line(
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"BackendDone\",\
-             \"backend\":\"milp\",\"micros\":5,\"cost\":1.5,\"won\":true}",
-        )
-        .unwrap();
-        // A failed leg carries cost:null — still valid.
-        validate_line(
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"BackendDone\",\
-             \"backend\":\"annealer\",\"micros\":5,\"cost\":null,\"won\":false}",
-        )
-        .unwrap();
-        validate_line(
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"Portfolio\",\
-             \"backends\":2,\"winner\":\"analytic\",\"micros\":90}",
-        )
-        .unwrap();
-        for bad in [
-            // BackendDone missing the backend name.
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"BackendDone\",\
-             \"micros\":5,\"cost\":1.5,\"won\":true}",
-            // Non-boolean won.
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"BackendDone\",\
-             \"backend\":\"milp\",\"micros\":5,\"cost\":1.5,\"won\":1}",
-            // Cost as a string.
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"BackendDone\",\
-             \"backend\":\"milp\",\"micros\":5,\"cost\":\"x\",\"won\":true}",
-            // Portfolio missing the winner.
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"Portfolio\",\
-             \"backends\":2,\"micros\":90}",
-            // Portfolio missing the race wall-clock.
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"Portfolio\",\
-             \"backends\":2,\"winner\":\"milp\"}",
-        ] {
-            assert!(validate_line(bad).is_err(), "should reject: {bad}");
-        }
-    }
-
-    #[test]
-    fn service_admission_lines_require_their_fields() {
-        validate_line("{\"seq\":0,\"phase\":\"serve\",\"event\":\"Coalesced\",\"key\":\"ab\"}")
-            .unwrap();
-        validate_line(
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"Shed\",\"queued\":3,\"retry_after_ms\":9}",
-        )
-        .unwrap();
-        validate_line(
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"ShardStats\",\"shard\":0,\"conns\":1,\
-             \"accepted\":5,\"completed\":5,\"shed\":0,\"malformed\":0}",
-        )
-        .unwrap();
-        for bad in [
-            // Coalesced with a numeric key (must be full-width hex string).
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"Coalesced\",\"key\":12}",
-            // Shed missing the back-off hint.
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"Shed\",\"queued\":3}",
-            // ShardStats missing a counter.
-            "{\"seq\":0,\"phase\":\"serve\",\"event\":\"ShardStats\",\"shard\":0,\"conns\":1,\
-             \"accepted\":5,\"completed\":5,\"shed\":0}",
-        ] {
-            assert!(validate_line(bad).is_err(), "should reject: {bad}");
-        }
-    }
-
-    #[test]
-    fn presolve_and_cut_round_lines_require_counters() {
-        let ok = "{\"seq\":0,\"phase\":\"solver\",\"event\":\"Presolve\",\"passes\":2,\
-                  \"rows_tightened\":3,\"binaries_fixed\":0,\"implications\":1}";
+    fn envelope_names_a_known_phase_and_event() {
+        let ok = r#"{"seq":8,"phase":"augment","event":"GreedyFallback","step":1}"#;
         validate_line(ok).unwrap();
-        let ok = "{\"seq\":1,\"phase\":\"solver\",\"event\":\"CutRound\",\"round\":0,\"cuts\":4}";
-        validate_line(ok).unwrap();
-        for bad in [
-            // Presolve missing a counter.
-            "{\"seq\":0,\"phase\":\"s\",\"event\":\"Presolve\",\"passes\":2,\
-             \"rows_tightened\":3,\"binaries_fixed\":0}",
-            // Non-numeric counter.
-            "{\"seq\":0,\"phase\":\"s\",\"event\":\"Presolve\",\"passes\":2,\
-             \"rows_tightened\":\"x\",\"binaries_fixed\":0,\"implications\":1}",
-            // CutRound missing cuts.
-            "{\"seq\":0,\"phase\":\"s\",\"event\":\"CutRound\",\"round\":0}",
-        ] {
-            assert!(validate_line(bad).is_err(), "should reject: {bad}");
-        }
-    }
-
-    #[test]
-    fn span_lines_require_name_and_micros() {
+        // Keys beyond the schema row are allowed.
         validate_line(
-            "{\"seq\":0,\"phase\":\"improve\",\"event\":\"Span\",\
-             \"name\":\"topology_lp\",\"micros\":812}",
+            r#"{"seq":8,"phase":"augment","event":"GreedyFallback","step":1,"note":"x"}"#,
         )
         .unwrap();
         for bad in [
-            // Span missing its name.
-            "{\"seq\":0,\"phase\":\"route\",\"event\":\"Span\",\"micros\":5}",
-            // Span with a string duration.
-            "{\"seq\":0,\"phase\":\"route\",\"event\":\"Span\",\
-             \"name\":\"route_all\",\"micros\":\"5\"}",
+            r#"{"seq":"8","phase":"augment","event":"GreedyFallback","step":1}"#,
+            r#"{"seq":8,"event":"GreedyFallback","step":1}"#,
+            r#"{"seq":8,"phase":"planner","event":"GreedyFallback","step":1}"#,
+            r#"{"seq":8,"phase":"augment","step":1}"#,
+            r#"{"seq":8,"phase":"augment","event":"Fallback","step":1}"#,
         ] {
             assert!(validate_line(bad).is_err(), "should reject: {bad}");
         }
@@ -810,37 +669,6 @@ mod tests {
         assert!(parse_line("{\"a\":[1]}").is_err()); // arrays unsupported
         assert!(validate_line("{\"seq\":1}").is_err()); // missing phase/event
         assert!(validate_line("{\"seq\":\"x\",\"phase\":\"p\",\"event\":\"e\"}").is_err());
-    }
-
-    #[test]
-    fn bnb_node_lines_require_warm_start_fields() {
-        let ok = "{\"seq\":0,\"phase\":\"solver\",\"event\":\"BnbNode\",\
-                  \"depth\":1,\"warm\":true,\"pivots\":4,\
-                  \"refactors\":1,\"etas\":3,\"propagated\":false}";
-        let parsed = validate_line(ok).unwrap();
-        assert_eq!(parsed.bool_field("warm"), Some(true));
-        assert_eq!(parsed.bool_field("propagated"), Some(false));
-        assert_eq!(parsed.num("pivots"), Some(4.0));
-        assert_eq!(parsed.num("refactors"), Some(1.0));
-        assert_eq!(parsed.num("etas"), Some(3.0));
-        // Missing warm, non-boolean warm, missing pivots, missing
-        // factorization counters, missing propagated: all rejected.
-        for bad in [
-            "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
-             \"warm\":false,\"pivots\":4,\"refactors\":0,\"etas\":0}",
-            "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
-             \"pivots\":4,\"refactors\":0,\"etas\":0,\"propagated\":false}",
-            "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
-             \"warm\":1,\"pivots\":4,\"refactors\":0,\"etas\":0,\"propagated\":false}",
-            "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
-             \"warm\":false,\"refactors\":0,\"etas\":0,\"propagated\":false}",
-            "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
-             \"warm\":false,\"pivots\":4,\"etas\":0,\"propagated\":false}",
-            "{\"seq\":0,\"phase\":\"s\",\"event\":\"BnbNode\",\"depth\":1,\
-             \"warm\":false,\"pivots\":4,\"refactors\":0,\"propagated\":false}",
-        ] {
-            assert!(validate_line(bad).is_err(), "should reject: {bad}");
-        }
     }
 
     #[test]

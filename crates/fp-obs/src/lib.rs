@@ -16,20 +16,20 @@
 //!   tee. [`render_summary`] turns collected records into a
 //!   human-readable run summary.
 //! * **A cheap handle** ([`Tracer`]): `Clone + Send + Sync`, one
-//!   `Option` check when disabled, and atomics-only per-event-kind
-//!   counters when enabled — safe to share between fp-serve's workers
-//!   and a portfolio race's legs without measurable overhead.
+//!   `Option` check when disabled, and one relaxed atomic sequence
+//!   number per event when enabled — safe to share between fp-serve's
+//!   workers and a portfolio race's legs without measurable overhead.
 //!
 //! # Example
 //!
 //! ```
-//! use fp_obs::{Collector, Event, EventKind, Phase, Tracer};
+//! use fp_obs::{Collector, Event, Phase, Tracer};
 //!
 //! let collector = Collector::new();
 //! let tracer = Tracer::new(collector.clone());
 //! tracer.emit(Phase::Solver, Event::BnbNode { depth: 0, warm: false, pivots: 0, refactors: 1, etas: 0, propagated: false });
 //! tracer.emit(Phase::Solver, Event::Incumbent { objective: 42.0 });
-//! assert_eq!(tracer.count(EventKind::BnbNode), 1);
+//! assert_eq!(collector.count_of(|e| matches!(e, Event::BnbNode { .. })), 1);
 //! let records = collector.records();
 //! assert_eq!(records.len(), 2);
 //! assert_eq!(records[0].seq, 0); // sequence numbers are monotone
@@ -37,7 +37,7 @@
 //! // Disabled tracing emits nothing and costs one Option check.
 //! let off = Tracer::disabled();
 //! off.emit(Phase::Solver, Event::BnbNode { depth: 9, warm: false, pivots: 0, refactors: 0, etas: 0, propagated: false });
-//! assert_eq!(off.count(EventKind::BnbNode), 0);
+//! assert_eq!(off.total_events(), 0);
 //! ```
 
 #![forbid(unsafe_code)]
@@ -48,7 +48,7 @@ mod jsonl;
 mod sink;
 mod summary;
 
-pub use event::{Event, EventKind, Phase, Record, StepTermination};
+pub use event::{Event, Phase, Record, StepTermination};
 pub use jsonl::{parse_line, validate_line, JsonValue, JsonlSink, ParsedRecord};
 pub use sink::{Collector, Fanout, NullSink, Sink};
 pub use summary::render_summary;
@@ -60,7 +60,6 @@ use std::time::Instant;
 struct TracerInner {
     sink: Box<dyn Sink>,
     seq: AtomicU64,
-    counts: [AtomicU64; EventKind::COUNT],
 }
 
 /// A cheap, cloneable handle that stamps events with sequence numbers and
@@ -69,8 +68,8 @@ struct TracerInner {
 /// The disabled tracer ([`Tracer::disabled`], also [`Default`]) carries no
 /// allocation at all: every [`emit`](Tracer::emit) is a single `Option`
 /// check, so instrumented hot loops (per-node solver code) stay at
-/// untraced speed. An enabled tracer additionally maintains monotonic
-/// per-[`EventKind`] counters with relaxed atomics.
+/// untraced speed. An enabled tracer stamps each event with one relaxed
+/// atomic add.
 pub struct Tracer {
     inner: Option<Arc<TracerInner>>,
 }
@@ -89,7 +88,6 @@ impl Tracer {
             inner: Some(Arc::new(TracerInner {
                 sink: Box::new(sink),
                 seq: AtomicU64::new(0),
-                counts: std::array::from_fn(|_| AtomicU64::new(0)),
             })),
         }
     }
@@ -112,18 +110,8 @@ impl Tracer {
     pub fn emit(&self, phase: Phase, event: Event) {
         if let Some(inner) = &self.inner {
             let seq = inner.seq.fetch_add(1, Ordering::Relaxed);
-            inner.counts[event.kind().index()].fetch_add(1, Ordering::Relaxed);
             inner.sink.record(&Record { seq, phase, event });
         }
-    }
-
-    /// Monotonic count of events of `kind` emitted through this tracer
-    /// (0 on a disabled tracer).
-    #[must_use]
-    pub fn count(&self, kind: EventKind) -> u64 {
-        self.inner
-            .as_ref()
-            .map_or(0, |i| i.counts[kind.index()].load(Ordering::Relaxed))
     }
 
     /// Total events emitted through this tracer.
@@ -232,9 +220,6 @@ mod tests {
         );
         drop(t.span(Phase::Augment, "noop"));
         assert_eq!(t.total_events(), 0);
-        for kind in EventKind::ALL {
-            assert_eq!(t.count(kind), 0);
-        }
         assert_eq!(Tracer::default(), Tracer::disabled());
     }
 
@@ -259,8 +244,6 @@ mod tests {
         let seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
         assert_eq!(seqs, vec![0, 1, 2, 3, 4]);
         assert_eq!(t.total_events(), 5);
-        assert_eq!(t.count(EventKind::BnbNode), 5);
-        assert_eq!(t.count(EventKind::Incumbent), 0);
     }
 
     #[test]
@@ -290,7 +273,7 @@ mod tests {
                 propagated: false,
             },
         );
-        assert_eq!(a.count(EventKind::BnbNode), 2);
+        assert_eq!(a.total_events(), 2);
         assert_eq!(collector.records().len(), 2);
         assert_eq!(a, b);
         assert_ne!(a, Tracer::new(Collector::new()));
@@ -343,6 +326,6 @@ mod tests {
         let mut seqs: Vec<u64> = records.iter().map(|r| r.seq).collect();
         seqs.sort_unstable();
         assert_eq!(seqs, (0..400).collect::<Vec<u64>>());
-        assert_eq!(t.count(EventKind::BnbNode), 400);
+        assert_eq!(t.total_events(), 400);
     }
 }

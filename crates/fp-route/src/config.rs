@@ -26,23 +26,6 @@ pub enum RoutingMode {
     AroundTheCell,
 }
 
-/// Order in which nets are routed (routing is sequential, so earlier nets
-/// get first claim on channel capacity).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum NetOrdering {
-    /// Descending criticality, then descending weight — the paper's "nets
-    /// with the tight timing requirements are routed first".
-    #[default]
-    CriticalityFirst,
-    /// Ascending estimated length (pin bounding-box half-perimeter): short
-    /// local nets lock in their short routes first.
-    ShortestFirst,
-    /// Descending estimated length: long trunks claim highways first.
-    LongestFirst,
-    /// Netlist order (no reordering) — ablation baseline.
-    Netlist,
-}
-
 /// Configuration for [`route`](crate::route).
 ///
 /// ```
@@ -56,8 +39,6 @@ pub struct RouteConfig {
     pub algorithm: RouteAlgorithm,
     /// Blockage model.
     pub mode: RoutingMode,
-    /// Net routing order.
-    pub ordering: NetOrdering,
     /// Horizontal routing-track pitch (width + spacing), technology input.
     pub pitch_h: f64,
     /// Vertical routing-track pitch.
@@ -77,7 +58,6 @@ impl Default for RouteConfig {
         RouteConfig {
             algorithm: RouteAlgorithm::default(),
             mode: RoutingMode::default(),
-            ordering: NetOrdering::default(),
             pitch_h: 0.10,
             pitch_v: 0.10,
             penalty: 4.0,
@@ -114,13 +94,6 @@ impl RouteConfig {
     #[must_use]
     pub fn with_penalty(mut self, penalty: f64) -> Self {
         self.penalty = penalty;
-        self
-    }
-
-    /// Sets the net routing order.
-    #[must_use]
-    pub fn with_ordering(mut self, ordering: NetOrdering) -> Self {
-        self.ordering = ordering;
         self
     }
 

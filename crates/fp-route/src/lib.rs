@@ -53,7 +53,7 @@ mod report;
 mod router;
 
 pub use adjust::ChipAdjustment;
-pub use config::{NetOrdering, RouteAlgorithm, RouteConfig, RoutingMode};
+pub use config::{RouteAlgorithm, RouteConfig, RoutingMode};
 pub use error::RouteError;
 pub use grid::{CellId, GridEdge, RoutingGrid};
 pub use report::RouteReport;

@@ -117,49 +117,18 @@ pub fn route(
         },
     );
 
-    // Net routing order per the configured strategy.
+    // Nets route in descending criticality, then descending weight: the
+    // paper's "nets with the tight timing requirements are routed first".
+    // Routing is sequential, so earlier nets get first claim on channel
+    // capacity.
     let mut order: Vec<NetId> = netlist.nets().map(|(id, _)| id).collect();
-    let bbox_estimate = |id: NetId| -> f64 {
-        let net = netlist.net(id);
-        let mut min = Point::new(f64::INFINITY, f64::INFINITY);
-        let mut max = Point::new(f64::NEG_INFINITY, f64::NEG_INFINITY);
-        for &m in net.modules() {
-            if let Some(p) = floorplan.placement(m) {
-                let c = p.rect.center();
-                min = Point::new(min.x.min(c.x), min.y.min(c.y));
-                max = Point::new(max.x.max(c.x), max.y.max(c.y));
-            }
-        }
-        if min.x.is_finite() {
-            (max.x - min.x) + (max.y - min.y)
-        } else {
-            0.0
-        }
-    };
-    match config.ordering {
-        crate::NetOrdering::CriticalityFirst => order.sort_by(|&a, &b| {
-            let (na, nb) = (netlist.net(a), netlist.net(b));
-            nb.criticality()
-                .total_cmp(&na.criticality())
-                .then(nb.weight().total_cmp(&na.weight()))
-                .then(a.cmp(&b))
-        }),
-        crate::NetOrdering::ShortestFirst => {
-            order.sort_by(|&a, &b| {
-                bbox_estimate(a)
-                    .total_cmp(&bbox_estimate(b))
-                    .then(a.cmp(&b))
-            });
-        }
-        crate::NetOrdering::LongestFirst => {
-            order.sort_by(|&a, &b| {
-                bbox_estimate(b)
-                    .total_cmp(&bbox_estimate(a))
-                    .then(a.cmp(&b))
-            });
-        }
-        crate::NetOrdering::Netlist => {}
-    }
+    order.sort_by(|&a, &b| {
+        let (na, nb) = (netlist.net(a), netlist.net(b));
+        nb.criticality()
+            .total_cmp(&na.criticality())
+            .then(nb.weight().total_cmp(&na.weight()))
+            .then(a.cmp(&b))
+    });
 
     let mut routes: Vec<Option<RoutedNet>> = vec![None; netlist.num_nets()];
     for id in order {
@@ -663,22 +632,6 @@ mod tests {
         // Chain 0-1-2, never the long 0-2 edge plus both shorts.
         let total: f64 = tree.iter().map(|&(a, b)| pts[a].manhattan(&pts[b])).sum();
         assert_eq!(total, 10.0);
-    }
-
-    #[test]
-    fn all_net_orderings_route_everything() {
-        let (fp, nl) = walled_world();
-        for ordering in [
-            crate::NetOrdering::CriticalityFirst,
-            crate::NetOrdering::ShortestFirst,
-            crate::NetOrdering::LongestFirst,
-            crate::NetOrdering::Netlist,
-        ] {
-            let cfg = RouteConfig::default().with_ordering(ordering);
-            let result = route(&fp, &nl, &cfg).unwrap();
-            assert_eq!(result.routes.len(), nl.num_nets(), "{ordering:?}");
-            assert!(result.total_wirelength > 0.0);
-        }
     }
 
     #[test]

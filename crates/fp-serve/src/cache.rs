@@ -174,9 +174,10 @@ impl SolutionCache {
 
     /// Loads a [`save`](Self::save) snapshot into the cache, inserting
     /// entries in file order (capacity and LRU eviction apply as usual).
-    /// Returns how many entries were loaded. Unreadable or malformed
-    /// lines are *skipped*, not fatal — a truncated or hand-edited
-    /// snapshot still restores everything salvageable.
+    /// Returns how many entries were loaded. Malformed lines, including
+    /// lines that are not UTF-8, are *skipped*, not fatal — a truncated or
+    /// hand-edited snapshot still restores everything salvageable. A read
+    /// error ends the load.
     ///
     /// # Errors
     ///
@@ -185,9 +186,12 @@ impl SolutionCache {
     pub fn load(&self, path: &Path) -> std::io::Result<usize> {
         let reader = std::io::BufReader::new(std::fs::File::open(path)?);
         let mut loaded = 0;
-        for line in reader.lines() {
+        for line in reader.split(b'\n') {
             let Ok(line) = line else { break };
-            let Some((key, canon, resp)) = decode_snapshot_line(&line) else {
+            let Some((key, canon, resp)) = std::str::from_utf8(&line)
+                .ok()
+                .and_then(decode_snapshot_line)
+            else {
                 continue;
             };
             self.insert(key, Arc::from(canon), resp);
@@ -317,16 +321,24 @@ mod tests {
         c.insert(2, canon(2), resp(2));
         c.save(&path.0).unwrap();
         // Corrupt the middle: garbage, a non-hex key, a truncated line,
-        // and a well-formed line whose resp doesn't decode.
+        // a well-formed line whose resp doesn't decode, and a line that is
+        // not UTF-8.
         let good = std::fs::read_to_string(&path.0).unwrap();
         let mut lines: Vec<&str> = good.lines().collect();
         let withheld = lines.remove(1);
         let mangled = format!(
             "{}\nnot json at all\n{{\"key\":\"zz\",\"canon\":\"c\",\"resp\":\"r\"}}\n\
              {{\"key\":\"0000000000000003\",\"canon\":\"c\",\"resp\":\"not a response\"}}\n\
-             {{\"key\":\"00000000000\n{withheld}\n",
+             {{\"key\":\"00000000000\n",
             lines.join("\n")
         );
+        let mangled = [
+            mangled.as_bytes(),
+            b"\xff\xfe\n",
+            withheld.as_bytes(),
+            b"\n",
+        ]
+        .concat();
         std::fs::write(&path.0, mangled).unwrap();
 
         let fresh = SolutionCache::new(8);

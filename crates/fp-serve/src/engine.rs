@@ -1056,17 +1056,18 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
 
     // Routed wirelength only when asked for and still inside budget;
     // otherwise the paper's center-to-center estimate.
-    let mut wirelength = floorplan.center_wirelength(netlist);
+    let mut routed = None;
     if req.route {
         if expired(Instant::now()) {
             degraded = true;
         } else {
             match fp_route::route(&floorplan, netlist, &fp_route::RouteConfig::default()) {
-                Ok(routing) => wirelength = routing.total_wirelength,
+                Ok(routing) => routed = Some(routing.total_wirelength),
                 Err(_) => degraded = true,
             }
         }
     }
+    let wirelength = routed.unwrap_or_else(|| floorplan.center_wirelength(netlist));
 
     let mut placement = String::new();
     for (i, m) in floorplan.iter().enumerate() {

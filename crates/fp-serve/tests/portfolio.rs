@@ -7,7 +7,7 @@ use fp_core::{FloorplanConfig, Floorplanner, StepKind};
 use fp_milp::SolveOptions;
 use fp_netlist::generator::ProblemGenerator;
 use fp_netlist::Netlist;
-use fp_obs::{Collector, EventKind, Tracer};
+use fp_obs::{Collector, Event, Tracer};
 use fp_serve::{Backend, Engine, JobRequest, JobResponse, ServeConfig};
 use std::time::Duration;
 
@@ -79,7 +79,7 @@ fn portfolio_names_its_winner_and_is_legal() {
     );
     // One BackendDone per leg, exactly one marked as the winner, and one
     // Portfolio record naming it.
-    let legs = collector.of_kind(EventKind::BackendDone);
+    let legs = collector.of_kind(|e| matches!(e, Event::BackendDone { .. }));
     assert_eq!(legs.len(), 3);
     let winners: Vec<&str> = legs
         .iter()
@@ -91,7 +91,7 @@ fn portfolio_names_its_winner_and_is_legal() {
         })
         .collect();
     assert_eq!(winners, vec![resp.backend.as_str()]);
-    let races = collector.of_kind(EventKind::Portfolio);
+    let races = collector.of_kind(|e| matches!(e, Event::Portfolio { .. }));
     assert_eq!(races.len(), 1);
     match &races[0].event {
         fp_obs::Event::Portfolio {

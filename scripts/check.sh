@@ -37,14 +37,16 @@ echo "== perfbench tests (the end-to-end benchmark must keep building)"
 cargo test -q --release --locked --offline --manifest-path perfbench/Cargo.toml
 
 # Observability: an end-to-end traced run must produce schema-valid JSONL
-# (each line parses as a flat object carrying numeric `seq` plus string
-# `phase`/`event`) and a non-empty per-phase summary. The trace suites
+# (each line parses as a flat object carrying a numeric `seq`, a known
+# `phase` and `event`, and every field of that event with its JSON type)
+# and a non-empty per-phase summary. The trace suites
 # themselves (trace_invariants, trace_regression, traced_solve) already
 # ran under `cargo test --workspace` above.
 echo "== trace schema sanity (fp-cli --trace | validate_trace)"
 trace_file="$(mktemp --suffix=.jsonl)"
 summary_file="$(mktemp)"
-trap 'rm -f "$trace_file" "$summary_file"' EXIT
+race_trace="$(mktemp --suffix=.jsonl)"
+trap 'rm -f "$trace_file" "$summary_file" "$race_trace"' EXIT
 cargo run --release -q -p fp-cli -- --ami33 --trace "$trace_file" --summary \
     > "$summary_file"
 cargo run --release -q -p fp-obs --example validate_trace -- "$trace_file"
@@ -79,12 +81,25 @@ grep -Eq '"event":"Presolve".*"rows_tightened":[1-9]' "$trace_file" \
 grep -Eq '"event":"BnbNode".*"refactors":[1-9]' "$trace_file" \
     || { echo "check.sh: ami33 trace shows no LU refactorizations"; exit 1; }
 
+# The ami33 trace carries only the solver and augmentation events. A
+# portfolio race that routes and compacts also writes the race, routing,
+# cut-round and span events; validate_trace checks every field of each
+# against the schema table in fp-obs.
+echo "== trace schema sanity (portfolio race, routing and spans)"
+cargo run --release -q -p fp-cli -- --random 12:7 --portfolio --route wsp --compact \
+    --trace "$race_trace" > /dev/null
+cargo run --release -q -p fp-obs --example validate_trace -- "$race_trace"
+for event in BackendDone Portfolio Span; do
+    grep -q "\"event\":\"$event\"" "$race_trace" \
+        || { echo "check.sh: portfolio trace has no $event line"; exit 1; }
+done
+
 # MILP benchmark snapshot smoke: the snapshot binary must run end to end
 # and emit the legs BENCH_MILP.json is diffed against (per-instance
 # `strengthen` objects plus the warm-start and strengthening medians).
 echo "== milp_snapshot smoke"
 bench_json="$(mktemp --suffix=.json)"
-trap 'rm -f "$trace_file" "$summary_file" "$bench_json"' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json"' EXIT
 cargo run --release -q -p fp-bench --bin milp_snapshot -- "$bench_json" \
     > /dev/null
 for key in '"strengthen"' '"median_strengthen_speedup"' '"median_node_throughput_speedup"'; do
@@ -104,7 +119,7 @@ diff <(grep -Eo "$count_fields" BENCH_MILP.json) <(grep -Eo "$count_fields" "$be
 # BENCH_GEOM.json is diffed against.
 echo "== geom_snapshot smoke (--max-n 100)"
 geom_json="$(mktemp --suffix=.json)"
-trap 'rm -f "$trace_file" "$summary_file" "$bench_json" "$geom_json"' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$geom_json"' EXIT
 cargo run --release -q -p fp-bench --bin geom_snapshot -- "$geom_json" --max-n 100 \
     > /dev/null
 [ -s "$geom_json" ] || { echo "check.sh: geom_snapshot wrote no output"; exit 1; }
@@ -159,7 +174,7 @@ echo "== service smoke (floorplan serve / load)"
 serve_log="$(mktemp)"
 serve_trace="$(mktemp --suffix=.jsonl)"
 load_log="$(mktemp)"
-trap 'rm -f "$trace_file" "$summary_file" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log"; kill "${serve_pid:-0}" 2>/dev/null || true' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log"; kill "${serve_pid:-0}" 2>/dev/null || true' EXIT
 ./target/release/floorplan serve --bind 127.0.0.1:0 --workers 2 \
     --trace "$serve_trace" > "$serve_log" 2>&1 &
 serve_pid=$!
@@ -195,7 +210,7 @@ echo "== overload smoke (load shedding)"
 shed_log="$(mktemp)"
 shed_trace="$(mktemp --suffix=.jsonl)"
 shed_load="$(mktemp)"
-trap 'rm -f "$trace_file" "$summary_file" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load"; kill "${serve_pid:-0}" "${shed_pid:-0}" 2>/dev/null || true' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load"; kill "${serve_pid:-0}" "${shed_pid:-0}" 2>/dev/null || true' EXIT
 ./target/release/floorplan serve --bind 127.0.0.1:0 --workers 1 --cache 0 \
     --queue 2 --pending 64 --trace "$shed_trace" > "$shed_log" 2>&1 &
 shed_pid=$!
@@ -252,7 +267,7 @@ eco_log="$(mktemp)"
 eco_trace="$(mktemp --suffix=.jsonl)"
 eco_load="$(mktemp)"
 eco_snap="$(mktemp -u --suffix=.jsonl)"
-trap 'rm -f "$trace_file" "$summary_file" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load" "$eco_log" "$eco_trace" "$eco_load" "$eco_snap"; kill "${serve_pid:-0}" "${shed_pid:-0}" "${eco_pid:-0}" 2>/dev/null || true' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load" "$eco_log" "$eco_trace" "$eco_load" "$eco_snap"; kill "${serve_pid:-0}" "${shed_pid:-0}" "${eco_pid:-0}" 2>/dev/null || true' EXIT
 ./target/release/floorplan serve --bind 127.0.0.1:0 --workers 2 \
     --cache-file "$eco_snap" --trace "$eco_trace" > "$eco_log" 2>&1 &
 eco_pid=$!
