@@ -74,8 +74,6 @@
 mod branch;
 mod error;
 mod expr;
-mod lp_format;
-mod lp_parse;
 mod model;
 mod options;
 mod presolve;
@@ -88,7 +86,6 @@ mod var;
 
 pub use error::SolveError;
 pub use expr::LinExpr;
-pub use lp_parse::parse_lp;
 pub use model::{Cmp, Constraint, Model, Sense};
 pub use options::{SolveOptions, StopFlag};
 pub use solution::{Optimality, RootBasis, Solution, SolveStats};

@@ -1,5 +1,7 @@
 //! Typed trace events and their JSON rendering.
 
+use crate::jsonl::{format_line, Scalar};
+
 /// Which pipeline stage emitted an event.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Phase {
@@ -337,33 +339,11 @@ pub struct Record {
     pub event: Event,
 }
 
-/// Formats an `f64` as a JSON value (`null` for non-finite values, which
-/// JSON cannot represent).
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Formats a name as a JSON string. Names are static identifiers that
-/// need no escaping.
-fn quoted(name: &str) -> String {
-    format!("\"{name}\"")
-}
-
-/// Formats a fingerprint as a fixed-width hex string. Fingerprints are
-/// full 64-bit values; a JSON number would be parsed back as f64 and lose
-/// the low bits.
-fn hex(key: u64) -> String {
-    format!("\"{key:016x}\"")
-}
-
 impl Event {
-    /// The event's name and its `(key, JSON value)` fields, in line order.
-    /// This match is the one place an event's name and fields are written.
-    fn encode(&self) -> (&'static str, Vec<(&'static str, String)>) {
+    /// The event's name and its fields, in line order. This match is the
+    /// one place an event's name and fields are written.
+    fn encode(&self) -> (&'static str, Vec<(&'static str, Scalar<'static>)>) {
+        use Scalar::{Bool, Float, Int, Key, Str};
         match self {
             Event::SolveStart {
                 binaries,
@@ -371,11 +351,11 @@ impl Event {
             } => (
                 "SolveStart",
                 vec![
-                    ("binaries", binaries.to_string()),
-                    ("constraints", constraints.to_string()),
+                    ("binaries", Int(*binaries as u64)),
+                    ("constraints", Int(*constraints as u64)),
                 ],
             ),
-            Event::RootLp { objective } => ("RootLp", vec![("objective", jnum(*objective))]),
+            Event::RootLp { objective } => ("RootLp", vec![("objective", Float(*objective))]),
             Event::BnbNode {
                 depth,
                 warm,
@@ -386,15 +366,15 @@ impl Event {
             } => (
                 "BnbNode",
                 vec![
-                    ("depth", depth.to_string()),
-                    ("warm", warm.to_string()),
-                    ("pivots", pivots.to_string()),
-                    ("refactors", refactors.to_string()),
-                    ("etas", etas.to_string()),
-                    ("propagated", propagated.to_string()),
+                    ("depth", Int(*depth as u64)),
+                    ("warm", Bool(*warm)),
+                    ("pivots", Int(*pivots)),
+                    ("refactors", Int(*refactors)),
+                    ("etas", Int(*etas)),
+                    ("propagated", Bool(*propagated)),
                 ],
             ),
-            Event::Incumbent { objective } => ("Incumbent", vec![("objective", jnum(*objective))]),
+            Event::Incumbent { objective } => ("Incumbent", vec![("objective", Float(*objective))]),
             Event::Presolve {
                 passes,
                 rows_tightened,
@@ -403,15 +383,15 @@ impl Event {
             } => (
                 "Presolve",
                 vec![
-                    ("passes", passes.to_string()),
-                    ("rows_tightened", rows_tightened.to_string()),
-                    ("binaries_fixed", binaries_fixed.to_string()),
-                    ("implications", implications.to_string()),
+                    ("passes", Int(*passes as u64)),
+                    ("rows_tightened", Int(*rows_tightened as u64)),
+                    ("binaries_fixed", Int(*binaries_fixed as u64)),
+                    ("implications", Int(*implications as u64)),
                 ],
             ),
             Event::CutRound { round, cuts } => (
                 "CutRound",
-                vec![("round", round.to_string()), ("cuts", cuts.to_string())],
+                vec![("round", Int(*round as u64)), ("cuts", Int(*cuts as u64))],
             ),
             Event::SolveEnd {
                 nodes,
@@ -420,9 +400,9 @@ impl Event {
             } => (
                 "SolveEnd",
                 vec![
-                    ("nodes", nodes.to_string()),
-                    ("simplex_iterations", simplex_iterations.to_string()),
-                    ("proven", proven.to_string()),
+                    ("nodes", Int(*nodes as u64)),
+                    ("simplex_iterations", Int(*simplex_iterations as u64)),
+                    ("proven", Bool(*proven)),
                 ],
             ),
             Event::AugmentStep {
@@ -435,15 +415,15 @@ impl Event {
             } => (
                 "AugmentStep",
                 vec![
-                    ("step", step.to_string()),
-                    ("group", group.to_string()),
-                    ("obstacles", obstacles.to_string()),
-                    ("binaries", binaries.to_string()),
-                    ("nodes", nodes.to_string()),
-                    ("outcome", quoted(outcome.as_str())),
+                    ("step", Int(*step as u64)),
+                    ("group", Int(*group as u64)),
+                    ("obstacles", Int(*obstacles as u64)),
+                    ("binaries", Int(*binaries as u64)),
+                    ("nodes", Int(*nodes as u64)),
+                    ("outcome", Str(outcome.as_str())),
                 ],
             ),
-            Event::GreedyFallback { step } => ("GreedyFallback", vec![("step", step.to_string())]),
+            Event::GreedyFallback { step } => ("GreedyFallback", vec![("step", Int(*step as u64))]),
             Event::ImproveRound {
                 round,
                 accepted,
@@ -451,17 +431,17 @@ impl Event {
             } => (
                 "ImproveRound",
                 vec![
-                    ("round", round.to_string()),
-                    ("accepted", accepted.to_string()),
-                    ("height", jnum(*height)),
+                    ("round", Int(*round as u64)),
+                    ("accepted", Bool(*accepted)),
+                    ("height", Float(*height)),
                 ],
             ),
             Event::RouteStart { nets, cells, edges } => (
                 "RouteStart",
                 vec![
-                    ("nets", nets.to_string()),
-                    ("cells", cells.to_string()),
-                    ("edges", edges.to_string()),
+                    ("nets", Int(*nets as u64)),
+                    ("cells", Int(*cells as u64)),
+                    ("edges", Int(*edges as u64)),
                 ],
             ),
             Event::RouteNet {
@@ -471,9 +451,9 @@ impl Event {
             } => (
                 "RouteNet",
                 vec![
-                    ("net", net.to_string()),
-                    ("length", jnum(*length)),
-                    ("segments", segments.to_string()),
+                    ("net", Int(*net as u64)),
+                    ("length", Float(*length)),
+                    ("segments", Int(*segments as u64)),
                 ],
             ),
             Event::ChannelAdjust {
@@ -483,17 +463,16 @@ impl Event {
             } => (
                 "ChannelAdjust",
                 vec![
-                    ("extra_width", jnum(*extra_width)),
-                    ("extra_height", jnum(*extra_height)),
-                    ("overflowed_edges", overflowed_edges.to_string()),
+                    ("extra_width", Float(*extra_width)),
+                    ("extra_height", Float(*extra_height)),
+                    ("overflowed_edges", Int(*overflowed_edges as u64)),
                 ],
             ),
-            Event::Span { name, micros } => (
-                "Span",
-                vec![("name", quoted(name)), ("micros", micros.to_string())],
-            ),
-            Event::CacheHit { key } => ("CacheHit", vec![("key", hex(*key))]),
-            Event::CacheMiss { key } => ("CacheMiss", vec![("key", hex(*key))]),
+            Event::Span { name, micros } => {
+                ("Span", vec![("name", Str(name)), ("micros", Int(*micros))])
+            }
+            Event::CacheHit { key } => ("CacheHit", vec![("key", Key(*key))]),
+            Event::CacheMiss { key } => ("CacheMiss", vec![("key", Key(*key))]),
             Event::JobDone {
                 id,
                 micros,
@@ -502,21 +481,21 @@ impl Event {
             } => (
                 "JobDone",
                 vec![
-                    ("id", id.to_string()),
-                    ("micros", micros.to_string()),
-                    ("degraded", degraded.to_string()),
-                    ("cached", cached.to_string()),
+                    ("id", Int(*id)),
+                    ("micros", Int(*micros)),
+                    ("degraded", Bool(*degraded)),
+                    ("cached", Bool(*cached)),
                 ],
             ),
-            Event::Coalesced { key } => ("Coalesced", vec![("key", hex(*key))]),
+            Event::Coalesced { key } => ("Coalesced", vec![("key", Key(*key))]),
             Event::Shed {
                 queued,
                 retry_after_ms,
             } => (
                 "Shed",
                 vec![
-                    ("queued", queued.to_string()),
-                    ("retry_after_ms", retry_after_ms.to_string()),
+                    ("queued", Int(*queued as u64)),
+                    ("retry_after_ms", Int(*retry_after_ms)),
                 ],
             ),
             Event::ShardStats {
@@ -529,12 +508,12 @@ impl Event {
             } => (
                 "ShardStats",
                 vec![
-                    ("shard", shard.to_string()),
-                    ("conns", conns.to_string()),
-                    ("accepted", accepted.to_string()),
-                    ("completed", completed.to_string()),
-                    ("shed", shed.to_string()),
-                    ("malformed", malformed.to_string()),
+                    ("shard", Int(*shard as u64)),
+                    ("conns", Int(*conns as u64)),
+                    ("accepted", Int(*accepted)),
+                    ("completed", Int(*completed)),
+                    ("shed", Int(*shed)),
+                    ("malformed", Int(*malformed)),
                 ],
             ),
             Event::BackendDone {
@@ -545,10 +524,10 @@ impl Event {
             } => (
                 "BackendDone",
                 vec![
-                    ("backend", quoted(backend)),
-                    ("micros", micros.to_string()),
-                    ("cost", jnum(*cost)),
-                    ("won", won.to_string()),
+                    ("backend", Str(backend)),
+                    ("micros", Int(*micros)),
+                    ("cost", Float(*cost)),
+                    ("won", Bool(*won)),
                 ],
             ),
             Event::Portfolio {
@@ -558,9 +537,9 @@ impl Event {
             } => (
                 "Portfolio",
                 vec![
-                    ("backends", backends.to_string()),
-                    ("winner", quoted(winner)),
-                    ("micros", micros.to_string()),
+                    ("backends", Int(*backends as u64)),
+                    ("winner", Str(winner)),
+                    ("micros", Int(*micros)),
                 ],
             ),
             Event::DeltaApply {
@@ -571,10 +550,10 @@ impl Event {
             } => (
                 "DeltaApply",
                 vec![
-                    ("base_key", hex(*base_key)),
-                    ("ops", ops.to_string()),
-                    ("touched", touched.to_string()),
-                    ("total", total.to_string()),
+                    ("base_key", Key(*base_key)),
+                    ("ops", Int(*ops as u64)),
+                    ("touched", Int(*touched as u64)),
+                    ("total", Int(*total as u64)),
                 ],
             ),
             Event::EcoJob {
@@ -586,11 +565,11 @@ impl Event {
             } => (
                 "EcoJob",
                 vec![
-                    ("id", id.to_string()),
-                    ("base_key", hex(*base_key)),
-                    ("base_hit", base_hit.to_string()),
-                    ("replaced", replaced.to_string()),
-                    ("total", total.to_string()),
+                    ("id", Int(*id)),
+                    ("base_key", Key(*base_key)),
+                    ("base_hit", Bool(*base_hit)),
+                    ("replaced", Int(*replaced as u64)),
+                    ("total", Int(*total as u64)),
                 ],
             ),
         }
@@ -653,31 +632,11 @@ impl Record {
     #[must_use]
     pub fn to_json(&self) -> String {
         let (name, fields) = self.event.encode();
-        let mut s = format!(
-            "{{\"seq\":{},\"phase\":\"{}\",\"event\":\"{name}\"",
-            self.seq,
-            self.phase.as_str()
-        );
-        for (key, value) in fields {
-            s.push_str(",\"");
-            s.push_str(key);
-            s.push_str("\":");
-            s.push_str(&value);
-        }
-        s.push('}');
-        s
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn float_rendering_is_plain() {
-        assert_eq!(jnum(1.0), "1");
-        assert_eq!(jnum(-2.5), "-2.5");
-        assert_eq!(jnum(f64::NAN), "null");
-        assert_eq!(jnum(f64::INFINITY), "null");
+        let envelope = [
+            ("seq", Scalar::Int(self.seq)),
+            ("phase", Scalar::Str(self.phase.as_str())),
+            ("event", Scalar::Str(name)),
+        ];
+        format_line(envelope.into_iter().chain(fields))
     }
 }

@@ -1,14 +1,19 @@
-//! JSONL file sink and a minimal parser/validator for its output.
+//! The workspace's one flat-JSON codec, and the JSONL trace sink.
 //!
-//! The trace format is one flat JSON object per line; every line carries
-//! `seq` (number), `phase` (string) and `event` (string), then the
-//! event's own fields. The parser here is intentionally small — it understands exactly the flat
-//! string/number/bool/null objects [`Record::to_json`] emits — and
-//! exists so tests and `scripts/check.sh` can round-trip traces without
-//! an external JSON dependency.
+//! Every JSON line the workspace writes or reads is one flat object of
+//! string, number, boolean and `null` scalars: trace records, fp-serve's
+//! request and response lines, and its cache snapshot. [`format_line`] is
+//! the one writer. It alone escapes a string, renders a float (`null` when
+//! not finite) or a 64-bit key (16 lowercase hex digits, quoted).
+//! [`parse_line`] is the one reader: it copies each run of bytes between
+//! quotes and backslashes at once, so it reads a line in one pass, and
+//! [`ParsedRecord::key_field`] reads a key back. [`validate_line`] checks a
+//! trace line against the event schema. Nested objects and arrays are not
+//! part of the dialect, so no external JSON dependency is needed.
 
 use crate::event::{Field, Phase, Record, SCHEMA};
 use crate::sink::Sink;
+use std::fmt::Write as _;
 use std::io::{BufWriter, Write};
 use std::path::Path;
 use std::sync::Mutex;
@@ -65,6 +70,75 @@ impl Drop for JsonlSink {
     }
 }
 
+/// One field value of a line [`format_line`] writes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub enum Scalar<'a> {
+    /// A count or an id, in decimal.
+    Int(u64),
+    /// An `f64` in its shortest round-trip decimal form, or `null` when it
+    /// is not finite, which JSON cannot represent.
+    Float(f64),
+    /// `true` or `false`.
+    Bool(bool),
+    /// A string, quoted, with `"`, `\`, newline, tab and carriage return
+    /// escaped; every other character is written as it is.
+    Str(&'a str),
+    /// A 64-bit key as 16 lowercase hex digits, quoted: a JSON number is
+    /// read back as an `f64` and would lose the low bits.
+    Key(u64),
+}
+
+/// Writes `fields` as one flat JSON object, in order, without a trailing
+/// newline. [`parse_line`] reads it back.
+#[must_use]
+pub fn format_line<'a>(fields: impl IntoIterator<Item = (&'static str, Scalar<'a>)>) -> String {
+    let mut line = String::from("{");
+    for (i, (key, value)) in fields.into_iter().enumerate() {
+        if i > 0 {
+            line.push(',');
+        }
+        push_str(&mut line, key);
+        line.push(':');
+        // Writing to a `String` cannot fail.
+        let _ = match value {
+            Scalar::Int(n) => write!(line, "{n}"),
+            Scalar::Float(v) if v.is_finite() => write!(line, "{v}"),
+            Scalar::Float(_) => line.write_str("null"),
+            Scalar::Bool(b) => write!(line, "{b}"),
+            Scalar::Str(s) => {
+                push_str(&mut line, s);
+                Ok(())
+            }
+            Scalar::Key(k) => write!(line, "\"{k:016x}\""),
+        };
+    }
+    line.push('}');
+    line
+}
+
+/// Appends `s` quoted and escaped, copying each run between two escaped
+/// characters at once.
+fn push_str(line: &mut String, s: &str) {
+    line.push('"');
+    let mut run = 0;
+    for (i, b) in s.bytes().enumerate() {
+        let escaped = match b {
+            b'"' => "\\\"",
+            b'\\' => "\\\\",
+            b'\n' => "\\n",
+            b'\t' => "\\t",
+            b'\r' => "\\r",
+            _ => continue,
+        };
+        // The escaped bytes are ASCII, so `i` is a char boundary.
+        line.push_str(&s[run..i]);
+        line.push_str(escaped);
+        run = i + 1;
+    }
+    line.push_str(&s[run..]);
+    line.push('"');
+}
+
 /// A parsed JSON scalar.
 #[derive(Debug, Clone, PartialEq)]
 pub enum JsonValue {
@@ -118,9 +192,21 @@ impl ParsedRecord {
             _ => None,
         }
     }
+
+    /// The 64-bit key in `key`, if present as a string of exactly 16 hex
+    /// digits, the form [`Scalar::Key`] writes.
+    #[must_use]
+    pub fn key_field(&self, key: &str) -> Option<u64> {
+        let hex = self.str_field(key)?;
+        if hex.len() != 16 || !hex.bytes().all(|b| b.is_ascii_hexdigit()) {
+            return None;
+        }
+        u64::from_str_radix(hex, 16).ok()
+    }
 }
 
 struct Cursor<'a> {
+    text: &'a str,
     bytes: &'a [u8],
     pos: usize,
 }
@@ -158,40 +244,28 @@ impl<'a> Cursor<'a> {
         self.expect(b'"')?;
         let mut s = String::new();
         loop {
-            match self.peek() {
-                None => return Err("unterminated string".to_string()),
-                Some(b'"') => {
-                    self.pos += 1;
-                    return Ok(s);
-                }
-                Some(b'\\') => {
-                    self.pos += 1;
-                    let esc = self.peek().ok_or("dangling escape")?;
-                    self.pos += 1;
-                    match esc {
-                        b'"' => s.push('"'),
-                        b'\\' => s.push('\\'),
-                        b'/' => s.push('/'),
-                        b'n' => s.push('\n'),
-                        b't' => s.push('\t'),
-                        b'r' => s.push('\r'),
-                        other => {
-                            return Err(format!("unsupported escape '\\{}'", other as char));
-                        }
-                    }
-                }
-                Some(_) => {
-                    // Consume one UTF-8 character (multi-byte safe).
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|_| "invalid UTF-8 in string")?
-                        .chars()
-                        .next()
-                        .ok_or("empty string tail")?;
-                    s.push(ch);
-                    self.pos += ch.len_utf8();
-                }
+            // `"` and `\` are ASCII, so the run before the next one ends on
+            // a char boundary: copying it whole reads the line in one pass.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .ok_or("unterminated string")?;
+            s.push_str(&self.text[self.pos..self.pos + run]);
+            self.pos += run + 1;
+            if self.bytes[self.pos - 1] == b'"' {
+                return Ok(s);
             }
+            let esc = self.peek().ok_or("dangling escape")?;
+            self.pos += 1;
+            s.push(match esc {
+                b'"' => '"',
+                b'\\' => '\\',
+                b'/' => '/',
+                b'n' => '\n',
+                b't' => '\t',
+                b'r' => '\r',
+                other => return Err(format!("unsupported escape '\\{}'", other as char)),
+            });
         }
     }
 
@@ -209,8 +283,7 @@ impl<'a> Cursor<'a> {
                 }) {
                     self.pos += 1;
                 }
-                let text = std::str::from_utf8(&self.bytes[start..self.pos])
-                    .map_err(|_| "invalid number bytes")?;
+                let text = &self.text[start..self.pos];
                 text.parse::<f64>()
                     .map(JsonValue::Num)
                     .map_err(|_| format!("bad number '{text}'"))
@@ -241,6 +314,7 @@ impl<'a> Cursor<'a> {
 /// arrays are rejected (the trace format is flat by construction).
 pub fn parse_line(line: &str) -> Result<ParsedRecord, String> {
     let mut c = Cursor {
+        text: line,
         bytes: line.as_bytes(),
         pos: 0,
     };
@@ -320,11 +394,7 @@ pub fn validate_line(line: &str) -> Result<ParsedRecord, String> {
             ),
             Field::Bool => (matches!(value, Some(JsonValue::Bool(_))), "a boolean"),
             Field::Name => (matches!(value, Some(JsonValue::Str(_))), "a string"),
-            Field::Key => (
-                matches!(value, Some(JsonValue::Str(s))
-                    if s.len() == 16 && s.bytes().all(|b| b.is_ascii_hexdigit())),
-                "a 16-digit hex string",
-            ),
+            Field::Key => (parsed.key_field(key).is_some(), "a 16-digit hex string"),
         };
         if !fits {
             return Err(format!("{event}: '{key}' must be {expected}"));
@@ -682,6 +752,116 @@ mod tests {
         assert_eq!(p.get("missing"), None);
         let empty = parse_line("{}").unwrap();
         assert!(empty.fields.is_empty());
+    }
+
+    #[test]
+    fn each_scalar_renders_in_the_dialect() {
+        let line = format_line([
+            ("int", Scalar::Int(u64::MAX)),
+            ("whole", Scalar::Float(1.0)),
+            ("neg", Scalar::Float(-2.5)),
+            ("nan", Scalar::Float(f64::NAN)),
+            ("inf", Scalar::Float(f64::NEG_INFINITY)),
+            ("yes", Scalar::Bool(true)),
+            ("no", Scalar::Bool(false)),
+            ("str", Scalar::Str("a\"b\\c\nd\te\rf/é")),
+            ("key", Scalar::Key(0xab)),
+        ]);
+        assert_eq!(
+            line,
+            r#"{"int":18446744073709551615,"whole":1,"neg":-2.5,"nan":null,"inf":null,"yes":true,"no":false,"str":"a\"b\\c\nd\te\rf/é","key":"00000000000000ab"}"#
+        );
+        // Other control characters pass through unescaped.
+        let control = format_line([("c", Scalar::Str("\u{1}\u{7f}"))]);
+        assert_eq!(control, "{\"c\":\"\u{1}\u{7f}\"}");
+        assert_eq!(format_line([]), "{}");
+    }
+
+    #[test]
+    fn keys_are_exactly_sixteen_hex_digits() {
+        let key = |text: &str| {
+            parse_line(&format!(r#"{{"k":{text}}}"#))
+                .unwrap()
+                .key_field("k")
+        };
+        assert_eq!(key(r#""0123456789abcdef""#), Some(0x0123_4567_89ab_cdef));
+        assert_eq!(key(r#""FFFFFFFFFFFFFFFF""#), Some(u64::MAX));
+        for bad in [
+            r#""123456789abcdef""#,
+            r#""00123456789abcdef""#,
+            r#""+123456789abcdef""#,
+            r#""-123456789abcdef""#,
+            r#""0123456789abcdeg""#,
+            r#""""#,
+            "81985529216486895",
+            "null",
+        ] {
+            assert_eq!(key(bad), None, "{bad}");
+        }
+        let written = format_line([("k", Scalar::Key(7))]);
+        assert_eq!(parse_line(&written).unwrap().key_field("k"), Some(7));
+    }
+
+    #[test]
+    fn string_errors_name_the_problem() {
+        for (line, error) in [
+            (r#"{"a":"x\u0041"}"#, "unsupported escape '\\u'"),
+            (r#"{"a":"x"#, "unterminated string"),
+            (r#"{"a":"x\"#, "dangling escape"),
+            (r#"{"a":"x\"}"#, "unterminated string"),
+            (r#"{"a":"x"} {"#, "trailing bytes after object at 10"),
+        ] {
+            assert_eq!(parse_line(line), Err(error.to_string()), "{line}");
+        }
+    }
+
+    /// A string of n bytes costs O(n): a line with a 1 MiB string field,
+    /// plain or made of escapes, reads in well under a second even in a
+    /// debug build. fp-serve reads request lines this long on a shard's
+    /// poll thread.
+    #[test]
+    fn a_mebibyte_string_reads_in_one_pass() {
+        let plain = "é".repeat(1 << 19);
+        let escaped = "\"\\\n".repeat(1 << 18);
+        for text in [plain, escaped] {
+            let line = format_line([("id", Scalar::Int(1)), ("netlist", Scalar::Str(&text))]);
+            assert!(line.len() >= 1 << 20);
+            let started = std::time::Instant::now();
+            let parsed = parse_line(&line).unwrap();
+            let elapsed = started.elapsed();
+            assert_eq!(parsed.str_field("netlist"), Some(text.as_str()));
+            assert!(elapsed.as_secs_f64() < 1.0, "{elapsed:?}");
+        }
+    }
+
+    /// Characters the writer escapes, characters it passes through
+    /// (control characters, `/`, JSON punctuation) and multi-byte UTF-8.
+    const AWKWARD: [char; 14] = [
+        '"', '\\', '\n', '\t', '\r', '\u{0}', '\u{1f}', '\u{7f}', '/', '{', ':', 'é', '≤', '😀',
+    ];
+
+    /// Any string: code points drawn from every plane, with the awkward
+    /// ones drawn often.
+    fn any_string() -> impl proptest::strategy::Strategy<Value = String> {
+        use proptest::prelude::*;
+        let char_code = prop_oneof![
+            0u32..0x80,
+            0x80u32..0x11_0000,
+            (0..AWKWARD.len()).prop_map(|k| AWKWARD[k] as u32),
+        ];
+        proptest::collection::vec(char_code, 0..40)
+            .prop_map(|codes| codes.into_iter().filter_map(char::from_u32).collect())
+    }
+
+    proptest::proptest! {
+        #[test]
+        fn written_strings_read_back_unchanged(a in any_string(), b in any_string()) {
+            let line = format_line([("a", Scalar::Str(&a)), ("b", Scalar::Str(&b))]);
+            proptest::prop_assert!(!line.contains('\n'), "{line}");
+            let parsed = parse_line(&line).map_err(proptest::prelude::TestCaseError::fail)?;
+            proptest::prop_assert_eq!(parsed.str_field("a"), Some(a.as_str()));
+            proptest::prop_assert_eq!(parsed.str_field("b"), Some(b.as_str()));
+        }
     }
 
     #[test]

@@ -49,7 +49,9 @@ mod sink;
 mod summary;
 
 pub use event::{Event, Phase, Record, StepTermination};
-pub use jsonl::{parse_line, validate_line, JsonValue, JsonlSink, ParsedRecord};
+pub use jsonl::{
+    format_line, parse_line, validate_line, JsonValue, JsonlSink, ParsedRecord, Scalar,
+};
 pub use sink::{Collector, Fanout, NullSink, Sink};
 pub use summary::render_summary;
 

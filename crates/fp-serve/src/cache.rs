@@ -13,6 +13,7 @@
 //! serve the wrong instance's placement.
 
 use crate::protocol::JobResponse;
+use fp_obs::Scalar;
 use std::collections::HashMap;
 use std::io::{BufRead, Write};
 use std::path::Path;
@@ -160,12 +161,12 @@ impl SolutionCache {
         let tmp = path.with_extension("tmp");
         let mut out = std::io::BufWriter::new(std::fs::File::create(&tmp)?);
         for (_, key, canon, resp) in entries {
-            writeln!(
-                out,
-                "{{\"key\":\"{key:016x}\",\"canon\":{},\"resp\":{}}}",
-                crate::protocol::json_str(&canon),
-                crate::protocol::json_str(&resp),
-            )?;
+            let line = fp_obs::format_line([
+                ("key", Scalar::Key(key)),
+                ("canon", Scalar::Str(&canon)),
+                ("resp", Scalar::Str(&resp)),
+            ]);
+            writeln!(out, "{line}")?;
         }
         out.flush()?;
         drop(out);
@@ -202,10 +203,11 @@ impl SolutionCache {
 }
 
 /// Decodes one snapshot line; `None` for anything malformed (bad JSON,
-/// missing fields, non-hex key, undecodable response).
+/// missing fields, a key that is not 16 hex digits, an undecodable
+/// response).
 fn decode_snapshot_line(line: &str) -> Option<(u64, String, JobResponse)> {
     let p = fp_obs::parse_line(line).ok()?;
-    let key = u64::from_str_radix(p.str_field("key")?, 16).ok()?;
+    let key = p.key_field("key")?;
     let canon = p.str_field("canon")?.to_string();
     let resp = JobResponse::decode(p.str_field("resp")?).ok()?;
     Some((key, canon, resp))
@@ -311,6 +313,35 @@ mod tests {
         fresh.insert(3, canon(3), resp(3));
         assert!(fresh.get(2, &canon(2)).is_none(), "2 was the LRU entry");
         assert!(fresh.get(1, "canon with \"quotes\"\nand newline").is_some());
+    }
+
+    /// Snapshots saved by a running server must load after an upgrade, so
+    /// `save` keeps every byte of this line and `load` reads it back.
+    #[test]
+    fn snapshot_line_is_golden() {
+        const LINE: &str = r#"{"key":"00abcdef00000042","canon":"problem p\nmodule a rigid 2 3 rot\n","resp":"{\"id\":0,\"ok\":true,\"chip_width\":6,\"chip_height\":4.5,\"area\":27,\"utilization\":0.8,\"wirelength\":3.25,\"degraded\":false,\"cached\":false,\"coalesced\":false,\"micros\":0,\"backend\":\"milp\",\"portfolio\":false,\"placement\":\"a 0 0 2 3 0\",\"fingerprint\":\"00abcdef00000042\"}"}"#;
+        let path = TempPath::new("golden.jsonl");
+        let mut hit = JobResponse::failure(0, "");
+        hit.ok = true;
+        hit.chip_width = 6.0;
+        hit.chip_height = 4.5;
+        hit.area = 27.0;
+        hit.utilization = 0.8;
+        hit.wirelength = 3.25;
+        hit.backend = "milp".to_string();
+        hit.placement = "a 0 0 2 3 0".to_string();
+        hit.fingerprint = 0x00ab_cdef_0000_0042;
+        let canon = "problem p\nmodule a rigid 2 3 rot\n";
+        let c = SolutionCache::new(2);
+        c.insert(0x00ab_cdef_0000_0042, Arc::from(canon), hit.clone());
+        c.save(&path.0).unwrap();
+        assert_eq!(
+            std::fs::read_to_string(&path.0).unwrap(),
+            format!("{LINE}\n")
+        );
+        let fresh = SolutionCache::new(2);
+        assert_eq!(fresh.load(&path.0).unwrap(), 1);
+        assert_eq!(fresh.get(0x00ab_cdef_0000_0042, canon), Some(hit));
     }
 
     #[test]

@@ -5,9 +5,11 @@
 //! augmentation → improvement → global routing) in a service shape so many
 //! instances can be solved concurrently with bounded resources:
 //!
-//! * **Typed jobs** ([`JobRequest`] / [`JobResponse`]) with a line-delimited
-//!   flat-JSON codec ([`protocol`]) reusing `fp_obs`'s hand-rolled trace
-//!   parser — no external JSON dependency.
+//! * **Typed jobs** ([`JobRequest`] / [`JobResponse`]) on a line-delimited
+//!   flat-JSON protocol ([`protocol`]). Request, response and cache-snapshot
+//!   lines are written by [`fp_obs::format_line`] and read by
+//!   [`fp_obs::parse_line`], the one codec trace lines use — no external
+//!   JSON dependency.
 //! * **A bounded MPMC queue** ([`queue::Bounded`]) feeding a worker pool
 //!   ([`Engine`]). The queue pins a close/drain ordering guarantee (no job
 //!   accepted after close, every accepted job delivered) that clean

@@ -1,13 +1,14 @@
 //! The wire protocol: one flat JSON object per line, both directions.
 //!
-//! The codec deliberately reuses the trace-line grammar of
-//! [`fp_obs::parse_line`] — flat objects of string/number/bool/null
-//! scalars — so the service needs no JSON dependency and the existing
-//! parser/validator tooling applies to request and response lines alike.
-//! The netlist itself travels as a string field holding the
+//! Lines are written by [`fp_obs::format_line`] and read by
+//! [`fp_obs::parse_line`], the flat-JSON codec trace lines use, so the
+//! service needs no JSON dependency and shares one dialect with traces:
+//! string escapes, `null` for a non-finite float, and 64-bit keys as 16
+//! hex digits. The netlist itself travels as a string field holding the
 //! [`fp_netlist::format`] text (newlines escaped).
 
 use fp_netlist::Netlist;
+use fp_obs::Scalar::{Bool, Float, Int, Key, Str};
 
 /// One floorplanning job.
 #[derive(Debug, Clone, PartialEq)]
@@ -114,27 +115,25 @@ impl JobRequest {
     /// Serializes to one JSON line (no trailing newline).
     #[must_use]
     pub fn encode(&self) -> String {
-        let mut s = format!("{{\"id\":{}", self.id);
-        push_field(&mut s, "netlist", &json_str(&self.netlist));
+        let mut fields = vec![("id", Int(self.id)), ("netlist", Str(&self.netlist))];
         if let Some(w) = self.width {
-            push_field(&mut s, "width", &jnum(w));
+            fields.push(("width", Float(w)));
         }
-        push_field(&mut s, "lambda", &jnum(self.lambda));
-        push_field(&mut s, "rotation", &self.rotation.to_string());
-        push_field(&mut s, "route", &self.route.to_string());
-        push_field(&mut s, "deadline_ms", &self.deadline_ms.to_string());
-        push_field(&mut s, "use_cache", &self.use_cache.to_string());
-        push_field(&mut s, "coalesce", &self.coalesce.to_string());
+        fields.extend([
+            ("lambda", Float(self.lambda)),
+            ("rotation", Bool(self.rotation)),
+            ("route", Bool(self.route)),
+            ("deadline_ms", Int(self.deadline_ms)),
+            ("use_cache", Bool(self.use_cache)),
+            ("coalesce", Bool(self.coalesce)),
+        ]);
         if !self.eco_ops.is_empty() {
-            push_field(&mut s, "eco_ops", &json_str(&self.eco_ops));
+            fields.push(("eco_ops", Str(&self.eco_ops)));
         }
         if let Some(base) = self.eco_base {
-            // 64-bit keys travel as fixed-width hex strings: JSON numbers
-            // are f64 on the wire and would corrupt high bits.
-            push_field(&mut s, "eco_base", &format!("\"{base:016x}\""));
+            fields.push(("eco_base", Key(base)));
         }
-        s.push('}');
-        s
+        fp_obs::format_line(fields)
     }
 
     /// Parses one request line.
@@ -169,9 +168,9 @@ impl JobRequest {
         }
         let eco_base = match p.str_field("eco_base") {
             None => None,
-            Some(hex) => Some(
-                u64::from_str_radix(hex, 16)
-                    .map_err(|_| "'eco_base' must be a hex fingerprint string".to_string())?,
+            Some(_) => Some(
+                p.key_field("eco_base")
+                    .ok_or("'eco_base' must be a 16-digit hex fingerprint string")?,
             ),
         };
         Ok(JobRequest {
@@ -179,11 +178,11 @@ impl JobRequest {
             netlist,
             width,
             lambda,
-            rotation: bool_or(&p, "rotation", true),
-            route: bool_or(&p, "route", false),
+            rotation: p.bool_field("rotation").unwrap_or(true),
+            route: p.bool_field("route").unwrap_or(false),
             deadline_ms,
-            use_cache: bool_or(&p, "use_cache", true),
-            coalesce: bool_or(&p, "coalesce", true),
+            use_cache: p.bool_field("use_cache").unwrap_or(true),
+            coalesce: p.bool_field("coalesce").unwrap_or(true),
             eco_ops: p.str_field("eco_ops").unwrap_or_default().to_string(),
             eco_base,
         })
@@ -344,41 +343,40 @@ impl JobResponse {
     /// Serializes to one JSON line (no trailing newline).
     #[must_use]
     pub fn encode(&self) -> String {
-        let mut s = format!("{{\"id\":{},\"ok\":{}", self.id, self.ok);
+        let mut fields = vec![("id", Int(self.id)), ("ok", Bool(self.ok))];
         if !self.ok {
-            push_field(&mut s, "error", &json_str(&self.error));
+            fields.push(("error", Str(&self.error)));
         }
-        push_field(&mut s, "chip_width", &jnum(self.chip_width));
-        push_field(&mut s, "chip_height", &jnum(self.chip_height));
-        push_field(&mut s, "area", &jnum(self.area));
-        push_field(&mut s, "utilization", &jnum(self.utilization));
-        push_field(&mut s, "wirelength", &jnum(self.wirelength));
-        push_field(&mut s, "degraded", &self.degraded.to_string());
-        push_field(&mut s, "cached", &self.cached.to_string());
-        push_field(&mut s, "coalesced", &self.coalesced.to_string());
+        fields.extend([
+            ("chip_width", Float(self.chip_width)),
+            ("chip_height", Float(self.chip_height)),
+            ("area", Float(self.area)),
+            ("utilization", Float(self.utilization)),
+            ("wirelength", Float(self.wirelength)),
+            ("degraded", Bool(self.degraded)),
+            ("cached", Bool(self.cached)),
+            ("coalesced", Bool(self.coalesced)),
+        ]);
         if self.retry_after_ms > 0 {
-            push_field(&mut s, "retry_after_ms", &self.retry_after_ms.to_string());
+            fields.push(("retry_after_ms", Int(self.retry_after_ms)));
         }
-        push_field(&mut s, "micros", &self.micros.to_string());
+        fields.push(("micros", Int(self.micros)));
         if !self.backend.is_empty() {
-            push_field(&mut s, "backend", &json_str(&self.backend));
+            fields.push(("backend", Str(&self.backend)));
         }
-        push_field(&mut s, "portfolio", &self.portfolio.to_string());
-        push_field(&mut s, "placement", &json_str(&self.placement));
+        fields.push(("portfolio", Bool(self.portfolio)));
+        fields.push(("placement", Str(&self.placement)));
         if self.fingerprint != 0 {
-            push_field(
-                &mut s,
-                "fingerprint",
-                &format!("\"{:016x}\"", self.fingerprint),
-            );
+            fields.push(("fingerprint", Key(self.fingerprint)));
         }
         if self.eco_total > 0 {
-            push_field(&mut s, "eco_base_hit", &self.eco_base_hit.to_string());
-            push_field(&mut s, "eco_replaced", &self.eco_replaced.to_string());
-            push_field(&mut s, "eco_total", &self.eco_total.to_string());
+            fields.extend([
+                ("eco_base_hit", Bool(self.eco_base_hit)),
+                ("eco_replaced", Int(self.eco_replaced as u64)),
+                ("eco_total", Int(self.eco_total as u64)),
+            ]);
         }
-        s.push('}');
-        s
+        fp_obs::format_line(fields)
     }
 
     /// Parses one response line.
@@ -389,7 +387,7 @@ impl JobResponse {
     pub fn decode(line: &str) -> Result<Self, String> {
         let p = fp_obs::parse_line(line)?;
         let id = num_u64(&p, "id")?;
-        let ok = bool_or(&p, "ok", false);
+        let ok = p.bool_field("ok").unwrap_or(false);
         Ok(JobResponse {
             id,
             ok,
@@ -399,58 +397,20 @@ impl JobResponse {
             area: p.num("area").unwrap_or(0.0),
             utilization: p.num("utilization").unwrap_or(0.0),
             wirelength: p.num("wirelength").unwrap_or(0.0),
-            degraded: bool_or(&p, "degraded", false),
-            cached: bool_or(&p, "cached", false),
-            coalesced: bool_or(&p, "coalesced", false),
+            degraded: p.bool_field("degraded").unwrap_or(false),
+            cached: p.bool_field("cached").unwrap_or(false),
+            coalesced: p.bool_field("coalesced").unwrap_or(false),
             retry_after_ms: p.num("retry_after_ms").unwrap_or(0.0).max(0.0) as u64,
             micros: p.num("micros").unwrap_or(0.0) as u64,
             backend: p.str_field("backend").unwrap_or_default().to_string(),
-            portfolio: bool_or(&p, "portfolio", false),
+            portfolio: p.bool_field("portfolio").unwrap_or(false),
             placement: p.str_field("placement").unwrap_or_default().to_string(),
-            fingerprint: p
-                .str_field("fingerprint")
-                .and_then(|hex| u64::from_str_radix(hex, 16).ok())
-                .unwrap_or(0),
-            eco_base_hit: bool_or(&p, "eco_base_hit", false),
+            fingerprint: p.key_field("fingerprint").unwrap_or(0),
+            eco_base_hit: p.bool_field("eco_base_hit").unwrap_or(false),
             eco_replaced: p.num("eco_replaced").unwrap_or(0.0).max(0.0) as usize,
             eco_total: p.num("eco_total").unwrap_or(0.0).max(0.0) as usize,
         })
     }
-}
-
-fn push_field(s: &mut String, key: &str, value: &str) {
-    s.push_str(",\"");
-    s.push_str(key);
-    s.push_str("\":");
-    s.push_str(value);
-}
-
-/// JSON number: finite shortest round-trip, like the trace writer.
-fn jnum(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_string()
-    }
-}
-
-/// Quotes and escapes `s` with exactly the escapes [`fp_obs::parse_line`]
-/// understands.
-pub(crate) fn json_str(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\t' => out.push_str("\\t"),
-            '\r' => out.push_str("\\r"),
-            other => out.push(other),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// 2^53: integers on the wire are parsed as f64, which holds every
@@ -468,13 +428,6 @@ fn num_u64(p: &fp_obs::ParsedRecord, key: &str) -> Result<u64, String> {
         return Err(format!("'{key}' must be a non-negative integer below 2^53"));
     }
     Ok(n as u64)
-}
-
-fn bool_or(p: &fp_obs::ParsedRecord, key: &str, default: bool) -> bool {
-    match p.get(key) {
-        Some(fp_obs::JsonValue::Bool(b)) => *b,
-        _ => default,
-    }
 }
 
 #[cfg(test)]
@@ -504,6 +457,79 @@ mod tests {
         assert_eq!(back, req);
         let parsed = back.parse_netlist().unwrap();
         assert_eq!(parsed.num_modules(), 5);
+    }
+
+    /// A request with every field set, `width` and `eco_base` included.
+    fn full_request() -> JobRequest {
+        JobRequest {
+            id: 42,
+            netlist: "problem p\nmodule a rigid 2 3 rot # \"quoted\" \\ tab\there\r\n\
+                      module é rigid 1.5 1 fixed\n"
+                .to_string(),
+            width: Some(30.5),
+            lambda: 0.25,
+            rotation: false,
+            route: true,
+            deadline_ms: 250,
+            use_cache: false,
+            coalesce: false,
+            eco_ops: "mod! a rigid 2 2 rot; net- n0".to_string(),
+            eco_base: Some(0x0012_3456_789a_bcde),
+        }
+    }
+
+    /// A failed response with every field set: an error, a retry hint, a
+    /// fingerprint, the ECO counts and two non-finite floats.
+    fn full_response() -> JobResponse {
+        JobResponse {
+            id: 9,
+            ok: false,
+            error: "bad netlist: \"x\"\nline 2\\".to_string(),
+            chip_width: 12.0,
+            chip_height: 8.5,
+            area: f64::INFINITY,
+            utilization: 0.91,
+            wirelength: f64::NAN,
+            degraded: true,
+            cached: true,
+            coalesced: true,
+            retry_after_ms: 250,
+            micros: 12345,
+            backend: "milp".to_string(),
+            portfolio: true,
+            placement: "a 0 0 4 2 0;b 4 0 3 3 1".to_string(),
+            fingerprint: 0xdead_beef_0123_4567,
+            eco_base_hit: true,
+            eco_replaced: 2,
+            eco_total: 33,
+        }
+    }
+
+    /// Clients and saved cache snapshots depend on every byte of these
+    /// lines, so an encoder change must keep them.
+    #[test]
+    fn encoders_write_their_golden_lines() {
+        assert_eq!(
+            full_request().encode(),
+            r#"{"id":42,"netlist":"problem p\nmodule a rigid 2 3 rot # \"quoted\" \\ tab\there\r\nmodule é rigid 1.5 1 fixed\n","width":30.5,"lambda":0.25,"rotation":false,"route":true,"deadline_ms":250,"use_cache":false,"coalesce":false,"eco_ops":"mod! a rigid 2 2 rot; net- n0","eco_base":"00123456789abcde"}"#
+        );
+        assert_eq!(
+            full_response().encode(),
+            r#"{"id":9,"ok":false,"error":"bad netlist: \"x\"\nline 2\\","chip_width":12,"chip_height":8.5,"area":null,"utilization":0.91,"wirelength":null,"degraded":true,"cached":true,"coalesced":true,"retry_after_ms":250,"micros":12345,"backend":"milp","portfolio":true,"placement":"a 0 0 4 2 0;b 4 0 3 3 1","fingerprint":"deadbeef01234567","eco_base_hit":true,"eco_replaced":2,"eco_total":33}"#
+        );
+        let back = JobRequest::decode(&full_request().encode()).unwrap();
+        assert_eq!(back, full_request());
+    }
+
+    #[test]
+    fn eco_base_must_be_sixteen_hex_digits() {
+        let line = |base: &str| format!(r#"{{"id":1,"netlist":"x","eco_base":"{base}"}}"#);
+        let decoded = JobRequest::decode(&line("00123456789abcde")).unwrap();
+        assert_eq!(decoded.eco_base, Some(0x0012_3456_789a_bcde));
+        for bad in ["123456789abcde", "0123456789abcde", "+123456789abcde", "zz"] {
+            let error = JobRequest::decode(&line(bad)).unwrap_err();
+            assert!(error.contains("16-digit hex"), "{bad}: {error}");
+        }
     }
 
     #[test]

@@ -209,6 +209,61 @@ fn oversized_line_is_rejected_and_connection_closed() {
     assert_eq!(report.accounting.malformed, 1);
 }
 
+/// A request that fills most of the default 1 MiB frame must not stall
+/// its shard: the shard reads the line in one pass, so the request's
+/// `bad netlist` answer and a one-module job sent behind it on another
+/// connection both come back within seconds. A reader quadratic in the
+/// line's length would hold the poll thread, and every connection of the
+/// shard, for tens of seconds.
+#[test]
+fn a_request_at_the_frame_limit_does_not_stall_its_shard() {
+    const LIMIT: Duration = Duration::from_secs(5);
+    let (report, big_after, small_after) = with_watchdog(|| {
+        let server = Server::bind("127.0.0.1:0", chaos_config().with_workers(1)).unwrap();
+        let addr = server.local_addr();
+        // About 1,000,000 bytes of netlist text whose first line is not a
+        // directive, so the netlist parser refuses it at once.
+        let deck = "module m rigid 1 1 rot\n".repeat(43_000);
+        let mut big = JobRequest::new(1, &ProblemGenerator::new(1, 1).generate()).with_cache(false);
+        big.netlist = format!("bogus line\n{deck}");
+        let big = big.encode() + "\n";
+        assert!(
+            big.len() > 1_000_000 && big.len() < 1 << 20,
+            "{}",
+            big.len()
+        );
+
+        let started = std::time::Instant::now();
+        let mut first = TcpStream::connect(addr).unwrap();
+        first.write_all(big.as_bytes()).unwrap();
+        let mut second = TcpStream::connect(addr).unwrap();
+        writeln!(second, "{}", request_line(2, 1, 5)).unwrap();
+
+        let resp = read_response(&first);
+        let big_after = started.elapsed();
+        assert!(
+            !resp.ok && resp.error.contains("bad netlist"),
+            "{}",
+            resp.error
+        );
+        assert_eq!(resp.id, 1);
+        let resp = read_response(&second);
+        let small_after = started.elapsed();
+        assert!(resp.ok, "the one-module job failed: {}", resp.error);
+        assert_eq!(resp.id, 2);
+        (server.shutdown(), big_after, small_after)
+    });
+    assert!(big_after < LIMIT, "the large request took {big_after:?}");
+    assert!(
+        small_after < LIMIT,
+        "the job behind it took {small_after:?}"
+    );
+    assert_books_balance(&report);
+    assert_eq!(report.accounting.accepted, 2);
+    assert_eq!(report.accounting.completed, 2);
+    assert_eq!(report.accounting.malformed, 0);
+}
+
 /// The seeded flaky-client driver: a reproducible mix of well-behaved,
 /// malformed, truncated, fire-and-forget, and half-closing clients.
 /// However the dice land, the books must balance and shutdown must
