@@ -152,22 +152,26 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
                     }
                     other => return Err(err(lineno, &format!("unknown module kind '{other}'"))),
                 };
-                let module = if tokens.get(rest) == Some(&"pins") {
+                let (module, end) = if tokens.get(rest) == Some(&"pins") {
                     let p = |k: usize| -> Result<u32, NetlistError> {
                         tokens
                             .get(rest + 1 + k)
                             .and_then(|t| t.parse::<u32>().ok())
                             .ok_or_else(|| err(lineno, "pins needs 4 integers"))
                     };
-                    module.with_pins(SidePins {
+                    let pins = SidePins {
                         left: p(0)?,
                         right: p(1)?,
                         bottom: p(2)?,
                         top: p(3)?,
-                    })
+                    };
+                    (module.with_pins(pins), rest + 5)
                 } else {
-                    module
+                    (module, rest)
                 };
+                if tokens.len() > end {
+                    return Err(err(lineno, "unexpected tokens after the module"));
+                }
                 add_module(&mut netlist, &mut total_area, module, lineno)?;
             }
             "net" => {
@@ -208,10 +212,12 @@ pub fn parse(text: &str) -> Result<Netlist, NetlistError> {
                     })?;
                     members.push(id);
                 }
-                if members.len() < 2 {
-                    return Err(err(lineno, "net needs at least 2 members"));
-                }
+                // Counted after `Net::new` drops repeats, so every net
+                // parsed here is one `write` emits and `parse` accepts.
                 let mut net = Net::new(name, members).with_weight(weight);
+                if net.degree() < 2 {
+                    return Err(err(lineno, "net needs at least 2 distinct members"));
+                }
                 if crit > 0.0 {
                     net = net.with_criticality(crit);
                 }
@@ -335,6 +341,35 @@ mod tests {
         }
         assert!(parse("module a blobby 1 2\n").is_err());
         assert!(parse("net n :\n").is_err());
+    }
+
+    #[test]
+    fn rejects_trailing_module_tokens() {
+        for bad in [
+            "module a rigid 2 3 rot garbage 7\n",
+            "module a rigid 2 3 rot pins 1 2 3 4 5\n",
+            "module a flexible 10 0.5 2 extra\n",
+        ] {
+            assert!(
+                matches!(parse(bad), Err(NetlistError::Parse { line: 1, .. })),
+                "{bad:?} must be a parse error"
+            );
+        }
+        assert!(parse("module a rigid 2 3 rot pins 1 2 3 4\n").is_ok());
+    }
+
+    #[test]
+    fn repeated_net_members_count_once() {
+        let two = "module a rigid 2 3 rot\nmodule b rigid 1 1 fixed\n";
+        match parse(&format!("{two}net n : a a\n")) {
+            Err(NetlistError::Parse { line: 3, message }) => {
+                assert!(message.contains("2 distinct"), "{message}");
+            }
+            other => panic!("a one-module net parsed as {other:?}"),
+        }
+        let nl = parse(&format!("{two}net n : a b a\n")).unwrap();
+        assert_eq!(nl, parse(&format!("{two}net n : a b\n")).unwrap());
+        assert_eq!(parse(&write(&nl)).unwrap(), nl);
     }
 
     #[test]

@@ -4,10 +4,11 @@
 //! `format::parse` reads text from outside the process. Generated decks,
 //! rigid and flexible modules with rotation, pins, net weights,
 //! criticality and max lengths, survive `write` → `parse` → `write` byte
-//! for byte. Texts mutated by truncation, dropped or repeated tokens,
-//! numbers replaced by non-finite or negative ones, and flipped bytes
-//! parse or fail with a `NetlistError` that says why, never a panic; a
-//! number made non-finite is always a parse error.
+//! for byte, and so do their nets listed with repeated members. Texts
+//! mutated by truncation, dropped or repeated tokens, numbers replaced by
+//! non-finite or negative ones, and flipped bytes parse or fail with a
+//! `NetlistError` that says why, never a panic; a number made non-finite
+//! is always a parse error.
 
 use fp_netlist::format::{parse, write};
 use fp_netlist::{Module, ModuleId, Net, Netlist, NetlistError, Shape, SidePins};
@@ -57,14 +58,15 @@ fn pins() -> impl Strategy<Value = SidePins> {
     })
 }
 
-/// A deck of 1–8 modules and up to 8 nets. Each net joins the modules
-/// whose bits are set in its mask, and is left out when fewer than two
-/// are.
-fn deck() -> impl Strategy<Value = Netlist> {
+/// A deck of 1–8 modules and up to 8 nets, with each net's members as
+/// drawn: up to 6 module picks, repeats included, in drawn order. A net
+/// joins the distinct modules it drew, and is left out when fewer than
+/// two are.
+fn deck_with_members() -> impl Strategy<Value = (Netlist, Vec<Vec<ModuleId>>)> {
     let modules = vec((shape(), any::<bool>(), pins(), 0..PREFIXES.len()), 1..9);
     let nets = vec(
         (
-            0u32..256,
+            vec(0usize..8, 0..7),
             positive(0.1..10.0),
             prop_oneof![Just(0.0), 0.01f64..1.0, Just(1.0)],
             prop_oneof![Just(None), positive(1.0..1000.0).prop_map(Some)],
@@ -89,25 +91,48 @@ fn deck() -> impl Strategy<Value = Netlist> {
                 netlist.add_module(module.with_pins(pins)).expect("unique")
             })
             .collect();
-        for (j, (mask, weight, crit, max_length)) in nets.into_iter().enumerate() {
-            let members: Vec<ModuleId> = ids
-                .iter()
-                .copied()
-                .filter(|id| mask >> id.index() & 1 == 1)
-                .collect();
-            if members.len() < 2 {
-                continue;
-            }
-            let mut net = Net::new(format!("n{j}"), members)
+        let mut drawn = Vec::new();
+        for (j, (picks, weight, crit, max_length)) in nets.into_iter().enumerate() {
+            let members: Vec<ModuleId> = picks.iter().map(|&k| ids[k % ids.len()]).collect();
+            let mut net = Net::new(format!("n{j}"), members.iter().copied())
                 .with_weight(weight)
                 .with_criticality(crit);
+            if net.degree() < 2 {
+                continue;
+            }
             if let Some(len) = max_length {
                 net = net.with_max_length(len);
             }
             netlist.add_net(net).expect("known members");
+            drawn.push(members);
         }
-        netlist
+        (netlist, drawn)
     })
+}
+
+fn deck() -> impl Strategy<Value = Netlist> {
+    deck_with_members().prop_map(|(netlist, _)| netlist)
+}
+
+/// `write(netlist)` with each net line listing its members as drawn.
+fn write_as_drawn(netlist: &Netlist, drawn: &[Vec<ModuleId>]) -> String {
+    let mut nets = drawn.iter();
+    let mut text = String::new();
+    for line in write(netlist).lines() {
+        match line.strip_prefix("net ").and(line.split_once(" :")) {
+            Some((head, _)) => {
+                text.push_str(head);
+                text.push_str(" :");
+                for &m in nets.next().expect("one drawn list per net") {
+                    text.push(' ');
+                    text.push_str(netlist.module(m).name());
+                }
+            }
+            None => text.push_str(line),
+        }
+        text.push('\n');
+    }
+    text
 }
 
 /// One edit of a written deck. Positions are fractions of the text's
@@ -204,6 +229,32 @@ proptest! {
             .map_err(|e| TestCaseError::fail(format!("{e}\n{text}")))?;
         prop_assert_eq!(&parsed, &netlist);
         prop_assert_eq!(write(&parsed), text);
+    }
+
+    /// A net line that repeats members parses to the net of its
+    /// distinct members, which `write` emits without the repeats; a net
+    /// line whose members are one module, however often listed, is
+    /// refused.
+    #[test]
+    fn repeated_members_parse_to_the_distinct_net(
+        deck in deck_with_members(),
+        repeats in 2usize..4,
+    ) {
+        let (netlist, drawn) = deck;
+        let text = write_as_drawn(&netlist, &drawn);
+        let parsed = parse(&text)
+            .map_err(|e| TestCaseError::fail(format!("{e}\n{text}")))?;
+        prop_assert_eq!(&parsed, &netlist);
+        prop_assert_eq!(write(&parsed), write(&netlist));
+
+        let solo = netlist.module(ModuleId(0)).name();
+        let line = text.lines().count() + 1;
+        let lone = format!("{text}net lone :{}\n", format!(" {solo}").repeat(repeats));
+        let refused = parse(&lone);
+        prop_assert!(
+            matches!(refused, Err(NetlistError::Parse { line: at, .. }) if at == line),
+            "{lone:?} gave {refused:?}"
+        );
     }
 
     #[test]

@@ -45,8 +45,12 @@ pub struct RoutingGrid {
     ys: Vec<f64>,
     blocked: Vec<bool>,
     edges: Vec<GridEdge>,
-    /// Cell → indices into `edges`.
-    adjacency: Vec<Vec<usize>>,
+    /// Cell `c`'s incident edges, each with the cell across it, are
+    /// `incidence[offsets[c]..offsets[c + 1]]`, in edge order. Indices
+    /// are stored as `u32`, half the bytes of `usize`: a grid past 2^32
+    /// edges would need hundreds of gigabytes for `edges` alone.
+    offsets: Vec<usize>,
+    incidence: Vec<(u32, u32)>,
 }
 
 impl RoutingGrid {
@@ -93,9 +97,7 @@ impl RoutingGrid {
         }
 
         let mut edges = Vec::new();
-        let mut adjacency = vec![Vec::new(); nx * ny];
         let push_edge = |edges: &mut Vec<GridEdge>,
-                         adjacency: &mut Vec<Vec<usize>>,
                          a: usize,
                          b: usize,
                          length: f64,
@@ -112,7 +114,6 @@ impl RoutingGrid {
             } else {
                 boundary / pitch.max(1e-9)
             };
-            let idx = edges.len();
             edges.push(GridEdge {
                 a: CellId(a),
                 b: CellId(b),
@@ -122,8 +123,6 @@ impl RoutingGrid {
                 crosses_vertical_boundary: vertical,
                 touches_blockage: touches,
             });
-            adjacency[a].push(idx);
-            adjacency[b].push(idx);
         };
 
         for j in 0..ny {
@@ -133,38 +132,24 @@ impl RoutingGrid {
                     // horizontal move across the vertical boundary x=xs[i+1]
                     let length = (xs[i + 2] - xs[i]) / 2.0;
                     let boundary = ys[j + 1] - ys[j];
-                    push_edge(
-                        &mut edges,
-                        &mut adjacency,
-                        cell,
-                        cell + 1,
-                        length,
-                        boundary,
-                        true,
-                    );
+                    push_edge(&mut edges, cell, cell + 1, length, boundary, true);
                 }
                 if j + 1 < ny {
                     let length = (ys[j + 2] - ys[j]) / 2.0;
                     let boundary = xs[i + 1] - xs[i];
-                    push_edge(
-                        &mut edges,
-                        &mut adjacency,
-                        cell,
-                        cell + nx,
-                        length,
-                        boundary,
-                        false,
-                    );
+                    push_edge(&mut edges, cell, cell + nx, length, boundary, false);
                 }
             }
         }
+        let (offsets, incidence) = incidence_lists(nx * ny, &edges);
 
         Ok(RoutingGrid {
             xs,
             ys,
             blocked,
             edges,
-            adjacency,
+            offsets,
+            incidence,
         })
     }
 
@@ -186,10 +171,12 @@ impl RoutingGrid {
         &self.edges
     }
 
-    /// Indices of edges incident to `cell`.
-    #[must_use]
-    pub fn incident(&self, cell: CellId) -> &[usize] {
-        &self.adjacency[cell.0]
+    /// The edges incident to `cell`, in edge order, each as its index
+    /// into [`edges`](Self::edges) and the cell across it.
+    pub fn incident(&self, cell: CellId) -> impl ExactSizeIterator<Item = (usize, CellId)> + '_ {
+        self.incidence[self.offsets[cell.0]..self.offsets[cell.0 + 1]]
+            .iter()
+            .map(|&(e, c)| (e as usize, CellId(c as usize)))
     }
 
     /// Whether the cell lies inside a module.
@@ -249,6 +236,30 @@ impl RoutingGrid {
     pub fn y_lines(&self) -> &[f64] {
         &self.ys
     }
+}
+
+/// The incidence lists of `cells` cells joined by `edges`, in compressed
+/// form: cell `c`'s entries are `incidence[offsets[c]..offsets[c + 1]]`,
+/// each an edge index with the cell across that edge, in edge order.
+fn incidence_lists(cells: usize, edges: &[GridEdge]) -> (Vec<usize>, Vec<(u32, u32)>) {
+    let index = |i: usize| u32::try_from(i).expect("grid indices fit in u32");
+    let mut offsets = vec![0usize; cells + 1];
+    for e in edges {
+        offsets[e.a.0 + 1] += 1;
+        offsets[e.b.0 + 1] += 1;
+    }
+    for c in 0..cells {
+        offsets[c + 1] += offsets[c];
+    }
+    let mut next = offsets[..cells].to_vec();
+    let mut incidence = vec![(0, 0); 2 * edges.len()];
+    for (idx, e) in edges.iter().enumerate() {
+        incidence[next[e.a.0]] = (index(idx), index(e.b.0));
+        next[e.a.0] += 1;
+        incidence[next[e.b.0]] = (index(idx), index(e.a.0));
+        next[e.b.0] += 1;
+    }
+    (offsets, incidence)
 }
 
 fn dedup_sorted(v: &mut Vec<f64>) {
@@ -348,10 +359,15 @@ mod tests {
     fn adjacency_is_consistent() {
         let grid = RoutingGrid::build(&simple_floorplan(), &RouteConfig::default()).unwrap();
         for (idx, e) in grid.edges().iter().enumerate() {
-            assert!(grid.incident(e.a).contains(&idx));
-            assert!(grid.incident(e.b).contains(&idx));
+            assert!(grid.incident(e.a).any(|x| x == (idx, e.b)));
+            assert!(grid.incident(e.b).any(|x| x == (idx, e.a)));
             assert!(e.length > 0.0);
             assert!(e.boundary > 0.0);
+        }
+        // Each cell lists its edges once, in edge order.
+        for c in 0..grid.num_cells() {
+            let list: Vec<(usize, CellId)> = grid.incident(CellId(c)).collect();
+            assert!(list.windows(2).all(|w| w[0].0 < w[1].0));
         }
         // Interior cell has 4 incident edges, corner has 2.
         let corner = grid.cell_at(Point::new(0.1, 0.1));

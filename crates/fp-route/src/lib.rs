@@ -11,8 +11,9 @@
 //!   the number of routing tracks the shared boundary can carry
 //!   ([`RoutingGrid`]).
 //! * **Shortest path / weighted shortest path** — nets are routed in
-//!   criticality order by Dijkstra; the weighted variant multiplies edge
-//!   costs by a penalty once utilization exceeds the preliminary capacity
+//!   criticality order by Dijkstra, or by A* with a landmark lower bound
+//!   where every edge is open; the weighted variant multiplies edge costs
+//!   by a penalty once utilization exceeds the preliminary capacity
 //!   ([`route`]).
 //! * **Channel adjustment** — after routing, channel widths grow to
 //!   accommodate the realized usage and the final chip area is computed

@@ -1,4 +1,4 @@
-//! Net ordering, decomposition and Dijkstra routing (paper §3.2).
+//! Net ordering, decomposition and shortest-path routing (paper §3.2).
 
 use crate::adjust::{adjust, ChipAdjustment};
 use crate::config::{RouteAlgorithm, RouteConfig, RoutingMode};
@@ -51,7 +51,7 @@ impl RoutingResult {
         for c in 0..self.grid.num_cells() {
             let cell = CellId(c);
             let mut worst = 0.0_f64;
-            for &e in self.grid.incident(cell) {
+            for (e, _) in self.grid.incident(cell) {
                 let edge = &self.grid.edges()[e];
                 let used = self.usage[e];
                 let ratio = if edge.capacity > 0.0 {
@@ -107,7 +107,7 @@ pub fn route(
 ) -> Result<RoutingResult, RouteError> {
     let _span = config.tracer.span(Phase::Route, "route_all");
     let grid = RoutingGrid::build(floorplan, config)?;
-    let mut usage = vec![0.0_f64; grid.num_edges()];
+    let mut router = Router::new(&grid, config);
     config.tracer.emit(
         Phase::Route,
         Event::RouteStart {
@@ -133,18 +133,8 @@ pub fn route(
     let mut routes: Vec<Option<RoutedNet>> = vec![None; netlist.num_nets()];
     for id in order {
         let net = netlist.net(id);
-        // Collect placements (validating all members are placed).
-        let mut members = Vec::with_capacity(net.degree());
-        for &m in net.modules() {
-            let placed = floorplan
-                .placement(m)
-                .ok_or_else(|| RouteError::UnplacedModule {
-                    net: net.name().to_string(),
-                    module: netlist.module(m).name().to_string(),
-                })?;
-            members.push(placed);
-        }
-        if members.len() < 2 {
+        let pins = net_pins(floorplan, netlist, id)?;
+        if pins.len() < 2 {
             config.tracer.emit(
                 Phase::Route,
                 Event::RouteNet {
@@ -162,28 +152,6 @@ pub fn route(
             continue;
         }
 
-        // Generalized pins facing the net centroid.
-        let centroid = {
-            let mut cx = 0.0;
-            let mut cy = 0.0;
-            for p in &members {
-                let c = p.rect.center();
-                cx += c.x;
-                cy += c.y;
-            }
-            Point::new(cx / members.len() as f64, cy / members.len() as f64)
-        };
-        // Pins plus their routing anchors (nudged outside the module so the
-        // source/target cells are channel cells, not module interiors).
-        let (chip_w, chip_h) = (floorplan.chip_width(), floorplan.chip_height());
-        let pins: Vec<(Point, Point)> = members
-            .iter()
-            .map(|p| {
-                let (side, pin) = pin_toward(p, centroid);
-                (pin, pin_anchor(side, pin, chip_w, chip_h))
-            })
-            .collect();
-
         // Two-pin decomposition: Prim MST over the pins.
         let pin_points: Vec<Point> = pins.iter().map(|&(pin, _)| pin).collect();
         let tree = prim_mst(&pin_points);
@@ -191,14 +159,13 @@ pub fn route(
         let mut length = 0.0;
         let mut paths = Vec::with_capacity(tree.len());
         for (a, b) in tree {
-            let (seg_len, path) = route_segment(&grid, &usage, config, pins[a], pins[b])
-                .ok_or_else(|| RouteError::Unroutable {
-                    net: net.name().to_string(),
-                })?;
-            // Commit usage along the path edges.
-            for &edge_idx in &path.edges {
-                usage[edge_idx] += 1.0;
-            }
+            let (seg_len, path) =
+                router
+                    .route_segment(pins[a], pins[b])
+                    .ok_or_else(|| RouteError::Unroutable {
+                        net: net.name().to_string(),
+                    })?;
+            router.commit(&path.edges);
             length += seg_len;
             paths.push(path.points);
         }
@@ -219,6 +186,7 @@ pub fn route(
         });
     }
 
+    let usage = router.usage;
     let adjustment = adjust(
         &grid,
         &usage,
@@ -246,6 +214,53 @@ pub fn route(
         grid,
         usage,
     })
+}
+
+/// The `(pin, anchor)` pairs of net `id`, one per member: the generalized
+/// pin facing the net's centroid, and the routing anchor nudged outside
+/// the module, so the source and target cells are channel cells, not
+/// module interiors. Empty for a net of fewer than two members.
+///
+/// # Errors
+///
+/// [`RouteError::UnplacedModule`] if a member is not placed.
+fn net_pins(
+    floorplan: &Floorplan,
+    netlist: &Netlist,
+    id: NetId,
+) -> Result<Vec<(Point, Point)>, RouteError> {
+    let net = netlist.net(id);
+    let mut members = Vec::with_capacity(net.degree());
+    for &m in net.modules() {
+        let placed = floorplan
+            .placement(m)
+            .ok_or_else(|| RouteError::UnplacedModule {
+                net: net.name().to_string(),
+                module: netlist.module(m).name().to_string(),
+            })?;
+        members.push(placed);
+    }
+    if members.len() < 2 {
+        return Ok(Vec::new());
+    }
+    let centroid = {
+        let mut cx = 0.0;
+        let mut cy = 0.0;
+        for p in &members {
+            let c = p.rect.center();
+            cx += c.x;
+            cy += c.y;
+        }
+        Point::new(cx / members.len() as f64, cy / members.len() as f64)
+    };
+    let (chip_w, chip_h) = (floorplan.chip_width(), floorplan.chip_height());
+    Ok(members
+        .iter()
+        .map(|p| {
+            let (side, pin) = pin_toward(p, centroid);
+            (pin, pin_anchor(side, pin, chip_w, chip_h))
+        })
+        .collect())
 }
 
 /// Prim's MST over points with Manhattan distance; returns tree edges as
@@ -286,8 +301,11 @@ struct FoundPath {
     edges: Vec<usize>,
 }
 
+/// A heap entry: `cell` reached at path cost `dist`, ordered by `key`
+/// (the cost plus the cell's bound on its remaining cost).
 #[derive(PartialEq)]
 struct HeapItem {
+    key: f64,
     dist: f64,
     cell: CellId,
 }
@@ -301,10 +319,12 @@ impl PartialOrd for HeapItem {
 impl Ord for HeapItem {
     fn cmp(&self, other: &Self) -> Ordering {
         // Min-heap via reversed comparison.
-        other.dist.total_cmp(&self.dist)
+        other.key.total_cmp(&self.key)
     }
 }
 
+/// The cost of crossing `e` with `used` wires already on it. Never falls
+/// as `used` grows, for any `penalty >= 0`.
 fn edge_cost(e: &GridEdge, used: f64, config: &RouteConfig, soft_blockage: bool) -> f64 {
     let mut cost = e.length;
     if soft_blockage && e.touches_blockage {
@@ -319,138 +339,374 @@ fn edge_cost(e: &GridEdge, used: f64, config: &RouteConfig, soft_blockage: bool)
     cost
 }
 
-/// Routes one two-pin segment. Around-the-cell mode first tries **hard**
-/// blockage — module interiors are impassable except as escape hatches next
-/// to the two pins (wires physically cannot cross macros). Only when the
-/// pins are sealed off (fully enclosed pockets) does it fall back to soft
-/// blockage so routing always completes; those crossings then show up as
-/// overflow and drive the channel adjustment.
-///
-/// Returns `None` when even the fully-relaxed grid has no path — impossible
-/// on grids from [`RoutingGrid::build`] (connected by construction), but
-/// propagated as [`RouteError::Unroutable`] by the caller rather than
-/// panicking on a malformed grid.
-fn route_segment(
-    grid: &RoutingGrid,
-    usage: &[f64],
-    config: &RouteConfig,
-    from: (Point, Point),
-    to: (Point, Point),
-) -> Option<(f64, FoundPath)> {
-    if config.mode == RoutingMode::AroundTheCell {
-        if let Some(found) = dijkstra(grid, usage, config, from, to, Blockage::Hard) {
-            return Some(found);
-        }
-        return dijkstra(grid, usage, config, from, to, Blockage::Soft);
-    }
-    dijkstra(grid, usage, config, from, to, Blockage::Free)
-}
-
+/// Which edges a search may cross and what each costs.
 #[derive(PartialEq, Clone, Copy)]
-enum Blockage {
-    /// Blocked edges are impassable except adjacent to source/target.
+enum Pass {
+    /// Around the cell, tried first: edges into module interiors are
+    /// impassable except next to the two pins (wires physically cannot
+    /// cross macros), and no edge pays the blockage penalty.
     Hard,
-    /// Blocked edges passable at `blockage_penalty` times the cost.
-    Soft,
-    /// No blockage at all (over-the-cell technology).
-    Free,
+    /// Every edge is open at its [`Router::cost`]: soft blockage around
+    /// the cell, no blockage over the cell.
+    Open,
 }
 
-/// Dijkstra between two `(pin, anchor)` pairs: the anchors select the
-/// source/target cells, the pins terminate the polyline. Returns the
-/// geometric length (not the penalized cost) and the path, or `None` when
-/// the target is unreachable under hard blockage.
-fn dijkstra(
-    grid: &RoutingGrid,
-    usage: &[f64],
-    config: &RouteConfig,
-    (from, from_anchor): (Point, Point),
-    (to, to_anchor): (Point, Point),
-    blockage: Blockage,
-) -> Option<(f64, FoundPath)> {
-    let source = grid.cell_at(from_anchor);
-    let target = grid.cell_at(to_anchor);
-    if source == target {
-        return Some((
-            from.manhattan(&to),
-            FoundPath {
-                points: vec![from, to],
-                edges: Vec::new(),
-            },
-        ));
+/// Landmarks of the open pass's bound: the four corner cells of the grid.
+const LANDMARKS: usize = 4;
+
+/// The search state of one [`route`] call, shared by all its segments.
+///
+/// The per-cell labels (`dist`, `prev`) are valid only where `stamp`
+/// equals the current `generation`, so a new search clears them by
+/// bumping the generation instead of refilling two cell-sized arrays, and
+/// every search reuses one heap.
+///
+/// The open pass is an A* search whose bound on the cost from `v` to the
+/// target `t` is the landmark (ALT) bound `max_L |d_L(t) − d_L(v)|`, with
+/// `d_L` the distances from each landmark `L` under the open pass's costs
+/// at zero usage. By the triangle inequality each term is at most the
+/// zero-usage distance from `v` to `t`, and [`edge_cost`] never falls as
+/// usage grows, so the bound stays a consistent lower bound for every
+/// segment of the call. The hard pass keeps a zero bound: its escape
+/// hatches next to the pins cross module edges without the blockage
+/// penalty, 1/25 of their open cost at the default penalty, so the open
+/// pass's distances do not bound it.
+struct Router<'g> {
+    grid: &'g RoutingGrid,
+    config: &'g RouteConfig,
+    /// Per-edge usage, parallel to `grid.edges()`.
+    usage: Vec<f64>,
+    /// Per-edge [`Pass::Open`] cost at the current usage, refreshed on the
+    /// edges of each committed path.
+    cost: Vec<f64>,
+    /// Per-cell open-pass distances from each landmark at zero usage.
+    landmarks: Vec<[f64; LANDMARKS]>,
+    dist: Vec<f64>,
+    /// The edge each labelled cell is reached by.
+    prev: Vec<usize>,
+    stamp: Vec<u32>,
+    generation: u32,
+    heap: BinaryHeap<HeapItem>,
+}
+
+impl<'g> Router<'g> {
+    fn new(grid: &'g RoutingGrid, config: &'g RouteConfig) -> Self {
+        let soft = config.mode == RoutingMode::AroundTheCell;
+        let n = grid.num_cells();
+        let mut router = Router {
+            grid,
+            config,
+            usage: vec![0.0; grid.num_edges()],
+            cost: grid
+                .edges()
+                .iter()
+                .map(|e| edge_cost(e, 0.0, config, soft))
+                .collect(),
+            landmarks: Vec::new(),
+            dist: vec![f64::INFINITY; n],
+            prev: vec![usize::MAX; n],
+            stamp: vec![0; n],
+            generation: 0,
+            heap: BinaryHeap::new(),
+        };
+        // With no landmarks yet, these searches run with a zero bound.
+        let (nx, ny) = grid.dims();
+        let corners = [0, nx - 1, (ny - 1) * nx, ny * nx - 1];
+        let mut landmarks = vec![[0.0; LANDMARKS]; n];
+        for (k, &corner) in corners.iter().enumerate() {
+            router.search(CellId(corner), None, Pass::Open);
+            for (c, row) in landmarks.iter_mut().enumerate() {
+                row[k] = router.dist_of(CellId(c));
+            }
+        }
+        router.landmarks = landmarks;
+        router
     }
 
-    let n = grid.num_cells();
-    let mut dist = vec![f64::INFINITY; n];
-    let mut prev_edge: Vec<Option<usize>> = vec![None; n];
-    let mut heap = BinaryHeap::new();
-    dist[source.0] = 0.0;
-    heap.push(HeapItem {
-        dist: 0.0,
-        cell: source,
-    });
+    /// Adds one wire to each of `edges` and refreshes their costs.
+    fn commit(&mut self, edges: &[usize]) {
+        let soft = self.config.mode == RoutingMode::AroundTheCell;
+        for &e in edges {
+            self.usage[e] += 1.0;
+            self.cost[e] = edge_cost(&self.grid.edges()[e], self.usage[e], self.config, soft);
+        }
+    }
 
-    let mut reached = false;
-    while let Some(HeapItem { dist: d, cell }) = heap.pop() {
-        if cell == target {
-            reached = true;
-            break;
+    /// Routes one two-pin segment between `(pin, anchor)` pairs: the
+    /// anchors select the source and target cells, the pins end the
+    /// polyline. Around the cell, the search first tries **hard**
+    /// blockage; only when the pins are sealed off (fully enclosed
+    /// pockets) does it fall back to soft blockage, so routing always
+    /// completes, and those crossings then show up as overflow and drive
+    /// the channel adjustment.
+    ///
+    /// Returns the geometric length (not the penalized cost) and the
+    /// path, or `None` when even the open pass finds no path — impossible
+    /// on grids from [`RoutingGrid::build`] (connected by construction),
+    /// but propagated as [`RouteError::Unroutable`] by the caller rather
+    /// than panicking on a malformed grid.
+    fn route_segment(
+        &mut self,
+        (from, from_anchor): (Point, Point),
+        (to, to_anchor): (Point, Point),
+    ) -> Option<(f64, FoundPath)> {
+        let source = self.grid.cell_at(from_anchor);
+        let target = self.grid.cell_at(to_anchor);
+        if source == target {
+            return Some((
+                from.manhattan(&to),
+                FoundPath {
+                    points: vec![from, to],
+                    edges: Vec::new(),
+                },
+            ));
         }
-        if d > dist[cell.0] + 1e-12 {
-            continue;
+        let hard_first = self.config.mode == RoutingMode::AroundTheCell;
+        let reached = (hard_first && self.search(source, Some(target), Pass::Hard))
+            || self.search(source, Some(target), Pass::Open);
+        if !reached {
+            return None;
         }
-        for &edge_idx in grid.incident(cell) {
+
+        let grid = self.grid;
+        let mut edges = Vec::new();
+        let mut cells = vec![target];
+        let mut cur = target;
+        while cur != source {
+            let edge_idx = self.prev[cur.0];
+            edges.push(edge_idx);
             let e = &grid.edges()[edge_idx];
-            let other = if e.a == cell { e.b } else { e.a };
-            if blockage == Blockage::Hard && e.touches_blockage && cell != source && other != target
-            {
-                continue; // macros are physically impassable
-            }
-            let nd = d + edge_cost(e, usage[edge_idx], config, blockage == Blockage::Soft);
-            if nd < dist[other.0] - 1e-12 {
-                dist[other.0] = nd;
-                prev_edge[other.0] = Some(edge_idx);
-                heap.push(HeapItem {
-                    dist: nd,
-                    cell: other,
-                });
-            }
+            cur = if e.a == cur { e.b } else { e.a };
+            cells.push(cur);
+        }
+        edges.reverse();
+        cells.reverse();
+
+        let geo_len: f64 = edges.iter().map(|&i| grid.edges()[i].length).sum();
+        let mut points = Vec::with_capacity(cells.len() + 2);
+        points.push(from);
+        points.extend(cells.iter().map(|&c| grid.cell_center(c)));
+        points.push(to);
+        let length = geo_len
+            + from.manhattan(&grid.cell_center(source))
+            + to.manhattan(&grid.cell_center(target));
+        Some((length, FoundPath { points, edges }))
+    }
+
+    /// The tentative distance of `cell` in the current search.
+    fn dist_of(&self, cell: CellId) -> f64 {
+        if self.stamp[cell.0] == self.generation {
+            self.dist[cell.0]
+        } else {
+            f64::INFINITY
         }
     }
-    if !reached && dist[target.0].is_infinite() {
-        return None;
+
+    /// The landmark bound on the open-pass cost from `cell` to the cell
+    /// whose landmark distances are `goal`.
+    fn bound(&self, cell: CellId, goal: &[f64; LANDMARKS]) -> f64 {
+        let here = &self.landmarks[cell.0];
+        (0..LANDMARKS)
+            .map(|k| (goal[k] - here[k]).abs())
+            .fold(0.0, f64::max)
     }
 
-    let mut edges = Vec::new();
-    let mut cells = vec![target];
-    let mut cur = target;
-    while cur != source {
-        let edge_idx = prev_edge[cur.0].expect("path was reconstructed from a reached target");
-        edges.push(edge_idx);
-        let e = &grid.edges()[edge_idx];
-        cur = if e.a == cur { e.b } else { e.a };
-        cells.push(cur);
-    }
-    edges.reverse();
-    cells.reverse();
+    /// A best-first search from `source` under `pass`, ordered by path
+    /// cost plus a lower bound on the cost still to go: the landmark
+    /// bound on the open pass to a target, zero otherwise. It stops when
+    /// it settles `target`, and returns whether it did; without a target
+    /// it labels every reachable cell and returns `true`. Reached cells
+    /// keep their `dist` and `prev` labels until the next search.
+    fn search(&mut self, source: CellId, target: Option<CellId>, pass: Pass) -> bool {
+        if self.generation == u32::MAX {
+            self.stamp.fill(0);
+            self.generation = 0;
+        }
+        self.generation += 1;
+        self.heap.clear();
+        let goal = match target {
+            Some(t) if pass == Pass::Open && !self.landmarks.is_empty() => {
+                Some(self.landmarks[t.0])
+            }
+            _ => None,
+        };
+        self.stamp[source.0] = self.generation;
+        self.dist[source.0] = 0.0;
+        self.heap.push(HeapItem {
+            key: goal.map_or(0.0, |g| self.bound(source, &g)),
+            dist: 0.0,
+            cell: source,
+        });
 
-    let geo_len: f64 = edges.iter().map(|&i| grid.edges()[i].length).sum();
-    let mut points = Vec::with_capacity(cells.len() + 2);
-    points.push(from);
-    points.extend(cells.iter().map(|&c| grid.cell_center(c)));
-    points.push(to);
-    let length = geo_len
-        + from.manhattan(&grid.cell_center(source))
-        + to.manhattan(&grid.cell_center(target));
-    Some((length, FoundPath { points, edges }))
+        let grid = self.grid;
+        while let Some(HeapItem { dist: d, cell, .. }) = self.heap.pop() {
+            if Some(cell) == target {
+                return true;
+            }
+            if d > self.dist[cell.0] + 1e-12 {
+                continue;
+            }
+            for (edge_idx, other) in grid.incident(cell) {
+                let cost = match pass {
+                    Pass::Hard => {
+                        let e = &grid.edges()[edge_idx];
+                        if e.touches_blockage && cell != source && Some(other) != target {
+                            continue; // macros are physically impassable
+                        }
+                        edge_cost(e, self.usage[edge_idx], self.config, false)
+                    }
+                    Pass::Open => self.cost[edge_idx],
+                };
+                let nd = d + cost;
+                if nd < self.dist_of(other) - 1e-12 {
+                    self.stamp[other.0] = self.generation;
+                    self.dist[other.0] = nd;
+                    self.prev[other.0] = edge_idx;
+                    self.heap.push(HeapItem {
+                        key: nd + goal.map_or(0.0, |g| self.bound(other, &g)),
+                        dist: nd,
+                        cell: other,
+                    });
+                }
+            }
+        }
+        target.is_none()
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fp_core::PlacedModule;
+    use fp_core::{bottom_left, FloorplanConfig, PlacedModule};
     use fp_geom::Rect;
+    use fp_netlist::generator::ProblemGenerator;
     use fp_netlist::{Module, ModuleId, Net};
+    use proptest::prelude::*;
+
+    #[derive(PartialEq, Clone, Copy)]
+    enum Blockage {
+        /// Blocked edges are impassable except adjacent to source/target.
+        Hard,
+        /// Blocked edges passable at `blockage_penalty` times the cost.
+        Soft,
+        /// No blockage at all (over-the-cell technology).
+        Free,
+    }
+
+    /// The reference search: a plain Dijkstra between two `(pin, anchor)`
+    /// pairs that allocates its labels and heap per call and prices every
+    /// edge from `usage` as it goes. Returns the geometric length and the
+    /// path, or `None` when the target is unreachable under hard blockage.
+    fn dijkstra(
+        grid: &RoutingGrid,
+        usage: &[f64],
+        config: &RouteConfig,
+        (from, from_anchor): (Point, Point),
+        (to, to_anchor): (Point, Point),
+        blockage: Blockage,
+    ) -> Option<(f64, FoundPath)> {
+        let source = grid.cell_at(from_anchor);
+        let target = grid.cell_at(to_anchor);
+        if source == target {
+            return Some((
+                from.manhattan(&to),
+                FoundPath {
+                    points: vec![from, to],
+                    edges: Vec::new(),
+                },
+            ));
+        }
+
+        let n = grid.num_cells();
+        let mut dist = vec![f64::INFINITY; n];
+        let mut prev_edge: Vec<Option<usize>> = vec![None; n];
+        let mut heap = BinaryHeap::new();
+        dist[source.0] = 0.0;
+        heap.push(HeapItem {
+            key: 0.0,
+            dist: 0.0,
+            cell: source,
+        });
+
+        let mut reached = false;
+        while let Some(HeapItem { dist: d, cell, .. }) = heap.pop() {
+            if cell == target {
+                reached = true;
+                break;
+            }
+            if d > dist[cell.0] + 1e-12 {
+                continue;
+            }
+            for (edge_idx, _) in grid.incident(cell) {
+                let e = &grid.edges()[edge_idx];
+                let other = if e.a == cell { e.b } else { e.a };
+                if blockage == Blockage::Hard
+                    && e.touches_blockage
+                    && cell != source
+                    && other != target
+                {
+                    continue; // macros are physically impassable
+                }
+                let nd = d + edge_cost(e, usage[edge_idx], config, blockage == Blockage::Soft);
+                if nd < dist[other.0] - 1e-12 {
+                    dist[other.0] = nd;
+                    prev_edge[other.0] = Some(edge_idx);
+                    heap.push(HeapItem {
+                        key: nd,
+                        dist: nd,
+                        cell: other,
+                    });
+                }
+            }
+        }
+        if !reached && dist[target.0].is_infinite() {
+            return None;
+        }
+
+        let mut edges = Vec::new();
+        let mut cells = vec![target];
+        let mut cur = target;
+        while cur != source {
+            let edge_idx = prev_edge[cur.0].expect("path was reconstructed from a reached target");
+            edges.push(edge_idx);
+            let e = &grid.edges()[edge_idx];
+            cur = if e.a == cur { e.b } else { e.a };
+            cells.push(cur);
+        }
+        edges.reverse();
+        cells.reverse();
+
+        let geo_len: f64 = edges.iter().map(|&i| grid.edges()[i].length).sum();
+        let mut points = Vec::with_capacity(cells.len() + 2);
+        points.push(from);
+        points.extend(cells.iter().map(|&c| grid.cell_center(c)));
+        points.push(to);
+        let length = geo_len
+            + from.manhattan(&grid.cell_center(source))
+            + to.manhattan(&grid.cell_center(target));
+        Some((length, FoundPath { points, edges }))
+    }
+
+    /// The reference segment router: hard blockage first, then soft,
+    /// around the cell; no blockage over the cell. Returns the blockage
+    /// model that found the path with it.
+    fn oracle_segment(
+        grid: &RoutingGrid,
+        usage: &[f64],
+        config: &RouteConfig,
+        from: (Point, Point),
+        to: (Point, Point),
+    ) -> Option<(Blockage, f64, FoundPath)> {
+        let passes: &[Blockage] = if config.mode == RoutingMode::AroundTheCell {
+            &[Blockage::Hard, Blockage::Soft]
+        } else {
+            &[Blockage::Free]
+        };
+        passes.iter().find_map(|&blockage| {
+            dijkstra(grid, usage, config, from, to, blockage)
+                .map(|(length, path)| (blockage, length, path))
+        })
+    }
 
     fn placed(id: usize, x: f64, y: f64, w: f64, h: f64) -> PlacedModule {
         PlacedModule {
@@ -657,6 +913,150 @@ mod tests {
                 .unwrap_or_else(|e| panic!("single-cell grid must still route ({mode:?}): {e}"));
             assert_eq!(result.routes.len(), 1);
             assert!(result.routes[0].length.is_finite());
+        }
+    }
+
+    /// The penalized cost of `path` under `blockage` at `usage`.
+    fn path_cost(
+        grid: &RoutingGrid,
+        usage: &[f64],
+        config: &RouteConfig,
+        path: &FoundPath,
+        blockage: Blockage,
+    ) -> f64 {
+        path.edges
+            .iter()
+            .map(|&e| {
+                edge_cost(
+                    &grid.edges()[e],
+                    usage[e],
+                    config,
+                    blockage == Blockage::Soft,
+                )
+            })
+            .sum()
+    }
+
+    fn any_config() -> impl Strategy<Value = RouteConfig> {
+        (
+            prop_oneof![
+                Just(RouteAlgorithm::ShortestPath),
+                Just(RouteAlgorithm::WeightedShortestPath),
+            ],
+            prop_oneof![
+                Just(RoutingMode::OverTheCell),
+                Just(RoutingMode::AroundTheCell)
+            ],
+            0.05f64..0.5,
+            0.0f64..8.0,
+        )
+            .prop_map(|(algorithm, mode, pitch, penalty)| {
+                RouteConfig::default()
+                    .with_algorithm(algorithm)
+                    .with_mode(mode)
+                    .with_pitches(pitch, pitch)
+                    .with_penalty(penalty)
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Every segment of every net, routed over random prior usage,
+        /// costs what the reference Dijkstra's path costs, and on the open
+        /// pass the bound at each cell of the reference path stays within
+        /// that path's remaining cost.
+        #[test]
+        fn search_matches_the_reference_dijkstra(
+            n in 3usize..12,
+            seed in 0u64..1000,
+            density in 1.0f64..4.0,
+            config in any_config(),
+            prior in proptest::collection::vec((0.0f64..1.0, 1usize..6), 0..60),
+        ) {
+            let netlist = ProblemGenerator::new(n, seed)
+                .with_nets_per_module(density)
+                .generate();
+            let fp = bottom_left(&netlist, &FloorplanConfig::default()).unwrap();
+            let grid = RoutingGrid::build(&fp, &config).unwrap();
+            let mut router = Router::new(&grid, &config);
+            let edges = grid.num_edges();
+            for (at, wires) in prior {
+                let e = ((at * edges as f64) as usize).min(edges.saturating_sub(1));
+                for _ in 0..wires.min(edges) {
+                    router.commit(&[e]);
+                }
+            }
+            for (id, _) in netlist.nets() {
+                let pins = net_pins(&fp, &netlist, id).unwrap();
+                if pins.len() < 2 {
+                    continue;
+                }
+                let points: Vec<Point> = pins.iter().map(|&(pin, _)| pin).collect();
+                for (a, b) in prim_mst(&points) {
+                    let usage = router.usage.clone();
+                    let (blockage, _, reference) =
+                        oracle_segment(&grid, &usage, &config, pins[a], pins[b]).unwrap();
+                    let (_, found) = router.route_segment(pins[a], pins[b]).unwrap();
+                    let want = path_cost(&grid, &usage, &config, &reference, blockage);
+                    let got = path_cost(&grid, &usage, &config, &found, blockage);
+                    let tol = 1e-9 * want.abs().max(1.0);
+                    prop_assert!((want - got).abs() <= tol, "cost {got} against the reference's {want}");
+                    if blockage == Blockage::Hard {
+                        // Same search, same order: the very same path.
+                        prop_assert_eq!(&found.edges, &reference.edges);
+                    } else {
+                        let target = grid.cell_at(pins[b].1);
+                        let mut cell = grid.cell_at(pins[a].1);
+                        let mut remaining: Vec<f64> = reference
+                            .edges
+                            .iter()
+                            .rev()
+                            .scan(0.0, |acc, &e| {
+                                *acc += edge_cost(&grid.edges()[e], usage[e], &config, blockage == Blockage::Soft);
+                                Some(*acc)
+                            })
+                            .collect();
+                        remaining.reverse();
+                        remaining.push(0.0);
+                        for (k, &e) in reference.edges.iter().enumerate() {
+                            let bound = router.bound(cell, &router.landmarks[target.0]);
+                            prop_assert!(bound <= remaining[k] + tol, "bound {bound} over remaining cost {}", remaining[k]);
+                            let edge = &grid.edges()[e];
+                            cell = if edge.a == cell { edge.b } else { edge.a };
+                        }
+                        prop_assert_eq!(cell, target);
+                    }
+                    router.commit(&found.edges);
+                }
+            }
+        }
+
+        /// Adding wires to an edge never makes it cheaper, which keeps a
+        /// bound taken at zero usage valid for the whole call.
+        #[test]
+        fn edge_cost_never_falls_as_usage_grows(
+            config in any_config(),
+            length in 0.01f64..50.0,
+            capacity in prop_oneof![Just(0.0), 0.0f64..40.0],
+            touches_blockage in any::<bool>(),
+            used in 0usize..60,
+            more in 1usize..60,
+        ) {
+            let e = GridEdge {
+                a: CellId(0),
+                b: CellId(1),
+                length,
+                boundary: 1.0,
+                capacity,
+                crosses_vertical_boundary: true,
+                touches_blockage,
+            };
+            for soft in [false, true] {
+                let before = edge_cost(&e, used as f64, &config, soft);
+                let after = edge_cost(&e, (used + more) as f64, &config, soft);
+                prop_assert!(before <= after, "{before} > {after}");
+            }
         }
     }
 

@@ -166,7 +166,10 @@ impl JobRequest {
         if !lambda.is_finite() {
             return Err("'lambda' must be a finite number".to_string());
         }
-        let eco_base = match p.str_field("eco_base") {
+        // Present in any other form than the key string, the field is
+        // refused, not read as absent: an ECO job that asked for a base
+        // check must not run without it.
+        let eco_base = match p.get("eco_base") {
             None => None,
             Some(_) => Some(
                 p.key_field("eco_base")
@@ -268,14 +271,35 @@ pub struct JobResponse {
     pub eco_total: usize,
 }
 
+/// The most bytes of an error message an answer carries. A parse error
+/// may quote the offending token whole, so without a cap the client
+/// would set the size of what the server writes back.
+const MAX_ERROR_BYTES: usize = 256;
+
+/// `error` cut to at most [`MAX_ERROR_BYTES`] at a char boundary, with a
+/// marker saying how long it was.
+fn capped(mut error: String) -> String {
+    if error.len() > MAX_ERROR_BYTES {
+        let total = error.len();
+        let mut end = MAX_ERROR_BYTES;
+        while !error.is_char_boundary(end) {
+            end -= 1;
+        }
+        error.truncate(end);
+        error.push_str(&format!("... ({total} bytes in all)"));
+    }
+    error
+}
+
 impl JobResponse {
-    /// An error response for `id`.
+    /// An error response for `id`. Every error answer is built here, and
+    /// its message is cut to its first 256 bytes plus a marker.
     #[must_use]
     pub fn failure(id: u64, error: impl Into<String>) -> Self {
         JobResponse {
             id,
             ok: false,
-            error: error.into(),
+            error: capped(error.into()),
             chip_width: 0.0,
             chip_height: 0.0,
             area: 0.0,
@@ -522,12 +546,40 @@ mod tests {
     }
 
     #[test]
+    fn failure_messages_are_capped_at_a_char_boundary() {
+        let short = JobResponse::failure(1, "bad netlist: line 2");
+        assert_eq!(short.error, "bad netlist: line 2");
+        let exact = "x".repeat(MAX_ERROR_BYTES);
+        assert_eq!(JobResponse::failure(1, exact.clone()).error, exact);
+        // 255 ASCII bytes, then a two-byte char straddling the cap.
+        let long = format!(
+            "{}é{}",
+            "x".repeat(MAX_ERROR_BYTES - 1),
+            "y".repeat(1_000_000)
+        );
+        let error = JobResponse::failure(1, long.clone()).error;
+        assert!(error.starts_with(&"x".repeat(MAX_ERROR_BYTES - 1)));
+        assert!(!error.contains('é'), "{error}");
+        assert!(
+            error.ends_with(&format!("... ({} bytes in all)", long.len())),
+            "{error}"
+        );
+        assert!(error.len() < MAX_ERROR_BYTES + 40);
+    }
+
+    #[test]
     fn eco_base_must_be_sixteen_hex_digits() {
         let line = |base: &str| format!(r#"{{"id":1,"netlist":"x","eco_base":"{base}"}}"#);
         let decoded = JobRequest::decode(&line("00123456789abcde")).unwrap();
         assert_eq!(decoded.eco_base, Some(0x0012_3456_789a_bcde));
         for bad in ["123456789abcde", "0123456789abcde", "+123456789abcde", "zz"] {
             let error = JobRequest::decode(&line(bad)).unwrap_err();
+            assert!(error.contains("16-digit hex"), "{bad}: {error}");
+        }
+        // A fingerprint sent as any other JSON value is refused too.
+        for bad in ["81985529216486895", "0", "true", "null", "1.5e3"] {
+            let line = format!(r#"{{"id":1,"netlist":"x","eco_base":{bad}}}"#);
+            let error = JobRequest::decode(&line).unwrap_err();
             assert!(error.contains("16-digit hex"), "{bad}: {error}");
         }
     }

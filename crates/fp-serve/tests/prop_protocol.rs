@@ -4,7 +4,7 @@
 //! `decode` unchanged, and encoded lines mutated by deleting, duplicating
 //! or inserting quotes, backslashes, braces, `\u` escapes and numbers
 //! such as `1e309` decode to `Ok` or an `Err` that names the problem,
-//! never a panic.
+//! never a panic. An `eco_base` that is not a key string is refused.
 
 use fp_netlist::format;
 use fp_netlist::generator::ProblemGenerator;
@@ -306,6 +306,27 @@ proptest! {
         prop_assert!(!line.contains('\n'), "an encoded response spans lines: {line}");
         let decoded = JobResponse::decode(&line);
         prop_assert_eq!(decoded, Ok(resp), "line: {}", line);
+    }
+
+    /// An `eco_base` sent as anything but its 16-digit key string, a
+    /// JSON number above all, is refused: read as absent, the ECO job
+    /// would run without the base check it asked for.
+    #[test]
+    fn an_eco_base_that_is_not_a_key_string_is_refused(
+        req in request(),
+        base in 0u64..=u64::MAX,
+        k in 0usize..4,
+    ) {
+        let value = [base.to_string(), "true".to_string(), "null".to_string(), "-1".to_string()];
+        let line = req.with_eco_base(base).encode().replace(
+            &format!("\"eco_base\":\"{base:016x}\""),
+            &format!("\"eco_base\":{}", value[k]),
+        );
+        let error = JobRequest::decode(&line);
+        prop_assert!(
+            matches!(&error, Err(e) if e.contains("16-digit hex")),
+            "{line} gave {error:?}"
+        );
     }
 
     #[test]

@@ -569,3 +569,56 @@ fn tcp_round_trip_and_malformed_line() {
     assert!(good.iter().any(|r| r.cached), "repeat served from cache");
     assert_eq!(stats, (2, 1), "jobs 3 and 5 hit the cache job 1 filled");
 }
+
+/// The client does not set the size of an error answer: a netlist, an
+/// ECO delta or a request number that is one 1,000,000-byte token is
+/// answered `ok:false` in a line under 1 KB, whether the engine, the
+/// delta parser or the shard's request decoder refused it.
+#[test]
+fn error_answers_stay_small_whatever_the_client_sends() {
+    let token = "x".repeat(1_000_000);
+    let nl = ProblemGenerator::new(4, 9).generate();
+    let mut bad_netlist = JobRequest::new(1, &nl);
+    bad_netlist.netlist.clone_from(&token);
+    let requests = [
+        bad_netlist.encode(),
+        JobRequest::new(2, &nl).with_eco(token.clone()).encode(),
+        format!(
+            "{{\"id\":3,\"netlist\":\"x\",\"width\":1{}}}",
+            "-".repeat(999_999)
+        ),
+    ];
+    let lines = with_watchdog(move || {
+        let server = Server::bind("127.0.0.1:0", tiny_config()).expect("bind ephemeral");
+        let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let lines: Vec<String> = requests
+            .iter()
+            .map(|request| {
+                writeln!(stream, "{request}").unwrap();
+                let mut line = String::new();
+                reader.read_line(&mut line).expect("read line");
+                line
+            })
+            .collect();
+        server.shutdown();
+        lines
+    });
+    for (line, refusal) in lines
+        .iter()
+        .zip(["bad netlist", "bad delta", "bad request"])
+    {
+        assert!(
+            line.len() < 1024,
+            "a {}-byte answer: {line:.200}",
+            line.len()
+        );
+        let resp = JobResponse::decode(line.trim_end()).expect("decode response");
+        assert!(
+            !resp.ok && resp.error.starts_with(refusal),
+            "{}",
+            resp.error
+        );
+        assert!(resp.error.contains("bytes in all"), "{}", resp.error);
+    }
+}

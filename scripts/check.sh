@@ -113,13 +113,27 @@ count_fields='"(nodes|pivots|warm_nodes|cold_nodes|propagated_nodes|refactorizat
 diff <(grep -Eo "$count_fields" BENCH_MILP.json) <(grep -Eo "$count_fields" "$bench_json") \
     || { echo "check.sh: milp_snapshot counts differ from BENCH_MILP.json"; exit 1; }
 
+# Routing benchmark snapshot: the router on the floorplans the flow
+# places for ami33 and scale_flow's decks at perfbench's options. The
+# placements and the routing repeat exactly, so every exact field of the
+# fresh run must equal the committed BENCH_ROUTE.json's, in order. Only
+# the route times may differ.
+echo "== route_snapshot (exact fields against BENCH_ROUTE.json)"
+route_json="$(mktemp --suffix=.json)"
+trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$route_json"' EXIT
+cargo run --release -q -p fp-bench --bin route_snapshot -- "$route_json" \
+    > /dev/null
+route_fields='"(name|cells|segments|routed_wl|final_area|overflowed_edges)": ("[^"]*"|[0-9.]+)'
+diff <(grep -Eo "$route_fields" BENCH_ROUTE.json) <(grep -Eo "$route_fields" "$route_json") \
+    || { echo "check.sh: route_snapshot fields differ from BENCH_ROUTE.json"; exit 1; }
+
 # Geometry benchmark snapshot smoke: the bin-grid gradient snapshot must
 # run end to end on the sub-100-module decks (the full 300-module sweep
 # stays in scripts/bench_snapshot.sh) and emit the headline median
 # BENCH_GEOM.json is diffed against.
 echo "== geom_snapshot smoke (--max-n 100)"
 geom_json="$(mktemp --suffix=.json)"
-trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$geom_json"' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$route_json" "$geom_json"' EXIT
 cargo run --release -q -p fp-bench --bin geom_snapshot -- "$geom_json" --max-n 100 \
     > /dev/null
 [ -s "$geom_json" ] || { echo "check.sh: geom_snapshot wrote no output"; exit 1; }
@@ -174,7 +188,7 @@ echo "== service smoke (floorplan serve / load)"
 serve_log="$(mktemp)"
 serve_trace="$(mktemp --suffix=.jsonl)"
 load_log="$(mktemp)"
-trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log"; kill "${serve_pid:-0}" 2>/dev/null || true' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$route_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log"; kill "${serve_pid:-0}" 2>/dev/null || true' EXIT
 ./target/release/floorplan serve --bind 127.0.0.1:0 --workers 2 \
     --trace "$serve_trace" > "$serve_log" 2>&1 &
 serve_pid=$!
@@ -210,7 +224,7 @@ echo "== overload smoke (load shedding)"
 shed_log="$(mktemp)"
 shed_trace="$(mktemp --suffix=.jsonl)"
 shed_load="$(mktemp)"
-trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load"; kill "${serve_pid:-0}" "${shed_pid:-0}" 2>/dev/null || true' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$route_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load"; kill "${serve_pid:-0}" "${shed_pid:-0}" 2>/dev/null || true' EXIT
 ./target/release/floorplan serve --bind 127.0.0.1:0 --workers 1 --cache 0 \
     --queue 2 --pending 64 --trace "$shed_trace" > "$shed_log" 2>&1 &
 shed_pid=$!
@@ -267,7 +281,7 @@ eco_log="$(mktemp)"
 eco_trace="$(mktemp --suffix=.jsonl)"
 eco_load="$(mktemp)"
 eco_snap="$(mktemp -u --suffix=.jsonl)"
-trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load" "$eco_log" "$eco_trace" "$eco_load" "$eco_snap"; kill "${serve_pid:-0}" "${shed_pid:-0}" "${eco_pid:-0}" 2>/dev/null || true' EXIT
+trap 'rm -f "$trace_file" "$summary_file" "$race_trace" "$bench_json" "$route_json" "$geom_json" "$serve_log" "$serve_trace" "$load_log" "$shed_log" "$shed_trace" "$shed_load" "$eco_log" "$eco_trace" "$eco_load" "$eco_snap"; kill "${serve_pid:-0}" "${shed_pid:-0}" "${eco_pid:-0}" 2>/dev/null || true' EXIT
 ./target/release/floorplan serve --bind 127.0.0.1:0 --workers 2 \
     --cache-file "$eco_snap" --trace "$eco_trace" > "$eco_log" 2>&1 &
 eco_pid=$!
