@@ -881,15 +881,24 @@ impl SparseKernel {
         self.cost[j] - self.mat.dot(&self.art_sign, j, &self.y)
     }
 
-    /// Entering direction for column `j` with reduced cost `d`, or `None`.
-    fn eligible(&self, j: usize, d: f64) -> Option<f64> {
-        match self.status[j] {
-            ColStatus::Basic(_) => None,
-            ColStatus::AtLower => (d < -self.opt_tol).then_some(1.0),
-            ColStatus::AtUpper => (d > self.opt_tol).then_some(-1.0),
-            ColStatus::FreeAtZero => {
-                (d.abs() > self.opt_tol).then(|| if d < 0.0 { 1.0 } else { -1.0 })
-            }
+    /// Entering direction and reduced cost of column `j`, or `None`. A
+    /// basic column is never eligible, so it is skipped before its reduced
+    /// cost is computed.
+    fn eligible(&self, j: usize) -> Option<(f64, f64)> {
+        // Whether the column may enter upward and whether downward.
+        let (up, down) = match self.status[j] {
+            ColStatus::Basic(_) => return None,
+            ColStatus::AtLower => (true, false),
+            ColStatus::AtUpper => (false, true),
+            ColStatus::FreeAtZero => (true, true),
+        };
+        let d = self.reduced_cost(j);
+        if up && d < -self.opt_tol {
+            Some((1.0, d))
+        } else if down && d > self.opt_tol {
+            Some((-1.0, d))
+        } else {
+            None
         }
     }
 
@@ -905,8 +914,7 @@ impl SparseKernel {
         self.btran_duals();
         if self.bland {
             for j in 0..self.n {
-                let d = self.reduced_cost(j);
-                if let Some(dir) = self.eligible(j, d) {
+                if let Some((dir, _)) = self.eligible(j) {
                     return Some((j, dir));
                 }
             }
@@ -921,8 +929,7 @@ impl SparseKernel {
             let mut best: Option<(usize, f64, f64)> = None;
             for t in 0..len {
                 let j = (cursor + t) % n;
-                let d = self.reduced_cost(j);
-                if let Some(dir) = self.eligible(j, d) {
+                if let Some((dir, d)) = self.eligible(j) {
                     let score = d.abs();
                     if best.is_none_or(|(_, _, s)| score > s) {
                         best = Some((j, dir, score));
