@@ -44,6 +44,8 @@ pub(crate) fn solve_step(
     let started = Instant::now();
     let tracer = &input.config.tracer;
     let step = StepModel::build(input);
+    #[cfg(test)]
+    tests::record(&step.model);
     // Budgeted after the build: with a config deadline the limit is the
     // wall clock *remaining*, so K steps cannot overshoot it K-fold.
     let options = input.config.budgeted_step_options();
@@ -82,5 +84,47 @@ pub(crate) fn solve_step(
             outcome,
         ),
         error,
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::{FloorplanConfig, Floorplanner};
+    use fp_milp::{Model, SolveOptions};
+    use std::cell::RefCell;
+
+    thread_local! {
+        /// The step models this thread built while a test records them.
+        static RECORDED: RefCell<Option<Vec<Model>>> = const { RefCell::new(None) };
+    }
+
+    /// Keeps a copy of `model` when the thread is recording.
+    pub(super) fn record(model: &Model) {
+        RECORDED.with(|r| {
+            if let Some(models) = r.borrow_mut().as_mut() {
+                models.push(model.clone());
+            }
+        });
+    }
+
+    /// Root probing's dirty-row sweep must strengthen every step model of
+    /// the paper's flow exactly as a sweep over every row does: the same
+    /// rows, bounds and learned implications, bit for bit.
+    #[test]
+    fn probing_sweeps_match_the_full_sweep_on_every_ami33_step() {
+        RECORDED.with(|r| *r.borrow_mut() = Some(Vec::new()));
+        let config = FloorplanConfig::default()
+            .with_step_options(SolveOptions::default().with_node_limit(4000));
+        Floorplanner::with_config(&fp_netlist::ami33(), config)
+            .with_improvement(1, None)
+            .run()
+            .expect("the flow succeeds");
+        let models = RECORDED.with(|r| r.borrow_mut().take()).expect("recorded");
+        assert!(models.len() > 11, "only {} step models", models.len());
+        for (i, model) in models.iter().enumerate() {
+            if let Err(e) = fp_milp::test_support::strengthen_matches_full_sweep(model) {
+                panic!("step model {i}: {e}");
+            }
+        }
     }
 }

@@ -18,7 +18,8 @@ use crate::error::SolveError;
 use crate::model::Model;
 use crate::options::{SolveOptions, FEAS_TOL, INT_TOL, OPT_TOL};
 use crate::presolve::{
-    presolve, strengthen, CutSeparator, NodePropagator, PresolveStatus, PropBox, Strengthened,
+    learned_rows, presolve, strengthen, CutSeparator, NodePropagator, PresolveStatus, PropBox,
+    Strengthened,
 };
 use crate::simplex::{BasisSnapshot, LpConfig, LpOutcome, LpProblem, SparseRow, Workspace};
 use crate::solution::{Optimality, RootBasis, Solution, SolveStats};
@@ -42,11 +43,11 @@ struct Node {
 /// Fixpoint passes of the classic presolve loop (singleton folding,
 /// activity bounds, implied/integral tightening); the number actually run
 /// is reported in [`SolveStats::presolve_passes`].
-const PRESOLVE_PASSES: usize = 4;
+pub(crate) const PRESOLVE_PASSES: usize = 4;
 
 /// Work budget for 0-1 probing: tentative fix-and-propagate runs (each
 /// single-binary probe costs two, each co-occurring pair probe four).
-const PROBE_BUDGET: usize = 512;
+pub(crate) const PROBE_BUDGET: usize = 512;
 
 /// Cutting planes appended to the root LP across all separation rounds.
 const MAX_CUTS: usize = 64;
@@ -227,6 +228,30 @@ pub(crate) fn solve(
     tracer: &Tracer,
     seed: Option<&RootBasis>,
 ) -> Result<Solution, SolveError> {
+    solve_with(
+        model,
+        options,
+        tracer,
+        seed,
+        |rows, integral, c, learned| NodePropagator::new(rows, integral, c, learned),
+    )
+}
+
+/// [`solve`] with the node propagator `make_prop` builds from the root
+/// rows, the integral mask, the min-form objective and the rows root
+/// strengthening learned.
+pub(crate) fn solve_with(
+    model: &Model,
+    options: &SolveOptions,
+    tracer: &Tracer,
+    seed: Option<&RootBasis>,
+    make_prop: impl for<'a> FnOnce(
+        &'a [SparseRow],
+        &'a [bool],
+        &[f64],
+        Vec<SparseRow>,
+    ) -> NodePropagator<'a>,
+) -> Result<Solution, SolveError> {
     let started = Instant::now();
     tracer.emit(
         Phase::Solver,
@@ -296,7 +321,9 @@ pub(crate) fn solve(
     // and cutting planes appended to the row set so every node (and every
     // warm-started basis) inherits the tighter relaxation. The tree's root
     // node starts from the cut loop's final basis, so it does not repeat
-    // that cold solve, or, with strengthening off, from the seed.
+    // that cold solve, or, with strengthening off, from the seed. Every
+    // implication probing learned also reaches node propagation.
+    let mut learned = Vec::new();
     let root_start = if options.strengthen {
         let st = match strengthen(
             &mut rows,
@@ -322,6 +349,7 @@ pub(crate) fn solve(
                 implications: st.implications.len(),
             },
         );
+        learned = learned_rows(&st, &lb, &ub);
         let (cuts_added, basis, baseline) = add_root_cuts(
             model, options, started, &c, &mut rows, &lb, &ub, &st, seed, tracer,
         );
@@ -364,7 +392,7 @@ pub(crate) fn solve(
         model,
         c_offset,
     };
-    let prop = NodePropagator::new(&rows, &integral);
+    let prop = make_prop(&rows, &integral, &c, learned);
     let searched = search(
         model, options, started, &c, &rows, &int_cols, prop, root, &trace, &mut stats,
     );
@@ -527,8 +555,9 @@ impl TraceCtx<'_> {
 
 /// The dive-first DFS loop: pops the last-pushed node, propagates its
 /// bounds with `prop`, solves its LP warm from the parent's basis unless
-/// propagation proved that its box holds no integer point, and prunes,
-/// records or branches. Its node, pivot and factorization counts go into
+/// propagation proved that its box holds no integer point that beats the
+/// incumbent, and prunes, records or branches. Each new incumbent lowers
+/// `prop`'s cutoff. Its node, pivot and factorization counts go into
 /// `stats`.
 #[allow(clippy::too_many_arguments)]
 fn search(
@@ -566,10 +595,11 @@ fn search(
         }
         stats.nodes += 1;
 
-        // A node whose propagated box holds no integer point is settled
-        // without its LP: no incumbent can come from below it. The next
-        // node popped loads its own parent's snapshot, so every LP
-        // outside the settled subtree returns the same bits.
+        // A node whose propagated box holds no integer point that beats
+        // the incumbent is settled without its LP: no incumbent can come
+        // from below it. The next node popped loads its own parent's
+        // snapshot, so every LP outside the settled subtree returns the
+        // same bits.
         let parent_box = node.parent_box.as_ref().map(|(b, j)| (&**b, *j));
         if !prop.run(&node.lb, &node.ub, parent_box) {
             stats.propagated_nodes += 1;
@@ -647,6 +677,7 @@ fn search(
                 if obj < bound - 1e-9 {
                     trace.incumbent(obj);
                     bound = obj;
+                    prop.set_cutoff(obj);
                     incumbent = Some((vals, obj));
                 }
             }

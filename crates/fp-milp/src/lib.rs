@@ -22,12 +22,16 @@
 //!   [`SolveStats::root_basis`]); the solver itself keeps no state from
 //!   one solve to the next. Before its LP, each node runs
 //!   activity-based bound propagation whose implied bounds on integral
-//!   columns round inward by the search's integrality tolerance; a node
-//!   whose box it proves to hold no integer point is settled without its
-//!   LP ([`SolveStats::propagated_nodes`]). No incumbent could come from
+//!   columns round inward by the search's integrality tolerance. Besides
+//!   the LP's rows it propagates rows no LP sees: the cutoff row
+//!   `c·x ≤ incumbent − 1e-9`, lowered at each new incumbent, and every
+//!   implication root probing learned. A node whose box it proves to hold
+//!   no integer point that beats the incumbent is settled without its LP
+//!   ([`SolveStats::propagated_nodes`]). No incumbent could come from
 //!   below such a node, and every LP that still runs sees the same bounds
 //!   and warm start, so a search that finishes returns the same answer
-//!   with fewer nodes.
+//!   with fewer nodes, and one that a node limit stops returns the same
+//!   incumbent or a strictly better one.
 //!
 //! # Example
 //!

@@ -132,10 +132,10 @@ pub(crate) fn presolve(
                 changed = true;
                 continue;
             }
-            changed |= imply_bounds(terms, s, *rhs, act, &mut lb, &mut ub);
+            changed |= imply_bounds(terms, s, *rhs, act, &mut lb, &mut ub, |_| {});
         }
 
-        match round_integral(&mut lb, &mut ub, integral, feas_tol) {
+        match round_integral(&mut lb, &mut ub, integral, feas_tol, |_| {}) {
             Some(moved) => changed |= moved,
             None => return infeasible(lb, ub),
         }
@@ -171,7 +171,7 @@ fn infeasible(lb: Vec<f64>, ub: Vec<f64>) -> Presolved {
 
 /// The sides a row propagates as, each read as `Σ s·a_j·x_j ≤ s·rhs`: an
 /// equality propagates as both inequalities.
-fn sides(cmp: Cmp) -> &'static [f64] {
+pub(crate) fn sides(cmp: Cmp) -> &'static [f64] {
     match cmp {
         Cmp::Le => &[1.0],
         Cmp::Ge => &[-1.0],
@@ -180,7 +180,7 @@ fn sides(cmp: Cmp) -> &'static [f64] {
 }
 
 /// The least and the greatest value of `Σ a_j·x_j` over the box.
-fn activity(terms: &[(usize, f64)], lb: &[f64], ub: &[f64]) -> (f64, f64) {
+pub(crate) fn activity(terms: &[(usize, f64)], lb: &[f64], ub: &[f64]) -> (f64, f64) {
     let mut min_act = 0.0_f64;
     let mut max_act = 0.0_f64;
     for &(j, a) in terms {
@@ -200,21 +200,23 @@ fn activity(terms: &[(usize, f64)], lb: &[f64], ub: &[f64]) -> (f64, f64) {
 /// that minimizes the left-hand side: the least activity for `s = 1`, the
 /// greatest for `s = -1`. The box is infeasible when that left-hand side
 /// misses the right-hand side by more than the feasibility margin.
-fn exceeds(s: f64, rhs: f64, act: f64, feas_tol: f64) -> bool {
+pub(crate) fn exceeds(s: f64, rhs: f64, act: f64, feas_tol: f64) -> bool {
     act.is_finite() && s * act > s * rhs + feas_tol.max(1e-9) * (1.0 + rhs.abs())
 }
 
 /// Bounds each column of one side of a row, read and with `act` as in
 /// [`exceeds`], by what the rest of the row leaves it, and returns whether
-/// a bound moved. The arithmetic stays in the row's own signs, so a `≥` row
-/// and its negated `≤` twin derive the same bounds.
-fn imply_bounds(
+/// a bound moved; `moved` hears of each column whose bound moved. The
+/// arithmetic stays in the row's own signs, so a `≥` row and its negated
+/// `≤` twin derive the same bounds.
+pub(crate) fn imply_bounds(
     terms: &[(usize, f64)],
     s: f64,
     rhs: f64,
     act: f64,
     lb: &mut [f64],
     ub: &mut [f64],
+    mut moved: impl FnMut(usize),
 ) -> bool {
     if !act.is_finite() {
         return false;
@@ -231,10 +233,12 @@ fn imply_bounds(
             if implied < ub[j] - 1e-9 {
                 ub[j] = implied;
                 changed = true;
+                moved(j);
             }
         } else if s * a < -1e-12 && implied > lb[j] + 1e-9 {
             lb[j] = implied;
             changed = true;
+            moved(j);
         }
     }
     changed
@@ -242,12 +246,14 @@ fn imply_bounds(
 
 /// Rounds the bounds of integral columns inward and checks every column for
 /// crossed bounds. `None` means some column's bounds cross by more than
-/// `feas_tol`; otherwise the result says whether a bound moved.
-fn round_integral(
+/// `feas_tol`; otherwise the result says whether a bound moved, and
+/// `moved` hears of each column whose bound moved.
+pub(crate) fn round_integral(
     lb: &mut [f64],
     ub: &mut [f64],
     integral: &[bool],
     feas_tol: f64,
+    mut moved: impl FnMut(usize),
 ) -> Option<bool> {
     // Float fuzz must not push a bound past the integer it sits on.
     let snap = |bound: f64, rounded: f64| {
@@ -260,13 +266,18 @@ fn round_integral(
     let mut changed = false;
     for j in 0..lb.len() {
         if integral[j] {
+            let mut moves = false;
             if lb[j].ceil() > lb[j] + 1e-9 {
                 lb[j] = snap(lb[j], lb[j].ceil());
-                changed = true;
+                moves = true;
             }
             if ub[j].floor() < ub[j] - 1e-9 {
                 ub[j] = snap(ub[j], ub[j].floor());
+                moves = true;
+            }
+            if moves {
                 changed = true;
+                moved(j);
             }
         }
         if lb[j] > ub[j] + feas_tol {
@@ -322,8 +333,8 @@ pub(crate) struct BoundImpl {
     pub bound: f64,
 }
 
-/// What [`strengthen`] learned, feeding both `SolveStats` counters and the
-/// root [`CutSeparator`].
+/// What [`strengthen`] learned, feeding the `SolveStats` counters, node
+/// propagation ([`learned_rows`]) and the root [`CutSeparator`].
 #[derive(Debug, Default)]
 pub(crate) struct Strengthened {
     /// Rows whose binary coefficients were tightened at least once.
@@ -337,22 +348,90 @@ pub(crate) struct Strengthened {
     pub bound_impls: Vec<BoundImpl>,
 }
 
+/// The rows each column appears in, one entry per term, in row order.
+#[derive(Debug)]
+pub(crate) struct ColumnRows {
+    /// The rows of column `j` are `rows[start[j]..start[j + 1]]`.
+    start: Vec<usize>,
+    rows: Vec<usize>,
+}
+
+impl ColumnRows {
+    /// The index of `rows` over `ncols` columns.
+    pub(crate) fn new<'r>(rows: impl Iterator<Item = &'r SparseRow> + Clone, ncols: usize) -> Self {
+        let mut start = vec![0; ncols + 1];
+        for (terms, _, _) in rows.clone() {
+            for &(j, _) in terms {
+                start[j + 1] += 1;
+            }
+        }
+        for j in 0..ncols {
+            start[j + 1] += start[j];
+        }
+        let mut fill = start.clone();
+        let mut col_rows = vec![0; start[ncols]];
+        for (r, (terms, _, _)) in rows.enumerate() {
+            for &(j, _) in terms {
+                col_rows[fill[j]] = r;
+                fill[j] += 1;
+            }
+        }
+        ColumnRows {
+            start,
+            rows: col_rows,
+        }
+    }
+
+    /// The rows column `j` appears in.
+    fn of(&self, j: usize) -> &[usize] {
+        &self.rows[self.start[j]..self.start[j + 1]]
+    }
+
+    /// Marks every row of column `j`.
+    fn mark(&self, j: usize, marked: &mut [bool]) {
+        for &r in self.of(j) {
+            marked[r] = true;
+        }
+    }
+}
+
+/// The signature of the probe sweep [`strengthen_with`] runs, so a test
+/// can hand it the full-sweep oracle.
+pub(crate) type Sweep =
+    fn(&[SparseRow], &ColumnRows, &mut [f64], &mut [f64], &[bool], f64, usize) -> bool;
+
 /// Activity-based bound propagation to a fixpoint (capped at `max_passes`):
-/// implied bounds from every row's residual activity, integral rounding,
+/// implied bounds from each row's residual activity, integral rounding,
 /// and crossed-bound detection. Unlike [`presolve`] it never drops rows, so
 /// it is safe to run on tentative (probing) bound vectors. Returns `false`
 /// when the bounds prove the system infeasible.
+///
+/// Each pass visits the rows in order, but only those a bound change
+/// reached since their last visit began (`columns` indexes `rows`); the
+/// first pass visits every row. A row none of whose columns moved since
+/// then would compute the activities it computed then, which proved
+/// nothing and moved no bound, so skipping it changes no bit of the
+/// bounds or of the verdict: the result is that of a sweep over every
+/// row in every pass.
 pub(crate) fn propagate(
     rows: &[SparseRow],
+    columns: &ColumnRows,
     lb: &mut [f64],
     ub: &mut [f64],
     integral: &[bool],
     feas_tol: f64,
     max_passes: usize,
 ) -> bool {
+    let mut dirty = vec![true; rows.len()];
     for _ in 0..max_passes.max(1) {
         let mut changed = false;
-        for (terms, cmp, rhs) in rows {
+        for (r, (terms, cmp, rhs)) in rows.iter().enumerate() {
+            if !dirty[r] {
+                continue;
+            }
+            // Cleared before the visit, so the bounds the row itself moves
+            // bring it back next pass, as a full sweep would.
+            dirty[r] = false;
             // Both sides of an equality start from the activities the row
             // had before either tightened.
             let (min_act, max_act) = activity(terms, lb, ub);
@@ -361,10 +440,11 @@ pub(crate) fn propagate(
                 if exceeds(s, *rhs, act, feas_tol) {
                     return false;
                 }
-                changed |= imply_bounds(terms, s, *rhs, act, lb, ub);
+                changed |=
+                    imply_bounds(terms, s, *rhs, act, lb, ub, |j| columns.mark(j, &mut dirty));
             }
         }
-        match round_integral(lb, ub, integral, feas_tol) {
+        match round_integral(lb, ub, integral, feas_tol, |j| columns.mark(j, &mut dirty)) {
             Some(moved) => changed |= moved,
             None => return false,
         }
@@ -391,31 +471,45 @@ const NODE_PROP_TOL: f64 = 1e-6;
 pub(crate) struct PropBox {
     lb: Vec<f64>,
     ub: Vec<f64>,
+    /// The incumbent objective the box was proved under.
+    cutoff: f64,
 }
 
 /// Activity-based bound propagation run before each node's LP. Every
 /// bound it derives holds at every point of the node's box that the
-/// search would accept: a continuous column's implied bound is relaxed by
-/// [`NODE_PROP_TOL`] and kept as it is, and an integral column's is then
-/// rounded inward by the search's own integrality tolerance,
-/// `ub ← ⌊b + INT_TOL⌋` and `lb ← ⌈b − INT_TOL⌉`. So it settles a node
-/// only when the node's box holds no point with every integral column
-/// within `INT_TOL` of an integer and every row within the LP's
-/// tolerances: such a subtree could never yield an incumbent. (Unlike
-/// [`propagate`]'s rounding, which snaps only within 1e-9, an implied
-/// lower bound of 1e-7 stays 0 here, because the search accepts 1e-7 as
-/// 0.) It is incremental: a child starts from its parent's [`PropBox`],
-/// applies its branching bound and queues only the rows of columns whose
-/// bound moved, up to a cap of row visits per node. The derived bounds
-/// only ever test for infeasibility; the LP never sees them, because a
-/// tighter box would move the LP's vertices.
+/// search would accept as a new incumbent: a continuous column's implied
+/// bound is relaxed by [`NODE_PROP_TOL`] and kept as it is, and an
+/// integral column's is then rounded inward by the search's own
+/// integrality tolerance, `ub ← ⌊b + INT_TOL⌋` and `lb ← ⌈b − INT_TOL⌉`.
+/// So it settles a node only when the node's box holds no point with
+/// every integral column within `INT_TOL` of an integer, every row within
+/// the LP's tolerances and an objective that beats the incumbent: such a
+/// subtree could never yield an incumbent. (Unlike [`propagate`]'s
+/// rounding, which snaps only within 1e-9, an implied lower bound of 1e-7
+/// stays 0 here, because the search accepts 1e-7 as 0.)
+///
+/// Besides the LP's rows it propagates rows no LP sees: the cutoff row
+/// `c·x ≤ incumbent − 1e-9`, the search's own acceptance test, whose
+/// right-hand side [`set_cutoff`](Self::set_cutoff) lowers at each new
+/// incumbent, and the rows root probing learned ([`learned_rows`]), each
+/// valid at every integer point. It is incremental: a child starts from
+/// its parent's [`PropBox`], applies its branching bound and queues only
+/// the rows of columns whose bound moved, plus the cutoff row when the
+/// cutoff moved since the parent's box was proved, up to a cap of row
+/// visits per node. The derived bounds only ever settle nodes; the LP
+/// never sees them, because a tighter box would move the LP's vertices.
 pub(crate) struct NodePropagator<'a> {
     rows: &'a [SparseRow],
+    /// Rows after the LP's: the cutoff row first, when the objective has
+    /// a term, then the learned rows.
+    extra: Vec<SparseRow>,
+    /// Index of the cutoff row, if any.
+    cutoff_row: Option<usize>,
+    /// The incumbent objective, +∞ until the first incumbent.
+    cutoff: f64,
     /// Columns whose implied bounds round inward to integers.
     integral: &'a [bool],
-    /// The rows of column `j` are `col_rows[col_start[j]..col_start[j + 1]]`.
-    col_start: Vec<usize>,
-    col_rows: Vec<usize>,
+    columns: ColumnRows,
     lb: Vec<f64>,
     ub: Vec<f64>,
     queue: VecDeque<usize>,
@@ -425,36 +519,59 @@ pub(crate) struct NodePropagator<'a> {
 }
 
 impl<'a> NodePropagator<'a> {
-    /// A propagator over `rows`, with one entry of `integral` per column.
-    pub(crate) fn new(rows: &'a [SparseRow], integral: &'a [bool]) -> Self {
+    /// A propagator over the LP's `rows`, with one entry of `integral` per
+    /// column, the cutoff row of the min-form `objective` (none when it
+    /// has no nonzero term) and the `learned` rows.
+    pub(crate) fn new(
+        rows: &'a [SparseRow],
+        integral: &'a [bool],
+        objective: &[f64],
+        learned: Vec<SparseRow>,
+    ) -> Self {
         let ncols = integral.len();
-        let mut col_start = vec![0; ncols + 1];
-        for (terms, _, _) in rows {
-            for &(j, _) in terms {
-                col_start[j + 1] += 1;
-            }
+        let terms: Vec<(usize, f64)> = objective
+            .iter()
+            .enumerate()
+            .filter(|&(_, &c)| c != 0.0)
+            .map(|(j, &c)| (j, c))
+            .collect();
+        let cutoff_row = (!terms.is_empty()).then_some(rows.len());
+        let mut extra = Vec::with_capacity(learned.len() + 1);
+        if cutoff_row.is_some() {
+            extra.push((terms, Cmp::Le, f64::INFINITY));
         }
-        for j in 0..ncols {
-            col_start[j + 1] += col_start[j];
-        }
-        let mut fill = col_start.clone();
-        let mut col_rows = vec![0; col_start[ncols]];
-        for (r, (terms, _, _)) in rows.iter().enumerate() {
-            for &(j, _) in terms {
-                col_rows[fill[j]] = r;
-                fill[j] += 1;
-            }
-        }
+        extra.extend(learned);
+        let columns = ColumnRows::new(rows.iter().chain(&extra), ncols);
+        let nrows = rows.len() + extra.len();
         NodePropagator {
             rows,
+            extra,
+            cutoff_row,
+            cutoff: f64::INFINITY,
             integral,
-            col_start,
-            col_rows,
+            columns,
             lb: vec![0.0; ncols],
             ub: vec![0.0; ncols],
             queue: VecDeque::new(),
-            queued: vec![false; rows.len()],
-            visit_cap: 4 * rows.len() + 64,
+            queued: vec![false; nrows],
+            visit_cap: 4 * nrows + 64,
+        }
+    }
+
+    /// Lowers the cutoff to the new incumbent objective `obj` (min form):
+    /// from now on a box settles when it holds no accepted point with
+    /// `c·x < obj − 1e-9`, the test a node's LP must pass to be recorded.
+    pub(crate) fn set_cutoff(&mut self, obj: f64) {
+        self.cutoff = obj;
+        if let Some(r) = self.cutoff_row {
+            self.extra[r - self.rows.len()].2 = obj - 1e-9;
+        }
+    }
+
+    fn row(&self, r: usize) -> &SparseRow {
+        match r.checked_sub(self.rows.len()) {
+            None => &self.rows[r],
+            Some(e) => &self.extra[e],
         }
     }
 
@@ -463,7 +580,8 @@ impl<'a> NodePropagator<'a> {
     /// accept. The root (`parent` is `None`) starts from `lb`/`ub` with
     /// every row queued. A child starts from its parent's box, intersects
     /// column `j`'s bounds with `lb[j]`/`ub[j]` (the only column its
-    /// branching moved) and queues `j`'s rows.
+    /// branching moved) and queues `j`'s rows, and the cutoff row when the
+    /// cutoff moved since the parent's box was proved.
     pub(crate) fn run(
         &mut self,
         lb: &[f64],
@@ -474,7 +592,7 @@ impl<'a> NodePropagator<'a> {
             None => {
                 self.lb.copy_from_slice(lb);
                 self.ub.copy_from_slice(ub);
-                for r in 0..self.rows.len() {
+                for r in 0..self.queued.len() {
                     self.queued[r] = true;
                     self.queue.push_back(r);
                 }
@@ -483,6 +601,11 @@ impl<'a> NodePropagator<'a> {
             Some((from, j)) => {
                 self.lb.copy_from_slice(&from.lb);
                 self.ub.copy_from_slice(&from.ub);
+                if from.cutoff != self.cutoff {
+                    if let Some(r) = self.cutoff_row {
+                        self.queue_row(r);
+                    }
+                }
                 self.tighten_lb(j, lb[j]) && self.tighten_ub(j, ub[j]) && self.drain()
             }
         };
@@ -498,6 +621,7 @@ impl<'a> NodePropagator<'a> {
         PropBox {
             lb: self.lb.clone(),
             ub: self.ub.clone(),
+            cutoff: self.cutoff,
         }
     }
 
@@ -510,7 +634,7 @@ impl<'a> NodePropagator<'a> {
             };
             // The row stays marked while it is visited, so the bounds it
             // tightens do not queue it again.
-            if !sides(self.rows[r].1).iter().all(|&s| self.visit(r, s)) {
+            if !sides(self.row(r).1).iter().all(|&s| self.visit(r, s)) {
                 return false;
             }
             self.queue.pop_front();
@@ -525,8 +649,7 @@ impl<'a> NodePropagator<'a> {
     /// most one column may rest on an infinite bound; only that column
     /// then gets an implied bound.
     fn visit(&mut self, r: usize, s: f64) -> bool {
-        let rows = self.rows;
-        let (terms, _, rhs) = &rows[r];
+        let (terms, _, rhs) = self.row(r);
         let rhs = s * rhs;
         let mut act = 0.0;
         let mut scale = 1.0 + rhs.abs();
@@ -551,7 +674,9 @@ impl<'a> NodePropagator<'a> {
         if infinite.is_none() && act > room {
             return false;
         }
-        for &(j, a) in terms {
+        // Indexed, so the row is not borrowed while bounds tighten.
+        for k in 0..terms.len() {
+            let (j, a) = self.row(r).0[k];
             let a = s * a;
             if a.abs() < 1e-9 {
                 continue;
@@ -618,11 +743,15 @@ impl<'a> NodePropagator<'a> {
     }
 
     fn queue_rows(&mut self, j: usize) {
-        for &r in &self.col_rows[self.col_start[j]..self.col_start[j + 1]] {
-            if !self.queued[r] {
-                self.queued[r] = true;
-                self.queue.push_back(r);
-            }
+        for k in self.columns.start[j]..self.columns.start[j + 1] {
+            self.queue_row(self.columns.rows[k]);
+        }
+    }
+
+    fn queue_row(&mut self, r: usize) {
+        if !self.queued[r] {
+            self.queued[r] = true;
+            self.queue.push_back(r);
         }
     }
 }
@@ -743,26 +872,38 @@ pub(crate) fn strengthen(
     feas_tol: f64,
     probe_budget: usize,
 ) -> Result<Strengthened, ()> {
+    strengthen_with(rows, lb, ub, integral, feas_tol, probe_budget, propagate)
+}
+
+/// [`strengthen`] with each propagation run by `sweep`.
+pub(crate) fn strengthen_with(
+    rows: &mut [SparseRow],
+    lb: &mut [f64],
+    ub: &mut [f64],
+    integral: &[bool],
+    feas_tol: f64,
+    probe_budget: usize,
+    sweep: Sweep,
+) -> Result<Strengthened, ()> {
     let mut out = Strengthened::default();
     let mut hit = vec![false; rows.len()];
+    // Coefficient tightening moves values, never which columns a row
+    // holds, so one index serves every sweep and the harvest.
+    let n = lb.len();
+    let columns = ColumnRows::new(rows.iter(), n);
+    let propagate = |rows: &[SparseRow], lb: &mut [f64], ub: &mut [f64]| {
+        sweep(rows, &columns, lb, ub, integral, feas_tol, PROBE_PASSES)
+    };
 
     // Stage 1: tighten + propagate. Two rounds: propagation after the first
     // sweep can expose further coefficient slack.
     for _ in 0..2 {
         tighten_sweep(rows, lb, ub, integral, &mut hit);
-        if !propagate(rows, lb, ub, integral, feas_tol, PROBE_PASSES) {
+        if !propagate(rows, lb, ub) {
             return Err(());
         }
     }
 
-    // Row membership per variable, for neighbor harvesting.
-    let n = lb.len();
-    let mut var_rows: Vec<Vec<usize>> = vec![Vec::new(); n];
-    for (r, (terms, _, _)) in rows.iter().enumerate() {
-        for &(j, _) in terms.iter() {
-            var_rows[j].push(r);
-        }
-    }
     let mut implications: BTreeSet<Implication> = BTreeSet::new();
     let mut budget = probe_budget;
     let mut fixed_any = false;
@@ -782,8 +923,7 @@ pub(crate) fn strengthen(
             let mut pub_ = ub.to_vec();
             plb[j] = val;
             pub_[j] = val;
-            propagate(rows, &mut plb, &mut pub_, integral, feas_tol, PROBE_PASSES)
-                .then_some((plb, pub_))
+            propagate(rows, &mut plb, &mut pub_).then_some((plb, pub_))
         };
         match (probe(0.0), probe(1.0)) {
             (None, None) => return Err(()),
@@ -809,7 +949,7 @@ pub(crate) fn strengthen(
                         lb,
                         ub,
                         integral,
-                        &var_rows,
+                        &columns,
                         rows,
                         &mut implications,
                         &mut out.bound_impls,
@@ -850,7 +990,7 @@ pub(crate) fn strengthen(
             pub_[p] = plb[p];
             plb[q] = f64::from(u8::from(vq));
             pub_[q] = plb[q];
-            if propagate(rows, &mut plb, &mut pub_, integral, feas_tol, PROBE_PASSES) {
+            if propagate(rows, &mut plb, &mut pub_) {
                 alive.push((vp, vq));
             } else {
                 implications.insert(Implication {
@@ -880,7 +1020,7 @@ pub(crate) fn strengthen(
 
     // Probing fixings enable another propagate + tighten round.
     if fixed_any {
-        if !propagate(rows, lb, ub, integral, feas_tol, PROBE_PASSES) {
+        if !propagate(rows, lb, ub) {
             return Err(());
         }
         tighten_sweep(rows, lb, ub, integral, &mut hit);
@@ -902,13 +1042,13 @@ fn harvest_single(
     lb: &[f64],
     ub: &[f64],
     integral: &[bool],
-    var_rows: &[Vec<usize>],
+    columns: &ColumnRows,
     rows: &[SparseRow],
     implications: &mut BTreeSet<Implication>,
     bound_impls: &mut Vec<BoundImpl>,
 ) {
     let mut neighbors: BTreeSet<usize> = BTreeSet::new();
-    for &r in &var_rows[bin] {
+    for &r in columns.of(bin) {
         neighbors.extend(rows[r].0.iter().map(|&(j, _)| j));
     }
     neighbors.remove(&bin);
@@ -1037,13 +1177,7 @@ impl CutSeparator {
     pub(crate) fn logic_cuts(&mut self, max: usize) -> Vec<SparseRow> {
         let mut cuts = Vec::new();
         for imp in self.implications.clone() {
-            let (p, q) = (imp.bin, imp.other);
-            let (terms, rhs) = match (imp.val, imp.forced) {
-                (true, false) => (vec![(p, 1.0), (q, 1.0)], 1.0), // p+q <= 1
-                (true, true) => (vec![(p, 1.0), (q, -1.0)], 0.0), // p <= q
-                (false, true) => (vec![(p, -1.0), (q, -1.0)], -1.0), // p+q >= 1
-                (false, false) => (vec![(p, -1.0), (q, 1.0)], 0.0), // q <= p
-            };
+            let (terms, rhs) = logic_row(&imp);
             if !self.push(&mut cuts, terms, rhs, max) {
                 break;
             }
@@ -1057,38 +1191,8 @@ impl CutSeparator {
     pub(crate) fn separate(&mut self, x: &[f64], max: usize) -> Vec<SparseRow> {
         let mut cuts = Vec::new();
         for bi in self.bound_impls.clone() {
-            let (b, v) = (bi.bin, bi.var);
-            let (terms, rhs) = match bi.kind {
-                BoundKind::Lower => {
-                    let l = self.lb[v];
-                    if !l.is_finite() {
-                        continue;
-                    }
-                    let g = bi.bound - l;
-                    if g <= 1e-9 {
-                        continue;
-                    }
-                    if bi.val {
-                        (vec![(v, -1.0), (b, g)], -l)
-                    } else {
-                        (vec![(v, -1.0), (b, -g)], -bi.bound)
-                    }
-                }
-                BoundKind::Upper => {
-                    let u = self.ub[v];
-                    if !u.is_finite() {
-                        continue;
-                    }
-                    let g = u - bi.bound;
-                    if g <= 1e-9 {
-                        continue;
-                    }
-                    if bi.val {
-                        (vec![(v, 1.0), (b, g)], u)
-                    } else {
-                        (vec![(v, 1.0), (b, -g)], bi.bound)
-                    }
-                }
+            let Some((terms, rhs)) = implied_bound_row(&bi, &self.lb, &self.ub) else {
+                continue;
             };
             let act: f64 = terms.iter().map(|&(j, a)| a * x[j]).sum();
             if act > rhs + CUT_VIOLATION && !self.push(&mut cuts, terms, rhs, max) {
@@ -1097,6 +1201,68 @@ impl CutSeparator {
         }
         cuts
     }
+}
+
+/// The `<=` row of a binary implication: `p+q <= 1`, `p <= q`, `p+q >= 1`
+/// or `q <= p`.
+fn logic_row(imp: &Implication) -> (Vec<(usize, f64)>, f64) {
+    let (p, q) = (imp.bin, imp.other);
+    match (imp.val, imp.forced) {
+        (true, false) => (vec![(p, 1.0), (q, 1.0)], 1.0), // p+q <= 1
+        (true, true) => (vec![(p, 1.0), (q, -1.0)], 0.0), // p <= q
+        (false, true) => (vec![(p, -1.0), (q, -1.0)], -1.0), // p+q >= 1
+        (false, false) => (vec![(p, -1.0), (q, 1.0)], 0.0), // q <= p
+    }
+}
+
+/// The `<=` row of a bound implication linearized over its binary against
+/// the root bounds `lb`/`ub`: `None` when the variable's root bound on that
+/// side is infinite or the implication does not improve it.
+fn implied_bound_row(bi: &BoundImpl, lb: &[f64], ub: &[f64]) -> Option<(Vec<(usize, f64)>, f64)> {
+    let (b, v) = (bi.bin, bi.var);
+    match bi.kind {
+        BoundKind::Lower => {
+            let l = lb[v];
+            let g = bi.bound - l;
+            if !l.is_finite() || g <= 1e-9 {
+                return None;
+            }
+            Some(if bi.val {
+                (vec![(v, -1.0), (b, g)], -l)
+            } else {
+                (vec![(v, -1.0), (b, -g)], -bi.bound)
+            })
+        }
+        BoundKind::Upper => {
+            let u = ub[v];
+            let g = u - bi.bound;
+            if !u.is_finite() || g <= 1e-9 {
+                return None;
+            }
+            Some(if bi.val {
+                (vec![(v, 1.0), (b, g)], u)
+            } else {
+                (vec![(v, 1.0), (b, -g)], bi.bound)
+            })
+        }
+    }
+}
+
+/// Every implication `st` holds as a `<=` row over the root bounds
+/// `lb`/`ub`: the logic row of each binary implication and the implied-bound
+/// row of each bound implication, the rows [`CutSeparator`] draws its cuts
+/// from. Each holds at every integer point, so node propagation may use
+/// them all.
+pub(crate) fn learned_rows(st: &Strengthened, lb: &[f64], ub: &[f64]) -> Vec<SparseRow> {
+    let logic = st.implications.iter().map(logic_row);
+    let bounds = st
+        .bound_impls
+        .iter()
+        .filter_map(|bi| implied_bound_row(bi, lb, ub));
+    logic
+        .chain(bounds)
+        .map(|(terms, rhs)| (terms, Cmp::Le, rhs))
+        .collect()
 }
 
 #[cfg(test)]
@@ -1541,10 +1707,121 @@ mod tests {
         }
     }
 
+    /// The dirty-row sweep skips only rows whose visit would move nothing,
+    /// so on random row systems, with integral and continuous columns,
+    /// infinite bounds, equalities and any pass cap, it gives the full
+    /// sweep's verdict and bounds bit for bit, and its bounds stop where
+    /// the full sweep's do when it proves a system infeasible.
+    #[test]
+    fn dirty_row_sweep_matches_the_full_sweep() {
+        use crate::test_support::full_sweep;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        let bits = |v: &[f64]| v.iter().map(|b| b.to_bits()).collect::<Vec<_>>();
+        let (mut infeasible, mut moved) = (0, 0);
+        for seed in 0..400u64 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let n = rng.gen_range(2..9usize);
+            let integral: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+            let lb: Vec<f64> = (0..n)
+                .map(|_| match rng.gen_range(0..6) {
+                    0 => f64::NEG_INFINITY,
+                    _ => f64::from(rng.gen_range(-4..3i32)),
+                })
+                .collect();
+            let ub: Vec<f64> = lb
+                .iter()
+                .map(|&l| match rng.gen_range(0..6) {
+                    0 => f64::INFINITY,
+                    _ => l.max(-4.0) + rng.gen_range(0.5..12.0),
+                })
+                .collect();
+            let rows: Vec<SparseRow> = (0..rng.gen_range(1..10))
+                .map(|_| {
+                    let mut terms: Vec<(usize, f64)> = Vec::new();
+                    for j in 0..n {
+                        if rng.gen_bool(0.5) {
+                            terms.push((j, rng.gen_range(-9.0..9.0)));
+                        }
+                    }
+                    let cmp = [Cmp::Le, Cmp::Ge, Cmp::Eq][rng.gen_range(0..3usize)];
+                    (terms, cmp, rng.gen_range(-10.0..10.0))
+                })
+                .collect();
+            let passes = rng.gen_range(1..6);
+            let columns = ColumnRows::new(rows.iter(), n);
+            let (mut d_lb, mut d_ub) = (lb.clone(), ub.clone());
+            let (mut f_lb, mut f_ub) = (lb.clone(), ub.clone());
+            let dirty = propagate(
+                &rows, &columns, &mut d_lb, &mut d_ub, &integral, 1e-7, passes,
+            );
+            let full = full_sweep(
+                &rows, &columns, &mut f_lb, &mut f_ub, &integral, 1e-7, passes,
+            );
+            assert_eq!(dirty, full, "seed {seed}: verdicts differ");
+            assert_eq!(
+                bits(&d_lb),
+                bits(&f_lb),
+                "seed {seed}: {d_lb:?} vs {f_lb:?}"
+            );
+            assert_eq!(
+                bits(&d_ub),
+                bits(&f_ub),
+                "seed {seed}: {d_ub:?} vs {f_ub:?}"
+            );
+            infeasible += usize::from(!full);
+            moved += usize::from(full && (bits(&f_lb) != bits(&lb) || bits(&f_ub) != bits(&ub)));
+        }
+        // Not vacuous: both verdicts occur, and feasible systems move bounds.
+        assert!(
+            infeasible > 20 && moved > 100,
+            "{infeasible} infeasible, {moved} moved"
+        );
+    }
+
     /// Runs node propagation at the root of `rows` over `lb`/`ub`, with
     /// every column continuous.
     fn node_root(rows: &[SparseRow], lb: &[f64], ub: &[f64]) -> bool {
-        NodePropagator::new(rows, &vec![false; lb.len()]).run(lb, ub, None)
+        NodePropagator::new(rows, &vec![false; lb.len()], &[], Vec::new()).run(lb, ub, None)
+    }
+
+    #[test]
+    fn node_propagation_settles_boxes_the_cutoff_row_empties() {
+        // min x0 + x1 over 0 <= x <= 10 with x0 + x1 >= 3: once an
+        // incumbent of 4 is known, the box with x0 >= 5 holds no better
+        // point, while x0 <= 3 still does. x0 >= 4 stays open: its best
+        // point ties the incumbent within the propagation margin.
+        let rows = vec![ge(vec![(0, 1.0), (1, 1.0)], 3.0)];
+        let (lb, ub) = (vec![0.0; 2], vec![10.0; 2]);
+        let mut prop = NodePropagator::new(&rows, &[true, true], &[1.0, 1.0], Vec::new());
+        assert!(prop.run(&lb, &ub, None));
+        let root = prop.share();
+        prop.set_cutoff(4.0);
+        // The cutoff moved since the root's box was proved, so each child
+        // re-queues the cutoff row, which alone settles x0 >= 5.
+        assert!(!prop.run(&[5.0, 0.0], &ub, Some((&root, 0))));
+        assert!(prop.run(&[4.0, 0.0], &ub, Some((&root, 0))));
+        assert!(prop.run(&lb, &[3.0, 10.0], Some((&root, 0))));
+        // The cutoff row bounds x1 <= 4 in the box x0 <= 3 proved under
+        // cutoff 4, so its child x1 >= 5 settles on its own rows.
+        let low = prop.share();
+        assert!(!prop.run(&[0.0, 5.0], &[3.0, 10.0], Some((&low, 1))));
+        // An incumbent below the root box's best value settles the root.
+        prop.set_cutoff(2.0);
+        assert!(!prop.run(&lb, &ub, None));
+    }
+
+    #[test]
+    fn node_propagation_uses_learned_rows() {
+        // b0 + b1 <= 1 learned by probing, no LP row says so: the box with
+        // both binaries at 1 settles only with the learned row.
+        let learned = vec![le(vec![(0, 1.0), (1, 1.0)], 1.0)];
+        let rows = vec![le(vec![(0, 1.0), (1, 1.0), (2, 1.0)], 5.0)];
+        let (lb, ub) = (vec![1.0, 1.0, 0.0], vec![1.0, 1.0, 3.0]);
+        let integral = [true, true, false];
+        assert!(NodePropagator::new(&rows, &integral, &[], Vec::new()).run(&lb, &ub, None));
+        assert!(!NodePropagator::new(&rows, &integral, &[], learned).run(&lb, &ub, None));
     }
 
     #[test]
@@ -1564,7 +1841,7 @@ mod tests {
         // A visit cap that cuts the proof short leaves the node open, so
         // its LP runs.
         let rows = chain(7.0);
-        let mut prop = NodePropagator::new(&rows, &[false; 3]);
+        let mut prop = NodePropagator::new(&rows, &[false; 3], &[], Vec::new());
         prop.visit_cap = 1;
         assert!(prop.run(&lb, &ub, None));
     }
@@ -1575,17 +1852,17 @@ mod tests {
         // integral x settles the box, a continuous one leaves it open.
         let rows = vec![ge(vec![(0, 2.0)], 1.0), le(vec![(0, 2.0)], 1.5)];
         let (lb, ub) = ([0.0], [1.0]);
-        assert!(!NodePropagator::new(&rows, &[true]).run(&lb, &ub, None));
-        assert!(NodePropagator::new(&rows, &[false]).run(&lb, &ub, None));
+        assert!(!NodePropagator::new(&rows, &[true], &[], Vec::new()).run(&lb, &ub, None));
+        assert!(NodePropagator::new(&rows, &[false], &[], Vec::new()).run(&lb, &ub, None));
 
         // x >= 0.3 rounds up to 1 when x is integral and stays 0.3 (less
         // the margin) when it is continuous.
         let rows = vec![ge(vec![(0, 1.0)], 0.3)];
         let (lb, ub) = ([0.0], [5.0]);
-        let mut prop = NodePropagator::new(&rows, &[true]);
+        let mut prop = NodePropagator::new(&rows, &[true], &[], Vec::new());
         assert!(prop.run(&lb, &ub, None));
         assert_eq!(prop.share().lb[0], 1.0);
-        let mut prop = NodePropagator::new(&rows, &[false]);
+        let mut prop = NodePropagator::new(&rows, &[false], &[], Vec::new());
         assert!(prop.run(&lb, &ub, None));
         assert!((prop.share().lb[0] - 0.3).abs() < 1e-5);
 
@@ -1594,11 +1871,11 @@ mod tests {
         // search accepts as 0, so lb stays 0 (a 1e-9 snap would make it
         // 1); 1000x <= -5e-4 likewise lowers ub to 0, not -1.
         let rows = vec![ge(vec![(0, 1000.0)], 5e-4)];
-        let mut prop = NodePropagator::new(&rows, &[true]);
+        let mut prop = NodePropagator::new(&rows, &[true], &[], Vec::new());
         assert!(prop.run(&[0.0], &[f64::INFINITY], None));
         assert_eq!(prop.share().lb[0], 0.0);
         let rows = vec![le(vec![(0, 1000.0)], -5e-4)];
-        let mut prop = NodePropagator::new(&rows, &[true]);
+        let mut prop = NodePropagator::new(&rows, &[true], &[], Vec::new());
         assert!(prop.run(&[f64::NEG_INFINITY], &[f64::INFINITY], None));
         assert_eq!(prop.share().ub[0], 0.0);
     }
@@ -1623,7 +1900,7 @@ mod tests {
             ge(vec![(0, 1.0), (1, 1.0)], 2.0),
         ];
         let (lb, ub) = (vec![0.0; 3], vec![10.0, 0.5, 1.0]);
-        let mut prop = NodePropagator::new(&rows, &[false; 3]);
+        let mut prop = NodePropagator::new(&rows, &[false; 3], &[], Vec::new());
         assert!(prop.run(&lb, &ub, None));
         let root = prop.share();
         assert!((root.lb[0] - 1.5).abs() < 1e-4 && (root.lb[2] - 0.15).abs() < 1e-4);

@@ -12,12 +12,25 @@
 //! the unrounded, LP-valid rule settles, that it settles boxes whose LP is
 //! feasible, and that propagation settles a real share of the boxes, so it
 //! cannot pass by never firing.
+//!
+//! The search's propagator also carries the cutoff row `c·x ≤ z − 1e-9`
+//! under the incumbent objective `z` and the rows root probing learned.
+//! Every box it settles under a cutoff must hold no accepted point with an
+//! objective below `z`, by the same oracle with an objective cap. And
+//! since those rows settle only subtrees that could never yield an
+//! incumbent, every solve must answer bit for bit as a reference search
+//! whose propagator has neither, with no more nodes when it finishes, and
+//! with the same incumbent or a strictly better one when a node limit
+//! stops both.
 
 mod common;
 
-use common::{random_milp, rotation_disjunction_chain};
-use fp_milp::test_support::{box_holds_integer_point, integral_columns, node_propagation_probe};
-use fp_milp::{LinExpr, Model, Sense};
+use common::{classic_cases, random_milp, rotation_disjunction_chain};
+use fp_milp::test_support::{
+    box_holds_integer_point, integral_columns, min_form_objective, node_propagation_probe,
+    reference_solve, settles_under_cutoff,
+};
+use fp_milp::{LinExpr, Model, Optimality, Sense, SolveError, SolveOptions};
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
@@ -111,7 +124,7 @@ fn probe_boxes(model: &Model, label: &str, rng: &mut StdRng, boxes: usize, tally
             "{label}, box {b}: rounding lost a box the unrounded rule settles: {fixes:?}"
         );
         if probe.settled {
-            let oracle = box_holds_integer_point(model, &fixes, ORACLE_LPS);
+            let oracle = box_holds_integer_point(model, &fixes, ORACLE_LPS, f64::INFINITY);
             assert_eq!(
                 oracle,
                 Some(false),
@@ -189,4 +202,143 @@ fn propagation_settles_only_boxes_without_integer_points() {
         rounded_total > 0,
         "no settled box had a feasible LP: rounding never fired"
     );
+}
+
+/// Random branching boxes of `model`: each binary fixed with a random
+/// share, to a random value, in no particular order.
+fn random_fixes(model: &Model, rng: &mut StdRng) -> Vec<(usize, f64)> {
+    let share = rng.gen_range(0.1..0.8);
+    let mut fixes = Vec::new();
+    for j in integral_columns(model) {
+        if rng.gen_bool(share) {
+            fixes.push((j, if rng.gen_bool(0.5) { 1.0 } else { 0.0 }));
+        }
+    }
+    fixes.shuffle(rng);
+    fixes
+}
+
+#[test]
+fn the_cutoff_and_learned_rows_settle_only_boxes_without_better_points() {
+    let mut rng = StdRng::seed_from_u64(0xc0_7055);
+    let mut models: Vec<(String, Model)> = (0..20)
+        .map(|seed| (format!("random_milp({seed})"), random_milp(seed)))
+        .collect();
+    for seed in 0..12 {
+        models.push((
+            format!("rectangle_packing({seed})"),
+            rectangle_packing(seed, false),
+        ));
+        models.push((
+            format!("rectangle_packing_tenths({seed})"),
+            rectangle_packing(seed, true),
+        ));
+    }
+    let (mut boxes, mut settled, mut by_cutoff) = (0, 0, 0);
+    for (label, model) in &models {
+        let best = model.solve().expect("every family is feasible");
+        let opt = min_form_objective(model, best.values());
+        // The optimum itself, where no box holds a better point, and two
+        // looser cutoffs that leave the optimal boxes open.
+        for z in [opt, opt + 0.5, opt + 0.1 * (1.0 + opt.abs())] {
+            for b in 0..15 {
+                let fixes = random_fixes(model, &mut rng);
+                boxes += 1;
+                if !settles_under_cutoff(model, &fixes, z) {
+                    continue;
+                }
+                settled += 1;
+                assert_eq!(
+                    box_holds_integer_point(model, &fixes, ORACLE_LPS, z),
+                    Some(false),
+                    "{label}, cutoff {z}, box {b}: settled a box the oracle finds a point below the cutoff in: {fixes:?}"
+                );
+                by_cutoff += usize::from(!node_propagation_probe(model, &fixes).settled);
+            }
+        }
+    }
+    eprintln!(
+        "{settled} of {boxes} boxes settled, {by_cutoff} only with the cutoff and learned rows"
+    );
+    // Not vacuous: the cutoff and learned rows settle boxes the LP rows
+    // alone leave open.
+    assert!(
+        settled * 4 >= boxes && by_cutoff * 10 >= settled,
+        "{settled} settled, {by_cutoff} by the cutoff, of {boxes}"
+    );
+}
+
+/// Asserts that `model` solved under `options` answers as the reference
+/// search does: bit for bit with no more nodes when the search finishes,
+/// the same incumbent or a strictly better one when a limit stops it.
+fn assert_answers_as_reference(model: &Model, options: &SolveOptions, label: &str) {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let ours = model.solve_with(options);
+    let reference = reference_solve(model, options);
+    match (&ours, &reference) {
+        (Ok(s), Ok(r)) if r.optimality() == Optimality::Proven => {
+            assert_eq!(s.optimality(), Optimality::Proven, "{label}");
+            assert_eq!(s.objective().to_bits(), r.objective().to_bits(), "{label}");
+            assert_eq!(bits(s.values()), bits(r.values()), "{label}");
+            assert!(
+                s.stats().nodes <= r.stats().nodes,
+                "{label}: {} > {} nodes",
+                s.stats().nodes,
+                r.stats().nodes
+            );
+        }
+        (Ok(s), Ok(r)) => {
+            let (ours, theirs) = (
+                min_form_objective(model, s.values()),
+                min_form_objective(model, r.values()),
+            );
+            if bits(s.values()) != bits(r.values()) {
+                assert!(
+                    ours < theirs - 1e-9,
+                    "{label}: a capped search returned {ours}, the reference {theirs}"
+                );
+            }
+        }
+        (Ok(_), Err(SolveError::LimitWithoutIncumbent(_))) => {}
+        (Err(e), Err(f)) => {
+            assert_eq!(
+                std::mem::discriminant(e),
+                std::mem::discriminant(f),
+                "{label}: {e:?} vs {f:?}"
+            );
+            if let (SolveError::Infeasible(s), SolveError::Infeasible(r)) = (e, f) {
+                assert!(s.nodes <= r.nodes, "{label}");
+            }
+        }
+        _ => panic!("{label}: {ours:?} against the reference's {reference:?}"),
+    }
+}
+
+#[test]
+fn solves_answer_as_the_search_without_cutoff_or_learned_rows() {
+    let mut models: Vec<(String, Model)> = (0..40)
+        .map(|seed| (format!("random_milp({seed})"), random_milp(seed)))
+        .collect();
+    for seed in 0..20 {
+        models.push((
+            format!("rectangle_packing({seed})"),
+            rectangle_packing(seed, false),
+        ));
+        models.push((
+            format!("rectangle_packing_tenths({seed})"),
+            rectangle_packing(seed, true),
+        ));
+    }
+    for (name, build) in classic_cases() {
+        models.push((name.to_string(), build().0));
+    }
+    for (label, model) in &models {
+        assert_answers_as_reference(model, &SolveOptions::default(), label);
+        for limit in [3, 10, 40] {
+            let options = SolveOptions::default().with_node_limit(limit);
+            assert_answers_as_reference(model, &options, &format!("{label}, {limit} nodes"));
+        }
+        let no_strengthen = SolveOptions::default().with_strengthen(false);
+        assert_answers_as_reference(model, &no_strengthen, &format!("{label}, no strengthening"));
+    }
 }

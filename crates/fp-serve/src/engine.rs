@@ -886,6 +886,22 @@ fn certified(floorplan: &Floorplan, uncertified: &AtomicU64) -> bool {
     legal
 }
 
+/// The greedy placement `placed` that stands in for a job without a
+/// certified answer, put through the same certificate ([`certified`]): a
+/// stand-in that fails it is refused like a placement error, so it is
+/// neither answered nor cached.
+fn greedy_stand_in(
+    placed: Result<Floorplan, fp_core::FloorplanError>,
+    uncertified: &AtomicU64,
+) -> Result<Floorplan, String> {
+    let floorplan = placed.map_err(|e| e.to_string())?;
+    if certified(&floorplan, uncertified) {
+        Ok(floorplan)
+    } else {
+        Err("the greedy placement failed its legality certificate".to_string())
+    }
+}
+
 /// Runs one job through the degradation ladder: cache hit → ECO
 /// re-placement → greedy bottom-left skyline if the budget ran out before
 /// solving → the backend race ([`crate::race`]; the default is the
@@ -1044,11 +1060,12 @@ fn process(job: &Job, shared: &Shared) -> JobResponse {
         None => {
             // No time left to solve, no leg produced a legal answer, or
             // the answer failed its certificate: greedy skyline placement
-            // instead of an error.
+            // instead of an error, if it passes the certificate itself.
             degraded = true;
-            match fp_core::bottom_left(netlist, &fp_config) {
+            let placed = fp_core::bottom_left(netlist, &fp_config);
+            match greedy_stand_in(placed, &shared.uncertified) {
                 Ok(fp) => ("greedy", fp),
-                Err(e) => return JobResponse::failure(req.id, e.to_string()),
+                Err(e) => return JobResponse::failure(req.id, e),
             }
         }
     };
@@ -1175,6 +1192,32 @@ mod tests {
             ],
         );
         assert!(!certified(&overlapping, &uncertified));
+        assert_eq!(uncertified.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn greedy_stand_in_must_pass_the_certificate() {
+        let uncertified = AtomicU64::new(0);
+        let apart = Floorplan::new(
+            4.0,
+            vec![
+                placed(0, Rect::new(0.0, 0.0, 2.0, 2.0)),
+                placed(1, Rect::new(2.0, 0.0, 2.0, 2.0)),
+            ],
+        );
+        assert!(greedy_stand_in(Ok(apart), &uncertified).is_ok());
+        let overlapping = Floorplan::new(
+            4.0,
+            vec![
+                placed(0, Rect::new(0.0, 0.0, 2.0, 2.0)),
+                placed(1, Rect::new(1.0, 1.0, 2.0, 2.0)),
+            ],
+        );
+        let refused = greedy_stand_in(Ok(overlapping), &uncertified);
+        assert!(refused.is_err_and(|e| e.contains("legality certificate")));
+        assert_eq!(uncertified.load(Ordering::Relaxed), 1);
+        let failed = greedy_stand_in(Err(fp_core::FloorplanError::EmptyNetlist), &uncertified);
+        assert!(failed.is_err());
         assert_eq!(uncertified.load(Ordering::Relaxed), 1);
     }
 }

@@ -424,15 +424,15 @@ impl JobResponse {
             degraded: p.bool_field("degraded").unwrap_or(false),
             cached: p.bool_field("cached").unwrap_or(false),
             coalesced: p.bool_field("coalesced").unwrap_or(false),
-            retry_after_ms: p.num("retry_after_ms").unwrap_or(0.0).max(0.0) as u64,
-            micros: p.num("micros").unwrap_or(0.0) as u64,
+            retry_after_ms: optional_u64(&p, "retry_after_ms")?,
+            micros: optional_u64(&p, "micros")?,
             backend: p.str_field("backend").unwrap_or_default().to_string(),
             portfolio: p.bool_field("portfolio").unwrap_or(false),
             placement: p.str_field("placement").unwrap_or_default().to_string(),
             fingerprint: p.key_field("fingerprint").unwrap_or(0),
             eco_base_hit: p.bool_field("eco_base_hit").unwrap_or(false),
-            eco_replaced: p.num("eco_replaced").unwrap_or(0.0).max(0.0) as usize,
-            eco_total: p.num("eco_total").unwrap_or(0.0).max(0.0) as usize,
+            eco_replaced: optional_u64(&p, "eco_replaced")? as usize,
+            eco_total: optional_u64(&p, "eco_total")? as usize,
         })
     }
 }
@@ -452,6 +452,15 @@ fn num_u64(p: &fp_obs::ParsedRecord, key: &str) -> Result<u64, String> {
         return Err(format!("'{key}' must be a non-negative integer below 2^53"));
     }
     Ok(n as u64)
+}
+
+/// The integer field `key` by [`num_u64`]'s rule when it is present, and
+/// 0 when it is absent.
+fn optional_u64(p: &fp_obs::ParsedRecord, key: &str) -> Result<u64, String> {
+    match p.get(key) {
+        None => Ok(0),
+        Some(_) => num_u64(p, key),
+    }
 }
 
 #[cfg(test)]
@@ -655,6 +664,30 @@ mod tests {
         let back = JobResponse::decode("{\"id\":1,\"ok\":true}").unwrap();
         assert_eq!(back.backend, "");
         assert!(!back.portfolio);
+    }
+
+    #[test]
+    fn response_integer_fields_are_refused_out_of_range() {
+        for key in ["micros", "retry_after_ms", "eco_replaced", "eco_total"] {
+            for bad in ["-5", "1e300", "2.5", "9007199254740992", "true"] {
+                let line = format!("{{\"id\":1,\"ok\":true,\"{key}\":{bad}}}");
+                let error = JobResponse::decode(&line).expect_err(&line);
+                assert!(error.contains(key), "{line}: {error}");
+            }
+            let line = format!("{{\"id\":1,\"ok\":true,\"{key}\":7}}");
+            assert!(JobResponse::decode(&line).is_ok(), "{line}");
+        }
+        // An absent field stays 0.
+        let back = JobResponse::decode("{\"id\":1,\"ok\":true}").unwrap();
+        assert_eq!(
+            (
+                back.micros,
+                back.retry_after_ms,
+                back.eco_replaced,
+                back.eco_total
+            ),
+            (0, 0, 0, 0)
+        );
     }
 
     #[test]

@@ -42,7 +42,9 @@ const AWKWARD_NUMBERS: [f64; 9] = [
 ];
 
 /// Tokens a mutation inserts into an encoded line.
-const TOKENS: [&str; 20] = [
+const TOKENS: [&str; 22] = [
+    "-5",
+    "2.5",
     "\"",
     "\\",
     "{",
@@ -327,6 +329,31 @@ proptest! {
             matches!(&error, Err(e) if e.contains("16-digit hex")),
             "{line} gave {error:?}"
         );
+    }
+
+    /// A response integer that is negative, fractional, past 2^53 or not
+    /// a number is refused, never saturated: read through an `as` cast,
+    /// `"micros":-5` would decode as 0 and `"micros":1e300` as u64::MAX.
+    #[test]
+    fn response_integers_out_of_range_are_refused(
+        resp in response(),
+        field in 0usize..4,
+        bad in 0usize..6,
+    ) {
+        let mut resp = resp;
+        resp.micros = 11;
+        resp.retry_after_ms = 7;
+        resp.eco_replaced = 2;
+        resp.eco_total = 3;
+        let (key, value) = [("micros", 11), ("retry_after_ms", 7), ("eco_replaced", 2), ("eco_total", 3)][field];
+        let bad = ["-5", "1e300", "2.5", "9007199254740993", "-0.5", "\"7\""][bad];
+        let line = resp.encode().replace(
+            &format!("\"{key}\":{value}"),
+            &format!("\"{key}\":{bad}"),
+        );
+        prop_assert!(line.contains(bad));
+        let decoded = JobResponse::decode(&line);
+        prop_assert!(matches!(&decoded, Err(e) if e.contains(key)), "{line} gave {decoded:?}");
     }
 
     #[test]
